@@ -25,7 +25,7 @@
 //! An annotation covers its own line plus every contiguous following
 //! non-blank line; coverage resets at the first blank source line. This
 //! lets one justification cover a tight cluster (e.g. the stats block in
-//! `SharedResultCache::accumulate`) without annotating every line.
+//! `Sharded::accumulate`) without annotating every line.
 
 use std::collections::BTreeMap;
 
@@ -463,22 +463,26 @@ impl RuleCtx<'_> {
     }
 }
 
-const ORDERING_SCOPE: [&str; 8] = [
+const ORDERING_SCOPE: [&str; 10] = [
     "crates/pathenum/src/parallel.rs",
     "crates/pathenum/src/service.rs",
     "crates/pathenum/src/results.rs",
     "crates/pathenum/src/catalog.rs",
     "crates/pathenum/src/admission.rs",
     "crates/pathenum/src/plan.rs",
+    "crates/pathenum/src/pipeline.rs",
+    "crates/pathenum/src/sharded.rs",
     "crates/graph/src/version.rs",
     "crates/graph/src/epoch.rs",
 ];
 
-const NO_PANIC_SCOPE: [&str; 4] = [
+const NO_PANIC_SCOPE: [&str; 6] = [
     "crates/pathenum/src/service.rs",
     "crates/pathenum/src/catalog.rs",
     "crates/pathenum/src/admission.rs",
     "crates/pathenum/src/results.rs",
+    "crates/pathenum/src/pipeline.rs",
+    "crates/pathenum/src/sharded.rs",
 ];
 
 fn in_kernel_scope(path: &str) -> bool {

@@ -115,6 +115,21 @@ fn no_panic_fixture_exact_counts() {
 }
 
 #[test]
+fn the_request_pipeline_and_the_sharded_wrapper_are_serving_files() {
+    // Every evaluator runs through pipeline.rs and every shared cache
+    // through sharded.rs: both carry the serving-path rules.
+    for path in [
+        "crates/pathenum/src/pipeline.rs",
+        "crates/pathenum/src/sharded.rs",
+    ] {
+        let findings = analyze_source(path, include_str!("fixtures/no_panic.rs"));
+        assert_eq!(lines(&by_rule(&findings, "no-panic")), vec![5, 6, 8, 11]);
+        let findings = analyze_source(path, include_str!("fixtures/ordering.rs"));
+        assert_eq!(lines(&by_rule(&findings, "atomic-ordering")), vec![10, 11]);
+    }
+}
+
+#[test]
 fn no_panic_is_scoped_to_serving_files() {
     let src = include_str!("fixtures/no_panic.rs");
     let findings = analyze_source("crates/graph/src/bfs.rs", src);

@@ -508,6 +508,47 @@ impl NeighborAccess for OverlayView<'_> {
     }
 }
 
+/// The graph itself is queryable: every call delegates to the `O(1)`
+/// [`view`](DynamicGraph::view), so an engine bound to a
+/// `&DynamicGraph` walks base CSR + delta adjacency exactly as one bound
+/// to the view would.
+impl NeighborAccess for DynamicGraph {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        DynamicGraph::num_vertices(self)
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        DynamicGraph::num_edges(self)
+    }
+
+    #[inline]
+    fn for_each_out(&self, v: VertexId, f: impl FnMut(VertexId)) {
+        self.view().for_each_out(v, f);
+    }
+
+    #[inline]
+    fn for_each_in(&self, v: VertexId, f: impl FnMut(VertexId)) {
+        self.view().for_each_in(v, f);
+    }
+
+    #[inline]
+    fn has_edge(&self, from: VertexId, to: VertexId) -> bool {
+        DynamicGraph::has_edge(self, from, to)
+    }
+
+    #[inline]
+    fn out_degree(&self, v: VertexId) -> usize {
+        self.view().out_degree(v)
+    }
+
+    #[inline]
+    fn in_degree(&self, v: VertexId) -> usize {
+        self.view().in_degree(v)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

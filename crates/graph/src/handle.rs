@@ -15,7 +15,10 @@
 //! which is what keys every cache layer. Immutable representations
 //! return their construction/load version; a dynamic handle reports
 //! the overlay's current version, so cached plans stamped before a
-//! mutation are correctly invalidated.
+//! mutation are correctly invalidated. A graph that also keeps its own
+//! mutation history offers it through
+//! [`GraphSnapshot::mutation_log`], which lets a cache re-validate a
+//! version-stale entry against the delta instead of discarding it.
 
 use std::sync::Arc;
 
@@ -31,6 +34,19 @@ use crate::view::NeighborAccess;
 pub trait GraphSnapshot: NeighborAccess {
     /// The version epoch of the edge set answers are computed against.
     fn version(&self) -> GraphVersion;
+
+    /// The graph's own mutation history, when it keeps one: the lineage
+    /// and bounded delta log a cache needs to prove that an entry
+    /// stamped at an older version is untouched by the mutations since
+    /// (see [`DynamicGraph::mutations_since`]). Immutable
+    /// representations have no history and return `None`, so their
+    /// stale entries are simply invalidated. [`GraphHandle`] returns
+    /// `None` for every variant, overlay-backed ones included: shared
+    /// handles are republished, not mutated in place.
+    #[inline]
+    fn mutation_log(&self) -> Option<&DynamicGraph> {
+        None
+    }
 }
 
 impl GraphSnapshot for CsrGraph {
@@ -44,6 +60,21 @@ impl GraphSnapshot for FrozenGraph {
     #[inline]
     fn version(&self) -> GraphVersion {
         FrozenGraph::version(self)
+    }
+}
+
+/// A dynamic graph is served in place (through its O(1)
+/// [`view`](DynamicGraph::view)) and is the one representation with a
+/// mutation log to offer.
+impl GraphSnapshot for DynamicGraph {
+    #[inline]
+    fn version(&self) -> GraphVersion {
+        DynamicGraph::version(self)
+    }
+
+    #[inline]
+    fn mutation_log(&self) -> Option<&DynamicGraph> {
+        Some(self)
     }
 }
 
@@ -229,6 +260,11 @@ impl<G: GraphSnapshot> GraphSnapshot for Arc<G> {
     #[inline]
     fn version(&self) -> GraphVersion {
         (**self).version()
+    }
+
+    #[inline]
+    fn mutation_log(&self) -> Option<&DynamicGraph> {
+        (**self).mutation_log()
     }
 }
 

@@ -22,11 +22,14 @@
 //! * [`CatalogService`] routes a [`CatalogRequest`] (graph name, tenant,
 //!   query) through the catalog and an
 //!   [`AdmissionController`]:
-//!   each request is **planned at submit** on the caller's thread
+//!   each request runs the first stage of the crate's one request
+//!   pipeline (`pipeline.rs`) **at submit**, on the caller's thread — a
+//!   result hit resolves there; otherwise the request is planned
 //!   (warming the tenant's plan cache either way), its
 //!   [modeled cost](crate::plan::PhysicalPlan::modeled_cost) charged
 //!   against the in-flight budget, and the admitted work dispatched on
-//!   the [`Lane`] its cost earned. Over-budget requests are rejected
+//!   the [`Lane`] its cost earned, where a pool worker runs the
+//!   pipeline's second stage. Over-budget requests are rejected
 //!   *fast* — the [`CatalogTicket`] resolves immediately with
 //!   [`PathEnumError::Overloaded`] instead of queueing forever.
 //!
@@ -61,18 +64,14 @@ use std::time::Instant;
 use pathenum_graph::{GraphHandle, NeighborAccess};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, Lane};
-use crate::engine::{
-    execute_collecting, execute_on_plan, preflight_stop, replay_result_hit, result_key,
-};
 use crate::optimizer::PathEnumConfig;
 use crate::parallel::resolve_threads;
-use crate::plan::{
-    effective_config, CacheOutcome, PlanKey, Planner, SharedCacheStats, SharedPlanCache,
-};
-use crate::request::{PathEnumError, QueryRequest, QueryResponse, Termination};
-use crate::results::{ResultCacheStats, ResultKey, SharedResultCache, TeeSink};
+use crate::pipeline::{self, Acquired, Collector, Pipeline, SharedStore};
+use crate::plan::{SharedCacheStats, SharedPlanCache};
+use crate::request::{PathEnumError, QueryRequest, QueryResponse};
+use crate::results::{ResultCacheStats, SharedResultCache};
 use crate::service::{with_build_scratch, PoolTask, TicketOutcome, TicketState, WorkerPool};
-use crate::stats::PhaseTimings;
+use crate::sharded::{ShardCache, Sharded};
 
 /// Default per-tenant/per-graph plan-cache entry quota.
 pub const DEFAULT_TENANT_CACHE_QUOTA: usize = 32;
@@ -100,28 +99,23 @@ impl GraphState {
     fn snapshot(&self) -> Arc<ServingEpoch> {
         Arc::clone(&crate::sync::lock_recovering(&self.current))
     }
+}
 
-    fn tenant_cache(&self, tenant: &str, quota: usize, shards: usize) -> Arc<SharedPlanCache> {
-        let mut tenants = crate::sync::lock_recovering(&self.tenants);
-        match tenants.get(tenant) {
-            Some(cache) => Arc::clone(cache),
-            None => {
-                let cache = Arc::new(SharedPlanCache::new(quota, shards));
-                tenants.insert(tenant.to_string(), Arc::clone(&cache));
-                cache
-            }
-        }
-    }
-
-    fn tenant_results(&self, tenant: &str, bytes: usize, shards: usize) -> Arc<SharedResultCache> {
-        let mut results = crate::sync::lock_recovering(&self.results);
-        match results.get(tenant) {
-            Some(cache) => Arc::clone(cache),
-            None => {
-                let cache = Arc::new(SharedResultCache::new(bytes, shards));
-                results.insert(tenant.to_string(), Arc::clone(&cache));
-                cache
-            }
+/// `tenant`'s cache in `family`, created with `budget` over `shards`
+/// shards on the tenant's first request.
+fn tenant_cache<C: ShardCache>(
+    family: &Mutex<HashMap<String, Arc<Sharded<C>>>>,
+    tenant: &str,
+    budget: usize,
+    shards: usize,
+) -> Arc<Sharded<C>> {
+    let mut family = crate::sync::lock_recovering(family);
+    match family.get(tenant) {
+        Some(cache) => Arc::clone(cache),
+        None => {
+            let cache = Arc::new(Sharded::new(budget, shards));
+            family.insert(tenant.to_string(), Arc::clone(&cache));
+            cache
         }
     }
 }
@@ -501,13 +495,16 @@ impl CatalogService {
         self.submitted.load(Ordering::Relaxed)
     }
 
-    /// Submits one routed request. The request is *planned here, on the
-    /// calling thread* (warming the tenant's plan cache even if the
-    /// request is then shed), priced via
+    /// Submits one routed request. The catalog is a driver of the
+    /// crate's one request pipeline with admission and a queue between
+    /// its two stages: the request is *acquired here, on the calling
+    /// thread* — answered outright from the tenant's result cache, or
+    /// planned (warming the tenant's plan cache even if the request is
+    /// then shed) — priced via
     /// [`modeled_cost`](crate::plan::PhysicalPlan::modeled_cost), run
-    /// through admission, and — if admitted — dispatched on the lane its
-    /// cost earned. The returned ticket resolves immediately on
-    /// rejection.
+    /// through admission, and — if admitted — finished on a pool worker
+    /// on the lane its cost earned. The returned ticket resolves
+    /// immediately on a result hit or a rejection.
     pub fn submit(&self, routed: CatalogRequest) -> CatalogTicket {
         // ordering: advisory monotone counter; publishes no other memory.
         self.submitted.fetch_add(1, Ordering::Relaxed);
@@ -518,113 +515,62 @@ impl CatalogService {
         };
         let epoch = graph_state.snapshot();
         let request = routed.request;
-
-        // Plan at submit: one validation + (cached) plan gives us the
-        // admission price and warms the tenant cache either way.
         let query = match request.validate(epoch.graph.num_vertices()) {
             Ok(query) => query,
             Err(err) => return reject(state, Some(epoch.epoch), None, err),
         };
-        let version = epoch.graph.version();
 
-        // Result layer (off unless configured): a stored answer resolves
-        // the ticket *here*, on the caller's thread, before admission —
-        // a repeated answer is never shed, never queued, and charges no
-        // cost against the in-flight budget. Such tickets carry no
-        // admission decision.
-        let store: Option<(Arc<SharedResultCache>, ResultKey)> =
-            if self.catalog.result_cache_bytes > 0 {
-                let results = graph_state.tenant_results(
-                    &routed.tenant,
-                    self.catalog.result_cache_bytes,
-                    self.catalog.cache_shards,
-                );
-                match result_key(self.config, &request) {
-                    Some(rkey) => {
-                        let lookup_start = Instant::now();
-                        if let Some(cached) =
-                            results.lookup(&rkey, request.limit, request.time_budget, version)
-                        {
-                            let response = execute_collecting(request.collect, |sink| {
-                                Ok(replay_result_hit(
-                                    &cached,
-                                    &request,
-                                    sink,
-                                    lookup_start.elapsed(),
-                                    1,
-                                ))
-                            });
-                            state.publish(TicketOutcome {
-                                response,
-                                started: lookup_start,
-                                finished: Instant::now(),
-                            });
-                            return CatalogTicket {
-                                state,
-                                epoch: Some(epoch.epoch),
-                                decision: None,
-                            };
-                        }
-                        Some((results, rkey))
-                    }
-                    None => {
-                        results.note_bypass();
-                        None
-                    }
-                }
-            } else {
-                None
-            };
-
-        let cache = graph_state.tenant_cache(
-            &routed.tenant,
+        let (tenant, shards) = (&routed.tenant, self.catalog.cache_shards);
+        let cache = tenant_cache(
+            &graph_state.tenants,
+            tenant,
             self.catalog.tenant_cache_quota,
-            self.catalog.cache_shards,
+            shards,
         );
-        let key = if request.bypass_cache || cache.capacity() == 0 {
-            None
-        } else {
-            PlanKey::for_request(&request, effective_config(self.config, &request))
-        };
+        let results = (self.catalog.result_cache_bytes > 0).then(|| {
+            let bytes = self.catalog.result_cache_bytes;
+            tenant_cache(&graph_state.results, tenant, bytes, shards)
+        });
 
-        let lookup_start = Instant::now();
-        let (mut plan, index, timings, outcome_tag) = match key {
-            Some(ref key) => match cache.lookup(key, version) {
-                Some((plan, index)) => {
-                    let timings = PhaseTimings {
-                        cache_lookup: lookup_start.elapsed(),
-                        ..PhaseTimings::default()
-                    };
-                    (plan, index, timings, CacheOutcome::Hit)
-                }
-                None => {
-                    let planner = Planner::new(&epoch.graph, self.config);
-                    let (planned, timings) =
-                        with_build_scratch(|scratch| planner.plan_query(query, &request, scratch));
-                    let index = Arc::new(planned.index);
-                    cache.insert_arc(*key, version, planned.plan, Arc::clone(&index));
-                    (planned.plan, index, timings, CacheOutcome::Miss)
-                }
-            },
-            None => {
-                cache.note_bypass();
-                let planner = Planner::new(&epoch.graph, self.config);
-                let (planned, timings) =
-                    with_build_scratch(|scratch| planner.plan_query(query, &request, scratch));
-                (
-                    planned.plan,
-                    Arc::new(planned.index),
-                    timings,
-                    CacheOutcome::Bypass,
-                )
+        // Stage one at submit: a stored answer resolves the ticket
+        // *here*, before admission — a repeated answer is never shed,
+        // never queued, and charges no cost against the in-flight budget
+        // (such tickets carry no admission decision). Otherwise one
+        // (cached) plan gives us the admission price.
+        let submitted = Instant::now();
+        let mut collector = Collector::new(&request);
+        let acquired = with_build_scratch(|scratch| {
+            Pipeline {
+                graph: &epoch.graph,
+                config: self.config,
+                store: SharedStore {
+                    plans: &cache,
+                    results: results.as_deref(),
+                },
+                scratch,
+                // Pool-dispatched requests run intra-sequentially, like
+                // `PathEnumService::submit`.
+                threads: 1,
             }
+            .acquire(query, &request, &mut collector)
+        });
+        let planned = match acquired {
+            Acquired::Replay(response) => {
+                state.publish(TicketOutcome {
+                    response: Ok(collector.attach(response)),
+                    started: submitted,
+                    finished: Instant::now(),
+                });
+                return CatalogTicket {
+                    state,
+                    epoch: Some(epoch.epoch),
+                    decision: None,
+                };
+            }
+            Acquired::Planned(planned) => planned,
         };
-        plan.constraint = request.constraint.kind();
-        // Pool-dispatched requests run intra-sequentially, like
-        // `PathEnumService::submit`.
-        plan.threads = 1;
 
-        let cost = plan.modeled_cost();
+        let cost = planned.plan.modeled_cost();
         let decision = self.admission.try_admit(&routed.tenant, cost);
         if let Some(err) = decision.rejected {
             return reject(state, Some(epoch.epoch), Some(decision), err);
@@ -643,59 +589,22 @@ impl CatalogService {
                 // constraint closures resolve the ticket, not the pool.
                 let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let deadline = request.time_budget.map(|b| started + b);
-                    if let Some(stopped) = preflight_stop(&request, deadline) {
-                        return Ok(stopped);
+                    if let Some(stopped) = pipeline::preflight_stop(&request, deadline) {
+                        return stopped;
                     }
-                    execute_collecting(request.collect, |sink| {
-                        // With the result layer on, tee the answer into
-                        // the tenant's result cache so the next repeat
-                        // resolves at submit.
-                        let response = match &store {
-                            Some((results, rkey)) => {
-                                let mut tee = TeeSink::new(sink);
-                                let response = execute_on_plan(
-                                    &index,
-                                    plan,
-                                    &request,
-                                    deadline,
-                                    &mut tee,
-                                    timings,
-                                    outcome_tag,
-                                );
-                                if let Some(paths) = tee.finish() {
-                                    // A missing plan skips the cache
-                                    // insert instead of panicking.
-                                    if response.termination != Termination::Cancelled {
-                                        if let Some(plan) = response.plan {
-                                            results.insert(
-                                                *rkey,
-                                                version,
-                                                plan,
-                                                paths,
-                                                response.termination,
-                                                request.limit,
-                                                request.time_budget,
-                                                None,
-                                            );
-                                        }
-                                    }
-                                }
-                                response
-                            }
-                            None => execute_on_plan(
-                                &index,
-                                plan,
-                                &request,
-                                deadline,
-                                sink,
-                                timings,
-                                outcome_tag,
-                            ),
-                        };
-                        Ok(response)
-                    })
+                    // Stage two on the worker; with the result layer on,
+                    // the answer is teed into the tenant's result cache
+                    // so the next repeat resolves at submit.
+                    let mut store = SharedStore {
+                        plans: &cache,
+                        results: results.as_deref(),
+                    };
+                    let mut collector = Collector::new(&request);
+                    let response =
+                        pipeline::finish(planned, &request, deadline, &mut collector, &mut store);
+                    collector.attach(response)
                 }))
-                .unwrap_or(Err(PathEnumError::EvaluationPanicked));
+                .map_err(|_| PathEnumError::EvaluationPanicked);
                 admission.release(&tenant, cost);
                 state.publish(TicketOutcome {
                     response,

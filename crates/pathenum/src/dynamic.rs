@@ -1,20 +1,25 @@
 //! Snapshot-free querying of dynamic graphs.
 //!
-//! [`DynamicEngine`] is the [`QueryEngine`](crate::QueryEngine)
-//! counterpart for graphs that change between queries: it is bound to a
-//! [`DynamicGraph`] and evaluates every request directly on the graph's
-//! borrowed [`OverlayView`](pathenum_graph::OverlayView) — the boundary
-//! BFS and the per-query index build walk base CSR + delta adjacency in
-//! one merged pass, so the update→query loop of the paper's streaming
+//! [`DynamicEngine`] is the [`QueryEngine`] bound to a [`DynamicGraph`]
+//! itself rather than to a snapshot of one — graphs that change between
+//! queries. Every request is evaluated directly on the graph's borrowed
+//! [`OverlayView`](pathenum_graph::OverlayView) — the boundary BFS and
+//! the per-query index build walk base CSR + delta adjacency in one
+//! merged pass, so the update→query loop of the paper's streaming
 //! scenario (Figure 8: fraud/cycle detection on transaction streams)
 //! never pays the `O(n + m)` `snapshot()` the old pipeline required.
 //!
-//! The engine's [`PlanCache`] is *surgically* retained under mutation.
-//! Where a snapshot-bound engine must discard every entry when the
-//! [`GraphVersion`](pathenum_graph::GraphVersion) epoch advances, this
-//! engine re-validates stale entries against the overlay's mutation log:
-//! an entry whose recorded reach footprint is provably disjoint from the
-//! delta keeps serving (re-stamped, counted in
+//! It is the same engine driving the same request pipeline; what differs
+//! is a property of the graph. A `DynamicGraph` offers its mutation log
+//! ([`GraphSnapshot::mutation_log`](pathenum_graph::GraphSnapshot::mutation_log)),
+//! so the engine's [`PlanCache`](crate::PlanCache) (and
+//! [`ResultCache`](crate::ResultCache), when attached) is *surgically*
+//! retained under mutation. Where a snapshot-bound engine must discard
+//! every entry when the
+//! [`GraphVersion`](pathenum_graph::GraphVersion) epoch advances, here a
+//! stale entry is re-validated against the log: an entry whose recorded
+//! reach footprint is provably disjoint from the delta keeps serving
+//! (re-stamped, counted in
 //! [`PlanCacheStats::retained`](crate::PlanCacheStats::retained)) —
 //! mutations to one region of the graph no longer evict the whole
 //! working set.
@@ -42,349 +47,26 @@
 //! the engine to be dropped (or not yet created) — Rust's borrow rules
 //! guarantee an engine never observes a half-applied update. For
 //! update→query loops, carry the cache across engines with
-//! [`into_cache`](DynamicEngine::into_cache) /
-//! [`with_cache`](DynamicEngine::with_cache); retained entries survive
+//! [`into_cache`](QueryEngine::into_cache) /
+//! [`with_cache`](QueryEngine::with_cache); retained entries survive
 //! the trip.
-
-use std::time::Instant;
 
 use pathenum_graph::DynamicGraph;
 
-use crate::engine::{
-    execute_collecting, execute_on_plan, preflight_stop, replay_result_hit, result_key,
-};
-use crate::index::BuildScratch;
-use crate::optimizer::PathEnumConfig;
-use crate::plan::{
-    effective_config, CacheOutcome, IndexFootprint, PhysicalPlan, PlanCache, PlanKey, Planner,
-};
-use crate::request::{PathEnumError, QueryRequest, QueryResponse, Termination};
-use crate::results::{ResultCache, ResultCacheStats, TeeSink};
-use crate::sink::PathSink;
-use crate::stats::PhaseTimings;
+use crate::engine::QueryEngine;
 
 /// A PathEnum engine bound to a [`DynamicGraph`], evaluating requests on
-/// the borrowed overlay with zero per-query materialization and a
-/// surgically retained plan cache. See the [module docs](self).
-#[derive(Debug)]
-pub struct DynamicEngine<'g> {
-    graph: &'g DynamicGraph,
-    config: PathEnumConfig,
-    scratch: BuildScratch,
-    cache: PlanCache,
-    /// The result layer ([`ResultCache`]) — `None` (the default) keeps
-    /// it off; attach one with
-    /// [`with_result_cache`](Self::with_result_cache). Entries recorded
-    /// here carry the same [`IndexFootprint`] plan entries do, so they
-    /// are surgically retained across irrelevant mutations.
-    results: Option<ResultCache>,
-    queries_served: u64,
-    queries_rejected: u64,
-}
-
-impl<'g> DynamicEngine<'g> {
-    /// Creates an engine over `graph` with a default-capacity
-    /// [`PlanCache`].
-    pub fn new(graph: &'g DynamicGraph, config: PathEnumConfig) -> Self {
-        DynamicEngine::with_cache(graph, config, PlanCache::default())
-    }
-
-    /// Creates an engine with an explicit plan cache — `PlanCache::new(0)`
-    /// disables caching; a cache carried from an engine over an earlier
-    /// state of the same graph keeps its surgically retainable entries.
-    pub fn with_cache(graph: &'g DynamicGraph, config: PathEnumConfig, cache: PlanCache) -> Self {
-        DynamicEngine {
-            graph,
-            config,
-            scratch: BuildScratch::default(),
-            cache,
-            results: None,
-            queries_served: 0,
-            queries_rejected: 0,
-        }
-    }
-
-    /// Attaches a [`ResultCache`] (see [`crate::results`]); off unless
-    /// attached. Entries recorded on this engine carry a mutation
-    /// footprint, so a cache carried to an engine over a *mutated* state
-    /// of the same graph keeps every answer the delta provably did not
-    /// touch.
-    pub fn with_result_cache(mut self, results: ResultCache) -> Self {
-        self.results = Some(results);
-        self
-    }
-
-    /// The dynamic graph this engine serves.
-    pub fn graph(&self) -> &'g DynamicGraph {
-        self.graph
-    }
-
-    /// Number of queries evaluated so far. Requests stopped by a
-    /// pre-flight rule (see [`queries_rejected`](Self::queries_rejected))
-    /// are not counted.
-    pub fn queries_served(&self) -> u64 {
-        self.queries_served
-    }
-
-    /// Number of requests a pre-flight stopping rule short-circuited
-    /// before planning; they produce a response (with
-    /// [`CacheOutcome::Skipped`]) but never touch the overlay or the
-    /// cache.
-    pub fn queries_rejected(&self) -> u64 {
-        self.queries_rejected
-    }
-
-    /// The engine's plan cache (entry count, statistics).
-    pub fn plan_cache(&self) -> &PlanCache {
-        &self.cache
-    }
-
-    /// Convenience for `plan_cache().stats()`.
-    pub fn cache_stats(&self) -> crate::plan::PlanCacheStats {
-        self.cache.stats()
-    }
-
-    /// Drops every cached plan (statistics are kept).
-    pub fn clear_plan_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// Consumes the engine, handing the plan cache to its successor
-    /// (typically an engine created after the next batch of mutations).
-    pub fn into_cache(self) -> PlanCache {
-        self.cache
-    }
-
-    /// The engine's result cache, if one is attached.
-    pub fn result_cache(&self) -> Option<&ResultCache> {
-        self.results.as_ref()
-    }
-
-    /// Result-layer statistics (all-zero when no cache is attached).
-    pub fn result_cache_stats(&self) -> ResultCacheStats {
-        self.results
-            .as_ref()
-            .map(ResultCache::stats)
-            .unwrap_or_default()
-    }
-
-    /// Consumes the engine, handing back the attached result cache (if
-    /// any); footprint-carrying entries survive the trip across
-    /// mutations exactly like retained plan entries.
-    pub fn into_result_cache(self) -> Option<ResultCache> {
-        self.results
-    }
-
-    /// Evaluates a [`QueryRequest`] on the live overlay, collecting
-    /// result paths when the request asked for
-    /// [`collect_paths`](QueryRequest::collect_paths).
-    pub fn execute(&mut self, request: &QueryRequest<'_>) -> Result<QueryResponse, PathEnumError> {
-        execute_collecting(request.collect, |sink| self.execute_into(request, sink))
-    }
-
-    /// Plans a request on the overlay without executing it (and warms
-    /// the cache) — the `EXPLAIN` of the dynamic engine.
-    pub fn explain(&mut self, request: &QueryRequest<'_>) -> Result<PhysicalPlan, PathEnumError> {
-        let query = request.validate(self.graph.num_vertices())?;
-        let key = self.plan_key(request);
-        if let Some(key) = key {
-            if let Some((plan, _)) = self.cache.lookup_on_overlay(&key, self.graph) {
-                let mut plan = *plan;
-                plan.constraint = request.constraint.kind();
-                plan.threads = request.effective_threads();
-                return Ok(plan);
-            }
-        }
-        let view = self.graph.view();
-        let planner = Planner::new(&view, self.config);
-        let (planned, _) = planner.plan_query(query, request, &mut self.scratch);
-        let plan = planned.plan;
-        if let Some(key) = key {
-            let footprint = self.capture_footprint(query.k);
-            self.cache.insert_with_footprint(
-                key,
-                self.graph.version(),
-                planned.plan,
-                planned.index,
-                footprint,
-            );
-        }
-        Ok(plan)
-    }
-
-    /// Evaluates a [`QueryRequest`] on the live overlay, streaming
-    /// result paths into `sink`. Semantics (stopping rules, explain
-    /// flag, termination reporting) match
-    /// [`QueryEngine::execute_into`](crate::QueryEngine::execute_into);
-    /// only the serving graph differs.
-    pub fn execute_into(
-        &mut self,
-        request: &QueryRequest<'_>,
-        sink: &mut dyn PathSink,
-    ) -> Result<QueryResponse, PathEnumError> {
-        let query = request.validate(self.graph.num_vertices())?;
-
-        let deadline = request.time_budget.map(|b| Instant::now() + b);
-        if let Some(stopped) = preflight_stop(request, deadline) {
-            self.queries_rejected += 1;
-            return Ok(stopped);
-        }
-        self.queries_served += 1;
-
-        // Result layer (off unless a cache is attached): a stored
-        // answer — fresh *or* surgically retained across the mutation
-        // log — skips planning and enumeration; on a miss the run is
-        // recorded and admitted with the footprint of the build that
-        // produced it.
-        if self.results.is_some() {
-            match result_key(self.config, request) {
-                Some(rkey) => {
-                    let lookup_start = Instant::now();
-                    let cached = self
-                        .results
-                        .as_mut()
-                        .expect("checked above")
-                        .lookup_on_overlay(&rkey, request.limit, request.time_budget, self.graph);
-                    if let Some(cached) = cached {
-                        return Ok(replay_result_hit(
-                            &cached,
-                            request,
-                            sink,
-                            lookup_start.elapsed(),
-                            request.effective_threads(),
-                        ));
-                    }
-                    let mut tee = TeeSink::new(sink);
-                    let response = self.execute_planned(query, request, deadline, &mut tee);
-                    if let Some(paths) = tee.finish() {
-                        if response.termination != Termination::Cancelled {
-                            // The footprint is only capturable when this
-                            // run actually built (the dist maps in
-                            // scratch are that build's); a plan-cache hit
-                            // stores a footprint-less entry, which is
-                            // version-invalidated rather than retained.
-                            let footprint = if response.report.cache == CacheOutcome::Hit {
-                                None
-                            } else {
-                                self.capture_footprint(query.k)
-                            };
-                            let plan = response.plan.expect("executed responses carry the plan");
-                            self.results.as_mut().expect("checked above").insert(
-                                rkey,
-                                self.graph.version(),
-                                plan,
-                                paths,
-                                response.termination,
-                                request.limit,
-                                request.time_budget,
-                                footprint,
-                            );
-                        }
-                    }
-                    return Ok(response);
-                }
-                None => self.results.as_mut().expect("checked above").note_bypass(),
-            }
-        }
-
-        Ok(self.execute_planned(query, request, deadline, sink))
-    }
-
-    /// The plan-acquisition + execution core of
-    /// [`execute_into`](Self::execute_into) (mirrors the
-    /// [`QueryEngine`](crate::QueryEngine) split).
-    fn execute_planned(
-        &mut self,
-        query: crate::query::Query,
-        request: &QueryRequest<'_>,
-        deadline: Option<Instant>,
-        sink: &mut dyn PathSink,
-    ) -> QueryResponse {
-        let key = self.plan_key(request);
-
-        // Warm path: fresh or surgically retained entries skip BFS and
-        // index build entirely; the lookup (including the retention
-        // check against the mutation log) is reported as `cache_lookup`,
-        // leaving `index_build` zero — no build ran.
-        let lookup_start = Instant::now();
-        if let Some(key) = key {
-            if let Some((plan, index)) = self.cache.lookup_on_overlay(&key, self.graph) {
-                let mut plan = *plan;
-                plan.constraint = request.constraint.kind();
-                plan.threads = request.effective_threads();
-                let timings = PhaseTimings {
-                    cache_lookup: lookup_start.elapsed(),
-                    ..PhaseTimings::default()
-                };
-                return execute_on_plan(
-                    index,
-                    plan,
-                    request,
-                    deadline,
-                    sink,
-                    timings,
-                    CacheOutcome::Hit,
-                );
-            }
-        }
-
-        // Cold path: plan directly on the overlay view.
-        let view = self.graph.view();
-        let planner = Planner::new(&view, self.config);
-        let (planned, timings) = planner.plan_query(query, request, &mut self.scratch);
-        let outcome = if key.is_some() {
-            CacheOutcome::Miss
-        } else {
-            CacheOutcome::Bypass
-        };
-        let response = execute_on_plan(
-            &planned.index,
-            planned.plan,
-            request,
-            deadline,
-            sink,
-            timings,
-            outcome,
-        );
-        if let Some(key) = key {
-            let footprint = self.capture_footprint(query.k);
-            self.cache.insert_with_footprint(
-                key,
-                self.graph.version(),
-                planned.plan,
-                planned.index,
-                footprint,
-            );
-        }
-        response
-    }
-
-    /// The reach footprint of the build that just ran (its boundary
-    /// distance maps are still in the scratch buffers), bound to the
-    /// serving graph's mutation lineage. Delegates to the shared
-    /// [`IndexFootprint::capture`] — the planner-side capture and this
-    /// one used to duplicate the dist-map walk.
-    fn capture_footprint(&self, k: u32) -> Option<IndexFootprint> {
-        Some(IndexFootprint::capture(
-            self.graph.lineage(),
-            &self.scratch,
-            k,
-        ))
-    }
-
-    fn plan_key(&self, request: &QueryRequest<'_>) -> Option<PlanKey> {
-        if request.bypass_cache || self.cache.capacity() == 0 {
-            return None;
-        }
-        PlanKey::for_request(request, effective_config(self.config, request))
-    }
-}
+/// the borrowed overlay with zero per-query materialization and
+/// surgically retained caches. See the [module docs](self).
+pub type DynamicEngine<'g> = QueryEngine<'g, DynamicGraph>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::QueryEngine;
-    use crate::request::Termination;
+    use crate::optimizer::PathEnumConfig;
+    use crate::plan::CacheOutcome;
+    use crate::request::{PathEnumError, QueryRequest, Termination};
+    use crate::results::ResultCache;
     use crate::sink::CollectingSink;
     use pathenum_graph::{GraphBuilder, NeighborAccess};
 

@@ -8,19 +8,22 @@
 //! * [`execute`](QueryEngine::execute) — evaluate a
 //!   [`QueryRequest`] end-to-end, returning a
 //!   [`QueryResponse`] with counts, phase timings, and an explicit
-//!   [`Termination`] reason;
+//!   [`Termination`](crate::request::Termination) reason;
 //! * [`execute_into`](QueryEngine::execute_into) — the same, streaming
 //!   paths into a caller-supplied [`PathSink`];
 //! * [`stream`](QueryEngine::stream) — a pull-based
 //!   [`PathStream`] iterator for lazy
 //!   consumption.
 //!
-//! Every entry point is a thin driver over the planner/executor split of
-//! [`crate::plan`]: acquire a [`PhysicalPlan`] (from the engine's
-//! version-aware [`PlanCache`], or by planning from scratch), then let
-//! the [`Executor`] interpret it against the
-//! sink. [`explain`](QueryEngine::explain) stops after the first half —
-//! the plan with its modeled costs, without enumerating.
+//! Every entry point is a thin driver over the crate's one request
+//! pipeline (`pipeline.rs`): *acquire* a stored answer or a
+//! [`PhysicalPlan`] (from the engine's caches, or by planning from
+//! scratch), then *finish* by letting the
+//! [`Executor`](crate::plan::Executor) interpret the plan against the
+//! sink. The engine adds nothing to the pipeline but what it owns: the
+//! graph borrow, the build scratch, a [`PlanCache`] and an optional
+//! [`ResultCache`]. [`explain`](QueryEngine::explain) stops after the
+//! plan half — the plan with its modeled costs, without enumerating.
 //!
 //! Two levels of reuse keep steady-state per-query cost down:
 //! persistent build scratch (the three `O(|V|)` BFS/id-mapping buffers
@@ -30,24 +33,23 @@
 //! invalidated by the serving graph's
 //! [`GraphVersion`](pathenum_graph::GraphVersion) epoch and can be moved
 //! across engines over successive
-//! [`DynamicGraph`](pathenum_graph::DynamicGraph) snapshots.
+//! [`DynamicGraph`](pathenum_graph::DynamicGraph) snapshots — or over
+//! the `DynamicGraph` itself ([`DynamicEngine`](crate::DynamicEngine)),
+//! where entries the mutations provably did not touch are retained.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pathenum_graph::{CsrGraph, GraphSnapshot};
 
 use crate::index::{BuildScratch, Index};
 use crate::optimizer::{path_enum_on_index_with_build, PathEnumConfig};
-use crate::plan::{
-    CacheOutcome, Executor, PhysicalPlan, PlanCache, PlanKey, Planner, StoppingRules,
-};
+use crate::pipeline::{self, Collector, LocalStore, Pipeline};
+use crate::plan::{CacheOutcome, GraphStamp, PhysicalPlan, PlanCache};
 use crate::query::Query;
-use crate::request::{
-    ConstraintSpec, PathEnumError, PathStream, QueryRequest, QueryResponse, Termination,
-};
-use crate::results::{CachedResult, ResultCache, ResultCacheStats, ResultKey, TeeSink};
-use crate::sink::{FnSink, PathSink, SearchControl};
-use crate::stats::{Counters, PhaseTimings, RunReport};
+use crate::request::{ConstraintSpec, PathEnumError, PathStream, QueryRequest, QueryResponse};
+use crate::results::{ResultCache, ResultCacheStats};
+use crate::sink::PathSink;
+use crate::stats::RunReport;
 
 /// A PathEnum engine bound to one graph, reusing construction buffers
 /// and cached plans across queries.
@@ -55,9 +57,13 @@ use crate::stats::{Counters, PhaseTimings, RunReport};
 /// The engine is generic over any [`GraphSnapshot`] — a heap
 /// [`CsrGraph`] (the default), a zero-copy
 /// [`FrozenGraph`](pathenum_graph::FrozenGraph) served from a `PEG2`
-/// image, or a [`GraphHandle`](pathenum_graph::GraphHandle) of either —
+/// image, a [`GraphHandle`](pathenum_graph::GraphHandle) of either, or a
+/// [`DynamicGraph`](pathenum_graph::DynamicGraph) queried in place —
 /// and produces byte-identical results across representations (the
-/// strictly-ascending adjacency contract pins emission order).
+/// strictly-ascending adjacency contract pins emission order). A graph
+/// that offers a mutation log
+/// ([`GraphSnapshot::mutation_log`]) additionally gets surgical cache
+/// retention; see [`DynamicEngine`](crate::DynamicEngine).
 ///
 /// ```
 /// use pathenum::{PathEnumConfig, QueryEngine, QueryRequest};
@@ -220,7 +226,9 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
     /// response when the request asked for
     /// [`collect_paths`](QueryRequest::collect_paths).
     pub fn execute(&mut self, request: &QueryRequest<'_>) -> Result<QueryResponse, PathEnumError> {
-        execute_collecting(request.collect, |sink| self.execute_into(request, sink))
+        let mut collector = Collector::new(request);
+        let response = self.execute_into(request, &mut collector)?;
+        Ok(collector.attach(response))
     }
 
     /// Plans a request without executing it — the `EXPLAIN` of this
@@ -234,23 +242,7 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
     /// for the explanation is the one a later execution reuses).
     pub fn explain(&mut self, request: &QueryRequest<'_>) -> Result<PhysicalPlan, PathEnumError> {
         let query = request.validate(self.graph.num_vertices())?;
-        let key = self.plan_key(request);
-        let version = self.graph.version();
-        if let Some(key) = key {
-            if let Some((plan, _)) = self.cache.lookup(&key, version) {
-                let mut plan = *plan;
-                plan.constraint = request.constraint.kind();
-                plan.threads = request.effective_threads();
-                return Ok(plan);
-            }
-        }
-        let planner = Planner::new(self.graph, self.config);
-        let (planned, _) = planner.plan_query(query, request, &mut self.scratch);
-        let plan = planned.plan;
-        if let Some(key) = key {
-            self.cache.insert(key, version, planned.plan, planned.index);
-        }
-        Ok(plan)
+        Ok(self.pipeline(request).plan(query, request, None).plan)
     }
 
     /// Evaluates a [`QueryRequest`], streaming result paths into `sink`.
@@ -262,137 +254,39 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
     /// run short.
     ///
     /// Termination reflects *request-level* rules only: a `sink` that
-    /// itself returns [`SearchControl::Stop`] ends the run, but the
-    /// response still reads [`Termination::Completed`] — the caller
-    /// issued that stop and already knows the result set is truncated.
-    /// Prefer [`QueryRequest::limit`] when the cut-off should be
-    /// reported.
+    /// itself returns [`SearchControl::Stop`](crate::sink::SearchControl)
+    /// ends the run, but the response still reads
+    /// [`Termination::Completed`](crate::request::Termination) — the
+    /// caller issued that stop and already knows the result set is
+    /// truncated. Prefer [`QueryRequest::limit`] when the cut-off should
+    /// be reported.
     pub fn execute_into(
         &mut self,
         request: &QueryRequest<'_>,
         sink: &mut dyn PathSink,
     ) -> Result<QueryResponse, PathEnumError> {
-        let query = request.validate(self.graph.num_vertices())?;
-
-        let deadline = request.time_budget.map(|b| Instant::now() + b);
-        if let Some(stopped) = preflight_stop(request, deadline) {
+        let response = self.pipeline(request).evaluate(request, sink)?;
+        if response.report.cache == CacheOutcome::Skipped {
             self.queries_rejected += 1;
-            return Ok(stopped);
+        } else {
+            self.queries_served += 1;
         }
-        self.queries_served += 1;
-
-        let version = self.graph.version();
-
-        // Result layer (off unless a cache is attached): a stored answer
-        // skips planning *and* enumeration — the paths are replayed
-        // straight into `sink`. On a miss the run is recorded through a
-        // [`TeeSink`] and admitted for next time.
-        if self.results.is_some() {
-            match result_key(self.config, request) {
-                Some(rkey) => {
-                    let lookup_start = Instant::now();
-                    let cached = self.results.as_mut().expect("checked above").lookup(
-                        &rkey,
-                        request.limit,
-                        request.time_budget,
-                        version,
-                    );
-                    if let Some(cached) = cached {
-                        return Ok(replay_result_hit(
-                            &cached,
-                            request,
-                            sink,
-                            lookup_start.elapsed(),
-                            request.effective_threads(),
-                        ));
-                    }
-                    let mut tee = TeeSink::new(sink);
-                    let response = self.execute_planned(query, request, deadline, &mut tee);
-                    if let Some(paths) = tee.finish() {
-                        if response.termination != Termination::Cancelled {
-                            let plan = response.plan.expect("executed responses carry the plan");
-                            self.results.as_mut().expect("checked above").insert(
-                                rkey,
-                                version,
-                                plan,
-                                paths,
-                                response.termination,
-                                request.limit,
-                                request.time_budget,
-                                None,
-                            );
-                        }
-                    }
-                    return Ok(response);
-                }
-                None => self.results.as_mut().expect("checked above").note_bypass(),
-            }
-        }
-
-        Ok(self.execute_planned(query, request, deadline, sink))
+        Ok(response)
     }
 
-    /// The plan-acquisition + execution core of
-    /// [`execute_into`](Self::execute_into): plan-cache lookup or cold
-    /// planning, then [`Executor`] dispatch. Factored out so the result
-    /// layer can wrap the sink around it.
-    fn execute_planned(
-        &mut self,
-        query: Query,
-        request: &QueryRequest<'_>,
-        deadline: Option<Instant>,
-        sink: &mut dyn PathSink,
-    ) -> QueryResponse {
-        let key = self.plan_key(request);
-        let version = self.graph.version();
-
-        // Warm path: a fresh cached entry skips BFS, index build, and
-        // estimation; the (tiny) lookup cost is reported as
-        // `cache_lookup`, leaving `index_build` zero — no build ran.
-        let lookup_start = Instant::now();
-        if let Some(key) = key {
-            if let Some((plan, index)) = self.cache.lookup(&key, version) {
-                let mut plan = *plan;
-                plan.constraint = request.constraint.kind();
-                plan.threads = request.effective_threads();
-                let timings = PhaseTimings {
-                    cache_lookup: lookup_start.elapsed(),
-                    ..PhaseTimings::default()
-                };
-                return execute_on_plan(
-                    index,
-                    plan,
-                    request,
-                    deadline,
-                    sink,
-                    timings,
-                    CacheOutcome::Hit,
-                );
-            }
+    /// The request pipeline over what this engine owns: its graph
+    /// borrow, its build scratch, and its caches.
+    fn pipeline(&mut self, request: &QueryRequest<'_>) -> Pipeline<'_, G, LocalStore<'_>> {
+        Pipeline {
+            graph: self.graph,
+            config: self.config,
+            store: LocalStore {
+                plans: &mut self.cache,
+                results: self.results.as_mut(),
+            },
+            scratch: &mut self.scratch,
+            threads: request.effective_threads(),
         }
-
-        // Cold path: plan from scratch, execute, then store (the index
-        // moves into the cache after the borrow for execution ends).
-        let planner = Planner::new(self.graph, self.config);
-        let (planned, timings) = planner.plan_query(query, request, &mut self.scratch);
-        let outcome = if key.is_some() {
-            CacheOutcome::Miss
-        } else {
-            CacheOutcome::Bypass
-        };
-        let response = execute_on_plan(
-            &planned.index,
-            planned.plan,
-            request,
-            deadline,
-            sink,
-            timings,
-            outcome,
-        );
-        if let Some(key) = key {
-            self.cache.insert(key, version, planned.plan, planned.index);
-        }
-        response
     }
 
     /// Builds (or fetches from the plan cache) the index for a
@@ -416,14 +310,14 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
         // cache; the returned stream yields nothing and reports the
         // termination on the first pull.
         let deadline = request.time_budget.map(|b| Instant::now() + b);
-        if preflight_termination(request, deadline).is_some() {
+        if pipeline::preflight_termination(request, deadline).is_some() {
             self.queries_rejected += 1;
             return Ok(PathStream::new(Index::empty(query), request));
         }
         self.queries_served += 1;
-        if let Some(key) = self.plan_key(request) {
-            if let Some((_, index)) = self.cache.lookup(&key, self.graph.version()) {
-                return Ok(PathStream::new(Index::clone(index), request));
+        if let Some(key) = pipeline::plan_key(self.config, request, self.cache.capacity()) {
+            if let Some((_, index)) = self.cache.lookup(&key, GraphStamp::of(self.graph)) {
+                return Ok(PathStream::new(Index::clone(&index), request));
             }
         }
         let index = match &request.constraint {
@@ -434,17 +328,6 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
             _ => Index::build_reusing(self.graph, query, &mut self.scratch).0,
         };
         Ok(PathStream::new(index, request))
-    }
-
-    /// The cache key for a request, or `None` when the request is not
-    /// cacheable (bypass flag, zero-capacity cache, or an unfingerprinted
-    /// predicate).
-    fn plan_key(&self, request: &QueryRequest<'_>) -> Option<PlanKey> {
-        if request.bypass_cache || self.cache.capacity() == 0 {
-            return None;
-        }
-        let config = crate::plan::effective_config(self.config, request);
-        PlanKey::for_request(request, config)
     }
 }
 
@@ -461,173 +344,12 @@ impl<'g> QueryEngine<'g> {
     }
 }
 
-/// The shared `execute()` wiring of both engines: evaluate through a
-/// path-collecting sink and attach the collected paths to the response
-/// when the request asked for them.
-pub(crate) fn execute_collecting<F>(
-    collect: bool,
-    evaluate: F,
-) -> Result<QueryResponse, PathEnumError>
-where
-    F: FnOnce(&mut dyn PathSink) -> Result<QueryResponse, PathEnumError>,
-{
-    let mut collected: Vec<Vec<u32>> = Vec::new();
-    let mut sink = FnSink(|path: &[u32]| {
-        if collect {
-            collected.push(path.to_vec());
-        }
-        SearchControl::Continue
-    });
-    let mut response = evaluate(&mut sink)?;
-    response.paths = collected;
-    Ok(response)
-}
-
-/// The pre-flight stopping rules shared by every evaluator (both
-/// engines and the [`service`](crate::service) layer): a request that
-/// is already cancelled, already past its deadline, or limited to zero
-/// results never starts. Explain requests always plan — they never
-/// enumerate anyway. Returns the short-circuit response when a rule
-/// fires; such requests count as *rejected* (not served), perform no
-/// cache lookup, and their response reads
-/// [`CacheOutcome::Skipped`](crate::plan::CacheOutcome::Skipped).
-pub(crate) fn preflight_stop(
-    request: &QueryRequest<'_>,
-    deadline: Option<Instant>,
-) -> Option<QueryResponse> {
-    preflight_termination(request, deadline).map(QueryResponse::empty)
-}
-
-/// The rule set behind [`preflight_stop`], shared verbatim with
-/// [`QueryEngine::stream`] (which has no response to build — a rejected
-/// stream reports its termination on the first pull instead).
-pub(crate) fn preflight_termination(
-    request: &QueryRequest<'_>,
-    deadline: Option<Instant>,
-) -> Option<Termination> {
-    if request.explain {
-        return None;
-    }
-    if request.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-        return Some(Termination::Cancelled);
-    }
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Some(Termination::DeadlineExceeded);
-    }
-    if request.limit == Some(0) {
-        return Some(Termination::LimitReached);
-    }
-    None
-}
-
-/// The result-cache key for a request, or `None` when its *results* are
-/// not cacheable: bypass flags (either layer's), explain requests (they
-/// never enumerate), accumulative/automaton constraints, and
-/// unfingerprinted predicates. Shared by both engines and the service
-/// workers.
-pub(crate) fn result_key(config: PathEnumConfig, request: &QueryRequest<'_>) -> Option<ResultKey> {
-    if request.bypass_cache || request.bypass_result_cache || request.explain {
-        return None;
-    }
-    let effective = crate::plan::effective_config(config, request);
-    ResultKey::for_request(request, effective)
-}
-
-/// Builds the response of a result-cache hit: the stored prefix is
-/// replayed into the caller's sink — no BFS, no index build, no search.
-/// Mirrors fresh-execution semantics exactly: a caller-sink stop ends
-/// the replay with that path counted as delivered and the response
-/// reading [`Termination::Completed`] (the stored termination applies
-/// only when the full prefix went out).
-pub(crate) fn replay_result_hit(
-    cached: &CachedResult,
-    request: &QueryRequest<'_>,
-    sink: &mut dyn PathSink,
-    lookup: Duration,
-    threads: usize,
-) -> QueryResponse {
-    let replay_start = Instant::now();
-    let mut delivered = 0usize;
-    let mut stopped_early = false;
-    while delivered < cached.served {
-        let control = sink.emit(cached.paths.get(delivered));
-        delivered += 1;
-        if control == SearchControl::Stop {
-            stopped_early = delivered < cached.served;
-            break;
-        }
-    }
-    let termination = if stopped_early {
-        Termination::Completed
-    } else {
-        cached.termination
-    };
-    let mut plan = cached.plan;
-    plan.constraint = request.constraint.kind();
-    plan.threads = threads;
-    let timings = PhaseTimings {
-        cache_lookup: lookup,
-        enumeration: replay_start.elapsed(),
-        ..PhaseTimings::default()
-    };
-    let counters = Counters {
-        results: delivered as u64,
-        ..Counters::default()
-    };
-    QueryResponse {
-        report: plan.report(timings, counters, CacheOutcome::ResultHit),
-        termination,
-        paths: Vec::new(),
-        plan: Some(plan),
-    }
-}
-
-/// The shared execution core of every evaluator —
-/// [`QueryEngine::execute_into`],
-/// [`DynamicEngine::execute_into`](crate::DynamicEngine::execute_into),
-/// and the concurrent [`service`](crate::service) workers: interpret a
-/// plan against a borrowed index (or stop before enumeration for an
-/// explain request) and assemble the response. It borrows everything it
-/// touches — `&Index`, the request, the sink — and owns no engine
-/// state, which is what lets many threads drive it over one shared
-/// graph and one shared cache.
-pub(crate) fn execute_on_plan(
-    index: &Index,
-    plan: PhysicalPlan,
-    request: &QueryRequest<'_>,
-    deadline: Option<Instant>,
-    sink: &mut dyn PathSink,
-    mut timings: PhaseTimings,
-    cache: CacheOutcome,
-) -> QueryResponse {
-    if request.explain {
-        return QueryResponse {
-            report: plan.report(timings, Default::default(), cache),
-            termination: Termination::Completed,
-            paths: Vec::new(),
-            plan: Some(plan),
-        };
-    }
-    let rules = StoppingRules {
-        limit: request.limit,
-        deadline,
-        cancel: request.cancel.clone(),
-    };
-    let execution = Executor::run(index, &plan, &request.constraint, rules, sink);
-    timings.enumeration = execution.enumeration;
-    QueryResponse {
-        report: plan.report(timings, execution.counters, cache),
-        termination: execution.termination,
-        paths: Vec::new(),
-        plan: Some(plan),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::test_support::*;
     use crate::optimizer::path_enum;
+    use crate::request::Termination;
     use crate::sink::CollectingSink;
     use crate::stats::Method;
     use pathenum_graph::generators::erdos_renyi;

@@ -88,6 +88,7 @@ pub mod global;
 pub mod index;
 pub mod optimizer;
 pub mod parallel;
+pub(crate) mod pipeline;
 pub mod plan;
 pub mod query;
 pub mod reference;
@@ -95,6 +96,7 @@ pub mod relations;
 pub mod request;
 pub mod results;
 pub mod service;
+pub mod sharded;
 pub mod sink;
 pub mod spectrum;
 pub mod stats;
@@ -126,7 +128,6 @@ pub use results::{
     DEFAULT_RESULT_CACHE_SHARDS,
 };
 pub use service::{PathEnumService, ServeReport, ServiceConfig, Ticket, TicketOutcome};
-#[allow(deprecated)]
-pub use sink::LimitSink;
+pub use sharded::{CacheStats, Sharded};
 pub use sink::{CollectingSink, CountingSink, PathBuffer, PathSink, SearchControl};
 pub use stats::{Counters, Method, PhaseTimings, RunReport};

@@ -1,0 +1,580 @@
+//! The request pipeline: the one place a [`QueryRequest`] is turned into
+//! a [`QueryResponse`].
+//!
+//! The paper's Figure 2 is one sequence — boundary BFS → index →
+//! estimate → optimize → IDX-DFS/IDX-JOIN — and serving wraps it in one
+//! more. That wrapper lives here, once, as two stages:
+//!
+//! * [`Pipeline::acquire`] — result probe → plan probe → cold
+//!   [`Planner::plan_query`] + plan insert. Yields either a finished
+//!   [`Acquired::Replay`] (a stored answer was replayed into the sink:
+//!   no planning, no enumeration) or an [`Acquired::Planned`] request
+//!   holding the plan, its shared index, the front-half timings, and the
+//!   slot its answer should be recorded under.
+//! * [`finish`] — interpret the plan against the sink through the
+//!   [`Executor`], teeing the answer into the result layer when there is
+//!   a slot for it.
+//!
+//! Every evaluator is a driver that sequences the stages and adds only
+//! what is its own. [`Pipeline::evaluate`] (validate →
+//! [`preflight_stop`] → acquire → finish) is the whole of
+//! [`QueryEngine::execute_into`](crate::QueryEngine::execute_into) and
+//! of the [`service`](crate::service) workers, which differ in their
+//! [`CacheStore`] ([`LocalStore`] vs [`SharedStore`]), where the build
+//! scratch lives, and the intra-query thread cap; the
+//! [`catalog`](crate::catalog) runs `acquire` on the submitting thread,
+//! puts admission and a queue in between, and runs `preflight_stop` +
+//! `finish` on a pool worker with a deadline that starts at pickup.
+//!
+//! Surgical retention under mutation is a property of the *graph*, not
+//! of an evaluator: when the serving graph offers a mutation log
+//! ([`GraphSnapshot::mutation_log`]), lookups re-validate stale entries
+//! against it and cold plans record the reach footprint that makes that
+//! possible. [`DynamicEngine`](crate::DynamicEngine) is therefore just
+//! `QueryEngine<DynamicGraph>`.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use pathenum_graph::{GraphSnapshot, GraphVersion, VertexId};
+
+use crate::index::{BuildScratch, Index};
+use crate::optimizer::PathEnumConfig;
+use crate::plan::{
+    effective_config, CacheOutcome, Executor, GraphStamp, IndexFootprint, PhysicalPlan, PlanCache,
+    PlanKey, Planner, SharedPlanCache, StoppingRules,
+};
+use crate::query::Query;
+use crate::request::{PathEnumError, QueryRequest, QueryResponse, Termination};
+use crate::results::{CachedResult, ResultCache, ResultKey, SharedResultCache, TeeSink};
+use crate::sink::{PathSink, SearchControl};
+use crate::stats::{Counters, PhaseTimings};
+
+/// The two cache layers a pipeline run consults — plans and (optionally)
+/// results — behind one interface, so the stages are written once for
+/// the engines' exclusively owned caches ([`LocalStore`]) and the
+/// concurrent evaluators' sharded ones ([`SharedStore`]). A store does
+/// not re-export the caches' operations; it *locates* the cache
+/// responsible for a key and lends it to the pipeline for one operation.
+pub(crate) trait CacheStore {
+    /// Plan-cache entry capacity; 0 means requests bypass the layer.
+    fn plan_capacity(&self) -> usize;
+
+    /// Runs one operation on the plan cache responsible for `key`.
+    fn with_plans<R>(&mut self, key: &PlanKey, f: impl FnOnce(&mut PlanCache) -> R) -> R;
+
+    /// Records a request that was planned without consulting the layer.
+    fn note_plan_bypass(&mut self);
+
+    /// The largest answer, in bytes, the result layer could ever admit —
+    /// the bound on what [`finish`] bothers to record — or `None` when
+    /// no result layer is attached (off by default everywhere).
+    fn max_result_bytes(&self) -> Option<usize>;
+
+    /// Runs one operation on the result cache responsible for `key`
+    /// (`None`, without running it, when no result layer is attached).
+    fn with_results<R>(
+        &mut self,
+        key: &ResultKey,
+        f: impl FnOnce(&mut ResultCache) -> R,
+    ) -> Option<R>;
+
+    /// Records a request whose results were not eligible for the layer.
+    fn note_result_bypass(&mut self);
+}
+
+/// An engine's exclusively owned caches.
+pub(crate) struct LocalStore<'a> {
+    pub plans: &'a mut PlanCache,
+    pub results: Option<&'a mut ResultCache>,
+}
+
+impl CacheStore for LocalStore<'_> {
+    fn plan_capacity(&self) -> usize {
+        self.plans.capacity()
+    }
+
+    fn with_plans<R>(&mut self, _key: &PlanKey, f: impl FnOnce(&mut PlanCache) -> R) -> R {
+        f(self.plans)
+    }
+
+    fn note_plan_bypass(&mut self) {
+        self.plans.note_bypass();
+    }
+
+    fn max_result_bytes(&self) -> Option<usize> {
+        self.results.as_ref().map(|results| results.byte_budget())
+    }
+
+    fn with_results<R>(
+        &mut self,
+        _key: &ResultKey,
+        f: impl FnOnce(&mut ResultCache) -> R,
+    ) -> Option<R> {
+        self.results.as_deref_mut().map(f)
+    }
+
+    fn note_result_bypass(&mut self) {
+        if let Some(results) = &mut self.results {
+            results.note_bypass();
+        }
+    }
+}
+
+/// The sharded caches the concurrent evaluators share. The lent cache is
+/// the key's shard, under its lock for just that one probe or insert;
+/// plans and answers come out as `Arc`s, so execution and replay run
+/// unlocked.
+pub(crate) struct SharedStore<'a> {
+    pub plans: &'a SharedPlanCache,
+    pub results: Option<&'a SharedResultCache>,
+}
+
+impl CacheStore for SharedStore<'_> {
+    fn plan_capacity(&self) -> usize {
+        self.plans.capacity()
+    }
+
+    fn with_plans<R>(&mut self, key: &PlanKey, f: impl FnOnce(&mut PlanCache) -> R) -> R {
+        self.plans.with_shard(key, f)
+    }
+
+    fn note_plan_bypass(&mut self) {
+        self.plans.note_bypass();
+    }
+
+    fn max_result_bytes(&self) -> Option<usize> {
+        self.results.map(|results| results.shard_budget())
+    }
+
+    fn with_results<R>(
+        &mut self,
+        key: &ResultKey,
+        f: impl FnOnce(&mut ResultCache) -> R,
+    ) -> Option<R> {
+        self.results.map(|results| results.with_shard(key, f))
+    }
+
+    fn note_result_bypass(&mut self) {
+        if let Some(results) = self.results {
+            results.note_bypass();
+        }
+    }
+}
+
+/// Where [`finish`] records the answer of a request that missed the
+/// result layer.
+pub(crate) struct ResultSlot {
+    key: ResultKey,
+    version: GraphVersion,
+    /// The reach footprint of the build that planned the request, when
+    /// the serving graph keeps a mutation log *and* this run actually
+    /// built.
+    footprint: Option<IndexFootprint>,
+}
+
+/// A request that has its plan and is ready to enumerate.
+pub(crate) struct PlannedRequest {
+    pub plan: PhysicalPlan,
+    pub index: Arc<Index>,
+    /// Front-half phase timings: `cache_lookup` on a plan hit, the
+    /// BFS/build/estimate/optimize phases on a cold plan.
+    pub timings: PhaseTimings,
+    pub outcome: CacheOutcome,
+    pub result_slot: Option<ResultSlot>,
+}
+
+/// What [`acquire`] hands back.
+pub(crate) enum Acquired {
+    /// The result layer answered: the stored paths were replayed into
+    /// the sink and this is the finished response.
+    Replay(QueryResponse),
+    /// The request is planned; [`finish`] enumerates it.
+    Planned(PlannedRequest),
+}
+
+/// The plan-cache key for a request against a cache of `capacity`
+/// entries, or `None` when the request is not cacheable (bypass flag,
+/// zero-capacity cache, or an unfingerprinted predicate).
+pub(crate) fn plan_key(
+    config: PathEnumConfig,
+    request: &QueryRequest<'_>,
+    capacity: usize,
+) -> Option<PlanKey> {
+    if request.bypass_cache || capacity == 0 {
+        return None;
+    }
+    PlanKey::for_request(request, effective_config(config, request))
+}
+
+/// The result-cache key for a request, or `None` when its *results* are
+/// not cacheable: bypass flags (either layer's), explain requests (they
+/// never enumerate), accumulative/automaton constraints, and
+/// unfingerprinted predicates.
+fn result_key(config: PathEnumConfig, request: &QueryRequest<'_>) -> Option<ResultKey> {
+    if request.bypass_cache || request.bypass_result_cache || request.explain {
+        return None;
+    }
+    ResultKey::for_request(request, effective_config(config, request))
+}
+
+/// The pre-flight stopping rules shared by every evaluator: a request
+/// that is already cancelled, already past its deadline, or limited to
+/// zero results never starts. Explain requests always plan — they never
+/// enumerate anyway. Returns the short-circuit response when a rule
+/// fires; such requests count as *rejected* (not served) and their
+/// response reads [`CacheOutcome::Skipped`].
+pub(crate) fn preflight_stop(
+    request: &QueryRequest<'_>,
+    deadline: Option<Instant>,
+) -> Option<QueryResponse> {
+    preflight_termination(request, deadline).map(QueryResponse::empty)
+}
+
+/// The rule set behind [`preflight_stop`], shared verbatim with
+/// [`QueryEngine::stream`](crate::QueryEngine::stream) (which has no
+/// response to build — a rejected stream reports its termination on the
+/// first pull instead).
+pub(crate) fn preflight_termination(
+    request: &QueryRequest<'_>,
+    deadline: Option<Instant>,
+) -> Option<Termination> {
+    if request.explain {
+        return None;
+    }
+    if request.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+        return Some(Termination::Cancelled);
+    }
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Some(Termination::DeadlineExceeded);
+    }
+    if request.limit == Some(0) {
+        return Some(Termination::LimitReached);
+    }
+    None
+}
+
+/// Everything the front half of the pipeline is parameterised by: the
+/// serving graph, the orchestrator configuration, the cache store, the
+/// build scratch cold plans reuse, and the intra-query thread cap the
+/// evaluator grants each request.
+pub(crate) struct Pipeline<'a, G, S> {
+    pub graph: &'a G,
+    pub config: PathEnumConfig,
+    pub store: S,
+    pub scratch: &'a mut BuildScratch,
+    pub threads: usize,
+}
+
+impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
+    /// The whole pipeline for an evaluator with nothing between the
+    /// stages: validate → pre-flight → [`acquire`](Self::acquire) →
+    /// [`finish`], with the deadline starting now. A response reading
+    /// [`CacheOutcome::Skipped`] was rejected by a pre-flight rule
+    /// before it touched the graph or the store.
+    pub(crate) fn evaluate(
+        &mut self,
+        request: &QueryRequest<'_>,
+        sink: &mut dyn PathSink,
+    ) -> Result<QueryResponse, PathEnumError> {
+        let query = request.validate(self.graph.num_vertices())?;
+        let deadline = request.time_budget.map(|b| Instant::now() + b);
+        if let Some(stopped) = preflight_stop(request, deadline) {
+            return Ok(stopped);
+        }
+        Ok(match self.acquire(query, request, sink) {
+            Acquired::Replay(response) => response,
+            Acquired::Planned(planned) => finish(planned, request, deadline, sink, &mut self.store),
+        })
+    }
+
+    /// Stage one: find the cheapest way to answer a validated request.
+    ///
+    /// The result layer (when the store has one) is probed first: a
+    /// stored answer — fresh, or surgically retained across the graph's
+    /// mutation log — is replayed straight into `sink`, skipping
+    /// planning *and* enumeration. Otherwise the request is
+    /// [planned](Self::plan), with a slot to record its answer under
+    /// unless its results are uncacheable.
+    pub(crate) fn acquire(
+        &mut self,
+        query: Query,
+        request: &QueryRequest<'_>,
+        sink: &mut dyn PathSink,
+    ) -> Acquired {
+        let mut key = None;
+        if self.store.max_result_bytes().is_some() {
+            key = result_key(self.config, request);
+            match &key {
+                Some(key) => {
+                    let at = GraphStamp::of(self.graph);
+                    let lookup_start = Instant::now();
+                    let cached = self.store.with_results(key, |results| {
+                        results.lookup(key, request.limit, request.time_budget, at)
+                    });
+                    if let Some(cached) = cached.flatten() {
+                        let lookup = lookup_start.elapsed();
+                        return Acquired::Replay(replay_result_hit(
+                            &cached,
+                            request,
+                            sink,
+                            lookup,
+                            self.threads,
+                        ));
+                    }
+                }
+                None => self.store.note_result_bypass(),
+            }
+        }
+        Acquired::Planned(self.plan(query, request, key))
+    }
+
+    /// The plan half of [`acquire`](Self::acquire) — and, with no
+    /// `result_key`, the whole of an engine's `explain`: the plan is
+    /// taken from the plan layer, or planned cold with the scratch and
+    /// stored at once, so it warms the cache even if the request is
+    /// never enumerated (an explain, or a request admission then sheds).
+    pub(crate) fn plan(
+        &mut self,
+        query: Query,
+        request: &QueryRequest<'_>,
+        result_key: Option<ResultKey>,
+    ) -> PlannedRequest {
+        let at = GraphStamp::of(self.graph);
+        let key = plan_key(self.config, request, self.store.plan_capacity());
+        let slot = |footprint| {
+            result_key.map(|key| ResultSlot {
+                key,
+                version: at.version,
+                footprint,
+            })
+        };
+
+        // Warm path: a fresh (or surgically retained) entry skips BFS,
+        // index build, and estimation; the (tiny) lookup cost —
+        // including any retention check against the mutation log — is
+        // reported as `cache_lookup`, leaving `index_build` zero: no
+        // build ran.
+        let lookup_start = Instant::now();
+        match &key {
+            Some(key) => {
+                let cached = self.store.with_plans(key, |plans| plans.lookup(key, at));
+                if let Some((mut plan, index)) = cached {
+                    plan.constraint = request.constraint.kind();
+                    plan.threads = self.threads;
+                    let timings = PhaseTimings {
+                        cache_lookup: lookup_start.elapsed(),
+                        ..PhaseTimings::default()
+                    };
+                    return PlannedRequest {
+                        plan,
+                        index,
+                        timings,
+                        outcome: CacheOutcome::Hit,
+                        // No build ran, so there is no footprint to
+                        // capture: the answer is stored footprint-less
+                        // (version-invalidated rather than retained).
+                        result_slot: slot(None),
+                    };
+                }
+            }
+            None => self.store.note_plan_bypass(),
+        }
+
+        // Cold path: plan from scratch and publish before executing.
+        // Racing workers may plan the same query concurrently; planning
+        // is deterministic, so whichever insert lands last is identical.
+        let (planned, timings) =
+            Planner::new(self.graph, self.config).plan_query(query, request, self.scratch);
+        let mut plan = planned.plan;
+        plan.threads = self.threads;
+        let index = Arc::new(planned.index);
+        // The build's boundary distance maps are still in the scratch:
+        // capture the reach footprint exactly when the graph has a log
+        // to retain against.
+        let footprint = at
+            .log
+            .map(|log| IndexFootprint::capture(log.lineage(), self.scratch, query.k));
+        let result_slot = slot(result_key.and_then(|_| footprint.clone()));
+        let outcome = match key {
+            Some(key) => {
+                let index = Arc::clone(&index);
+                self.store.with_plans(&key, |plans| {
+                    plans.insert_with_footprint(key, at.version, plan, index, footprint)
+                });
+                CacheOutcome::Miss
+            }
+            None => CacheOutcome::Bypass,
+        };
+        PlannedRequest {
+            plan,
+            index,
+            timings,
+            outcome,
+            result_slot,
+        }
+    }
+}
+
+/// Stage two: enumerate a planned request into `sink` under its stopping
+/// rules (`deadline` is the caller's: it starts when the caller says the
+/// request started). When the request has a result slot, the run is
+/// recorded through the pipeline's single [`TeeSink`] — bounded by what
+/// the layer could admit — and stored, unless the answer is not a
+/// faithful one (cancelled, stopped by the caller's sink, or too large).
+pub(crate) fn finish(
+    planned: PlannedRequest,
+    request: &QueryRequest<'_>,
+    deadline: Option<Instant>,
+    sink: &mut dyn PathSink,
+    store: &mut impl CacheStore,
+) -> QueryResponse {
+    let PlannedRequest {
+        plan,
+        index,
+        timings,
+        outcome,
+        result_slot,
+    } = planned;
+    let Some(slot) = result_slot else {
+        return execute_on_plan(&index, plan, request, deadline, sink, timings, outcome);
+    };
+    let mut tee = TeeSink::new(sink, store.max_result_bytes().unwrap_or(0));
+    let response = execute_on_plan(&index, plan, request, deadline, &mut tee, timings, outcome);
+    if let Some(paths) = tee.finish() {
+        if response.termination != Termination::Cancelled {
+            store.with_results(&slot.key, |results| {
+                results.insert(
+                    slot.key,
+                    slot.version,
+                    plan,
+                    paths,
+                    response.termination,
+                    request.limit,
+                    request.time_budget,
+                    slot.footprint,
+                )
+            });
+        }
+    }
+    response
+}
+
+/// Builds the response of a result-cache hit: the stored prefix is
+/// replayed into the caller's sink — no BFS, no index build, no search.
+/// Mirrors fresh-execution semantics exactly: a caller-sink stop ends
+/// the replay with that path counted as delivered and the response
+/// reading [`Termination::Completed`] (the stored termination applies
+/// only when the full prefix went out).
+fn replay_result_hit(
+    cached: &CachedResult,
+    request: &QueryRequest<'_>,
+    sink: &mut dyn PathSink,
+    lookup: Duration,
+    threads: usize,
+) -> QueryResponse {
+    let replay_start = Instant::now();
+    let mut delivered = 0usize;
+    let mut stopped_early = false;
+    while delivered < cached.served {
+        let control = sink.emit(cached.paths.get(delivered));
+        delivered += 1;
+        if control == SearchControl::Stop {
+            stopped_early = delivered < cached.served;
+            break;
+        }
+    }
+    let termination = if stopped_early {
+        Termination::Completed
+    } else {
+        cached.termination
+    };
+    let mut plan = cached.plan;
+    plan.constraint = request.constraint.kind();
+    plan.threads = threads;
+    let timings = PhaseTimings {
+        cache_lookup: lookup,
+        enumeration: replay_start.elapsed(),
+        ..PhaseTimings::default()
+    };
+    let counters = Counters {
+        results: delivered as u64,
+        ..Counters::default()
+    };
+    QueryResponse {
+        report: plan.report(timings, counters, CacheOutcome::ResultHit),
+        termination,
+        paths: Vec::new(),
+        plan: Some(plan),
+    }
+}
+
+/// Interprets a plan against a borrowed index (or stops before
+/// enumeration for an explain request) and assembles the response. It
+/// borrows everything it touches and owns no evaluator state, which is
+/// what lets many threads drive it over one shared graph and cache.
+fn execute_on_plan(
+    index: &Index,
+    plan: PhysicalPlan,
+    request: &QueryRequest<'_>,
+    deadline: Option<Instant>,
+    sink: &mut dyn PathSink,
+    mut timings: PhaseTimings,
+    cache: CacheOutcome,
+) -> QueryResponse {
+    if request.explain {
+        return QueryResponse {
+            report: plan.report(timings, Default::default(), cache),
+            termination: Termination::Completed,
+            paths: Vec::new(),
+            plan: Some(plan),
+        };
+    }
+    let rules = StoppingRules {
+        limit: request.limit,
+        deadline,
+        cancel: request.cancel.clone(),
+    };
+    let execution = Executor::run(index, &plan, &request.constraint, rules, sink);
+    timings.enumeration = execution.enumeration;
+    QueryResponse {
+        report: plan.report(timings, execution.counters, cache),
+        termination: execution.termination,
+        paths: Vec::new(),
+        plan: Some(plan),
+    }
+}
+
+/// The sink behind every evaluator's collecting `execute()`: keeps a
+/// copy of each path when the request asked for
+/// [`collect_paths`](QueryRequest::collect_paths), and attaches them to
+/// the response afterwards.
+pub(crate) struct Collector {
+    collect: bool,
+    paths: Vec<Vec<VertexId>>,
+}
+
+impl Collector {
+    pub(crate) fn new(request: &QueryRequest<'_>) -> Self {
+        Collector {
+            collect: request.collect,
+            paths: Vec::new(),
+        }
+    }
+
+    /// `response` with the collected paths attached.
+    pub(crate) fn attach(self, mut response: QueryResponse) -> QueryResponse {
+        response.paths = self.paths;
+        response
+    }
+}
+
+impl PathSink for Collector {
+    #[inline]
+    fn emit(&mut self, path: &[VertexId]) -> SearchControl {
+        if self.collect {
+            self.paths.push(path.to_vec());
+        }
+        SearchControl::Continue
+    }
+}

@@ -26,12 +26,12 @@
 //!   the paper measures — the bidirectional boundary BFS of the index
 //!   build — is paid once and amortized across every warm hit.
 //!
-//! [`QueryEngine`](crate::QueryEngine) wires the three together:
-//! `execute`/`execute_into`/`stream` are thin drivers over
-//! plan-acquisition (cache lookup or [`Planner`]) followed by
-//! [`Executor`] dispatch, and
-//! [`QueryEngine::explain`](crate::QueryEngine::explain) returns the plan
-//! without enumerating at all.
+//! The crate's one request pipeline (`pipeline.rs`) wires the three
+//! together for every evaluator: plan-acquisition (cache lookup or
+//! [`Planner`]) followed by [`Executor`] dispatch, with
+//! [`QueryEngine::explain`](crate::QueryEngine::explain) returning the
+//! plan without enumerating at all. The concurrent evaluators share the
+//! cache as a [`SharedPlanCache`] — [`Sharded`] over [`PlanCache`].
 //!
 //! ```
 //! use pathenum::{PathEnumConfig, QueryEngine, QueryRequest};
@@ -49,15 +49,13 @@
 //! assert_eq!(response.report.cache, pathenum::plan::CacheOutcome::Hit);
 //! ```
 
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pathenum_graph::epoch::EpochMap;
 use pathenum_graph::hashing::{FxBuildHasher, FxHashMap};
 use pathenum_graph::{
-    CsrGraph, DynamicGraph, EdgeMutation, GraphVersion, NeighborAccess, VertexId,
+    CsrGraph, DynamicGraph, EdgeMutation, GraphSnapshot, GraphVersion, NeighborAccess, VertexId,
 };
 
 use crate::bits::CompactBits;
@@ -70,6 +68,7 @@ use crate::query::Query;
 use crate::request::{
     CancelToken, ConstraintSpec, ControlledSink, PathEnumError, QueryRequest, Termination,
 };
+use crate::sharded::{CacheStats, ShardCache, Sharded};
 use crate::sink::PathSink;
 use crate::stats::{Counters, Method, PhaseTimings};
 
@@ -688,32 +687,38 @@ impl PlanKey {
     }
 }
 
-/// Aggregate statistics of a [`PlanCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that found nothing usable (including invalidations).
-    pub misses: u64,
-    /// Entries discarded because the graph version moved on.
-    pub invalidations: u64,
-    /// Entries discarded to make room (LRU).
-    pub evictions: u64,
-    /// Hits served across a graph mutation because the entry's recorded
-    /// footprint was provably untouched by the delta (surgical
-    /// retention; a subset of `hits`).
-    pub retained: u64,
+/// Aggregate statistics of a [`PlanCache`] — the shared seven-counter
+/// [`CacheStats`].
+pub type PlanCacheStats = CacheStats;
+
+/// Aggregate statistics of a [`SharedPlanCache`] — the shared
+/// seven-counter [`CacheStats`], read without locking.
+pub type SharedCacheStats = CacheStats;
+
+/// The serving graph as a cache sees it: the version entries are stamped
+/// with, plus — when the graph keeps one (see
+/// [`GraphSnapshot::mutation_log`]) — the mutation log that lets a
+/// version-stale entry be re-validated against the delta instead of
+/// discarded. A bare [`GraphVersion`] converts into a log-less stamp.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GraphStamp<'g> {
+    pub version: GraphVersion,
+    pub log: Option<&'g DynamicGraph>,
 }
 
-impl PlanCacheStats {
-    /// Hit fraction over all lookups (0 when nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
+impl<'g> GraphStamp<'g> {
+    /// The stamp of `graph` as it stands now.
+    pub(crate) fn of<G: GraphSnapshot>(graph: &'g G) -> Self {
+        GraphStamp {
+            version: graph.version(),
+            log: graph.mutation_log(),
         }
+    }
+}
+
+impl From<GraphVersion> for GraphStamp<'_> {
+    fn from(version: GraphVersion) -> Self {
+        GraphStamp { version, log: None }
     }
 }
 
@@ -770,10 +775,7 @@ impl IndexFootprint {
     }
 
     /// Captures the footprint a build just left in `scratch`, for query
-    /// hop bound `k`, stamped against one graph lineage. The single
-    /// capture point shared by the planner-side and the
-    /// [`DynamicEngine`](crate::DynamicEngine)-side callers — both used
-    /// to duplicate this dist-map walk.
+    /// hop bound `k`, stamped against one graph lineage.
     pub(crate) fn capture(lineage: GraphVersion, scratch: &BuildScratch, k: u32) -> Self {
         let (dist_s, dist_t) = scratch.dist_maps();
         IndexFootprint::from_dist_maps(lineage, dist_s, dist_t, k)
@@ -818,7 +820,7 @@ struct CacheEntry {
     index: Arc<Index>,
     last_used: u64,
     /// Reach footprint enabling surgical retention; `None` for entries
-    /// stored by engines that do not track deltas (plain snapshots).
+    /// planned on graphs without a mutation log (plain snapshots).
     footprint: Option<IndexFootprint>,
     /// Sticky: some delta insertion since build starts inside `reach_s`.
     src_touched: bool,
@@ -883,7 +885,11 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
 /// current version discards the entry (counted as an invalidation): a
 /// [`DynamicGraph`] mutation advances the
 /// epoch, so snapshots taken after a mutation can never be served stale
-/// plans, while snapshots of an unmutated overlay keep hitting.
+/// plans, while snapshots of an unmutated overlay keep hitting. The one
+/// exception is surgical retention: when the serving graph offers its
+/// mutation log (a [`DynamicGraph`] served in place), a stale entry
+/// whose footprint the delta provably never touched is re-stamped and
+/// kept, counted in [`PlanCacheStats::retained`].
 ///
 /// The cache is an independent value so it can outlive any single
 /// engine: move it between engines over successive snapshots with
@@ -896,7 +902,7 @@ pub struct PlanCache {
     // stays out of the plan-lookup hot path.
     entries: FxHashMap<PlanKey, CacheEntry>,
     clock: u64,
-    stats: PlanCacheStats,
+    stats: CacheStats,
 }
 
 impl Default for PlanCache {
@@ -916,7 +922,7 @@ impl PlanCache {
                 FxBuildHasher::default(),
             ),
             clock: 0,
-            stats: PlanCacheStats::default(),
+            stats: CacheStats::default(),
         }
     }
 
@@ -945,24 +951,45 @@ impl PlanCache {
         self.entries.clear();
     }
 
-    /// Looks up a fresh entry for `key` at graph `version`. A stale
-    /// entry (older version) is removed and counted as an invalidation;
-    /// both stale and absent count as misses.
-    pub(crate) fn lookup(
+    /// Records a request evaluated without consulting this cache.
+    pub(crate) fn note_bypass(&mut self) {
+        self.stats.lookups += 1;
+        self.stats.bypasses += 1;
+    }
+
+    /// Looks up an entry for `key` against the serving graph `at`.
+    ///
+    /// An entry stamped at the graph's current version is a plain hit.
+    /// An entry stamped at an *older* version is re-validated when the
+    /// graph offers a mutation log: if every mutation since the stamp is
+    /// provably irrelevant to the entry's recorded footprint (see
+    /// [`IndexFootprint`]), the entry is re-stamped to the current
+    /// version and served — a hit (counted in
+    /// [`PlanCacheStats::retained`]) instead of a rebuild. Otherwise (no
+    /// log, no footprint, or a relevant delta) the entry is removed and
+    /// counted as an invalidation; both stale and absent count as misses.
+    pub(crate) fn lookup<'g>(
         &mut self,
         key: &PlanKey,
-        version: GraphVersion,
-    ) -> Option<(&PhysicalPlan, &Arc<Index>)> {
+        at: impl Into<GraphStamp<'g>>,
+    ) -> Option<(PhysicalPlan, Arc<Index>)> {
+        let at = at.into();
+        self.stats.lookups += 1;
         // Entry API: one hash probe whether the lookup hits, invalidates,
         // or misses.
         match self.entries.entry(*key) {
-            std::collections::hash_map::Entry::Occupied(occupied) => {
-                if occupied.get().version == version {
+            std::collections::hash_map::Entry::Occupied(mut occupied) => {
+                let entry = occupied.get_mut();
+                let fresh = entry.version == at.version;
+                if fresh || at.log.is_some_and(|log| entry.survives_delta(log)) {
                     self.clock += 1;
                     self.stats.hits += 1;
-                    let entry = occupied.into_mut();
+                    if !fresh {
+                        entry.version = at.version;
+                        self.stats.retained += 1;
+                    }
                     entry.last_used = self.clock;
-                    Some((&entry.plan, &entry.index))
+                    Some((entry.plan, Arc::clone(&entry.index)))
                 } else {
                     occupied.remove();
                     self.stats.invalidations += 1;
@@ -977,46 +1004,11 @@ impl PlanCache {
         }
     }
 
-    /// Stores a plan + index for `key` at `version`, evicting the least
-    /// recently used entry when at capacity.
-    pub(crate) fn insert(
-        &mut self,
-        key: PlanKey,
-        version: GraphVersion,
-        plan: PhysicalPlan,
-        index: Index,
-    ) {
-        self.insert_arc(key, version, plan, Arc::new(index));
-    }
-
-    /// As [`insert`](Self::insert), storing an already-shared index so a
-    /// caller that keeps executing on the same index (the catalog's
-    /// plan-at-submit path) never clones the tables.
-    pub(crate) fn insert_arc(
-        &mut self,
-        key: PlanKey,
-        version: GraphVersion,
-        plan: PhysicalPlan,
-        index: Arc<Index>,
-    ) {
-        self.insert_entry(key, version, plan, index, None);
-    }
-
-    /// As [`insert`](Self::insert), additionally recording the reach
-    /// footprint that makes the entry eligible for surgical retention
-    /// under [`lookup_on_overlay`](Self::lookup_on_overlay).
+    /// Stores a plan + (shared) index for `key` at `version`, evicting
+    /// the least recently used entry when at capacity. A `footprint`
+    /// makes the entry eligible for surgical retention when a later
+    /// [`lookup`](Self::lookup) comes with a mutation log.
     pub(crate) fn insert_with_footprint(
-        &mut self,
-        key: PlanKey,
-        version: GraphVersion,
-        plan: PhysicalPlan,
-        index: Index,
-        footprint: Option<IndexFootprint>,
-    ) {
-        self.insert_entry(key, version, plan, Arc::new(index), footprint);
-    }
-
-    fn insert_entry(
         &mut self,
         key: PlanKey,
         version: GraphVersion,
@@ -1052,114 +1044,25 @@ impl PlanCache {
             },
         );
     }
-
-    /// Looks up an entry for `key` against a live [`DynamicGraph`].
-    ///
-    /// Beyond the plain version-equality check of
-    /// [`lookup`](Self::lookup), an entry stamped at an *older* version
-    /// is re-validated against the overlay's mutation log: if every
-    /// mutation since the stamp is provably irrelevant to the entry's
-    /// recorded footprint (see [`IndexFootprint`]), the entry is
-    /// re-stamped to the current version and served — a hit (counted in
-    /// [`PlanCacheStats::retained`]) instead of a rebuild. Otherwise the
-    /// entry is discarded as an invalidation.
-    pub(crate) fn lookup_on_overlay(
-        &mut self,
-        key: &PlanKey,
-        graph: &DynamicGraph,
-    ) -> Option<(&PhysicalPlan, &Arc<Index>)> {
-        let version = graph.version();
-        enum Outcome {
-            Absent,
-            Stale,
-            Fresh,
-            Retained,
-        }
-        let outcome = match self.entries.get_mut(key) {
-            None => Outcome::Absent,
-            Some(entry) if entry.version == version => Outcome::Fresh,
-            Some(entry) => {
-                if entry.survives_delta(graph) {
-                    entry.version = version;
-                    Outcome::Retained
-                } else {
-                    Outcome::Stale
-                }
-            }
-        };
-        match outcome {
-            Outcome::Absent => {
-                self.stats.misses += 1;
-                None
-            }
-            Outcome::Stale => {
-                self.entries.remove(key);
-                self.stats.invalidations += 1;
-                self.stats.misses += 1;
-                None
-            }
-            Outcome::Fresh | Outcome::Retained => {
-                self.clock += 1;
-                self.stats.hits += 1;
-                if matches!(outcome, Outcome::Retained) {
-                    self.stats.retained += 1;
-                }
-                let entry = self.entries.get_mut(key).expect("entry is present");
-                entry.last_used = self.clock;
-                Some((&entry.plan, &entry.index))
-            }
-        }
-    }
 }
 
-/// Aggregate statistics of a [`SharedPlanCache`], read without locking.
-///
-/// Unlike [`PlanCacheStats`], lookups that never reached the cache are
-/// counted too ([`bypasses`](SharedCacheStats::bypasses)), and
-/// [`lookups`](SharedCacheStats::lookups) is maintained as its *own*
-/// atomic counter — so `hits + misses + bypasses == lookups` is a real
-/// cross-thread consistency invariant, not an identity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharedCacheStats {
-    /// Cache consultations plus bypasses (one per evaluated request).
-    pub lookups: u64,
-    /// Lookups served from a shard.
-    pub hits: u64,
-    /// Lookups that found nothing usable (including invalidations).
-    pub misses: u64,
-    /// Requests that never consulted the cache (uncacheable constraint,
-    /// `bypass_cache`, or capacity 0).
-    pub bypasses: u64,
-    /// Entries discarded because the graph version moved on.
-    pub invalidations: u64,
-    /// Entries discarded to make room (per-shard LRU).
-    pub evictions: u64,
-    /// Hits served across a graph mutation via surgical retention.
-    pub retained: u64,
-}
+impl ShardCache for PlanCache {
+    type Key = PlanKey;
 
-impl SharedCacheStats {
-    /// Hit fraction over all lookups (bypasses included; 0 when nothing
-    /// was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
+    fn with_budget(budget: usize) -> Self {
+        PlanCache::new(budget)
     }
 
-    /// The stats accumulated since an earlier snapshot of the same cache.
-    pub fn since(&self, earlier: &SharedCacheStats) -> SharedCacheStats {
-        SharedCacheStats {
-            lookups: self.lookups - earlier.lookups,
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            bypasses: self.bypasses - earlier.bypasses,
-            invalidations: self.invalidations - earlier.invalidations,
-            evictions: self.evictions - earlier.evictions,
-            retained: self.retained - earlier.retained,
-        }
+    fn stats(&self) -> CacheStats {
+        PlanCache::stats(self)
+    }
+
+    fn entries(&self) -> usize {
+        PlanCache::len(self)
+    }
+
+    fn clear(&mut self) {
+        PlanCache::clear(self);
     }
 }
 
@@ -1168,221 +1071,29 @@ impl SharedCacheStats {
 /// per-shard LRU meaningful.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
 
-/// A concurrently readable plan/index cache: per-shard locking over
-/// [`PlanCache`], with aggregate statistics kept in atomics.
+/// A concurrently readable plan/index cache: [`Sharded`] over
+/// [`PlanCache`].
 ///
 /// This is the cache behind
-/// [`PathEnumService`](crate::service::PathEnumService): many worker
-/// threads share one warm working set over one graph. Keys hash to a
-/// shard; each shard is an independent LRU [`PlanCache`] behind its own
-/// mutex, so two workers looking up different shards never contend, and
-/// a worker holding a hit *executes outside the lock* (entries hand out
-/// [`Arc<Index>`] clones — the shard lock covers only the map probe).
-///
-/// Statistics ([`stats`](Self::stats)) are atomics accumulated from the
-/// per-shard counters, plus service-level counters the per-engine cache
-/// has no use for: `bypasses` and an independently maintained `lookups`
-/// total satisfying `hits + misses + bypasses == lookups`.
-#[derive(Debug)]
-pub struct SharedPlanCache {
-    shards: Box<[Mutex<PlanCache>]>,
-    capacity: usize,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    bypasses: AtomicU64,
-    invalidations: AtomicU64,
-    evictions: AtomicU64,
-    retained: AtomicU64,
-}
+/// [`PathEnumService`](crate::service::PathEnumService) and every
+/// [`catalog`](crate::catalog) tenant: many worker threads share one warm
+/// working set over one graph. Each shard is an independent LRU
+/// [`PlanCache`], and a worker holding a hit *executes outside the lock*
+/// (entries hand out [`Arc<Index>`] clones — the shard lock covers only
+/// the map probe). The budget is an entry count.
+pub type SharedPlanCache = Sharded<PlanCache>;
 
 impl Default for SharedPlanCache {
     fn default() -> Self {
-        SharedPlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS)
+        Sharded::new(DEFAULT_PLAN_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS)
     }
 }
 
-impl SharedPlanCache {
-    /// A cache of `capacity` total entries spread over `shards` shards
-    /// (both clamped to sane minimums; capacity 0 disables caching).
-    /// Because every shard gets the same LRU window, the capacity is
-    /// rounded **up** to a multiple of the shard count —
-    /// [`capacity`](Self::capacity) reports the rounded, enforced value.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1).min(capacity.max(1));
-        let per_shard = capacity.div_ceil(shards);
-        SharedPlanCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(PlanCache::new(if capacity == 0 { 0 } else { per_shard })))
-                .collect(),
-            capacity: per_shard * shards,
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            bypasses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            retained: AtomicU64::new(0),
-        }
-    }
-
-    /// Total entry capacity across all shards.
+impl Sharded<PlanCache> {
+    /// Total entry capacity across all shards (the rounded, enforced
+    /// value).
     pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Current number of entries (sums the shards; takes each lock
-    /// briefly).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| crate::sync::lock_recovering(s).len())
-            .sum()
-    }
-
-    /// Whether no shard holds an entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A consistent-enough snapshot of the aggregate statistics. Each
-    /// counter is read atomically; the set is not a single atomic
-    /// snapshot, but quiescent reads (no in-flight lookups) are exact.
-    pub fn stats(&self) -> SharedCacheStats {
-        // ordering: advisory stats reads; outcome counters trail the
-        // lookup counter, and quiescent reads balance exactly — nothing
-        // orders across fields.
-        SharedCacheStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            retained: self.retained.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drops every entry in every shard (statistics are kept).
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            crate::sync::lock_recovering(shard).clear();
-        }
-    }
-
-    fn shard_for(&self, key: &PlanKey) -> &Mutex<PlanCache> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
-    }
-
-    /// Records a request that was evaluated without consulting the cache.
-    pub(crate) fn note_bypass(&self) {
-        // ordering: advisory monotone counters; see stats() for the
-        // accounting invariant they feed.
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.bypasses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Looks up a fresh entry, returning an owned plan and a shared
-    /// handle to its index; the shard lock is released before returning.
-    pub(crate) fn lookup(
-        &self,
-        key: &PlanKey,
-        version: GraphVersion,
-    ) -> Option<(PhysicalPlan, Arc<Index>)> {
-        let out;
-        let delta;
-        {
-            let mut shard = crate::sync::lock_recovering(self.shard_for(key));
-            let before = shard.stats();
-            out = shard
-                .lookup(key, version)
-                .map(|(plan, index)| (*plan, Arc::clone(index)));
-            delta = diff_stats(shard.stats(), before);
-        }
-        // Paranoid-only: the delta is thread-local, so this accounting
-        // check is race-free — one shard probe records exactly one
-        // hit-or-miss outcome.
-        #[cfg(feature = "paranoid")]
-        assert_eq!(
-            delta.hits + delta.misses,
-            1,
-            "plan-cache accounting delta out of balance: {delta:?}"
-        );
-        // ordering: advisory monotone counter; publishes no other memory.
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.accumulate(delta);
-        out
-    }
-
-    /// Stores a plan + index for `key` at `version` in its shard.
-    pub(crate) fn insert(
-        &self,
-        key: PlanKey,
-        version: GraphVersion,
-        plan: PhysicalPlan,
-        index: Index,
-    ) {
-        self.insert_arc(key, version, plan, Arc::new(index));
-    }
-
-    /// As [`insert`](Self::insert), storing an already-shared index (the
-    /// catalog plans at submit time and executes on the same `Arc`).
-    pub(crate) fn insert_arc(
-        &self,
-        key: PlanKey,
-        version: GraphVersion,
-        plan: PhysicalPlan,
-        index: Arc<Index>,
-    ) {
-        let delta;
-        {
-            let mut shard = crate::sync::lock_recovering(self.shard_for(&key));
-            let before = shard.stats();
-            shard.insert_arc(key, version, plan, index);
-            delta = diff_stats(shard.stats(), before);
-        }
-        self.accumulate(delta);
-    }
-
-    fn accumulate(&self, delta: PlanCacheStats) {
-        // Touch only the counters that moved: stats reads stay cheap and
-        // the common path (a clean hit) is two atomic adds.
-        // ordering: advisory monotone counters folded in after the shard
-        // lock drops; each is a single-location RMW (never lost), and no
-        // reader derives decisions from a mid-flight cross-counter view.
-        if delta.hits > 0 {
-            self.hits.fetch_add(delta.hits, Ordering::Relaxed);
-        }
-        if delta.misses > 0 {
-            self.misses.fetch_add(delta.misses, Ordering::Relaxed);
-        }
-        if delta.invalidations > 0 {
-            self.invalidations
-                .fetch_add(delta.invalidations, Ordering::Relaxed);
-        }
-        if delta.evictions > 0 {
-            self.evictions.fetch_add(delta.evictions, Ordering::Relaxed);
-        }
-        if delta.retained > 0 {
-            self.retained.fetch_add(delta.retained, Ordering::Relaxed);
-        }
-    }
-}
-
-fn diff_stats(after: PlanCacheStats, before: PlanCacheStats) -> PlanCacheStats {
-    PlanCacheStats {
-        hits: after.hits - before.hits,
-        misses: after.misses - before.misses,
-        invalidations: after.invalidations - before.invalidations,
-        evictions: after.evictions - before.evictions,
-        retained: after.retained - before.retained,
+        self.budget()
     }
 }
 
@@ -1391,6 +1102,35 @@ mod tests {
     use super::*;
     use crate::index::test_support::*;
     use crate::sink::CollectingSink;
+
+    /// Footprint-less insert shorthand for the tests below.
+    impl PlanCache {
+        fn insert(
+            &mut self,
+            key: PlanKey,
+            version: GraphVersion,
+            plan: PhysicalPlan,
+            index: Index,
+        ) {
+            self.insert_with_footprint(key, version, plan, Arc::new(index), None);
+        }
+    }
+
+    /// Probe/insert shorthands for the sharded tests below — production
+    /// code reaches a shard through `with_shard` (see `pipeline.rs`).
+    impl SharedPlanCache {
+        fn lookup(
+            &self,
+            key: &PlanKey,
+            version: GraphVersion,
+        ) -> Option<(PhysicalPlan, Arc<Index>)> {
+            self.with_shard(key, |shard| shard.lookup(key, version))
+        }
+
+        fn insert(&self, key: PlanKey, version: GraphVersion, plan: PhysicalPlan, index: Index) {
+            self.with_shard(&key, |shard| shard.insert(key, version, plan, index));
+        }
+    }
 
     fn plan_for(graph: &CsrGraph, k: u32) -> (PhysicalPlan, Index) {
         let query = Query::new(S, T, k).unwrap();

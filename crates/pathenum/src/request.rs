@@ -660,8 +660,7 @@ impl QueryResponse {
 /// recording which rule fired.
 ///
 /// This is the mechanism behind [`QueryRequest::limit`] /
-/// [`QueryRequest::time_budget`] / [`CancelToken`]; the deprecated
-/// [`LimitSink`](crate::sink::LimitSink) is a thin adapter over it.
+/// [`QueryRequest::time_budget`] / [`CancelToken`].
 #[derive(Debug)]
 pub struct ControlledSink<S> {
     inner: S,

@@ -25,8 +25,9 @@
 //!   [`Termination::DeadlineExceeded`] is reusable only for requests
 //!   with **equal-or-tighter** bounds (a looser request might be owed
 //!   paths the entry never captured, so it misses and re-runs).
-//! * **Mutation streams retain surgically.** Entries recorded by
-//!   [`DynamicEngine`](crate::DynamicEngine) carry the same
+//! * **Mutation streams retain surgically.** Entries recorded on a graph
+//!   that keeps a mutation log (a
+//!   [`DynamicEngine`](crate::DynamicEngine)'s) carry the same
 //!   `IndexFootprint` plan entries do; a version-stale entry survives
 //!   a delta that provably cannot touch any result path (a removed edge
 //!   invalidates only when it leaves the `s`-reach *and* enters the
@@ -34,7 +35,8 @@
 //! * **Admission is byte-budgeted.** Entries are charged their real
 //!   heap footprint (paths + footprint bitsets); the LRU evicts until
 //!   the budget holds, and an entry larger than the whole budget is
-//!   never admitted.
+//!   never admitted — nor even recorded: the recording tee stops
+//!   buffering once an answer outgrows the budget.
 //!
 //! The cache is **off by default** everywhere — enable it per engine
 //! ([`QueryEngine::with_result_cache`](crate::QueryEngine::with_result_cache),
@@ -51,16 +53,15 @@
 //! `hits + misses + bypasses == lookups`.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use pathenum_graph::{DynamicGraph, EdgeMutation, GraphVersion, VertexId};
 
 use crate::optimizer::PathEnumConfig;
-use crate::plan::{IndexFootprint, PhysicalPlan};
+use crate::plan::{GraphStamp, IndexFootprint, PhysicalPlan};
 use crate::request::{ConstraintSpec, QueryRequest, Termination};
+use crate::sharded::{CacheStats, ShardCache, Sharded};
 use crate::sink::{PathBuffer, PathSink, SearchControl};
 use crate::stats::Method;
 
@@ -70,50 +71,57 @@ use crate::stats::Method;
 /// [`ControlledSink`](crate::request::ControlledSink), so it sees exactly
 /// the admitted result sequence.
 ///
+/// The recording is bounded by `max_bytes` — the largest entry the cache
+/// could ever admit. Once the buffer's heap footprint passes it, the
+/// buffer is dropped and recording stops (the paths keep flowing to the
+/// caller's sink): an unlimited query on a dense graph never holds more
+/// than the cache would take anyway.
+///
 /// If the **caller's** sink stops the run, the recorded prefix is not a
 /// faithful answer for the request (the response still reads
 /// [`Termination::Completed`] — the caller issued that stop and the rest
 /// of the result set was abandoned), so [`finish`](Self::finish) yields
-/// nothing and no entry is admitted.
+/// nothing and no entry is admitted; likewise when the bound was hit.
 pub(crate) struct TeeSink<'a> {
     inner: &'a mut dyn PathSink,
-    buffer: PathBuffer,
-    inner_stopped: bool,
+    /// `None` once the recording is inadmissible (bound exceeded or the
+    /// inner sink stopped the run).
+    buffer: Option<PathBuffer>,
+    max_bytes: usize,
 }
 
 impl<'a> TeeSink<'a> {
-    pub(crate) fn new(inner: &'a mut dyn PathSink) -> Self {
+    pub(crate) fn new(inner: &'a mut dyn PathSink, max_bytes: usize) -> Self {
         TeeSink {
             inner,
-            buffer: PathBuffer::new(),
-            inner_stopped: false,
+            buffer: Some(PathBuffer::new()),
+            max_bytes,
         }
     }
 
-    /// The recorded answer, or `None` when the inner sink truncated the
-    /// run (the recording is not admissible).
+    /// The recorded answer, or `None` when it is not admissible: the
+    /// inner sink truncated the run, or the answer outgrew `max_bytes`.
     pub(crate) fn finish(self) -> Option<PathBuffer> {
-        if self.inner_stopped {
-            None
-        } else {
-            Some(self.buffer)
-        }
+        self.buffer
     }
 }
 
 impl PathSink for TeeSink<'_> {
     #[inline]
     fn emit(&mut self, path: &[VertexId]) -> SearchControl {
-        match self.inner.emit(path) {
+        let control = self.inner.emit(path);
+        match control {
             SearchControl::Continue => {
-                self.buffer.push(path);
-                SearchControl::Continue
+                if let Some(buffer) = &mut self.buffer {
+                    buffer.push(path);
+                    if buffer.heap_bytes() > self.max_bytes {
+                        self.buffer = None;
+                    }
+                }
             }
-            SearchControl::Stop => {
-                self.inner_stopped = true;
-                SearchControl::Stop
-            }
+            SearchControl::Stop => self.buffer = None,
         }
+        control
     }
 
     #[inline]
@@ -179,60 +187,10 @@ impl ResultKey {
     }
 }
 
-/// Aggregate statistics of a [`ResultCache`] / [`SharedResultCache`].
-///
-/// `lookups` is maintained independently of the outcome counters, so
-/// `hits + misses + bypasses == lookups` is a real consistency
-/// invariant (the same contract as
-/// [`SharedCacheStats`](crate::plan::SharedCacheStats)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResultCacheStats {
-    /// Cache consultations plus bypasses (one per evaluated request
-    /// while the layer is enabled).
-    pub lookups: u64,
-    /// Requests answered entirely from stored paths.
-    pub hits: u64,
-    /// Lookups that found nothing servable (absent, stale, or
-    /// bound-incompatible).
-    pub misses: u64,
-    /// Requests that never consulted the cache (uncacheable constraint,
-    /// a bypass flag, or an explain request).
-    pub bypasses: u64,
-    /// Entries discarded because the graph version moved on (and the
-    /// footprint, if any, could not prove the delta irrelevant).
-    pub invalidations: u64,
-    /// Entries discarded to make room under the byte budget (LRU).
-    pub evictions: u64,
-    /// Hits served across a graph mutation because the entry's recorded
-    /// footprint was provably untouched by the delta (a subset of
-    /// `hits`).
-    pub retained: u64,
-}
-
-impl ResultCacheStats {
-    /// Hit fraction over all lookups (bypasses included; 0 when nothing
-    /// was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-
-    /// The stats accumulated since an earlier snapshot of the same cache.
-    pub fn since(&self, earlier: &ResultCacheStats) -> ResultCacheStats {
-        ResultCacheStats {
-            lookups: self.lookups - earlier.lookups,
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            bypasses: self.bypasses - earlier.bypasses,
-            invalidations: self.invalidations - earlier.invalidations,
-            evictions: self.evictions - earlier.evictions,
-            retained: self.retained - earlier.retained,
-        }
-    }
-}
+/// Aggregate statistics of a [`ResultCache`] / [`SharedResultCache`] —
+/// the shared seven-counter [`CacheStats`], with the same
+/// `hits + misses + bypasses == lookups` contract as every cache layer.
+pub type ResultCacheStats = CacheStats;
 
 /// What a result-cache hit hands back: everything needed to replay the
 /// answer without touching the graph.
@@ -390,7 +348,7 @@ pub struct ResultCache {
     entries: HashMap<ResultKey, ResultEntry>,
     bytes: usize,
     clock: u64,
-    stats: ResultCacheStats,
+    stats: CacheStats,
 }
 
 impl Default for ResultCache {
@@ -410,7 +368,7 @@ impl ResultCache {
             entries: HashMap::new(),
             bytes: 0,
             clock: 0,
-            stats: ResultCacheStats::default(),
+            stats: CacheStats::default(),
         }
     }
 
@@ -451,82 +409,32 @@ impl ResultCache {
         self.stats.bypasses += 1;
     }
 
-    /// Looks up a servable answer for `key` at graph `version` under the
-    /// request's bounds. A stale entry (older version, no retention path
-    /// here) is removed and counted as an invalidation; a
-    /// bound-incompatible entry stays (a tighter future request can
-    /// still use it) but the lookup counts as a miss.
-    pub(crate) fn lookup(
+    /// Looks up a servable answer for `key` against the serving graph
+    /// `at`, under the request's bounds. A version-stale entry is
+    /// re-validated when the graph offers a mutation log — re-stamped and
+    /// served if the delta is provably irrelevant to its footprint
+    /// (counted in [`ResultCacheStats::retained`]) — and otherwise
+    /// removed and counted as an invalidation; a bound-incompatible entry
+    /// stays (a tighter future request can still use it) but the lookup
+    /// counts as a miss.
+    pub(crate) fn lookup<'g>(
         &mut self,
         key: &ResultKey,
         limit: Option<u64>,
         budget: Option<Duration>,
-        version: GraphVersion,
+        at: impl Into<GraphStamp<'g>>,
     ) -> Option<CachedResult> {
+        let at = at.into();
         self.stats.lookups += 1;
-        let stale = match self.entries.get(key) {
-            None => {
-                self.stats.misses += 1;
-                return None;
-            }
-            Some(entry) => entry.version != version,
-        };
-        if stale {
-            self.remove(key);
-            self.stats.invalidations += 1;
-            self.stats.misses += 1;
-            return None;
-        }
-        let clock = self.clock + 1;
-        // One mutable borrow serves both the probe and the LRU touch; an
-        // entry that vanished is a graceful miss rather than a panic.
-        let Some(entry) = self.entries.get_mut(key) else {
-            self.stats.misses += 1;
-            return None;
-        };
-        match entry.serve(limit, budget) {
-            Some((served, termination)) => {
-                entry.last_used = clock;
-                let result = CachedResult {
-                    plan: entry.plan,
-                    paths: Arc::clone(&entry.paths),
-                    served,
-                    termination,
-                };
-                self.clock = clock;
-                self.stats.hits += 1;
-                Some(result)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Looks up a servable answer against a live [`DynamicGraph`]:
-    /// beyond [`lookup`](Self::lookup), a version-stale entry is
-    /// re-validated against the overlay's mutation log and re-stamped
-    /// when the delta is provably irrelevant to its footprint (counted
-    /// in [`ResultCacheStats::retained`]).
-    pub(crate) fn lookup_on_overlay(
-        &mut self,
-        key: &ResultKey,
-        limit: Option<u64>,
-        budget: Option<Duration>,
-        graph: &DynamicGraph,
-    ) -> Option<CachedResult> {
-        self.stats.lookups += 1;
-        let version = graph.version();
         let mut retained = false;
         match self.entries.get_mut(key) {
             None => {
                 self.stats.misses += 1;
                 return None;
             }
-            Some(entry) if entry.version != version => {
-                if entry.survives_delta(graph) {
-                    entry.version = version;
+            Some(entry) if entry.version != at.version => {
+                if at.log.is_some_and(|log| entry.survives_delta(log)) {
+                    entry.version = at.version;
                     retained = true;
                 } else {
                     self.remove(key);
@@ -638,216 +546,44 @@ impl ResultCache {
     }
 }
 
+impl ShardCache for ResultCache {
+    type Key = ResultKey;
+
+    fn with_budget(budget: usize) -> Self {
+        ResultCache::new(budget)
+    }
+
+    fn stats(&self) -> CacheStats {
+        ResultCache::stats(self)
+    }
+
+    fn entries(&self) -> usize {
+        ResultCache::len(self)
+    }
+
+    fn clear(&mut self) {
+        ResultCache::clear(self);
+    }
+}
+
 /// Default shard count of a [`SharedResultCache`].
 pub const DEFAULT_RESULT_CACHE_SHARDS: usize = 8;
 
-/// A concurrently readable result cache: per-shard locking over
-/// [`ResultCache`] with aggregate statistics in atomics — the result
-/// layer of [`PathEnumService`](crate::service::PathEnumService) and the
+/// A concurrently readable result cache: [`Sharded`] over
+/// [`ResultCache`] — the result layer of
+/// [`PathEnumService`](crate::service::PathEnumService) and the
 /// per-tenant result layer of the
-/// [`catalog`](crate::catalog::CatalogService).
+/// [`catalog`](crate::catalog::CatalogService). The budget is in bytes.
 ///
 /// A hit hands out an `Arc` of the stored [`PathBuffer`]; the replay
 /// into the caller's sink happens entirely outside the shard lock.
-#[derive(Debug)]
-pub struct SharedResultCache {
-    shards: Box<[Mutex<ResultCache>]>,
-    byte_budget: usize,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    bypasses: AtomicU64,
-    invalidations: AtomicU64,
-    evictions: AtomicU64,
-    retained: AtomicU64,
-}
+pub type SharedResultCache = Sharded<ResultCache>;
 
-impl SharedResultCache {
-    /// A cache of `byte_budget` total bytes spread over `shards` shards
-    /// (budget 0 disables the cache). Like
-    /// [`SharedPlanCache`](crate::plan::SharedPlanCache), the budget is
-    /// rounded up to a multiple of the shard count.
-    pub fn new(byte_budget: usize, shards: usize) -> Self {
-        let shards = shards.max(1).min(byte_budget.max(1));
-        let per_shard = byte_budget.div_ceil(shards);
-        SharedResultCache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(ResultCache::new(if byte_budget == 0 {
-                        0
-                    } else {
-                        per_shard
-                    }))
-                })
-                .collect(),
-            byte_budget: per_shard * shards,
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            bypasses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            retained: AtomicU64::new(0),
-        }
-    }
-
+impl Sharded<ResultCache> {
     /// Total byte budget across all shards (rounded up as enforced).
     pub fn byte_budget(&self) -> usize {
-        self.byte_budget
+        self.budget()
     }
-
-    /// Current number of entries (sums the shards; takes each lock
-    /// briefly).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| crate::sync::lock_recovering(s).len())
-            .sum()
-    }
-
-    /// Whether no shard holds an entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A consistent-enough snapshot of the aggregate statistics (each
-    /// counter is read atomically; quiescent reads are exact).
-    pub fn stats(&self) -> ResultCacheStats {
-        // ordering: advisory stats reads. Outcome counters trail their
-        // lookup counter (accumulate adds outcomes after lookups), so
-        // concurrent snapshots may see hits+misses+bypasses < lookups;
-        // quiescent reads balance exactly — nothing orders across fields.
-        ResultCacheStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            retained: self.retained.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drops every entry in every shard (statistics are kept).
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            crate::sync::lock_recovering(shard).clear();
-        }
-    }
-
-    fn shard_for(&self, key: &ResultKey) -> &Mutex<ResultCache> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
-    }
-
-    /// Records a request that was evaluated without consulting the cache.
-    pub(crate) fn note_bypass(&self) {
-        // ordering: advisory monotone counters; see stats() for the
-        // accounting invariant they feed.
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.bypasses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Looks up a servable answer; the shard lock is released before the
-    /// caller replays the returned paths.
-    pub(crate) fn lookup(
-        &self,
-        key: &ResultKey,
-        limit: Option<u64>,
-        budget: Option<Duration>,
-        version: GraphVersion,
-    ) -> Option<CachedResult> {
-        let out;
-        let delta;
-        {
-            let mut shard = crate::sync::lock_recovering(self.shard_for(key));
-            let before = shard.stats();
-            out = shard.lookup(key, limit, budget, version);
-            delta = diff(shard.stats(), before);
-        }
-        self.accumulate(delta);
-        out
-    }
-
-    /// Stores one recorded answer in its shard.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn insert(
-        &self,
-        key: ResultKey,
-        version: GraphVersion,
-        plan: PhysicalPlan,
-        paths: PathBuffer,
-        termination: Termination,
-        limit: Option<u64>,
-        time_budget: Option<Duration>,
-        footprint: Option<IndexFootprint>,
-    ) {
-        let delta;
-        {
-            let mut shard = crate::sync::lock_recovering(self.shard_for(&key));
-            let before = shard.stats();
-            shard.insert(
-                key,
-                version,
-                plan,
-                paths,
-                termination,
-                limit,
-                time_budget,
-                footprint,
-            );
-            delta = diff(shard.stats(), before);
-        }
-        self.accumulate(delta);
-    }
-
-    fn accumulate(&self, delta: ResultCacheStats) {
-        // ordering: advisory monotone counters folded in outside the shard
-        // lock; each is a single-location RMW (never lost), and no reader
-        // derives cross-counter decisions from a mid-flight snapshot.
-        if delta.lookups > 0 {
-            self.lookups.fetch_add(delta.lookups, Ordering::Relaxed);
-        }
-        if delta.hits > 0 {
-            self.hits.fetch_add(delta.hits, Ordering::Relaxed);
-        }
-        if delta.misses > 0 {
-            self.misses.fetch_add(delta.misses, Ordering::Relaxed);
-        }
-        if delta.bypasses > 0 {
-            self.bypasses.fetch_add(delta.bypasses, Ordering::Relaxed);
-        }
-        if delta.invalidations > 0 {
-            self.invalidations
-                .fetch_add(delta.invalidations, Ordering::Relaxed);
-        }
-        if delta.evictions > 0 {
-            self.evictions.fetch_add(delta.evictions, Ordering::Relaxed);
-        }
-        if delta.retained > 0 {
-            self.retained.fetch_add(delta.retained, Ordering::Relaxed);
-        }
-        #[cfg(feature = "paranoid")]
-        assert_result_accounting_balance(&delta);
-    }
-}
-
-fn diff(after: ResultCacheStats, before: ResultCacheStats) -> ResultCacheStats {
-    after.since(&before)
-}
-
-/// Paranoid-only: every stats delta folded into the shared counters must
-/// balance exactly — each shard operation records one outcome (hit, miss,
-/// or bypass) per lookup. The delta is thread-local, so this check is
-/// race-free even though the shared counters are relaxed atomics.
-#[cfg(feature = "paranoid")]
-fn assert_result_accounting_balance(delta: &ResultCacheStats) {
-    assert_eq!(
-        delta.hits + delta.misses + delta.bypasses,
-        delta.lookups,
-        "result-cache accounting delta out of balance: {delta:?}"
-    );
 }
 
 #[cfg(test)]
@@ -856,6 +592,46 @@ mod tests {
     use crate::plan::plan_on_index;
     use crate::query::Query;
     use crate::stats::PhaseTimings;
+
+    /// Probe/insert shorthands for the sharded test below — production
+    /// code reaches a shard through `with_shard` (see `pipeline.rs`).
+    impl SharedResultCache {
+        fn lookup(
+            &self,
+            key: &ResultKey,
+            limit: Option<u64>,
+            budget: Option<Duration>,
+            version: GraphVersion,
+        ) -> Option<CachedResult> {
+            self.with_shard(key, |shard| shard.lookup(key, limit, budget, version))
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn insert(
+            &self,
+            key: ResultKey,
+            version: GraphVersion,
+            plan: PhysicalPlan,
+            paths: PathBuffer,
+            termination: Termination,
+            limit: Option<u64>,
+            time_budget: Option<Duration>,
+            footprint: Option<IndexFootprint>,
+        ) {
+            self.with_shard(&key, |shard| {
+                shard.insert(
+                    key,
+                    version,
+                    plan,
+                    paths,
+                    termination,
+                    limit,
+                    time_budget,
+                    footprint,
+                )
+            });
+        }
+    }
 
     fn sample_plan() -> PhysicalPlan {
         let g = crate::index::test_support::figure1_graph();
@@ -1154,5 +930,49 @@ mod tests {
         assert_eq!(stats.hits, 160);
         assert_eq!(stats.hits + stats.misses + stats.bypasses, stats.lookups);
         assert!((stats.hit_rate() - 0.8).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tee_stops_recording_once_the_answer_outgrows_the_budget() {
+        use crate::sink::{CollectingSink, CountingSink};
+        use pathenum_graph::generators::complete_digraph;
+
+        // Every simple path 0 -> 1 within 5 hops of K7: 206 paths, several
+        // KiB — far more than the cache below could ever admit.
+        let g = complete_digraph(7);
+        let budget = 1024;
+        let mut expected = CollectingSink::default();
+        let query = Query::new(0, 1, 5).unwrap();
+        crate::reference::brute_force_paths(&g, query, &mut expected);
+        let expected = expected.sorted_paths();
+        assert_eq!(expected.len(), 206);
+
+        // Through an engine: the caller's sink still gets every path,
+        // and nothing is inserted.
+        let mut engine = crate::QueryEngine::new(&g, PathEnumConfig::default())
+            .with_result_cache(ResultCache::new(budget));
+        let mut sink = CollectingSink::default();
+        let request = QueryRequest::paths(0, 1).max_hops(5);
+        let response = engine.execute_into(&request, &mut sink).unwrap();
+        assert_eq!(response.termination, Termination::Completed);
+        assert_eq!(sink.sorted_paths(), expected);
+        let results = engine.result_cache().unwrap();
+        assert!(results.is_empty());
+        assert_eq!(results.bytes(), 0);
+
+        // Through the tee itself: between emissions the recording never
+        // holds more than the budget, and it ends inadmissible.
+        let mut inner = CountingSink::default();
+        let mut tee = TeeSink::new(&mut inner, budget);
+        let mut peak = 0;
+        for path in &expected {
+            assert_eq!(tee.emit(path), SearchControl::Continue);
+            let recorded = tee.buffer.as_ref().map_or(0, PathBuffer::heap_bytes);
+            assert!(recorded <= budget, "{recorded} bytes recorded");
+            peak = peak.max(recorded);
+        }
+        assert!(peak > 0, "the prefix that fits is recorded");
+        assert!(tee.finish().is_none());
+        assert_eq!(inner.count, 206);
     }
 }

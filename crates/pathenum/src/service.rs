@@ -21,6 +21,9 @@
 //!   thread that ever plans keeps its own
 //!   [`BuildScratch`], reused across
 //!   queries exactly as an engine would;
+//! * every request — direct or pooled — runs the crate's one request
+//!   pipeline (`pipeline.rs`), the same code the engines run, over the
+//!   shared store; the service adds the pool and the thread budget;
 //! * a **fixed worker pool** provides inter-query parallelism:
 //!   [`submit`](PathEnumService::submit) returns a [`Ticket`],
 //!   [`execute_batch`](PathEnumService::execute_batch) fans a batch out
@@ -81,24 +84,20 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pathenum_graph::{GraphHandle, NeighborAccess};
+use pathenum_graph::GraphHandle;
 
 use crate::admission::Lane;
-use crate::engine::{
-    execute_collecting, execute_on_plan, preflight_stop, replay_result_hit, result_key,
-};
 use crate::index::BuildScratch;
 use crate::optimizer::PathEnumConfig;
 use crate::parallel::{intra_budget, resolve_threads};
+use crate::pipeline::{self, Collector, Pipeline, SharedStore};
 use crate::plan::{
-    effective_config, CacheOutcome, PlanKey, SharedCacheStats, SharedPlanCache,
-    DEFAULT_CACHE_SHARDS, DEFAULT_PLAN_CACHE_CAPACITY,
+    CacheOutcome, SharedCacheStats, SharedPlanCache, DEFAULT_CACHE_SHARDS,
+    DEFAULT_PLAN_CACHE_CAPACITY,
 };
-use crate::query::Query;
-use crate::request::{PathEnumError, QueryRequest, QueryResponse, Termination};
-use crate::results::{ResultCacheStats, SharedResultCache, TeeSink, DEFAULT_RESULT_CACHE_SHARDS};
+use crate::request::{PathEnumError, QueryRequest, QueryResponse};
+use crate::results::{ResultCacheStats, SharedResultCache, DEFAULT_RESULT_CACHE_SHARDS};
 use crate::sink::PathSink;
-use crate::stats::PhaseTimings;
 
 thread_local! {
     /// Per-OS-thread build scratch: any thread that plans through the
@@ -111,9 +110,14 @@ thread_local! {
 /// Runs `f` with this OS thread's reusable [`BuildScratch`] — the
 /// scratch-reuse contract shared by every concurrent evaluator (the
 /// service workers and the [`catalog`](crate::catalog)'s plan-at-submit
-/// path).
+/// path). `f` may run caller code (a sink, a constraint closure) that
+/// re-enters the service on this thread; such a nested evaluation finds
+/// the scratch taken and plans with a fresh one.
 pub(crate) fn with_build_scratch<R>(f: impl FnOnce(&mut BuildScratch) -> R) -> R {
-    BUILD_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
+    BUILD_SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut BuildScratch::default()),
+    })
 }
 
 /// Sizing knobs of a [`PathEnumService`].
@@ -167,153 +171,42 @@ struct ServiceCore {
 }
 
 impl ServiceCore {
-    /// The cache key for a request, or `None` when it is not cacheable.
-    fn plan_key(&self, request: &QueryRequest<'_>) -> Option<PlanKey> {
-        if request.bypass_cache || self.cache.capacity() == 0 {
-            return None;
+    /// The shared caches, as the pipeline sees them.
+    fn store(&self) -> SharedStore<'_> {
+        SharedStore {
+            plans: &self.cache,
+            results: self.results.as_ref(),
         }
-        PlanKey::for_request(request, effective_config(self.config, request))
     }
 
-    /// The shared-state equivalent of `QueryEngine::execute_into`:
-    /// borrow the graph, consult the sharded cache, plan with
-    /// thread-local scratch, execute via [`execute_on_plan`]. `intra_cap`
-    /// bounds the request's intra-query threads (budget sharing).
+    /// The shared-state driver of the request pipeline: borrow the
+    /// graph, consult the sharded caches, plan with this thread's
+    /// scratch. `intra_cap` bounds the request's intra-query threads
+    /// (budget sharing).
     fn execute_into(
         &self,
         request: &QueryRequest<'_>,
         sink: &mut dyn PathSink,
         intra_cap: usize,
     ) -> Result<QueryResponse, PathEnumError> {
-        let query = request.validate(self.graph.num_vertices())?;
-
-        let deadline = request.time_budget.map(|b| Instant::now() + b);
+        let response = with_build_scratch(|scratch| {
+            Pipeline {
+                graph: &self.graph,
+                config: self.config,
+                store: self.store(),
+                scratch,
+                threads: request.effective_threads().min(intra_cap.max(1)),
+            }
+            .evaluate(request, sink)
+        })?;
         // ordering: served/rejected are advisory monotone counters read only
         // by stats(); no other memory is published through them.
-        if let Some(stopped) = preflight_stop(request, deadline) {
+        if response.report.cache == CacheOutcome::Skipped {
             self.queries_rejected.fetch_add(1, Ordering::Relaxed);
-            return Ok(stopped);
-        }
-        self.queries_served.fetch_add(1, Ordering::Relaxed);
-
-        let threads = request.effective_threads().min(intra_cap.max(1));
-        let version = self.graph.version();
-
-        // Result layer (off unless configured): a stored answer is
-        // replayed straight into `sink` — no shard planning, no
-        // enumeration; any worker's answer warms every other worker. The
-        // shard lock covers only the probe (the paths come out as an
-        // `Arc`), so replay runs unlocked.
-        if let Some(results) = &self.results {
-            match result_key(self.config, request) {
-                Some(rkey) => {
-                    let lookup_start = Instant::now();
-                    if let Some(cached) =
-                        results.lookup(&rkey, request.limit, request.time_budget, version)
-                    {
-                        return Ok(replay_result_hit(
-                            &cached,
-                            request,
-                            sink,
-                            lookup_start.elapsed(),
-                            threads,
-                        ));
-                    }
-                    let mut tee = TeeSink::new(sink);
-                    let response =
-                        self.execute_planned(query, request, deadline, &mut tee, threads);
-                    if let Some(paths) = tee.finish() {
-                        // A missing plan (counting-only response) simply
-                        // skips the cache insert instead of panicking.
-                        if response.termination != Termination::Cancelled {
-                            if let Some(plan) = response.plan {
-                                results.insert(
-                                    rkey,
-                                    version,
-                                    plan,
-                                    paths,
-                                    response.termination,
-                                    request.limit,
-                                    request.time_budget,
-                                    None,
-                                );
-                            }
-                        }
-                    }
-                    return Ok(response);
-                }
-                None => results.note_bypass(),
-            }
-        }
-
-        Ok(self.execute_planned(query, request, deadline, sink, threads))
-    }
-
-    /// The plan-acquisition + execution core of
-    /// [`execute_into`](Self::execute_into) (the shared-state mirror of
-    /// the engines' split).
-    fn execute_planned(
-        &self,
-        query: Query,
-        request: &QueryRequest<'_>,
-        deadline: Option<Instant>,
-        sink: &mut dyn PathSink,
-        threads: usize,
-    ) -> QueryResponse {
-        let key = self.plan_key(request);
-        let version = self.graph.version();
-
-        // Warm path: the shard lock covers only the probe; the worker
-        // executes on an `Arc<Index>` clone after releasing it.
-        let lookup_start = Instant::now();
-        match key {
-            Some(key) => {
-                if let Some((mut plan, index)) = self.cache.lookup(&key, version) {
-                    plan.constraint = request.constraint.kind();
-                    plan.threads = threads;
-                    let timings = PhaseTimings {
-                        cache_lookup: lookup_start.elapsed(),
-                        ..PhaseTimings::default()
-                    };
-                    return execute_on_plan(
-                        &index,
-                        plan,
-                        request,
-                        deadline,
-                        sink,
-                        timings,
-                        CacheOutcome::Hit,
-                    );
-                }
-            }
-            None => self.cache.note_bypass(),
-        }
-
-        // Cold path: plan with this thread's scratch, execute, publish.
-        // Racing workers may plan the same query concurrently; planning
-        // is deterministic, so whichever insert lands last is identical.
-        let planner = crate::plan::Planner::new(&self.graph, self.config);
-        let (mut planned, timings) = BUILD_SCRATCH
-            .with(|scratch| planner.plan_query(query, request, &mut scratch.borrow_mut()));
-        planned.plan.threads = threads;
-        let outcome = if key.is_some() {
-            CacheOutcome::Miss
         } else {
-            CacheOutcome::Bypass
-        };
-        let response = execute_on_plan(
-            &planned.index,
-            planned.plan,
-            request,
-            deadline,
-            sink,
-            timings,
-            outcome,
-        );
-        if let Some(key) = key {
-            self.cache.insert(key, version, planned.plan, planned.index);
+            self.queries_served.fetch_add(1, Ordering::Relaxed);
         }
-        response
+        Ok(response)
     }
 
     fn execute(
@@ -321,9 +214,26 @@ impl ServiceCore {
         request: &QueryRequest<'_>,
         intra_cap: usize,
     ) -> Result<QueryResponse, PathEnumError> {
-        execute_collecting(request.collect, |sink| {
-            self.execute_into(request, sink, intra_cap)
-        })
+        let mut collector = Collector::new(request);
+        let response = self.execute_into(request, &mut collector, intra_cap)?;
+        Ok(collector.attach(response))
+    }
+
+    /// Evaluates one pooled request on the calling worker and resolves
+    /// its ticket. Panics from user-supplied constraint closures (or our
+    /// own bugs) are isolated: an unwinding evaluation must not strand
+    /// the caller parked on its ticket — nor starve its groupmates.
+    fn run_pooled(&self, request: &QueryRequest<'_>, intra_cap: usize, ticket: &TicketState) {
+        let started = Instant::now();
+        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.execute(request, intra_cap)
+        }))
+        .unwrap_or(Err(PathEnumError::EvaluationPanicked));
+        ticket.publish(TicketOutcome {
+            response,
+            started,
+            finished: Instant::now(),
+        });
     }
 }
 
@@ -723,21 +633,7 @@ impl PathEnumService {
         let ticket = Arc::clone(&state);
         self.pool.spawn_task(
             Lane::Interactive,
-            Box::new(move || {
-                let started = Instant::now();
-                // Isolate panics from user-supplied constraint closures
-                // (or our own bugs): an unwinding evaluation must not
-                // strand the caller parked on its ticket.
-                let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    core.execute(&request, intra_cap)
-                }))
-                .unwrap_or(Err(PathEnumError::EvaluationPanicked));
-                ticket.publish(TicketOutcome {
-                    response,
-                    started,
-                    finished: Instant::now(),
-                });
-            }),
+            Box::new(move || core.run_pooled(&request, intra_cap, &ticket)),
         );
         Ticket { state }
     }
@@ -811,7 +707,7 @@ impl PathEnumService {
             tickets.push(Ticket {
                 state: Arc::clone(&state),
             });
-            match self.core.plan_key(&request) {
+            match pipeline::plan_key(self.core.config, &request, self.core.cache.capacity()) {
                 Some(key) => match by_key.get(&key) {
                     Some(&unit) => units[unit].push((request, state)),
                     None => {
@@ -831,21 +727,7 @@ impl PathEnumService {
                 Lane::Interactive,
                 Box::new(move || {
                     for (request, ticket) in unit {
-                        let started = Instant::now();
-                        // Isolate panics from user-supplied constraint
-                        // closures (or our own bugs): an unwinding
-                        // evaluation must not strand the caller parked
-                        // on its ticket — nor starve its groupmates.
-                        let response =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                core.execute(&request, cap)
-                            }))
-                            .unwrap_or(Err(PathEnumError::EvaluationPanicked));
-                        ticket.publish(TicketOutcome {
-                            response,
-                            started,
-                            finished: Instant::now(),
-                        });
+                        core.run_pooled(&request, cap, &ticket);
                     }
                 }),
             );

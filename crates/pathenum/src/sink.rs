@@ -92,64 +92,6 @@ impl CollectingSink {
     }
 }
 
-/// Counts results and stops after `limit` of them.
-///
-/// Deprecated: the stop-at-N rule is now a request-level option —
-/// [`QueryRequest::limit`](crate::request::QueryRequest::limit) with
-/// [`Termination::LimitReached`](crate::request::Termination) — enforced
-/// by [`ControlledSink`](crate::request::ControlledSink). This type
-/// survives as a thin adapter over that mechanism for existing callers.
-#[deprecated(
-    since = "0.2.0",
-    note = "use QueryRequest::limit (Termination::LimitReached) or wrap a sink in ControlledSink"
-)]
-#[derive(Debug)]
-pub struct LimitSink {
-    /// Number of paths emitted so far.
-    pub count: u64,
-    inner: crate::request::ControlledSink<CountingSink>,
-}
-
-#[allow(deprecated)]
-impl LimitSink {
-    /// Sink that stops after `limit` results (the paper's response-time
-    /// metric uses 1000).
-    pub fn new(limit: u64) -> Self {
-        LimitSink {
-            count: 0,
-            inner: crate::request::ControlledSink::new(
-                CountingSink::default(),
-                Some(limit),
-                None,
-                None,
-            ),
-        }
-    }
-
-    /// Whether the limit was reached.
-    pub fn saturated(&self) -> bool {
-        matches!(
-            self.inner.termination(),
-            crate::request::Termination::LimitReached
-        )
-    }
-}
-
-#[allow(deprecated)]
-impl PathSink for LimitSink {
-    #[inline]
-    fn emit(&mut self, path: &[VertexId]) -> SearchControl {
-        let control = self.inner.emit(path);
-        self.count = self.inner.emitted();
-        control
-    }
-
-    #[inline]
-    fn probe(&mut self) -> SearchControl {
-        self.inner.probe()
-    }
-}
-
 /// Flat storage for variable-length paths: one contiguous `data` vector
 /// plus per-path end offsets.
 ///
@@ -307,8 +249,8 @@ mod tests {
 
     #[test]
     fn controlled_sink_is_the_canonical_stop_at_n_adapter() {
-        // The deprecated LimitSink survives only as an adapter over this
-        // mechanism; internal code uses ControlledSink directly.
+        // Stop-at-N is a request-level rule; ControlledSink is the one
+        // mechanism behind it.
         let mut sink =
             crate::request::ControlledSink::new(CountingSink::default(), Some(3), None, None);
         assert_eq!(sink.emit(&[0]), SearchControl::Continue);

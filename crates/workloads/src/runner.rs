@@ -69,11 +69,9 @@ impl QueryMeasurement {
 /// A sink that counts results and aborts on a deadline and/or an emission
 /// limit — the measuring instrument for all three paper metrics.
 ///
-/// Reimplemented as a thin adapter over the request layer's
-/// [`ControlledSink`] (mirroring the deprecated
-/// [`LimitSink`](pathenum::sink::LimitSink) treatment), so the workload
-/// runner and the service API share one set of stopping-rule semantics
-/// instead of two near-identical censoring implementations.
+/// A thin adapter over the request layer's [`ControlledSink`], so the
+/// workload runner and the service API share one set of stopping-rule
+/// semantics instead of two near-identical censoring implementations.
 pub struct BoundedSink {
     /// Results seen (censored at the limit).
     pub count: u64,
@@ -261,13 +259,7 @@ pub fn run_cached_stream(
         latencies,
         total,
         results,
-        cache: PlanCacheStats {
-            hits: after.hits - before.hits,
-            misses: after.misses - before.misses,
-            invalidations: after.invalidations - before.invalidations,
-            evictions: after.evictions - before.evictions,
-            retained: after.retained - before.retained,
-        },
+        cache: after.since(&before),
     }
 }
 

@@ -24,13 +24,13 @@ pub mod prelude {
     pub use pathenum::sink::{CollectingSink, CountingSink, PathSink, SearchControl};
     pub use pathenum::{
         path_enum, AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats,
-        CacheOutcome, CancelToken, CatalogConfig, CatalogOutcome, CatalogRequest, CatalogService,
-        CatalogTicket, CompactBits, ControlledSink, Counters, DenseBits, DynamicEngine,
-        GraphCatalog, Index, Lane, Method, PathBuffer, PathEnumConfig, PathEnumError,
-        PathEnumService, PathStream, PhysicalPlan, PlanCache, PlanCacheStats, Query, QueryEngine,
-        QueryRequest, QueryResponse, ResultCache, ResultCacheStats, RunReport, ServeReport,
-        ServiceConfig, SharedCacheStats, SharedControl, SharedPlanCache, SharedResultCache,
-        Termination, Ticket,
+        CacheOutcome, CacheStats, CancelToken, CatalogConfig, CatalogOutcome, CatalogRequest,
+        CatalogService, CatalogTicket, CompactBits, ControlledSink, Counters, DenseBits,
+        DynamicEngine, GraphCatalog, Index, Lane, Method, PathBuffer, PathEnumConfig,
+        PathEnumError, PathEnumService, PathStream, PhysicalPlan, PlanCache, PlanCacheStats, Query,
+        QueryEngine, QueryRequest, QueryResponse, ResultCache, ResultCacheStats, RunReport,
+        ServeReport, ServiceConfig, SharedCacheStats, SharedControl, SharedPlanCache,
+        SharedResultCache, Termination, Ticket,
     };
     pub use pathenum_graph::{
         CsrGraph, DynamicGraph, FrozenGraph, GraphBuilder, GraphHandle, GraphSnapshot,
