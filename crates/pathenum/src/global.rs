@@ -1,7 +1,7 @@
 //! Global-index acceleration (the paper's Section 7.5 discussion).
 //!
 //! PathEnum builds its light-weight index from scratch per query, which
-//! on very large graphs is dominated by the two boundary BFS traversals.
+//! on very large graphs is dominated by the boundary distance search.
 //! The paper's proposed direction is a *global* index built once offline
 //! that serves all queries. This module provides that layer on top of
 //! the [`pathenum_graph::pll`] pruned-landmark-labeling oracle:

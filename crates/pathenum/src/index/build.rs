@@ -1,6 +1,6 @@
 //! Index construction (Algorithm 3).
 
-use pathenum_graph::bfs::{distances_epoch_into, BfsOptions, Direction};
+use pathenum_graph::bfs::{boundary_sweep, distances_epoch_into, BfsOptions, Direction};
 use pathenum_graph::epoch::EpochMap;
 use pathenum_graph::types::{dist_add, Distance, INFINITE_DISTANCE};
 use pathenum_graph::{NeighborAccess, VertexId};
@@ -14,19 +14,31 @@ const ABSENT: u32 = u32::MAX;
 /// Reusable buffers for index construction.
 ///
 /// The build needs three `vertex -> value` maps (the two boundary
-/// distance maps and the global-to-local id map) plus a BFS queue.
+/// distance maps and the global-to-local id map), the flat row buffer
+/// both neighbor tables are filled from, and — only for the two-pass
+/// boundary search a retention footprint needs — a BFS queue; the
+/// boundary sweep keeps its frontiers inside the maps' touched lists.
 /// Real-time workloads issue queries back-to-back on the same graph;
 /// holding the buffers in a [`BuildScratch`] (see
-/// [`crate::engine::QueryEngine`]) reuses the allocations, and the maps
-/// are epoch-stamped ([`EpochMap`]) so the per-query reset is O(1)
+/// [`crate::engine::QueryEngine`]) reuses the allocations, so a warm
+/// build allocates nothing but the finished [`Index`]'s own arrays. The
+/// maps are epoch-stamped ([`EpochMap`]) so the per-query reset is O(1)
 /// instead of an `O(|V|)` memset — on large graphs with small `k` the
 /// reset, not the traversal, used to dominate the build.
 #[derive(Debug, Clone)]
 pub struct BuildScratch {
     dist_s: EpochMap,
     dist_t: EpochMap,
+    /// Whether the last build left the full depth-`k` reach of both
+    /// endpoints in the maps (two-pass search) or only labels on the
+    /// admissible set `X` (the sweep).
+    full_reach: bool,
     queue: std::collections::VecDeque<VertexId>,
     local_of: EpochMap,
+    /// One side's admissible `(neighbor, key distance)` entries, row after
+    /// row in local-id order, and where each row starts (plus the end).
+    rows: Vec<(LocalId, Distance)>,
+    row_starts: Vec<u32>,
 }
 
 impl Default for BuildScratch {
@@ -34,22 +46,30 @@ impl Default for BuildScratch {
         BuildScratch {
             dist_s: EpochMap::new(INFINITE_DISTANCE),
             dist_t: EpochMap::new(INFINITE_DISTANCE),
+            full_reach: false,
             queue: std::collections::VecDeque::new(),
             local_of: EpochMap::new(ABSENT),
+            rows: Vec::new(),
+            row_starts: Vec::new(),
         }
     }
 }
 
 impl BuildScratch {
-    /// The boundary distance maps left behind by the most recent build:
-    /// `(dist_s, dist_t)`, keyed by global vertex id (unreached vertices
-    /// read [`INFINITE_DISTANCE`]).
+    /// The boundary distance maps `(dist_s, dist_t)` left behind by the
+    /// most recent build, keyed by global vertex id (unreached vertices
+    /// read [`INFINITE_DISTANCE`]) — or `None` unless that build ran the
+    /// two-pass search, whose maps cover the whole depth-`k` reach of
+    /// `s` and of `t`.
     ///
     /// The plan cache derives an entry's *reach footprint* from these
     /// (the vertex sets within `k - 1` hops of `s` / of `t`), which is
-    /// what makes surgical retention under graph mutation sound.
-    pub(crate) fn dist_maps(&self) -> (&EpochMap, &EpochMap) {
-        (&self.dist_s, &self.dist_t)
+    /// what makes surgical retention under graph mutation sound. The
+    /// sweep's maps hold the admissible set only; a footprint taken from
+    /// them would keep entries alive across insertions that change their
+    /// answer, so they are never handed out.
+    pub(crate) fn full_reach_maps(&self) -> Option<(&EpochMap, &EpochMap)> {
+        self.full_reach.then_some((&self.dist_s, &self.dist_t))
     }
 
     /// Approximate heap footprint of the scratch arena in bytes.
@@ -58,16 +78,33 @@ impl BuildScratch {
             + self.dist_t.heap_bytes()
             + self.local_of.heap_bytes()
             + self.queue.capacity() * std::mem::size_of::<VertexId>()
+            + self.rows.capacity() * std::mem::size_of::<(LocalId, Distance)>()
+            + self.row_starts.capacity() * std::mem::size_of::<u32>()
     }
 }
 
 impl Index {
     /// Builds the light-weight index for `query` on `graph`.
     ///
-    /// Cost is `O(|E| + |V|)`: two bounded BFS traversals plus one scan of
-    /// the adjacency of the surviving vertices. If the index proves the
-    /// query empty (no s-t path within `k` hops), an empty index is
-    /// returned and [`Index::is_empty`] is true.
+    /// Cost is proportional to what the index keeps. The boundary
+    /// distances come from one bidirectional
+    /// [`boundary_sweep`]: both sides grow unrestricted, smaller frontier
+    /// first, until their depths sum to `k`, then continue to depth `k`
+    /// only through vertices whose depth plus opposite label still fits
+    /// under `k`. Every vertex on a shortest `s→x` path of a member `x`
+    /// of `X = {v : v.s + v.t ≤ k}` is itself in `X` and already carries
+    /// its opposite label once the depths sum to `k`, so the sweep labels
+    /// all of `X` exactly and nothing outside it — the two `≈k/2`-hop
+    /// balls plus the adjacency of `X`, instead of the two `k`-hop balls.
+    /// One scan of `X`'s adjacency then fills both neighbor tables. If
+    /// the index proves the query empty (no s-t path within `k` hops),
+    /// an empty index is returned and [`Index::is_empty`] is true.
+    ///
+    /// The one caller that needs more than `X` is the request pipeline on
+    /// a graph with a mutation log: retention footprints are the *full*
+    /// `k − 1` reach of both endpoints, so there the boundary search is
+    /// two depth-`k` [`distances_epoch_into`] passes and the index is the
+    /// same, field for field.
     ///
     /// Generic over [`NeighborAccess`]: the build runs identically on a
     /// materialized `CsrGraph` and on a borrowed
@@ -78,8 +115,8 @@ impl Index {
         Index::build_profiled(graph, query).0
     }
 
-    /// As [`Index::build`], additionally reporting the time the two
-    /// boundary BFS traversals took (the `BFS` series of Figures 12/17).
+    /// As [`Index::build`], additionally reporting the time the boundary
+    /// search took (the `BFS` series of Figures 12/17).
     pub fn build_profiled<G: NeighborAccess>(
         graph: &G,
         query: Query,
@@ -89,46 +126,73 @@ impl Index {
     }
 
     /// As [`Index::build_profiled`], reusing caller-owned scratch buffers
-    /// across queries (allocation-free boundary BFS and id mapping).
+    /// across queries (allocation-free boundary search, id mapping and
+    /// row collection).
     pub fn build_reusing<G: NeighborAccess>(
         graph: &G,
         query: Query,
         scratch: &mut BuildScratch,
+    ) -> (Index, std::time::Duration) {
+        Index::build_with(graph, query, scratch, false)
+    }
+
+    /// [`Index::build_reusing`] with the boundary search chosen by the
+    /// caller: `full_reach` runs the two depth-`k` passes and leaves
+    /// their maps in the scratch for
+    /// [`BuildScratch::full_reach_maps`]; otherwise the sweep. The index
+    /// is identical either way.
+    pub(crate) fn build_with<G: NeighborAccess>(
+        graph: &G,
+        query: Query,
+        scratch: &mut BuildScratch,
+        full_reach: bool,
     ) -> (Index, std::time::Duration) {
         let Query { s, t, k } = query;
         debug_assert!(query.validate(graph.num_vertices()).is_ok());
 
         // Boundary distances: v.s = S(s, v | G - {t}), v.t = S(v, t | G - {s}).
         let bfs_start = std::time::Instant::now();
-        distances_epoch_into(
-            graph,
-            s,
-            BfsOptions {
-                direction: Direction::Forward,
-                excluded: Some(t),
-                max_depth: Some(k),
-            },
-            &mut scratch.dist_s,
-            &mut scratch.queue,
-        );
-        distances_epoch_into(
-            graph,
-            t,
-            BfsOptions {
-                direction: Direction::Backward,
-                excluded: Some(s),
-                max_depth: Some(k),
-            },
-            &mut scratch.dist_t,
-            &mut scratch.queue,
-        );
+        if full_reach {
+            distances_epoch_into(
+                graph,
+                s,
+                BfsOptions {
+                    direction: Direction::Forward,
+                    excluded: Some(t),
+                    max_depth: Some(k),
+                },
+                &mut scratch.dist_s,
+                &mut scratch.queue,
+            );
+            distances_epoch_into(
+                graph,
+                t,
+                BfsOptions {
+                    direction: Direction::Backward,
+                    excluded: Some(s),
+                    max_depth: Some(k),
+                },
+                &mut scratch.dist_t,
+                &mut scratch.queue,
+            );
+        } else {
+            boundary_sweep(graph, s, t, k, &mut scratch.dist_s, &mut scratch.dist_t);
+        }
+        scratch.full_reach = full_reach;
         let BuildScratch {
             dist_s,
             dist_t,
             local_of,
+            rows,
+            row_starts,
             ..
         } = scratch;
         let bfs_time = bfs_start.elapsed();
+        // From here on the two searches are indistinguishable: a label is
+        // exact or absent, every member of X carries both, so membership,
+        // admission and the endpoint minima below decide as on full maps
+        // (an admitted neighbor is in X; an unlabelled one is not).
+        //
         // The excluded endpoints get their distances from their boundary
         // edges: t.s via in-edges of t, s.t via out-edges of s. Each is a
         // first write of the epoch (the vertex was excluded from its own
@@ -148,17 +212,19 @@ impl Index {
 
         // Partition X: vertices with v.s + v.t <= k, in global-id order.
         // Any member has finite v.s, so X is a subset of the forward
-        // BFS's touched set — sorting that (small) set and filtering it
-        // reproduces the ascending full-range scan without the O(|V|)
-        // sweep.
-        let mut vertices: Vec<VertexId> = Vec::new();
+        // search's touched set: filter that, then sort the survivors —
+        // the ascending full-range scan without the O(|V|) sweep, and
+        // without sorting what the filter drops.
+        let mut vertices: Vec<VertexId> = dist_s
+            .touched()
+            .iter()
+            .copied()
+            .filter(|&v| dist_add(dist_s.get(v as usize), dist_t.get(v as usize)) <= k)
+            .collect();
+        vertices.sort_unstable();
         local_of.reset(graph.num_vertices());
-        dist_s.sort_touched();
-        for &v in dist_s.touched() {
-            if dist_add(dist_s.get(v as usize), dist_t.get(v as usize)) <= k {
-                local_of.set(v as usize, vertices.len() as u32);
-                vertices.push(v);
-            }
+        for (local, &v) in vertices.iter().enumerate() {
+            local_of.set(v as usize, local as u32);
         }
         let s_local = local_of.get(s as usize);
         let t_local = local_of.get(t as usize);
@@ -170,16 +236,21 @@ impl Index {
         let local_dist_t: Vec<Distance> =
             vertices.iter().map(|&v| dist_t.get(v as usize)).collect();
 
+        // Adjacency is ascending and local ids ascend with global ids, so
+        // every row below is collected ascending by local id, as
+        // `NeighborTable::from_rows` requires.
+        //
         // Forward table (H of Algorithm 3): admissible out-neighbors keyed
         // by distance-to-t. t keeps only the (t, t) padding loop.
-        let mut fwd_lists: Vec<Vec<(LocalId, Distance)>> = vec![Vec::new(); vertices.len()];
+        rows.clear();
+        row_starts.clear();
         for (local, &gv) in vertices.iter().enumerate() {
+            row_starts.push(rows.len() as u32);
             if gv == t {
-                fwd_lists[local].push((t_local, 0));
+                rows.push((t_local, 0));
                 continue;
             }
             let vs = local_dist_s[local];
-            let list = &mut fwd_lists[local];
             graph.for_each_out(gv, |n| {
                 if n == s {
                     return; // interior vertices are never s
@@ -189,23 +260,25 @@ impl Index {
                 if dist_add(dist_add(vs, nt), 1) <= k {
                     let n_local = local_of.get(n as usize);
                     debug_assert_ne!(n_local, ABSENT, "admission implies membership");
-                    list.push((n_local, nt));
+                    rows.push((n_local, nt));
                 }
             });
         }
-        let fwd = NeighborTable::build(k, &fwd_lists);
-        drop(fwd_lists);
+        row_starts.push(rows.len() as u32);
+        let fwd = NeighborTable::from_rows(k, rows, row_starts);
 
         // Backward table: admissible in-neighbors keyed by
         // distance-from-s. s gets no predecessors; t additionally gets the
-        // (t, t) padding loop.
-        let mut bwd_lists: Vec<Vec<(LocalId, Distance)>> = vec![Vec::new(); vertices.len()];
+        // (t, t) padding loop, at its id position in the row.
+        rows.clear();
+        row_starts.clear();
         for (local, &gv) in vertices.iter().enumerate() {
+            let row_start = rows.len();
+            row_starts.push(row_start as u32);
             if gv == s {
                 continue;
             }
             let vt = local_dist_t[local];
-            let list = &mut bwd_lists[local];
             graph.for_each_in(gv, |p| {
                 if p == t {
                     return; // t never has real out-edges in the relations
@@ -214,15 +287,16 @@ impl Index {
                 if dist_add(dist_add(ps, vt), 1) <= k {
                     let p_local = local_of.get(p as usize);
                     debug_assert_ne!(p_local, ABSENT, "admission implies membership");
-                    list.push((p_local, ps));
+                    rows.push((p_local, ps));
                 }
             });
             if gv == t {
-                bwd_lists[local].push((t_local, local_dist_s[t_local as usize]));
+                let at = rows[row_start..].partition_point(|&(id, _)| id < t_local);
+                rows.insert(row_start + at, (t_local, local_dist_s[local]));
             }
         }
-        let bwd = NeighborTable::build(k, &bwd_lists);
-        drop(bwd_lists);
+        row_starts.push(rows.len() as u32);
+        let bwd = NeighborTable::from_rows(k, rows, row_starts);
 
         // Per-level statistics for the preliminary estimator.
         let mut level_sizes = vec![0u64; k as usize + 1];
@@ -279,6 +353,7 @@ impl Index {
 mod tests {
     use super::super::test_support::*;
     use super::*;
+    use pathenum_graph::generators::erdos_renyi;
 
     #[test]
     fn direct_edge_only_queries_build_nonempty_index() {
@@ -317,6 +392,111 @@ mod tests {
             .map(|l| idx.global(l))
             .collect();
         assert_eq!(globals, vec![0, 3]);
+    }
+
+    /// The maps two direct depth-`k` passes leave, with the build's two
+    /// endpoint fix-ups applied: what a full-reach build must hold.
+    fn two_pass_maps<G: NeighborAccess>(graph: &G, query: Query) -> (EpochMap, EpochMap) {
+        let Query { s, t, k } = query;
+        let mut queue = std::collections::VecDeque::new();
+        let mut pass = |source, direction, excluded| {
+            let mut map = EpochMap::new(INFINITE_DISTANCE);
+            let options = BfsOptions {
+                direction,
+                excluded: Some(excluded),
+                max_depth: Some(k),
+            };
+            distances_epoch_into(graph, source, options, &mut map, &mut queue);
+            map
+        };
+        let mut dist_s = pass(s, Direction::Forward, t);
+        let mut dist_t = pass(t, Direction::Backward, s);
+        let mut t_s = INFINITE_DISTANCE;
+        graph.for_each_in(t, |u| t_s = t_s.min(dist_add(dist_s.get(u as usize), 1)));
+        let mut s_t = INFINITE_DISTANCE;
+        graph.for_each_out(s, |w| s_t = s_t.min(dist_add(dist_t.get(w as usize), 1)));
+        dist_s.set(t as usize, t_s);
+        dist_t.set(s as usize, s_t);
+        (dist_s, dist_t)
+    }
+
+    fn assert_same_map(got: &EpochMap, want: &EpochMap, what: &str) {
+        for v in 0..want.capacity() {
+            assert_eq!(got.get(v), want.get(v), "{what}: value at {v}");
+            assert_eq!(got.contains(v), want.contains(v), "{what}: touched {v}");
+        }
+        assert_eq!(got.touched().len(), want.touched().len(), "{what}");
+    }
+
+    /// Both boundary searches on one graph through one scratch: the
+    /// indexes must be equal field for field, and the full-reach build
+    /// must leave exactly the two-pass maps behind.
+    fn check_both_searches<G: NeighborAccess>(
+        graph: &G,
+        query: Query,
+        scratch: &mut BuildScratch,
+    ) -> Index {
+        let (swept, _) = Index::build_with(graph, query, scratch, false);
+        assert!(scratch.full_reach_maps().is_none(), "sweep maps handed out");
+        let (full, _) = Index::build_with(graph, query, scratch, true);
+        assert_eq!(swept, full, "{query:?}");
+        let (dist_s, dist_t) = scratch
+            .full_reach_maps()
+            .expect("two-pass maps are full reach");
+        let (want_s, want_t) = two_pass_maps(graph, query);
+        assert_same_map(dist_s, &want_s, "dist_s");
+        assert_same_map(dist_t, &want_t, "dist_t");
+        swept
+    }
+
+    #[test]
+    fn sweep_and_two_pass_builds_agree_through_one_scratch() {
+        // One scratch across every case, search and representation: a
+        // label, a row or the reach flag leaking from the previous build
+        // would show up as a difference.
+        let mut scratch = BuildScratch::default();
+        let mut nonempty = 0;
+        for seed in 0..120u64 {
+            let n = 5 + (seed % 11) as usize;
+            let g = erdos_renyi(n, n * (1 + (seed % 4) as usize), seed);
+            let mut dynamic = pathenum_graph::DynamicGraph::new(g.clone());
+            for i in 0..(seed % 6) as u32 {
+                let (u, w) = ((seed as u32 + 3 * i) % n as u32, (7 * i + 1) % n as u32);
+                if i % 3 == 2 {
+                    dynamic.remove_edge(u, w);
+                } else if u != w {
+                    dynamic.insert_edge(u, w);
+                }
+            }
+            let (s, t) = ((seed % n as u64) as u32, ((seed / 3 + 1) % n as u64) as u32);
+            let Ok(query) = Query::new(s, t, 2 + (seed % 7) as u32) else {
+                continue;
+            };
+            let on_heap = check_both_searches(&g, query, &mut scratch);
+            let on_overlay = check_both_searches(&dynamic.view(), query, &mut scratch);
+            nonempty += usize::from(!on_heap.is_empty()) + usize::from(!on_overlay.is_empty());
+        }
+        assert!(nonempty >= 60, "only {nonempty} non-empty indexes compared");
+    }
+
+    #[test]
+    fn warm_builds_reuse_the_scratch_they_account_for() {
+        let g = erdos_renyi(200, 1600, 5);
+        let query = Query::new(0, 100, 5).unwrap();
+        let mut scratch = BuildScratch::default();
+        let (index, _) = Index::build_reusing(&g, query, &mut scratch);
+        assert!(index.num_edges() > 0);
+        let settled = scratch.heap_bytes();
+        for _ in 0..5 {
+            let (again, _) = Index::build_reusing(&g, query, &mut scratch);
+            assert_eq!(again, index);
+            assert_eq!(scratch.heap_bytes(), settled, "a warm build grew it");
+        }
+        // The row buffer held the larger table's entries and is counted.
+        let rows = std::mem::take(&mut scratch.rows);
+        assert!(rows.capacity() >= index.fwd.num_edges().max(index.bwd.num_edges()));
+        let entry = std::mem::size_of::<(LocalId, Distance)>();
+        assert_eq!(settled - scratch.heap_bytes(), rows.capacity() * entry);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::query::Query;
 /// let s = index.s_local().unwrap();
 /// assert_eq!(index.i_t(s, 1).len(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Index {
     pub(crate) query: Query,
     /// Local ids of `s` and `t`; `None` when the index is empty (no result

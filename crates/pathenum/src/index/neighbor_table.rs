@@ -12,7 +12,7 @@ use pathenum_graph::types::Distance;
 pub type LocalId = u32;
 
 /// Immutable neighbor table over local ids.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NeighborTable {
     k: u32,
     /// Flat neighbor storage, grouped by owner, sorted by key distance.
@@ -25,44 +25,66 @@ pub struct NeighborTable {
 }
 
 impl NeighborTable {
-    /// Builds the table from per-vertex `(neighbor, key_distance)` lists.
+    /// Builds the table from per-vertex `(neighbor, key_distance)` lists,
+    /// in any order within a list.
     ///
     /// Key distances must be `<= k` (the index never stores a neighbor
     /// whose distance exceeds the budget any search could grant it).
+    /// Convenience form of [`from_rows`](Self::from_rows): the lists are
+    /// flattened and each row sorted by id first.
     pub fn build(k: u32, per_vertex: &[Vec<(LocalId, Distance)>]) -> Self {
+        let mut rows = Vec::with_capacity(per_vertex.iter().map(Vec::len).sum());
+        let mut row_starts = Vec::with_capacity(per_vertex.len() + 1);
+        for list in per_vertex {
+            let start = rows.len();
+            row_starts.push(start as u32);
+            rows.extend_from_slice(list);
+            rows[start..].sort_unstable_by_key(|&(id, _)| id);
+        }
+        row_starts.push(rows.len() as u32);
+        NeighborTable::from_rows(k, &rows, &row_starts)
+    }
+
+    /// Builds the table from one flat buffer of `(neighbor, key_distance)`
+    /// entries: owner `v`'s row is `rows[row_starts[v]..row_starts[v + 1]]`
+    /// and must be ascending by neighbor id (`row_starts` has one entry
+    /// per owner plus the end; key distances `<= k` as for
+    /// [`build`](Self::build)).
+    ///
+    /// Each row is placed by a stable counting sort on the key distance —
+    /// count into the row's `cuts`, prefix-sum, place — which on an
+    /// id-ascending row yields `(distance, id)` order and leaves `cuts`
+    /// holding the cumulative counts.
+    pub fn from_rows(k: u32, rows: &[(LocalId, Distance)], row_starts: &[u32]) -> Self {
         let slots = (k + 1) as usize;
-        let num_vertices = per_vertex.len();
-        let total: usize = per_vertex.iter().map(Vec::len).sum();
-        let mut neighbors = Vec::with_capacity(total);
-        let mut starts = Vec::with_capacity(num_vertices + 1);
+        let num_vertices = row_starts.len() - 1;
+        let mut neighbors = vec![0 as LocalId; rows.len()];
         let mut cuts = vec![0u32; num_vertices * slots];
-        let mut scratch: Vec<(LocalId, Distance)> = Vec::new();
-        starts.push(0u32);
-        for (owner, list) in per_vertex.iter().enumerate() {
-            scratch.clear();
-            scratch.extend_from_slice(list);
-            // Counting-sort-grade key range; a comparison sort on these tiny
-            // lists is simpler and the secondary id key keeps output stable.
-            scratch.sort_unstable_by_key(|&(id, d)| (d, id));
-            let mut count_within = 0u32;
-            let mut cursor = 0usize;
-            let base = owner * slots;
-            for d in 0..slots as Distance {
-                while cursor < scratch.len() && scratch[cursor].1 <= d {
-                    debug_assert!(scratch[cursor].1 <= k, "key distance exceeds k");
-                    neighbors.push(scratch[cursor].0);
-                    cursor += 1;
-                    count_within += 1;
-                }
-                cuts[base + d as usize] = count_within;
+        for (owner, cut) in cuts.chunks_exact_mut(slots).enumerate() {
+            let (start, end) = (row_starts[owner] as usize, row_starts[owner + 1] as usize);
+            let row = &rows[start..end];
+            let placed = &mut neighbors[start..end];
+            // A key distance beyond `k` indexes past the row's slots.
+            for &(_, d) in row {
+                cut[d as usize] += 1;
             }
-            debug_assert_eq!(cursor, scratch.len(), "a key distance exceeded k");
-            starts.push(neighbors.len() as u32);
+            // cut[d] = entries with key distance < d: where bucket d begins.
+            let mut below = 0u32;
+            for c in cut.iter_mut() {
+                below += std::mem::replace(c, below);
+            }
+            // Placing advances each bucket's cursor to its end, which is
+            // the number of entries with key distance <= d.
+            for &(id, d) in row {
+                let cursor = &mut cut[d as usize];
+                placed[*cursor as usize] = id;
+                *cursor += 1;
+            }
         }
         NeighborTable {
             k,
             neighbors,
-            starts,
+            starts: row_starts.to_vec(),
             cuts,
         }
     }

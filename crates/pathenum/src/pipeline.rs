@@ -384,8 +384,15 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
         // Cold path: plan from scratch and publish before executing.
         // Racing workers may plan the same query concurrently; planning
         // is deterministic, so whichever insert lands last is identical.
-        let (planned, timings) =
-            Planner::new(self.graph, self.config).plan_query(query, request, self.scratch);
+        // A graph with a mutation log gets the two-pass boundary search:
+        // retention needs the full reach of both endpoints, which the
+        // sweep every other graph takes does not compute.
+        let (planned, timings) = Planner::new(self.graph, self.config).plan_query(
+            query,
+            request,
+            self.scratch,
+            at.log.is_some(),
+        );
         let mut plan = planned.plan;
         plan.threads = self.threads;
         let index = Arc::new(planned.index);
@@ -394,7 +401,7 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
         // to retain against.
         let footprint = at
             .log
-            .map(|log| IndexFootprint::capture(log.lineage(), self.scratch, query.k));
+            .and_then(|log| IndexFootprint::capture(log.lineage(), self.scratch, query.k));
         let result_slot = slot(result_key.and_then(|_| footprint.clone()));
         let outcome = match key {
             Some(key) => {

@@ -342,7 +342,7 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
     pub fn plan(&self, request: &QueryRequest<'_>) -> Result<PhysicalPlan, PathEnumError> {
         let query = request.validate(self.graph.num_vertices())?;
         let mut scratch = BuildScratch::default();
-        let (planned, _) = self.plan_query(query, request, &mut scratch);
+        let (planned, _) = self.plan_query(query, request, &mut scratch, false);
         Ok(planned.plan)
     }
 
@@ -355,11 +355,17 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
     /// predicate-filtered subgraph when the request carries a predicate),
     /// runs the estimators, and decides method + cut. Returns the plan,
     /// the index, and the front-half phase timings.
+    ///
+    /// `full_reach` asks the build for the two-pass boundary search, whose
+    /// maps [`IndexFootprint::capture`] can then read from `scratch` — the
+    /// pipeline sets it exactly when the serving graph has a mutation log
+    /// to retain against. The plan and index do not depend on it.
     pub(crate) fn plan_query(
         &self,
         query: Query,
         request: &QueryRequest<'_>,
         scratch: &mut BuildScratch,
+        full_reach: bool,
     ) -> (Planned, PhaseTimings) {
         let config = self.effective_config(request);
         let build_start = Instant::now();
@@ -367,9 +373,9 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
             ConstraintSpec::Predicate(predicate) => {
                 // Appendix E: the filter pass is attributed to build time.
                 let filtered = filtered_graph(self.graph, predicate);
-                Index::build_reusing(&filtered, query, scratch)
+                Index::build_with(&filtered, query, scratch, full_reach)
             }
-            _ => Index::build_reusing(self.graph, query, scratch),
+            _ => Index::build_with(self.graph, query, scratch, full_reach),
         };
         let mut timings = PhaseTimings {
             bfs: bfs_time,
@@ -775,10 +781,13 @@ impl IndexFootprint {
     }
 
     /// Captures the footprint a build just left in `scratch`, for query
-    /// hop bound `k`, stamped against one graph lineage.
-    pub(crate) fn capture(lineage: GraphVersion, scratch: &BuildScratch, k: u32) -> Self {
-        let (dist_s, dist_t) = scratch.dist_maps();
-        IndexFootprint::from_dist_maps(lineage, dist_s, dist_t, k)
+    /// hop bound `k`, stamped against one graph lineage — or `None` when
+    /// that build ran the sweep, whose maps do not cover the reach sets
+    /// (the entry is then stored footprint-less: version-invalidated,
+    /// never retained).
+    pub(crate) fn capture(lineage: GraphVersion, scratch: &BuildScratch, k: u32) -> Option<Self> {
+        let (dist_s, dist_t) = scratch.full_reach_maps()?;
+        Some(IndexFootprint::from_dist_maps(lineage, dist_s, dist_t, k))
     }
 
     /// The mutation lineage this footprint was stamped against.
@@ -1152,6 +1161,32 @@ mod tests {
         assert_eq!(plan.index_edges, index.num_edges());
         assert_eq!(plan.index_vertices, index.num_vertices());
         assert!(!plan.is_provably_empty());
+    }
+
+    #[test]
+    fn footprints_refuse_the_sweeps_maps() {
+        let g = figure1_graph();
+        let query = Query::new(S, T, 4).unwrap();
+        let lineage = g.version();
+        let mut scratch = BuildScratch::default();
+        assert!(IndexFootprint::capture(lineage, &scratch, 4).is_none());
+
+        // The sweep labels the admissible set only, not the reach sets
+        // a footprint is made of.
+        Index::build_reusing(&g, query, &mut scratch);
+        assert!(IndexFootprint::capture(lineage, &scratch, 4).is_none());
+
+        let request = QueryRequest::paths(S, T).max_hops(4);
+        let planner = Planner::new(&g, PathEnumConfig::default());
+        planner.plan_query(query, &request, &mut scratch, true);
+        let footprint =
+            IndexFootprint::capture(lineage, &scratch, 4).expect("two-pass maps are full reach");
+        assert_eq!(footprint.insertion_touches(V[0], V[2]), (true, true));
+        assert_eq!(footprint.insertion_touches(V[7], V[7]), (false, false));
+
+        // The flag follows the last build, not the first.
+        planner.plan_query(query, &request, &mut scratch, false);
+        assert!(IndexFootprint::capture(lineage, &scratch, 4).is_none());
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //!   atomics, entries handed out as `Arc<Index>` clones so a worker
 //!   *executes outside the shard lock*. A query planned by one worker
 //!   warms every other worker;
-//! * build scratch (the `O(|V|)` BFS buffers) is thread-local — each OS
-//!   thread that ever plans keeps its own
-//!   [`BuildScratch`], reused across
-//!   queries exactly as an engine would;
+//! * build scratch (the `O(|V|)` boundary maps and the table-row buffer)
+//!   is thread-local — each OS thread that ever plans keeps its own
+//!   [`BuildScratch`], reused across queries exactly as an engine would;
 //! * every request — direct or pooled — runs the crate's one request
 //!   pipeline (`pipeline.rs`), the same code the engines run, over the
 //!   shared store; the service adds the pool and the thread budget;
@@ -102,8 +101,8 @@ use crate::sink::PathSink;
 thread_local! {
     /// Per-OS-thread build scratch: any thread that plans through the
     /// service (a pool worker, or a caller of [`PathEnumService::execute`])
-    /// reuses its own BFS/id-mapping buffers across queries, exactly as
-    /// a dedicated engine would.
+    /// reuses its own boundary-map, id-mapping and row buffers across
+    /// queries, exactly as a dedicated engine would.
     static BUILD_SCRATCH: RefCell<BuildScratch> = RefCell::new(BuildScratch::default());
 }
 
@@ -112,7 +111,8 @@ thread_local! {
 /// service workers and the [`catalog`](crate::catalog)'s plan-at-submit
 /// path). `f` may run caller code (a sink, a constraint closure) that
 /// re-enters the service on this thread; such a nested evaluation finds
-/// the scratch taken and plans with a fresh one.
+/// the scratch taken and plans with a fresh one (every buffer empty, no
+/// full-reach maps on offer until its own build leaves them).
 pub(crate) fn with_build_scratch<R>(f: impl FnOnce(&mut BuildScratch) -> R) -> R {
     BUILD_SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),

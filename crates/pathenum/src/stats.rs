@@ -103,7 +103,9 @@ pub struct PhaseTimings {
     /// `index_build`, which stays zero so phase tables attribute warm
     /// time correctly.
     pub cache_lookup: Duration,
-    /// The two boundary BFS traversals (part of index construction).
+    /// The boundary search — the bidirectional sweep, or the two full
+    /// BFS passes on a graph with a mutation log (part of index
+    /// construction).
     pub bfs: Duration,
     /// Full index construction including the BFS time.
     pub index_build: Duration,

@@ -8,6 +8,15 @@
 //! suite also pins the `NeighborAccess` ascending-order contract that the
 //! byte-identical guarantee is built on, and the zero-allocation
 //! steady-state of the per-thread scratch arena.
+//!
+//! Index construction is pinned the same way: the boundary sweep and the
+//! flat table fill must produce, on heap, frozen and overlay graphs, the
+//! index of the build they replaced — two independent depth-`k` BFS
+//! passes, an ascending scan for `X`, per-vertex lists comparison-sorted
+//! by `(distance, id)` — which lives on here as [`two_pass_model`]. (That
+//! the pipeline's full-reach build leaves exactly the two-pass maps in
+//! its scratch is checked where the scratch is visible, in
+//! `pathenum::index::build`'s unit tests.)
 
 use std::collections::VecDeque;
 
@@ -19,8 +28,13 @@ use pathenum_repro::core::enumerate::kernels::{
 use pathenum_repro::core::enumerate::{
     idx_dfs, idx_dfs_iterative, idx_join, idx_join_reference, thread_scratch_heap_bytes,
 };
-use pathenum_repro::graph::bfs::{distances_epoch_into, distances_into, BfsOptions, Direction};
+use pathenum_repro::core::index::{BuildScratch, LocalId, NeighborTable};
+use pathenum_repro::graph::bfs::{
+    boundary_sweep, distances_epoch_into, distances_from_source, distances_into,
+    distances_to_target, BfsOptions, Direction, SweepSplit,
+};
 use pathenum_repro::graph::generators::{erdos_renyi, power_law, PowerLawConfig};
+use pathenum_repro::graph::io_binary::{read_frozen, write_frozen};
 use pathenum_repro::graph::types::Distance;
 use pathenum_repro::graph::{EpochMap, INFINITE_DISTANCE};
 use pathenum_repro::prelude::*;
@@ -41,6 +55,205 @@ fn arb_graph() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
         let edges = proptest::collection::vec((0..n, 0..n), 0..80);
         (Just(n), edges)
     })
+}
+
+fn frozen_from(graph: &CsrGraph) -> FrozenGraph {
+    let mut image = Vec::new();
+    write_frozen(graph, false, &mut image).expect("in-memory write");
+    read_frozen(image.as_slice()).expect("round trip")
+}
+
+/// Everything an [`Index`] holds, as its public accessors show it:
+/// vertices and both distance arrays in local-id order, every
+/// `I_t(v, b)` / `I_s(v, b)` slice (hence each table's neighbor order,
+/// row starts and cuts), and the per-level statistics.
+#[derive(Debug, Default, PartialEq)]
+struct IndexModel {
+    endpoints: Option<(LocalId, LocalId)>,
+    vertices: Vec<VertexId>,
+    dist_s: Vec<Distance>,
+    dist_t: Vec<Distance>,
+    /// `[owner][budget]` -> the lookup's slice.
+    fwd: Vec<Vec<Vec<LocalId>>>,
+    bwd: Vec<Vec<Vec<LocalId>>>,
+    level_sizes: Vec<u64>,
+    level_expansion: Vec<u64>,
+}
+
+fn observe(index: &Index) -> IndexModel {
+    let k = index.k();
+    let locals = 0..index.num_vertices() as LocalId;
+    let rows = |lookup: &dyn Fn(LocalId, Distance) -> Vec<LocalId>| {
+        locals
+            .clone()
+            .map(|v| (0..=k).map(|b| lookup(v, b)).collect())
+            .collect()
+    };
+    IndexModel {
+        endpoints: index.s_local().zip(index.t_local()),
+        vertices: locals.clone().map(|v| index.global(v)).collect(),
+        dist_s: locals.clone().map(|v| index.dist_s(v)).collect(),
+        dist_t: locals.clone().map(|v| index.dist_t(v)).collect(),
+        fwd: rows(&|v, b| index.i_t(v, b).to_vec()),
+        bwd: rows(&|v, b| index.i_s(v, b).to_vec()),
+        level_sizes: (0..=k).map(|i| index.level_size(i)).collect(),
+        level_expansion: (0..=k).map(|i| index.level_expansion(i)).collect(),
+    }
+}
+
+/// The index as the pre-sweep build computed it, kept as the oracle: two
+/// independent depth-`k` BFS passes into plain `Vec`s, the endpoint
+/// fix-ups, an ascending scan of `0..|V|` for `X`, and per-vertex
+/// neighbor lists comparison-sorted by `(distance, id)`.
+fn two_pass_model<G: NeighborAccess>(g: &G, q: Query) -> IndexModel {
+    let Query { s, t, k } = q;
+    let mut ds = distances_from_source(g, s, t, k);
+    let mut dt = distances_to_target(g, s, t, k);
+    let mut t_s = INFINITE_DISTANCE;
+    g.for_each_in(t, |u| t_s = t_s.min(ds[u as usize].saturating_add(1)));
+    let mut s_t = INFINITE_DISTANCE;
+    g.for_each_out(s, |w| s_t = s_t.min(dt[w as usize].saturating_add(1)));
+    ds[t as usize] = t_s;
+    dt[s as usize] = s_t;
+    let levels = k as usize + 1;
+    if t_s > k || s_t > k {
+        return IndexModel {
+            level_sizes: vec![0; levels],
+            level_expansion: vec![0; levels],
+            ..IndexModel::default()
+        };
+    }
+    let vertices: Vec<VertexId> = (0..g.num_vertices() as VertexId)
+        .filter(|&v| ds[v as usize].saturating_add(dt[v as usize]) <= k)
+        .collect();
+    let local = |v: VertexId| {
+        let at = vertices.binary_search(&v);
+        at.expect("admission implies membership") as LocalId
+    };
+    let admitted = |from: VertexId, to: VertexId| {
+        ds[from as usize]
+            .saturating_add(dt[to as usize])
+            .saturating_add(1)
+            <= k
+    };
+    let table = |lists: Vec<Vec<(LocalId, Distance)>>| -> Vec<Vec<Vec<LocalId>>> {
+        let by_budget = |mut list: Vec<(LocalId, Distance)>| {
+            list.sort_unstable_by_key(|&(id, d)| (d, id));
+            let within = |b| list.iter().filter(move |e| e.1 <= b).map(|e| e.0).collect();
+            (0..=k).map(within).collect()
+        };
+        lists.into_iter().map(by_budget).collect()
+    };
+    let mut fwd_lists = Vec::new();
+    let mut bwd_lists = Vec::new();
+    for &v in &vertices {
+        let mut out = Vec::new();
+        if v == t {
+            out.push((local(t), 0));
+        } else {
+            g.for_each_out(v, |n| {
+                if n != s && admitted(v, n) {
+                    out.push((local(n), dt[n as usize]));
+                }
+            });
+        }
+        fwd_lists.push(out);
+        let mut inn = Vec::new();
+        if v != s {
+            g.for_each_in(v, |p| {
+                if p != t && admitted(p, v) {
+                    inn.push((local(p), ds[p as usize]));
+                }
+            });
+        }
+        if v == t {
+            inn.push((local(t), t_s));
+        }
+        bwd_lists.push(inn);
+    }
+    let fwd = table(fwd_lists);
+    let mut level_sizes = vec![0u64; levels];
+    let mut level_expansion = vec![0u64; levels];
+    for i in 0..=k {
+        for (v, &gv) in vertices.iter().enumerate() {
+            if ds[gv as usize] <= i && dt[gv as usize] <= k - i {
+                level_sizes[i as usize] += 1;
+                if i < k {
+                    level_expansion[i as usize] += fwd[v][(k - i - 1) as usize].len() as u64;
+                }
+            }
+        }
+    }
+    IndexModel {
+        endpoints: Some((local(s), local(t))),
+        dist_s: vertices.iter().map(|&v| ds[v as usize]).collect(),
+        dist_t: vertices.iter().map(|&v| dt[v as usize]).collect(),
+        fwd,
+        bwd: table(bwd_lists),
+        level_sizes,
+        level_expansion,
+        vertices,
+    }
+}
+
+/// Buffers deliberately shared by every build and sweep of a test, and
+/// dirtied before each use: whatever a previous query left behind — a
+/// label, a row, a touched entry — must not reach the next one.
+struct Polluted {
+    scratch: BuildScratch,
+    dist_s: EpochMap,
+    dist_t: EpochMap,
+}
+
+impl Polluted {
+    fn new() -> Self {
+        Polluted {
+            scratch: BuildScratch::default(),
+            dist_s: EpochMap::new(INFINITE_DISTANCE),
+            dist_t: EpochMap::new(INFINITE_DISTANCE),
+        }
+    }
+}
+
+/// Checks the sweep on one representation `g` of the graph `truth`: the
+/// index built through it equals the two-pass model field for field, and
+/// its labels are exact or absent with both present on every member of
+/// `X`. Returns the sweep's phase-1 split.
+fn assert_sweep_matches_two_pass<G: NeighborAccess>(
+    g: &G,
+    truth: &CsrGraph,
+    q: Query,
+    buffers: &mut Polluted,
+) -> SweepSplit {
+    let Query { s, t, k } = q;
+    let Polluted {
+        scratch,
+        dist_s,
+        dist_t,
+    } = buffers;
+    // Dirty every buffer with the reversed query first.
+    Index::build_reusing(g, Query { s: t, t: s, k }, scratch);
+    boundary_sweep(g, t, s, k, dist_s, dist_t);
+
+    let (index, _) = Index::build_reusing(g, q, scratch);
+    assert_eq!(observe(&index), two_pass_model(truth, q), "index for {q:?}");
+
+    let split = boundary_sweep(g, s, t, k, dist_s, dist_t);
+    assert_eq!(split.forward + split.backward, k, "split for {q:?}");
+    let exact = [
+        distances_from_source(truth, s, t, k),
+        distances_to_target(truth, s, t, k),
+    ];
+    for v in 0..truth.num_vertices() {
+        let in_x = exact[0][v].saturating_add(exact[1][v]) <= k;
+        for (label, exact) in [(dist_s.get(v), exact[0][v]), (dist_t.get(v), exact[1][v])] {
+            assert!(
+                label == exact || (label == INFINITE_DISTANCE && !in_x),
+                "{q:?}, v={v} (in X: {in_x}): label {label}, exact {exact}"
+            );
+        }
+    }
+    split
 }
 
 /// Runs `kernel` into a fresh [`CollectingSink`], returning the emitted
@@ -104,6 +317,76 @@ proptest! {
         for (v, &expected) in naive.iter().enumerate() {
             if expected != INFINITE_DISTANCE {
                 prop_assert!(touched.binary_search(&(v as u32)).is_ok());
+            }
+        }
+    }
+
+    /// The boundary sweep builds the two-pass index, and labels `X`
+    /// exactly, on every representation a request can be served from —
+    /// the heap CSR, a frozen image of it, and the overlay of a mutated
+    /// `DynamicGraph` — through one set of dirtied buffers.
+    #[test]
+    fn sweep_builds_the_two_pass_index_on_every_representation(
+        (n, edges) in arb_graph(),
+        inserts in proptest::collection::vec((0u32..16, 0u32..16), 0..12),
+        removes in proptest::collection::vec((0u32..16, 0u32..16), 0..12),
+        s in 0u32..16,
+        hop in 1u32..16,
+        k in 2u32..9,
+    ) {
+        let g = graph_from_edges(n, &edges);
+        let s = s % n;
+        let t = (s + 1 + hop % (n - 1)) % n;
+        let q = Query::new(s, t, k).expect("distinct endpoints, k in range");
+        let mut buffers = Polluted::new();
+
+        assert_sweep_matches_two_pass(&g, &g, q, &mut buffers);
+        assert_sweep_matches_two_pass(&frozen_from(&g), &g, q, &mut buffers);
+
+        let mut dynamic = DynamicGraph::new(g);
+        for &(u, v) in &inserts {
+            dynamic.insert_edge(u % n, v % n);
+        }
+        for &(u, v) in &removes {
+            dynamic.remove_edge(u % n, v % n);
+        }
+        assert_sweep_matches_two_pass(&dynamic.view(), &dynamic.snapshot(), q, &mut buffers);
+    }
+
+    /// The flat table fill — a stable counting sort per id-ascending
+    /// row — equals `NeighborTable::build` on the same rows in any
+    /// order, and both serve every lookup as the `(distance, id)`
+    /// comparison sort would.
+    #[test]
+    fn flat_table_fill_matches_per_vertex_build(
+        k in 1u32..7,
+        lists in proptest::collection::vec(
+            proptest::collection::vec((0u32..24, 0u32..7), 0..14),
+            0..7,
+        ),
+    ) {
+        let lists: Vec<Vec<(LocalId, Distance)>> = lists
+            .into_iter()
+            .map(|list| list.into_iter().map(|(id, d)| (id, d % (k + 1))).collect())
+            .collect();
+        let mut rows = Vec::new();
+        let mut row_starts = vec![0u32];
+        for list in &lists {
+            let mut row = list.clone();
+            row.sort_unstable();
+            rows.extend(row);
+            row_starts.push(rows.len() as u32);
+        }
+        let flat = NeighborTable::from_rows(k, &rows, &row_starts);
+        prop_assert_eq!(&flat, &NeighborTable::build(k, &lists));
+        prop_assert_eq!(flat.num_vertices(), lists.len());
+        for (owner, list) in lists.iter().enumerate() {
+            let mut sorted = list.clone();
+            sorted.sort_unstable_by_key(|&(id, d)| (d, id));
+            for budget in 0..=k + 1 {
+                let want: Vec<LocalId> =
+                    sorted.iter().filter(|e| e.1 <= budget).map(|e| e.0).collect();
+                prop_assert_eq!(flat.neighbors_within(owner as LocalId, budget), &want[..]);
             }
         }
     }
@@ -340,4 +623,113 @@ fn warm_queries_do_not_grow_the_scratch_arena() {
             "arena grew from {settled} to {now} bytes on warm repetition {rep}"
         );
     }
+}
+
+/// The sweep against the two-pass model on the heap graph and its frozen
+/// image; returns the split.
+fn check_named_case(g: &CsrGraph, s: u32, t: u32, k: u32) -> SweepSplit {
+    let q = Query::new(s, t, k).expect("valid");
+    let mut buffers = Polluted::new();
+    let split = assert_sweep_matches_two_pass(g, g, q, &mut buffers);
+    let on_frozen = assert_sweep_matches_two_pass(&frozen_from(g), g, q, &mut buffers);
+    assert_eq!(split, on_frozen, "the split depends only on the graph");
+    split
+}
+
+/// Hub source, leaf target: the forward frontier is 8 wide after one
+/// level while the backward one walks a chain, so the backward side takes
+/// every remaining level and the split is as uneven as the frontier rule
+/// allows.
+#[test]
+fn sweep_hub_source_leaf_target_splits_unevenly() {
+    let mut edges: Vec<(u32, u32)> = (2..10).map(|v| (0, v)).collect();
+    edges.extend([(2, 10), (10, 11), (11, 12), (12, 1)]); // the one way into t
+    edges.extend((3..10).map(|v| (v, v + 10))); // the hub's other neighbors lead away
+    edges.extend([(13, 14), (14, 2), (5, 2)]);
+    let g = graph_from_edges(20, &edges);
+    let split = check_named_case(&g, 0, 1, 5);
+    assert_eq!((split.forward, split.backward), (1, 4));
+    assert!(!Index::build(&g, Query::new(0, 1, 5).unwrap()).is_empty());
+}
+
+/// The mirror image — leaf source, hub target: the forward side runs all
+/// but one level.
+#[test]
+fn sweep_leaf_source_hub_target_splits_unevenly() {
+    let mut edges = vec![(0, 2), (2, 3), (3, 4), (4, 5), (5, 1)];
+    edges.extend((6..14).map(|v| (v, 1))); // t's other in-neighbors...
+    edges.extend((6..13).map(|v| (v + 8, v))); // ...fed from elsewhere
+    edges.extend([(3, 6), (14, 4)]);
+    let g = graph_from_edges(22, &edges);
+    let split = check_named_case(&g, 0, 1, 5);
+    assert_eq!((split.forward, split.backward), (4, 1));
+}
+
+/// A direct `s -> t` edge with `k = 2`, where it is `s`'s only out-edge:
+/// the forward side is exhausted at once (`t` is deleted from its
+/// graph), advances every level for free, and the backward side runs
+/// pruned from depth 0 — where `t`, having no forward label yet, must
+/// not be held to the pruning test.
+#[test]
+fn sweep_direct_edge_with_an_exhausted_forward_side() {
+    let g = graph_from_edges(6, &[(0, 1), (2, 1), (3, 1), (4, 2), (5, 0)]);
+    let split = check_named_case(&g, 0, 1, 2);
+    assert_eq!((split.forward, split.backward), (2, 0));
+    let index = Index::build(&g, Query::new(0, 1, 2).unwrap());
+    assert_eq!((index.num_vertices(), index.num_edges()), (2, 1));
+}
+
+/// Shortest paths that would run *through* the other endpoint must not
+/// shorten a label: `s -> t -> 2` does not put 2 at forward distance 2,
+/// and `5 -> s -> t` does not put 5 at backward distance 2.
+#[test]
+fn sweep_labels_do_not_route_through_the_other_endpoint() {
+    let g = graph_from_edges(
+        8,
+        &[
+            (0, 1),
+            (1, 2), // s -> t -> 2 ...
+            (0, 3),
+            (3, 4),
+            (4, 2), // ... but G - {t} reaches 2 in three hops
+            (2, 1),
+            (5, 0), // 5 -> s -> t ...
+            (5, 6),
+            (6, 7),
+            (7, 1), // ... but G - {s} leaves 5 three hops from t
+            (0, 5),
+        ],
+    );
+    check_named_case(&g, 0, 1, 4);
+    let mut dist_s = EpochMap::new(INFINITE_DISTANCE);
+    let mut dist_t = EpochMap::new(INFINITE_DISTANCE);
+    boundary_sweep(&g, 0, 1, 4, &mut dist_s, &mut dist_t);
+    assert_eq!((dist_s.get(2), dist_t.get(2)), (3, 1));
+    assert_eq!((dist_s.get(5), dist_t.get(5)), (1, 3));
+}
+
+/// `t` unreachable, and `t` exactly one hop too far (`t.s = k + 1`): the
+/// index is empty under either boundary search.
+#[test]
+fn sweep_proves_unreachable_and_too_distant_targets_empty() {
+    // 0 -> 2 -> 3 -> 4 -> 5 -> 1, and vertex 6 with no way in.
+    let g = graph_from_edges(
+        7,
+        &[
+            (0, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 1),
+            (6, 0),
+            (2, 0),
+            (3, 2),
+        ],
+    );
+    check_named_case(&g, 0, 6, 4);
+    assert!(Index::build(&g, Query::new(0, 6, 4).unwrap()).is_empty());
+    check_named_case(&g, 0, 1, 4);
+    assert!(Index::build(&g, Query::new(0, 1, 4).unwrap()).is_empty());
+    check_named_case(&g, 0, 1, 5);
+    assert!(!Index::build(&g, Query::new(0, 1, 5).unwrap()).is_empty());
 }
