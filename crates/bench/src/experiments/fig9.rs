@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use pathenum::estimator::FullEstimate;
 use pathenum::spectrum::{all_left_deep_plans, execute_left_deep};
-use pathenum::{enumerate, optimize_join_order, Counters, CountingSink, Index};
+use pathenum::{enumerate, optimize_join_order, Counters, CountingSink, Index, Method};
 
 use crate::config::ExperimentConfig;
 use crate::experiments::support::{default_queries, representative_graphs};
@@ -85,7 +85,11 @@ pub fn run(config: &ExperimentConfig) {
                 plan.cut,
                 plan.t_dfs,
                 plan.t_join,
-                plan.preferred()
+                if plan.t_dfs <= plan.t_join {
+                    Method::IdxDfs
+                } else {
+                    Method::IdxJoin
+                }
             );
         }
         println!();

@@ -3,10 +3,12 @@
 //! PR 5's service queues every submission forever: under sustained
 //! overload the queue grows without bound and every request's sojourn
 //! time grows with it — the classic unbounded-FIFO collapse. The
-//! planner already prices every query (the preliminary estimate and the
-//! modeled `t_dfs`/`t_join` costs that drive the IDX-DFS / IDX-JOIN
-//! choice), so the serving layer can *charge* each request its modeled
-//! cost before queueing it:
+//! planner already prices every request — for the results its `limit`
+//! lets it read: the bounded search space `min(preliminary, k · limit)`
+//! when that is within `tau`, else the modeled `t_dfs`/`t_join` that
+//! drive the IDX-DFS / IDX-JOIN choice (see
+//! [`crate::optimizer::decide`]) — so the serving layer can *charge*
+//! each request its modeled cost before queueing it:
 //!
 //! * a configurable **in-flight cost budget** bounds the total modeled
 //!   cost admitted but not yet completed — over-budget requests are
@@ -111,7 +113,11 @@ impl Default for AdmissionConfig {
 pub struct AdmissionDecision {
     /// Tenant the request was charged to.
     pub tenant: String,
-    /// The request's modeled cost (its admission price).
+    /// The request's modeled cost (its admission price):
+    /// [`PhysicalPlan::modeled_cost`](crate::plan::PhysicalPlan::modeled_cost),
+    /// the price of what the request will run under its own `limit` —
+    /// a `limit(10)` request with `10 k <= tau` is charged at most
+    /// `10 k`, whatever the query would cost to enumerate in full.
     pub estimated_cost: u64,
     /// In-flight modeled cost at decision time (before this request).
     pub in_flight_cost: u64,

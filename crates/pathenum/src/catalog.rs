@@ -26,7 +26,9 @@
 //!   pipeline (`pipeline.rs`) **at submit**, on the caller's thread — a
 //!   result hit resolves there; otherwise the request is planned
 //!   (warming the tenant's plan cache either way), its
-//!   [modeled cost](crate::plan::PhysicalPlan::modeled_cost) charged
+//!   [modeled cost](crate::plan::PhysicalPlan::modeled_cost) — the
+//!   price of what *this* request will run, under its own `limit`, not
+//!   of enumerating the query in full — charged
 //!   against the in-flight budget, and the admitted work dispatched on
 //!   the [`Lane`] its cost earned, where a pool worker runs the
 //!   pipeline's second stage. Over-budget requests are rejected
@@ -501,7 +503,8 @@ impl CatalogService {
     /// thread* — answered outright from the tenant's result cache, or
     /// planned (warming the tenant's plan cache even if the request is
     /// then shed) — priced via
-    /// [`modeled_cost`](crate::plan::PhysicalPlan::modeled_cost), run
+    /// [`modeled_cost`](crate::plan::PhysicalPlan::modeled_cost) for
+    /// the results its `limit` lets it read, run
     /// through admission, and — if admitted — finished on a pool worker
     /// on the lane its cost earned. The returned ticket resolves
     /// immediately on a result hit or a rejection.

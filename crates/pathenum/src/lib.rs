@@ -15,6 +15,8 @@
 //!    ([`estimator::FullEstimate`], Equations 6–7) and the join-order
 //!    optimizer ([`optimizer::optimize_join_order`], Algorithm 5), which
 //!    may select **IDX-JOIN** ([`enumerate::idx_join`], Algorithm 6).
+//!    "Small" is judged per request, on the search space its `limit`
+//!    lets it read ([`optimizer::decide`]).
 //!
 //! The paper's Appendix E constraint extensions (edge predicates,
 //! accumulative values, action-sequence automata) live in [`constraints`]
@@ -112,7 +114,10 @@ pub use catalog::{
 pub use dynamic::DynamicEngine;
 pub use engine::QueryEngine;
 pub use index::Index;
-pub use optimizer::{optimize_join_order, path_enum, path_enum_on_index, JoinPlan, PathEnumConfig};
+pub use optimizer::{
+    decide, optimize_join_order, path_enum, path_enum_on_index, Basis, Decision, JoinPlan,
+    PathEnumConfig, PlanEstimates,
+};
 pub use parallel::SharedControl;
 pub use plan::{
     CacheOutcome, ConstraintKind, Executor, PhysicalPlan, PlanCache, PlanCacheStats, PlanKey,

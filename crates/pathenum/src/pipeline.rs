@@ -41,8 +41,8 @@ use pathenum_graph::{GraphSnapshot, GraphVersion, VertexId};
 use crate::index::{BuildScratch, Index};
 use crate::optimizer::PathEnumConfig;
 use crate::plan::{
-    effective_config, CacheOutcome, Executor, GraphStamp, IndexFootprint, PhysicalPlan, PlanCache,
-    PlanKey, Planner, SharedPlanCache, StoppingRules,
+    effective_config, resolve_on_index, CacheOutcome, Executor, GraphStamp, IndexFootprint,
+    PhysicalPlan, PlanCache, PlanKey, Planner, SharedPlanCache, StoppingRules,
 };
 use crate::query::Query;
 use crate::request::{PathEnumError, QueryRequest, QueryResponse, Termination};
@@ -362,10 +362,18 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
                 if let Some((mut plan, index)) = cached {
                     plan.constraint = request.constraint.kind();
                     plan.threads = self.threads;
-                    let timings = PhaseTimings {
+                    let mut timings = PhaseTimings {
                         cache_lookup: lookup_start.elapsed(),
                         ..PhaseTimings::default()
                     };
+                    // The entry keeps what no limit changes; method and
+                    // cut are this request's. If it is the first on the
+                    // entry to need the full estimate, it computes it
+                    // here, unlocked, and leaves it for the rest.
+                    if resolve_on_index(&mut plan, &index, request.limit, &mut timings) {
+                        self.store
+                            .with_plans(key, |plans| plans.record_estimates(key, &index, &plan));
+                    }
                     return PlannedRequest {
                         plan,
                         index,

@@ -6,14 +6,16 @@
 //! alone. Historically that decision logic was inlined across the engine
 //! and the orchestrator; this module makes the decision a *value*:
 //!
-//! * [`PhysicalPlan`] — everything the optimizer decided about one query
-//!   (index spec and footprint, preliminary/full estimates, the modeled
-//!   costs `T_DFS`/`T_JOIN`, the chosen [`Method`] and join cut, the
-//!   constraint strategy, the parallelism degree). Plans are plain `Copy`
-//!   data: they can be logged, compared, cached, and replayed.
+//! * [`PhysicalPlan`] — everything the optimizer decided about one
+//!   request (index spec and footprint, preliminary/full estimates, the
+//!   modeled costs `T_DFS`/`T_JOIN`, the [`Method`] and join cut chosen
+//!   for the request's `limit`, the constraint strategy, the parallelism
+//!   degree). Plans are plain `Copy` data: they can be logged, compared,
+//!   cached, and replayed.
 //! * [`Planner`] — produces a plan (and the index backing it) from a
 //!   request: build index → preliminary estimate → (maybe) full estimate
-//!   + join-order optimization (Figure 2's front half).
+//!   and join-order optimization (Figure 2's front half) → the
+//!   per-request decision.
 //! * [`Executor`] — interprets any plan against any
 //!   [`PathSink`] (Figure 2's back half),
 //!   sequentially or through the intra-query pool when the plan carries
@@ -25,6 +27,34 @@
 //!   streams are heavily skewed; for a repeated query the dominant cost
 //!   the paper measures — the bidirectional boundary BFS of the index
 //!   build — is paid once and amortized across every warm hit.
+//!
+//! # Method and cut are a request's, not an entry's
+//!
+//! A request pays for what it reads. The one function that chooses a
+//! method, [`decide`], takes the request's `limit`
+//! beside the plan's estimates:
+//!
+//! 1. `min(preliminary, k · limit) <= tau` ⇒ IDX-DFS, and the full
+//!    estimator never runs for that request (§6.2's test, on the search
+//!    space the request can read);
+//! 2. otherwise Algorithm 5's `T_DFS` against `T_JOIN`, unchanged: a
+//!    limit too large for step 1 decides exactly as no limit does.
+//!
+//! `k · limit` is in the estimate's own unit: the index keeps only
+//! vertices that still reach `t` within the remaining hops, so every
+//! partial result of IDX-DFS extends to a result walk, and the nodes
+//! visited before the `L`-th result lie on `L` root-to-leaf paths of `k`
+//! nodes each. Forced methods are untouched, and accumulative/automaton
+//! requests — which filter *complete* paths, so `limit` results can take
+//! any number of walks — are priced as unlimited.
+//!
+//! `limit` is therefore **not** in [`PlanKey`]: an entry keeps what no
+//! limit changes (index, preliminary estimate, and — from the first
+//! request that needs them, computed outside the shard lock and written
+//! back — the full estimate, `T_DFS`, `T_JOIN` and Algorithm 5's cut),
+//! and the pipeline resolves `method`/`cut` for each request after the
+//! probe, hit or miss. [`plan_on_index`] has no request and resolves as
+//! unlimited: the paper's optimizer, unchanged.
 //!
 //! The crate's one request pipeline (`pipeline.rs`) wires the three
 //! together for every evaluator: plan-acquisition (cache lookup or
@@ -63,7 +93,9 @@ use crate::constraints::{automaton_join, filtered_graph};
 use crate::enumerate::{idx_dfs_iterative, idx_join};
 use crate::estimator::{preliminary_estimate, FullEstimate};
 use crate::index::{BuildScratch, Index};
-use crate::optimizer::{optimize_join_order, PathEnumConfig};
+use crate::optimizer::{
+    decide, optimize_join_order, Basis, Decision, JoinPlan, PathEnumConfig, PlanEstimates,
+};
 use crate::query::Query;
 use crate::request::{
     CancelToken, ConstraintSpec, ControlledSink, PathEnumError, QueryRequest, Termination,
@@ -145,14 +177,20 @@ impl std::fmt::Display for CacheOutcome {
 pub struct PhysicalPlan {
     /// The core query `q(s, t, k)`.
     pub query: Query,
-    /// The enumeration strategy the optimizer (or a forced override)
-    /// selected.
+    /// The enumeration strategy [`decide`] (or a forced override)
+    /// selected for a request with [`limit`](Self::limit).
     pub method: Method,
     /// Join cut position `i*`; `Some` exactly when `method` is
     /// [`Method::IdxJoin`].
     pub cut: Option<u32>,
     /// Whether `method` was forced rather than cost-chosen.
     pub forced: bool,
+    /// The result limit that settled `method` and
+    /// [`modeled_cost`](Self::modeled_cost): the request's when
+    /// `min(preliminary, k · limit) <= tau`, `None` where it does not
+    /// enter the pricing (no limit, a forced method, a constraint that
+    /// filters complete paths, a limit too large for that test).
+    pub limit: Option<u64>,
     /// Preliminary search-space estimate (Equation 5).
     pub preliminary_estimate: u64,
     /// Full-fledged estimate of `|Q|` (exact walk count), when the
@@ -164,6 +202,10 @@ pub struct PhysicalPlan {
     /// Modeled bushy join cost `T_JOIN` at the chosen cut, when the
     /// optimizer ran.
     pub t_join: Option<u64>,
+    /// Algorithm 5's cut `i*`, when the optimizer ran and found one —
+    /// kept whichever method this request runs, so a cached plan can
+    /// resolve a later request to IDX-JOIN without re-optimizing.
+    pub join_cut: Option<u32>,
     /// The preliminary-estimate threshold the decision used (Section 6.2).
     pub tau: u64,
     /// The constraint strategy the execution will apply.
@@ -185,22 +227,68 @@ impl PhysicalPlan {
         self.index_vertices == 0
     }
 
-    /// The modeled execution cost of this plan, in the optimizer's cost
-    /// units (search-tree nodes / tuple touches): the cost model value
-    /// for the *chosen* method when the optimizer ran (`t_dfs` for
-    /// IDX-DFS, `t_join` for IDX-JOIN), and the preliminary
-    /// search-space estimate otherwise. Never 0 — even a provably empty
-    /// plan charges one unit, so admission accounting stays conservative.
+    /// The limit-independent estimates this plan carries — the input
+    /// of [`decide`], and what the plan cache keeps.
+    pub fn estimates(&self) -> PlanEstimates {
+        PlanEstimates {
+            preliminary: self.preliminary_estimate,
+            full: self.full_estimate,
+            join: match (self.join_cut, self.t_dfs, self.t_join, self.full_estimate) {
+                (Some(cut), Some(t_dfs), Some(t_join), Some(estimated_walks)) => Some(JoinPlan {
+                    cut,
+                    t_dfs,
+                    t_join,
+                    estimated_walks,
+                }),
+                _ => None,
+            },
+        }
+    }
+
+    /// What [`decide`] makes of this plan's estimates for a request with
+    /// `limit` (under this plan's `k`, `tau`, forced method and
+    /// constraint kind), or `None` when that takes a full estimate the
+    /// plan does not carry.
+    pub fn decision_for(&self, limit: Option<u64>) -> Option<Decision> {
+        decide(
+            &self.estimates(),
+            self.query.k,
+            self.tau,
+            self.forced.then_some(self.method),
+            self.constraint,
+            limit,
+        )
+    }
+
+    /// Makes `method`, `cut` and `limit` those of a request with
+    /// `limit`. Returns `false`, changing nothing, when the decision
+    /// needs the full estimate first.
+    pub(crate) fn resolve(&mut self, limit: Option<u64>) -> bool {
+        let Some(decision) = self.decision_for(limit) else {
+            return false;
+        };
+        self.method = decision.method;
+        self.cut = decision.cut;
+        self.limit = decision.limit;
+        true
+    }
+
+    /// The modeled cost of what this plan will run, in the optimizer's
+    /// cost units (search-tree nodes / tuple touches) — [`decide`]'s
+    /// price for [`limit`](Self::limit): the bounded search space
+    /// `min(preliminary, k · limit)` when that settled the method, the
+    /// chosen method's `T_DFS` / `T_JOIN` when Algorithm 5 did.
+    /// Never 0 — even a provably empty plan charges one unit, so
+    /// admission accounting stays conservative.
     ///
     /// This is the number the [`admission`](crate::admission) layer
     /// charges against its in-flight budget: the planner's estimate *is*
-    /// the admission ticket.
+    /// the admission ticket, and a request that reads 10 results is not
+    /// charged for the million it leaves behind.
     pub fn modeled_cost(&self) -> u64 {
-        let modeled = match self.method {
-            Method::IdxDfs => self.t_dfs,
-            Method::IdxJoin => self.t_join,
-        };
-        modeled.unwrap_or(self.preliminary_estimate).max(1)
+        self.decision_for(self.limit)
+            .map_or(self.preliminary_estimate, |decision| decision.cost)
+            .max(1)
     }
 
     /// Assembles a [`RunReport`](crate::stats::RunReport) for one
@@ -246,23 +334,36 @@ impl std::fmt::Display for PhysicalPlan {
             "  estimates: preliminary={} (tau={})",
             self.preliminary_estimate, self.tau
         )?;
+        if let Some(limit) = self.limit {
+            write!(f, ", limit={limit}")?;
+        }
         match self.full_estimate {
             Some(walks) => writeln!(f, ", walks={walks}")?,
             None => writeln!(f)?,
         }
-        match (self.t_dfs, self.t_join) {
-            (Some(t_dfs), Some(t_join)) => {
-                writeln!(f, "  modeled costs: t_dfs={t_dfs}, t_join={t_join}")?
+        let basis = self.decision_for(self.limit).map(|decision| decision.basis);
+        match (self.t_dfs.zip(self.t_join), basis) {
+            (Some((t_dfs, t_join)), basis) => {
+                write!(f, "  modeled costs: t_dfs={t_dfs}, t_join={t_join}")?;
+                match basis {
+                    Some(Basis::Bounded { bounded }) => {
+                        writeln!(f, " (not consulted: k*limit = {bounded} <= tau)")?
+                    }
+                    _ => writeln!(f)?,
+                }
             }
-            _ => {
-                let reason = if self.forced {
-                    "method forced"
-                } else if self.full_estimate.is_some() {
-                    "no interior cut"
-                } else {
-                    "preliminary <= tau"
-                };
-                writeln!(f, "  modeled costs: not computed ({reason})")?
+            (None, basis) => {
+                write!(f, "  modeled costs: not computed (")?;
+                match basis {
+                    Some(Basis::Forced) => write!(f, "method forced")?,
+                    Some(Basis::Bounded { bounded }) if self.preliminary_estimate > self.tau => {
+                        write!(f, "k*limit = {bounded} <= tau")?
+                    }
+                    Some(Basis::Bounded { .. }) => write!(f, "preliminary <= tau")?,
+                    Some(Basis::NoInteriorCut) => write!(f, "no interior cut")?,
+                    Some(Basis::Costed) | None => write!(f, "full estimate pending")?,
+                }
+                writeln!(f, ")")?;
             }
         }
         writeln!(
@@ -388,6 +489,7 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
             config,
             request.constraint.kind(),
             threads,
+            request.limit,
             &mut timings,
         );
         (Planned { plan, index }, timings)
@@ -406,7 +508,7 @@ pub fn plan_on_index(
     config: PathEnumConfig,
     timings: &mut PhaseTimings,
 ) -> PhysicalPlan {
-    plan_on_index_inner(index, config, ConstraintKind::None, 1, timings)
+    plan_on_index_inner(index, config, ConstraintKind::None, 1, None, timings)
 }
 
 fn plan_on_index_inner(
@@ -414,72 +516,62 @@ fn plan_on_index_inner(
     config: PathEnumConfig,
     constraint: ConstraintKind,
     threads: usize,
+    limit: Option<u64>,
     timings: &mut PhaseTimings,
 ) -> PhysicalPlan {
     let prelim_start = Instant::now();
     let preliminary = preliminary_estimate(index);
     timings.preliminary_estimation = prelim_start.elapsed();
 
-    let mut full_estimate = None;
-    let mut t_dfs = None;
-    let mut t_join = None;
-    let mut cut = None;
-
-    let forced = config.force.is_some();
-    let mut optimize = |timings: &mut PhaseTimings| {
-        let opt_start = Instant::now();
-        let estimate = FullEstimate::compute(index);
-        let join_plan = optimize_join_order(index, &estimate);
-        timings.optimization = opt_start.elapsed();
-        full_estimate = Some(estimate.total_walks());
-        if let Some(p) = join_plan {
-            t_dfs = Some(p.t_dfs);
-            t_join = Some(p.t_join);
-            cut = Some(p.cut);
-        }
-        join_plan
-    };
-
-    let method = match config.force {
-        Some(m) => {
-            // Forced IDX-JOIN still needs the optimizer to pick a cut.
-            if m == Method::IdxJoin {
-                optimize(timings);
-            }
-            m
-        }
-        None if preliminary <= config.tau => Method::IdxDfs,
-        None => match optimize(timings) {
-            Some(join_plan) => join_plan.preferred(),
-            None => Method::IdxDfs,
-        },
-    };
-
-    if method == Method::IdxJoin {
-        cut = Some(
-            cut.unwrap_or(index.k() / 2)
-                .clamp(1, index.k().saturating_sub(1).max(1)),
-        );
-    } else {
-        cut = None;
-    }
-
-    PhysicalPlan {
+    let mut plan = PhysicalPlan {
         query: index.query(),
-        method,
-        cut,
-        forced,
+        method: config.force.unwrap_or(Method::IdxDfs),
+        cut: None,
+        forced: config.force.is_some(),
+        limit: None,
         preliminary_estimate: preliminary,
-        full_estimate,
-        t_dfs,
-        t_join,
+        full_estimate: None,
+        t_dfs: None,
+        t_join: None,
+        join_cut: None,
         tau: config.tau,
         constraint,
         threads,
         index_vertices: index.num_vertices(),
         index_edges: index.num_edges(),
         index_bytes: index.heap_bytes(),
+    };
+    resolve_on_index(&mut plan, index, limit, timings);
+    plan
+}
+
+/// Resolves `plan` for a request with `limit` (see
+/// [`decide`]), running the full estimator and
+/// Algorithm 5 on `index` first when the decision needs them and the
+/// plan does not carry them yet — at most once per plan, whatever
+/// requests it goes on to serve. Returns whether they ran: a plan that
+/// came out of the cache is then owed a
+/// [write-back](PlanCache::record_estimates).
+pub(crate) fn resolve_on_index(
+    plan: &mut PhysicalPlan,
+    index: &Index,
+    limit: Option<u64>,
+    timings: &mut PhaseTimings,
+) -> bool {
+    if plan.resolve(limit) {
+        return false;
     }
+    let opt_start = Instant::now();
+    let estimate = FullEstimate::compute(index); // alloc: setup
+    let join = optimize_join_order(index, &estimate);
+    timings.optimization = opt_start.elapsed();
+    plan.full_estimate = Some(estimate.total_walks());
+    plan.t_dfs = join.map(|j| j.t_dfs);
+    plan.t_join = join.map(|j| j.t_join);
+    plan.join_cut = join.map(|j| j.cut);
+    let resolved = plan.resolve(limit);
+    debug_assert!(resolved, "a full estimate settles every decision");
+    true
 }
 
 /// The request-level stopping rules the executor enforces around the
@@ -822,6 +914,10 @@ impl IndexFootprint {
 #[derive(Debug)]
 struct CacheEntry {
     version: GraphVersion,
+    /// What does not depend on a request's limit: the index shape and
+    /// the estimates, the full ones once some request needed them.
+    /// `method`, `cut` and `limit` are those of whichever request stored
+    /// the entry; the pipeline re-resolves them for every reader.
     plan: PhysicalPlan,
     /// Shared so a concurrent cache ([`SharedPlanCache`]) can hand the
     /// index to an executing worker without cloning the tables and
@@ -1009,6 +1105,27 @@ impl PlanCache {
             std::collections::hash_map::Entry::Vacant(_) => {
                 self.stats.misses += 1;
                 None
+            }
+        }
+    }
+
+    /// Completes the entry for `key` with the full estimates `plan` now
+    /// carries — computed by a reader, outside any lock, from the
+    /// `index` a [`lookup`](Self::lookup) handed it. A no-op unless the
+    /// entry still holds that very index and still lacks them. Not a
+    /// lookup: no counter moves.
+    pub(crate) fn record_estimates(
+        &mut self,
+        key: &PlanKey,
+        index: &Arc<Index>,
+        plan: &PhysicalPlan,
+    ) {
+        if let Some(entry) = self.entries.get_mut(key) {
+            if Arc::ptr_eq(&entry.index, index) && entry.plan.full_estimate.is_none() {
+                entry.plan.full_estimate = plan.full_estimate;
+                entry.plan.t_dfs = plan.t_dfs;
+                entry.plan.t_join = plan.t_join;
+                entry.plan.join_cut = plan.join_cut;
             }
         }
     }

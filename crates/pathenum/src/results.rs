@@ -24,7 +24,11 @@
 //!   entry truncated by [`Termination::LimitReached`] or
 //!   [`Termination::DeadlineExceeded`] is reusable only for requests
 //!   with **equal-or-tighter** bounds (a looser request might be owed
-//!   paths the entry never captured, so it misses and re-runs).
+//!   paths the entry never captured, so it misses and re-runs). The
+//!   method is chosen per request from its limit
+//!   ([`decide`](crate::optimizer::decide)), so the plan a replay
+//!   reports — the one that produced the stored answer — need not be
+//!   the one a fresh run of that limit would pick; the paths are.
 //! * **Mutation streams retain surgically.** Entries recorded on a graph
 //!   that keeps a mutation log (a
 //!   [`DynamicEngine`](crate::DynamicEngine)'s) carry the same

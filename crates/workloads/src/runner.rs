@@ -145,15 +145,32 @@ pub fn run_query(
 /// Measures the *response time* metric: time to the first
 /// `config.response_limit` results (or to completion if fewer exist),
 /// still bounded by the time cap.
+///
+/// [`Algorithm::PathEnum`] is measured as the request a service would
+/// send — `limit(response_limit).time_budget(time_limit)` on a fresh
+/// [`QueryEngine`] — because its planner resolves method and cut from
+/// the limit; cutting an unlimited run off from inside the sink would
+/// time the plan of a different request. Baselines and the forced
+/// `IDX-DFS` / `IDX-JOIN` rows have no such decision to make and keep
+/// the sink-side cap.
 pub fn measure_response_time(
     algo: Algorithm,
     graph: &CsrGraph,
     query: Query,
     config: MeasureConfig,
 ) -> Duration {
-    let mut sink = BoundedSink::new(Some(config.response_limit), Some(config.time_limit));
     let start = Instant::now();
-    algo.run(graph, query, &mut sink);
+    if algo == Algorithm::PathEnum {
+        let request = QueryRequest::from_query(query)
+            .limit(config.response_limit)
+            .time_budget(config.time_limit);
+        QueryEngine::new(graph, Default::default())
+            .execute(&request)
+            .expect("harness queries are in range for the graph");
+    } else {
+        let mut sink = BoundedSink::new(Some(config.response_limit), Some(config.time_limit));
+        algo.run(graph, query, &mut sink);
+    }
     start.elapsed().min(config.time_limit)
 }
 
@@ -368,6 +385,24 @@ mod tests {
         let cfg = MeasureConfig::default();
         let response = measure_response_time(Algorithm::IdxDfs, &g, q, cfg);
         assert!(response <= cfg.time_limit);
+    }
+
+    #[test]
+    fn pathenum_response_time_is_a_limited_request() {
+        // K12, k = 6: unlimited PathEnum joins (73 811 walks), so a
+        // sink-side cap would time IDX-JOIN's materialisation; the
+        // limited request streams, like the forced IDX-DFS row.
+        let g = pathenum_graph::generators::complete_digraph(12);
+        let q = Query::new(0, 11, 6).unwrap();
+        let cfg = MeasureConfig::default();
+        let unlimited = run_query(Algorithm::PathEnum, &g, q, cfg);
+        assert_eq!(unlimited.report.method, Some(pathenum::Method::IdxJoin));
+        let limited = QueryEngine::new(&g, Default::default())
+            .execute(&QueryRequest::from_query(q).limit(cfg.response_limit))
+            .unwrap();
+        assert_eq!(limited.report.method, pathenum::Method::IdxDfs);
+        assert_eq!(limited.num_results(), cfg.response_limit);
+        assert!(measure_response_time(Algorithm::PathEnum, &g, q, cfg) <= cfg.time_limit);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! * [`CatalogService`] — routed `CatalogRequest { graph, tenant,
 //!   request }` submission with plan-first admission: every request is
 //!   priced by its planned [`modeled cost`](pathenum_repro::prelude::PhysicalPlan::modeled_cost)
-//!   before a worker is committed to it;
+//!   — for the results its `limit` lets it read, so `limit(2_000)` on
+//!   `k` hops is charged at most `2_000 k` — before a worker is
+//!   committed to it;
 //! * two-lane dispatch — cheap plans ride the interactive lane past
 //!   queued batch work;
 //! * `publish` — atomic epoch swap of a live graph; in-flight queries
@@ -68,7 +70,9 @@ fn main() {
     let mut tickets = Vec::new();
     for _round in 0..3 {
         // feed-api runs cheap 4-hop lookups; analytics runs a deeper
-        // 6-hop sweep whose modeled cost lands it on the batch lane.
+        // 6-hop sweep whose modeled cost — the smaller of its search
+        // space and the 6 * 2 000 nodes its limit lets it read — lands
+        // it on the batch lane.
         for (graph, tenant, t, hops) in [
             ("social", "feed-api", 97u32, 4u32),
             ("social", "analytics", 1_003, 6),

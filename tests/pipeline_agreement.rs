@@ -9,12 +9,16 @@
 //! tag, and every cache store must balance
 //! `hits + misses + bypasses == lookups` afterwards. A second leg pins
 //! what only a graph with a mutation log adds: entries retained across a
-//! far mutation, invalidated by one inside the footprint.
+//! far mutation, invalidated by one inside the footprint. A third pins
+//! what a request's `limit` decides: on a graph dense enough that an
+//! unlimited request joins and a `limit(2)` one streams, each evaluator
+//! answers both — in either order, from one cached entry — exactly as a
+//! cache-free engine does.
 
 use std::sync::Arc;
 
 use pathenum_repro::core::reference::brute_force_paths;
-use pathenum_repro::graph::generators::erdos_renyi;
+use pathenum_repro::graph::generators::{complete_digraph, erdos_renyi};
 use pathenum_repro::prelude::*;
 
 const K: u32 = 4;
@@ -341,5 +345,119 @@ fn only_the_mutation_log_changes_what_a_dynamic_engine_keeps() {
         assert_eq!((serving.retained, serving.invalidations), (1, 1));
         assert_balanced("plans", plan_stats);
         assert_balanced("results", result_stats);
+    }
+}
+
+#[test]
+fn a_limit_decides_the_method_per_request_on_every_evaluator() {
+    // q(0, 10, 6) on K11: a 104 505-node search space (> tau) that
+    // Algorithm 5 joins at cut 3, and 18 730 paths. Request 0 reads them
+    // all; request 1 reads two.
+    let graph = complete_digraph(11);
+    let config = PathEnumConfig::default();
+    let result_bytes = 16 << 20;
+    let build = |which: usize| {
+        let unlimited = QueryRequest::paths(0, 10).max_hops(6).collect_paths(true);
+        if which == 0 {
+            unlimited
+        } else {
+            unlimited.limit(2)
+        }
+    };
+
+    // What a cache-free engine answers — which is also what a run forced
+    // to the method it reports answers.
+    let expected = [0, 1].map(|which| {
+        let mut engine = QueryEngine::new(&graph, config);
+        let response = engine.execute(&build(which).bypass_cache()).unwrap();
+        let forced = build(which).bypass_cache().method(response.report.method);
+        assert_eq!(response.paths, engine.execute(&forced).unwrap().paths);
+        response
+    });
+    assert_eq!(expected[0].report.method, Method::IdxJoin);
+    assert_eq!(expected[0].termination, Termination::Completed);
+    assert_eq!(expected[0].paths.len(), 18_730);
+    assert_eq!(expected[1].report.method, Method::IdxDfs);
+    assert_eq!(expected[1].termination, Termination::LimitReached);
+
+    // The second request finds the first one's plan entry. With the
+    // result layer on, `limit(2)` after the unlimited run is a prefix of
+    // the stored answer: replayed, reporting the plan that produced it.
+    // The other way round the stored answer is too short to serve.
+    let check = |label: &str,
+                 results_on: bool,
+                 order: [usize; 2],
+                 evaluate: &mut dyn FnMut(usize) -> QueryResponse| {
+        for (position, which) in order.into_iter().enumerate() {
+            let response = evaluate(which);
+            let want = &expected[which];
+            let at = format!("{label}, results {results_on}, order {order:?}, request {which}");
+            assert_eq!(response.paths, want.paths, "{at}");
+            assert_eq!(response.termination, want.termination, "{at}");
+            let replayed = results_on && position == 1 && order == [0, 1];
+            let ran = if replayed { &expected[0] } else { want };
+            assert_eq!(response.report.method, ran.report.method, "{at}");
+            assert_eq!(
+                response.report.cut_position, ran.report.cut_position,
+                "{at}"
+            );
+            let cache = match (position, replayed) {
+                (0, _) => CacheOutcome::Miss,
+                (_, false) => CacheOutcome::Hit,
+                (_, true) => CacheOutcome::ResultHit,
+            };
+            assert_eq!(response.report.cache, cache, "{at}");
+        }
+    };
+    for results_on in [false, true] {
+        let layer_bytes = if results_on { result_bytes } else { 0 };
+        for order in [[0, 1], [1, 0]] {
+            let mut engine = QueryEngine::new(&graph, config);
+            if results_on {
+                engine = engine.with_result_cache(ResultCache::new(result_bytes));
+            }
+            check("engine", results_on, order, &mut |w| {
+                engine.execute(&build(w)).unwrap()
+            });
+            assert_eq!(engine.cache_stats().misses, 1, "one entry served both");
+
+            let dynamic_graph = DynamicGraph::new(graph.clone());
+            let mut dynamic = DynamicEngine::new(&dynamic_graph, config);
+            if results_on {
+                dynamic = dynamic.with_result_cache(ResultCache::new(result_bytes));
+            }
+            check("dynamic", results_on, order, &mut |w| {
+                dynamic.execute(&build(w)).unwrap()
+            });
+
+            let service = PathEnumService::with_config(
+                Arc::new(graph.clone()),
+                config,
+                ServiceConfig {
+                    workers: 2,
+                    result_cache_bytes: layer_bytes,
+                    result_cache_shards: 1,
+                    ..ServiceConfig::default()
+                },
+            );
+            check("service", results_on, order, &mut |w| {
+                service.execute(&build(w)).unwrap()
+            });
+
+            let catalog = CatalogService::new(
+                config,
+                CatalogConfig {
+                    workers: 2,
+                    cache_shards: 1,
+                    result_cache_bytes: layer_bytes,
+                    ..CatalogConfig::default()
+                },
+            );
+            catalog.catalog().register("g", Arc::new(graph.clone()));
+            check("catalog", results_on, order, &mut |w| {
+                let routed = CatalogRequest::new("g", "tenant", build(w));
+                catalog.execute(routed).unwrap()
+            });
+        }
     }
 }

@@ -141,8 +141,8 @@ proptest! {
 /// never lose or double-count a lookup.
 #[test]
 fn shared_cache_stats_balance_under_concurrent_load_and_clears() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{Arc, Barrier};
 
     const THREADS: usize = 4;
     const ITERS: usize = 60;
@@ -158,26 +158,42 @@ fn shared_cache_stats_balance_under_concurrent_load_and_clears() {
         },
     ));
 
-    // One thread hammers `clear_cache` while the submitters run.
+    // One thread hammers `clear_cache` while the submitters run. All
+    // start together, `clears` counts only clears made after that, and
+    // every submitter waits at its halfway point for the first of them:
+    // a clear lands mid-load however the threads are scheduled.
     let done = Arc::new(AtomicBool::new(false));
+    let clears = Arc::new(AtomicU64::new(0));
+    let start = Arc::new(Barrier::new(THREADS + 1));
     let clearer = {
         let service = Arc::clone(&service);
         let done = Arc::clone(&done);
+        let clears = Arc::clone(&clears);
+        let start = Arc::clone(&start);
         std::thread::spawn(move || {
-            let mut clears = 0u64;
+            start.wait();
             while !done.load(Ordering::Relaxed) {
                 service.clear_cache();
-                clears += 1;
+                clears.fetch_add(1, Ordering::Release);
                 std::thread::yield_now();
             }
-            clears
         })
     };
     let submitters: Vec<_> = (0..THREADS)
         .map(|id| {
             let service = Arc::clone(&service);
+            let clears = Arc::clone(&clears);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
+                let mut clears_at_halfway = 0;
                 for i in 0..ITERS {
+                    if i == ITERS / 2 {
+                        while clears.load(Ordering::Acquire) == 0 {
+                            std::thread::yield_now();
+                        }
+                        clears_at_halfway = clears.load(Ordering::Acquire);
+                    }
                     let t = 1 + ((id + i) as u32 % SHAPES);
                     let request = QueryRequest::paths(0, t).max_hops(3).limit(16);
                     // Every fifth request opts out so `bypasses` is
@@ -189,15 +205,19 @@ fn shared_cache_stats_balance_under_concurrent_load_and_clears() {
                     };
                     service.execute(&request).expect("valid request");
                 }
+                clears_at_halfway
             })
         })
         .collect();
     for handle in submitters {
-        handle.join().expect("submitter thread");
+        let clears_at_halfway = handle.join().expect("submitter thread");
+        assert!(
+            clears_at_halfway > 0,
+            "a clear landed while this submitter was mid-loop"
+        );
     }
     done.store(true, Ordering::Relaxed);
-    let clears = clearer.join().expect("clearer thread");
-    assert!(clears > 0, "the clearer actually raced the lookups");
+    clearer.join().expect("clearer thread");
 
     let stats = service.cache_stats();
     assert_eq!(

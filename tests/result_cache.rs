@@ -5,6 +5,9 @@
 //!   same counts, same termination — across methods and limits.
 //! * Bounded (`LimitReached`) entries serve only equal-or-tighter
 //!   limits; either way the response equals a cache-free oracle's.
+//! * The method is chosen per request from its limit; a completed
+//!   answer still serves every limit, path for path what a fresh run of
+//!   that limit returns, reporting the plan that produced it.
 //! * Footprint retention over mutation streams never serves a stale
 //!   answer: after every insert/remove, the caching engine matches a
 //!   cache-free engine on the mutated graph exactly — whether the entry
@@ -256,5 +259,94 @@ proptest! {
         let stats = service.result_cache_stats();
         prop_assert_eq!(stats.hits + stats.misses + stats.bypasses, stats.lookups);
         prop_assert_eq!(stats.lookups, targets.len() as u64);
+    }
+}
+
+/// Mixed limits on one key, `q(0, 10, 6)` over K11, where an unlimited
+/// request joins (cut 3) and a `limit(5)` one streams. Both methods emit
+/// in the same order, so a prefix of the stored IDX-JOIN answer is path
+/// for path what a fresh `limit(5)` IDX-DFS run returns; the replay
+/// reports the plan that produced the stored answer.
+#[test]
+fn mixed_limits_on_one_key_replay_prefixes_of_the_stored_answer() {
+    use pathenum_repro::graph::generators::complete_digraph;
+    use CacheOutcome::{Hit, Miss, ResultHit};
+    use Method::{IdxDfs, IdxJoin};
+
+    let graph = Arc::new(complete_digraph(11));
+    let config = PathEnumConfig::default();
+    let budget = 16 << 20;
+    // 6 * 17 000 > tau: this limit decides as no limit does, and joins.
+    let limits = [None, Some(5), Some(17_000)];
+    let build = |which: usize| {
+        let request = QueryRequest::paths(0, 10).max_hops(6).collect_paths(true);
+        match limits[which] {
+            Some(limit) => request.limit(limit),
+            None => request,
+        }
+    };
+    let fresh: Vec<QueryResponse> = (0..limits.len())
+        .map(|which| {
+            let mut engine = QueryEngine::new(&graph, config);
+            engine.execute(&build(which).bypass_cache()).unwrap()
+        })
+        .collect();
+    for (response, method) in fresh.iter().zip([IdxJoin, IdxDfs, IdxJoin]) {
+        assert_eq!(response.report.method, method);
+    }
+    assert_eq!(fresh[0].paths.len(), 18_730);
+
+    // (request, cache outcome, reported method)
+    let scripts: [&[(usize, CacheOutcome, Method)]; 2] = [
+        // The completed IDX-JOIN answer serves every limit.
+        &[
+            (0, Miss, IdxJoin),
+            (1, ResultHit, IdxJoin),
+            (2, ResultHit, IdxJoin),
+            (0, ResultHit, IdxJoin),
+        ],
+        // A truncated IDX-DFS answer serves its own shape, is too short
+        // for the unlimited request, and is superseded by its answer.
+        &[
+            (1, Miss, IdxDfs),
+            (1, ResultHit, IdxDfs),
+            (0, Hit, IdxJoin),
+            (1, ResultHit, IdxJoin),
+            (2, ResultHit, IdxJoin),
+        ],
+    ];
+    for steps in scripts {
+        let mut caching =
+            QueryEngine::new(&graph, config).with_result_cache(ResultCache::new(budget));
+        for (i, &(which, outcome, method)) in steps.iter().enumerate() {
+            let response = caching.execute(&build(which)).unwrap();
+            let at = format!("step {i} of {steps:?}");
+            assert_eq!(response.report.cache, outcome, "{at}");
+            assert_eq!(response.paths, fresh[which].paths, "{at}");
+            assert_eq!(response.termination, fresh[which].termination, "{at}");
+            assert_eq!(response.report.method, method, "{at}");
+        }
+        let stats = caching.result_cache_stats();
+        assert_eq!(stats.hits + stats.misses + stats.bypasses, stats.lookups);
+    }
+
+    // Grouped: the requests share a plan key, so one worker runs them
+    // back to back through the shared layers.
+    let service = PathEnumService::with_config(
+        Arc::clone(&graph),
+        config,
+        ServiceConfig {
+            workers: 2,
+            result_cache_bytes: budget,
+            result_cache_shards: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let order = [1usize, 0, 2, 1];
+    let grouped = service.execute_batch(order.iter().map(|&which| build(which)).collect());
+    for (response, which) in grouped.iter().zip(order) {
+        let response = response.as_ref().unwrap();
+        assert_eq!(response.paths, fresh[which].paths, "request {which}");
+        assert_eq!(response.termination, fresh[which].termination);
     }
 }
