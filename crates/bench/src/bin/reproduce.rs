@@ -2,12 +2,12 @@
 //!
 //! ```text
 //! reproduce <experiment|all|list> [--quick] [--queries N]
-//!           [--time-limit-ms M] [--seed S] [--method idx-dfs|idx-join]
-//!           [--workers N] [--graph-file PATH]
+//!           [--time-limit-ms M] [--seed S]
 //! ```
 //!
-//! Experiments: table3 table4 table5 table6 table7 fig6 fig7 fig8 fig9
-//! fig10_11 fig12 fig13_15 fig16 fig17 fig18 ablation
+//! `reproduce list` prints the experiments: the paper's (`table3` ..
+//! `table7`, `fig6` .. `fig18`, `ablation`, `scaling`) and the two
+//! measurements `benchmark/` cannot take (`overload`, `perf`).
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -17,8 +17,7 @@ use pathenum_bench::ExperimentConfig;
 
 fn usage() {
     eprintln!("usage: reproduce <experiment|all|list> [--quick] [--queries N]");
-    eprintln!("                 [--time-limit-ms M] [--seed S] [--method idx-dfs|idx-join]");
-    eprintln!("                 [--workers N] [--graph-file PATH]");
+    eprintln!("                 [--time-limit-ms M] [--seed S]");
     eprintln!();
     eprintln!("experiments:");
     for (name, description, _) in registry() {
@@ -58,53 +57,6 @@ fn main() -> ExitCode {
                 Some(s) => config.seed = s,
                 None => {
                     eprintln!("--seed expects an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--method" => match iter.next().map(|v| v.parse::<pathenum::Method>()) {
-                Some(Ok(method)) => {
-                    // The table/figure experiments compare algorithms via
-                    // the explicit Algorithm enum (which has forced
-                    // variants as columns); only the full-pipeline
-                    // experiments read this override.
-                    eprintln!(
-                        "note: --method {method} applies to experiments running the full \
-                         PathEnum pipeline (currently: cache, stream, serve); others ignore it"
-                    );
-                    config.force_method = Some(method);
-                }
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("--method expects idx-dfs or idx-join");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--workers" => match iter.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => {
-                    eprintln!(
-                        "note: --workers {n} applies to the serving experiments \
-                         (currently: serve, overload); others ignore it"
-                    );
-                    config.workers = Some(n);
-                }
-                Some(Ok(_)) | Some(Err(_)) | None => {
-                    eprintln!("--workers expects a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--graph-file" => match iter.next() {
-                Some(path) => {
-                    eprintln!(
-                        "note: --graph-file applies to experiments that accept an external \
-                         graph (currently: memory); others ignore it"
-                    );
-                    config.graph_file = Some(path.into());
-                }
-                None => {
-                    eprintln!("--graph-file expects a path (edge list, PEG1, or PEG2)");
                     return ExitCode::FAILURE;
                 }
             },

@@ -1,9 +1,7 @@
 //! Shared experiment configuration.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
-use pathenum::Method;
 use pathenum_workloads::MeasureConfig;
 
 /// Knobs shared by every experiment. The defaults are scaled so that the
@@ -21,22 +19,6 @@ pub struct ExperimentConfig {
     pub default_k: u32,
     /// Base RNG seed for query generation.
     pub seed: u64,
-    /// Force one enumeration method (`reproduce --method idx-dfs|idx-join`),
-    /// bypassing the cost-based optimizer in the experiments that run the
-    /// full PathEnum pipeline (currently `cache`, `stream`, and `serve`).
-    /// `None` lets the optimizer decide.
-    pub force_method: Option<Method>,
-    /// Override the worker-pool size in the serving experiments
-    /// (`reproduce --workers N`): `serve` sweeps exactly `[N]` instead
-    /// of `[1, 2, 4]`, and `overload` serves with `N` workers. `None`
-    /// keeps each experiment's default.
-    pub workers: Option<usize>,
-    /// Run against a graph loaded from disk instead of the built-in
-    /// synthetic datasets (`reproduce --graph-file PATH`). The loader
-    /// sniffs the format: `PEG2` images are served zero-copy, `PEG1`
-    /// and plain edge lists are parsed into a heap CSR. Currently read
-    /// by the `memory` experiment; others ignore it.
-    pub graph_file: Option<PathBuf>,
 }
 
 impl Default for ExperimentConfig {
@@ -47,9 +29,6 @@ impl Default for ExperimentConfig {
             response_limit: 1000,
             default_k: 6,
             seed: 42,
-            force_method: None,
-            workers: None,
-            graph_file: None,
         }
     }
 }
@@ -64,9 +43,6 @@ impl ExperimentConfig {
             response_limit: 200,
             default_k: 4,
             seed: 42,
-            force_method: None,
-            workers: None,
-            graph_file: None,
         }
     }
 

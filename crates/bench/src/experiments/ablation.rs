@@ -1,5 +1,4 @@
-//! Ablations beyond the paper's figures, probing the design choices
-//! DESIGN.md calls out:
+//! Ablations beyond the paper's figures, probing three design choices:
 //!
 //! 1. **Pruning power** (Appendix B): edges kept by the light-weight
 //!    index versus tuples kept by Algorithm 2's fully reduced relations

@@ -1,8 +1,21 @@
-//! One module per paper table/figure. Each exposes
-//! `run(&ExperimentConfig)`.
+//! One module per experiment, each exposing `run(&ExperimentConfig)`.
+//!
+//! What is here and why:
+//!
+//! * `table3`–`table7`, `fig6`–`fig18`, `ablation`, `scaling` — the
+//!   paper's tables and figures. They are the reproduction.
+//! * `overload` — the only open-loop measurement in the repo.
+//!   `benchmark/` drives closed loops and excludes overload by design
+//!   (its README points here), so admission control is judged on this
+//!   command.
+//! * `perf` — allocation events per warm query. It needs the counting
+//!   global allocator's `unsafe`, which `benchmark/` may not carry.
+//!
+//! Serving-side numbers — cold, warm and replayed sojourns, cache hit
+//! ratios, load times, bytes per edge, kernel ns per edge or path — are
+//! `benchmark/`'s: one ledger, with an oracle and a noise study.
 
 pub mod ablation;
-pub mod cache;
 pub mod fig10_11;
 pub mod fig12;
 pub mod fig13_15;
@@ -13,13 +26,9 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod memory;
 pub mod overload;
 pub mod perf;
 pub mod scaling;
-pub mod serve;
-pub mod shared;
-pub mod stream;
 pub mod support;
 pub mod table3;
 pub mod table4;
@@ -32,7 +41,8 @@ use crate::config::ExperimentConfig;
 /// One registry entry: `(subcommand, description, runner)`.
 pub type ExperimentEntry = (&'static str, &'static str, fn(&ExperimentConfig));
 
-/// All experiments with their subcommand names, in paper order.
+/// All experiments with their subcommand names, the paper's first and
+/// in its order.
 pub fn registry() -> Vec<ExperimentEntry> {
     vec![
         (
@@ -105,39 +115,14 @@ pub fn registry() -> Vec<ExperimentEntry> {
             scaling::run,
         ),
         (
-            "cache",
-            "Repeated-query serving: cold vs warm plan cache vs result replay",
-            cache::run,
-        ),
-        (
-            "shared",
-            "Shared execution: grouped batches + result replay vs warm path",
-            shared::run,
-        ),
-        (
-            "stream",
-            "Streaming updates: snapshot vs overlay vs retained cache",
-            stream::run,
-        ),
-        (
-            "serve",
-            "Concurrent serving: shared graph + shared plan cache across workers",
-            serve::run,
-        ),
-        (
             "overload",
             "Overload serving: cost-based admission control vs unbounded FIFO",
             overload::run,
         ),
         (
             "perf",
-            "Kernel microbenchmarks: optimized hot loops vs retained naive oracles",
+            "Allocation events per warm query (must be zero)",
             perf::run,
-        ),
-        (
-            "memory",
-            "Storage formats: bytes/edge, cold start, zero-copy serving",
-            memory::run,
         ),
     ]
 }

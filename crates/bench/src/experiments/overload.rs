@@ -3,8 +3,10 @@
 //! admission layer at ≥2× capacity arrival rates).
 //!
 //! A mixed stream (75% cheap warm queries, 25% heavy) is calibrated
-//! sequentially, then replayed open-loop through a `CatalogService`
-//! three times:
+//! sequentially — growing the result `limit`, then the heavy class's
+//! `k`, until the stream's mean warm service time clears
+//! `MIN_MEAN_SERVICE` — then replayed
+//! open-loop through a `CatalogService` three times:
 //!
 //! 1. **calm** — admission ON at a third of capacity: nothing may shed;
 //! 2. **overload, admission ON** — arrivals at 2× capacity: the cost
@@ -36,17 +38,76 @@ use std::time::{Duration, Instant};
 use pathenum::query::Query;
 use pathenum::{
     AdmissionConfig, CatalogConfig, CatalogRequest, CatalogService, PathEnumConfig, QueryEngine,
-    QueryRequest,
+    QueryRequest, Termination,
 };
 use pathenum_graph::generators::{power_law, PowerLawConfig};
-use pathenum_workloads::serving::{run_overload, OverloadReport, ServingBounds};
+use pathenum_graph::{CsrGraph, VertexId};
+use pathenum_workloads::serving::{run_overload, OverloadReport};
 use pathenum_workloads::{generate_queries, QueryGenConfig};
 
 use crate::config::ExperimentConfig;
-use crate::output::{banner, write_bench_json, Table};
+use crate::output::{banner, Table};
 
 /// Fraction of arrivals that are heavy queries (1 in `HEAVY_EVERY`).
 const HEAVY_EVERY: usize = 4;
+
+/// Worker-pool size of both services.
+const WORKERS: usize = 2;
+
+/// The stream's mean warm service time must reach this, or the whole
+/// experiment sits below OS scheduling granularity and queueing
+/// dynamics drown in sleep/wakeup jitter: the calibration loop does not
+/// end below it.
+const MIN_MEAN_SERVICE: Duration = Duration::from_micros(250);
+
+/// What one sequential pass over the distinct queries at one `limit`
+/// yields: warm service times, the admission price the catalog will
+/// charge, and the oracle paths.
+struct Calibration {
+    service_time: Vec<Duration>,
+    cost: Vec<u64>,
+    oracle: Vec<Vec<Vec<VertexId>>>,
+    /// Whether any answer stopped at `limit` (a larger one buys work).
+    limit_bound: bool,
+}
+
+/// The request every phase sends for `query`.
+fn request_for(query: Query, limit: u64) -> QueryRequest<'static> {
+    QueryRequest::from_query(query)
+        .limit(limit)
+        .collect_paths(true)
+}
+
+/// Pass 1 warms the engine's plan cache; three more measure each
+/// query's warm service time (the fastest, so one descheduled run does
+/// not read as a heavy query) and keep its plan cost and paths.
+fn calibrate(graph: &CsrGraph, distinct: &[Query], limit: u64) -> Calibration {
+    let mut engine = QueryEngine::new(graph, PathEnumConfig::default());
+    let mut calibration = Calibration {
+        service_time: vec![Duration::MAX; distinct.len()],
+        cost: Vec::with_capacity(distinct.len()),
+        oracle: Vec::with_capacity(distinct.len()),
+        limit_bound: false,
+    };
+    for &q in distinct {
+        engine.execute(&request_for(q, limit)).expect("valid query");
+    }
+    for pass in 0..3 {
+        for (i, &q) in distinct.iter().enumerate() {
+            let start = Instant::now();
+            let response = engine.execute(&request_for(q, limit)).expect("valid query");
+            let elapsed = start.elapsed();
+            calibration.service_time[i] = calibration.service_time[i].min(elapsed);
+            if pass == 0 {
+                let plan = response.plan.expect("executed queries carry a plan");
+                calibration.cost.push(plan.modeled_cost());
+                calibration.limit_bound |= response.termination == Termination::LimitReached;
+                calibration.oracle.push(response.paths);
+            }
+        }
+    }
+    calibration
+}
 
 /// Runs the experiment, printing the three-phase comparison table.
 pub fn run(config: &ExperimentConfig) {
@@ -54,12 +115,6 @@ pub fn run(config: &ExperimentConfig) {
     let quick = config.queries_per_set <= 4;
     let (n, d) = if quick { (5_000, 5) } else { (15_000, 6) };
     let graph = Arc::new(power_law(PowerLawConfig::social(n, d, config.seed)));
-    let workers = config.workers.unwrap_or(2);
-    // The limit must keep heavy queries *genuinely* heavy (hundreds of
-    // microseconds of warm enumeration), or the whole experiment sits
-    // below OS scheduling granularity and queueing dynamics drown in
-    // sleep/wakeup jitter.
-    let limit = config.response_limit.max(2_000);
     let arrivals = if quick { 240 } else { 400 };
 
     // Query mix: a small warm set of cheap queries plus a few heavy
@@ -69,51 +124,53 @@ pub fn run(config: &ExperimentConfig) {
     // k gap keeps the two classes far apart in both modeled cost and
     // service time (the lane split and the p99 comparison rely on it).
     let cheap = generate_queries(&graph, QueryGenConfig::paper_default(4, 3, config.seed));
-    let heavy = generate_queries(
-        &graph,
-        QueryGenConfig::paper_default(2, config.default_k.max(7), config.seed + 1),
-    );
-    let mut distinct: Vec<Query> = cheap.clone();
-    distinct.extend(heavy.iter().copied());
-    let mut stream_ids = Vec::with_capacity(arrivals);
-    for i in 0..arrivals {
-        if i % HEAVY_EVERY == HEAVY_EVERY - 1 {
-            stream_ids.push(cheap.len() + (i / HEAVY_EVERY) % heavy.len());
-        } else {
-            stream_ids.push(i % cheap.len());
-        }
-    }
-    let stream: Vec<Query> = stream_ids.iter().map(|&id| distinct[id]).collect();
+    let heavy_at =
+        |k| generate_queries(&graph, QueryGenConfig::paper_default(2, k, config.seed + 1));
+    let mut heavy_k = config.default_k.max(7);
+    let heavy_count = heavy_at(heavy_k).len();
+    let stream_ids: Vec<usize> = (0..arrivals)
+        .map(|i| {
+            if i % HEAVY_EVERY == HEAVY_EVERY - 1 {
+                cheap.len() + (i / HEAVY_EVERY) % heavy_count
+            } else {
+                i % cheap.len()
+            }
+        })
+        .collect();
 
-    // Sequential calibration: pass 1 warms the engine's plan cache,
-    // pass 2 measures warm per-query service time and collects the
-    // oracle paths plus each query's modeled plan cost (the admission
-    // price the catalog will charge).
-    let request_for = |q: Query| QueryRequest::from_query(q).limit(limit).collect_paths(true);
-    let mut engine = QueryEngine::new(&graph, PathEnumConfig::default());
-    for &q in &distinct {
-        engine.execute(&request_for(q)).expect("valid query");
-    }
-    let mut service_time = Vec::with_capacity(distinct.len());
-    let mut cost = Vec::with_capacity(distinct.len());
-    let mut oracle = Vec::with_capacity(distinct.len());
-    for &q in &distinct {
-        let start = Instant::now();
-        let response = engine.execute(&request_for(q)).expect("valid query");
-        service_time.push(start.elapsed());
-        cost.push(
-            response
-                .plan
-                .expect("executed queries carry a plan")
-                .modeled_cost(),
-        );
-        oracle.push(response.paths);
-    }
-    let mean_stream = stream_ids
-        .iter()
-        .map(|&id| service_time[id])
-        .sum::<Duration>()
-        / arrivals as u32;
+    // Sequential calibration, repeated until the heavy queries are
+    // *genuinely* heavy (`MIN_MEAN_SERVICE`): at a doubled `limit` while
+    // one still cuts an answer short, then — the same endpoints, the
+    // generator draws them independently of `k` — one hop deeper.
+    let mean_of = |service_time: &[Duration]| {
+        stream_ids
+            .iter()
+            .map(|&id| service_time[id])
+            .sum::<Duration>()
+            / arrivals as u32
+    };
+    let mut limit = config.response_limit.max(2_000);
+    let (distinct, calibration) = loop {
+        let mut distinct: Vec<Query> = cheap.clone();
+        distinct.extend(heavy_at(heavy_k));
+        let calibration = calibrate(&graph, &distinct, limit);
+        if mean_of(&calibration.service_time) >= MIN_MEAN_SERVICE {
+            break (distinct, calibration);
+        }
+        if calibration.limit_bound {
+            limit *= 2;
+        } else {
+            heavy_k += 1;
+        }
+    };
+    let Calibration {
+        service_time,
+        cost,
+        oracle,
+        ..
+    } = calibration;
+    let stream: Vec<Query> = stream_ids.iter().map(|&id| distinct[id]).collect();
+    let mean_stream = mean_of(&service_time);
     let max_service = *service_time.iter().max().expect("non-empty calibration");
 
     // Interactive/batch split: between the classes when they separate,
@@ -129,13 +186,13 @@ pub fn run(config: &ExperimentConfig) {
     };
     let max_cost = *cost.iter().max().expect("non-empty calibration");
 
-    // 2x capacity: with `workers` servers clearing one request every
-    // `mean_stream` on average, arrivals every mean/(2*workers) demand
+    // 2x capacity: with `WORKERS` servers clearing one request every
+    // `mean_stream` on average, arrivals every mean/(2*WORKERS) demand
     // twice what the pool can clear. The SLA is a quarter of the
     // arrival span: comfortably above the bounded-queue sojourn the
     // admission config below guarantees, comfortably below the sojourns
     // an unbounded FIFO accumulates by the end of the span.
-    let overload_interval = (mean_stream / (2 * workers as u32)).max(Duration::from_micros(1));
+    let overload_interval = (mean_stream / (2 * WORKERS as u32)).max(Duration::from_micros(1));
     // Calm arrivals sit far below capacity, with an absolute floor so a
     // scheduler hiccup on a noisy CI runner cannot fake a backlog.
     let calm_interval = (max_service * 4).max(Duration::from_micros(300));
@@ -143,17 +200,17 @@ pub fn run(config: &ExperimentConfig) {
     let sla = span / 4;
 
     // Tight bounds so an *admitted* request's sojourn is structurally
-    // far inside the SLA: at most ~(workers + 1) requests of backlog
-    // spread over `workers` servers is well under a quarter of the
+    // far inside the SLA: at most ~(WORKERS + 1) requests of backlog
+    // spread over `WORKERS` servers is well under a quarter of the
     // span even if the replay runs slower than the calibration pass.
     let admission_on = AdmissionConfig {
-        cost_budget: Some(max_cost.saturating_mul(workers as u64)),
-        max_queue_per_tenant: workers + 1,
+        cost_budget: Some(max_cost.saturating_mul(WORKERS as u64)),
+        max_queue_per_tenant: WORKERS + 1,
         interactive_cost_threshold: threshold,
     };
     println!(
-        "power-law graph: {} vertices, {} edges; workers: {workers}; \
-         stream: {arrivals} arrivals over {} distinct queries (limit {limit})",
+        "power-law graph: {} vertices, {} edges; workers: {WORKERS}; \
+         stream: {arrivals} arrivals over {} distinct queries (heavy k {heavy_k}, limit {limit})",
         graph.num_vertices(),
         graph.num_edges(),
         distinct.len(),
@@ -170,16 +227,12 @@ pub fn run(config: &ExperimentConfig) {
         admission_on.interactive_cost_threshold,
     );
 
-    let bounds = ServingBounds {
-        limit: Some(limit),
-        time_budget: None,
-        collect: true,
-    };
+    let requests = || stream.iter().map(|&q| request_for(q, limit)).collect();
     let service_with = |admission: AdmissionConfig| {
         let service = CatalogService::new(
             PathEnumConfig::default(),
             CatalogConfig {
-                workers,
+                workers: WORKERS,
                 admission,
                 ..CatalogConfig::default()
             },
@@ -190,27 +243,41 @@ pub fn run(config: &ExperimentConfig) {
         // start equally warm).
         for &q in &distinct {
             service
-                .execute(CatalogRequest::new("serving", "tenant-a", request_for(q)))
+                .execute(CatalogRequest::new(
+                    "serving",
+                    "tenant-a",
+                    request_for(q, limit),
+                ))
                 .expect("warmup queries are valid");
         }
         service
     };
 
+    // Admission never corrupts: every completed request in every run is
+    // byte-identical to the sequential engine. Checked run by run, and
+    // the paths dropped, so one run's answers are resident at a time.
+    let replay = |service: &CatalogService, label: &str, interval: Duration| {
+        let mut report = run_overload(service, "serving", "tenant-a", requests(), interval);
+        for (i, outcome) in report.outcomes.iter_mut().enumerate() {
+            if let Ok(response) = &mut outcome.response {
+                assert_eq!(
+                    std::mem::take(&mut response.paths),
+                    oracle[stream_ids[i]],
+                    "{label}: arrival {i} diverged from the sequential engine"
+                );
+            }
+        }
+        report
+    };
+
     // Phase 1: calm traffic through the admission-ON service.
     let on = service_with(admission_on);
-    let calm = run_overload(&on, "serving", "tenant-a", &stream, calm_interval, bounds);
+    let calm = replay(&on, "calm", calm_interval);
     assert_eq!(calm.shed(), 0, "calm traffic must never shed");
     assert_eq!(calm.completed(), arrivals, "calm traffic all completes");
 
     // Phase 2: 2x-capacity arrivals through the same (warm) service.
-    let over_on = run_overload(
-        &on,
-        "serving",
-        "tenant-a",
-        &stream,
-        overload_interval,
-        bounds,
-    );
+    let over_on = replay(&on, "on", overload_interval);
     assert!(
         over_on.shed() > 0,
         "2x-capacity arrivals must trip admission control"
@@ -218,28 +285,8 @@ pub fn run(config: &ExperimentConfig) {
 
     // Phase 3: the same stream into the unbounded-FIFO baseline.
     let off = service_with(AdmissionConfig::disabled());
-    let over_off = run_overload(
-        &off,
-        "serving",
-        "tenant-a",
-        &stream,
-        overload_interval,
-        bounds,
-    );
+    let over_off = replay(&off, "off", overload_interval);
     assert_eq!(over_off.shed(), 0, "the baseline admits everything");
-
-    // Admission never corrupts: every completed request in every run is
-    // byte-identical to the sequential engine.
-    for (label, report) in [("calm", &calm), ("on", &over_on), ("off", &over_off)] {
-        for (i, outcome) in report.outcomes.iter().enumerate() {
-            if let Ok(response) = &outcome.response {
-                assert_eq!(
-                    response.paths, oracle[stream_ids[i]],
-                    "{label}: arrival {i} diverged from the sequential engine"
-                );
-            }
-        }
-    }
 
     // The interactive class, by the same cost threshold the admission
     // layer dispatches on, evaluated identically for both runs.
@@ -310,19 +357,6 @@ pub fn run(config: &ExperimentConfig) {
         "admission must win on interactive p99: {p99_on:?} (on) vs {p99_off:?} (off)"
     );
 
-    write_bench_json(
-        "BENCH_overload.json",
-        &[
-            ("workers", workers as f64),
-            ("arrivals", arrivals as f64),
-            ("seed", config.seed as f64),
-            ("shed_rate_on", over_on.shed_rate()),
-            ("goodput_on", goodput_on),
-            ("goodput_off", goodput_off),
-            ("interactive_p99_on_ms", p99_on.as_secs_f64() * 1e3),
-            ("interactive_p99_off_ms", p99_off.as_secs_f64() * 1e3),
-        ],
-    );
     println!(
         "\ncalm shed rate: 0% over {arrivals} arrivals; overload shed rate: {:.1}%",
         100.0 * over_on.shed_rate()

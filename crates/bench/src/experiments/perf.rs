@@ -1,408 +1,88 @@
-//! Kernel microbenchmarks with a pinned perf trajectory (`reproduce perf`).
+//! Warm enumeration allocates nothing (`reproduce perf`; not a paper
+//! experiment).
 //!
-//! Times every optimized hot-path kernel against its retained naive
-//! oracle *in the same process, on the same inputs*, asserting
-//! byte-identical results before trusting any timing:
+//! Kept beside the paper's figures for one reason: the number needs the
+//! counting `#[global_allocator]` of [`crate::alloc`], whose `unsafe`
+//! `benchmark/` may not carry. Everything else this command once timed
+//! is a `benchmark/` ledger line (`graph.bfs_ns_per_edge.*`,
+//! `enumerate.{dfs,join}_ns_per_path`) or a `tests/kernel_agreement.rs`
+//! oracle comparison; the name stays because `benchmark/README.md`
+//! points readers at it.
 //!
-//! * **Boundary BFS** — epoch-stamped flat maps
-//!   ([`distances_epoch_into`]) vs the `Vec`-reset oracle
-//!   ([`distances_into`]), reported as ns per traversed edge (the
-//!   oracle's O(|V|) per-query reset is exactly what the epoch trick
-//!   amortizes away).
-//! * **Index probes** — `I_t(v, b)` lookup latency in ns per probe.
-//! * **IDX-DFS** — arena-backed iterative DFS vs the recursive oracle,
-//!   paths per second.
-//! * **IDX-JOIN** — contiguous-bucket word-parallel join vs the
-//!   hash-bucket oracle, paths per second.
-//! * **Warm-serve allocation** — allocation events per warmed query
-//!   (counted by [`crate::alloc`]); the optimized kernels must report
-//!   **zero** and a stable arena size.
-//!
-//! Exits by `assert!` (non-zero process status) unless results agree
-//! everywhere and at least two of {BFS ns/edge, join wall time, warm
-//! allocations} improve by ≥ 1.5×. Writes `BENCH_perf.json` for trend
-//! tracking across PRs.
-
-use std::collections::VecDeque;
-use std::hint::black_box;
-use std::time::{Duration, Instant};
+//! On a warmed thread, IDX-DFS and IDX-JOIN over a prebuilt index must
+//! cause **zero** allocation events per query and leave the per-thread
+//! arena byte-stable. The retained oracle kernels run under the same
+//! counter as the positive control: they must allocate.
 
 use pathenum::enumerate::{
     idx_dfs, idx_dfs_iterative, idx_join, idx_join_reference, thread_scratch_heap_bytes,
 };
-use pathenum::sink::{CollectingSink, CountingSink};
-use pathenum::{ControlledSink, Counters, Index, Query};
-use pathenum_graph::bfs::{distances_epoch_into, distances_into, BfsOptions, Direction};
-use pathenum_graph::epoch::EpochMap;
-use pathenum_graph::generators::{erdos_renyi, power_law, PowerLawConfig};
-use pathenum_graph::types::{Distance, INFINITE_DISTANCE};
-use pathenum_graph::{CsrGraph, VertexId};
+use pathenum::sink::CountingSink;
+use pathenum::{Counters, Index};
+use pathenum_graph::generators::{power_law, PowerLawConfig};
 
-use super::support::{default_queries, geometric_mean};
+use super::support::default_queries;
 use crate::alloc::allocation_count;
 use crate::config::ExperimentConfig;
-use crate::output::{banner, sci, write_bench_json, Table};
+use crate::output::banner;
 
-/// Per-query result cap for the enumeration micro-benchmarks: bounds
-/// memory and wall time on hub-heavy queries while leaving both kernels
-/// an identical (deterministic) early-stop point.
-const RESULT_CAP: u64 = 50_000;
+const REPS: u64 = 10;
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-struct BfsMetrics {
-    naive_ns_per_edge: f64,
-    opt_ns_per_edge: f64,
-    speedup: f64,
-}
-
-/// Boundary-BFS timing: many small-`k` queries on a large sparse graph,
-/// where the oracle's full-vector reset dominates. Agreement is checked
-/// on every query before the timed passes.
-fn bfs_metrics(config: &ExperimentConfig, quick: bool) -> BfsMetrics {
-    let n: usize = if quick { 50_000 } else { 200_000 };
-    let graph = erdos_renyi(n, n * 3, config.seed);
-    let depth: Distance = 3;
-    let num_queries = if quick { 24 } else { 96 };
-    let mut state = config.seed | 1;
-    let pairs: Vec<(VertexId, VertexId)> = (0..num_queries)
-        .map(|_| {
-            let s = (splitmix(&mut state) % n as u64) as VertexId;
-            let t = (splitmix(&mut state) % n as u64) as VertexId;
-            (s, t)
-        })
-        .filter(|(s, t)| s != t)
-        .collect();
-    let options = |t: VertexId| BfsOptions {
-        direction: Direction::Forward,
-        excluded: Some(t),
-        max_depth: Some(depth),
-    };
-
-    // Agreement pass (untimed) — also fixes the per-query edge counts.
-    let mut naive: Vec<Distance> = Vec::new();
-    let mut dist = EpochMap::new(INFINITE_DISTANCE);
-    let mut queue: VecDeque<VertexId> = VecDeque::new();
-    let mut total_edges = 0u64;
-    for &(s, t) in &pairs {
-        distances_into(&graph, s, options(t), &mut naive, &mut queue);
-        distances_epoch_into(&graph, s, options(t), &mut dist, &mut queue);
-        let reached = naive.iter().filter(|&&d| d != INFINITE_DISTANCE).count();
-        assert_eq!(
-            reached,
-            dist.touched().len(),
-            "BFS oracle disagreement: reached-set size"
-        );
-        for &v in dist.touched() {
-            assert_eq!(
-                naive[v as usize],
-                dist.get(v as usize),
-                "BFS oracle disagreement at vertex {v}"
-            );
-            total_edges += graph.out_degree(v) as u64;
-        }
-    }
-    let total_edges = total_edges.max(1);
-
-    let reps = if quick { 3 } else { 5 };
-    let start = Instant::now();
-    for _ in 0..reps {
-        for &(s, t) in &pairs {
-            distances_into(&graph, s, options(t), &mut naive, &mut queue);
-            black_box(naive.len());
-        }
-    }
-    let naive_time = start.elapsed();
-    let start = Instant::now();
-    for _ in 0..reps {
-        for &(s, t) in &pairs {
-            distances_epoch_into(&graph, s, options(t), &mut dist, &mut queue);
-            black_box(dist.touched().len());
-        }
-    }
-    let opt_time = start.elapsed();
-
-    let denom = (reps as u64 * total_edges) as f64;
-    let naive_ns_per_edge = naive_time.as_nanos() as f64 / denom;
-    let opt_ns_per_edge = opt_time.as_nanos() as f64 / denom;
-    BfsMetrics {
-        naive_ns_per_edge,
-        opt_ns_per_edge,
-        speedup: naive_ns_per_edge / opt_ns_per_edge.max(f64::MIN_POSITIVE),
-    }
-}
-
-/// `I_t(v, b)` lookup latency over a warm index, ns per probe.
-fn probe_metric(index: &Index, seed: u64, quick: bool) -> f64 {
-    let n = index.num_vertices();
-    if n == 0 {
-        return 0.0;
-    }
-    let probes: u64 = if quick { 200_000 } else { 2_000_000 };
-    let k = index.k();
-    let mut state = seed | 1;
-    let mut acc = 0usize;
-    let start = Instant::now();
-    for _ in 0..probes {
-        let r = splitmix(&mut state);
-        let v = (r % n as u64) as u32;
-        let budget = ((r >> 32) % (k as u64 + 1)) as u32;
-        acc += index.i_t(v, budget).len();
-    }
-    let elapsed = start.elapsed();
-    black_box(acc);
-    elapsed.as_nanos() as f64 / probes as f64
-}
-
-/// One kernel under the shared result cap: a first run collects paths and
-/// counters for the agreement assertions, then `reps` further runs are
-/// timed and the minimum kept (min-of-reps suppresses scheduler noise on
-/// a shared core).
-fn run_capped(
-    reps: u32,
-    mut f: impl FnMut(&mut ControlledSink<CollectingSink>, &mut Counters),
-) -> (Vec<Vec<VertexId>>, Counters, Duration) {
-    let mut sink = ControlledSink::new(CollectingSink::default(), Some(RESULT_CAP), None, None);
-    let mut counters = Counters::default();
-    f(&mut sink, &mut counters);
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
-        let mut timed_sink =
-            ControlledSink::new(CollectingSink::default(), Some(RESULT_CAP), None, None);
-        let mut timed_counters = Counters::default();
-        let start = Instant::now();
-        f(&mut timed_sink, &mut timed_counters);
-        best = best.min(start.elapsed());
-        black_box(timed_sink.emitted());
-    }
-    (sink.into_inner().paths, counters, best)
-}
-
-struct EnumMetrics {
-    dfs_ref_paths_per_sec: f64,
-    dfs_opt_paths_per_sec: f64,
-    dfs_speedup: f64,
-    join_ref_paths_per_sec: f64,
-    join_opt_paths_per_sec: f64,
-    join_speedup: f64,
-    /// A warm (index, cut) pair for the allocation measurement.
-    warm: Option<(Index, u32)>,
-}
-
-/// IDX-DFS and IDX-JOIN against their oracles over a fixed query set,
-/// asserting byte-identical paths and counters on every query.
-fn enumeration_metrics(config: &ExperimentConfig, quick: bool) -> EnumMetrics {
-    let n = if quick { 300 } else { 800 };
-    let graph: CsrGraph = power_law(PowerLawConfig::social(n, 4, config.seed));
-    let k = if quick { 4 } else { 5 };
-    let cut = (k / 2).max(1);
-    let reps = if quick { 5 } else { 7 };
-    let queries: Vec<Query> = default_queries(&graph, k, config);
-
-    let mut dfs_ref_time = Duration::ZERO;
-    let mut dfs_opt_time = Duration::ZERO;
-    let mut join_ref_time = Duration::ZERO;
-    let mut join_opt_time = Duration::ZERO;
-    let mut dfs_paths = 0u64;
-    let mut join_paths = 0u64;
-    let mut warm: Option<(Index, u32)> = None;
-    for query in queries {
-        let index = Index::build(&graph, query);
-        if index.is_empty() {
-            continue;
-        }
-
-        let (ref_paths, ref_counters, t) =
-            run_capped(reps, |sink, counters| void(idx_dfs(&index, sink, counters)));
-        dfs_ref_time += t;
-        let (opt_paths, opt_counters, t) = run_capped(reps, |sink, counters| {
-            void(idx_dfs_iterative(&index, sink, counters))
-        });
-        dfs_opt_time += t;
-        assert_eq!(ref_paths, opt_paths, "DFS oracle disagreement: paths");
-        assert_eq!(
-            ref_counters, opt_counters,
-            "DFS oracle disagreement: counters"
-        );
-        dfs_paths += ref_paths.len() as u64;
-
-        let (ref_paths, ref_counters, t) = run_capped(reps, |sink, counters| {
-            void(idx_join_reference(&index, cut, sink, counters))
-        });
-        join_ref_time += t;
-        let (opt_paths, opt_counters, t) = run_capped(reps, |sink, counters| {
-            void(idx_join(&index, cut, sink, counters))
-        });
-        join_opt_time += t;
-        assert_eq!(ref_paths, opt_paths, "JOIN oracle disagreement: paths");
-        assert_eq!(
-            ref_counters, opt_counters,
-            "JOIN oracle disagreement: counters"
-        );
-        join_paths += ref_paths.len() as u64;
-
-        if warm.is_none() {
-            warm = Some((index, cut));
-        }
-    }
-
-    let per_sec = |paths: u64, d: Duration| paths as f64 / d.as_secs_f64().max(1e-12);
-    EnumMetrics {
-        dfs_ref_paths_per_sec: per_sec(dfs_paths, dfs_ref_time),
-        dfs_opt_paths_per_sec: per_sec(dfs_paths, dfs_opt_time),
-        dfs_speedup: dfs_ref_time.as_secs_f64() / dfs_opt_time.as_secs_f64().max(1e-12),
-        join_ref_paths_per_sec: per_sec(join_paths, join_ref_time),
-        join_opt_paths_per_sec: per_sec(join_paths, join_opt_time),
-        join_speedup: join_ref_time.as_secs_f64() / join_opt_time.as_secs_f64().max(1e-12),
-        warm,
-    }
-}
-
-fn void<T>(_: T) {}
-
-/// Allocation events per query on a warmed thread, optimized vs oracle
-/// kernels. The optimized pair must allocate nothing and leave the
-/// per-thread arena byte-stable.
-fn allocation_metrics(index: &Index, cut: u32) -> (u64, u64) {
-    let reps: u64 = 10;
-    let run_opt = |index: &Index| {
-        let mut sink = CountingSink::default();
-        let mut counters = Counters::default();
-        idx_join(index, cut, &mut sink, &mut counters);
-        let mut sink = CountingSink::default();
-        let mut counters = Counters::default();
-        idx_dfs_iterative(index, &mut sink, &mut counters);
-    };
-    // Warm the arena, then measure steady state.
-    run_opt(index);
-    let arena_before = thread_scratch_heap_bytes();
+/// Total allocation events over `REPS` runs of `query`.
+fn events_over_reps(mut query: impl FnMut()) -> u64 {
     let before = allocation_count();
-    for _ in 0..reps {
-        run_opt(index);
+    for _ in 0..REPS {
+        query();
     }
-    let opt_events = allocation_count() - before;
-    let arena_after = thread_scratch_heap_bytes();
-    assert_eq!(
-        arena_before, arena_after,
-        "warm queries must not grow the enumeration arena"
-    );
-    assert_eq!(opt_events, 0, "warm optimized kernels must not allocate");
-
-    let before = allocation_count();
-    for _ in 0..reps {
-        let mut sink = CountingSink::default();
-        let mut counters = Counters::default();
-        idx_join_reference(index, cut, &mut sink, &mut counters);
-        let mut sink = CountingSink::default();
-        let mut counters = Counters::default();
-        idx_dfs(index, &mut sink, &mut counters);
-    }
-    let ref_events = allocation_count() - before;
-    (ref_events / reps, opt_events / reps)
+    allocation_count() - before
 }
 
 /// Entry point for `reproduce perf`.
 pub fn run(config: &ExperimentConfig) {
-    banner("perf: kernel pass vs retained naive oracles");
+    banner("perf: allocation events per warm query");
     let quick = config.queries_per_set <= 4;
+    let (n, k) = if quick { (300, 4) } else { (800, 5) };
+    let graph = power_law(PowerLawConfig::social(n, 4, config.seed));
+    let cut = (k / 2).max(1);
+    let index = default_queries(&graph, k, config)
+        .into_iter()
+        .map(|query| Index::build(&graph, query))
+        .max_by_key(Index::num_edges)
+        .expect("the query set is not empty");
 
-    let bfs = bfs_metrics(config, quick);
-    let enm = enumeration_metrics(config, quick);
-    let (probe_ns, ref_allocs, opt_allocs) = match &enm.warm {
-        Some((index, cut)) => {
-            let probe_ns = probe_metric(index, config.seed, quick);
-            let (r, o) = allocation_metrics(index, *cut);
-            (probe_ns, r, o)
-        }
-        None => (0.0, 0, 0),
+    let mut results = 0;
+    let mut optimized = || {
+        let mut sink = CountingSink::default();
+        idx_join(&index, cut, &mut sink, &mut Counters::default());
+        idx_dfs_iterative(&index, &mut sink, &mut Counters::default());
+        results = sink.count;
     };
-    println!("perf: kernel oracle agreement OK (BFS, DFS, JOIN byte-identical)");
-
-    let mut table = Table::new(["kernel", "naive", "optimized", "speedup"]);
-    table.row([
-        "BFS (ns/edge)".to_string(),
-        sci(bfs.naive_ns_per_edge),
-        sci(bfs.opt_ns_per_edge),
-        format!("{:.2}x", bfs.speedup),
-    ]);
-    table.row([
-        "IDX-DFS (paths/s)".to_string(),
-        sci(enm.dfs_ref_paths_per_sec),
-        sci(enm.dfs_opt_paths_per_sec),
-        format!("{:.2}x", enm.dfs_speedup),
-    ]);
-    table.row([
-        "IDX-JOIN (paths/s)".to_string(),
-        sci(enm.join_ref_paths_per_sec),
-        sci(enm.join_opt_paths_per_sec),
-        format!("{:.2}x", enm.join_speedup),
-    ]);
-    table.row([
-        "warm allocs/query".to_string(),
-        format!("{ref_allocs}"),
-        format!("{opt_allocs}"),
-        if opt_allocs == 0 {
-            "inf".to_string()
-        } else {
-            "-".to_string()
-        },
-    ]);
-    table.row([
-        "index probe (ns)".to_string(),
-        String::new(),
-        sci(probe_ns),
-        String::new(),
-    ]);
-    table.print();
-
-    let geomean = geometric_mean(
-        &[
-            bfs.speedup.min(1e6),
-            enm.dfs_speedup.min(1e6),
-            enm.join_speedup.min(1e6),
-        ],
-        1e-9,
+    optimized(); // warms the arena
+    let arena = thread_scratch_heap_bytes();
+    let warm = events_over_reps(&mut optimized);
+    assert_eq!(
+        arena,
+        thread_scratch_heap_bytes(),
+        "warm queries must not grow the enumeration arena"
     );
-    let alloc_win = opt_allocs == 0 && ref_allocs > 0;
-    let criteria_met =
-        u32::from(bfs.speedup >= 1.5) + u32::from(enm.join_speedup >= 1.5) + u32::from(alloc_win);
+    assert_eq!(
+        warm, 0,
+        "warm optimized kernels must not allocate (total over {REPS} queries)"
+    );
+    assert!(results > 0, "the measured queries enumerate paths");
+
+    let oracle = events_over_reps(|| {
+        let mut sink = CountingSink::default();
+        idx_join_reference(&index, cut, &mut sink, &mut Counters::default());
+        idx_dfs(&index, &mut sink, &mut Counters::default());
+    }) / REPS;
     assert!(
-        criteria_met >= 2,
-        "perf trajectory regressed: only {criteria_met}/3 criteria at >=1.5x \
-         (bfs {:.2}x, join {:.2}x, alloc_win {alloc_win})",
-        bfs.speedup,
-        enm.join_speedup,
-    );
-    println!(
-        "perf assertions passed: {criteria_met}/3 criteria at >=1.5x, \
-         geomean kernel speedup {geomean:.2}x"
+        oracle > 0,
+        "the counter must see the oracle kernels allocate"
     );
 
-    write_bench_json(
-        "BENCH_perf.json",
-        &[
-            ("bfs_naive_ns_per_edge", bfs.naive_ns_per_edge),
-            ("bfs_opt_ns_per_edge", bfs.opt_ns_per_edge),
-            ("bfs_speedup", bfs.speedup),
-            ("index_probe_ns", probe_ns),
-            ("dfs_reference_paths_per_sec", enm.dfs_ref_paths_per_sec),
-            ("dfs_opt_paths_per_sec", enm.dfs_opt_paths_per_sec),
-            ("dfs_speedup", enm.dfs_speedup),
-            ("join_reference_paths_per_sec", enm.join_ref_paths_per_sec),
-            ("join_opt_paths_per_sec", enm.join_opt_paths_per_sec),
-            ("join_speedup", enm.join_speedup),
-            ("warm_allocs_per_query_reference", ref_allocs as f64),
-            ("warm_allocs_per_query_opt", opt_allocs as f64),
-            ("geomean_speedup", geomean),
-            ("criteria_met", f64::from(criteria_met)),
-            ("quick", f64::from(u8::from(quick))),
-            ("seed", config.seed as f64),
-        ],
+    println!(
+        "perf assertions passed: {warm} allocation events per warm query (IDX-DFS + IDX-JOIN, \
+         {results} paths, arena stable at {arena} bytes); oracle kernels: {oracle} per query"
     );
 }

@@ -1,5 +1,7 @@
-//! Benchmark harness regenerating every table and figure of the PathEnum
-//! paper's evaluation (Section 7 + Appendix F) on the dataset proxies.
+//! Experiment harness regenerating every table and figure of the PathEnum
+//! paper's evaluation (Section 7 + Appendix F) on the dataset proxies,
+//! plus the two measurements `benchmark/` cannot take (see
+//! [`experiments`]).
 //!
 //! Each experiment is a module under [`experiments`] with a single
 //! `run(&ExperimentConfig)` entry point that prints the corresponding
@@ -9,7 +11,7 @@
 //! Absolute numbers differ from the paper (proxy graphs, scaled time
 //! limits, Rust vs C++); the *shape* — which algorithm wins, by what
 //! order of magnitude, where crossovers happen — is what these harnesses
-//! reproduce. EXPERIMENTS.md records paper-vs-measured per experiment.
+//! reproduce.
 
 pub mod alloc;
 pub mod config;

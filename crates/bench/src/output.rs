@@ -79,38 +79,6 @@ pub fn banner(title: &str) {
     println!("=== {title} ===");
 }
 
-/// Renders a flat list of numeric fields as a JSON object (hand-rolled —
-/// the workspace takes no serde dependency). Non-finite values become
-/// `null`.
-pub fn json_object(fields: &[(&str, f64)]) -> String {
-    let body: Vec<String> = fields
-        .iter()
-        .map(|(key, value)| {
-            let rendered = if value.is_finite() {
-                // `f64`'s `Display` never prints exponents, so the
-                // rendering is always valid JSON.
-                format!("{value}")
-            } else {
-                "null".to_string()
-            };
-            format!("  \"{key}\": {rendered}")
-        })
-        .collect();
-    format!("{{\n{}\n}}\n", body.join(",\n"))
-}
-
-/// Writes `fields` as a JSON object to `path` (relative to the working
-/// directory, which is the repo root under `cargo run`) and announces
-/// the write. Used by the serving experiments to leave a machine-readable
-/// perf trail (`BENCH_serve.json`, `BENCH_overload.json`) for trend
-/// tracking across PRs.
-pub fn write_bench_json(path: &str, fields: &[(&str, f64)]) {
-    match std::fs::write(path, json_object(fields)) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,15 +109,5 @@ mod tests {
         let mut t = Table::new(["a", "b", "c"]);
         t.row(["x"]);
         assert_eq!(t.rows[0].len(), 3);
-    }
-
-    #[test]
-    fn json_object_renders_flat_numeric_fields() {
-        let json = json_object(&[("throughput", 1234.5), ("p99_ms", 0.25), ("bad", f64::NAN)]);
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
-        assert!(json.contains("\"throughput\": 1234.5,"));
-        assert!(json.contains("\"p99_ms\": 0.25,"));
-        assert!(json.contains("\"bad\": null"));
     }
 }

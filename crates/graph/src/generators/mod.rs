@@ -3,7 +3,7 @@
 //! The paper evaluates on 15 real-world graphs (SNAP / networkrepository).
 //! Those datasets are not redistributable inside this repository, so the
 //! workload layer substitutes generated graphs whose degree regime matches
-//! each dataset's *type* (see `pathenum-workloads::datasets` and DESIGN.md).
+//! each dataset's *type* (see `pathenum-workloads::datasets`).
 //! The generators here are the primitives that substitution is built from:
 //!
 //! * [`erdos_renyi`](fn@erdos_renyi) — uniform random digraphs (near-regular degrees), the

@@ -5,8 +5,7 @@
 //! each frame holds the cursor into its `I_t` slice. Production services
 //! favor this form for stack safety under adversarial `k` and because the
 //! enumeration state can be suspended between emissions — the shape an
-//! incremental/paginated API needs. It also serves as the ablation
-//! partner for the recursion-overhead question in DESIGN.md.
+//! incremental/paginated API needs.
 
 use pathenum_graph::epoch::EpochStamps;
 use pathenum_graph::VertexId;

@@ -1,10 +1,10 @@
 //! Intra-query parallel enumeration.
 //!
 //! The paper's algorithms are single-threaded per query; the request
-//! layer until now only exploited parallelism *across* queries
-//! (`pathenum-workloads::parallel`). This module parallelizes the search
-//! *inside* one query, which is what cuts tail latency when a single
-//! heavy query dominates a latency budget:
+//! layer otherwise exploits parallelism only *across* queries (the
+//! [`service`](crate::service) worker pool). This module parallelizes
+//! the search *inside* one query, which is what cuts tail latency when
+//! a single heavy query dominates a latency budget:
 //!
 //! * **T-DFS** — the index-pruned neighborhood of `s` decomposes the
 //!   search tree into independent subtrees. [`parallel_dfs`] splits the

@@ -210,12 +210,17 @@ pub(crate) fn plan_key(
 /// The result-cache key for a request, or `None` when its *results* are
 /// not cacheable: bypass flags (either layer's), explain requests (they
 /// never enumerate), accumulative/automaton constraints, and
-/// unfingerprinted predicates.
-fn result_key(config: PathEnumConfig, request: &QueryRequest<'_>) -> Option<ResultKey> {
+/// unfingerprinted predicates. `threads` is what the request will run
+/// with, which decides the order of its answer.
+fn result_key(
+    config: PathEnumConfig,
+    request: &QueryRequest<'_>,
+    threads: usize,
+) -> Option<ResultKey> {
     if request.bypass_cache || request.bypass_result_cache || request.explain {
         return None;
     }
-    ResultKey::for_request(request, effective_config(config, request))
+    ResultKey::for_request(request, effective_config(config, request), threads)
 }
 
 /// The pre-flight stopping rules shared by every evaluator: a request
@@ -304,7 +309,7 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
     ) -> Acquired {
         let mut key = None;
         if self.store.max_result_bytes().is_some() {
-            key = result_key(self.config, request);
+            key = result_key(self.config, request, self.threads);
             match &key {
                 Some(key) => {
                     let at = GraphStamp::of(self.graph);

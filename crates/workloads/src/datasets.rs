@@ -5,10 +5,9 @@
 //! reproduction anyway. Each proxy is generated to match its original's
 //! *type* (citation / web / social / recommendation / biological) and
 //! degree regime (average degree, heavy-tailed or near-uniform), scaled
-//! down roughly three orders of magnitude. DESIGN.md documents why this
-//! preserves the phenomena the evaluation measures: the relative behavior
-//! of the algorithms is driven by density and degree skew, not by vertex
-//! identities.
+//! down roughly three orders of magnitude. This preserves the phenomena
+//! the evaluation measures: the relative behavior of the algorithms is
+//! driven by density and degree skew, not by vertex identities.
 //!
 //! All proxies are deterministic (fixed seeds), so experiment runs are
 //! reproducible.

@@ -10,29 +10,17 @@
 //! * [`runner`] — per-query measurement with time limits (query time,
 //!   throughput, response time), plus the aggregation helpers the tables
 //!   and figures need (means, percentiles, CDFs, log-log regression).
-//! * [`streaming`] — update→query streams over a dynamic graph, replayed
-//!   under snapshot-per-update vs overlay vs overlay+retained-cache
-//!   serving strategies.
-//! * [`serving`] — open/closed-loop multi-client load harnesses over the
-//!   concurrent [`PathEnumService`](pathenum::PathEnumService), plus the
-//!   open-loop overload driver over the admission-controlled
-//!   [`CatalogService`](pathenum::CatalogService).
+//! * [`serving`] — the open-loop overload driver over the
+//!   admission-controlled [`CatalogService`](pathenum::CatalogService),
+//!   the harness behind `reproduce overload`.
 
 pub mod algorithms;
 pub mod datasets;
-pub mod parallel;
 pub mod querygen;
 pub mod runner;
 pub mod serving;
-pub mod streaming;
 
 pub use algorithms::{AlgoReport, Algorithm};
-pub use parallel::{run_parallel, run_parallel_intra, ParallelOutcome};
-pub use querygen::{generate_queries, skewed_stream, QueryGenConfig, QuerySetting};
+pub use querygen::{generate_queries, QueryGenConfig, QuerySetting};
 pub use runner::{run_query, MeasureConfig, QueryMeasurement};
-pub use serving::{
-    run_closed_loop, run_open_loop, run_overload, OverloadReport, ServingBounds, ServingSummary,
-};
-pub use streaming::{
-    generate_stream, run_stream, StreamConfig, StreamOp, StreamRunSummary, StreamStrategy,
-};
+pub use serving::{run_overload, OverloadReport};

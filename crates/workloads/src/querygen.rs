@@ -116,19 +116,6 @@ pub fn generate_queries(graph: &CsrGraph, config: QueryGenConfig) -> Vec<Query> 
     queries
 }
 
-/// Expands a distinct query set into the skewed read stream the serving
-/// experiments replay: every query recurs `repeats` times, round-robin
-/// (`q0 q1 .. qn q0 q1 ..`), which is the worst case for a tiny cache
-/// and representative of production read skew for a large one.
-pub fn skewed_stream(distinct: &[Query], repeats: usize) -> Vec<Query> {
-    distinct
-        .iter()
-        .cycle()
-        .take(distinct.len() * repeats)
-        .copied()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,18 +168,6 @@ mod tests {
         let g = pathenum_graph::generators::erdos_renyi(50, 0, 0);
         let cfg = QueryGenConfig::paper_default(5, 4, 1);
         assert!(generate_queries(&g, cfg).is_empty());
-    }
-
-    #[test]
-    fn skewed_stream_is_round_robin() {
-        let g = datasets::gg();
-        let distinct = generate_queries(&g, QueryGenConfig::paper_default(3, 4, 11));
-        let stream = skewed_stream(&distinct, 4);
-        assert_eq!(stream.len(), 12);
-        for (i, q) in stream.iter().enumerate() {
-            assert_eq!(*q, distinct[i % distinct.len()]);
-        }
-        assert!(skewed_stream(&[], 5).is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use pathenum::query::Query;
 use pathenum::sink::{CountingSink, PathSink, SearchControl};
-use pathenum::{ControlledSink, PlanCacheStats, QueryEngine, QueryRequest, Termination};
+use pathenum::{ControlledSink, QueryEngine, QueryRequest, Termination};
 use pathenum_graph::CsrGraph;
 
 use crate::algorithms::{AlgoReport, Algorithm};
@@ -219,75 +219,6 @@ pub fn summarize(measurements: Vec<QueryMeasurement>) -> SetSummary {
     }
 }
 
-/// Aggregate of serving a (possibly repetitive) request stream through a
-/// caching [`QueryEngine`] — the serving-side counterpart of
-/// [`run_query_set`], reporting plan-cache effectiveness alongside
-/// latency. Real request streams are skewed; the cache hit rate is the
-/// fraction of requests that skipped BFS + index build entirely.
-#[derive(Debug, Clone)]
-pub struct CachedStreamSummary {
-    /// Per-request wall-clock latencies, in request order.
-    pub latencies: Vec<Duration>,
-    /// Total wall-clock across the stream.
-    pub total: Duration,
-    /// Total results produced.
-    pub results: u64,
-    /// Plan-cache statistics accumulated *by this stream* (deltas, not
-    /// the engine's lifetime counters).
-    pub cache: PlanCacheStats,
-}
-
-impl CachedStreamSummary {
-    /// Mean per-request latency in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        mean_ms(&self.latencies)
-    }
-
-    /// Fraction of requests served from the plan cache.
-    pub fn hit_rate(&self) -> f64 {
-        self.cache.hit_rate()
-    }
-}
-
-/// Serves `queries` through `engine` in order, each bounded by the
-/// per-query time limit, and reports latency plus the plan-cache
-/// hits/misses/invalidations the stream generated.
-pub fn run_cached_stream(
-    engine: &mut QueryEngine<'_>,
-    queries: &[Query],
-    config: MeasureConfig,
-) -> CachedStreamSummary {
-    let before = engine.cache_stats();
-    let mut latencies = Vec::with_capacity(queries.len());
-    let mut results = 0u64;
-    let total_start = Instant::now();
-    for &query in queries {
-        let request = QueryRequest::from_query(query).time_budget(config.time_limit);
-        let start = Instant::now();
-        let response = engine
-            .execute(&request)
-            .expect("harness queries are in range for the graph");
-        latencies.push(start.elapsed());
-        results += response.num_results();
-    }
-    let total = total_start.elapsed();
-    let after = engine.cache_stats();
-    CachedStreamSummary {
-        latencies,
-        total,
-        results,
-        cache: after.since(&before),
-    }
-}
-
-/// Mean of durations in milliseconds.
-pub fn mean_ms(durations: &[Duration]) -> f64 {
-    if durations.is_empty() {
-        return 0.0;
-    }
-    durations.iter().map(|d| d.as_secs_f64() * 1e3).sum::<f64>() / durations.len() as f64
-}
-
 /// The `pct`-th percentile (0..=100) of a set of durations, in
 /// milliseconds, by the nearest-rank method (Figure 8's 99.9% latency).
 pub fn percentile_ms(durations: &[Duration], pct: f64) -> f64 {
@@ -468,37 +399,6 @@ mod tests {
         assert_eq!(summary.measurements.len(), 5);
         assert!(summary.mean_query_time_ms >= 0.0);
         assert_eq!(summary.timeout_fraction, 0.0);
-    }
-
-    #[test]
-    fn cached_stream_reports_hits_for_repeated_queries() {
-        use pathenum::PathEnumConfig;
-        let g = datasets::gg();
-        let distinct = generate_queries(&g, QueryGenConfig::paper_default(3, 4, 5));
-        // A skewed stream: each distinct query repeated four times.
-        let stream: Vec<Query> = distinct
-            .iter()
-            .cycle()
-            .take(distinct.len() * 4)
-            .copied()
-            .collect();
-        let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
-        let summary = run_cached_stream(&mut engine, &stream, MeasureConfig::default());
-        assert_eq!(summary.latencies.len(), stream.len());
-        assert_eq!(summary.cache.misses, distinct.len() as u64);
-        assert_eq!(
-            summary.cache.hits,
-            (stream.len() - distinct.len()) as u64,
-            "every repeat is a hit"
-        );
-        assert!(summary.hit_rate() > 0.7);
-
-        // The same stream with caching makes the same results.
-        let mut cold_engine =
-            QueryEngine::with_cache(&g, PathEnumConfig::default(), pathenum::PlanCache::new(0));
-        let cold = run_cached_stream(&mut cold_engine, &stream, MeasureConfig::default());
-        assert_eq!(cold.results, summary.results);
-        assert_eq!(cold.cache.hits, 0);
     }
 
     #[test]

@@ -1,151 +1,15 @@
-//! Multi-client serving harnesses over [`PathEnumService`].
+//! Open-loop overload harness over the admission-controlled
+//! [`CatalogService`] — what `reproduce overload` drives.
 //!
-//! The table/figure runners measure one query at a time; a serving
-//! system is measured under *traffic*. Two canonical load models:
-//!
-//! * **closed loop** ([`run_closed_loop`]) — a fixed number of clients,
-//!   each issuing its next request the moment the previous one
-//!   completes. Throughput is bounded by `clients`; latency reflects
-//!   pure service time. This is the model behind the paper's
-//!   throughput metric, generalized to many concurrent clients.
-//! * **open loop** ([`run_open_loop`]) — requests *arrive* on a fixed
-//!   schedule regardless of completions (one dispatcher pacing
-//!   arrivals into [`PathEnumService::submit`]). Latency here is the
-//!   *sojourn* time from intended arrival to completion, so queueing
-//!   delay under overload is visible — the metric a production SLA
-//!   actually cares about.
-//!
-//! Both replay a query list in order and report per-request latencies
-//! (input order), per-request result counts, the wall clock, and the
-//! shared-cache statistics delta the replay generated.
+//! Requests *arrive* on a fixed schedule regardless of completions, and
+//! latency is the *sojourn* from intended arrival to completion or
+//! rejection, so queueing delay under overload — or the fast shed that
+//! replaces it — is what the report measures. Closed-loop serving is
+//! measured by `benchmark/`.
 
 use std::time::{Duration, Instant};
 
-use pathenum::query::Query;
-use pathenum::{
-    CatalogOutcome, CatalogRequest, CatalogService, Lane, PathEnumError, PathEnumService,
-    QueryRequest, SharedCacheStats,
-};
-
-/// Per-request bounds applied to every harness request.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServingBounds {
-    /// Result limit per request (`None` = enumerate everything).
-    pub limit: Option<u64>,
-    /// Time budget per request (`None` = unbounded).
-    pub time_budget: Option<Duration>,
-    /// Collect result paths into every response (for identity checks
-    /// against an oracle), not just counts.
-    pub collect: bool,
-}
-
-impl ServingBounds {
-    fn request(&self, query: Query) -> QueryRequest<'static> {
-        let mut request = QueryRequest::from_query(query);
-        if let Some(limit) = self.limit {
-            request = request.limit(limit);
-        }
-        if let Some(budget) = self.time_budget {
-            request = request.time_budget(budget);
-        }
-        if self.collect {
-            request = request.collect_paths(true);
-        }
-        request
-    }
-}
-
-/// Outcome of one serving replay.
-#[derive(Debug, Clone)]
-pub struct ServingSummary {
-    /// Per-request latency, in input order. Closed loop: service time;
-    /// open loop: sojourn time (queueing included).
-    pub latencies: Vec<Duration>,
-    /// Per-request result counts, in input order.
-    pub results: Vec<u64>,
-    /// Wall-clock time of the whole replay.
-    pub wall: Duration,
-    /// Shared-cache statistics generated by this replay (a delta).
-    pub cache: SharedCacheStats,
-}
-
-impl ServingSummary {
-    /// Requests completed per wall-clock second.
-    pub fn throughput(&self) -> f64 {
-        self.latencies.len() as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Mean per-request latency in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        crate::runner::mean_ms(&self.latencies)
-    }
-
-    /// Total results across the replay.
-    pub fn total_results(&self) -> u64 {
-        self.results.iter().sum()
-    }
-}
-
-/// Closed-loop replay: the service's own worker pool is the client set —
-/// the whole stream is queued and the pool keeps exactly
-/// [`PathEnumService::workers`] requests in flight, each next request
-/// dispatched the moment a worker frees up.
-pub fn run_closed_loop(
-    service: &PathEnumService,
-    queries: &[Query],
-    bounds: ServingBounds,
-) -> ServingSummary {
-    let requests: Vec<QueryRequest<'static>> = queries.iter().map(|&q| bounds.request(q)).collect();
-    let report = service.serve(requests);
-    ServingSummary {
-        results: report
-            .responses
-            .iter()
-            .map(|r| r.as_ref().map_or(0, |response| response.num_results()))
-            .collect(),
-        latencies: report.latencies,
-        wall: report.wall,
-        cache: report.cache,
-    }
-}
-
-/// Open-loop replay: requests are submitted at a fixed `interval`
-/// (arrival `i` is intended at `start + i * interval`; a late dispatcher
-/// submits immediately without re-pacing). Latency is measured from the
-/// *intended* arrival to completion, so sustained overload shows up as
-/// growing sojourn times instead of silently slowing the arrival clock.
-pub fn run_open_loop(
-    service: &PathEnumService,
-    queries: &[Query],
-    interval: Duration,
-    bounds: ServingBounds,
-) -> ServingSummary {
-    let before = service.cache_stats();
-    let start = Instant::now();
-    let mut arrivals = Vec::with_capacity(queries.len());
-    let mut tickets = Vec::with_capacity(queries.len());
-    for (i, &query) in queries.iter().enumerate() {
-        let intended = start + interval * i as u32;
-        if let Some(wait) = intended.checked_duration_since(Instant::now()) {
-            std::thread::sleep(wait);
-        }
-        arrivals.push(intended);
-        tickets.push(service.submit(bounds.request(query)));
-    }
-    let mut latencies = Vec::with_capacity(queries.len());
-    let mut results = Vec::with_capacity(queries.len());
-    for (ticket, arrival) in tickets.into_iter().zip(arrivals) {
-        let outcome = ticket.wait_outcome();
-        latencies.push(outcome.finished.saturating_duration_since(arrival));
-        results.push(outcome.response.map_or(0, |r| r.num_results()));
-    }
-    ServingSummary {
-        latencies,
-        results,
-        wall: start.elapsed(),
-        cache: service.cache_stats().since(&before),
-    }
-}
+use pathenum::{CatalogOutcome, CatalogRequest, CatalogService, PathEnumError, QueryRequest};
 
 /// Outcome of one open-loop overload replay through a
 /// [`CatalogService`]: every arrival's full [`CatalogOutcome`] plus its
@@ -203,46 +67,17 @@ impl OverloadReport {
     pub fn goodput(&self, sla: Duration) -> f64 {
         self.within_sla(sla) as f64 / self.wall.as_secs_f64().max(1e-9)
     }
-
-    /// Sojourns of completed arrivals on `lane`, ascending.
-    fn lane_sojourns(&self, lane: Lane) -> Vec<Duration> {
-        let mut sojourns: Vec<Duration> = self
-            .outcomes
-            .iter()
-            .zip(&self.sojourns)
-            .filter(|(o, _)| o.response.is_ok() && o.lane() == Some(lane))
-            .map(|(_, &s)| s)
-            .collect();
-        sojourns.sort();
-        sojourns
-    }
-
-    /// The `p`-th percentile sojourn of completed arrivals on `lane`
-    /// (`None` if the lane completed nothing).
-    pub fn lane_percentile(&self, lane: Lane, p: f64) -> Option<Duration> {
-        let sojourns = self.lane_sojourns(lane);
-        if sojourns.is_empty() {
-            return None;
-        }
-        let rank = ((p / 100.0) * (sojourns.len() as f64 - 1.0)).round() as usize;
-        Some(sojourns[rank.min(sojourns.len() - 1)])
-    }
-
-    /// Completed arrivals on `lane`.
-    pub fn lane_completed(&self, lane: Lane) -> usize {
-        self.lane_sojourns(lane).len()
-    }
 }
 
 /// Open-loop overload replay through an admission-controlled
-/// [`CatalogService`]: arrivals are paced at `interval` and every
-/// arrival is submitted for `tenant` against the graph registered as
+/// [`CatalogService`]: `requests` arrive in order, paced at `interval`,
+/// each submitted for `tenant` against the graph registered as
 /// `graph_name`. Sojourns run from the *intended* arrival, so queueing
 /// delay — or the fast rejection that replaces it — is what the report
 /// measures.
 ///
-/// Unlike [`run_open_loop`], pacing re-anchors when the submitter
-/// itself falls behind schedule: the next intended arrival is
+/// Pacing re-anchors when the submitter itself falls behind schedule:
+/// the next intended arrival is
 /// `max(previous + interval, now)`. A submitter descheduled for a few
 /// milliseconds on a noisy machine thus resumes at the configured rate
 /// instead of compressing the missed arrivals into a burst the measured
@@ -254,19 +89,18 @@ pub fn run_overload(
     service: &CatalogService,
     graph_name: &str,
     tenant: &str,
-    queries: &[Query],
+    requests: Vec<QueryRequest<'static>>,
     interval: Duration,
-    bounds: ServingBounds,
 ) -> OverloadReport {
     let start = Instant::now();
-    let mut arrivals = Vec::with_capacity(queries.len());
-    let mut tickets = Vec::with_capacity(queries.len());
+    let mut arrivals = Vec::with_capacity(requests.len());
+    let mut tickets = Vec::with_capacity(requests.len());
     // `thread::sleep` overshoots by tens of microseconds — enough to
     // silently halve a microsecond-scale arrival rate. Sleep only to
     // within a coarse margin of the intended instant, then spin.
     const SPIN_MARGIN: Duration = Duration::from_micros(200);
     let mut intended = start;
-    for (i, &query) in queries.iter().enumerate() {
+    for (i, request) in requests.into_iter().enumerate() {
         if i > 0 {
             intended += interval;
         }
@@ -281,14 +115,10 @@ pub fn run_overload(
             intended = Instant::now();
         }
         arrivals.push(intended);
-        tickets.push(service.submit(CatalogRequest::new(
-            graph_name,
-            tenant,
-            bounds.request(query),
-        )));
+        tickets.push(service.submit(CatalogRequest::new(graph_name, tenant, request)));
     }
-    let mut outcomes = Vec::with_capacity(queries.len());
-    let mut sojourns = Vec::with_capacity(queries.len());
+    let mut outcomes = Vec::with_capacity(tickets.len());
+    let mut sojourns = Vec::with_capacity(tickets.len());
     for (ticket, arrival) in tickets.into_iter().zip(arrivals) {
         let outcome = ticket.wait_outcome();
         sojourns.push(outcome.finished.saturating_duration_since(arrival));
@@ -306,7 +136,8 @@ mod tests {
     use super::*;
     use crate::datasets;
     use crate::querygen::{generate_queries, QueryGenConfig};
-    use pathenum::{CountingSink, PathEnumConfig, QueryEngine, ServiceConfig};
+    use pathenum::query::Query;
+    use pathenum::{CountingSink, PathEnumConfig, QueryEngine};
     use std::sync::Arc;
 
     fn skewed_stream(distinct: &[Query], repeats: usize) -> Vec<Query> {
@@ -333,60 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_matches_sequential_counts_and_hits() {
-        let graph = Arc::new(datasets::gg());
-        let distinct = generate_queries(&graph, QueryGenConfig::paper_default(4, 4, 5));
-        let stream = skewed_stream(&distinct, 4);
-        let expected = sequential_counts(&graph, &stream);
-        for workers in [1usize, 2, 4] {
-            let service = PathEnumService::with_config(
-                Arc::clone(&graph),
-                PathEnumConfig::default(),
-                ServiceConfig {
-                    workers,
-                    ..ServiceConfig::default()
-                },
-            );
-            let summary = run_closed_loop(&service, &stream, ServingBounds::default());
-            assert_eq!(summary.results, expected, "workers={workers}");
-            assert_eq!(summary.latencies.len(), stream.len());
-            assert!(summary.cache.hits > 0, "repeats must share the cache");
-            assert_eq!(
-                summary.cache.hits + summary.cache.misses + summary.cache.bypasses,
-                summary.cache.lookups
-            );
-            assert!(summary.throughput() > 0.0);
-        }
-    }
-
-    #[test]
-    fn open_loop_completes_every_arrival() {
-        let graph = Arc::new(datasets::gg());
-        let distinct = generate_queries(&graph, QueryGenConfig::paper_default(3, 4, 9));
-        let stream = skewed_stream(&distinct, 3);
-        let expected = sequential_counts(&graph, &stream);
-        let service = PathEnumService::with_config(
-            Arc::clone(&graph),
-            PathEnumConfig::default(),
-            ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::default()
-            },
-        );
-        let summary = run_open_loop(
-            &service,
-            &stream,
-            Duration::from_micros(200),
-            ServingBounds::default(),
-        );
-        assert_eq!(summary.results, expected);
-        // Sojourn latency includes queueing, so it is at least the
-        // service time of something; mostly we assert it is recorded.
-        assert_eq!(summary.latencies.len(), stream.len());
-        assert_eq!(summary.cache.lookups, stream.len() as u64);
-    }
-
-    #[test]
     fn overload_replay_accounts_for_every_arrival() {
         use pathenum::{AdmissionConfig, CatalogConfig};
 
@@ -394,6 +171,12 @@ mod tests {
         let distinct = generate_queries(&graph, QueryGenConfig::paper_default(3, 4, 7));
         let stream = skewed_stream(&distinct, 4);
         let expected = sequential_counts(&graph, &stream);
+        let requests = || {
+            stream
+                .iter()
+                .map(|&q| QueryRequest::from_query(q))
+                .collect()
+        };
 
         // Admission disabled: every arrival completes, matching the
         // sequential engine.
@@ -409,9 +192,8 @@ mod tests {
             &calm,
             "gg",
             "tenant-a",
-            &stream,
+            requests(),
             Duration::from_micros(100),
-            ServingBounds::default(),
         );
         assert_eq!(report.arrivals(), stream.len());
         assert_eq!(report.shed(), 0);
@@ -442,30 +224,10 @@ mod tests {
             &tight,
             "gg",
             "tenant-a",
-            &stream,
+            requests(),
             Duration::from_micros(10),
-            ServingBounds::default(),
         );
         assert_eq!(report.completed() + report.shed(), stream.len());
         assert!(report.shed_rate() >= 0.0);
-    }
-
-    #[test]
-    fn bounds_apply_to_every_request() {
-        let graph = Arc::new(datasets::gg());
-        let distinct = generate_queries(&graph, QueryGenConfig::paper_default(3, 5, 2));
-        let service = PathEnumService::new(Arc::clone(&graph), PathEnumConfig::default());
-        let summary = run_closed_loop(
-            &service,
-            &distinct,
-            ServingBounds {
-                limit: Some(5),
-                time_budget: Some(Duration::from_secs(2)),
-                collect: false,
-            },
-        );
-        for &count in &summary.results {
-            assert!(count <= 5);
-        }
     }
 }

@@ -13,8 +13,8 @@
 //!   a time budget" directly;
 //! * the PLL-backed global existence filter (paper §7.5) in front of
 //!   the service;
-//! * closed-loop and open-loop multi-client replays
-//!   (`workloads::serving`), and fire-and-forget `submit` tickets.
+//! * a closed-loop replay through [`PathEnumService::serve`], an
+//!   open-loop one paced into `submit`, and fire-and-forget tickets.
 //!
 //! ```text
 //! cargo run --release --example realtime_service
@@ -26,7 +26,6 @@ use std::time::{Duration, Instant};
 use pathenum_repro::core::global::GlobalIndexedGraph;
 use pathenum_repro::prelude::*;
 use pathenum_repro::workloads::runner::percentile_ms;
-use pathenum_repro::workloads::serving::{run_closed_loop, run_open_loop, ServingBounds};
 use pathenum_repro::workloads::{datasets, generate_queries, QueryGenConfig};
 
 fn main() {
@@ -84,10 +83,21 @@ fn main() {
             ..ServiceConfig::default()
         },
     );
-    let bounds = ServingBounds {
-        limit: Some(1000),
-        time_budget: Some(Duration::from_millis(250)),
-        collect: false,
+    let requests = || -> Vec<QueryRequest<'static>> {
+        admissible
+            .iter()
+            .map(|&q| {
+                QueryRequest::from_query(q)
+                    .limit(1000)
+                    .time_budget(Duration::from_millis(250))
+            })
+            .collect()
+    };
+    let counts = |responses: &[Result<QueryResponse, PathEnumError>]| -> Vec<u64> {
+        responses
+            .iter()
+            .map(|r| r.as_ref().map_or(0, QueryResponse::num_results))
+            .collect()
     };
     println!(
         "service: {} workers, cache capacity {} over 8 shards",
@@ -96,7 +106,7 @@ fn main() {
     );
 
     // Closed-loop replay: the pool keeps `workers` requests in flight.
-    let cold = run_closed_loop(&service, &admissible, bounds);
+    let cold = service.serve(requests());
     println!(
         "\nclosed loop (cold): {} queries in {:.2?} ({:.0} req/s), {} paths",
         admissible.len(),
@@ -115,7 +125,7 @@ fn main() {
     // shared cache. Every repeated (s, t, k) skips BFS + index build on
     // whichever worker serves it — the cache is shared, so it does not
     // matter which worker warmed the entry.
-    let warm = run_closed_loop(&service, &admissible, bounds);
+    let warm = service.serve(requests());
     let stats = service.cache_stats();
     println!(
         "\nclosed loop (warm): latency p50 = {:.3} ms, p99 = {:.3} ms",
@@ -131,23 +141,42 @@ fn main() {
         8,
     );
     assert_eq!(
-        warm.results, cold.results,
+        counts(&warm.responses),
+        counts(&cold.responses),
         "warm replay must reproduce the cold results"
     );
     assert!(stats.hits > 0, "the warm replay must hit the shared cache");
 
-    // Open-loop replay: arrivals on a fixed schedule, latency measured
-    // from intended arrival to completion — queueing delay included.
+    // Open-loop replay: arrivals on a fixed schedule whatever has
+    // completed, latency measured from intended arrival to completion —
+    // queueing delay included.
     let interval = Duration::from_micros(500);
-    let open = run_open_loop(&service, &admissible, interval, bounds);
+    let start = Instant::now();
+    let tickets: Vec<(Instant, Ticket)> = requests()
+        .into_iter()
+        .enumerate()
+        .map(|(i, request)| {
+            let intended = start + interval * i as u32;
+            std::thread::sleep(intended.saturating_duration_since(Instant::now()));
+            (intended, service.submit(request))
+        })
+        .collect();
+    let mut sojourns = Vec::with_capacity(tickets.len());
+    let mut open = Vec::with_capacity(tickets.len());
+    for (intended, ticket) in tickets {
+        let outcome = ticket.wait_outcome();
+        sojourns.push(outcome.finished.saturating_duration_since(intended));
+        open.push(outcome.response);
+    }
     println!(
         "\nopen loop ({}us arrival interval): sojourn p50 = {:.3} ms, p99 = {:.3} ms",
         interval.as_micros(),
-        percentile_ms(&open.latencies, 50.0),
-        percentile_ms(&open.latencies, 99.0),
+        percentile_ms(&sojourns, 50.0),
+        percentile_ms(&sojourns, 99.0),
     );
     assert_eq!(
-        open.results, cold.results,
+        counts(&open),
+        counts(&cold.responses),
         "open loop reproduces the results"
     );
 

@@ -3,7 +3,8 @@
 //! image (raw or varint-compressed) serves *identical* adjacency — same
 //! neighbors, same strictly ascending order, same degrees — which is
 //! what makes enumeration results byte-identical across
-//! representations. Compressed cache footprints ([`CompactBits`]) must
+//! representations, and one proptest executes requests on all three to
+//! say so directly. Compressed cache footprints ([`CompactBits`]) must
 //! agree with the dense oracle ([`DenseBits`]) on every membership
 //! decision a retention check could make, and corrupted or truncated
 //! serialized streams must fail loudly (or, where a format carries no
@@ -102,6 +103,43 @@ proptest! {
                     in_row(&graph, v),
                     "{} in row of {}", handle.representation(), v
                 );
+            }
+        }
+    }
+
+    /// Served paths across representations: one request executed on the
+    /// heap CSR, the raw frozen image and the varint one, each behind a
+    /// [`GraphHandle`], returns the same paths in the same order under
+    /// both forced methods.
+    #[test]
+    fn requests_on_frozen_graphs_return_the_heap_paths_in_order(
+        n in 3u32..10,
+        edges in proptest::collection::vec((0u32..10, 0u32..10), 10..90),
+        k in 2u32..6,
+    ) {
+        let graph = graph_from_edges(n, &edges);
+        let handles = [
+            GraphHandle::from(graph.clone()),
+            GraphHandle::from(frozen_from(&graph, false)),
+            GraphHandle::from(frozen_from(&graph, true)),
+        ];
+        for method in [Method::IdxDfs, Method::IdxJoin] {
+            let request = QueryRequest::paths(0, n - 1)
+                .max_hops(k)
+                .method(method)
+                .collect_paths(true);
+            let served = handles.each_ref().map(|handle| {
+                QueryEngine::new(handle, PathEnumConfig::default())
+                    .execute(&request)
+                    .expect("endpoints are in range")
+            });
+            for (response, handle) in served.iter().zip(&handles).skip(1) {
+                prop_assert_eq!(
+                    &response.paths,
+                    &served[0].paths,
+                    "{} under {}", handle.representation(), method
+                );
+                prop_assert_eq!(response.termination, served[0].termination);
             }
         }
     }
