@@ -15,7 +15,8 @@ fn mib(bytes: u64) -> String {
 /// Runs the experiment and prints the table.
 pub fn run(config: &ExperimentConfig) {
     banner("Table 7: maximum memory consumption (MiB) of IDX-JOIN");
-    println!("index = light-weight index footprint; partials = materialized join tuples\n");
+    println!("index = light-weight index footprint (I_t, the one neighbor table built);");
+    println!("partials = materialized join tuples\n");
     let mut table = Table::new(["dataset", "k", "index MiB", "partials MiB"]);
     for (name, graph) in representative_graphs() {
         for k in config.k_sweep() {

@@ -8,8 +8,15 @@
 //!   `t`-padding), via the backward recurrence
 //!   `c_i^k(v) = sum_{v' in I_t(v, k-i-1)} c_{i+1}^k(v')`;
 //! * `prefix[i][v] = c_i^0(v)` — tuples of `Q[0 : i]` *ending* with `v`
-//!   (walk prefixes from `s`), via the mirrored recurrence over
-//!   `I_s(v, i-1)`.
+//!   (walk prefixes from `s`). The paper states the mirrored recurrence as
+//!   a pull, `sum_{p in I_s(v, i-1)} c_{i-1}^0(p)`; it runs here as a push
+//!   over the table the index holds: every `p` in `I(i-1)` adds
+//!   `c_{i-1}^0(p)` to each `v` in `I_t(p, k-i)`. An edge `(p, v)` of the
+//!   index has `p.s <= i-1` and `v.t <= k-i` exactly when `p` is in
+//!   `I(i-1)` with `v` in `I_t(p, k-i)`, and exactly when `v` is in `I(i)`
+//!   with `p` in `I_s(v, i-1)`, so both forms add the same terms into the
+//!   same cells, and a saturating sum of non-negative terms does not
+//!   depend on their order.
 //!
 //! Because the index stores every admissible edge, these DPs are *exact*
 //! walk counts, not estimates: `suffix[0][s] = |W(s, t, k, G)| = |Q|`.
@@ -61,12 +68,13 @@ impl FullEstimate {
                 prefix[0][v as usize] = 1;
             }
             for i in 1..=k {
-                for v in index.level(i) {
-                    let mut total = 0u64;
-                    for &p in index.i_s(v, i - 1) {
-                        total = total.saturating_add(prefix[i as usize - 1][p as usize]);
+                let (done, rest) = prefix.split_at_mut(i as usize);
+                let (from, into) = (&done[i as usize - 1], &mut rest[0]);
+                for p in index.level(i - 1) {
+                    let count = from[p as usize];
+                    for &v in index.i_t(p, k - i) {
+                        into[v as usize] = into[v as usize].saturating_add(count);
                     }
-                    prefix[i as usize][v as usize] = total;
                 }
             }
         }
@@ -180,6 +188,84 @@ mod tests {
         let paths = crate::reference::count_paths(&g, q);
         assert_eq!(est.total_walks(), walks);
         assert_eq!(walks, paths, "DAG walks are all simple");
+    }
+
+    /// The prefix table by the paper's pull recurrence over `I_s`: the
+    /// oracle `compute`'s push is held to.
+    fn pulled_prefix(index: &Index) -> Vec<Vec<u64>> {
+        let k = index.k();
+        let mut prefix = vec![vec![0u64; index.num_vertices()]; k as usize + 1];
+        let i_s = index.backward_table();
+        for v in index.level(0) {
+            prefix[0][v as usize] = 1;
+        }
+        for i in 1..=k {
+            for v in index.level(i) {
+                let mut total = 0u64;
+                for &p in i_s.neighbors_within(v, i - 1) {
+                    total = total.saturating_add(prefix[i as usize - 1][p as usize]);
+                }
+                prefix[i as usize][v as usize] = total;
+            }
+        }
+        prefix
+    }
+
+    /// Every prefix cell and sum of `compute` against the pull oracle,
+    /// and `|Q|` read from both ends. Returns the estimate for further
+    /// checks.
+    fn assert_push_matches_pull(g: &pathenum_graph::CsrGraph, q: Query) -> FullEstimate {
+        let index = Index::build(g, q);
+        let est = FullEstimate::compute(&index);
+        let pulled = pulled_prefix(&index);
+        assert_eq!(est.prefix, pulled, "{q:?}");
+        for (i, row) in pulled.iter().enumerate() {
+            let sum = row.iter().fold(0u64, |acc, &x| acc.saturating_add(x));
+            assert_eq!(est.prefix_sum(i as u32), sum, "{q:?} level {i}");
+        }
+        assert_eq!(est.prefix_sum(q.k), est.suffix_sum(0), "{q:?}");
+        est
+    }
+
+    #[test]
+    fn pushed_prefix_equals_the_pulled_one_cell_for_cell() {
+        let mut nonempty = 0;
+        let mut check = |g: &pathenum_graph::CsrGraph, q: Query| {
+            nonempty += usize::from(assert_push_matches_pull(g, q).total_walks() > 0);
+        };
+        check(&figure1_graph(), Query::new(S, T, 4).unwrap());
+        check(&figure1_graph(), Query::new(T, S, 4).unwrap());
+        for n in [4usize, 6, 8] {
+            for k in 2..=5u32 {
+                check(
+                    &complete_digraph(n),
+                    Query::new(0, (n - 1) as u32, k).unwrap(),
+                );
+            }
+        }
+        for seed in 0..20u64 {
+            let g = erdos_renyi(40, 200, seed);
+            check(&g, Query::new(0, 1, 2 + (seed % 5) as u32).unwrap());
+        }
+        let (g, s, t) = layered_dag(3, 4, 2, 21);
+        check(&g, Query::new(s, t, 4).unwrap());
+        assert!(
+            nonempty >= 25,
+            "only {nonempty} non-empty estimates compared"
+        );
+    }
+
+    #[test]
+    fn pushed_and_pulled_prefixes_saturate_in_the_same_cells() {
+        // 61^(i-1) walks end at each interior vertex of level i, which
+        // fits through level 11; the 62 · 61^10 that reach t at level 12
+        // do not, and neither does level 11 summed.
+        let est = assert_push_matches_pull(&complete_digraph(64), Query::new(0, 63, 12).unwrap());
+        let saturated = |i: usize| est.prefix[i].iter().filter(|&&c| c == u64::MAX).count();
+        assert_eq!(saturated(11), 0);
+        assert_eq!(est.prefix_sum(11), u64::MAX);
+        assert_eq!(saturated(12), 1);
+        assert_eq!(est.total_walks(), u64::MAX);
     }
 
     #[test]

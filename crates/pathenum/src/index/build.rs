@@ -15,7 +15,7 @@ const ABSENT: u32 = u32::MAX;
 ///
 /// The build needs three `vertex -> value` maps (the two boundary
 /// distance maps and the global-to-local id map), the flat row buffer
-/// both neighbor tables are filled from, and — only for the two-pass
+/// the neighbor table `I_t` is filled from, and — only for the two-pass
 /// boundary search a retention footprint needs — a BFS queue; the
 /// boundary sweep keeps its frontiers inside the maps' touched lists.
 /// Real-time workloads issue queries back-to-back on the same graph;
@@ -35,7 +35,7 @@ pub struct BuildScratch {
     full_reach: bool,
     queue: std::collections::VecDeque<VertexId>,
     local_of: EpochMap,
-    /// One side's admissible `(neighbor, key distance)` entries, row after
+    /// The admissible `(out-neighbor, distance-to-t)` entries, row after
     /// row in local-id order, and where each row starts (plus the end).
     rows: Vec<(LocalId, Distance)>,
     row_starts: Vec<u32>,
@@ -96,9 +96,12 @@ impl Index {
     /// its opposite label once the depths sum to `k`, so the sweep labels
     /// all of `X` exactly and nothing outside it — the two `≈k/2`-hop
     /// balls plus the adjacency of `X`, instead of the two `k`-hop balls.
-    /// One scan of `X`'s adjacency then fills both neighbor tables. If
-    /// the index proves the query empty (no s-t path within `k` hops),
-    /// an empty index is returned and [`Index::is_empty`] is true.
+    /// One scan of `X`'s out-adjacency then fills the neighbor table
+    /// `I_t` — the only one built: Algorithm 3's `I_s` is `I_t`
+    /// transposed, which nothing on the serving path reads (see
+    /// [`Index::backward_table`]). If the index proves the query empty
+    /// (no s-t path within `k` hops), an empty index is returned and
+    /// [`Index::is_empty`] is true.
     ///
     /// The one caller that needs more than `X` is the request pipeline on
     /// a graph with a mutation log: retention footprints are the *full*
@@ -267,53 +270,18 @@ impl Index {
         row_starts.push(rows.len() as u32);
         let fwd = NeighborTable::from_rows(k, rows, row_starts);
 
-        // Backward table: admissible in-neighbors keyed by
-        // distance-from-s. s gets no predecessors; t additionally gets the
-        // (t, t) padding loop, at its id position in the row.
-        rows.clear();
-        row_starts.clear();
-        for (local, &gv) in vertices.iter().enumerate() {
-            let row_start = rows.len();
-            row_starts.push(row_start as u32);
-            if gv == s {
-                continue;
-            }
-            let vt = local_dist_t[local];
-            graph.for_each_in(gv, |p| {
-                if p == t {
-                    return; // t never has real out-edges in the relations
-                }
-                let ps = dist_s.get(p as usize);
-                if dist_add(dist_add(ps, vt), 1) <= k {
-                    let p_local = local_of.get(p as usize);
-                    debug_assert_ne!(p_local, ABSENT, "admission implies membership");
-                    rows.push((p_local, ps));
-                }
-            });
-            if gv == t {
-                let at = rows[row_start..].partition_point(|&(id, _)| id < t_local);
-                rows.insert(row_start + at, (t_local, local_dist_s[local]));
-            }
-        }
-        row_starts.push(rows.len() as u32);
-        let bwd = NeighborTable::from_rows(k, rows, row_starts);
-
-        // Per-level statistics for the preliminary estimator.
+        // Per-level statistics for the preliminary estimator: v sits in
+        // the levels v.s ..= k - v.t and in no other.
         let mut level_sizes = vec![0u64; k as usize + 1];
         let mut level_expansion = vec![0u64; k as usize + 1];
-        for i in 0..=k {
-            let mut size = 0u64;
-            let mut expansion = 0u64;
-            for v in 0..vertices.len() as LocalId {
-                if local_dist_s[v as usize] <= i && local_dist_t[v as usize] <= k - i {
-                    size += 1;
-                    if i < k {
-                        expansion += fwd.neighbors_within(v, k - i - 1).len() as u64;
-                    }
+        for v in 0..vertices.len() {
+            for i in local_dist_s[v]..=k - local_dist_t[v] {
+                level_sizes[i as usize] += 1;
+                if i < k {
+                    level_expansion[i as usize] +=
+                        fwd.neighbors_within(v as LocalId, k - i - 1).len() as u64;
                 }
             }
-            level_sizes[i as usize] = size;
-            level_expansion[i as usize] = expansion;
         }
 
         let index = Index {
@@ -324,7 +292,6 @@ impl Index {
             dist_s: local_dist_s,
             dist_t: local_dist_t,
             fwd,
-            bwd,
             level_sizes,
             level_expansion,
         };
@@ -341,8 +308,7 @@ impl Index {
             vertices: Vec::new(),
             dist_s: Vec::new(),
             dist_t: Vec::new(),
-            fwd: NeighborTable::build(k, &[]),
-            bwd: NeighborTable::build(k, &[]),
+            fwd: NeighborTable::from_rows(k, &[], &[0]),
             level_sizes: vec![0; k as usize + 1],
             level_expansion: vec![0; k as usize + 1],
         }
@@ -492,9 +458,9 @@ mod tests {
             assert_eq!(again, index);
             assert_eq!(scratch.heap_bytes(), settled, "a warm build grew it");
         }
-        // The row buffer held the larger table's entries and is counted.
+        // The row buffer held the table's entries and is counted.
         let rows = std::mem::take(&mut scratch.rows);
-        assert!(rows.capacity() >= index.fwd.num_edges().max(index.bwd.num_edges()));
+        assert!(rows.capacity() >= index.fwd.num_edges());
         let entry = std::mem::size_of::<(LocalId, Distance)>();
         assert_eq!(settled - scratch.heap_bytes(), rows.capacity() * entry);
     }

@@ -7,16 +7,27 @@
 //! bucketed by distance so that the two lookups of the paper are O(1):
 //!
 //! * `I(i)`   — vertices that can sit at position `i` of a result;
-//! * `I_t(v, b)` — out-neighbors `v'` of `v` with `v'.t <= b`
-//!   (and symmetrically `I_s(v, b)` over in-neighbors with `v'.s <= b`,
-//!   which the full-fledged estimator's prefix DP uses).
+//! * `I_t(v, b)` — out-neighbors `v'` of `v` with `v'.t <= b`.
+//!
+//! **One table, where Algorithm 3 fills two.** The paper's index also
+//! holds `I_s(v, b)`, in-neighbors `v'` of `v` with `v'.s <= b`. No
+//! enumerator reads it, and the one serving computation the paper states
+//! over it — the full-fledged estimator's prefix DP — is the same sums
+//! pushed along `I_t` (see [`crate::estimator::FullEstimate`]). The two
+//! tables list one admissible edge set from its two ends, so an `Index`
+//! builds, holds and accounts for `I_t` alone, and
+//! [`Index::backward_table`] transposes it into `I_s` for the only reader
+//! left, the Figure 9 plan spectrum ([`crate::spectrum`]). Every result,
+//! estimate, method and cut is computed from `I_t`, the levels and the
+//! distances, all unchanged, so none can differ; the index a request
+//! builds and a cache keeps is half the size.
 //!
 //! The index works in a dense *local* id space (`LocalId`); paths are
 //! translated back to global ids at emission. The walk-closure conventions
 //! of the join model are baked in: `t`'s only forward neighbor is itself
-//! (the `(t, t)` padding self-loop), `s` has no backward neighbors, no
-//! forward list contains `s`, and no backward list contains `t` except the
-//! padding loop.
+//! (the `(t, t)` padding self-loop) and no forward list contains `s` —
+//! hence, transposed, `s` has no backward neighbors and no backward list
+//! contains `t` except the padding loop.
 
 mod build;
 mod neighbor_table;
@@ -62,8 +73,6 @@ pub struct Index {
     pub(crate) dist_t: Vec<Distance>,
     /// Forward table: out-neighbors keyed by distance-to-`t`.
     pub(crate) fwd: NeighborTable,
-    /// Backward table: in-neighbors keyed by distance-from-`s`.
-    pub(crate) bwd: NeighborTable,
     /// `|C_i|` for `i` in `0..=k`.
     pub(crate) level_sizes: Vec<u64>,
     /// `sum_{v in C_i} |I_t(v, k - i - 1)|` for `i` in `0..k`.
@@ -158,10 +167,13 @@ impl Index {
         self.fwd.raw_neighbors()
     }
 
-    /// `I_s(v, b)`: in-neighbors of `v` with distance-from-`s` `<= b`.
-    #[inline]
-    pub fn i_s(&self, v: LocalId, budget: Distance) -> &[LocalId] {
-        self.bwd.neighbors_within(v, budget)
+    /// Algorithm 3's `I_s` as a table of its own: `neighbors_within(v, b)`
+    /// is `I_s(v, b)`, the in-neighbors of `v` with distance-from-`s`
+    /// `<= b`. Derived by transposing `I_t` (`O(|E_I| + k·|X|)`, a fresh
+    /// allocation per call), so a caller that extends leftward — the
+    /// Figure 9 spectrum — takes it once per index.
+    pub fn backward_table(&self) -> NeighborTable {
+        self.fwd.transposed(&self.dist_s)
     }
 
     /// `I(i)`: local ids of vertices that may appear at position `i`
@@ -184,12 +196,12 @@ impl Index {
         self.level_expansion[i as usize]
     }
 
-    /// Approximate heap footprint in bytes (Table 7's "Index" row).
+    /// Approximate heap footprint in bytes (Table 7's "Index" row): the
+    /// one neighbor table an index holds, not Algorithm 3's two.
     pub fn heap_bytes(&self) -> usize {
         self.vertices.len() * std::mem::size_of::<VertexId>()
             + self.dist_s.len() * std::mem::size_of::<Distance>() * 2
             + self.fwd.heap_bytes()
-            + self.bwd.heap_bytes()
             + (self.level_sizes.len() + self.level_expansion.len()) * std::mem::size_of::<u64>()
     }
 }
@@ -299,7 +311,7 @@ mod tests {
     fn s_has_no_backward_neighbors_and_no_fwd_occurrences() {
         let idx = index_k4();
         let s_local = idx.s_local().unwrap();
-        assert!(idx.i_s(s_local, 4).is_empty());
+        assert!(idx.backward_table().neighbors_within(s_local, 4).is_empty());
         for v in 0..idx.num_vertices() as LocalId {
             assert!(
                 !idx.i_t(v, 4).contains(&s_local),
@@ -352,6 +364,7 @@ mod tests {
         // Every forward edge (u -> w) with w != t-loop must appear as a
         // backward edge of w, and vice versa (u != s rule aside).
         let idx = index_k4();
+        let bwd = idx.backward_table();
         let t_local = idx.t_local().unwrap();
         let s_local = idx.s_local().unwrap();
         let k = idx.k();
@@ -361,13 +374,13 @@ mod tests {
                     continue; // forward padding loop
                 }
                 assert!(
-                    idx.i_s(w, k).contains(&u),
+                    bwd.neighbors_within(w, k).contains(&u),
                     "fwd edge {} -> {} missing from bwd table",
                     idx.global(u),
                     idx.global(w)
                 );
             }
-            for &p in idx.i_s(u, k) {
+            for &p in bwd.neighbors_within(u, k) {
                 if u == t_local && p == t_local {
                     continue; // backward padding loop
                 }

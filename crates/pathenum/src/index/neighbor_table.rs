@@ -1,10 +1,18 @@
 //! The distance-bucketed neighbor table (`H` of Algorithm 3, Figure 4b).
 //!
 //! For each indexed vertex the table stores its admissible neighbors sorted
-//! ascending by a *key distance* (distance-to-`t` for the forward table,
-//! distance-from-`s` for the backward table), plus `k + 1` offset slots
-//! that count how many neighbors have key distance `<= d`. The lookup
-//! `I_t(v, b)` is then an O(1) slice.
+//! ascending by a *key distance*, plus `k + 1` offset slots that count how
+//! many neighbors have key distance `<= d`. The lookup `I_t(v, b)` is then
+//! an O(1) slice.
+//!
+//! Algorithm 3 fills two of these: `I_t` (out-neighbors keyed by
+//! distance-to-`t`) and `I_s` (in-neighbors keyed by distance-from-`s`).
+//! An [`Index`](super::Index) builds and holds only `I_t`, which is all an
+//! enumerator or the estimator reads. `I_s` lists the same admissible
+//! edges from their other end, so it is `I_t`
+//! [`transposed`](NeighborTable::transposed) and re-keyed — derived on
+//! demand, for the Figure 9 spectrum's left extensions, by
+//! [`Index::backward_table`](super::Index::backward_table).
 
 use pathenum_graph::types::Distance;
 
@@ -28,10 +36,9 @@ impl NeighborTable {
     /// Builds the table from per-vertex `(neighbor, key_distance)` lists,
     /// in any order within a list.
     ///
-    /// Key distances must be `<= k` (the index never stores a neighbor
-    /// whose distance exceeds the budget any search could grant it).
-    /// Convenience form of [`from_rows`](Self::from_rows): the lists are
-    /// flattened and each row sorted by id first.
+    /// Convenience form of [`from_rows`](Self::from_rows) for unit tests:
+    /// the lists are flattened and each row sorted by id first.
+    #[cfg(test)]
     pub fn build(k: u32, per_vertex: &[Vec<(LocalId, Distance)>]) -> Self {
         let mut rows = Vec::with_capacity(per_vertex.iter().map(Vec::len).sum());
         let mut row_starts = Vec::with_capacity(per_vertex.len() + 1);
@@ -48,8 +55,9 @@ impl NeighborTable {
     /// Builds the table from one flat buffer of `(neighbor, key_distance)`
     /// entries: owner `v`'s row is `rows[row_starts[v]..row_starts[v + 1]]`
     /// and must be ascending by neighbor id (`row_starts` has one entry
-    /// per owner plus the end; key distances `<= k` as for
-    /// [`build`](Self::build)).
+    /// per owner plus the end). Key distances must be `<= k`: the index
+    /// never stores a neighbor whose distance exceeds the budget any
+    /// search could grant it.
     ///
     /// Each row is placed by a stable counting sort on the key distance —
     /// count into the row's `cuts`, prefix-sum, place — which on an
@@ -87,6 +95,37 @@ impl NeighborTable {
             starts: row_starts.to_vec(),
             cuts,
         }
+    }
+
+    /// The same pairs listed from their other end: owner `w`'s row holds
+    /// every `v` whose row here contains `w`, keyed by `key[v]`. Requires
+    /// a table over its own owners (every stored neighbor is an owner),
+    /// as an index's is.
+    ///
+    /// Owners are visited ascending, so each transposed row is collected
+    /// ascending by id and [`from_rows`](Self::from_rows) places it in
+    /// `(distance, id)` order — on `I_t` keyed by `dist_s`, exactly the
+    /// `I_s` a scan of the in-adjacency fills, with `t`'s `(t, t)` padding
+    /// loop at its id position.
+    pub(crate) fn transposed(&self, key: &[Distance]) -> NeighborTable {
+        let num_vertices = self.num_vertices();
+        let mut row_starts = vec![0u32; num_vertices + 1];
+        for &w in &self.neighbors {
+            row_starts[w as usize + 1] += 1;
+        }
+        for v in 0..num_vertices {
+            row_starts[v + 1] += row_starts[v];
+        }
+        let mut cursors = row_starts[..num_vertices].to_vec();
+        let mut rows = vec![(0 as LocalId, 0 as Distance); self.neighbors.len()];
+        for v in 0..num_vertices as LocalId {
+            for &w in self.all_neighbors(v) {
+                let cursor = &mut cursors[w as usize];
+                rows[*cursor as usize] = (v, key[v as usize]);
+                *cursor += 1;
+            }
+        }
+        NeighborTable::from_rows(self.k, &rows, &row_starts)
     }
 
     /// Neighbors of `owner` whose key distance is `<= budget`

@@ -13,10 +13,14 @@
 //! `k - p` for a vertex placed at position `p`) and leftward through
 //! `I_s` (budget `p`), so every generated partial is admissible by index
 //! construction and the final tuples are exactly the walks of `Q`.
+//!
+//! This is the one reader of `I_s`, which an [`Index`] does not hold
+//! (serving never extends leftward): the caller derives it once per index
+//! with [`Index::backward_table`] and passes it to every plan it runs.
 
 use pathenum_graph::VertexId;
 
-use crate::index::{Index, LocalId};
+use crate::index::{Index, LocalId, NeighborTable};
 use crate::sink::{PathSink, SearchControl};
 use crate::stats::Counters;
 
@@ -94,9 +98,11 @@ fn gather(
 }
 
 /// Executes a left-deep plan on the index, emitting the valid simple
-/// paths among the produced walk tuples.
+/// paths among the produced walk tuples. `backward` is the index's own
+/// [`Index::backward_table`].
 pub fn execute_left_deep(
     index: &Index,
+    backward: &NeighborTable,
     plan: &LeftDeepPlan,
     sink: &mut dyn PathSink,
     counters: &mut Counters,
@@ -114,8 +120,10 @@ pub fn execute_left_deep(
     let (Some(_), Some(t_local)) = (index.s_local(), index.t_local()) else {
         return SearchControl::Continue;
     };
+    debug_assert_eq!(backward.num_vertices(), index.num_vertices());
     let mut exec = Executor {
         index,
+        backward,
         t_local,
         plan,
         slots: vec![0; k as usize + 1],
@@ -143,6 +151,8 @@ pub fn execute_left_deep(
 
 struct Executor<'a> {
     index: &'a Index,
+    /// `I_s`: in-neighbors keyed by distance-from-`s`.
+    backward: &'a NeighborTable,
     t_local: LocalId,
     plan: &'a LeftDeepPlan,
     /// Positions `lo ..= hi` are filled.
@@ -178,7 +188,7 @@ impl Executor<'_> {
                 let v = self.slots[lo as usize];
                 // A vertex at position lo-1 must be reachable from s in
                 // lo-1 hops.
-                let predecessors = self.index.i_s(v, lo - 1);
+                let predecessors = self.backward.neighbors_within(v, lo - 1);
                 self.counters.edges_accessed += predecessors.len() as u64;
                 for &prev in predecessors {
                     self.slots[lo as usize - 1] = prev;
@@ -245,7 +255,7 @@ mod tests {
         let idx = Index::build(&g, Query::new(S, T, k).unwrap());
         let mut sink = CollectingSink::default();
         let mut counters = Counters::default();
-        execute_left_deep(&idx, plan, &mut sink, &mut counters);
+        execute_left_deep(&idx, &idx.backward_table(), plan, &mut sink, &mut counters);
         sink.sorted_paths()
     }
 
@@ -283,6 +293,6 @@ mod tests {
         };
         let mut sink = CollectingSink::default();
         let mut counters = Counters::default();
-        execute_left_deep(&idx, &plan, &mut sink, &mut counters);
+        execute_left_deep(&idx, &idx.backward_table(), &plan, &mut sink, &mut counters);
     }
 }

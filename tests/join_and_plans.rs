@@ -63,10 +63,11 @@ proptest! {
         let q = Query::new(0, 1, k).expect("valid");
         let index = Index::build(&g, q);
         let expected = dfs_paths(&index);
+        let backward = index.backward_table();
         for plan in all_left_deep_plans(k) {
             let mut sink = CollectingSink::default();
             let mut counters = Counters::default();
-            execute_left_deep(&index, &plan, &mut sink, &mut counters);
+            execute_left_deep(&index, &backward, &plan, &mut sink, &mut counters);
             prop_assert_eq!(
                 sink.sorted_paths(), expected.clone(),
                 "plan {:?}", plan
