@@ -250,6 +250,7 @@ impl FrozenGraph {
         &self.buf.as_bytes()[adj.clone()][start..end]
     }
 
+    #[inline]
     fn for_each_neighbor(
         &self,
         off: &Range<usize>,

@@ -603,8 +603,14 @@ impl CatalogService {
                         results: results.as_deref(),
                     };
                     let mut collector = Collector::new(&request);
-                    let response =
-                        pipeline::finish(planned, &request, deadline, &mut collector, &mut store);
+                    let response = pipeline::finish(
+                        planned,
+                        &epoch.graph,
+                        &request,
+                        deadline,
+                        &mut collector,
+                        &mut store,
+                    );
                     collector.attach(response)
                 }))
                 .map_err(|_| PathEnumError::EvaluationPanicked);

@@ -37,6 +37,7 @@
 //! the `DynamicGraph` itself ([`DynamicEngine`](crate::DynamicEngine)),
 //! where entries the mutations provably did not touch are retained.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use pathenum_graph::{CsrGraph, GraphSnapshot};
@@ -44,12 +45,12 @@ use pathenum_graph::{CsrGraph, GraphSnapshot};
 use crate::index::{BuildScratch, Index};
 use crate::optimizer::{path_enum_on_index_with_build, PathEnumConfig};
 use crate::pipeline::{self, Collector, LocalStore, Pipeline};
-use crate::plan::{CacheOutcome, GraphStamp, PhysicalPlan, PlanCache};
+use crate::plan::{complete_on_graph, CacheOutcome, GraphStamp, PhysicalPlan, PlanCache};
 use crate::query::Query;
 use crate::request::{ConstraintSpec, PathEnumError, PathStream, QueryRequest, QueryResponse};
 use crate::results::{ResultCache, ResultCacheStats};
 use crate::sink::PathSink;
-use crate::stats::RunReport;
+use crate::stats::{PhaseTimings, RunReport};
 
 /// A PathEnum engine bound to one graph, reusing construction buffers
 /// and cached plans across queries.
@@ -299,7 +300,9 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
     /// enumerated subgraph; accumulative/automaton checks filter
     /// complete paths). Streams *read* the cache (a warm index is
     /// cloned) but do not populate it — a stream never runs the
-    /// estimators, so it has no plan to store.
+    /// estimators, so it has no plan to store. A labels-only entry (a
+    /// step-1 miss's) is completed first and written back, as any plan
+    /// hit does.
     pub fn stream<'q>(
         &mut self,
         request: &'q QueryRequest<'q>,
@@ -316,7 +319,21 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
         }
         self.queries_served += 1;
         if let Some(key) = pipeline::plan_key(self.config, request, self.cache.capacity()) {
-            if let Some((_, index)) = self.cache.lookup(&key, GraphStamp::of(self.graph)) {
+            if let Some((mut plan, mut index)) = self.cache.lookup(&key, GraphStamp::of(self.graph))
+            {
+                // A step-1 miss left only the labels: fill the rows the
+                // stream walks, once, and leave them for the next reader.
+                let seen = Arc::clone(&index);
+                let mut timings = PhaseTimings::default();
+                if complete_on_graph(
+                    &mut plan,
+                    &mut index,
+                    self.graph,
+                    &mut self.scratch,
+                    &mut timings,
+                ) {
+                    self.cache.write_back(&key, &seen, &plan, &index);
+                }
                 return Ok(PathStream::new(Index::clone(&index), request));
             }
         }

@@ -6,11 +6,29 @@
 //! favor this form for stack safety under adversarial `k` and because the
 //! enumeration state can be suspended between emissions — the shape an
 //! incremental/paginated API needs.
+//!
+//! The kernel reads `I_t` through a row source (`index::RowSource`), so
+//! one kernel serves two indexes. [`idx_dfs_iterative`] reads the rows a
+//! built [`Index`] holds. [`idx_dfs_on_demand`] runs on an index built
+//! as its labels only and fills a row the first time it pushes a frame
+//! for the row's owner. The fill is one scan of that vertex's
+//! out-adjacency in the serving graph, Algorithm 3's admission test, and
+//! the counting sort the eager build places rows with, into the
+//! per-thread arena. This departs from Algorithm 3, which fills every
+//! row of `X` before the search starts; a limited request then pays only
+//! for the rows it expands. No answer can differ: every row is filled by
+//! the routine the eager build uses, from the same labels, so it holds
+//! the same neighbors in the same `(distance, id)` order, and the search
+//! visits, counts and emits exactly what it would on the eager table
+//! (`tests/kernel_agreement.rs` pins paths, order, counters and
+//! termination at every limit). The fill runs inside the search, so a
+//! request's `PhaseTimings` count it under `enumeration`, not
+//! `index_build`.
 
 use pathenum_graph::epoch::EpochStamps;
-use pathenum_graph::VertexId;
+use pathenum_graph::{NeighborAccess, VertexId};
 
-use crate::index::{Index, LocalId};
+use crate::index::{Index, LocalId, RowSource};
 use crate::sink::{PathSink, SearchControl};
 use crate::stats::Counters;
 
@@ -23,7 +41,7 @@ struct Frame {
     /// The frame's `I_t` row, resolved once at push time so re-activating
     /// the frame after a child pops costs zero index lookups (the
     /// recursive form gets this for free by keeping the slice live across
-    /// the child call). Indexes into `Index::fwd_raw_neighbors`.
+    /// the child call). Indexes into the row source's `neighbors()`.
     nbr_start: u32,
     nbr_len: u32,
     /// Whether any result was found below this frame (for the
@@ -61,21 +79,57 @@ pub fn idx_dfs_iterative(
     sink: &mut dyn PathSink,
     counters: &mut Counters,
 ) -> SearchControl {
+    super::scratch::with_enum_scratch(|scratch| {
+        idx_dfs_rooted(index, &mut index.rows(), &mut scratch.dfs, sink, counters)
+    })
+}
+
+/// [`idx_dfs_iterative`] on an index that may hold only its labels
+/// ([`Index::build_labels`]) over `graph`, the graph they were computed
+/// on: the first time a frame is pushed for `v`, `v`'s row is filled from
+/// `graph` into the calling thread's enumeration arena by the routine the
+/// eager build fills it with, and read from there afterwards. Only the
+/// rows the search expands are ever filled. Paths, their order, all four
+/// counters and the termination equal [`idx_dfs_iterative`] on
+/// `Index::build(graph, query)`; on an index that has its rows this *is*
+/// [`idx_dfs_iterative`].
+pub fn idx_dfs_on_demand<G: NeighborAccess>(
+    graph: &G,
+    index: &Index,
+    sink: &mut dyn PathSink,
+    counters: &mut Counters,
+) -> SearchControl {
+    if index.has_rows() {
+        return idx_dfs_iterative(index, sink, counters);
+    }
+    super::scratch::with_enum_scratch(|scratch| {
+        let mut rows = scratch.rows.bind(graph, index);
+        idx_dfs_rooted(index, &mut rows, &mut scratch.dfs, sink, counters)
+    })
+}
+
+/// The `prefix == [s]` search, charging the root's neighbor scan once as
+/// the recursive entry does.
+fn idx_dfs_rooted(
+    index: &Index,
+    rows: &mut impl RowSource,
+    scratch: &mut SeededScratch,
+    sink: &mut dyn PathSink,
+    counters: &mut Counters,
+) -> SearchControl {
     let (Some(s_local), Some(t_local)) = (index.s_local(), index.t_local()) else {
         return SearchControl::Continue;
     };
-    // Count the root's neighbor scan once, mirroring the recursive entry.
     if s_local != t_local {
-        counters.edges_accessed += index.i_t(s_local, index.k() - 1).len() as u64;
+        counters.edges_accessed += u64::from(rows.row(s_local, index.k() - 1).1);
     }
-    super::scratch::with_enum_scratch(|scratch| {
-        idx_dfs_seeded(index, &[s_local], &mut scratch.dfs, sink, counters)
-    })
+    idx_dfs_seeded(index, rows, &[s_local], scratch, sink, counters)
 }
 
 /// The DFS continuation below a fixed prefix: enumerates every
 /// hop-constrained s-t path that starts with `prefix` (local ids,
-/// `prefix[0] == s`), never backtracking past the prefix boundary.
+/// `prefix[0] == s`), never backtracking past the prefix boundary, reading
+/// `I_t` rows from `rows`.
 ///
 /// `idx_dfs_iterative` is the `prefix == [s]` special case; the
 /// intra-query parallel executor runs one seeded search per frontier
@@ -86,6 +140,7 @@ pub fn idx_dfs_iterative(
 /// the task accounts for it).
 pub(crate) fn idx_dfs_seeded(
     index: &Index,
+    rows: &mut impl RowSource,
     prefix: &[LocalId],
     scratch: &mut SeededScratch,
     sink: &mut dyn PathSink,
@@ -119,12 +174,11 @@ pub(crate) fn idx_dfs_seeded(
         let top = stack.last_mut().expect("prefix is non-empty");
         top.cursor = 0;
         let budget = k.saturating_sub(floor as u32);
-        (top.nbr_start, top.nbr_len) = index.i_t_row_range(top.vertex, budget);
+        (top.nbr_start, top.nbr_len) = rows.row(top.vertex, budget);
     }
     for &vertex in prefix {
         on_path.mark(vertex as usize);
     }
-    let base = index.fwd_raw_neighbors();
 
     let mut probe_tick = 0u32;
     while let Some(top) = stack.last().copied() {
@@ -154,9 +208,10 @@ pub(crate) fn idx_dfs_seeded(
             }
             continue;
         }
-        let neighbors = &base[top.nbr_start as usize..(top.nbr_start + top.nbr_len) as usize];
-        let mut advanced = false;
         let start_cursor = top.cursor as usize;
+        let mut descend = None;
+        let neighbors =
+            &rows.neighbors()[top.nbr_start as usize..(top.nbr_start + top.nbr_len) as usize];
         for (offset, &next) in neighbors[start_cursor..].iter().enumerate() {
             if on_path.is_marked(next as usize) {
                 continue;
@@ -180,18 +235,22 @@ pub(crate) fn idx_dfs_seeded(
                 stack.last_mut().expect("stack is non-empty").found = true;
                 continue;
             }
+            descend = Some((next, (start_cursor + offset + 1) as u32));
+            break;
+        }
+        if let Some((next, cursor)) = descend {
             // Hint the child's neighbor row into cache: the `starts`
             // indirection defeats the hardware prefetcher, and the row is
             // scanned on the very next loop iteration.
-            index.prefetch_i_t(next);
+            rows.prefetch(next);
             // Suspend this frame and descend.
-            let top_mut = stack.last_mut().expect("stack is non-empty");
-            top_mut.cursor = (start_cursor + offset + 1) as u32;
+            stack.last_mut().expect("stack is non-empty").cursor = cursor;
             counters.partial_results += 1;
             on_path.mark(next as usize);
-            // Resolve the child's row now; it also feeds the edge counter.
+            // Resolve the child's row now — filling it, for a source that
+            // reads rows on demand; it also feeds the edge counter.
             let child_budget = k - stack.len() as u32 - 1;
-            let (nbr_start, nbr_len) = index.i_t_row_range(next, child_budget);
+            let (nbr_start, nbr_len) = rows.row(next, child_budget);
             counters.edges_accessed += u64::from(nbr_len);
             stack.push(Frame {
                 vertex: next,
@@ -200,24 +259,21 @@ pub(crate) fn idx_dfs_seeded(
                 nbr_len,
                 found: false,
             });
-            advanced = true;
+            continue;
+        }
+        if stack.len() == floor {
+            // Never backtrack past the seed prefix.
             break;
         }
-        if !advanced {
-            if stack.len() == floor {
-                // Never backtrack past the seed prefix.
-                break;
+        // Exhausted: pop and account. The root (s) is not a generated
+        // partial result, so it is never counted as invalid.
+        let frame = stack.pop().expect("stack is non-empty");
+        on_path.unmark(frame.vertex as usize);
+        if let Some(parent) = stack.last_mut() {
+            if !frame.found {
+                counters.invalid_partial_results += 1;
             }
-            // Exhausted: pop and account. The root (s) is not a generated
-            // partial result, so it is never counted as invalid.
-            let frame = stack.pop().expect("stack is non-empty");
-            on_path.unmark(frame.vertex as usize);
-            if let Some(parent) = stack.last_mut() {
-                if !frame.found {
-                    counters.invalid_partial_results += 1;
-                }
-                parent.found |= frame.found;
-            }
+            parent.found |= frame.found;
         }
     }
     SearchControl::Continue
@@ -313,6 +369,7 @@ mod tests {
                     let mut task_counters = Counters::default();
                     idx_dfs_seeded(
                         &index,
+                        &mut index.rows(),
                         &[s, first],
                         &mut scratch,
                         &mut merged,
@@ -337,7 +394,14 @@ mod tests {
         let mut sink = CollectingSink::default();
         let mut counters = Counters::default();
         let mut scratch = SeededScratch::default();
-        idx_dfs_seeded(&index, &[s, v0, t], &mut scratch, &mut sink, &mut counters);
+        idx_dfs_seeded(
+            &index,
+            &mut index.rows(),
+            &[s, v0, t],
+            &mut scratch,
+            &mut sink,
+            &mut counters,
+        );
         assert_eq!(sink.paths, vec![vec![S, V[0], T]]);
         assert_eq!(counters.results, 1);
     }

@@ -32,6 +32,6 @@ pub(crate) mod scratch;
 pub(crate) const PROBE_STRIDE: u32 = 64;
 
 pub use dfs::idx_dfs;
-pub use dfs_iterative::idx_dfs_iterative;
+pub use dfs_iterative::{idx_dfs_iterative, idx_dfs_on_demand};
 pub use join::{idx_join, idx_join_reference};
 pub use scratch::thread_scratch_heap_bytes;

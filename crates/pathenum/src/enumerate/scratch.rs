@@ -1,9 +1,10 @@
 //! Per-thread enumeration arena.
 //!
-//! Every public enumeration kernel ([`idx_dfs_iterative`] and
-//! [`idx_join`]) draws its working memory — DFS stacks, tuple relations,
-//! bucket directories, epoch maps, bitset rows, path buffers — from one
-//! thread-local [`EnumScratch`]. The buffers are epoch-reset or cleared
+//! Every public enumeration kernel ([`idx_dfs_iterative`],
+//! [`idx_dfs_on_demand`] and [`idx_join`]) draws its working memory — DFS
+//! stacks, tuple relations, bucket directories, epoch maps, bitset rows,
+//! path buffers, `I_t` rows read on demand — from one thread-local
+//! [`EnumScratch`]. The buffers are epoch-reset or cleared
 //! at kernel entry but never shrunk, so after a warm-up query a serving
 //! thread runs the enumeration core with **zero steady-state heap
 //! allocation**; [`thread_scratch_heap_bytes`] exposes the arena size so
@@ -14,23 +15,30 @@
 //! so a pool thread's arena growth stays attributable.
 //!
 //! [`idx_dfs_iterative`]: crate::enumerate::idx_dfs_iterative
+//! [`idx_dfs_on_demand`]: crate::enumerate::idx_dfs_on_demand
 //! [`idx_join`]: crate::enumerate::idx_join
 
 use std::cell::RefCell;
 
 use super::dfs_iterative::SeededScratch;
 use super::join::JoinScratch;
+use crate::index::RowArena;
 
 /// The union of every kernel's reusable buffers.
 #[derive(Debug, Default)]
 pub(crate) struct EnumScratch {
     pub(crate) dfs: SeededScratch,
     pub(crate) join: JoinScratch,
+    /// The `I_t` rows [`idx_dfs_on_demand`] fills as it expands their
+    /// owners, with the id map it fills them through.
+    ///
+    /// [`idx_dfs_on_demand`]: crate::enumerate::idx_dfs_on_demand
+    pub(crate) rows: RowArena,
 }
 
 impl EnumScratch {
     fn heap_bytes(&self) -> usize {
-        self.dfs.heap_bytes() + self.join.heap_bytes()
+        self.dfs.heap_bytes() + self.join.heap_bytes() + self.rows.heap_bytes()
     }
 }
 

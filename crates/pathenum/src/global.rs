@@ -70,7 +70,7 @@ impl GlobalIndexedGraph {
                 method: Method::IdxDfs,
                 timings: PhaseTimings::default(),
                 counters: Counters::default(),
-                preliminary_estimate: 0,
+                preliminary_estimate: Some(0),
                 full_estimate: Some(0),
                 t_dfs: None,
                 t_join: None,

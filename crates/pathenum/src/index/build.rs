@@ -6,10 +6,9 @@ use pathenum_graph::types::{dist_add, Distance, INFINITE_DISTANCE};
 use pathenum_graph::{NeighborAccess, VertexId};
 
 use super::neighbor_table::{LocalId, NeighborTable};
+use super::rows::{assign_local_ids, ABSENT};
 use super::Index;
 use crate::query::Query;
-
-const ABSENT: u32 = u32::MAX;
 
 /// Reusable buffers for index construction.
 ///
@@ -150,6 +149,35 @@ impl Index {
         scratch: &mut BuildScratch,
         full_reach: bool,
     ) -> (Index, std::time::Duration) {
+        let (mut index, bfs_time) = Index::labels_with(graph, query, scratch, full_reach);
+        index.fill_rows(graph, scratch);
+        (index, bfs_time)
+    }
+
+    /// The labels of the index for `query`, without its rows: the sweep,
+    /// the endpoint fix-ups, `X`, the local ids and both distance arrays —
+    /// what a request that reads only the rows it expands needs before
+    /// enumerating. Reading a row of the result is an error until
+    /// [`fill_rows`](Self::fill_rows) has run (see
+    /// [`has_rows`](Self::has_rows)); IDX-DFS reads one on demand instead
+    /// ([`idx_dfs_on_demand`](crate::enumerate::idx_dfs_on_demand)). A
+    /// query the labels prove empty gets the empty index, which has every
+    /// row it needs.
+    pub fn build_labels<G: NeighborAccess>(
+        graph: &G,
+        query: Query,
+        scratch: &mut BuildScratch,
+    ) -> (Index, std::time::Duration) {
+        Index::labels_with(graph, query, scratch, false)
+    }
+
+    /// The labels half of [`build_with`](Self::build_with).
+    fn labels_with<G: NeighborAccess>(
+        graph: &G,
+        query: Query,
+        scratch: &mut BuildScratch,
+        full_reach: bool,
+    ) -> (Index, std::time::Duration) {
         let Query { s, t, k } = query;
         debug_assert!(query.validate(graph.num_vertices()).is_ok());
 
@@ -182,14 +210,7 @@ impl Index {
             boundary_sweep(graph, s, t, k, &mut scratch.dist_s, &mut scratch.dist_t);
         }
         scratch.full_reach = full_reach;
-        let BuildScratch {
-            dist_s,
-            dist_t,
-            local_of,
-            rows,
-            row_starts,
-            ..
-        } = scratch;
+        let BuildScratch { dist_s, dist_t, .. } = scratch;
         let bfs_time = bfs_start.elapsed();
         // From here on the two searches are indistinguishable: a label is
         // exact or absent, every member of X carries both, so membership,
@@ -225,77 +246,73 @@ impl Index {
             .filter(|&v| dist_add(dist_s.get(v as usize), dist_t.get(v as usize)) <= k)
             .collect();
         vertices.sort_unstable();
-        local_of.reset(graph.num_vertices());
-        for (local, &v) in vertices.iter().enumerate() {
-            local_of.set(v as usize, local as u32);
-        }
-        let s_local = local_of.get(s as usize);
-        let t_local = local_of.get(t as usize);
-        debug_assert_ne!(s_local, ABSENT);
-        debug_assert_ne!(t_local, ABSENT);
+        let local = |v| vertices.binary_search(&v).ok().map(|at| at as LocalId);
+        let (s_local, t_local) = (local(s), local(t));
+        debug_assert!(s_local.is_some() && t_local.is_some(), "s and t are in X");
 
         let local_dist_s: Vec<Distance> =
             vertices.iter().map(|&v| dist_s.get(v as usize)).collect();
         let local_dist_t: Vec<Distance> =
             vertices.iter().map(|&v| dist_t.get(v as usize)).collect();
 
+        let index = Index {
+            query,
+            s_local,
+            t_local,
+            vertices,
+            dist_s: local_dist_s,
+            dist_t: local_dist_t,
+            fwd: NeighborTable::from_rows(k, &[], &[0]),
+            level_sizes: Vec::new(),
+            level_expansion: Vec::new(),
+        };
+        (index, bfs_time)
+    }
+
+    /// Fills every row and the per-level statistics of an index built by
+    /// [`build_labels`](Self::build_labels) on `graph`, leaving exactly
+    /// the index [`Index::build`] returns — which is how that build fills
+    /// them. A no-op on an index that has its rows.
+    pub fn fill_rows<G: NeighborAccess>(&mut self, graph: &G, scratch: &mut BuildScratch) {
+        if self.has_rows() {
+            return;
+        }
+        let k = self.k();
+        let BuildScratch {
+            local_of,
+            rows,
+            row_starts,
+            ..
+        } = scratch;
+        assign_local_ids(local_of, graph.num_vertices(), &self.vertices);
         // Adjacency is ascending and local ids ascend with global ids, so
-        // every row below is collected ascending by local id, as
+        // every row is collected ascending by local id, as
         // `NeighborTable::from_rows` requires.
         //
         // Forward table (H of Algorithm 3): admissible out-neighbors keyed
         // by distance-to-t. t keeps only the (t, t) padding loop.
         rows.clear();
         row_starts.clear();
-        for (local, &gv) in vertices.iter().enumerate() {
+        for v in 0..self.vertices.len() as LocalId {
             row_starts.push(rows.len() as u32);
-            if gv == t {
-                rows.push((t_local, 0));
-                continue;
-            }
-            let vs = local_dist_s[local];
-            graph.for_each_out(gv, |n| {
-                if n == s {
-                    return; // interior vertices are never s
-                }
-                let nt = dist_t.get(n as usize);
-                // Admission: v.s + v'.t + 1 <= k (Algorithm 3 line 9).
-                if dist_add(dist_add(vs, nt), 1) <= k {
-                    let n_local = local_of.get(n as usize);
-                    debug_assert_ne!(n_local, ABSENT, "admission implies membership");
-                    rows.push((n_local, nt));
-                }
-            });
+            self.read_row(graph, local_of, v, rows);
         }
         row_starts.push(rows.len() as u32);
-        let fwd = NeighborTable::from_rows(k, rows, row_starts);
+        self.fwd = NeighborTable::from_rows(k, rows, row_starts);
 
         // Per-level statistics for the preliminary estimator: v sits in
         // the levels v.s ..= k - v.t and in no other.
-        let mut level_sizes = vec![0u64; k as usize + 1];
-        let mut level_expansion = vec![0u64; k as usize + 1];
-        for v in 0..vertices.len() {
-            for i in local_dist_s[v]..=k - local_dist_t[v] {
-                level_sizes[i as usize] += 1;
+        self.level_sizes = vec![0u64; k as usize + 1];
+        self.level_expansion = vec![0u64; k as usize + 1];
+        for v in 0..self.vertices.len() {
+            for i in self.dist_s[v]..=k - self.dist_t[v] {
+                self.level_sizes[i as usize] += 1;
                 if i < k {
-                    level_expansion[i as usize] +=
-                        fwd.neighbors_within(v as LocalId, k - i - 1).len() as u64;
+                    self.level_expansion[i as usize] +=
+                        self.fwd.neighbors_within(v as LocalId, k - i - 1).len() as u64;
                 }
             }
         }
-
-        let index = Index {
-            query,
-            s_local: Some(s_local),
-            t_local: Some(t_local),
-            vertices,
-            dist_s: local_dist_s,
-            dist_t: local_dist_t,
-            fwd,
-            level_sizes,
-            level_expansion,
-        };
-        (index, bfs_time)
     }
 
     /// An index proving the query has no result.

@@ -22,6 +22,28 @@
 //! distances, all unchanged, so none can differ; the index a request
 //! builds and a cache keeps is half the size.
 //!
+//! **Rows on first read, where Algorithm 3 fills every row.** Algorithm 4
+//! reads `I_t(v, k − |M| − 1)` only for the vertices it expands, and a
+//! request that stops at its `limit` may expand a small share of `X`. So
+//! an index can be built as its *labels* alone ([`Index::build_labels`]:
+//! the boundary sweep, the endpoint fix-ups, `X`, the local ids and both
+//! distance arrays), and IDX-DFS then fills each row the first time it
+//! pushes a frame for the row's owner
+//! ([`crate::enumerate::idx_dfs_on_demand`]).
+//! [`Index::fill_rows`] completes such an index into the eager one. All
+//! three — the eager build, the on-demand source and completion — fill a
+//! row through one routine (`rows.rs`: one adjacency scan, Algorithm 3's
+//! admission test, one counting sort), so a row read on demand is the
+//! eager row entry for entry, and the DFS, which reads rows through one
+//! small interface, emits the same paths in the same order with the same
+//! counters. The request pipeline keeps an index at its labels only for a
+//! request that §6.2's step 1 settles on `k · limit` alone, that IDX-DFS
+//! serves from the serving graph itself (no constraint, one thread, no
+//! mutation log), and whose `X` has more members than its `limit` — on a
+//! smaller index a limited search reads nearly every row anyway. The plan
+//! cache completes such an entry for the first request that finds it
+//! (see [`crate::plan`]).
+//!
 //! The index works in a dense *local* id space (`LocalId`); paths are
 //! translated back to global ids at emission. The walk-closure conventions
 //! of the join model are baked in: `t`'s only forward neighbor is itself
@@ -31,9 +53,11 @@
 
 mod build;
 mod neighbor_table;
+mod rows;
 
 pub use build::BuildScratch;
 pub use neighbor_table::{LocalId, NeighborTable};
+pub(crate) use rows::{RowArena, RowSource};
 
 use pathenum_graph::types::Distance;
 use pathenum_graph::VertexId;
@@ -139,32 +163,25 @@ impl Index {
     }
 
     /// `I_t(v, b)`: out-neighbors of `v` with distance-to-`t` `<= b`.
+    /// Requires an index that [`has_rows`](Self::has_rows).
     #[inline]
     pub fn i_t(&self, v: LocalId, budget: Distance) -> &[LocalId] {
         self.fwd.neighbors_within(v, budget)
     }
 
-    /// Hints the cache that `v`'s forward neighbor row is about to be
-    /// read — issued by the DFS when a child is pushed, one level before
-    /// the row is scanned.
+    /// Whether the index holds its `I_t` rows and per-level statistics:
+    /// true of every index but one built by
+    /// [`build_labels`](Self::build_labels) and not yet
+    /// [filled](Self::fill_rows).
     #[inline]
-    pub fn prefetch_i_t(&self, v: LocalId) {
-        self.fwd.prefetch(v);
+    pub fn has_rows(&self) -> bool {
+        self.fwd.num_vertices() == self.vertices.len()
     }
 
-    /// `(start, len)` of the `I_t(v, b)` row inside
-    /// [`fwd_raw_neighbors`](Self::fwd_raw_neighbors): the two-integer
-    /// form of [`i_t`](Self::i_t) the iterative DFS caches per frame.
+    /// The forward table, as the DFS kernel's row source.
     #[inline]
-    pub(crate) fn i_t_row_range(&self, v: LocalId, budget: Distance) -> (u32, u32) {
-        self.fwd.row_range(v, budget)
-    }
-
-    /// The forward table's flat neighbor storage (see
-    /// [`i_t_row_range`](Self::i_t_row_range)).
-    #[inline]
-    pub(crate) fn fwd_raw_neighbors(&self) -> &[LocalId] {
-        self.fwd.raw_neighbors()
+    pub(crate) fn rows(&self) -> &NeighborTable {
+        &self.fwd
     }
 
     /// Algorithm 3's `I_s` as a table of its own: `neighbors_within(v, b)`
@@ -185,13 +202,15 @@ impl Index {
             .filter(move |&v| self.dist_s(v) <= i && self.dist_t(v) <= k - i)
     }
 
-    /// `|C_i|`, precomputed at build time.
+    /// `|C_i|`, precomputed with the rows (requires
+    /// [`has_rows`](Self::has_rows)).
     pub fn level_size(&self, i: u32) -> u64 {
         self.level_sizes[i as usize]
     }
 
-    /// `sum_{v in C_i} |I_t(v, k - i - 1)|`, precomputed at build time
-    /// (the raw statistic behind the preliminary estimator's `gamma_i`).
+    /// `sum_{v in C_i} |I_t(v, k - i - 1)|`, precomputed with the rows
+    /// (the raw statistic behind the preliminary estimator's `gamma_i`;
+    /// requires [`has_rows`](Self::has_rows)).
     pub fn level_expansion(&self, i: u32) -> u64 {
         self.level_expansion[i as usize]
     }

@@ -70,24 +70,7 @@ impl NeighborTable {
         let mut cuts = vec![0u32; num_vertices * slots];
         for (owner, cut) in cuts.chunks_exact_mut(slots).enumerate() {
             let (start, end) = (row_starts[owner] as usize, row_starts[owner + 1] as usize);
-            let row = &rows[start..end];
-            let placed = &mut neighbors[start..end];
-            // A key distance beyond `k` indexes past the row's slots.
-            for &(_, d) in row {
-                cut[d as usize] += 1;
-            }
-            // cut[d] = entries with key distance < d: where bucket d begins.
-            let mut below = 0u32;
-            for c in cut.iter_mut() {
-                below += std::mem::replace(c, below);
-            }
-            // Placing advances each bucket's cursor to its end, which is
-            // the number of entries with key distance <= d.
-            for &(id, d) in row {
-                let cursor = &mut cut[d as usize];
-                placed[*cursor as usize] = id;
-                *cursor += 1;
-            }
+            place_row(&rows[start..end], &mut neighbors[start..end], cut);
         }
         NeighborTable {
             k,
@@ -186,6 +169,32 @@ impl NeighborTable {
         self.neighbors.len() * std::mem::size_of::<LocalId>()
             + self.starts.len() * std::mem::size_of::<u32>()
             + self.cuts.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Places one id-ascending row by a stable counting sort on the key
+/// distance: `placed` (the row's length) receives the ids in
+/// `(distance, id)` order, and `cut` (`k + 1` slots, whatever they held)
+/// the number of entries with key distance `<= d` for each `d`. The one
+/// placement routine behind every row a table or an on-demand row source
+/// holds.
+pub(crate) fn place_row(row: &[(LocalId, Distance)], placed: &mut [LocalId], cut: &mut [u32]) {
+    cut.fill(0);
+    // A key distance beyond `k` indexes past the row's slots.
+    for &(_, d) in row {
+        cut[d as usize] += 1;
+    }
+    // cut[d] = entries with key distance < d: where bucket d begins.
+    let mut below = 0u32;
+    for c in cut.iter_mut() {
+        below += std::mem::replace(c, below);
+    }
+    // Placing advances each bucket's cursor to its end, which is the
+    // number of entries with key distance <= d.
+    for &(id, d) in row {
+        let cursor = &mut cut[d as usize];
+        placed[*cursor as usize] = id;
+        *cursor += 1;
     }
 }
 

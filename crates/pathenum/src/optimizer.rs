@@ -13,7 +13,11 @@
 //! 1. **§6.2's test on what the request can read.**
 //!    `bounded = min(preliminary, k · limit)`; `bounded <= tau` ⇒ IDX-DFS,
 //!    and neither the full estimator nor Algorithm 5 is needed. The
-//!    paper tests `preliminary` alone; this is the one departure.
+//!    paper tests `preliminary` alone; this is the one departure. When
+//!    `k · limit <= tau` the preliminary estimate cannot change the
+//!    outcome, so the pipeline asks before building anything
+//!    ([`PlanEstimates::default`], no estimate at all): a request settled
+//!    there builds only the index's labels and its cost is `k · limit`.
 //! 2. **Algorithm 5, unchanged.** Otherwise `T_DFS` against `T_JOIN`,
 //!    priced for full enumeration whatever the limit: a limit too large
 //!    for step 1 decides exactly as no limit does.
@@ -63,11 +67,14 @@ pub struct JoinPlan {
 }
 
 /// What the cost model knows about one index: the limit-independent
-/// half of a plan, which is what the plan cache keeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// half of a plan, which is what the plan cache keeps. The `Default` is
+/// what is known before the index is built: nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanEstimates {
-    /// Preliminary search-space estimate (Equation 5).
-    pub preliminary: u64,
+    /// Preliminary search-space estimate (Equation 5), once the index
+    /// has the rows it is computed from: `None` before the build, and on
+    /// an index that holds only its labels.
+    pub preliminary: Option<u64>,
     /// `|Q|` from the full estimator, once it has run.
     pub full: Option<u64>,
     /// Algorithm 5's output, once it has run and found an interior cut.
@@ -111,8 +118,11 @@ pub struct Decision {
 
 /// Decides method and cut for one request from the estimates its plan
 /// carries (see the [module docs](self) for the rule). Returns `None`
-/// when the decision needs the full estimator and `estimates` does not
-/// carry its output yet — the caller runs it and asks again.
+/// when the decision needs an estimate `estimates` does not carry yet —
+/// the full estimator's, or the preliminary one when `k · limit` alone
+/// does not settle step 1 — and the caller computes it and asks again.
+/// With no estimate at all, `Some` means step 1 settled the request on
+/// `k · limit` alone, before any row of the index exists.
 pub fn decide(
     estimates: &PlanEstimates,
     k: u32,
@@ -131,20 +141,22 @@ pub fn decide(
             Method::IdxDfs => Some(Decision {
                 method,
                 cut: None,
-                cost: join.map_or(preliminary, |j| j.t_dfs),
+                cost: join.map(|j| j.t_dfs).or(preliminary)?,
                 limit: None,
                 basis: Basis::Forced,
             }),
             // Forced IDX-JOIN still needs the optimizer to pick a cut.
-            Method::IdxJoin => full.map(|_| Decision {
-                method,
-                cut: Some(
-                    join.map_or(k / 2, |j| j.cut)
-                        .clamp(1, k.saturating_sub(1).max(1)),
-                ),
-                cost: join.map_or(preliminary, |j| j.t_join),
-                limit: None,
-                basis: Basis::Forced,
+            Method::IdxJoin => full.and_then(|_| {
+                Some(Decision {
+                    method,
+                    cut: Some(
+                        join.map_or(k / 2, |j| j.cut)
+                            .clamp(1, k.saturating_sub(1).max(1)),
+                    ),
+                    cost: join.map(|j| j.t_join).or(preliminary)?,
+                    limit: None,
+                    basis: Basis::Forced,
+                })
             }),
         };
     }
@@ -154,9 +166,10 @@ pub fn decide(
         // any number of walks.
         ConstraintKind::Accumulative | ConstraintKind::Automaton => None,
     };
-    let bounded = limit.map_or(preliminary, |l| {
-        preliminary.min(u64::from(k).saturating_mul(l))
-    });
+    let by_limit = limit.map(|l| u64::from(k).saturating_mul(l));
+    // A missing preliminary can only make `bounded` larger, so a bound
+    // within tau settles step 1 either way.
+    let bounded = preliminary.into_iter().chain(by_limit).min()?;
     if bounded <= tau {
         return Some(Decision {
             method: Method::IdxDfs,
@@ -168,6 +181,7 @@ pub fn decide(
     }
     // Past step 1 the limit prices nothing: what follows is the
     // unlimited decision.
+    let preliminary = preliminary?;
     full?;
     Some(match join {
         None => Decision {
@@ -336,7 +350,7 @@ mod tests {
         assert_eq!(report.method, Method::IdxDfs);
         assert_eq!(report.counters.results, 5);
         assert_eq!(sink.paths.len(), 5);
-        assert!(report.preliminary_estimate <= 100_000);
+        assert!(report.preliminary_estimate.is_some_and(|p| p <= 100_000));
     }
 
     #[test]
@@ -399,7 +413,7 @@ mod tests {
         let mut sink = CountingSink::default();
         let report = path_enum(&g, q, PathEnumConfig::default(), &mut sink).unwrap();
         assert_eq!(report.counters.results, 0);
-        assert_eq!(report.preliminary_estimate, 0);
+        assert_eq!(report.preliminary_estimate, Some(0));
         assert_eq!(report.index_edges, 0);
     }
 
@@ -420,7 +434,7 @@ mod tests {
 
     /// `complete_digraph(14)`, `q(0, 13, 6)`: Algorithm 5's numbers.
     const K14: PlanEstimates = PlanEstimates {
-        preliminary: 442_286,
+        preliminary: Some(442_286),
         full: Some(193_261),
         join: Some(JoinPlan {
             cut: 3,
@@ -486,7 +500,7 @@ mod tests {
     #[test]
     fn arithmetic_saturates_instead_of_wrapping() {
         let huge = PlanEstimates {
-            preliminary: u64::MAX,
+            preliminary: Some(u64::MAX),
             full: Some(u64::MAX),
             join: Some(JoinPlan {
                 cut: 2,

@@ -486,6 +486,7 @@ pub fn parallel_dfs(
                     }
                     idx_dfs_seeded(
                         index,
+                        &mut index.rows(),
                         prefix,
                         &mut scratch,
                         &mut task_sink,

@@ -36,13 +36,13 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pathenum_graph::{GraphSnapshot, GraphVersion, VertexId};
+use pathenum_graph::{GraphSnapshot, GraphVersion, NeighborAccess, VertexId};
 
 use crate::index::{BuildScratch, Index};
 use crate::optimizer::PathEnumConfig;
 use crate::plan::{
-    effective_config, resolve_on_index, CacheOutcome, Executor, GraphStamp, IndexFootprint,
-    PhysicalPlan, PlanCache, PlanKey, Planner, SharedPlanCache, StoppingRules,
+    complete_on_graph, effective_config, resolve_on_index, CacheOutcome, Executor, GraphStamp,
+    IndexFootprint, PhysicalPlan, PlanCache, PlanKey, Planner, SharedPlanCache, StoppingRules,
 };
 use crate::query::Query;
 use crate::request::{PathEnumError, QueryRequest, QueryResponse, Termination};
@@ -289,7 +289,14 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
         }
         Ok(match self.acquire(query, request, sink) {
             Acquired::Replay(response) => response,
-            Acquired::Planned(planned) => finish(planned, request, deadline, sink, &mut self.store),
+            Acquired::Planned(planned) => finish(
+                planned,
+                self.graph,
+                request,
+                deadline,
+                sink,
+                &mut self.store,
+            ),
         })
     }
 
@@ -364,20 +371,33 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
         match &key {
             Some(key) => {
                 let cached = self.store.with_plans(key, |plans| plans.lookup(key, at));
-                if let Some((mut plan, index)) = cached {
+                if let Some((mut plan, mut index)) = cached {
                     plan.constraint = request.constraint.kind();
                     plan.threads = self.threads;
                     let mut timings = PhaseTimings {
                         cache_lookup: lookup_start.elapsed(),
                         ..PhaseTimings::default()
                     };
-                    // The entry keeps what no limit changes; method and
-                    // cut are this request's. If it is the first on the
-                    // entry to need the full estimate, it computes it
-                    // here, unlocked, and leaves it for the rest.
-                    if resolve_on_index(&mut plan, &index, request.limit, &mut timings) {
+                    // The plan layer serves filled indexes only: the first
+                    // request to find a step-1 miss's labels-only entry
+                    // fills its rows here. The entry keeps what no limit
+                    // changes; method and cut are this request's, and if
+                    // it is the first on the entry to need the full
+                    // estimate, it computes it here too. Both happen
+                    // unlocked and are left for the rest.
+                    let seen = Arc::clone(&index);
+                    let completed = complete_on_graph(
+                        &mut plan,
+                        &mut index,
+                        self.graph,
+                        self.scratch,
+                        &mut timings,
+                    );
+                    let estimated =
+                        resolve_on_index(&mut plan, &index, request.limit, &mut timings);
+                    if completed || estimated {
                         self.store
-                            .with_plans(key, |plans| plans.record_estimates(key, &index, &plan));
+                            .with_plans(key, |plans| plans.write_back(key, &seen, &plan, &index));
                     }
                     return PlannedRequest {
                         plan,
@@ -405,9 +425,9 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
             request,
             self.scratch,
             at.log.is_some(),
+            self.threads,
         );
-        let mut plan = planned.plan;
-        plan.threads = self.threads;
+        let plan = planned.plan;
         let index = Arc::new(planned.index);
         // The build's boundary distance maps are still in the scratch:
         // capture the reach footprint exactly when the graph has a log
@@ -442,8 +462,9 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
 /// recorded through the pipeline's single [`TeeSink`] — bounded by what
 /// the layer could admit — and stored, unless the answer is not a
 /// faithful one (cancelled, stopped by the caller's sink, or too large).
-pub(crate) fn finish(
+pub(crate) fn finish<G: NeighborAccess>(
     planned: PlannedRequest,
+    graph: &G,
     request: &QueryRequest<'_>,
     deadline: Option<Instant>,
     sink: &mut dyn PathSink,
@@ -456,11 +477,16 @@ pub(crate) fn finish(
         outcome,
         result_slot,
     } = planned;
+    let run = |sink: &mut dyn PathSink| {
+        execute_on_plan(
+            &index, graph, plan, request, deadline, sink, timings, outcome,
+        )
+    };
     let Some(slot) = result_slot else {
-        return execute_on_plan(&index, plan, request, deadline, sink, timings, outcome);
+        return run(sink);
     };
     let mut tee = TeeSink::new(sink, store.max_result_bytes().unwrap_or(0));
-    let response = execute_on_plan(&index, plan, request, deadline, &mut tee, timings, outcome);
+    let response = run(&mut tee);
     if let Some(paths) = tee.finish() {
         if response.termination != Termination::Cancelled {
             store.with_results(&slot.key, |results| {
@@ -533,8 +559,10 @@ fn replay_result_hit(
 /// enumeration for an explain request) and assembles the response. It
 /// borrows everything it touches and owns no evaluator state, which is
 /// what lets many threads drive it over one shared graph and cache.
-fn execute_on_plan(
+#[allow(clippy::too_many_arguments)]
+fn execute_on_plan<G: NeighborAccess>(
     index: &Index,
+    graph: &G,
     plan: PhysicalPlan,
     request: &QueryRequest<'_>,
     deadline: Option<Instant>,
@@ -555,7 +583,7 @@ fn execute_on_plan(
         deadline,
         cancel: request.cancel.clone(),
     };
-    let execution = Executor::run(index, &plan, &request.constraint, rules, sink);
+    let execution = Executor::run(index, graph, &plan, &request.constraint, rules, sink);
     timings.enumeration = execution.enumeration;
     QueryResponse {
         report: plan.report(timings, execution.counters, cache),

@@ -56,6 +56,24 @@
 //! probe, hit or miss. [`plan_on_index`] has no request and resolves as
 //! unlimited: the paper's optimizer, unchanged.
 //!
+//! # Labels-only entries
+//!
+//! A request that step 1 settles on `k · limit` alone — asked before the
+//! build, with no estimate — and that IDX-DFS serves sequentially,
+//! unconstrained, from a graph without a mutation log, on an index with
+//! more members than its `limit`, is planned on the index's labels only
+//! ([`Index::build_labels`]): its plan carries no
+//! preliminary estimate, EXPLAIN says so, admission charges it
+//! `k · limit`, and the executor reads each `I_t` row the first time it
+//! expands the row's owner. A miss stores that labels-only entry. The
+//! plan layer serves only filled indexes, so the first request that
+//! finds the entry — through the pipeline or through
+//! [`QueryEngine::stream`](crate::QueryEngine::stream) — completes it
+//! (every row, the level statistics, the preliminary estimate) outside
+//! the shard lock and writes it back under `Arc::ptr_eq`, as the full
+//! estimate is. A hot key pays for its rows once; a key that is never
+//! reused never pays for them.
+//!
 //! The crate's one request pipeline (`pipeline.rs`) wires the three
 //! together for every evaluator: plan-acquisition (cache lookup or
 //! [`Planner`]) followed by [`Executor`] dispatch, with
@@ -90,7 +108,7 @@ use pathenum_graph::{
 
 use crate::bits::CompactBits;
 use crate::constraints::{automaton_join, filtered_graph};
-use crate::enumerate::{idx_dfs_iterative, idx_join};
+use crate::enumerate::{idx_dfs_iterative, idx_dfs_on_demand, idx_join};
 use crate::estimator::{preliminary_estimate, FullEstimate};
 use crate::index::{BuildScratch, Index};
 use crate::optimizer::{
@@ -191,8 +209,13 @@ pub struct PhysicalPlan {
     /// enter the pricing (no limit, a forced method, a constraint that
     /// filters complete paths, a limit too large for that test).
     pub limit: Option<u64>,
-    /// Preliminary search-space estimate (Equation 5).
-    pub preliminary_estimate: u64,
+    /// Preliminary search-space estimate (Equation 5); `None` when step 1
+    /// settled the request on `k · limit` before the index had the rows
+    /// and level statistics it is computed from. Such a plan's index
+    /// holds only its labels ([`Index::has_rows`] is false) and IDX-DFS
+    /// reads its rows on demand; the plan cache completes the entry —
+    /// and this field — for the first request that finds it.
+    pub preliminary_estimate: Option<u64>,
     /// Full-fledged estimate of `|Q|` (exact walk count), when the
     /// optimizer ran.
     pub full_estimate: Option<u64>,
@@ -214,7 +237,8 @@ pub struct PhysicalPlan {
     pub threads: usize,
     /// `|X|`: vertices kept by the light-weight index.
     pub index_vertices: usize,
-    /// Edges in the index's forward table (the paper's index-size metric).
+    /// Edges in the index's forward table (the paper's index-size metric);
+    /// 0 while the rows are read on demand.
     pub index_edges: usize,
     /// Index heap footprint in bytes.
     pub index_bytes: usize,
@@ -287,7 +311,9 @@ impl PhysicalPlan {
     /// charged for the million it leaves behind.
     pub fn modeled_cost(&self) -> u64 {
         self.decision_for(self.limit)
-            .map_or(self.preliminary_estimate, |decision| decision.cost)
+            .map(|decision| decision.cost)
+            .or(self.preliminary_estimate)
+            .unwrap_or(0)
             .max(1)
     }
 
@@ -329,11 +355,20 @@ impl std::fmt::Display for PhysicalPlan {
             (false, Some(cut)) => writeln!(f, " (cost-based; cut at {cut})")?,
             (false, None) => writeln!(f, " (cost-based)")?,
         }
-        write!(
-            f,
-            "  estimates: preliminary={} (tau={})",
-            self.preliminary_estimate, self.tau
-        )?;
+        let basis = self.decision_for(self.limit).map(|decision| decision.basis);
+        match (self.preliminary_estimate, basis) {
+            (Some(preliminary), _) => write!(
+                f,
+                "  estimates: preliminary={preliminary} (tau={})",
+                self.tau
+            )?,
+            (None, Some(Basis::Bounded { bounded })) => write!(
+                f,
+                "  estimates: preliminary=not computed (k*limit = {bounded} <= tau), tau={}",
+                self.tau
+            )?,
+            (None, _) => write!(f, "  estimates: preliminary=not computed, tau={}", self.tau)?,
+        }
         if let Some(limit) = self.limit {
             write!(f, ", limit={limit}")?;
         }
@@ -341,7 +376,6 @@ impl std::fmt::Display for PhysicalPlan {
             Some(walks) => writeln!(f, ", walks={walks}")?,
             None => writeln!(f)?,
         }
-        let basis = self.decision_for(self.limit).map(|decision| decision.basis);
         match (self.t_dfs.zip(self.t_join), basis) {
             (Some((t_dfs, t_join)), basis) => {
                 write!(f, "  modeled costs: t_dfs={t_dfs}, t_join={t_join}")?;
@@ -356,7 +390,9 @@ impl std::fmt::Display for PhysicalPlan {
                 write!(f, "  modeled costs: not computed (")?;
                 match basis {
                     Some(Basis::Forced) => write!(f, "method forced")?,
-                    Some(Basis::Bounded { bounded }) if self.preliminary_estimate > self.tau => {
+                    Some(Basis::Bounded { bounded })
+                        if self.preliminary_estimate.is_none_or(|p| p > self.tau) =>
+                    {
                         write!(f, "k*limit = {bounded} <= tau")?
                     }
                     Some(Basis::Bounded { .. }) => write!(f, "preliminary <= tau")?,
@@ -366,11 +402,14 @@ impl std::fmt::Display for PhysicalPlan {
                 writeln!(f, ")")?;
             }
         }
+        write!(f, "  index: {} vertices, ", self.index_vertices)?;
+        match self.preliminary_estimate {
+            Some(_) => write!(f, "{} edges", self.index_edges)?,
+            None => write!(f, "rows read on demand")?,
+        }
         writeln!(
             f,
-            "  index: {} vertices, {} edges, {} bytes{}",
-            self.index_vertices,
-            self.index_edges,
+            ", {} bytes{}",
             self.index_bytes,
             if self.is_provably_empty() {
                 " (provably empty)"
@@ -443,7 +482,8 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
     pub fn plan(&self, request: &QueryRequest<'_>) -> Result<PhysicalPlan, PathEnumError> {
         let query = request.validate(self.graph.num_vertices())?;
         let mut scratch = BuildScratch::default();
-        let (planned, _) = self.plan_query(query, request, &mut scratch, false);
+        let threads = request.effective_threads();
+        let (planned, _) = self.plan_query(query, request, &mut scratch, false, threads);
         Ok(planned.plan)
     }
 
@@ -452,10 +492,20 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
         effective_config(self.config, request)
     }
 
-    /// Plans a validated query: builds the index (on the
-    /// predicate-filtered subgraph when the request carries a predicate),
-    /// runs the estimators, and decides method + cut. Returns the plan,
-    /// the index, and the front-half phase timings.
+    /// Plans a validated query to run on `threads` threads: builds the
+    /// index (on the predicate-filtered subgraph when the request carries
+    /// a predicate), runs the estimators, and decides method + cut.
+    /// Returns the plan, the index, and the front-half phase timings.
+    ///
+    /// The decision is tried first with no estimate at all. When step 1
+    /// settles the request on `k · limit` alone, and IDX-DFS can read its
+    /// rows from the serving graph itself — no constraint, one thread, no
+    /// `full_reach` — the labels are built first ([`Index::build_labels`]).
+    /// If `X` has more members than the request's `limit`, that is all:
+    /// the plan carries no preliminary estimate and the executor reads
+    /// each row the first time it expands its owner. Otherwise the rows
+    /// are filled at once, here, and the plan is the eager one, as it is
+    /// for every other request.
     ///
     /// `full_reach` asks the build for the two-pass boundary search, whose
     /// maps [`IndexFootprint::capture`] can then read from `scratch` — the
@@ -467,14 +517,42 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
         request: &QueryRequest<'_>,
         scratch: &mut BuildScratch,
         full_reach: bool,
+        threads: usize,
     ) -> (Planned, PhaseTimings) {
         let config = self.effective_config(request);
+        let on_demand = !full_reach
+            && threads == 1
+            && matches!(request.constraint, ConstraintSpec::None)
+            && decide(
+                &PlanEstimates::default(),
+                query.k,
+                config.tau,
+                config.force,
+                ConstraintKind::None,
+                request.limit,
+            )
+            .is_some();
         let build_start = Instant::now();
         let (index, bfs_time) = match &request.constraint {
             ConstraintSpec::Predicate(predicate) => {
                 // Appendix E: the filter pass is attributed to build time.
                 let filtered = filtered_graph(self.graph, predicate);
                 Index::build_with(&filtered, query, scratch, full_reach)
+            }
+            _ if on_demand => {
+                let (mut index, bfs_time) = Index::build_labels(self.graph, query, scratch);
+                // Rows on demand pay off only where the search leaves rows
+                // unread. On an index with no more members than the results
+                // the request reads, a search that stops at its limit has
+                // read nearly every row anyway; they are filled here, on
+                // the thread whose sweep has just scanned their adjacency.
+                if request
+                    .limit
+                    .is_some_and(|limit| index.num_vertices() as u64 <= limit)
+                {
+                    index.fill_rows(self.graph, scratch);
+                }
+                (index, bfs_time)
             }
             _ => Index::build_with(self.graph, query, scratch, full_reach),
         };
@@ -483,7 +561,6 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
             index_build: build_start.elapsed(),
             ..PhaseTimings::default()
         };
-        let threads = request.effective_threads();
         let plan = plan_on_index_inner(
             &index,
             config,
@@ -502,7 +579,8 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
 ///
 /// This is [`Planner`] without graph access — used by
 /// [`path_enum_on_index`](crate::optimizer::path_enum_on_index) style
-/// callers that benchmark phases separately.
+/// callers that benchmark phases separately. `index` must have its rows
+/// (every [`Index::build`] does).
 pub fn plan_on_index(
     index: &Index,
     config: PathEnumConfig,
@@ -519,9 +597,12 @@ fn plan_on_index_inner(
     limit: Option<u64>,
     timings: &mut PhaseTimings,
 ) -> PhysicalPlan {
-    let prelim_start = Instant::now();
-    let preliminary = preliminary_estimate(index);
-    timings.preliminary_estimation = prelim_start.elapsed();
+    let preliminary = index.has_rows().then(|| {
+        let prelim_start = Instant::now();
+        let preliminary = preliminary_estimate(index);
+        timings.preliminary_estimation = prelim_start.elapsed();
+        preliminary
+    });
 
     let mut plan = PhysicalPlan {
         query: index.query(),
@@ -551,7 +632,7 @@ fn plan_on_index_inner(
 /// plan does not carry them yet — at most once per plan, whatever
 /// requests it goes on to serve. Returns whether they ran: a plan that
 /// came out of the cache is then owed a
-/// [write-back](PlanCache::record_estimates).
+/// [write-back](PlanCache::write_back).
 pub(crate) fn resolve_on_index(
     plan: &mut PhysicalPlan,
     index: &Index,
@@ -561,6 +642,7 @@ pub(crate) fn resolve_on_index(
     if plan.resolve(limit) {
         return false;
     }
+    debug_assert!(index.has_rows(), "only step 1 decides on labels alone");
     let opt_start = Instant::now();
     let estimate = FullEstimate::compute(index); // alloc: setup
     let join = optimize_join_order(index, &estimate);
@@ -571,6 +653,37 @@ pub(crate) fn resolve_on_index(
     plan.join_cut = join.map(|j| j.cut);
     let resolved = plan.resolve(limit);
     debug_assert!(resolved, "a full estimate settles every decision");
+    true
+}
+
+/// Completes a labels-only `index` — what a step-1 miss leaves in the plan
+/// cache — from `graph`, the graph it was built on: every row and the
+/// level statistics ([`Index::fill_rows`]), then the preliminary estimate
+/// and index shape `plan` reports, so both equal a cold eager plan's.
+/// Returns whether there was anything to complete: a plan and index that
+/// came out of the cache are then owed a
+/// [write-back](PlanCache::write_back). The rows count as `index_build`
+/// time, the estimate as `preliminary_estimation`.
+pub(crate) fn complete_on_graph<G: NeighborAccess>(
+    plan: &mut PhysicalPlan,
+    index: &mut Arc<Index>,
+    graph: &G,
+    scratch: &mut BuildScratch,
+    timings: &mut PhaseTimings,
+) -> bool {
+    if index.has_rows() {
+        return false;
+    }
+    let build_start = Instant::now();
+    let mut filled = Index::clone(index);
+    filled.fill_rows(graph, scratch);
+    timings.index_build += build_start.elapsed();
+    let prelim_start = Instant::now();
+    plan.preliminary_estimate = Some(preliminary_estimate(&filled));
+    timings.preliminary_estimation += prelim_start.elapsed();
+    plan.index_edges = filled.num_edges();
+    plan.index_bytes = filled.heap_bytes();
+    *index = Arc::new(filled);
     true
 }
 
@@ -621,9 +734,13 @@ impl Executor {
     /// Full interpretation: applies the request's constraint closures,
     /// enforces the stopping rules, and fans out over the intra-query
     /// pool when the plan carries `threads > 1` (unconstrained plans
-    /// only — the constrained executors stay sequential).
-    pub(crate) fn run(
+    /// only — the constrained executors stay sequential). `graph` is the
+    /// serving graph `index` was built on: an index that holds only its
+    /// labels (a step-1 plan, sequential and unconstrained) has IDX-DFS
+    /// read its rows from there.
+    pub(crate) fn run<G: NeighborAccess>(
         index: &Index,
+        graph: &G,
         plan: &PhysicalPlan,
         constraint: &ConstraintSpec<'_>,
         rules: StoppingRules,
@@ -631,6 +748,13 @@ impl Executor {
     ) -> Execution {
         let mut counters = Counters::default();
         let enum_start = Instant::now();
+        debug_assert!(
+            index.has_rows()
+                || (plan.threads == 1
+                    && plan.method == Method::IdxDfs
+                    && matches!(constraint, ConstraintSpec::None)),
+            "only a sequential, unconstrained IDX-DFS reads rows on demand"
+        );
 
         if plan.threads > 1 && matches!(constraint, ConstraintSpec::None) {
             let control =
@@ -672,9 +796,12 @@ impl Executor {
 
         let mut control = ControlledSink::new(sink, rules.limit, rules.deadline, rules.cancel);
         match (constraint, plan.method) {
+            (ConstraintSpec::None, Method::IdxDfs) => {
+                idx_dfs_on_demand(graph, index, &mut control, &mut counters);
+            }
             // Predicate requests already enumerated the filtered graph's
             // index — plain dispatch.
-            (ConstraintSpec::None | ConstraintSpec::Predicate(_), Method::IdxDfs) => {
+            (ConstraintSpec::Predicate(_), Method::IdxDfs) => {
                 idx_dfs_iterative(index, &mut control, &mut counters);
             }
             (ConstraintSpec::None | ConstraintSpec::Predicate(_), Method::IdxJoin) => {
@@ -1109,24 +1236,36 @@ impl PlanCache {
         }
     }
 
-    /// Completes the entry for `key` with the full estimates `plan` now
-    /// carries — computed by a reader, outside any lock, from the
-    /// `index` a [`lookup`](Self::lookup) handed it. A no-op unless the
-    /// entry still holds that very index and still lacks them. Not a
-    /// lookup: no counter moves.
-    pub(crate) fn record_estimates(
+    /// Completes the entry for `key` with what a reader computed, outside
+    /// any lock, from the `seen` index a [`lookup`](Self::lookup) handed
+    /// it: `index` with its rows in place of a labels-only one (see
+    /// [`complete_on_graph`]) and the estimates `plan` now carries. A
+    /// no-op unless the entry still holds `seen`; what the entry already
+    /// has is kept. Not a lookup: no counter moves.
+    pub(crate) fn write_back(
         &mut self,
         key: &PlanKey,
-        index: &Arc<Index>,
+        seen: &Arc<Index>,
         plan: &PhysicalPlan,
+        index: &Arc<Index>,
     ) {
-        if let Some(entry) = self.entries.get_mut(key) {
-            if Arc::ptr_eq(&entry.index, index) && entry.plan.full_estimate.is_none() {
-                entry.plan.full_estimate = plan.full_estimate;
-                entry.plan.t_dfs = plan.t_dfs;
-                entry.plan.t_join = plan.t_join;
-                entry.plan.join_cut = plan.join_cut;
-            }
+        let Some(entry) = self.entries.get_mut(key) else {
+            return;
+        };
+        if !Arc::ptr_eq(&entry.index, seen) {
+            return;
+        }
+        if entry.plan.preliminary_estimate.is_none() {
+            entry.index = Arc::clone(index);
+            entry.plan.preliminary_estimate = plan.preliminary_estimate;
+            entry.plan.index_edges = plan.index_edges;
+            entry.plan.index_bytes = plan.index_bytes;
+        }
+        if entry.plan.full_estimate.is_none() {
+            entry.plan.full_estimate = plan.full_estimate;
+            entry.plan.t_dfs = plan.t_dfs;
+            entry.plan.t_join = plan.t_join;
+            entry.plan.join_cut = plan.join_cut;
         }
     }
 
@@ -1295,14 +1434,14 @@ mod tests {
 
         let request = QueryRequest::paths(S, T).max_hops(4);
         let planner = Planner::new(&g, PathEnumConfig::default());
-        planner.plan_query(query, &request, &mut scratch, true);
+        planner.plan_query(query, &request, &mut scratch, true, 1);
         let footprint =
             IndexFootprint::capture(lineage, &scratch, 4).expect("two-pass maps are full reach");
         assert_eq!(footprint.insertion_touches(V[0], V[2]), (true, true));
         assert_eq!(footprint.insertion_touches(V[7], V[7]), (false, false));
 
         // The flag follows the last build, not the first.
-        planner.plan_query(query, &request, &mut scratch, false);
+        planner.plan_query(query, &request, &mut scratch, false, 1);
         assert!(IndexFootprint::capture(lineage, &scratch, 4).is_none());
     }
 

@@ -101,19 +101,25 @@ pub struct PhaseTimings {
     /// estimation entirely, so on the warm path this is the *only*
     /// preprocessing cost — it is deliberately not folded into
     /// `index_build`, which stays zero so phase tables attribute warm
-    /// time correctly.
+    /// time correctly. (The one exception is the first hit on a
+    /// labels-only entry, which completes it; see `index_build`.)
     pub cache_lookup: Duration,
     /// The boundary search — the bidirectional sweep, or the two full
     /// BFS passes on a graph with a mutation log (part of index
     /// construction).
     pub bfs: Duration,
-    /// Full index construction including the BFS time.
+    /// Full index construction including the BFS time — on a plan hit,
+    /// the rows and level statistics a labels-only cache entry is
+    /// completed with, when this request was the first to find it.
     pub index_build: Duration,
     /// Preliminary estimation (Equation 5). Essentially free.
     pub preliminary_estimation: Duration,
     /// Join-order optimization (Algorithm 5), when it ran.
     pub optimization: Duration,
-    /// Result enumeration.
+    /// Result enumeration, including the `I_t` rows IDX-DFS fills the
+    /// first time it expands their owners on an index built with labels
+    /// only: a request that reads rows on demand pays for them here, not
+    /// under `index_build`.
     pub enumeration: Duration,
 }
 
@@ -148,8 +154,10 @@ pub struct RunReport {
     pub timings: PhaseTimings,
     /// Enumeration counters.
     pub counters: Counters,
-    /// Preliminary search-space estimate (Equation 5).
-    pub preliminary_estimate: u64,
+    /// Preliminary search-space estimate (Equation 5); `None` when the
+    /// request was settled on `k · limit` before the index had rows to
+    /// compute it from (see [`PhysicalPlan`](crate::plan::PhysicalPlan)).
+    pub preliminary_estimate: Option<u64>,
     /// Full-fledged estimate of `|Q|` (walk count), when computed.
     pub full_estimate: Option<u64>,
     /// Modeled left-deep DFS cost `T_DFS`, when the optimizer ran.

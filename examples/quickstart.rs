@@ -49,10 +49,12 @@ fn main() {
         "method selected: {}; termination: {:?}",
         report.method, response.termination
     );
-    println!(
-        "index: {} edges, {} bytes; preliminary estimate: {} partial results",
-        report.index_edges, report.index_bytes, report.preliminary_estimate
-    );
+    if let Some(preliminary) = report.preliminary_estimate {
+        println!(
+            "index: {} edges, {} bytes; preliminary estimate: {preliminary} partial results",
+            report.index_edges, report.index_bytes
+        );
+    }
     println!("found {} paths:", response.paths.len());
     let mut paths = response.paths;
     paths.sort_unstable();

@@ -17,6 +17,13 @@
 //! the pipeline's full-reach build leaves exactly the two-pass maps in
 //! its scratch is checked where the scratch is visible, in
 //! `pathenum::index::build`'s unit tests.)
+//!
+//! Rows read on demand are pinned against the eager index: IDX-DFS over a
+//! labels-only index ([`Index::build_labels`]), filling each row from the
+//! graph the first time it expands the row's owner, must emit exactly
+//! what [`idx_dfs_iterative`] emits on [`Index::build`] — paths, order,
+//! counters — at every result limit, on heap, frozen and varint-frozen
+//! storage; and completing a labels-only index must yield that index.
 
 use std::collections::VecDeque;
 
@@ -26,7 +33,8 @@ use pathenum_repro::core::enumerate::kernels::{
     intersect_bitset, intersect_gallop, intersect_sorted, BlockBits, DENSE_UNIVERSE,
 };
 use pathenum_repro::core::enumerate::{
-    idx_dfs, idx_dfs_iterative, idx_join, idx_join_reference, thread_scratch_heap_bytes,
+    idx_dfs, idx_dfs_iterative, idx_dfs_on_demand, idx_join, idx_join_reference,
+    thread_scratch_heap_bytes,
 };
 use pathenum_repro::core::index::{BuildScratch, LocalId, NeighborTable};
 use pathenum_repro::graph::bfs::{
@@ -733,4 +741,134 @@ fn sweep_proves_unreachable_and_too_distant_targets_empty() {
     assert!(Index::build(&g, Query::new(0, 1, 4).unwrap()).is_empty());
     check_named_case(&g, 0, 1, 5);
     assert!(!Index::build(&g, Query::new(0, 1, 5).unwrap()).is_empty());
+}
+
+/// The storage forms a request is served from without a mutation log:
+/// the heap CSR, its frozen image, and its varint-compressed frozen
+/// image.
+fn storages(g: &CsrGraph) -> [(&'static str, GraphHandle); 3] {
+    let frozen = |compress| {
+        let mut image = Vec::new();
+        write_frozen(g, compress, &mut image).expect("in-memory write");
+        GraphHandle::from(read_frozen(image.as_slice()).expect("round trip"))
+    };
+    [
+        ("heap", GraphHandle::from(g.clone())),
+        ("frozen", frozen(false)),
+        ("varint", frozen(true)),
+    ]
+}
+
+/// Runs `kernel` under a result limit (`None`: unlimited) into a
+/// collecting sink: the emitted paths, the counters, and the kernel's own
+/// verdict.
+fn run_limited(
+    limit: Option<u64>,
+    kernel: impl FnOnce(&mut dyn PathSink, &mut Counters) -> SearchControl,
+) -> (Vec<Vec<VertexId>>, Counters, SearchControl) {
+    let mut sink = ControlledSink::new(CollectingSink::default(), limit, None, None);
+    let mut counters = Counters::default();
+    let control = kernel(&mut sink, &mut counters);
+    (sink.into_inner().paths, counters, control)
+}
+
+/// On-demand IDX-DFS over labels only equals the eager kernel on the
+/// built index: every path in order, all four counters and the stop
+/// verdict, at every limit from 1 to the full count, on ER and power-law
+/// graphs in every log-less storage form.
+#[test]
+fn on_demand_rows_match_the_eager_kernel_at_every_limit() {
+    let mut compared = 0;
+    for (name, g) in workload_graphs() {
+        let n = g.num_vertices() as VertexId;
+        let queries = [
+            (0, n / 2, 5u32),
+            (1, n / 4, 5),
+            (0, n / 3, 5),
+            (1, 42, 4),
+            (2, 17, 4),
+        ];
+        for (storage, graph) in storages(&g) {
+            let mut scratch = BuildScratch::default();
+            for &(s, t, k) in &queries {
+                let q = Query::new(s, t, k).expect("valid");
+                let eager = Index::build(&graph, q);
+                let (labels, _) = Index::build_labels(&graph, q, &mut scratch);
+                assert_eq!(
+                    labels.has_rows(),
+                    labels.is_empty(),
+                    "{name}/{storage} {q:?}"
+                );
+                let (all, _, _) = run_limited(None, |sink, c| idx_dfs_iterative(&eager, sink, c));
+                let total = all.len() as u64;
+                for limit in (1..=total).map(Some).chain([None]) {
+                    let want = run_limited(limit, |sink, c| idx_dfs_iterative(&eager, sink, c));
+                    let got =
+                        run_limited(limit, |sink, c| idx_dfs_on_demand(&graph, &labels, sink, c));
+                    assert_eq!(got, want, "{name}/{storage} {q:?} limit {limit:?}");
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(compared > 1000, "only {compared} runs compared");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Filling a labels-only index reproduces the eager build field for
+    /// field, through a scratch another build dirtied in between; and the
+    /// on-demand kernel agrees with the eager one on arbitrary graphs.
+    #[test]
+    fn completed_labels_are_the_built_index(
+        (n, edges) in arb_graph(),
+        s in 0u32..16,
+        hop in 1u32..16,
+        k in 2u32..8,
+        limit in 1u64..12,
+    ) {
+        let g = graph_from_edges(n, &edges);
+        let s = s % n;
+        let t = (s + 1 + hop % (n - 1)) % n;
+        let q = Query::new(s, t, k).expect("distinct endpoints, k in range");
+        for (storage, graph) in storages(&g) {
+            let mut scratch = BuildScratch::default();
+            let (mut labels, _) = Index::build_labels(&graph, q, &mut scratch);
+            let eager = Index::build(&graph, q);
+            for limit in [Some(limit), None] {
+                let want = run_limited(limit, |sink, c| idx_dfs_iterative(&eager, sink, c));
+                let got =
+                    run_limited(limit, |sink, c| idx_dfs_on_demand(&graph, &labels, sink, c));
+                prop_assert_eq!(got, want, "{} {:?} limit {:?}", storage, q, limit);
+            }
+            Index::build_reusing(&graph, Query { s: t, t: s, k }, &mut scratch);
+            labels.fill_rows(&graph, &mut scratch);
+            prop_assert_eq!(&labels, &eager, "{} {:?}", storage, q);
+            prop_assert_eq!(observe(&labels), two_pass_model(&g, q), "{} {:?}", storage, q);
+        }
+    }
+}
+
+/// The arena rule `reproduce perf` enforces for the eager kernels holds
+/// for rows read on demand: once warm, repeating a query grows nothing.
+#[test]
+fn warm_on_demand_runs_do_not_grow_the_scratch_arena() {
+    let g = erdos_renyi(400, 2400, 11);
+    let q = Query::new(0, 200, 4).expect("valid");
+    let (labels, _) = Index::build_labels(&g, q, &mut BuildScratch::default());
+    assert!(!labels.has_rows(), "the query has results");
+    for _ in 0..2 {
+        let (paths, _) = run_kernel(|sink, c| idx_dfs_on_demand(&g, &labels, sink, c));
+        assert!(!paths.is_empty(), "workload should produce paths");
+    }
+    let settled = thread_scratch_heap_bytes();
+    for rep in 0..10 {
+        run_kernel(|sink, c| idx_dfs_on_demand(&g, &labels, sink, c));
+        let now = thread_scratch_heap_bytes();
+        assert_eq!(
+            now, settled,
+            "arena grew from {settled} to {now} bytes on warm repetition {rep}"
+        );
+    }
 }

@@ -46,7 +46,7 @@ proptest! {
         let tau = [0, DEFAULT_TAU][tau_sel as usize];
         let (index, plan) = er_plan(n, density, seed, k, tau);
         let preliminary = preliminary_estimate(&index);
-        prop_assert_eq!(plan.preliminary_estimate, preliminary);
+        prop_assert_eq!(plan.preliminary_estimate, Some(preliminary));
         prop_assert_eq!(plan.limit, None);
 
         if preliminary <= tau {
@@ -87,7 +87,7 @@ proptest! {
         let tau = [0, DEFAULT_TAU][tau_sel as usize];
         let (_, plan) = er_plan(n, density, seed, k, tau);
         let unlimited = plan.decision_for(None).expect("plan_on_index settles it");
-        let preliminary = plan.preliminary_estimate;
+        let preliminary = plan.preliminary_estimate.expect("plan_on_index builds every row");
 
         let mut limits = vec![1u64];
         while let Some(&last) = limits.last().filter(|&&l| l <= preliminary) {
@@ -122,12 +122,13 @@ fn one_entry_serves_limited_and_unlimited_requests() {
     let unlimited = || QueryRequest::from_query(query).explain();
     let mut engine = QueryEngine::new(&graph, PathEnumConfig::default());
 
-    // Step 1: 6 * 10 <= tau, so the 442 286-node search space is never
-    // sized any further.
+    // Step 1: 6 * 10 <= tau settles it before the index has rows, so the
+    // 442 286-node search space is not even sized: the miss builds the
+    // labels only.
     let first = engine.execute(&limited()).expect("valid request");
     let plan = first.plan.expect("explain reports the plan");
     assert_eq!(first.report.cache, CacheOutcome::Miss);
-    assert_eq!(plan.preliminary_estimate, 442_286);
+    assert_eq!(plan.preliminary_estimate, None);
     assert_eq!((plan.method, plan.cut), (Method::IdxDfs, None));
     assert_eq!(
         (plan.full_estimate, plan.t_dfs, plan.join_cut),
@@ -149,11 +150,12 @@ fn one_entry_serves_limited_and_unlimited_requests() {
     assert_eq!(full.limit, None);
     assert_eq!(Some(full.modeled_cost()), full.t_join);
 
-    // The limited request still streams — and now reports the estimate
-    // the entry carries, without having paid for it.
+    // The limited request still streams — and now reports the estimates
+    // the completed entry carries, without having paid for them.
     let third = engine.execute(&limited()).expect("valid request");
     let replan = third.plan.expect("explain reports the plan");
     assert_eq!(third.report.cache, CacheOutcome::Hit);
+    assert_eq!(replan.preliminary_estimate, Some(442_286));
     assert_eq!((replan.method, replan.cut), (Method::IdxDfs, None));
     assert_eq!(replan.full_estimate, Some(193_261));
     assert_eq!(replan.join_cut, Some(3));

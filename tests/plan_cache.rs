@@ -394,3 +394,103 @@ fn warm_hits_report_lookup_time_not_index_build() {
         warm.report.timings.cache_lookup
     );
 }
+
+/// The lifecycle of a labels-only entry. A step-1 request that misses
+/// builds only the labels and caches them; the first request to find the
+/// entry — through `execute`, `explain`, `stream` or a shared service —
+/// fills its rows once and writes them back, and from then on the entry
+/// plans and answers exactly as an eagerly built one.
+#[test]
+fn labels_only_entries_are_completed_by_their_first_reader() {
+    let graph = pathenum_graph::generators::complete_digraph(14);
+    let query = Query::new(0, 13, 6).expect("valid");
+    let limited = || {
+        QueryRequest::from_query(query)
+            .limit(10)
+            .collect_paths(true)
+    };
+    let unlimited = || QueryRequest::from_query(query);
+    let reference = QueryEngine::new(&graph, PathEnumConfig::default())
+        .execute(&limited())
+        .expect("valid request");
+    assert_eq!(reference.num_results(), 10);
+
+    // The miss: 6 * 10 <= tau, and the 14 members of X outnumber the 10
+    // results the request reads, so only the labels are built and cached.
+    let mut engine = QueryEngine::new(&graph, PathEnumConfig::default());
+    let miss = engine.explain(&limited()).expect("valid request");
+    assert_eq!(engine.plan_cache().len(), 1);
+    assert_eq!(miss.preliminary_estimate, None);
+    assert_eq!(miss.index_edges, 0);
+    assert_eq!(miss.modeled_cost(), 60, "admission pays k * limit");
+    let text = miss.to_string();
+    assert!(
+        text.contains("preliminary=not computed (k*limit = 60 <= tau)"),
+        "{text}"
+    );
+    assert!(text.contains("rows read on demand"), "{text}");
+    // A limit of 100 also passes step 1, but X is no larger than what it
+    // reads: its rows are filled at once and the plan is the eager one.
+    let filled = QueryEngine::new(&graph, PathEnumConfig::default())
+        .explain(&QueryRequest::from_query(query).limit(100))
+        .expect("valid request");
+    assert_eq!(filled.preliminary_estimate, Some(442_286));
+    assert!(filled.index_edges > 0);
+
+    // The first reader completes it and plans as a cold engine does.
+    let hit = engine.explain(&unlimited()).expect("valid request");
+    let stats = engine.cache_stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1));
+    let cold = QueryEngine::new(&graph, PathEnumConfig::default())
+        .explain(&unlimited())
+        .expect("valid request");
+    assert_eq!(hit, cold);
+    assert!(hit.preliminary_estimate.is_some() && hit.index_edges > 0);
+    let warm = engine.execute(&limited()).expect("valid request");
+    assert_eq!(warm.report.cache, CacheOutcome::Hit);
+    assert_eq!(warm.paths, reference.paths);
+    assert_eq!(warm.report.preliminary_estimate, cold.preliminary_estimate);
+
+    // `stream` reads the cache directly: it too must complete the entry
+    // rather than walk a table with no rows.
+    let mut engine = QueryEngine::new(&graph, PathEnumConfig::default());
+    engine.explain(&limited()).expect("valid request");
+    let request = limited();
+    let streamed: Vec<Vec<u32>> = engine.stream(&request).expect("valid request").collect();
+    assert_eq!(engine.cache_stats().hits, 1);
+    assert_eq!(streamed, reference.paths);
+    let after = engine.explain(&limited()).expect("valid request");
+    assert_eq!(
+        after.preliminary_estimate, cold.preliminary_estimate,
+        "written back"
+    );
+
+    // Four threads race to complete one labels-only entry of a shared
+    // cache: every answer is the reference, and the books balance.
+    let service = PathEnumService::with_config(
+        graph.clone(),
+        PathEnumConfig::default(),
+        ServiceConfig {
+            workers: 4,
+            ..ServiceConfig::default()
+        },
+    );
+    let explained = service
+        .execute(&limited().explain())
+        .expect("valid request");
+    assert_eq!(explained.plan.map(|p| p.preliminary_estimate), Some(None));
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                for _ in 0..8 {
+                    let response = service.execute(&limited()).expect("valid request");
+                    assert_eq!(response.report.cache, CacheOutcome::Hit);
+                    assert_eq!(response.paths, reference.paths);
+                }
+            });
+        }
+    });
+    let stats = service.cache_stats();
+    assert_eq!(stats.hits + stats.misses + stats.bypasses, stats.lookups);
+    assert_eq!((stats.misses, stats.hits), (1, 32));
+}
