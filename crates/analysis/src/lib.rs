@@ -463,9 +463,8 @@ impl RuleCtx<'_> {
     }
 }
 
-const ORDERING_SCOPE: [&str; 10] = [
+const ORDERING_SCOPE: [&str; 9] = [
     "crates/pathenum/src/parallel.rs",
-    "crates/pathenum/src/service.rs",
     "crates/pathenum/src/results.rs",
     "crates/pathenum/src/catalog.rs",
     "crates/pathenum/src/admission.rs",
@@ -476,8 +475,7 @@ const ORDERING_SCOPE: [&str; 10] = [
     "crates/graph/src/epoch.rs",
 ];
 
-const NO_PANIC_SCOPE: [&str; 6] = [
-    "crates/pathenum/src/service.rs",
+const NO_PANIC_SCOPE: [&str; 5] = [
     "crates/pathenum/src/catalog.rs",
     "crates/pathenum/src/admission.rs",
     "crates/pathenum/src/results.rs",

@@ -102,7 +102,7 @@ fn lexer_preserves_line_count_across_multiline_strings() {
 #[test]
 fn no_panic_fixture_exact_counts() {
     let src = include_str!("fixtures/no_panic.rs");
-    let findings = analyze_source("crates/pathenum/src/service.rs", src);
+    let findings = analyze_source("crates/pathenum/src/catalog.rs", src);
     let hits = by_rule(&findings, "no-panic");
     assert_eq!(lines(&hits), vec![5, 6, 8, 11]);
     assert_eq!(findings.len(), 4, "no other rule may fire: {findings:?}");
@@ -110,7 +110,7 @@ fn no_panic_fixture_exact_counts() {
     assert_eq!(hits[0].col, 31);
     assert_eq!(
         hits[0].render().lines().last().unwrap(),
-        "  --> crates/pathenum/src/service.rs:5:31"
+        "  --> crates/pathenum/src/catalog.rs:5:31"
     );
 }
 
@@ -234,7 +234,7 @@ fn lock_hygiene_fixture_exact_counts() {
 #[test]
 fn suppression_with_unknown_rule_is_a_lint_syntax_finding() {
     let src = "// lint: allow(no-such-rule) — typo\nfn f() {}\n";
-    let findings = analyze_source("crates/pathenum/src/service.rs", src);
+    let findings = analyze_source("crates/pathenum/src/catalog.rs", src);
     let hits = by_rule(&findings, "lint-syntax");
     assert_eq!(hits.len(), 1);
     assert!(hits[0].message.contains("unknown rule"));
@@ -243,7 +243,7 @@ fn suppression_with_unknown_rule_is_a_lint_syntax_finding() {
 #[test]
 fn suppression_without_reason_is_a_lint_syntax_finding() {
     let src = "// lint: allow(no-panic)\nfn f() { x.unwrap(); }\n";
-    let findings = analyze_source("crates/pathenum/src/service.rs", src);
+    let findings = analyze_source("crates/pathenum/src/catalog.rs", src);
     let hits = by_rule(&findings, "lint-syntax");
     assert_eq!(hits.len(), 1);
     assert!(hits[0].message.contains("missing a reason"));
@@ -254,7 +254,7 @@ fn suppression_without_reason_is_a_lint_syntax_finding() {
 #[test]
 fn malformed_lint_comment_is_a_lint_syntax_finding() {
     let src = "// lint: deny(no-panic) — wrong verb\nfn f() {}\n";
-    let findings = analyze_source("crates/pathenum/src/service.rs", src);
+    let findings = analyze_source("crates/pathenum/src/catalog.rs", src);
     let hits = by_rule(&findings, "lint-syntax");
     assert_eq!(hits.len(), 1);
     assert!(hits[0].message.contains("malformed"));
@@ -268,7 +268,7 @@ fn near() { x.unwrap(); }
 
 fn far() { y.unwrap(); }
 ";
-    let findings = analyze_source("crates/pathenum/src/service.rs", src);
+    let findings = analyze_source("crates/pathenum/src/catalog.rs", src);
     let hits = by_rule(&findings, "no-panic");
     assert_eq!(lines(&hits), vec![4], "the blank line must end coverage");
 }

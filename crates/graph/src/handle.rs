@@ -1,7 +1,7 @@
 //! One shareable handle over every graph representation the engines
 //! serve.
 //!
-//! The serving layers (`PathEnumService`, `GraphCatalog`) used to own
+//! The serving layer (`GraphCatalog`) used to own
 //! an `Arc<CsrGraph>` — which hard-wired them to the heap
 //! representation just as [`FrozenGraph`] made
 //! borrowed/mapped storage real. [`GraphHandle`] closes that gap: a

@@ -1,7 +1,7 @@
 //! Cost-based admission control for the serving path.
 //!
-//! PR 5's service queues every submission forever: under sustained
-//! overload the queue grows without bound and every request's sojourn
+//! A pool that queues every submission forever fails under sustained
+//! overload: the queue grows without bound and every request's sojourn
 //! time grows with it — the classic unbounded-FIFO collapse. The
 //! planner already prices every request — for the results its `limit`
 //! lets it read: the bounded search space `min(preliminary, k · limit)`
@@ -22,9 +22,8 @@
 //!   drain behind them.
 //!
 //! [`AdmissionConfig::disabled`] turns all of this off — every request
-//! is admitted onto a single FIFO lane, which is exactly the PR 5
-//! behavior and the baseline the `reproduce overload` experiment
-//! measures against.
+//! is admitted onto a single FIFO lane, the unbounded baseline the
+//! `reproduce overload` experiment measures against.
 //!
 //! [`PathEnumError::Overloaded`]: crate::PathEnumError::Overloaded
 

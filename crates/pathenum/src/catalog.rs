@@ -1,10 +1,15 @@
-//! The multi-graph catalog: many named graphs, per-tenant plan caches,
-//! epoch-swapped publishing, and admission-controlled serving.
+//! The catalog: many named graphs, per-tenant plan caches, epoch-swapped
+//! publishing, and admission-controlled serving — the crate's one
+//! concurrent serving front end.
 //!
-//! [`PathEnumService`](crate::PathEnumService) serves exactly one graph.
-//! A fleet deployment serves *many* — per product surface, per region,
-//! per snapshot — to many tenants at once, and replaces graphs while
-//! queries are in flight. [`GraphCatalog`] is that registry:
+//! The per-thread [`QueryEngine`](crate::QueryEngine) is `&mut self`
+//! with a private [`PlanCache`](crate::plan::PlanCache): two concurrent
+//! requests cannot share a graph, an index, or a warm plan. A catalog
+//! with one registered graph, one tenant and admission off is the
+//! single-graph service; a fleet deployment serves *many* graphs — per
+//! product surface, per region, per snapshot — to many tenants at once,
+//! and replaces graphs while queries are in flight. [`GraphCatalog`] is
+//! that registry:
 //!
 //! * every **named graph** is a [`GraphHandle`] plus its own family of
 //!   [`SharedPlanCache`]s, one per tenant, each bounded by the
@@ -35,8 +40,16 @@
 //!   *fast* — the [`CatalogTicket`] resolves immediately with
 //!   [`PathEnumError::Overloaded`] instead of queueing forever.
 //!
-//! Per-request deadlines start when a worker picks the job up, so queue
-//! wait never silently consumes a request's time budget.
+//! A request that a pre-flight rule stops (already cancelled, `limit(0)`,
+//! a zero time budget) resolves at submit with
+//! [`CacheOutcome::Skipped`](crate::plan::CacheOutcome::Skipped): it
+//! touches no cache and pays no admission charge. Otherwise per-request
+//! deadlines start when a worker picks the job up, so queue wait never
+//! silently consumes a request's time budget.
+//!
+//! Build scratch (the `O(|V|)` boundary maps and the table-row buffer)
+//! is thread-local: each OS thread that ever plans keeps its own
+//! [`BuildScratch`], reused across queries exactly as an engine would.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -58,21 +71,23 @@
 //! assert!(outcome.decision.unwrap().admitted());
 //! ```
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use pathenum_graph::{GraphHandle, NeighborAccess};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, Lane};
+use crate::index::BuildScratch;
 use crate::optimizer::PathEnumConfig;
 use crate::parallel::resolve_threads;
 use crate::pipeline::{self, Acquired, Collector, Pipeline, SharedStore};
 use crate::plan::{SharedCacheStats, SharedPlanCache};
 use crate::request::{PathEnumError, QueryRequest, QueryResponse};
 use crate::results::{ResultCacheStats, SharedResultCache};
-use crate::service::{with_build_scratch, PoolTask, TicketOutcome, TicketState, WorkerPool};
 use crate::sharded::{ShardCache, Sharded};
 
 /// Default per-tenant/per-graph plan-cache entry quota.
@@ -308,8 +323,7 @@ pub struct CatalogConfig {
     /// queued, and charges no cost against the in-flight budget.
     pub result_cache_bytes: usize,
     /// Admission policy; [`AdmissionConfig::disabled`] (the default)
-    /// reproduces the unbounded single-FIFO behavior of
-    /// [`PathEnumService`](crate::PathEnumService).
+    /// admits every request onto one unbounded FIFO lane.
     pub admission: AdmissionConfig,
 }
 
@@ -373,7 +387,9 @@ pub struct CatalogOutcome {
     /// graph was not found).
     pub epoch: Option<u64>,
     /// The full admission decision, EXPLAIN-renderable via its
-    /// `Display` (`None` when the graph was not found).
+    /// `Display` (`None` when the request never reached admission: the
+    /// graph was not found, a result hit answered it, or a pre-flight
+    /// rule stopped it).
     pub decision: Option<AdmissionDecision>,
 }
 
@@ -390,9 +406,9 @@ impl CatalogOutcome {
 }
 
 /// A handle to one request submitted via [`CatalogService::submit`].
-/// Rejected requests (unknown graph, shed by admission) resolve
-/// immediately — [`is_done`](Self::is_done) is `true` before `submit`
-/// even returns.
+/// Requests that never reach the pool (unknown graph, result hit,
+/// pre-flight stop, shed by admission) resolve immediately —
+/// [`is_done`](Self::is_done) is `true` before `submit` even returns.
 #[derive(Debug)]
 pub struct CatalogTicket {
     state: Arc<TicketState>,
@@ -423,13 +439,10 @@ impl CatalogTicket {
 
     /// Blocks until the request completes and returns the full outcome.
     pub fn wait_outcome(self) -> CatalogOutcome {
-        let outcome = self.state.wait();
         CatalogOutcome {
-            response: outcome.response,
-            started: outcome.started,
-            finished: outcome.finished,
             epoch: self.epoch,
             decision: self.decision,
+            ..self.state.wait()
         }
     }
 }
@@ -470,7 +483,7 @@ impl CatalogService {
             admission: Arc::new(AdmissionController::new(catalog_config.admission)),
             config,
             workers,
-            pool: WorkerPool::new(workers, "pathenum-catalog"),
+            pool: WorkerPool::new(workers),
             submitted: AtomicU64::new(0),
         }
     }
@@ -507,21 +520,30 @@ impl CatalogService {
     /// the results its `limit` lets it read, run
     /// through admission, and — if admitted — finished on a pool worker
     /// on the lane its cost earned. The returned ticket resolves
-    /// immediately on a result hit or a rejection.
+    /// immediately on a result hit, a pre-flight stop, a rejection, or a
+    /// constraint closure that panics while the request is planned.
     pub fn submit(&self, routed: CatalogRequest) -> CatalogTicket {
         // ordering: advisory monotone counter; publishes no other memory.
         self.submitted.fetch_add(1, Ordering::Relaxed);
         let state = Arc::new(TicketState::default());
 
         let Some(graph_state) = self.catalog.state(&routed.graph) else {
-            return reject(state, None, None, PathEnumError::GraphNotFound);
+            return resolve_now(state, None, None, Err(PathEnumError::GraphNotFound));
         };
         let epoch = graph_state.snapshot();
         let request = routed.request;
         let query = match request.validate(epoch.graph.num_vertices()) {
             Ok(query) => query,
-            Err(err) => return reject(state, Some(epoch.epoch), None, err),
+            Err(err) => return resolve_now(state, Some(epoch.epoch), None, Err(err)),
         };
+        // A request a pre-flight rule stops never starts: it touches no
+        // cache and pays no admission charge. Only a zero (or
+        // sub-clock-tick) time budget can fire here; any longer one
+        // passes, and its deadline restarts at pickup.
+        let deadline = request.time_budget.map(|b| Instant::now() + b);
+        if let Some(stopped) = pipeline::preflight_stop(&request, deadline) {
+            return resolve_now(state, Some(epoch.epoch), None, Ok(stopped));
+        }
 
         let (tenant, shards) = (&routed.tenant, self.catalog.cache_shards);
         let cache = tenant_cache(
@@ -542,41 +564,45 @@ impl CatalogService {
         // (cached) plan gives us the admission price.
         let submitted = Instant::now();
         let mut collector = Collector::new(&request);
-        let acquired = with_build_scratch(|scratch| {
-            Pipeline {
-                graph: &epoch.graph,
-                config: self.config,
-                store: SharedStore {
-                    plans: &cache,
-                    results: results.as_deref(),
-                },
-                scratch,
-                // Pool-dispatched requests run intra-sequentially, like
-                // `PathEnumService::submit`.
-                threads: 1,
-            }
-            .acquire(query, &request, &mut collector)
-        });
+        // Planning runs constraint closures on the calling thread; a
+        // panicking one resolves the ticket, as it would on a worker.
+        let acquired = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_build_scratch(|scratch| {
+                Pipeline {
+                    graph: &epoch.graph,
+                    config: self.config,
+                    store: SharedStore {
+                        plans: &cache,
+                        results: results.as_deref(),
+                    },
+                    scratch,
+                    // Pool-dispatched requests run intra-sequentially.
+                    threads: 1,
+                }
+                .acquire(query, &request, &mut collector)
+            })
+        }));
         let planned = match acquired {
-            Acquired::Replay(response) => {
-                state.publish(TicketOutcome {
-                    response: Ok(collector.attach(response)),
-                    started: submitted,
-                    finished: Instant::now(),
-                });
+            Err(_) => {
+                reset_build_scratch();
+                let err = Err(PathEnumError::EvaluationPanicked);
+                return resolve_now(state, Some(epoch.epoch), None, err);
+            }
+            Ok(Acquired::Replay(response)) => {
+                state.publish(Ok(collector.attach(response)), submitted, Instant::now());
                 return CatalogTicket {
                     state,
                     epoch: Some(epoch.epoch),
                     decision: None,
                 };
             }
-            Acquired::Planned(planned) => planned,
+            Ok(Acquired::Planned(planned)) => planned,
         };
 
         let cost = planned.plan.modeled_cost();
         let decision = self.admission.try_admit(&routed.tenant, cost);
         if let Some(err) = decision.rejected {
-            return reject(state, Some(epoch.epoch), Some(decision), err);
+            return resolve_now(state, Some(epoch.epoch), Some(decision), Err(err));
         }
         let lane = decision.lane;
         let epoch_id = epoch.epoch;
@@ -615,11 +641,7 @@ impl CatalogService {
                 }))
                 .map_err(|_| PathEnumError::EvaluationPanicked);
                 admission.release(&tenant, cost);
-                state.publish(TicketOutcome {
-                    response,
-                    started,
-                    finished: Instant::now(),
-                });
+                state.publish(response, started, Instant::now());
                 // The epoch's graph stays alive exactly as long as work
                 // referencing it does.
                 drop(epoch);
@@ -640,21 +662,226 @@ impl CatalogService {
     }
 }
 
-fn reject(
+/// A ticket resolved at submit, with a zero-length service interval.
+fn resolve_now(
     state: Arc<TicketState>,
     epoch: Option<u64>,
     decision: Option<AdmissionDecision>,
-    err: PathEnumError,
+    response: Result<QueryResponse, PathEnumError>,
 ) -> CatalogTicket {
     let now = Instant::now();
-    state.publish(TicketOutcome {
-        response: Err(err),
-        started: now,
-        finished: now,
-    });
+    state.publish(response, now, now);
     CatalogTicket {
         state,
         epoch,
         decision,
+    }
+}
+
+thread_local! {
+    /// Per-OS-thread build scratch: any thread that plans through
+    /// [`CatalogService::submit`] reuses its own boundary-map, id-mapping
+    /// and row buffers across queries, exactly as a dedicated engine would.
+    static BUILD_SCRATCH: RefCell<BuildScratch> = RefCell::new(BuildScratch::default());
+}
+
+/// Runs `f` with this OS thread's reusable [`BuildScratch`]. `f` may run
+/// caller code (a sink, a constraint closure) that re-enters the catalog
+/// on this thread; such a nested evaluation finds
+/// the scratch taken and plans with a fresh one (every buffer empty, no
+/// full-reach maps on offer until its own build leaves them).
+fn with_build_scratch<R>(f: impl FnOnce(&mut BuildScratch) -> R) -> R {
+    BUILD_SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut BuildScratch::default()),
+    })
+}
+
+/// Drops this OS thread's build scratch after a panic unwound through a
+/// build that may have left it half-written.
+fn reset_build_scratch() {
+    BUILD_SCRATCH.with(|scratch| {
+        if let Ok(mut scratch) = scratch.try_borrow_mut() {
+            *scratch = BuildScratch::default();
+        }
+    });
+}
+
+/// One unit of pool work: a boxed closure that owns everything it needs
+/// (request, ticket slot, shared state) and publishes its own outcome.
+type PoolTask = Box<dyn FnOnce() + Send + 'static>;
+
+/// The two dispatch queues of a [`WorkerPool`], popped interactive-first
+/// so cheap queries keep flowing while batch work drains behind them.
+#[derive(Default)]
+struct LaneQueues {
+    interactive: VecDeque<PoolTask>,
+    batch: VecDeque<PoolTask>,
+}
+
+impl LaneQueues {
+    fn pop(&mut self) -> Option<PoolTask> {
+        self.interactive
+            .pop_front()
+            .or_else(|| self.batch.pop_front())
+    }
+
+    fn push(&mut self, lane: Lane, task: PoolTask) {
+        match lane {
+            Lane::Interactive => self.interactive.push_back(task),
+            Lane::Batch => self.batch.push_back(task),
+        }
+    }
+}
+
+struct PoolShared {
+    queues: Mutex<LaneQueues>,
+    job_ready: Condvar,
+    shutdown: AtomicBool,
+}
+
+/// A fixed pool of named OS threads draining two lanes of boxed tasks;
+/// admitted requests are routed by [`Lane`]. Shutdown on drop is
+/// *draining*: queued tasks still run, so every issued [`CatalogTicket`]
+/// resolves.
+struct WorkerPool {
+    shared: Arc<PoolShared>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl WorkerPool {
+    /// Spawns `workers` threads named `pathenum-catalog-{i}`.
+    fn new(workers: usize) -> Self {
+        let shared = Arc::new(PoolShared {
+            queues: Mutex::new(LaneQueues::default()),
+            job_ready: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+        });
+        let handles = (0..workers.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("pathenum-catalog-{i}"))
+                    .spawn(move || pool_worker_loop(&shared))
+                    // lint: allow(no-panic) — pool construction, not a
+                    // serving path; OS thread-spawn failure at startup has
+                    // no caller to report to.
+                    .expect("worker threads spawn")
+            })
+            .collect();
+        WorkerPool { shared, handles }
+    }
+
+    /// Enqueues `task` on `lane` and wakes one worker.
+    fn spawn_task(&self, lane: Lane, task: PoolTask) {
+        {
+            let mut queues = crate::sync::lock_recovering(&self.shared.queues);
+            queues.push(lane, task);
+        }
+        self.shared.job_ready.notify_one();
+    }
+}
+
+impl Drop for WorkerPool {
+    fn drop(&mut self) {
+        {
+            // The store must happen under the queue mutex: a worker that
+            // has found the queues empty and read `shutdown == false`
+            // still holds the lock until `wait()` parks it, so storing
+            // here cannot slip into that window — the classic condvar
+            // lost-wakeup race.
+            let _queues = crate::sync::lock_recovering(&self.shared.queues);
+            // ordering: the queue mutex (held here, held at the load site)
+            // orders this store; the flag itself publishes nothing.
+            self.shared.shutdown.store(true, Ordering::Relaxed);
+        }
+        self.shared.job_ready.notify_all();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+impl std::fmt::Debug for WorkerPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerPool")
+            .field("workers", &self.handles.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// A pool worker: drain the queues interactive-first (draining continues
+/// after shutdown so every issued [`CatalogTicket`] resolves), park on the
+/// condvar when idle. Tasks are responsible for resolving their own
+/// tickets on panic; the `catch_unwind` here is only a backstop keeping
+/// an unwinding task from costing the pool a worker.
+fn pool_worker_loop(shared: &PoolShared) {
+    loop {
+        let task = {
+            let mut queues = crate::sync::lock_recovering(&shared.queues);
+            loop {
+                if let Some(task) = queues.pop() {
+                    break Some(task);
+                }
+                // ordering: read under the queue mutex that also covers the
+                // store in Drop; Relaxed suffices for the flag's value.
+                if shared.shutdown.load(Ordering::Relaxed) {
+                    break None;
+                }
+                queues = crate::sync::wait_recovering(&shared.job_ready, queues);
+            }
+        };
+        let Some(task) = task else {
+            return;
+        };
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+    }
+}
+
+/// The slot a pool task resolves and a [`CatalogTicket`] waits on. The
+/// outcome is published without its routing fields; the ticket, which
+/// holds the epoch and the admission decision, supplies them on wait.
+#[derive(Default)]
+struct TicketState {
+    slot: Mutex<Option<CatalogOutcome>>,
+    ready: Condvar,
+}
+
+impl TicketState {
+    fn publish(
+        &self,
+        response: Result<QueryResponse, PathEnumError>,
+        started: Instant,
+        finished: Instant,
+    ) {
+        let mut slot = crate::sync::lock_recovering(&self.slot);
+        *slot = Some(CatalogOutcome {
+            response,
+            started,
+            finished,
+            epoch: None,
+            decision: None,
+        });
+        self.ready.notify_all();
+    }
+
+    fn wait(&self) -> CatalogOutcome {
+        let mut slot = crate::sync::lock_recovering(&self.slot);
+        loop {
+            if let Some(outcome) = slot.take() {
+                return outcome;
+            }
+            slot = crate::sync::wait_recovering(&self.ready, slot);
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        crate::sync::lock_recovering(&self.slot).is_some()
+    }
+}
+
+impl std::fmt::Debug for TicketState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TicketState").finish_non_exhaustive()
     }
 }

@@ -25,13 +25,11 @@
 //! A single heavy query can also fan its search out over an intra-query
 //! worker pool ([`parallel`], surfaced as
 //! [`QueryRequest::threads`](request::QueryRequest::threads)) with a
-//! deterministic merged output, and many queries can be served
-//! concurrently from many threads over one shared graph and one shared
-//! plan cache through the [`service`] layer ([`PathEnumService`]).
-//! Fleet-shaped deployments — many named graphs, many tenants, graphs
-//! republished mid-traffic, overload shed by modeled cost — go through
-//! the [`catalog`] layer ([`CatalogService`]) and its [`admission`]
-//! policies.
+//! deterministic merged output, and many queries are served concurrently
+//! from many threads through the [`catalog`] layer ([`CatalogService`]):
+//! one or many named graphs, per-tenant shared caches, graphs
+//! republished mid-traffic, and overload shed by modeled cost through
+//! its [`admission`] policies.
 //!
 //! # Serving queries
 //!
@@ -97,7 +95,6 @@ pub mod reference;
 pub mod relations;
 pub mod request;
 pub mod results;
-pub mod service;
 pub mod sharded;
 pub mod sink;
 pub mod spectrum;
@@ -130,9 +127,7 @@ pub use request::{
 };
 pub use results::{
     ResultCache, ResultCacheStats, ResultKey, SharedResultCache, DEFAULT_RESULT_CACHE_BYTES,
-    DEFAULT_RESULT_CACHE_SHARDS,
 };
-pub use service::{PathEnumService, ServeReport, ServiceConfig, Ticket, TicketOutcome};
 pub use sharded::{CacheStats, Sharded};
 pub use sink::{CollectingSink, CountingSink, PathBuffer, PathSink, SearchControl};
 pub use stats::{Counters, Method, PhaseTimings, RunReport};

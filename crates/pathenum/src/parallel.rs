@@ -2,7 +2,7 @@
 //!
 //! The paper's algorithms are single-threaded per query; the request
 //! layer otherwise exploits parallelism only *across* queries (the
-//! [`service`](crate::service) worker pool). This module parallelizes
+//! [`catalog`](crate::catalog) worker pool). This module parallelizes
 //! the search *inside* one query, which is what cuts tail latency when
 //! a single heavy query dominates a latency budget:
 //!
@@ -117,23 +117,6 @@ pub fn resolve_threads(requested: usize) -> usize {
     } else {
         requested
     }
-}
-
-/// Splits one thread budget between inter-query workers and intra-query
-/// fan-out: with `in_flight` queries concurrently active out of a total
-/// budget of `budget` threads, each query may use `budget / in_flight`
-/// (at least 1) intra-query threads.
-///
-/// This is how the [`service`](crate::service) layer reuses one pool
-/// budget for both levels of parallelism: a full batch saturates the
-/// budget with concurrent queries (each sequential inside), a batch
-/// smaller than the budget hands the leftover threads to each query's
-/// intra-query pool. The split is deterministic — it depends only on the
-/// two arguments, never on runtime timing — so the effective
-/// [`PhysicalPlan::threads`](crate::plan::PhysicalPlan::threads) of a
-/// batch request is reproducible.
-pub fn intra_budget(budget: usize, in_flight: usize) -> usize {
-    (budget.max(1) / in_flight.max(1)).max(1)
 }
 
 /// The one stopping-rule state every worker of a parallel run observes:
@@ -879,14 +862,5 @@ mod tests {
     fn resolve_threads_maps_zero_to_available_parallelism() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(3), 3);
-    }
-
-    #[test]
-    fn intra_budget_splits_without_starving() {
-        assert_eq!(intra_budget(8, 8), 1);
-        assert_eq!(intra_budget(8, 2), 4);
-        assert_eq!(intra_budget(8, 3), 2);
-        assert_eq!(intra_budget(2, 8), 1, "never below one thread");
-        assert_eq!(intra_budget(0, 0), 1, "degenerate inputs are sane");
     }
 }

@@ -18,13 +18,12 @@
 //! Every evaluator is a driver that sequences the stages and adds only
 //! what is its own. [`Pipeline::evaluate`] (validate →
 //! [`preflight_stop`] → acquire → finish) is the whole of
-//! [`QueryEngine::execute_into`](crate::QueryEngine::execute_into) and
-//! of the [`service`](crate::service) workers, which differ in their
-//! [`CacheStore`] ([`LocalStore`] vs [`SharedStore`]), where the build
-//! scratch lives, and the intra-query thread cap; the
-//! [`catalog`](crate::catalog) runs `acquire` on the submitting thread,
-//! puts admission and a queue in between, and runs `preflight_stop` +
-//! `finish` on a pool worker with a deadline that starts at pickup.
+//! [`QueryEngine::execute_into`](crate::QueryEngine::execute_into) over a
+//! [`LocalStore`]. The [`catalog`](crate::catalog) drives the same
+//! stages over a [`SharedStore`]: `preflight_stop` + `acquire` on the
+//! submitting thread, admission and a queue in between, and
+//! `preflight_stop` + `finish` on a pool worker with a deadline that
+//! starts at pickup.
 //!
 //! Surgical retention under mutation is a property of the *graph*, not
 //! of an evaluator: when the serving graph offers a mutation log
@@ -624,5 +623,120 @@ impl PathSink for Collector {
             self.paths.push(path.to_vec());
         }
         SearchControl::Continue
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Barrier;
+
+    use pathenum_graph::generators::erdos_renyi;
+
+    use super::*;
+    use crate::plan::{DEFAULT_CACHE_SHARDS, DEFAULT_PLAN_CACHE_CAPACITY};
+
+    /// The shared-cache accounting identity
+    /// `hits + misses + bypasses == lookups` must hold under genuinely
+    /// concurrent load *and* across `clear()` calls racing the lookups —
+    /// a clear may evict every entry mid-stream, but it must never lose
+    /// or double-count a lookup.
+    #[test]
+    fn shared_cache_stats_balance_under_concurrent_load_and_clears() {
+        const THREADS: usize = 4;
+        const ITERS: usize = 60;
+        const SHAPES: u32 = 5;
+
+        let graph = erdos_renyi(60, 380, 13);
+        let cache = SharedPlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS);
+        let evaluate = |request: &QueryRequest<'_>| {
+            let mut scratch = BuildScratch::default();
+            let mut sink = Collector::new(request);
+            Pipeline {
+                graph: &graph,
+                config: PathEnumConfig::default(),
+                store: SharedStore {
+                    plans: &cache,
+                    results: None,
+                },
+                scratch: &mut scratch,
+                threads: 1,
+            }
+            .evaluate(request, &mut sink)
+            .expect("valid request");
+        };
+
+        // One thread hammers `clear` while the submitters run. All start
+        // together, `clears` counts only clears made after that, and
+        // every submitter waits at its halfway point for the first of
+        // them: a clear lands mid-load however the threads are scheduled.
+        let done = AtomicBool::new(false);
+        let clears = AtomicU64::new(0);
+        let start = Barrier::new(THREADS + 1);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                while !done.load(Ordering::Relaxed) {
+                    cache.clear();
+                    clears.fetch_add(1, Ordering::Release);
+                    std::thread::yield_now();
+                }
+            });
+            let submitters: Vec<_> = (0..THREADS)
+                .map(|id| {
+                    let (start, clears, evaluate) = (&start, &clears, &evaluate);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut clears_at_halfway = 0;
+                        for i in 0..ITERS {
+                            if i == ITERS / 2 {
+                                while clears.load(Ordering::Acquire) == 0 {
+                                    std::thread::yield_now();
+                                }
+                                clears_at_halfway = clears.load(Ordering::Acquire);
+                            }
+                            let t = 1 + ((id + i) as u32 % SHAPES);
+                            let request = QueryRequest::paths(0, t).max_hops(3).limit(16);
+                            // Every fifth request opts out so `bypasses` is
+                            // exercised in the same race.
+                            let request = if i % 5 == 4 {
+                                request.bypass_cache()
+                            } else {
+                                request
+                            };
+                            evaluate(&request);
+                        }
+                        clears_at_halfway
+                    })
+                })
+                .collect();
+            for handle in submitters {
+                let clears_at_halfway = handle.join().expect("submitter thread");
+                assert!(
+                    clears_at_halfway > 0,
+                    "a clear landed while this submitter was mid-loop"
+                );
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+
+        let stats = cache.stats();
+        assert_eq!(
+            stats.hits + stats.misses + stats.bypasses,
+            stats.lookups,
+            "accounting identity under concurrent load + clears: {stats:?}"
+        );
+        assert_eq!(stats.lookups, (THREADS * ITERS) as u64);
+        assert_eq!(stats.bypasses, (THREADS * (ITERS / 5)) as u64);
+        assert!(
+            stats.misses >= u64::from(SHAPES),
+            "each cleared shape replans at least once"
+        );
+
+        // The identity keeps holding for traffic after the race quiesced.
+        evaluate(&QueryRequest::paths(0, 1).max_hops(3).limit(16));
+        let after = cache.stats();
+        assert_eq!(after.hits + after.misses + after.bypasses, after.lookups);
+        assert_eq!(after.lookups, stats.lookups + 1);
     }
 }

@@ -1339,9 +1339,8 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 /// A concurrently readable plan/index cache: [`Sharded`] over
 /// [`PlanCache`].
 ///
-/// This is the cache behind
-/// [`PathEnumService`](crate::service::PathEnumService) and every
-/// [`catalog`](crate::catalog) tenant: many worker threads share one warm
+/// This is the cache behind every [`catalog`](crate::catalog) tenant:
+/// many threads share one warm
 /// working set over one graph. Each shard is an independent LRU
 /// [`PlanCache`], and a worker holding a hit *executes outside the lock*
 /// (entries hand out [`Arc<Index>`] clones — the shard lock covers only

@@ -80,10 +80,11 @@ pub enum PathEnumError {
     },
     /// The evaluation panicked mid-query (a user-supplied constraint
     /// closure, or a bug). Only returned by the
-    /// [`service`](crate::service) worker pool, which isolates the
-    /// panic so the worker survives and every issued
-    /// [`Ticket`](crate::service::Ticket) still resolves; direct
-    /// (`execute`) callers observe the panic itself.
+    /// [`catalog`](crate::catalog), which isolates the panic — whether
+    /// planning hit it at submit or a pool worker did — so the worker
+    /// survives and every issued
+    /// [`CatalogTicket`](crate::catalog::CatalogTicket) still resolves;
+    /// engine callers observe the panic itself.
     EvaluationPanicked,
     /// The request named a graph the serving
     /// [`GraphCatalog`](crate::catalog::GraphCatalog) does not hold
@@ -260,7 +261,7 @@ where
 ///
 /// Constraint closures are `Send + Sync` so a whole [`QueryRequest`] can
 /// cross (and be shared across) threads — the contract the concurrent
-/// [`service`](crate::service) layer is built on.
+/// [`catalog`](crate::catalog) layer is built on.
 pub(crate) enum ConstraintSpec<'a> {
     /// Plain HcPE.
     None,
@@ -589,9 +590,8 @@ impl<'a> QueryRequest<'a> {
     /// [`PhysicalPlan::threads`](crate::plan::PhysicalPlan::threads) —
     /// as returned by `explain` and in `QueryResponse::plan` — reports
     /// this effective count, never the raw requested one, so a silent
-    /// downgrade is visible in the plan. The
-    /// [`service`](crate::service) layer may clamp it further to share
-    /// one thread budget between concurrent queries.
+    /// downgrade is visible in the plan. The [`catalog`](crate::catalog)
+    /// runs every request sequentially inside and reports `1`.
     pub fn effective_threads(&self) -> usize {
         if matches!(self.constraint, ConstraintSpec::None) {
             crate::parallel::resolve_threads(self.threads)

@@ -48,9 +48,8 @@
 //! The cache is **off by default** everywhere — enable it per engine
 //! ([`QueryEngine::with_result_cache`](crate::QueryEngine::with_result_cache),
 //! [`DynamicEngine::with_result_cache`](crate::DynamicEngine::with_result_cache))
-//! or per service
-//! ([`ServiceConfig::result_cache_bytes`](crate::service::ServiceConfig::result_cache_bytes),
-//! [`CatalogConfig::result_cache_bytes`](crate::catalog::CatalogConfig::result_cache_bytes)).
+//! or per catalog
+//! ([`CatalogConfig::result_cache_bytes`](crate::catalog::CatalogConfig::result_cache_bytes)).
 //! Individual requests opt out of this layer alone with
 //! [`QueryRequest::bypass_result_cache`]; [`QueryRequest::bypass_cache`]
 //! opts out of both layers.
@@ -583,13 +582,8 @@ impl ShardCache for ResultCache {
     }
 }
 
-/// Default shard count of a [`SharedResultCache`].
-pub const DEFAULT_RESULT_CACHE_SHARDS: usize = 8;
-
 /// A concurrently readable result cache: [`Sharded`] over
-/// [`ResultCache`] — the result layer of
-/// [`PathEnumService`](crate::service::PathEnumService) and the
-/// per-tenant result layer of the
+/// [`ResultCache`] — the per-tenant result layer of the
 /// [`catalog`](crate::catalog::CatalogService). The budget is in bytes.
 ///
 /// A hit hands out an `Arc` of the stored [`PathBuffer`]; the replay

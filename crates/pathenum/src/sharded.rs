@@ -3,9 +3,8 @@
 //!
 //! The plan cache ([`PlanCache`](crate::plan::PlanCache)) and the result
 //! cache ([`ResultCache`](crate::results::ResultCache)) are
-//! single-threaded LRUs. The concurrent evaluators
-//! ([`PathEnumService`](crate::PathEnumService), the
-//! [`catalog`](crate::catalog)) share either through [`Sharded`]:
+//! single-threaded LRUs. The concurrent evaluator, the
+//! [`catalog`](crate::catalog), shares either through [`Sharded`]:
 //! per-shard locking over independent instances, with aggregate
 //! [`CacheStats`] kept in atomics. Keys hash to a shard, so two workers
 //! probing different shards never contend, and because hits hand out

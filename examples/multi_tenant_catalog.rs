@@ -2,7 +2,7 @@
 //! tenants, one worker pool — with cost-based admission control in
 //! front of it.
 //!
-//! Demonstrates the catalog layers built on top of [`PathEnumService`]:
+//! Demonstrates the catalog layers around the one request pipeline:
 //!
 //! * [`GraphCatalog`] — named graphs behind one endpoint, each with
 //!   per-tenant plan caches under an entry quota;

@@ -6,14 +6,15 @@
 //! answered by many threads at once. Demonstrates the production
 //! layers built around the core algorithm:
 //!
-//! * [`PathEnumService`] — one shared graph (`Arc<CsrGraph>`), one
-//!   shared sharded plan cache, a fixed worker pool; `&self` execution
-//!   from any thread;
+//! * [`CatalogService`] with one registered graph, one tenant and
+//!   admission off — one shared graph (`Arc<CsrGraph>`), one shared
+//!   sharded plan cache, a fixed worker pool; `&self` submission from
+//!   any thread;
 //! * the [`QueryRequest`] builder expressing "at most 1000 paths within
 //!   a time budget" directly;
 //! * the PLL-backed global existence filter (paper §7.5) in front of
 //!   the service;
-//! * a closed-loop replay through [`PathEnumService::serve`], an
+//! * a batch replay (submit the whole stream, wait in order), an
 //!   open-loop one paced into `submit`, and fire-and-forget tickets.
 //!
 //! ```text
@@ -27,6 +28,47 @@ use pathenum_repro::core::global::GlobalIndexedGraph;
 use pathenum_repro::prelude::*;
 use pathenum_repro::workloads::runner::percentile_ms;
 use pathenum_repro::workloads::{datasets, generate_queries, QueryGenConfig};
+
+/// One batch pass: every request submitted at once, the tickets
+/// waited in submission order.
+struct Replay {
+    wall: Duration,
+    /// Per-request service time (worker pickup to completion).
+    latencies: Vec<Duration>,
+    responses: Vec<Result<QueryResponse, PathEnumError>>,
+}
+
+impl Replay {
+    fn run(service: &CatalogService, requests: Vec<QueryRequest<'static>>) -> Self {
+        let start = Instant::now();
+        let tickets: Vec<CatalogTicket> = requests
+            .into_iter()
+            .map(|request| service.submit(CatalogRequest::new(GRAPH, TENANT, request)))
+            .collect();
+        let (latencies, responses) = tickets
+            .into_iter()
+            .map(|ticket| {
+                let outcome = ticket.wait_outcome();
+                (outcome.latency(), outcome.response)
+            })
+            .unzip();
+        Replay {
+            wall: start.elapsed(),
+            latencies,
+            responses,
+        }
+    }
+
+    fn total_results(&self) -> u64 {
+        self.responses
+            .iter()
+            .map(|r| r.as_ref().map_or(0, QueryResponse::num_results))
+            .sum()
+    }
+}
+
+const GRAPH: &str = "ep";
+const TENANT: &str = "app";
 
 fn main() {
     let graph = Arc::new(datasets::build("ep").expect("registered dataset"));
@@ -73,16 +115,16 @@ fn main() {
     // (hundreds of times the typical query) so the replay-equality
     // assertions below stay deterministic even on a slow, loaded CI
     // container; tighten it to taste in a real deployment.
-    let service = PathEnumService::with_config(
-        Arc::clone(&graph),
+    let service = CatalogService::new(
         PathEnumConfig::default(),
-        ServiceConfig {
+        CatalogConfig {
             workers: 0, // one per core
-            cache_capacity: admissible.len().next_power_of_two(),
+            tenant_cache_quota: admissible.len().next_power_of_two(),
             cache_shards: 8,
-            ..ServiceConfig::default()
+            ..CatalogConfig::default()
         },
     );
+    service.catalog().register(GRAPH, Arc::clone(&graph));
     let requests = || -> Vec<QueryRequest<'static>> {
         admissible
             .iter()
@@ -105,13 +147,13 @@ fn main() {
         admissible.len().next_power_of_two()
     );
 
-    // Closed-loop replay: the pool keeps `workers` requests in flight.
-    let cold = service.serve(requests());
+    // Batch replay: submit the whole stream, then wait on the tickets in order.
+    let cold = Replay::run(&service, requests());
     println!(
-        "\nclosed loop (cold): {} queries in {:.2?} ({:.0} req/s), {} paths",
+        "\nbatch replay (cold): {} queries in {:.2?} ({:.0} req/s), {} paths",
         admissible.len(),
         cold.wall,
-        cold.throughput(),
+        admissible.len() as f64 / cold.wall.as_secs_f64().max(1e-9),
         cold.total_results(),
     );
     println!(
@@ -125,10 +167,19 @@ fn main() {
     // shared cache. Every repeated (s, t, k) skips BFS + index build on
     // whichever worker serves it — the cache is shared, so it does not
     // matter which worker warmed the entry.
-    let warm = service.serve(requests());
-    let stats = service.cache_stats();
+    let warm = Replay::run(&service, requests());
+    let stats = service
+        .catalog()
+        .tenant_cache_stats(GRAPH, TENANT)
+        .expect("registered graph");
+    let entries: usize = service
+        .catalog()
+        .tenant_accounting(GRAPH)
+        .iter()
+        .map(|(_, len, _)| len)
+        .sum();
     println!(
-        "\nclosed loop (warm): latency p50 = {:.3} ms, p99 = {:.3} ms",
+        "\nbatch replay (warm): latency p50 = {:.3} ms, p99 = {:.3} ms",
         percentile_ms(&warm.latencies, 50.0),
         percentile_ms(&warm.latencies, 99.0),
     );
@@ -137,7 +188,7 @@ fn main() {
         stats.hits,
         stats.lookups,
         100.0 * stats.hit_rate(),
-        service.cache_len(),
+        entries,
         8,
     );
     assert_eq!(
@@ -152,13 +203,16 @@ fn main() {
     // queueing delay included.
     let interval = Duration::from_micros(500);
     let start = Instant::now();
-    let tickets: Vec<(Instant, Ticket)> = requests()
+    let tickets: Vec<(Instant, CatalogTicket)> = requests()
         .into_iter()
         .enumerate()
         .map(|(i, request)| {
             let intended = start + interval * i as u32;
             std::thread::sleep(intended.saturating_duration_since(Instant::now()));
-            (intended, service.submit(request))
+            (
+                intended,
+                service.submit(CatalogRequest::new(GRAPH, TENANT, request)),
+            )
         })
         .collect();
     let mut sojourns = Vec::with_capacity(tickets.len());
@@ -182,11 +236,13 @@ fn main() {
 
     // Fire-and-forget: submit a query, do other work, collect later.
     if let Some(&query) = admissible.first() {
-        let ticket = service.submit(
+        let ticket = service.submit(CatalogRequest::new(
+            GRAPH,
+            TENANT,
             QueryRequest::from_query(query)
                 .limit(1000)
                 .collect_paths(true),
-        );
+        ));
         let outcome = ticket.wait_outcome();
         let latency = outcome.latency();
         let response = outcome.response.expect("query is valid");
@@ -214,7 +270,9 @@ fn main() {
             .collect_paths(true)
     };
     let from_engine = engine.execute(&request()).expect("valid");
-    let from_service = service.execute(&request()).expect("valid");
+    let from_service = service
+        .execute(CatalogRequest::new(GRAPH, TENANT, request()))
+        .expect("valid");
     assert_eq!(from_engine.paths, from_service.paths);
     println!(
         "\nspot check vs sequential engine: q({}, {}, {}) agrees path-for-path \

@@ -27,10 +27,9 @@ pub mod prelude {
         CacheOutcome, CacheStats, CancelToken, CatalogConfig, CatalogOutcome, CatalogRequest,
         CatalogService, CatalogTicket, CompactBits, ControlledSink, Counters, DenseBits,
         DynamicEngine, GraphCatalog, Index, Lane, Method, PathBuffer, PathEnumConfig,
-        PathEnumError, PathEnumService, PathStream, PhysicalPlan, PlanCache, PlanCacheStats, Query,
-        QueryEngine, QueryRequest, QueryResponse, ResultCache, ResultCacheStats, RunReport,
-        ServeReport, ServiceConfig, SharedCacheStats, SharedControl, SharedPlanCache,
-        SharedResultCache, Termination, Ticket,
+        PathEnumError, PathStream, PhysicalPlan, PlanCache, PlanCacheStats, Query, QueryEngine,
+        QueryRequest, QueryResponse, ResultCache, ResultCacheStats, RunReport, SharedCacheStats,
+        SharedControl, SharedPlanCache, SharedResultCache, Termination,
     };
     pub use pathenum_graph::{
         CsrGraph, DynamicGraph, FrozenGraph, GraphBuilder, GraphHandle, GraphSnapshot,

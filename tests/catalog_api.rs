@@ -1,11 +1,16 @@
 //! Catalog-layer soundness: epoch swaps under live traffic, per-graph
-//! (not global) cache invalidation, tenant quota isolation, and fast
-//! rejection paths.
+//! (not global) cache invalidation, tenant quota isolation, fast
+//! rejection paths, and concurrent replay.
 //!
 //! The acceptance property: a `publish` mid-stream must never tear a
 //! read — every response is wholly attributable to the single epoch its
 //! ticket snapshotted at submit, matching a sequential oracle run on
-//! that epoch's graph path-for-path.
+//! that epoch's graph path-for-path. A one-graph catalog with N workers
+//! replaying a shuffled stream must produce path-for-path the same
+//! per-request results as the sequential `QueryEngine` oracle, with
+//! shared-cache statistics summing consistently
+//! (`hits + misses + bypasses == lookups`) across worker counts
+//! {1, 2, 4, 8}.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,6 +39,55 @@ fn catalog_service(workers: usize, admission: AdmissionConfig) -> CatalogService
             ..CatalogConfig::default()
         },
     )
+}
+
+/// A catalog serving `graph` alone, as `"g"`, with admission off.
+fn one_graph(workers: usize, graph: Arc<CsrGraph>) -> CatalogService {
+    let service = catalog_service(workers, AdmissionConfig::disabled());
+    service.catalog().register("g", graph);
+    service
+}
+
+/// Submits every request to the one-graph catalog, then waits on the
+/// tickets in submission order.
+fn submit_all(
+    service: &CatalogService,
+    requests: Vec<QueryRequest<'static>>,
+) -> Vec<Result<QueryResponse, PathEnumError>> {
+    let tickets: Vec<CatalogTicket> = requests
+        .into_iter()
+        .map(|request| service.submit(CatalogRequest::new("g", "tenant", request)))
+        .collect();
+    tickets.into_iter().map(CatalogTicket::wait).collect()
+}
+
+/// A random digraph plus a shuffled, repetitive target stream: targets
+/// are drawn from the small range `1..n`, so the stream naturally
+/// contains the repeats a plan cache exists for.
+fn arb_instance() -> impl Strategy<Value = (u32, Vec<(u32, u32)>, Vec<u32>)> {
+    (4u32..14).prop_flat_map(|n| {
+        let edges = proptest::collection::vec((0..n, 0..n), 0..70);
+        let targets = proptest::collection::vec(1..n, 4..24);
+        (Just(n), edges, targets)
+    })
+}
+
+/// The request stream both sides replay: mostly cacheable requests, with
+/// every fifth one opting out of the cache so the `bypasses` counter is
+/// exercised too.
+fn build_requests(targets: &[u32], k: u32) -> Vec<QueryRequest<'static>> {
+    targets
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| {
+            let request = QueryRequest::paths(0, t).max_hops(k).collect_paths(true);
+            if i % 5 == 4 {
+                request.bypass_cache()
+            } else {
+                request
+            }
+        })
+        .collect()
 }
 
 /// `n`, a list of edge sets (one graph generation each), and a target
@@ -112,6 +166,85 @@ proptest! {
                 t,
                 epoch
             );
+        }
+    }
+
+    #[test]
+    fn workers_replay_a_shuffled_stream_identically_to_the_engine(
+        (n, edges, targets) in arb_instance(),
+        k in 2u32..6,
+    ) {
+        let graph = Arc::new(graph_from_edges(n, &edges));
+
+        // Sequential oracle: one engine, same stream, same order.
+        let mut engine = QueryEngine::new(graph.as_ref(), PathEnumConfig::default());
+        let oracle: Vec<QueryResponse> = build_requests(&targets, k)
+            .iter()
+            .map(|request| engine.execute(request).expect("valid request"))
+            .collect();
+
+        for workers in [1usize, 2, 4, 8] {
+            let service = one_graph(workers, Arc::clone(&graph));
+            let responses = submit_all(&service, build_requests(&targets, k));
+            prop_assert_eq!(responses.len(), oracle.len());
+            for (i, (response, expected)) in responses.iter().zip(&oracle).enumerate() {
+                let response = response.as_ref().expect("valid request");
+                prop_assert_eq!(
+                    &response.paths, &expected.paths,
+                    "workers={} request {} diverged", workers, i
+                );
+                prop_assert_eq!(response.num_results(), expected.num_results());
+                prop_assert_eq!(response.termination, expected.termination);
+            }
+
+            let stats = service.catalog().tenant_cache_stats("g", "tenant").unwrap();
+            prop_assert_eq!(
+                stats.hits + stats.misses + stats.bypasses,
+                stats.lookups,
+                "workers={}: stats must balance", workers
+            );
+            prop_assert_eq!(stats.lookups, targets.len() as u64);
+            prop_assert_eq!(stats.bypasses, (targets.len() / 5) as u64);
+            prop_assert_eq!(service.queries_submitted(), targets.len() as u64);
+            // Plans are looked up on the submitting thread, so the lookups
+            // run in stream order for every worker count: each repeat of a
+            // cacheable shape after its first occurrence hits.
+            let distinct: std::collections::HashSet<u32> = targets
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % 5 != 4)
+                .map(|(_, &t)| t)
+                .collect();
+            let cacheable = targets.len() - targets.len() / 5;
+            prop_assert_eq!(stats.hits, (cacheable - distinct.len()) as u64);
+        }
+    }
+
+    #[test]
+    fn limits_deadlines_and_limits_match_the_engine_under_workers(
+        (n, edges, targets) in arb_instance(),
+        k in 2u32..6,
+        limit in 1u64..6,
+    ) {
+        let graph = Arc::new(graph_from_edges(n, &edges));
+        let requests = || -> Vec<QueryRequest<'static>> {
+            targets
+                .iter()
+                .map(|&t| QueryRequest::paths(0, t).max_hops(k).limit(limit).collect_paths(true))
+                .collect()
+        };
+        let mut engine = QueryEngine::new(graph.as_ref(), PathEnumConfig::default());
+        let oracle: Vec<QueryResponse> = requests()
+            .iter()
+            .map(|request| engine.execute(request).expect("valid request"))
+            .collect();
+        for workers in [2usize, 8] {
+            let service = one_graph(workers, Arc::clone(&graph));
+            for (response, expected) in submit_all(&service, requests()).iter().zip(&oracle) {
+                let response = response.as_ref().expect("valid request");
+                prop_assert_eq!(&response.paths, &expected.paths);
+                prop_assert_eq!(response.termination, expected.termination);
+            }
         }
     }
 }
@@ -261,11 +394,30 @@ fn overloaded_rejections_resolve_promptly_with_a_hint() {
     service.catalog().register("dense", graph);
 
     // The blocker occupies the tenant's only admission slot until it
-    // completes; everything submitted meanwhile must shed fast.
+    // completes; everything submitted meanwhile must shed fast. Its
+    // check closure waits on `gate`, so it cannot finish (and free the
+    // slot) before the test has submitted the request that must shed.
+    let gate = Arc::new(std::sync::Mutex::new(()));
+    let closed = gate.lock().unwrap();
+    let blocking_check = {
+        let gate = Arc::clone(&gate);
+        move |_: &u64| {
+            drop(gate.lock());
+            true
+        }
+    };
     let blocker = service.submit(CatalogRequest::new(
         "dense",
         "tenant",
-        QueryRequest::paths(0, 8).max_hops(8),
+        QueryRequest::paths(0, 8)
+            .max_hops(8)
+            .accumulative(AccumulativeQuery {
+                identity: 0u64,
+                combine: |a, b| a + b,
+                weight: |_, _| 1u64,
+                check: blocking_check,
+                prune: None,
+            }),
     ));
     assert!(blocker.decision().unwrap().admitted());
 
@@ -291,6 +443,7 @@ fn overloaded_rejections_resolve_promptly_with_a_hint() {
         }
         other => panic!("expected Overloaded, got {other:?}"),
     }
+    drop(closed);
 
     // Another tenant is not starved by tenant-a's full queue.
     let other = service
@@ -333,4 +486,236 @@ fn admission_disabled_matches_the_single_service_byte_for_byte() {
         assert_eq!(got.termination, expected.termination);
     }
     assert_eq!(service.queries_submitted(), 6);
+}
+
+#[test]
+fn threaded_requests_run_sequentially_in_the_catalog() {
+    // The catalog runs every request sequentially inside, whatever its
+    // `threads`: the plan reports the one thread it granted, and the
+    // paths come out in the sequential DFS emission order.
+    let graph = Arc::new(pathenum_repro::graph::generators::complete_digraph(8));
+    let mut engine = QueryEngine::new(graph.as_ref(), PathEnumConfig::default());
+    let expected = engine
+        .execute(&QueryRequest::paths(0, 7).max_hops(4).collect_paths(true))
+        .unwrap();
+
+    let service = one_graph(4, Arc::clone(&graph));
+    let responses = submit_all(
+        &service,
+        vec![QueryRequest::paths(0, 7)
+            .max_hops(4)
+            .threads(8)
+            .collect_paths(true)],
+    );
+    let response = responses[0].as_ref().unwrap();
+    assert_eq!(response.plan.unwrap().threads, 1, "granted threads");
+    assert_eq!(response.paths, expected.paths, "order identical");
+}
+
+#[test]
+fn ticket_outcomes_report_a_truthful_service_time_envelope() {
+    // One worker, so the probe must queue behind a heavy blocker. The
+    // outcome's `started` stamp is worker pickup, not submission: it has
+    // to trail both the submission instant and the blocker's `finished`
+    // stamp, and the reported latency (service time only) must fit
+    // inside the sojourn the caller observed around submit + wait.
+    let graph = Arc::new(pathenum_repro::graph::generators::complete_digraph(9));
+    let service = one_graph(1, graph);
+    let routed = |request| CatalogRequest::new("g", "tenant", request);
+    let blocker = service.submit(routed(
+        QueryRequest::paths(0, 8).max_hops(8).collect_paths(true),
+    ));
+    let submitted_at = Instant::now();
+    let probe = service.submit(routed(QueryRequest::paths(0, 1).max_hops(2)));
+
+    let blocker_outcome = blocker.wait_outcome();
+    let outcome = probe.wait_outcome();
+    let sojourn = submitted_at.elapsed();
+    assert!(blocker_outcome.response.is_ok());
+    assert!(outcome.response.is_ok());
+
+    assert!(
+        outcome.started >= submitted_at,
+        "pickup cannot precede submission"
+    );
+    assert!(
+        outcome.started >= blocker_outcome.finished,
+        "a single worker picks the probe up only after the blocker"
+    );
+    assert!(outcome.finished >= outcome.started);
+    assert_eq!(outcome.latency(), outcome.finished - outcome.started);
+    // Queue wait and service time partition the sojourn: together they
+    // can never exceed what the caller measured from the outside.
+    let queue_wait = outcome.started - submitted_at;
+    assert!(
+        queue_wait + outcome.latency() <= sojourn,
+        "queue wait ({queue_wait:?}) + latency ({:?}) exceeds the \
+         observed sojourn ({sojourn:?})",
+        outcome.latency()
+    );
+}
+
+#[test]
+fn rejected_requests_never_touch_the_shared_cache() {
+    let graph = Arc::new(pathenum_repro::graph::generators::erdos_renyi(30, 160, 4));
+    let service = one_graph(0, graph);
+    let token = CancelToken::new();
+    token.cancel();
+    let batch: Vec<QueryRequest<'static>> = vec![
+        QueryRequest::paths(0, 1).max_hops(4).cancel_token(token),
+        QueryRequest::paths(0, 1)
+            .max_hops(4)
+            .time_budget(Duration::ZERO),
+        QueryRequest::paths(0, 1).max_hops(4).limit(0),
+        QueryRequest::paths(0, 1).max_hops(4),
+    ];
+    let tickets: Vec<CatalogTicket> = batch
+        .into_iter()
+        .map(|request| service.submit(CatalogRequest::new("g", "tenant", request)))
+        .collect();
+    for stopped in &tickets[..3] {
+        assert!(stopped.is_done(), "a pre-flight stop resolves at submit");
+        assert!(stopped.decision().is_none(), "no admission charge");
+    }
+    let responses: Vec<_> = tickets.into_iter().map(CatalogTicket::wait).collect();
+    assert_eq!(
+        responses[0].as_ref().unwrap().termination,
+        Termination::Cancelled
+    );
+    assert_eq!(
+        responses[1].as_ref().unwrap().termination,
+        Termination::DeadlineExceeded
+    );
+    assert_eq!(
+        responses[2].as_ref().unwrap().termination,
+        Termination::LimitReached
+    );
+    for rejected in &responses[..3] {
+        assert_eq!(
+            rejected.as_ref().unwrap().report.cache,
+            CacheOutcome::Skipped
+        );
+    }
+    assert_eq!(
+        responses[3].as_ref().unwrap().termination,
+        Termination::Completed
+    );
+    assert_eq!(service.queries_submitted(), 4);
+    let stats = service.catalog().tenant_cache_stats("g", "tenant").unwrap();
+    assert_eq!(stats.lookups, 1, "only the real request");
+}
+
+#[test]
+fn constrained_requests_through_the_catalog_match_the_engine() {
+    let graph = Arc::new(pathenum_repro::graph::generators::erdos_renyi(40, 260, 6));
+    let service = one_graph(0, Arc::clone(&graph));
+    let mut engine = QueryEngine::new(graph.as_ref(), PathEnumConfig::default());
+    let make = || -> QueryRequest<'static> {
+        QueryRequest::paths(0, 1)
+            .max_hops(4)
+            .predicate(|u, v| (u + v) % 3 != 0)
+            .constraint_fingerprint(11)
+            .collect_paths(true)
+    };
+    let expected = engine.execute(&make()).unwrap();
+    for response in submit_all(&service, vec![make(), make(), make()]) {
+        let response = response.unwrap();
+        assert_eq!(response.paths, expected.paths);
+        assert_eq!(
+            response.plan.unwrap().threads,
+            1,
+            "constrained requests stay sequential"
+        );
+    }
+    let stats = service.catalog().tenant_cache_stats("g", "tenant").unwrap();
+    assert!(stats.hits >= 1, "fingerprinted predicate caches");
+}
+
+#[test]
+fn worker_panics_resolve_the_ticket_and_spare_the_pool() {
+    let graph = Arc::new(pathenum_repro::graph::generators::erdos_renyi(30, 150, 1));
+    let service = one_graph(1, graph);
+    let panicking: QueryRequest<'static> = QueryRequest::paths(0, 1)
+        .max_hops(4)
+        .predicate(|_, _| panic!("hostile constraint closure"));
+    let err = submit_all(&service, vec![panicking]).remove(0).unwrap_err();
+    assert_eq!(err, PathEnumError::EvaluationPanicked);
+    // The check closure runs during enumeration, so this panic unwinds
+    // through the pool's only worker rather than through `submit`.
+    let panicking_on_the_worker: QueryRequest<'static> = QueryRequest::paths(0, 1)
+        .max_hops(4)
+        .accumulative(AccumulativeQuery {
+            identity: 0u64,
+            combine: |a, b| a + b,
+            weight: |_, _| 1u64,
+            check: |_: &u64| panic!("hostile constraint closure"),
+            prune: None,
+        });
+    let ticket = service.submit(CatalogRequest::new("g", "tenant", panicking_on_the_worker));
+    assert!(ticket.decision().is_some(), "the request reached the pool");
+    assert_eq!(
+        ticket.wait().unwrap_err(),
+        PathEnumError::EvaluationPanicked
+    );
+    // The (only) worker survived the panic and keeps serving.
+    let response = submit_all(&service, vec![QueryRequest::paths(0, 1).max_hops(4)])
+        .remove(0)
+        .unwrap();
+    assert_eq!(response.termination, Termination::Completed);
+}
+
+#[test]
+fn dropping_the_service_resolves_outstanding_tickets() {
+    let graph = Arc::new(pathenum_repro::graph::generators::complete_digraph(8));
+    let service = one_graph(1, graph);
+    let tickets: Vec<CatalogTicket> = (0..6)
+        .map(|_| {
+            let request = QueryRequest::paths(0, 7).max_hops(4).limit(50);
+            service.submit(CatalogRequest::new("g", "tenant", request))
+        })
+        .collect();
+    drop(service);
+    for ticket in tickets {
+        let response = ticket.wait().unwrap();
+        assert_eq!(response.num_results(), 50);
+    }
+}
+
+#[test]
+fn bypass_requests_are_counted_but_never_stored() {
+    let graph = Arc::new(pathenum_repro::graph::generators::erdos_renyi(30, 150, 8));
+    let service = one_graph(2, graph);
+    for _ in 0..3 {
+        let request = QueryRequest::paths(0, 1).max_hops(4).bypass_cache();
+        let response = service
+            .execute(CatalogRequest::new("g", "tenant", request))
+            .unwrap();
+        assert_eq!(response.report.cache, CacheOutcome::Bypass);
+    }
+    let stats = service.catalog().tenant_cache_stats("g", "tenant").unwrap();
+    assert_eq!(stats.bypasses, 3);
+    assert_eq!(stats.lookups, 3);
+    let entries: usize = service
+        .catalog()
+        .tenant_accounting("g")
+        .iter()
+        .map(|(_, entries, _)| entries)
+        .sum();
+    assert_eq!(entries, 0);
+}
+
+#[test]
+fn result_layer_stays_off_by_default() {
+    let graph = Arc::new(pathenum_repro::graph::generators::erdos_renyi(40, 220, 29));
+    let service = one_graph(2, graph);
+    let routed = || {
+        let request = QueryRequest::paths(0, 1).max_hops(4).collect_paths(true);
+        CatalogRequest::new("g", "tenant", request)
+    };
+    service.execute(routed()).unwrap();
+    let warm = service.execute(routed()).unwrap();
+    assert_eq!(warm.report.cache, CacheOutcome::Hit);
+    assert_eq!(service.catalog().result_cache_bytes(), 0);
+    let stats = service.catalog().tenant_result_cache_stats("g", "tenant");
+    assert!(stats.is_none(), "no result cache was ever created");
 }

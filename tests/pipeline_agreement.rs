@@ -1,9 +1,8 @@
 //! The evaluator matrix: one scripted request sequence through every
 //! driver of the request pipeline — `QueryEngine`, `DynamicEngine`,
-//! `PathEnumService`, `CatalogService` — with the result layer on and
-//! off.
+//! `CatalogService` — with the result layer on and off.
 //!
-//! All four are drivers of the same two pipeline stages, so they must
+//! All three are drivers of the same two pipeline stages, so they must
 //! agree step by step on the paths (checked against the brute-force
 //! `pathenum::reference`), the `Termination`, and the `CacheOutcome`
 //! tag, and every cache store must balance
@@ -221,19 +220,6 @@ fn every_evaluator_agrees_on_the_scripted_sequence() {
             dynamic.execute(&r).unwrap()
         });
 
-        let service = PathEnumService::with_config(
-            Arc::new(graph.clone()),
-            config,
-            ServiceConfig {
-                workers: 2,
-                result_cache_bytes: result_bytes,
-                ..ServiceConfig::default()
-            },
-        );
-        let from_service = run_script("service", results_on, &expectations, targets, |r| {
-            service.execute(&r).unwrap()
-        });
-
         let catalog = CatalogService::new(
             config,
             CatalogConfig {
@@ -251,28 +237,26 @@ fn every_evaluator_agrees_on_the_scripted_sequence() {
 
         // Same pipeline, same deterministic emission order.
         assert_eq!(from_engine, from_dynamic);
-        assert_eq!(from_engine, from_service);
         assert_eq!(from_engine, from_catalog);
 
-        // The three evaluators that pre-flight before touching a cache
-        // account identically; the catalog (which plans at submit even
-        // for the pre-cancelled request) differs by exactly that.
+        // Every evaluator pre-flights before touching a cache (the
+        // catalog at submit), so all three account identically.
         let plans = engine.cache_stats();
         assert_eq!(plans, dynamic.cache_stats());
-        assert_eq!(plans, service.cache_stats());
         assert_eq!(plans.retained, 0);
         let results = engine.result_cache_stats();
         assert_eq!(results, dynamic.result_cache_stats());
-        assert_eq!(results, service.result_cache_stats());
         assert_eq!(results.lookups > 0, results_on);
         assert_eq!(engine.queries_rejected(), 1);
         assert_eq!(dynamic.queries_served(), 8);
-        assert_eq!(service.queries_rejected(), 1);
+        assert_eq!(catalog.queries_submitted(), 9);
 
         let tenant_plans = catalog.catalog().tenant_cache_stats("g", "tenant").unwrap();
-        assert_eq!(tenant_plans.lookups, plans.lookups + 1);
+        assert_eq!(tenant_plans.lookups, plans.lookups);
+        assert_eq!(tenant_plans, plans);
         let tenant_results = catalog.catalog().tenant_result_cache_stats("g", "tenant");
         assert_eq!(tenant_results.is_some(), results_on);
+        assert_eq!(tenant_results.unwrap_or_default(), results);
 
         for (label, stats) in [
             ("engine plans", plans),
@@ -428,20 +412,6 @@ fn a_limit_decides_the_method_per_request_on_every_evaluator() {
             }
             check("dynamic", results_on, order, &mut |w| {
                 dynamic.execute(&build(w)).unwrap()
-            });
-
-            let service = PathEnumService::with_config(
-                Arc::new(graph.clone()),
-                config,
-                ServiceConfig {
-                    workers: 2,
-                    result_cache_bytes: layer_bytes,
-                    result_cache_shards: 1,
-                    ..ServiceConfig::default()
-                },
-            );
-            check("service", results_on, order, &mut |w| {
-                service.execute(&build(w)).unwrap()
             });
 
             let catalog = CatalogService::new(

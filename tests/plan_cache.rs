@@ -134,113 +134,6 @@ proptest! {
     }
 }
 
-/// Satellite acceptance: the shared-cache accounting identity
-/// `hits + misses + bypasses == lookups` must hold under genuinely
-/// concurrent load *and* across `clear_cache()` calls racing the
-/// lookups — a clear may evict every entry mid-stream, but it must
-/// never lose or double-count a lookup.
-#[test]
-fn shared_cache_stats_balance_under_concurrent_load_and_clears() {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Barrier};
-
-    const THREADS: usize = 4;
-    const ITERS: usize = 60;
-    const SHAPES: u32 = 5;
-
-    let graph = Arc::new(pathenum_graph::generators::erdos_renyi(60, 380, 13));
-    let service = Arc::new(PathEnumService::with_config(
-        Arc::clone(&graph),
-        PathEnumConfig::default(),
-        ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        },
-    ));
-
-    // One thread hammers `clear_cache` while the submitters run. All
-    // start together, `clears` counts only clears made after that, and
-    // every submitter waits at its halfway point for the first of them:
-    // a clear lands mid-load however the threads are scheduled.
-    let done = Arc::new(AtomicBool::new(false));
-    let clears = Arc::new(AtomicU64::new(0));
-    let start = Arc::new(Barrier::new(THREADS + 1));
-    let clearer = {
-        let service = Arc::clone(&service);
-        let done = Arc::clone(&done);
-        let clears = Arc::clone(&clears);
-        let start = Arc::clone(&start);
-        std::thread::spawn(move || {
-            start.wait();
-            while !done.load(Ordering::Relaxed) {
-                service.clear_cache();
-                clears.fetch_add(1, Ordering::Release);
-                std::thread::yield_now();
-            }
-        })
-    };
-    let submitters: Vec<_> = (0..THREADS)
-        .map(|id| {
-            let service = Arc::clone(&service);
-            let clears = Arc::clone(&clears);
-            let start = Arc::clone(&start);
-            std::thread::spawn(move || {
-                start.wait();
-                let mut clears_at_halfway = 0;
-                for i in 0..ITERS {
-                    if i == ITERS / 2 {
-                        while clears.load(Ordering::Acquire) == 0 {
-                            std::thread::yield_now();
-                        }
-                        clears_at_halfway = clears.load(Ordering::Acquire);
-                    }
-                    let t = 1 + ((id + i) as u32 % SHAPES);
-                    let request = QueryRequest::paths(0, t).max_hops(3).limit(16);
-                    // Every fifth request opts out so `bypasses` is
-                    // exercised in the same race.
-                    let request = if i % 5 == 4 {
-                        request.bypass_cache()
-                    } else {
-                        request
-                    };
-                    service.execute(&request).expect("valid request");
-                }
-                clears_at_halfway
-            })
-        })
-        .collect();
-    for handle in submitters {
-        let clears_at_halfway = handle.join().expect("submitter thread");
-        assert!(
-            clears_at_halfway > 0,
-            "a clear landed while this submitter was mid-loop"
-        );
-    }
-    done.store(true, Ordering::Relaxed);
-    clearer.join().expect("clearer thread");
-
-    let stats = service.cache_stats();
-    assert_eq!(
-        stats.hits + stats.misses + stats.bypasses,
-        stats.lookups,
-        "accounting identity under concurrent load + clears: {stats:?}"
-    );
-    assert_eq!(stats.lookups, (THREADS * ITERS) as u64);
-    assert_eq!(stats.bypasses, (THREADS * (ITERS / 5)) as u64);
-    assert!(
-        stats.misses >= u64::from(SHAPES),
-        "each cleared shape replans at least once"
-    );
-
-    // The identity keeps holding for traffic after the race quiesced.
-    service
-        .execute(&QueryRequest::paths(0, 1).max_hops(3).limit(16))
-        .expect("valid request");
-    let after = service.cache_stats();
-    assert_eq!(after.hits + after.misses + after.bypasses, after.lookups);
-    assert_eq!(after.lookups, stats.lookups + 1);
-}
-
 #[test]
 fn explain_reports_modeled_costs_when_the_optimizer_runs() {
     let g = pathenum_graph::generators::complete_digraph(10);
@@ -397,7 +290,7 @@ fn warm_hits_report_lookup_time_not_index_build() {
 
 /// The lifecycle of a labels-only entry. A step-1 request that misses
 /// builds only the labels and caches them; the first request to find the
-/// entry — through `execute`, `explain`, `stream` or a shared service —
+/// entry — through `execute`, `explain`, `stream` or the catalog —
 /// fills its rows once and writes them back, and from then on the entry
 /// plans and answers exactly as an eagerly built one.
 #[test]
@@ -467,30 +360,34 @@ fn labels_only_entries_are_completed_by_their_first_reader() {
 
     // Four threads race to complete one labels-only entry of a shared
     // cache: every answer is the reference, and the books balance.
-    let service = PathEnumService::with_config(
-        graph.clone(),
+    let catalog = CatalogService::new(
         PathEnumConfig::default(),
-        ServiceConfig {
+        CatalogConfig {
             workers: 4,
-            ..ServiceConfig::default()
+            ..CatalogConfig::default()
         },
     );
-    let explained = service
-        .execute(&limited().explain())
+    catalog.catalog().register("g", graph);
+    let routed = |request| CatalogRequest::new("g", "tenant", request);
+    let explained = catalog
+        .execute(routed(limited().explain()))
         .expect("valid request");
     assert_eq!(explained.plan.map(|p| p.preliminary_estimate), Some(None));
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
                 for _ in 0..8 {
-                    let response = service.execute(&limited()).expect("valid request");
+                    let response = catalog.execute(routed(limited())).expect("valid request");
                     assert_eq!(response.report.cache, CacheOutcome::Hit);
                     assert_eq!(response.paths, reference.paths);
                 }
             });
         }
     });
-    let stats = service.cache_stats();
+    let stats = catalog
+        .catalog()
+        .tenant_cache_stats("g", "tenant")
+        .expect("registered graph");
     assert_eq!(stats.hits + stats.misses + stats.bypasses, stats.lookups);
     assert_eq!((stats.misses, stats.hits), (1, 32));
 }

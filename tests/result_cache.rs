@@ -12,8 +12,9 @@
 //!   answer: after every insert/remove, the caching engine matches a
 //!   cache-free engine on the mutated graph exactly — whether the entry
 //!   was retained, invalidated, or replayed.
-//! * Grouped `execute_batch` is byte-identical to solo execution across
-//!   worker counts {1, 2, 4, 8}, and the stats invariant
+//! * A batch submitted to the catalog and waited in order is
+//!   byte-identical to solo engine execution across worker counts
+//!   {1, 2, 4, 8}, and the stats invariant
 //!   `hits + misses + bypasses == lookups` holds throughout.
 
 use std::sync::Arc;
@@ -206,12 +207,13 @@ proptest! {
 }
 
 proptest! {
-    // Each case spins up a service (worker threads): fewer, fatter cases.
+    // Each case spins up a catalog (worker threads): fewer, fatter cases.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Shared-execution acceptance: a grouped batch — result layer on,
-    /// any worker count — returns exactly what solo engine execution
-    /// returns, request for request, byte for byte.
+    /// Shared-execution acceptance: a batch submitted to the catalog and
+    /// waited in order — result layer on, any worker count — returns
+    /// exactly what solo engine execution returns, request for request,
+    /// byte for byte.
     #[test]
     fn grouped_batches_equal_solo_execution(
         n in 6u32..14,
@@ -222,7 +224,7 @@ proptest! {
     ) {
         let workers = [1usize, 2, 4, 8][workers_sel];
         let g = Arc::new(graph_from_edges(n, &edges));
-        // Skew onto few shapes so groups actually form.
+        // Skew onto few shapes so repeats hit the shared layers.
         let targets: Vec<u32> = raw_targets.iter().map(|&t| 1 + t % (n - 1)).collect();
         let build = |t: u32| QueryRequest::paths(0, t).max_hops(k).collect_paths(true);
 
@@ -232,19 +234,22 @@ proptest! {
             .map(|&t| oracle.execute(&build(t)).unwrap())
             .collect();
 
-        let service = PathEnumService::with_config(
-            Arc::clone(&g),
+        let catalog = CatalogService::new(
             PathEnumConfig::default(),
-            ServiceConfig {
+            CatalogConfig {
                 workers,
                 result_cache_bytes: 1 << 20,
-                ..ServiceConfig::default()
+                ..CatalogConfig::default()
             },
         );
-        let grouped = service.execute_batch(targets.iter().map(|&t| build(t)).collect());
-        prop_assert_eq!(grouped.len(), solo.len());
-        for (i, (response, expected)) in grouped.iter().zip(&solo).enumerate() {
-            let response = response.as_ref().unwrap();
+        catalog.catalog().register("g", Arc::clone(&g));
+        let tickets: Vec<CatalogTicket> = targets
+            .iter()
+            .map(|&t| catalog.submit(CatalogRequest::new("g", "tenant", build(t))))
+            .collect();
+        prop_assert_eq!(tickets.len(), solo.len());
+        for (i, (ticket, expected)) in tickets.into_iter().zip(&solo).enumerate() {
+            let response = ticket.wait().unwrap();
             prop_assert_eq!(
                 &response.paths,
                 &expected.paths,
@@ -256,7 +261,10 @@ proptest! {
             prop_assert_eq!(response.termination, expected.termination);
             prop_assert_eq!(response.num_results(), expected.num_results());
         }
-        let stats = service.result_cache_stats();
+        let stats = catalog
+            .catalog()
+            .tenant_result_cache_stats("g", "tenant")
+            .unwrap();
         prop_assert_eq!(stats.hits + stats.misses + stats.bypasses, stats.lookups);
         prop_assert_eq!(stats.lookups, targets.len() as u64);
     }
@@ -330,22 +338,25 @@ fn mixed_limits_on_one_key_replay_prefixes_of_the_stored_answer() {
         assert_eq!(stats.hits + stats.misses + stats.bypasses, stats.lookups);
     }
 
-    // Grouped: the requests share a plan key, so one worker runs them
-    // back to back through the shared layers.
-    let service = PathEnumService::with_config(
-        Arc::clone(&graph),
+    // Through the catalog: the requests share a plan key and a result
+    // key, submitted together and waited in order.
+    let catalog = CatalogService::new(
         config,
-        ServiceConfig {
+        CatalogConfig {
             workers: 2,
+            cache_shards: 1,
             result_cache_bytes: budget,
-            result_cache_shards: 1,
-            ..ServiceConfig::default()
+            ..CatalogConfig::default()
         },
     );
+    catalog.catalog().register("g", Arc::clone(&graph));
     let order = [1usize, 0, 2, 1];
-    let grouped = service.execute_batch(order.iter().map(|&which| build(which)).collect());
-    for (response, which) in grouped.iter().zip(order) {
-        let response = response.as_ref().unwrap();
+    let tickets: Vec<CatalogTicket> = order
+        .iter()
+        .map(|&which| catalog.submit(CatalogRequest::new("g", "tenant", build(which))))
+        .collect();
+    for (ticket, which) in tickets.into_iter().zip(order) {
+        let response = ticket.wait().unwrap();
         assert_eq!(response.paths, fresh[which].paths, "request {which}");
         assert_eq!(response.termination, fresh[which].termination);
     }
@@ -389,24 +400,24 @@ fn parallel_answers_are_not_replayed_to_sequential_requests() {
     assert_eq!(replay.report.cache, CacheOutcome::ResultHit);
     assert_eq!(replay.paths, parallel.paths, "parallel replay");
 
-    // A service keys on the threads it grants, not the ones asked for:
-    // `execute` may fan out over the whole budget, `submit` runs the
-    // same request sequentially and must not be handed the merge order.
-    let service = PathEnumService::with_config(
-        Arc::new(graph),
+    // The catalog keys on the threads it grants, not the ones asked for:
+    // it runs every request sequentially, so a `threads(4)` request must
+    // be handed the sequential order, never a merge order.
+    let catalog = CatalogService::new(
         config,
-        ServiceConfig {
+        CatalogConfig {
             workers: 4,
             result_cache_bytes: 16 << 20,
-            ..ServiceConfig::default()
+            ..CatalogConfig::default()
         },
     );
-    let fanned = service.execute(&build(4)).unwrap();
-    assert_eq!(fanned.paths.len(), cold.paths.len());
-    let pooled = service.submit(build(4)).wait().unwrap();
+    catalog.catalog().register("g", graph);
+    let routed = || CatalogRequest::new("g", "tenant", build(4));
+    let pooled = catalog.submit(routed()).wait().unwrap();
     assert_ne!(pooled.report.cache, CacheOutcome::ResultHit);
-    assert_eq!(pooled.paths, cold.paths, "submit after a fanned execute");
-    let replay = service.submit(build(4)).wait().unwrap();
+    assert_eq!(pooled.plan.unwrap().threads, 1, "granted threads");
+    assert_eq!(pooled.paths, cold.paths, "submit runs sequentially");
+    let replay = catalog.submit(routed()).wait().unwrap();
     assert_eq!(replay.report.cache, CacheOutcome::ResultHit);
     assert_eq!(replay.paths, cold.paths, "submit replay");
 }
