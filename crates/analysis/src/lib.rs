@@ -463,8 +463,7 @@ impl RuleCtx<'_> {
     }
 }
 
-const ORDERING_SCOPE: [&str; 9] = [
-    "crates/pathenum/src/parallel.rs",
+const ORDERING_SCOPE: [&str; 8] = [
     "crates/pathenum/src/results.rs",
     "crates/pathenum/src/catalog.rs",
     "crates/pathenum/src/admission.rs",

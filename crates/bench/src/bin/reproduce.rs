@@ -6,7 +6,7 @@
 //! ```
 //!
 //! `reproduce list` prints the experiments: the paper's (`table3` ..
-//! `table7`, `fig6` .. `fig18`, `ablation`, `scaling`) and the two
+//! `table7`, `fig6` .. `fig18`, `ablation`) and the two
 //! measurements `benchmark/` cannot take (`overload`, `perf`).
 
 use std::process::ExitCode;

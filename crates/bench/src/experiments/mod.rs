@@ -2,8 +2,8 @@
 //!
 //! What is here and why:
 //!
-//! * `table3`–`table7`, `fig6`–`fig18`, `ablation`, `scaling` — the
-//!   paper's tables and figures. They are the reproduction.
+//! * `table3`–`table7`, `fig6`–`fig18`, `ablation` — the paper's tables
+//!   and figures. They are the reproduction.
 //! * `overload` — the only open-loop measurement in the repo.
 //!   `benchmark/` drives closed loops and excludes overload by design
 //!   (its README points here), so admission control is judged on this
@@ -28,7 +28,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod overload;
 pub mod perf;
-pub mod scaling;
 pub mod support;
 pub mod table3;
 pub mod table4;
@@ -108,11 +107,6 @@ pub fn registry() -> Vec<ExperimentEntry> {
             "ablation",
             "Extra ablations: pruning power, barriers, T-DFS",
             ablation::run,
-        ),
-        (
-            "scaling",
-            "Intra-query parallel scaling (threads 1/2/4/8)",
-            scaling::run,
         ),
         (
             "overload",

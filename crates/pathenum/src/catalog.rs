@@ -83,7 +83,6 @@ use pathenum_graph::{GraphHandle, NeighborAccess};
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, Lane};
 use crate::index::BuildScratch;
 use crate::optimizer::PathEnumConfig;
-use crate::parallel::resolve_threads;
 use crate::pipeline::{self, Acquired, Collector, Pipeline, SharedStore};
 use crate::plan::{SharedCacheStats, SharedPlanCache};
 use crate::request::{PathEnumError, QueryRequest, QueryResponse};
@@ -576,8 +575,6 @@ impl CatalogService {
                         results: results.as_deref(),
                     },
                     scratch,
-                    // Pool-dispatched requests run intra-sequentially.
-                    threads: 1,
                 }
                 .acquire(query, &request, &mut collector)
             })
@@ -738,6 +735,18 @@ struct PoolShared {
     queues: Mutex<LaneQueues>,
     job_ready: Condvar,
     shutdown: AtomicBool,
+}
+
+/// Resolves [`CatalogConfig::workers`]: `0` means one worker per
+/// available core.
+fn resolve_threads(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        requested
+    }
 }
 
 /// A fixed pool of named OS threads draining two lanes of boxed tasks;

@@ -243,7 +243,7 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
     /// for the explanation is the one a later execution reuses).
     pub fn explain(&mut self, request: &QueryRequest<'_>) -> Result<PhysicalPlan, PathEnumError> {
         let query = request.validate(self.graph.num_vertices())?;
-        Ok(self.pipeline(request).plan(query, request, None).plan)
+        Ok(self.pipeline().plan(query, request, None).plan)
     }
 
     /// Evaluates a [`QueryRequest`], streaming result paths into `sink`.
@@ -266,7 +266,7 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
         request: &QueryRequest<'_>,
         sink: &mut dyn PathSink,
     ) -> Result<QueryResponse, PathEnumError> {
-        let response = self.pipeline(request).evaluate(request, sink)?;
+        let response = self.pipeline().evaluate(request, sink)?;
         if response.report.cache == CacheOutcome::Skipped {
             self.queries_rejected += 1;
         } else {
@@ -277,7 +277,7 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
 
     /// The request pipeline over what this engine owns: its graph
     /// borrow, its build scratch, and its caches.
-    fn pipeline(&mut self, request: &QueryRequest<'_>) -> Pipeline<'_, G, LocalStore<'_>> {
+    fn pipeline(&mut self) -> Pipeline<'_, G, LocalStore<'_>> {
         Pipeline {
             graph: self.graph,
             config: self.config,
@@ -286,7 +286,6 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
                 results: self.results.as_mut(),
             },
             scratch: &mut self.scratch,
-            threads: request.effective_threads(),
         }
     }
 
@@ -523,105 +522,6 @@ mod tests {
             from_stream.sort_unstable();
             assert_eq!(from_execute, from_stream, "t={t}");
         }
-    }
-
-    #[test]
-    fn threaded_execute_matches_sequential_set_and_order() {
-        let g = erdos_renyi(50, 320, 11);
-        let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
-        for t in 1..8u32 {
-            let sequential = engine
-                .execute(&QueryRequest::paths(0, t).max_hops(5).collect_paths(true))
-                .unwrap();
-            let mut orders: Vec<Vec<Vec<u32>>> = Vec::new();
-            for threads in [2usize, 4, 8] {
-                let parallel = engine
-                    .execute(
-                        &QueryRequest::paths(0, t)
-                            .max_hops(5)
-                            .threads(threads)
-                            .collect_paths(true),
-                    )
-                    .unwrap();
-                assert_eq!(parallel.termination, Termination::Completed);
-                assert_eq!(parallel.num_results(), sequential.num_results(), "t={t}");
-                let mut sorted = parallel.paths.clone();
-                sorted.sort_unstable();
-                let mut expected = sequential.paths.clone();
-                expected.sort_unstable();
-                assert_eq!(sorted, expected, "t={t} threads={threads}");
-                orders.push(parallel.paths);
-            }
-            for pair in orders.windows(2) {
-                assert_eq!(pair[0], pair[1], "merge order varies with thread count");
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_execute_reports_exact_limit() {
-        let g = pathenum_graph::generators::complete_digraph(9);
-        let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
-        for limit in [1u64, 5, 40] {
-            let response = engine
-                .execute(
-                    &QueryRequest::paths(0, 8)
-                        .max_hops(4)
-                        .threads(4)
-                        .limit(limit)
-                        .collect_paths(true),
-                )
-                .unwrap();
-            assert_eq!(response.termination, Termination::LimitReached);
-            assert_eq!(response.num_results(), limit);
-            assert_eq!(response.paths.len() as u64, limit);
-        }
-    }
-
-    #[test]
-    fn threaded_execute_honors_forced_methods() {
-        let g = erdos_renyi(40, 260, 5);
-        let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
-        for method in [Method::IdxDfs, Method::IdxJoin] {
-            let sequential = engine
-                .execute(
-                    &QueryRequest::paths(0, 1)
-                        .max_hops(4)
-                        .method(method)
-                        .collect_paths(true),
-                )
-                .unwrap();
-            let parallel = engine
-                .execute(
-                    &QueryRequest::paths(0, 1)
-                        .max_hops(4)
-                        .method(method)
-                        .threads(4)
-                        .collect_paths(true),
-                )
-                .unwrap();
-            assert_eq!(parallel.report.method, method);
-            let mut a = sequential.paths;
-            let mut b = parallel.paths;
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "{method}");
-        }
-    }
-
-    #[test]
-    fn threaded_execute_with_auto_thread_count_works() {
-        let g = figure1_graph();
-        let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
-        let response = engine
-            .execute(
-                &QueryRequest::paths(S, T)
-                    .max_hops(4)
-                    .threads(0)
-                    .collect_paths(true),
-            )
-            .unwrap();
-        assert_eq!(response.num_results(), 5);
     }
 
     #[test]

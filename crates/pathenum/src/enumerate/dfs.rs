@@ -1,10 +1,8 @@
 //! IDX-DFS: depth-first search on the index (Algorithm 4).
 //!
 //! This recursive form is the reference implementation;
-//! [`super::dfs_iterative`] is the explicit-stack equivalent whose
-//! seeded variant powers the intra-query parallel executor
-//! ([`crate::parallel::parallel_dfs`]) — the emission order produced
-//! here is exactly the order the parallel merge reproduces.
+//! [`super::dfs_iterative`] is the explicit-stack equivalent that serves
+//! requests, and emits the same paths in the same order.
 
 use pathenum_graph::VertexId;
 

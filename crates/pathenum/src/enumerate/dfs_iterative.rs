@@ -49,20 +49,20 @@ struct Frame {
     found: bool,
 }
 
-/// Reusable buffers of [`idx_dfs_seeded`], so a worker that runs many
-/// seeded searches back-to-back (the intra-query parallel tasks of
-/// [`crate::parallel`]) allocates its stack and path scratch once.
+/// Reusable buffers of the iterative DFS, held in the per-thread
+/// enumeration arena so a serving thread allocates its stack and path
+/// scratch once.
 #[derive(Debug, Default)]
-pub(crate) struct SeededScratch {
+pub(crate) struct DfsScratch {
     stack: Vec<Frame>,
     path: Vec<VertexId>,
     /// O(1) "is this vertex on the current path" membership, replacing a
     /// linear stack scan per candidate neighbor. Epoch-reset at the start
-    /// of every seeded call, so an early `Stop` cannot leave stale marks.
+    /// of every search, so an early `Stop` cannot leave stale marks.
     on_path: EpochStamps,
 }
 
-impl SeededScratch {
+impl DfsScratch {
     /// Approximate heap footprint of the scratch in bytes.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.stack.capacity() * std::mem::size_of::<Frame>()
@@ -108,77 +108,36 @@ pub fn idx_dfs_on_demand<G: NeighborAccess>(
     })
 }
 
-/// The `prefix == [s]` search, charging the root's neighbor scan once as
-/// the recursive entry does.
+/// The search from `s`, reading `I_t` rows from `rows`. The root's
+/// neighbor scan is charged once, as the recursive entry charges it.
 fn idx_dfs_rooted(
     index: &Index,
     rows: &mut impl RowSource,
-    scratch: &mut SeededScratch,
+    scratch: &mut DfsScratch,
     sink: &mut dyn PathSink,
     counters: &mut Counters,
 ) -> SearchControl {
     let (Some(s_local), Some(t_local)) = (index.s_local(), index.t_local()) else {
         return SearchControl::Continue;
     };
-    if s_local != t_local {
-        counters.edges_accessed += u64::from(rows.row(s_local, index.k() - 1).1);
-    }
-    idx_dfs_seeded(index, rows, &[s_local], scratch, sink, counters)
-}
-
-/// The DFS continuation below a fixed prefix: enumerates every
-/// hop-constrained s-t path that starts with `prefix` (local ids,
-/// `prefix[0] == s`), never backtracking past the prefix boundary, reading
-/// `I_t` rows from `rows`.
-///
-/// `idx_dfs_iterative` is the `prefix == [s]` special case; the
-/// intra-query parallel executor runs one seeded search per frontier
-/// partition and concatenates the outputs, which reproduces the full
-/// sequential DFS emission order. A prefix that already ends at `t`
-/// emits exactly that path. The prefix's own neighbor scan is *not*
-/// charged to `counters` (the caller decides whether the split phase or
-/// the task accounts for it).
-pub(crate) fn idx_dfs_seeded(
-    index: &Index,
-    rows: &mut impl RowSource,
-    prefix: &[LocalId],
-    scratch: &mut SeededScratch,
-    sink: &mut dyn PathSink,
-    counters: &mut Counters,
-) -> SearchControl {
-    let Some(t_local) = index.t_local() else {
-        return SearchControl::Continue;
-    };
-    debug_assert!(!prefix.is_empty(), "seeded DFS needs a non-empty prefix");
-    debug_assert_eq!(Some(prefix[0]), index.s_local(), "prefix starts at s");
     let k = index.k();
-    let floor = prefix.len();
-    let SeededScratch {
+    let DfsScratch {
         stack,
         path,
         on_path,
     } = scratch;
     stack.clear();
     on_path.reset(index.num_vertices());
-    // Frames below the top of the seed are frozen: their cursors (and
-    // neighbor rows) are never consulted because the search stops before
-    // popping past the prefix boundary.
-    stack.extend(prefix.iter().map(|&vertex| Frame {
-        vertex,
-        cursor: u32::MAX,
-        nbr_start: 0,
-        nbr_len: 0,
+    let (nbr_start, nbr_len) = rows.row(s_local, k - 1);
+    counters.edges_accessed += u64::from(nbr_len);
+    stack.push(Frame {
+        vertex: s_local,
+        cursor: 0,
+        nbr_start,
+        nbr_len,
         found: false,
-    }));
-    {
-        let top = stack.last_mut().expect("prefix is non-empty");
-        top.cursor = 0;
-        let budget = k.saturating_sub(floor as u32);
-        (top.nbr_start, top.nbr_len) = rows.row(top.vertex, budget);
-    }
-    for &vertex in prefix {
-        on_path.mark(vertex as usize);
-    }
+    });
+    on_path.mark(s_local as usize);
 
     let mut probe_tick = 0u32;
     while let Some(top) = stack.last().copied() {
@@ -186,28 +145,6 @@ pub(crate) fn idx_dfs_seeded(
             return SearchControl::Stop;
         }
         probe_tick = probe_tick.wrapping_add(1);
-        let depth = stack.len() as u32 - 1; // edges used so far
-        if top.vertex == t_local && depth > 0 {
-            // Emit and force-backtrack: t's only neighbor is the padding
-            // loop, which the plain DFS never follows.
-            counters.results += 1;
-            path.clear();
-            path.extend(stack.iter().map(|f| index.global(f.vertex)));
-            if sink.emit(path) == SearchControl::Stop {
-                return SearchControl::Stop;
-            }
-            if stack.len() == floor {
-                // The seed itself was a complete path; nothing below it
-                // belongs to this task.
-                break;
-            }
-            let popped = stack.pop().expect("stack is non-empty");
-            on_path.unmark(popped.vertex as usize);
-            if let Some(parent) = stack.last_mut() {
-                parent.found = true;
-            }
-            continue;
-        }
         let start_cursor = top.cursor as usize;
         let mut descend = None;
         let neighbors =
@@ -260,10 +197,6 @@ pub(crate) fn idx_dfs_seeded(
                 found: false,
             });
             continue;
-        }
-        if stack.len() == floor {
-            // Never backtrack past the seed prefix.
-            break;
         }
         // Exhausted: pop and account. The root (s) is not a generated
         // partial result, so it is never counted as invalid.
@@ -343,67 +276,6 @@ mod tests {
         let control = idx_dfs_iterative(&index, &mut sink, &mut counters);
         assert_eq!(control, SearchControl::Stop);
         assert_eq!(sink.emitted(), 3);
-    }
-
-    #[test]
-    fn seeded_first_hop_partitions_concatenate_to_the_full_emission_order() {
-        // The defining property behind intra-query parallel DFS: running
-        // one seeded search per admissible first hop of s and
-        // concatenating the outputs in neighbor order reproduces the
-        // sequential emission order exactly.
-        for (g, k) in [
-            (figure1_graph(), 4),
-            (figure1_graph(), 6),
-            (erdos_renyi(30, 160, 3), 5),
-            (complete_digraph(7), 4),
-        ] {
-            let index = Index::build(&g, Query::new(0, 1, k).unwrap());
-            let mut full_sink = CollectingSink::default();
-            let mut counters = Counters::default();
-            idx_dfs_iterative(&index, &mut full_sink, &mut counters);
-
-            let mut merged = CollectingSink::default();
-            let mut scratch = SeededScratch::default();
-            if let Some(s) = index.s_local() {
-                for &first in index.i_t(s, k - 1) {
-                    let mut task_counters = Counters::default();
-                    idx_dfs_seeded(
-                        &index,
-                        &mut index.rows(),
-                        &[s, first],
-                        &mut scratch,
-                        &mut merged,
-                        &mut task_counters,
-                    );
-                }
-            }
-            assert_eq!(full_sink.paths, merged.paths, "k={k}");
-        }
-    }
-
-    #[test]
-    fn seeded_complete_prefix_emits_exactly_itself() {
-        let g = figure1_graph();
-        let index = Index::build(&g, Query::new(S, T, 4).unwrap());
-        let s = index.s_local().unwrap();
-        let t = index.t_local().unwrap();
-        // Find the local id of v0, the direct predecessor of t.
-        let v0 = (0..index.num_vertices() as LocalId)
-            .find(|&l| index.global(l) == V[0])
-            .unwrap();
-        let mut sink = CollectingSink::default();
-        let mut counters = Counters::default();
-        let mut scratch = SeededScratch::default();
-        idx_dfs_seeded(
-            &index,
-            &mut index.rows(),
-            &[s, v0, t],
-            &mut scratch,
-            &mut sink,
-            &mut counters,
-        );
-        assert_eq!(sink.paths, vec![vec![S, V[0], T]]);
-        assert_eq!(counters.results, 1);
     }
 
     #[test]

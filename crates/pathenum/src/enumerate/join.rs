@@ -483,18 +483,14 @@ pub fn idx_join_reference(
 }
 
 /// Flat storage for fixed-width tuples of local ids.
-///
-/// Crate-visible so the intra-query parallel join ([`crate::parallel`])
-/// can materialize its per-partition suffix relations with the same
-/// representation (and reuse one buffer per worker across join keys).
 #[derive(Debug)]
-pub(crate) struct TupleBuffer {
+struct TupleBuffer {
     width: usize,
     storage: Vec<LocalId>,
 }
 
 impl TupleBuffer {
-    pub(crate) fn new(width: usize) -> Self {
+    fn new(width: usize) -> Self {
         // alloc: scratch — an empty arena; `reset` keeps the allocation
         // across join keys, so growth amortizes to zero in steady state.
         TupleBuffer {
@@ -505,40 +501,35 @@ impl TupleBuffer {
 
     /// Drops every tuple and adopts a (possibly different) tuple width,
     /// keeping the allocation: the arena form of `new`.
-    pub(crate) fn reset(&mut self, width: usize) {
+    fn reset(&mut self, width: usize) {
         self.width = width;
         self.storage.clear();
     }
 
-    pub(crate) fn push(&mut self, tuple: &[LocalId]) {
+    fn push(&mut self, tuple: &[LocalId]) {
         debug_assert_eq!(tuple.len(), self.width);
         self.storage.extend_from_slice(tuple);
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.storage.len() / self.width
     }
 
     /// Total vertices stored (the materialized-memory statistic).
-    pub(crate) fn flat_len(&self) -> usize {
+    fn flat_len(&self) -> usize {
         self.storage.len()
     }
 
-    /// Drops every tuple, keeping the allocation.
-    pub(crate) fn clear(&mut self) {
-        self.storage.clear();
-    }
-
-    pub(crate) fn get(&self, i: usize) -> &[LocalId] {
+    fn get(&self, i: usize) -> &[LocalId] {
         &self.storage[i * self.width..(i + 1) * self.width]
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[LocalId]> {
+    fn iter(&self) -> impl Iterator<Item = &[LocalId]> {
         self.storage.chunks_exact(self.width)
     }
 
     /// Approximate heap footprint in bytes.
-    pub(crate) fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> usize {
         self.storage.capacity() * std::mem::size_of::<LocalId>()
     }
 }
@@ -549,7 +540,7 @@ impl TupleBuffer {
 /// deadline/cancellation rules must still be able to interrupt it.
 /// `partial` is the caller-owned stack buffer (cleared on entry).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn enumerate_side(
+fn enumerate_side(
     index: &Index,
     root: LocalId,
     from: u32,
@@ -612,7 +603,7 @@ fn side_search(
 
 /// If `tuple` (a full-width joined walk) is a valid simple s-t path after
 /// stripping `t`-padding, returns the path length in vertices; else `None`.
-pub(crate) fn valid_path_len(tuple: &[LocalId], t_local: LocalId) -> Option<usize> {
+fn valid_path_len(tuple: &[LocalId], t_local: LocalId) -> Option<usize> {
     let first_t = tuple.iter().position(|&v| v == t_local)?;
     let len = first_t + 1;
     // By index construction everything after the first t is t; the real

@@ -7,11 +7,6 @@
 //!   both sides by DFS on the index, and hash-join the intermediate
 //!   relations.
 //!
-//! Both kernels have intra-query parallel counterparts in
-//! [`crate::parallel`], which split the search space into independent
-//! partitions (prefix subtrees for DFS, join-key ranges for the join)
-//! and merge deterministically.
-//!
 //! The production kernels ([`idx_dfs_iterative`], [`idx_join`]) draw
 //! working memory from a per-thread arena (`scratch`) and are pinned
 //! byte-identical to retained naive oracles ([`dfs::idx_dfs`],

@@ -10,24 +10,20 @@
 //! allocation**; [`thread_scratch_heap_bytes`] exposes the arena size so
 //! tests (and `reproduce perf`) can assert exactly that.
 //!
-//! The intra-query parallel executor ([`crate::parallel`]) deliberately
-//! does *not* use this arena: its workers own explicit per-worker scratch
-//! so a pool thread's arena growth stays attributable.
-//!
 //! [`idx_dfs_iterative`]: crate::enumerate::idx_dfs_iterative
 //! [`idx_dfs_on_demand`]: crate::enumerate::idx_dfs_on_demand
 //! [`idx_join`]: crate::enumerate::idx_join
 
 use std::cell::RefCell;
 
-use super::dfs_iterative::SeededScratch;
+use super::dfs_iterative::DfsScratch;
 use super::join::JoinScratch;
 use crate::index::RowArena;
 
 /// The union of every kernel's reusable buffers.
 #[derive(Debug, Default)]
 pub(crate) struct EnumScratch {
-    pub(crate) dfs: SeededScratch,
+    pub(crate) dfs: DfsScratch,
     pub(crate) join: JoinScratch,
     /// The `I_t` rows [`idx_dfs_on_demand`] fills as it expands their
     /// owners, with the id map it fills them through.

@@ -22,11 +22,9 @@
 //! accumulative values, action-sequence automata) live in [`constraints`]
 //! and attach to requests as first-class options.
 //!
-//! A single heavy query can also fan its search out over an intra-query
-//! worker pool ([`parallel`], surfaced as
-//! [`QueryRequest::threads`](request::QueryRequest::threads)) with a
-//! deterministic merged output, and many queries are served concurrently
-//! from many threads through the [`catalog`] layer ([`CatalogService`]):
+//! Each query runs on one thread, as in the paper; many queries are
+//! served concurrently from many threads through the [`catalog`] layer
+//! ([`CatalogService`]):
 //! one or many named graphs, per-tenant shared caches, graphs
 //! republished mid-traffic, and overload shed by modeled cost through
 //! its [`admission`] policies.
@@ -87,7 +85,6 @@ pub mod estimator;
 pub mod global;
 pub mod index;
 pub mod optimizer;
-pub mod parallel;
 pub(crate) mod pipeline;
 pub mod plan;
 pub mod query;
@@ -115,7 +112,6 @@ pub use optimizer::{
     decide, optimize_join_order, path_enum, path_enum_on_index, Basis, Decision, JoinPlan,
     PathEnumConfig, PlanEstimates,
 };
-pub use parallel::SharedControl;
 pub use plan::{
     CacheOutcome, ConstraintKind, Executor, PhysicalPlan, PlanCache, PlanCacheStats, PlanKey,
     Planner, SharedCacheStats, SharedPlanCache,

@@ -209,17 +209,12 @@ pub(crate) fn plan_key(
 /// The result-cache key for a request, or `None` when its *results* are
 /// not cacheable: bypass flags (either layer's), explain requests (they
 /// never enumerate), accumulative/automaton constraints, and
-/// unfingerprinted predicates. `threads` is what the request will run
-/// with, which decides the order of its answer.
-fn result_key(
-    config: PathEnumConfig,
-    request: &QueryRequest<'_>,
-    threads: usize,
-) -> Option<ResultKey> {
+/// unfingerprinted predicates.
+fn result_key(config: PathEnumConfig, request: &QueryRequest<'_>) -> Option<ResultKey> {
     if request.bypass_cache || request.bypass_result_cache || request.explain {
         return None;
     }
-    ResultKey::for_request(request, effective_config(config, request), threads)
+    ResultKey::for_request(request, effective_config(config, request))
 }
 
 /// The pre-flight stopping rules shared by every evaluator: a request
@@ -259,15 +254,13 @@ pub(crate) fn preflight_termination(
 }
 
 /// Everything the front half of the pipeline is parameterised by: the
-/// serving graph, the orchestrator configuration, the cache store, the
-/// build scratch cold plans reuse, and the intra-query thread cap the
-/// evaluator grants each request.
+/// serving graph, the orchestrator configuration, the cache store, and
+/// the build scratch cold plans reuse.
 pub(crate) struct Pipeline<'a, G, S> {
     pub graph: &'a G,
     pub config: PathEnumConfig,
     pub store: S,
     pub scratch: &'a mut BuildScratch,
-    pub threads: usize,
 }
 
 impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
@@ -315,7 +308,7 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
     ) -> Acquired {
         let mut key = None;
         if self.store.max_result_bytes().is_some() {
-            key = result_key(self.config, request, self.threads);
+            key = result_key(self.config, request);
             match &key {
                 Some(key) => {
                     let at = GraphStamp::of(self.graph);
@@ -325,13 +318,7 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
                     });
                     if let Some(cached) = cached.flatten() {
                         let lookup = lookup_start.elapsed();
-                        return Acquired::Replay(replay_result_hit(
-                            &cached,
-                            request,
-                            sink,
-                            lookup,
-                            self.threads,
-                        ));
+                        return Acquired::Replay(replay_result_hit(&cached, request, sink, lookup));
                     }
                 }
                 None => self.store.note_result_bypass(),
@@ -372,7 +359,6 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
                 let cached = self.store.with_plans(key, |plans| plans.lookup(key, at));
                 if let Some((mut plan, mut index)) = cached {
                     plan.constraint = request.constraint.kind();
-                    plan.threads = self.threads;
                     let mut timings = PhaseTimings {
                         cache_lookup: lookup_start.elapsed(),
                         ..PhaseTimings::default()
@@ -424,7 +410,6 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
             request,
             self.scratch,
             at.log.is_some(),
-            self.threads,
         );
         let plan = planned.plan;
         let index = Arc::new(planned.index);
@@ -516,7 +501,6 @@ fn replay_result_hit(
     request: &QueryRequest<'_>,
     sink: &mut dyn PathSink,
     lookup: Duration,
-    threads: usize,
 ) -> QueryResponse {
     let replay_start = Instant::now();
     let mut delivered = 0usize;
@@ -536,7 +520,6 @@ fn replay_result_hit(
     };
     let mut plan = cached.plan;
     plan.constraint = request.constraint.kind();
-    plan.threads = threads;
     let timings = PhaseTimings {
         cache_lookup: lookup,
         enumeration: replay_start.elapsed(),
@@ -660,7 +643,6 @@ mod tests {
                     results: None,
                 },
                 scratch: &mut scratch,
-                threads: 1,
             }
             .evaluate(request, &mut sink)
             .expect("valid request");

@@ -9,17 +9,14 @@
 //! * [`PhysicalPlan`] — everything the optimizer decided about one
 //!   request (index spec and footprint, preliminary/full estimates, the
 //!   modeled costs `T_DFS`/`T_JOIN`, the [`Method`] and join cut chosen
-//!   for the request's `limit`, the constraint strategy, the parallelism
-//!   degree). Plans are plain `Copy` data: they can be logged, compared,
-//!   cached, and replayed.
+//!   for the request's `limit`, the constraint strategy). Plans are plain
+//!   `Copy` data: they can be logged, compared, cached, and replayed.
 //! * [`Planner`] — produces a plan (and the index backing it) from a
 //!   request: build index → preliminary estimate → (maybe) full estimate
 //!   and join-order optimization (Figure 2's front half) → the
 //!   per-request decision.
 //! * [`Executor`] — interprets any plan against any
-//!   [`PathSink`] (Figure 2's back half),
-//!   sequentially or through the intra-query pool when the plan carries
-//!   `threads > 1`.
+//!   [`PathSink`] (Figure 2's back half), on the calling thread.
 //! * [`PlanCache`] — an LRU over `(s, t, k, constraint fingerprint,
 //!   forced method, tau)` holding the plan *and* its built index,
 //!   invalidated by the serving graph's
@@ -233,8 +230,6 @@ pub struct PhysicalPlan {
     pub tau: u64,
     /// The constraint strategy the execution will apply.
     pub constraint: ConstraintKind,
-    /// Resolved intra-query parallelism degree (1 = sequential).
-    pub threads: usize,
     /// `|X|`: vertices kept by the light-weight index.
     pub index_vertices: usize,
     /// Edges in the index's forward table (the paper's index-size metric);
@@ -417,11 +412,7 @@ impl std::fmt::Display for PhysicalPlan {
                 ""
             }
         )?;
-        write!(
-            f,
-            "  constraint: {}, threads: {}",
-            self.constraint, self.threads
-        )
+        write!(f, "  constraint: {}", self.constraint)
     }
 }
 
@@ -482,8 +473,7 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
     pub fn plan(&self, request: &QueryRequest<'_>) -> Result<PhysicalPlan, PathEnumError> {
         let query = request.validate(self.graph.num_vertices())?;
         let mut scratch = BuildScratch::default();
-        let threads = request.effective_threads();
-        let (planned, _) = self.plan_query(query, request, &mut scratch, false, threads);
+        let (planned, _) = self.plan_query(query, request, &mut scratch, false);
         Ok(planned.plan)
     }
 
@@ -492,15 +482,15 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
         effective_config(self.config, request)
     }
 
-    /// Plans a validated query to run on `threads` threads: builds the
-    /// index (on the predicate-filtered subgraph when the request carries
-    /// a predicate), runs the estimators, and decides method + cut.
-    /// Returns the plan, the index, and the front-half phase timings.
+    /// Plans a validated query: builds the index (on the
+    /// predicate-filtered subgraph when the request carries a predicate),
+    /// runs the estimators, and decides method + cut. Returns the plan,
+    /// the index, and the front-half phase timings.
     ///
     /// The decision is tried first with no estimate at all. When step 1
     /// settles the request on `k · limit` alone, and IDX-DFS can read its
-    /// rows from the serving graph itself — no constraint, one thread, no
-    /// `full_reach` — the labels are built first ([`Index::build_labels`]).
+    /// rows from the serving graph itself — no constraint, no `full_reach`
+    /// — the labels are built first ([`Index::build_labels`]).
     /// If `X` has more members than the request's `limit`, that is all:
     /// the plan carries no preliminary estimate and the executor reads
     /// each row the first time it expands its owner. Otherwise the rows
@@ -517,11 +507,9 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
         request: &QueryRequest<'_>,
         scratch: &mut BuildScratch,
         full_reach: bool,
-        threads: usize,
     ) -> (Planned, PhaseTimings) {
         let config = self.effective_config(request);
         let on_demand = !full_reach
-            && threads == 1
             && matches!(request.constraint, ConstraintSpec::None)
             && decide(
                 &PlanEstimates::default(),
@@ -565,7 +553,6 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
             &index,
             config,
             request.constraint.kind(),
-            threads,
             request.limit,
             &mut timings,
         );
@@ -586,14 +573,13 @@ pub fn plan_on_index(
     config: PathEnumConfig,
     timings: &mut PhaseTimings,
 ) -> PhysicalPlan {
-    plan_on_index_inner(index, config, ConstraintKind::None, 1, None, timings)
+    plan_on_index_inner(index, config, ConstraintKind::None, None, timings)
 }
 
 fn plan_on_index_inner(
     index: &Index,
     config: PathEnumConfig,
     constraint: ConstraintKind,
-    threads: usize,
     limit: Option<u64>,
     timings: &mut PhaseTimings,
 ) -> PhysicalPlan {
@@ -617,7 +603,6 @@ fn plan_on_index_inner(
         join_cut: None,
         tau: config.tau,
         constraint,
-        threads,
         index_vertices: index.num_vertices(),
         index_edges: index.num_edges(),
         index_bytes: index.heap_bytes(),
@@ -715,8 +700,8 @@ pub struct Executor;
 impl Executor {
     /// Runs an unconstrained plan sequentially, streaming into `sink`
     /// with no stopping rules. The public, minimal interpreter; the
-    /// engine uses the crate-internal `Executor::run`, which adds constraints, stopping
-    /// rules, and the parallel pool.
+    /// engine uses the crate-internal `Executor::run`, which adds
+    /// constraints and stopping rules.
     pub fn execute(index: &Index, plan: &PhysicalPlan, sink: &mut dyn PathSink) -> Counters {
         let mut counters = Counters::default();
         match plan.method {
@@ -731,13 +716,10 @@ impl Executor {
         counters
     }
 
-    /// Full interpretation: applies the request's constraint closures,
-    /// enforces the stopping rules, and fans out over the intra-query
-    /// pool when the plan carries `threads > 1` (unconstrained plans
-    /// only — the constrained executors stay sequential). `graph` is the
-    /// serving graph `index` was built on: an index that holds only its
-    /// labels (a step-1 plan, sequential and unconstrained) has IDX-DFS
-    /// read its rows from there.
+    /// Full interpretation: applies the request's constraint closures and
+    /// enforces the stopping rules. `graph` is the serving graph `index`
+    /// was built on: an index that holds only its labels (a step-1 plan,
+    /// unconstrained) has IDX-DFS read its rows from there.
     pub(crate) fn run<G: NeighborAccess>(
         index: &Index,
         graph: &G,
@@ -750,49 +732,9 @@ impl Executor {
         let enum_start = Instant::now();
         debug_assert!(
             index.has_rows()
-                || (plan.threads == 1
-                    && plan.method == Method::IdxDfs
-                    && matches!(constraint, ConstraintSpec::None)),
-            "only a sequential, unconstrained IDX-DFS reads rows on demand"
+                || (plan.method == Method::IdxDfs && matches!(constraint, ConstraintSpec::None)),
+            "only an unconstrained IDX-DFS reads rows on demand"
         );
-
-        if plan.threads > 1 && matches!(constraint, ConstraintSpec::None) {
-            let control =
-                crate::parallel::SharedControl::new(rules.limit, rules.deadline, rules.cancel);
-            match plan.method {
-                Method::IdxDfs => {
-                    crate::parallel::parallel_dfs(
-                        index,
-                        plan.threads,
-                        &control,
-                        sink,
-                        &mut counters,
-                    );
-                }
-                Method::IdxJoin => {
-                    let cut = plan.cut.expect("plans carry a cut for IDX-JOIN");
-                    crate::parallel::parallel_join(
-                        index,
-                        cut,
-                        plan.threads,
-                        &control,
-                        sink,
-                        &mut counters,
-                    );
-                }
-            }
-            let termination = control.termination();
-            if termination.is_early() {
-                // Workers count a result before the shared budget can
-                // refuse it; the admitted count is authoritative.
-                counters.results = control.delivered();
-            }
-            return Execution {
-                counters,
-                termination,
-                enumeration: enum_start.elapsed(),
-            };
-        }
 
         let mut control = ControlledSink::new(sink, rules.limit, rules.deadline, rules.cancel);
         match (constraint, plan.method) {
@@ -1412,7 +1354,6 @@ mod tests {
         assert_eq!(plan.cut, None);
         assert!(!plan.forced);
         assert_eq!(plan.constraint, ConstraintKind::None);
-        assert_eq!(plan.threads, 1);
         assert_eq!(plan.index_edges, index.num_edges());
         assert_eq!(plan.index_vertices, index.num_vertices());
         assert!(!plan.is_provably_empty());
@@ -1433,14 +1374,14 @@ mod tests {
 
         let request = QueryRequest::paths(S, T).max_hops(4);
         let planner = Planner::new(&g, PathEnumConfig::default());
-        planner.plan_query(query, &request, &mut scratch, true, 1);
+        planner.plan_query(query, &request, &mut scratch, true);
         let footprint =
             IndexFootprint::capture(lineage, &scratch, 4).expect("two-pass maps are full reach");
         assert_eq!(footprint.insertion_touches(V[0], V[2]), (true, true));
         assert_eq!(footprint.insertion_touches(V[7], V[7]), (false, false));
 
         // The flag follows the last build, not the first.
-        planner.plan_query(query, &request, &mut scratch, false, 1);
+        planner.plan_query(query, &request, &mut scratch, false);
         assert!(IndexFootprint::capture(lineage, &scratch, 4).is_none());
     }
 

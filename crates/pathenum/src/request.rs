@@ -339,7 +339,6 @@ pub struct QueryRequest<'a> {
     pub(crate) cancel: Option<CancelToken>,
     pub(crate) method: Option<Method>,
     pub(crate) tau: Option<u64>,
-    pub(crate) threads: usize,
     pub(crate) collect: bool,
     pub(crate) explain: bool,
     pub(crate) bypass_cache: bool,
@@ -360,7 +359,6 @@ impl std::fmt::Debug for QueryRequest<'_> {
             .field("time_budget", &self.time_budget)
             .field("cancellable", &self.cancel.is_some())
             .field("method", &self.method)
-            .field("threads", &self.threads)
             .field("constraint", &self.constraint.name())
             .finish()
     }
@@ -382,7 +380,6 @@ impl<'a> QueryRequest<'a> {
             cancel: None,
             method: None,
             tau: None,
-            threads: 1,
             collect: false,
             explain: false,
             bypass_cache: false,
@@ -439,37 +436,6 @@ impl<'a> QueryRequest<'a> {
     /// Overrides the preliminary-estimate threshold `tau` (Section 6.2).
     pub fn tau(mut self, tau: u64) -> Self {
         self.tau = Some(tau);
-        self
-    }
-
-    /// Evaluates the request with `n` intra-query worker threads (see
-    /// [`crate::parallel`]).
-    ///
-    /// * `1` (the default) — sequential evaluation;
-    /// * `0` — one worker per available core;
-    /// * `n >= 2` — a scoped pool of `n` workers splitting this query's
-    ///   search space (first-hop partitions for T-DFS, join-key ranges
-    ///   for IDX-JOIN).
-    ///
-    /// The merged output is deterministic: identical set *and* order for
-    /// every `n >= 2` (and for the DFS method, identical to the
-    /// sequential order). Determinism costs buffering — an unbounded
-    /// parallel run holds all results in memory until the merge, and a
-    /// `Stop` from the caller's sink bounds delivery but not the search;
-    /// bound heavy queries with [`limit`](Self::limit) /
-    /// [`time_budget`](Self::time_budget) instead (see
-    /// [`crate::parallel`], "Cost of the deterministic merge").
-    ///
-    /// Requests with a constraint attached
-    /// ([`predicate`](Self::predicate), [`accumulative`](Self::accumulative),
-    /// [`automaton`](Self::automaton)) and
-    /// [`stream`](crate::QueryEngine::stream) evaluation currently run
-    /// sequentially regardless of this setting; the downgrade is *not*
-    /// silent — [`effective_threads`](Self::effective_threads) and the
-    /// `threads` field of the plan returned by `explain`/`execute`
-    /// report the count actually used (`1` in those paths).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
         self
     }
 
@@ -574,32 +540,6 @@ impl<'a> QueryRequest<'a> {
         self
     }
 
-    /// The intra-query parallelism degree this request *actually*
-    /// executes with — the requested [`threads`](Self::threads) after
-    /// every downgrade is applied:
-    ///
-    /// * `0` resolves to one worker per available core;
-    /// * requests carrying a constraint ([`predicate`](Self::predicate),
-    ///   [`accumulative`](Self::accumulative),
-    ///   [`automaton`](Self::automaton)) run sequentially (`1`), whatever
-    ///   was requested — the constrained executors are single-threaded;
-    /// * [`stream`](crate::QueryEngine::stream) evaluation is always
-    ///   sequential (a pull-based stream advances only on the consumer's
-    ///   thread), independent of this value.
-    ///
-    /// [`PhysicalPlan::threads`](crate::plan::PhysicalPlan::threads) —
-    /// as returned by `explain` and in `QueryResponse::plan` — reports
-    /// this effective count, never the raw requested one, so a silent
-    /// downgrade is visible in the plan. The [`catalog`](crate::catalog)
-    /// runs every request sequentially inside and reports `1`.
-    pub fn effective_threads(&self) -> usize {
-        if matches!(self.constraint, ConstraintSpec::None) {
-            crate::parallel::resolve_threads(self.threads)
-        } else {
-            1
-        }
-    }
-
     fn record_constraint(&mut self, incoming: &'static str) {
         if !matches!(self.constraint, ConstraintSpec::None) && self.conflict.is_none() {
             self.conflict = Some((self.constraint.name(), incoming));
@@ -691,7 +631,8 @@ impl<S: PathSink> ControlledSink<S> {
             cancel,
             emitted: 0,
             probes: 0,
-            stopped: None,
+            // A zero limit is met before the first path: forward none.
+            stopped: (limit == Some(0)).then_some(Termination::LimitReached),
         }
     }
 
@@ -1010,7 +951,6 @@ mod tests {
             .cancel_token(token.clone())
             .method(Method::IdxJoin)
             .tau(7)
-            .threads(4)
             .collect_paths(true);
         assert_eq!(req.s, 0);
         assert_eq!(req.t, 1);
@@ -1019,7 +959,6 @@ mod tests {
         assert_eq!(req.time_budget, Some(Duration::from_millis(50)));
         assert_eq!(req.method, Some(Method::IdxJoin));
         assert_eq!(req.tau, Some(7));
-        assert_eq!(req.threads, 4);
         assert!(req.collect);
         assert!(req.validate(10).is_ok());
     }
@@ -1080,6 +1019,14 @@ mod tests {
         // Saturated: further emissions are refused without forwarding.
         assert_eq!(sink.emit(&[0, 1]), SearchControl::Stop);
         assert_eq!(sink.into_inner().count, 3);
+
+        // A zero limit starts stopped: the inner sink never sees a path.
+        let mut sink = ControlledSink::new(CountingSink::default(), Some(0), None, None);
+        assert_eq!(sink.termination(), Termination::LimitReached);
+        assert_eq!(sink.probe(), SearchControl::Stop);
+        assert_eq!(sink.emit(&[0, 1]), SearchControl::Stop);
+        assert_eq!(sink.emitted(), 0);
+        assert_eq!(sink.into_inner().count, 0);
     }
 
     #[test]

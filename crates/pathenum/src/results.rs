@@ -8,9 +8,8 @@
 //! that is the dominant remaining cost. A [`ResultCache`] closes the
 //! loop: it is content-addressed on the full request identity
 //! ([`ResultKey`]: `s`, `t`, `k`, constraint namespace + fingerprint,
-//! effective forced method and `tau`, sequential or parallel) and guarded
-//! by the serving graph's [`GraphVersion`] epoch, storing the completed
-//! path set (a flat
+//! effective forced method and `tau`) and guarded by the serving graph's
+//! [`GraphVersion`] epoch, storing the completed path set (a flat
 //! [`PathBuffer`]) together with its [`Termination`] and the bounds it
 //! ran under. A hit replays the stored paths into the caller's sink —
 //! no BFS, no index build, no search — and reports
@@ -20,9 +19,7 @@
 //!
 //! * **Bounds are served, not keyed.** The sequential enumeration order
 //!   is deterministic and the same for both methods, so a `limit(n)`
-//!   request is exactly the first `n` stored paths (parallel runs are
-//!   keyed apart: their order is the merge's, and a limited one owes
-//!   any `n` paths, which a stored prefix is). A
+//!   request is exactly the first `n` stored paths. A
 //!   [`Termination::Completed`] entry therefore serves *any* limit; an
 //!   entry truncated by [`Termination::LimitReached`] or
 //!   [`Termination::DeadlineExceeded`] is reusable only for requests
@@ -161,12 +158,6 @@ pub struct ResultKey {
     pub method: Option<Method>,
     /// Effective preliminary-estimate threshold (it decides the method).
     pub tau: u64,
-    /// Whether the request *executes* on more than one thread — the
-    /// threads its evaluator granted it, not the ones it asked for.
-    /// `parallel_join` merges key first and a limited parallel run keeps
-    /// whichever partitions filled the limit, so a parallel answer is
-    /// the sequential path set in another order and never aliases it.
-    pub parallel: bool,
 }
 
 impl ResultKey {
@@ -175,15 +166,10 @@ impl ResultKey {
     /// cacheable: accumulative/automaton constraints (their closures
     /// shape the result set but cannot be compared) and unfingerprinted
     /// predicates. Bypass flags, explain, and cache capacity are the
-    /// caller's concern. `threads` is what the evaluator grants the
-    /// request (a service caps what it asked for); it enters only as
-    /// [`parallel`](Self::parallel), under the executor's own rule —
-    /// only unconstrained plans fan out — so every parallel run shares
-    /// one entry and every sequential run the other.
+    /// caller's concern.
     pub(crate) fn for_request(
         request: &QueryRequest<'_>,
         effective: PathEnumConfig,
-        threads: usize,
     ) -> Option<ResultKey> {
         let (namespace, fingerprint) = match &request.constraint {
             ConstraintSpec::None => (0u8, 0u64),
@@ -198,7 +184,6 @@ impl ResultKey {
             fingerprint,
             method: effective.force,
             tau: effective.tau,
-            parallel: threads > 1 && matches!(request.constraint, ConstraintSpec::None),
         })
     }
 }
@@ -674,7 +659,6 @@ mod tests {
             fingerprint: 0,
             method: None,
             tau: 100_000,
-            parallel: false,
         }
     }
 

@@ -96,9 +96,8 @@ impl CollectingSink {
 /// plus per-path end offsets.
 ///
 /// A `Vec<Vec<VertexId>>` pays one heap allocation per path; enumeration
-/// workloads emit millions of short paths, so the intra-query parallel
-/// workers ([`crate::parallel`]) buffer their partition's results here
-/// and the coordinator replays them into the caller's sink in canonical
+/// workloads emit millions of short paths, so the result cache stores
+/// each answer here and replays it into the caller's sink in emission
 /// order. Also usable directly as a [`PathSink`].
 #[derive(Debug, Default, Clone)]
 pub struct PathBuffer {

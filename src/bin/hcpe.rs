@@ -38,6 +38,7 @@ fn parse_args() -> Result<Args, String> {
                 limit = Some(
                     iter.next()
                         .and_then(|v| v.parse().ok())
+                        .filter(|&n: &u64| n > 0)
                         .ok_or("--limit expects a positive integer")?,
                 );
             }

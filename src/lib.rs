@@ -29,7 +29,7 @@ pub mod prelude {
         DynamicEngine, GraphCatalog, Index, Lane, Method, PathBuffer, PathEnumConfig,
         PathEnumError, PathStream, PhysicalPlan, PlanCache, PlanCacheStats, Query, QueryEngine,
         QueryRequest, QueryResponse, ResultCache, ResultCacheStats, RunReport, SharedCacheStats,
-        SharedControl, SharedPlanCache, SharedResultCache, Termination,
+        SharedPlanCache, SharedResultCache, Termination,
     };
     pub use pathenum_graph::{
         CsrGraph, DynamicGraph, FrozenGraph, GraphBuilder, GraphHandle, GraphSnapshot,

@@ -70,22 +70,15 @@ proptest! {
     }
 
     /// Cached-plan execution equals cold-plan execution: identical path
-    /// sequence and counts, whatever the method or thread count.
+    /// sequence and counts, whatever the method.
     #[test]
     fn cached_execution_equals_cold_execution(
         n in 5u32..14,
         edges in proptest::collection::vec((0u32..14, 0u32..14), 5..80),
         k in 2u32..6,
-        threads_sel in 0u32..2,
     ) {
-        let threads = if threads_sel == 0 { 1usize } else { 4usize };
         let g = graph_from_edges(n, &edges);
-        let request = || {
-            QueryRequest::paths(0, 1)
-                .max_hops(k)
-                .threads(threads)
-                .collect_paths(true)
-        };
+        let request = || QueryRequest::paths(0, 1).max_hops(k).collect_paths(true);
 
         let mut caching = QueryEngine::new(&g, PathEnumConfig::default());
         let cold = caching.execute(&request()).unwrap();

@@ -385,53 +385,6 @@ fn preflight_stops_are_rejected_not_served() {
 }
 
 #[test]
-fn threads_downgrade_is_reported_in_the_plan() {
-    // `threads(n)` is ignored by constrained execution — but not
-    // silently: explain() and QueryResponse::plan must report the
-    // effective thread count (1), never the requested one.
-    let g = erdos_renyi(40, 260, 13);
-    let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
-
-    let constrained = || {
-        QueryRequest::paths(0, 1)
-            .max_hops(4)
-            .threads(8)
-            .predicate(|_, to| to != 2)
-            .constraint_fingerprint(3)
-    };
-    assert_eq!(constrained().effective_threads(), 1);
-    assert_eq!(engine.explain(&constrained()).unwrap().threads, 1);
-    let executed = engine.execute(&constrained()).unwrap();
-    assert_eq!(executed.plan.unwrap().threads, 1);
-    // ... including on the warm (cache-hit) path, where the stored plan
-    // must not leak a stale thread count.
-    let warm = engine.execute(&constrained()).unwrap();
-    assert_eq!(warm.report.cache, CacheOutcome::Hit);
-    assert_eq!(warm.plan.unwrap().threads, 1);
-
-    let accumulative = QueryRequest::paths(0, 1)
-        .max_hops(4)
-        .threads(8)
-        .accumulative(AccumulativeQuery {
-            identity: 0u64,
-            combine: |a, b| a + b,
-            weight: |_, _| 1u64,
-            check: |&v: &u64| v >= 1,
-            prune: None,
-        });
-    assert_eq!(accumulative.effective_threads(), 1);
-    assert_eq!(
-        engine.execute(&accumulative).unwrap().plan.unwrap().threads,
-        1
-    );
-
-    // Unconstrained requests keep their resolved count.
-    let unconstrained = QueryRequest::paths(0, 1).max_hops(4).threads(4);
-    assert_eq!(unconstrained.effective_threads(), 4);
-    assert_eq!(engine.explain(&unconstrained).unwrap().threads, 4);
-}
-
-#[test]
 fn invalid_requests_come_back_as_errors_not_panics() {
     let g = erdos_renyi(20, 60, 1);
     let mut engine = QueryEngine::new(&g, PathEnumConfig::default());

@@ -361,63 +361,3 @@ fn mixed_limits_on_one_key_replay_prefixes_of_the_stored_answer() {
         assert_eq!(response.termination, fresh[which].termination);
     }
 }
-
-/// Thread counts on one key, the same `q(0, 10, 6)` over K11 forced to
-/// IDX-JOIN. `parallel_join` merges key first, so a `threads(4)` answer
-/// holds the sequential path set in another order; replayed to a
-/// `threads(1)` request it would break "replay is byte-identical to
-/// cold". The key's `parallel` component keeps the two apart.
-#[test]
-fn parallel_answers_are_not_replayed_to_sequential_requests() {
-    use pathenum_repro::graph::generators::complete_digraph;
-
-    let graph = complete_digraph(11);
-    let config = PathEnumConfig::default();
-    let build = |threads: usize| {
-        QueryRequest::paths(0, 10)
-            .max_hops(6)
-            .method(Method::IdxJoin)
-            .threads(threads)
-            .collect_paths(true)
-    };
-    let cold = QueryEngine::new(&graph, config)
-        .execute(&build(1).bypass_cache())
-        .unwrap();
-    assert_eq!(cold.paths.len(), 18_730);
-
-    let mut caching =
-        QueryEngine::new(&graph, config).with_result_cache(ResultCache::new(16 << 20));
-    let parallel = caching.execute(&build(4)).unwrap();
-    assert_eq!(parallel.paths.len(), cold.paths.len());
-
-    let sequential = caching.execute(&build(1)).unwrap();
-    assert_ne!(sequential.report.cache, CacheOutcome::ResultHit);
-    assert_eq!(sequential.paths, cold.paths, "sequential after parallel");
-    let replay = caching.execute(&build(1)).unwrap();
-    assert_eq!(replay.report.cache, CacheOutcome::ResultHit);
-    assert_eq!(replay.paths, cold.paths, "sequential replay");
-    let replay = caching.execute(&build(4)).unwrap();
-    assert_eq!(replay.report.cache, CacheOutcome::ResultHit);
-    assert_eq!(replay.paths, parallel.paths, "parallel replay");
-
-    // The catalog keys on the threads it grants, not the ones asked for:
-    // it runs every request sequentially, so a `threads(4)` request must
-    // be handed the sequential order, never a merge order.
-    let catalog = CatalogService::new(
-        config,
-        CatalogConfig {
-            workers: 4,
-            result_cache_bytes: 16 << 20,
-            ..CatalogConfig::default()
-        },
-    );
-    catalog.catalog().register("g", graph);
-    let routed = || CatalogRequest::new("g", "tenant", build(4));
-    let pooled = catalog.submit(routed()).wait().unwrap();
-    assert_ne!(pooled.report.cache, CacheOutcome::ResultHit);
-    assert_eq!(pooled.plan.unwrap().threads, 1, "granted threads");
-    assert_eq!(pooled.paths, cold.paths, "submit runs sequentially");
-    let replay = catalog.submit(routed()).wait().unwrap();
-    assert_eq!(replay.report.cache, CacheOutcome::ResultHit);
-    assert_eq!(replay.paths, cold.paths, "submit replay");
-}
