@@ -19,4 +19,4 @@ pub mod predicate;
 pub use accumulative::{accumulative_dfs, AccumulativeQuery};
 pub use automaton::{automaton_dfs, Automaton, AutomatonError};
 pub use join_variants::{accumulative_join, automaton_join, FilterSink};
-pub use predicate::{filtered_graph, path_enum_with_predicate};
+pub use predicate::filtered_graph;

@@ -2,17 +2,13 @@
 //!
 //! Per Appendix E, a predicate query is evaluated by conceptually applying
 //! the predicate to `G` before enumeration; the surviving subgraph's paths
-//! are exactly the constrained results. We materialize the filtered graph
-//! (a single `O(|E|)` pass — the same cost as folding the check into the
-//! index-building BFS) and then run the regular PathEnum pipeline on it.
+//! are exactly the constrained results. A request carrying
+//! [`QueryRequest::predicate`](crate::QueryRequest::predicate) has its
+//! planner materialize the filtered graph (an `O(|V| + |E|)` copy) and
+//! build the request's index on it; estimation, the method decision and
+//! enumeration then run on that index unchanged.
 
 use pathenum_graph::{CsrGraph, GraphBuilder, NeighborAccess, VertexId};
-
-use crate::optimizer::{path_enum, PathEnumConfig};
-use crate::query::Query;
-use crate::request::PathEnumError;
-use crate::sink::PathSink;
-use crate::stats::RunReport;
 
 /// The subgraph of `graph` keeping exactly the edges where
 /// `predicate(from, to)` holds.
@@ -39,31 +35,13 @@ where
     builder.finish()
 }
 
-/// Runs PathEnum restricted to edges satisfying `predicate`.
-///
-/// Prefer [`QueryRequest::predicate`](crate::request::QueryRequest::predicate)
-/// for service callers; this free function survives as the migration
-/// oracle the request layer is tested against.
-pub fn path_enum_with_predicate<F>(
-    graph: &CsrGraph,
-    query: Query,
-    config: PathEnumConfig,
-    predicate: F,
-    sink: &mut dyn PathSink,
-) -> Result<RunReport, PathEnumError>
-where
-    F: FnMut(VertexId, VertexId) -> bool,
-{
-    query.validate(graph.num_vertices())?;
-    let filtered = filtered_graph(graph, predicate);
-    path_enum(&filtered, query, config, sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::test_support::*;
+    use crate::query::Query;
     use crate::sink::CollectingSink;
+    use crate::{PathEnumConfig, QueryEngine, QueryRequest};
 
     #[test]
     fn filtering_removes_offending_edges() {
@@ -75,6 +53,20 @@ mod tests {
         assert!(f.has_edge(S, V[0]));
     }
 
+    /// What an engine answers for `q` under `predicate`, sorted.
+    fn constrained_paths<F>(g: &CsrGraph, q: Query, predicate: F) -> Vec<Vec<VertexId>>
+    where
+        F: Fn(VertexId, VertexId) -> bool + Send + Sync + 'static,
+    {
+        let mut engine = QueryEngine::new(g, PathEnumConfig::default());
+        let request = QueryRequest::from_query(q)
+            .predicate(predicate)
+            .collect_paths(true);
+        let mut paths = engine.execute(&request).unwrap().paths;
+        paths.sort_unstable();
+        paths
+    }
+
     #[test]
     fn constrained_enumeration_equals_post_filtering() {
         let g = figure1_graph();
@@ -82,8 +74,7 @@ mod tests {
         // Constraint: edges must not touch v2.
         let pred = |from: VertexId, to: VertexId| from != V[2] && to != V[2];
 
-        let mut constrained = CollectingSink::default();
-        path_enum_with_predicate(&g, q, PathEnumConfig::default(), pred, &mut constrained).unwrap();
+        let constrained = constrained_paths(&g, q, pred);
 
         let mut all = CollectingSink::default();
         crate::reference::brute_force_paths(&g, q, &mut all);
@@ -93,22 +84,13 @@ mod tests {
             .filter(|p| p.windows(2).all(|w| pred(w[0], w[1])))
             .collect();
         expected.sort_unstable();
-        assert_eq!(constrained.sorted_paths(), expected);
+        assert_eq!(constrained, expected);
     }
 
     #[test]
     fn predicate_true_is_identity() {
         let g = figure1_graph();
         let q = Query::new(S, T, 4).unwrap();
-        let mut constrained = CollectingSink::default();
-        path_enum_with_predicate(
-            &g,
-            q,
-            PathEnumConfig::default(),
-            |_, _| true,
-            &mut constrained,
-        )
-        .unwrap();
-        assert_eq!(constrained.paths.len(), 5);
+        assert_eq!(constrained_paths(&g, q, |_, _| true).len(), 5);
     }
 }

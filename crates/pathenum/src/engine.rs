@@ -1,5 +1,9 @@
 //! A reusable query engine for back-to-back HcPE queries — the
-//! service front end of the reproduction.
+//! sequential way into the PathEnum pipeline. Every sequential PathEnum
+//! evaluation in the workspace goes through it, the paper-table harness
+//! and the `hcpe` CLI included; [`CatalogService`](crate::CatalogService)
+//! is the concurrent way in. A request forces IDX-DFS or IDX-JOIN with
+//! [`QueryRequest::method`]; otherwise the optimizer decides.
 //!
 //! The paper's motivating workloads (streaming fraud detection, online
 //! risk scoring) issue many queries against the same graph under latency
@@ -43,14 +47,13 @@ use std::time::Instant;
 use pathenum_graph::{CsrGraph, GraphSnapshot};
 
 use crate::index::{BuildScratch, Index};
-use crate::optimizer::{path_enum_on_index_with_build, PathEnumConfig};
+use crate::optimizer::PathEnumConfig;
 use crate::pipeline::{self, Collector, LocalStore, Pipeline};
 use crate::plan::{complete_on_graph, CacheOutcome, GraphStamp, PhysicalPlan, PlanCache};
-use crate::query::Query;
 use crate::request::{ConstraintSpec, PathEnumError, PathStream, QueryRequest, QueryResponse};
 use crate::results::{ResultCache, ResultCacheStats};
 use crate::sink::PathSink;
-use crate::stats::{PhaseTimings, RunReport};
+use crate::stats::PhaseTimings;
 
 /// A PathEnum engine bound to one graph, reusing construction buffers
 /// and cached plans across queries.
@@ -160,11 +163,6 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
         self.cache.stats()
     }
 
-    /// Drops every cached plan (statistics are kept).
-    pub fn clear_plan_cache(&mut self) {
-        self.cache.clear();
-    }
-
     /// Consumes the engine, handing the plan cache to its successor
     /// (typically an engine over the next
     /// [`DynamicGraph::snapshot`](pathenum_graph::DynamicGraph::snapshot)).
@@ -190,37 +188,6 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
     /// its stored answers.
     pub fn into_result_cache(self) -> Option<ResultCache> {
         self.results
-    }
-
-    /// Builds the light-weight index for `query`, reusing scratch.
-    pub fn build_index(&mut self, query: Query) -> Index {
-        Index::build_reusing(self.graph, query, &mut self.scratch).0
-    }
-
-    /// Evaluates one query end-to-end (Figure 2 pipeline), streaming
-    /// results into `sink`.
-    ///
-    /// The query is validated against the serving graph; an out-of-range
-    /// endpoint returns [`PathEnumError::VertexOutOfRange`] instead of
-    /// panicking inside the index build. This legacy entry point never
-    /// consults the plan cache; prefer [`execute`](Self::execute).
-    pub fn run(
-        &mut self,
-        query: Query,
-        sink: &mut dyn PathSink,
-    ) -> Result<RunReport, PathEnumError> {
-        query.validate(self.graph.num_vertices())?;
-        self.queries_served += 1;
-        let build_start = Instant::now();
-        let (index, bfs_time) = Index::build_reusing(self.graph, query, &mut self.scratch);
-        let build_time = build_start.elapsed();
-        Ok(path_enum_on_index_with_build(
-            &index,
-            self.config,
-            sink,
-            build_time,
-            bfs_time,
-        ))
     }
 
     /// Evaluates a [`QueryRequest`], collecting result paths into the
@@ -364,28 +331,34 @@ impl<'g> QueryEngine<'g> {
 mod tests {
     use super::*;
     use crate::index::test_support::*;
-    use crate::optimizer::path_enum;
+    use crate::query::Query;
     use crate::request::Termination;
     use crate::sink::CollectingSink;
     use crate::stats::Method;
     use pathenum_graph::generators::erdos_renyi;
 
+    /// The brute-force answer to `query`, sorted.
+    fn brute_force(g: &CsrGraph, query: Query) -> Vec<Vec<u32>> {
+        let mut sink = CollectingSink::default();
+        crate::reference::brute_force_paths(g, query, &mut sink);
+        sink.sorted_paths()
+    }
+
     #[test]
-    fn engine_matches_one_shot_api_across_many_queries() {
+    fn engine_matches_brute_force_across_many_queries() {
         let g = erdos_renyi(60, 350, 12);
         let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
         for t in 1..30u32 {
             let q = Query::new(0, t, 4).unwrap();
             let mut from_engine = CollectingSink::default();
-            let engine_report = engine.run(q, &mut from_engine).unwrap();
-            let mut one_shot = CollectingSink::default();
-            let direct_report = path_enum(&g, q, PathEnumConfig::default(), &mut one_shot).unwrap();
-            assert_eq!(from_engine.sorted_paths(), one_shot.sorted_paths(), "t={t}");
-            assert_eq!(
-                engine_report.counters.results,
-                direct_report.counters.results
-            );
-            assert_eq!(engine_report.index_edges, direct_report.index_edges);
+            let report = engine
+                .execute_into(&QueryRequest::from_query(q), &mut from_engine)
+                .unwrap()
+                .report;
+            let expected = brute_force(&g, q);
+            assert_eq!(from_engine.sorted_paths(), expected, "t={t}");
+            assert_eq!(report.counters.results, expected.len() as u64);
+            assert_eq!(report.index_edges, Index::build(&g, q).num_edges());
         }
         assert_eq!(engine.queries_served(), 29);
     }
@@ -396,32 +369,22 @@ mod tests {
         let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
         // Empty (reverse) query, then a real one: stale scratch must not
         // leak between them.
+        let request = |s, t| QueryRequest::paths(s, t).max_hops(4).bypass_cache();
         let mut sink = CollectingSink::default();
-        engine.run(Query::new(T, S, 4).unwrap(), &mut sink).unwrap();
+        engine.execute_into(&request(T, S), &mut sink).unwrap();
         assert!(sink.paths.is_empty());
         let mut sink = CollectingSink::default();
-        engine.run(Query::new(S, T, 4).unwrap(), &mut sink).unwrap();
+        engine.execute_into(&request(S, T), &mut sink).unwrap();
         assert_eq!(sink.paths.len(), 5);
     }
 
     #[test]
-    fn build_index_is_equivalent_to_standalone_build() {
-        let g = figure1_graph();
-        let q = Query::new(S, T, 4).unwrap();
-        let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
-        let from_engine = engine.build_index(q);
-        let standalone = Index::build(&g, q);
-        assert_eq!(from_engine.num_vertices(), standalone.num_vertices());
-        assert_eq!(from_engine.num_edges(), standalone.num_edges());
-    }
-
-    #[test]
-    fn run_rejects_out_of_range_endpoints_instead_of_panicking() {
+    fn execute_rejects_out_of_range_endpoints_instead_of_panicking() {
         let g = figure1_graph();
         let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
         let mut sink = CollectingSink::default();
         let err = engine
-            .run(Query::new(0, 999, 4).unwrap(), &mut sink)
+            .execute_into(&QueryRequest::paths(0, 999).max_hops(4), &mut sink)
             .unwrap_err();
         assert_eq!(err, PathEnumError::VertexOutOfRange(999));
         assert_eq!(
@@ -432,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_matches_run_on_figure1() {
+    fn execute_matches_brute_force_on_figure1() {
         let g = figure1_graph();
         let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
         let request = QueryRequest::paths(S, T).max_hops(4).collect_paths(true);
@@ -441,11 +404,9 @@ mod tests {
         assert_eq!(response.num_results(), 5);
         assert_eq!(response.paths.len(), 5);
 
-        let mut sink = CollectingSink::default();
-        engine.run(Query::new(S, T, 4).unwrap(), &mut sink).unwrap();
         let mut from_execute = response.paths;
         from_execute.sort_unstable();
-        assert_eq!(from_execute, sink.sorted_paths());
+        assert_eq!(from_execute, brute_force(&g, Query::new(S, T, 4).unwrap()));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! * **Existence filtering**: `d(s, t) > k` proves the query empty in
 //!   O(label) time — no BFS, no index. Workloads that mix reachable and
 //!   unreachable endpoint pairs (e.g. streaming cycle detection, where
-//!   most new edges close no cycle) skip the entire per-query build.
+//!   most new edges close no cycle) skip the entire per-query build: a
+//!   caller asks [`GlobalIndexedGraph::may_have_results`] before it hands
+//!   the request to an engine.
 //! * **Exact distance without enumeration**: callers that only need the
 //!   shortest length (the admission rule of the query generator, risk
 //!   triage before a full enumeration) query the oracle directly.
@@ -20,11 +22,7 @@
 
 use pathenum_graph::{CsrGraph, DistanceOracle};
 
-use crate::optimizer::{path_enum, PathEnumConfig};
 use crate::query::Query;
-use crate::request::PathEnumError;
-use crate::sink::PathSink;
-use crate::stats::{Counters, Method, PhaseTimings, RunReport};
 
 /// A graph paired with its offline distance oracle.
 #[derive(Debug, Clone)]
@@ -55,40 +53,13 @@ impl GlobalIndexedGraph {
     pub fn may_have_results(&self, query: Query) -> bool {
         self.oracle.within(query.s, query.t, query.k)
     }
-
-    /// Runs PathEnum with the oracle as a pre-filter: provably empty
-    /// queries return immediately with an all-zero report.
-    pub fn path_enum(
-        &self,
-        query: Query,
-        config: PathEnumConfig,
-        sink: &mut dyn PathSink,
-    ) -> Result<RunReport, PathEnumError> {
-        query.validate(self.graph.num_vertices())?;
-        if !self.may_have_results(query) {
-            return Ok(RunReport {
-                method: Method::IdxDfs,
-                timings: PhaseTimings::default(),
-                counters: Counters::default(),
-                preliminary_estimate: Some(0),
-                full_estimate: Some(0),
-                t_dfs: None,
-                t_join: None,
-                cut_position: None,
-                index_bytes: 0,
-                index_edges: 0,
-                cache: crate::plan::CacheOutcome::Bypass,
-            });
-        }
-        path_enum(&self.graph, query, config, sink)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::test_support::*;
-    use crate::sink::{CollectingSink, CountingSink};
+    use crate::reference::count_paths;
     use pathenum_graph::generators::erdos_renyi;
 
     #[test]
@@ -97,30 +68,19 @@ mod tests {
         let indexed = GlobalIndexedGraph::new(g.clone());
         for t in 1..20u32 {
             let q = Query::new(0, t, 4).unwrap();
-            let mut direct = CollectingSink::default();
-            path_enum(&g, q, PathEnumConfig::default(), &mut direct).unwrap();
-            let mut filtered = CollectingSink::default();
-            indexed
-                .path_enum(q, PathEnumConfig::default(), &mut filtered)
-                .unwrap();
-            assert_eq!(direct.sorted_paths(), filtered.sorted_paths(), "t={t}");
+            let results = count_paths(&g, q);
+            assert!(indexed.may_have_results(q) || results == 0, "t={t}");
         }
     }
 
     #[test]
-    fn provably_empty_queries_short_circuit() {
+    fn provably_empty_queries_have_no_results() {
         let g = figure1_graph();
-        let indexed = GlobalIndexedGraph::new(g);
+        let indexed = GlobalIndexedGraph::new(g.clone());
         // v7 (vertex 9) has no in-edges: q(s, v7, k) is empty.
         let q = Query::new(S, V[7], 6).unwrap();
         assert!(!indexed.may_have_results(q));
-        let mut sink = CountingSink::default();
-        let report = indexed
-            .path_enum(q, PathEnumConfig::default(), &mut sink)
-            .unwrap();
-        assert_eq!(sink.count, 0);
-        assert_eq!(report.index_edges, 0);
-        assert_eq!(report.timings.total(), std::time::Duration::ZERO);
+        assert_eq!(count_paths(&g, q), 0);
     }
 
     #[test]

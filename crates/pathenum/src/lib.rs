@@ -56,23 +56,11 @@
 //! assert!(!response.termination.is_early());
 //! ```
 //!
-//! The one-shot [`path_enum`] survives as a thin validated wrapper for
-//! single queries and as the migration oracle for the request API:
-//!
-//! ```
-//! use pathenum::{path_enum, PathEnumConfig, Query};
-//! use pathenum::sink::CollectingSink;
-//! use pathenum_graph::GraphBuilder;
-//!
-//! let mut b = GraphBuilder::new(4);
-//! b.add_edges([(0, 1), (1, 3), (0, 2), (2, 3), (1, 2)]).unwrap();
-//! let graph = b.finish();
-//!
-//! let query = Query::new(0, 3, 3).unwrap();
-//! let mut sink = CollectingSink::default();
-//! let report = path_enum(&graph, query, PathEnumConfig::default(), &mut sink).unwrap();
-//! assert_eq!(report.counters.results, 3);
-//! ```
+//! Every evaluation goes through a [`QueryRequest`]: on one thread
+//! through [`QueryEngine`], concurrently through [`CatalogService`].
+//! The optimizer picks IDX-DFS or IDX-JOIN per request; a request forces
+//! one with [`QueryRequest::method`], as the paper's IDX-DFS and IDX-JOIN
+//! table rows do.
 
 pub mod admission;
 pub mod bits;
@@ -109,12 +97,11 @@ pub use dynamic::DynamicEngine;
 pub use engine::QueryEngine;
 pub use index::Index;
 pub use optimizer::{
-    decide, optimize_join_order, path_enum, path_enum_on_index, Basis, Decision, JoinPlan,
-    PathEnumConfig, PlanEstimates,
+    decide, optimize_join_order, Basis, Decision, JoinPlan, PathEnumConfig, PlanEstimates,
 };
 pub use plan::{
     CacheOutcome, ConstraintKind, Executor, PhysicalPlan, PlanCache, PlanCacheStats, PlanKey,
-    Planner, SharedCacheStats, SharedPlanCache,
+    SharedCacheStats, SharedPlanCache,
 };
 pub use query::Query;
 pub use request::{

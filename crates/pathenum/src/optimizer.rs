@@ -1,5 +1,5 @@
 //! Join-order optimization, the per-request method decision, and the
-//! PathEnum orchestrator (Sections 6.2–6.3, 3.2 / Figure 2).
+//! orchestrator's configuration (Sections 6.2–6.3, 3.2 / Figure 2).
 //!
 //! # One decision, taken per request
 //!
@@ -39,17 +39,10 @@
 //! Results cannot depend on any of this: both methods enumerate the same
 //! index, and a response equals a run forced to the method it reports.
 
-use std::time::Instant;
-
-use pathenum_graph::CsrGraph;
-
 use crate::estimator::FullEstimate;
 use crate::index::Index;
-use crate::plan::{plan_on_index, CacheOutcome, ConstraintKind, Executor};
-use crate::query::Query;
-use crate::request::PathEnumError;
-use crate::sink::PathSink;
-use crate::stats::{Method, PhaseTimings, RunReport};
+use crate::plan::ConstraintKind;
+use crate::stats::Method;
 
 /// Output of Algorithm 5: the chosen cut and the modeled costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,110 +236,48 @@ pub fn optimize_join_order(index: &Index, estimate: &FullEstimate) -> Option<Joi
     })
 }
 
-/// Configuration of the PathEnum orchestrator.
+/// Configuration of the PathEnum orchestrator. A request forces a
+/// method with [`QueryRequest::method`](crate::QueryRequest::method).
 #[derive(Debug, Clone, Copy)]
 pub struct PathEnumConfig {
     /// Threshold `tau` on the preliminary estimate below which IDX-DFS runs
     /// directly, skipping join-order optimization (Section 6.2; the paper
     /// uses `1e5`).
     pub tau: u64,
-    /// Force a specific method, bypassing the optimizer (used by the
-    /// IDX-DFS / IDX-JOIN table rows and by ablations).
-    pub force: Option<Method>,
 }
 
 impl Default for PathEnumConfig {
     fn default() -> Self {
-        PathEnumConfig {
-            tau: 100_000,
-            force: None,
-        }
+        PathEnumConfig { tau: 100_000 }
     }
-}
-
-/// Runs the full PathEnum pipeline of Figure 2 on one query:
-/// build index → preliminary estimate → (maybe) optimize join order →
-/// enumerate with the cheaper method. Results stream into `sink`.
-///
-/// The query is validated against the graph first; an endpoint outside
-/// `0..graph.num_vertices()` returns
-/// [`PathEnumError::VertexOutOfRange`] instead of panicking deep inside
-/// the index build. Prefer [`crate::QueryEngine::execute`] for
-/// back-to-back queries — this one-shot survives as its migration
-/// oracle.
-pub fn path_enum(
-    graph: &CsrGraph,
-    query: Query,
-    config: PathEnumConfig,
-    sink: &mut dyn PathSink,
-) -> Result<RunReport, PathEnumError> {
-    query.validate(graph.num_vertices())?;
-    let mut timings = PhaseTimings::default();
-
-    let build_start = Instant::now();
-    let (index, bfs_time) = Index::build_profiled(graph, query);
-    timings.index_build = build_start.elapsed();
-    timings.bfs = bfs_time;
-
-    Ok(run_on_index(&index, config, sink, timings))
-}
-
-/// As [`path_enum`] but on a prebuilt index (used when benchmarking phases
-/// separately).
-pub fn path_enum_on_index(
-    index: &Index,
-    config: PathEnumConfig,
-    sink: &mut dyn PathSink,
-) -> RunReport {
-    run_on_index(index, config, sink, PhaseTimings::default())
-}
-
-/// As [`path_enum_on_index`], but attributing externally measured build
-/// phases to the report (used by [`crate::engine::QueryEngine`], which
-/// builds the index itself with reused scratch).
-pub fn path_enum_on_index_with_build(
-    index: &Index,
-    config: PathEnumConfig,
-    sink: &mut dyn PathSink,
-    index_build: std::time::Duration,
-    bfs: std::time::Duration,
-) -> RunReport {
-    let timings = PhaseTimings {
-        bfs,
-        index_build,
-        ..PhaseTimings::default()
-    };
-    run_on_index(index, config, sink, timings)
-}
-
-/// The classic pipeline on a prebuilt index: plan (estimate + optimize)
-/// then execute — now a thin driver over the planner/executor split of
-/// [`crate::plan`].
-fn run_on_index(
-    index: &Index,
-    config: PathEnumConfig,
-    sink: &mut dyn PathSink,
-    mut timings: PhaseTimings,
-) -> RunReport {
-    let plan = plan_on_index(index, config, &mut timings);
-    let enum_start = Instant::now();
-    let counters = Executor::execute(index, &plan, sink);
-    timings.enumeration = enum_start.elapsed();
-    plan.report(timings, counters, CacheOutcome::Bypass)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::test_support::*;
+    use crate::query::Query;
     use crate::sink::{CollectingSink, CountingSink};
+    use crate::{QueryEngine, QueryRequest, RunReport};
+
+    /// Runs `request` through a fresh engine into `sink`.
+    fn run(
+        graph: &pathenum_graph::CsrGraph,
+        config: PathEnumConfig,
+        request: &QueryRequest<'_>,
+        sink: &mut dyn crate::sink::PathSink,
+    ) -> RunReport {
+        let mut engine = QueryEngine::new(graph, config);
+        engine.execute_into(request, sink).unwrap().report
+    }
 
     #[test]
     fn default_config_answers_small_queries_with_dfs() {
         let g = figure1_graph();
         let q = Query::new(S, T, 4).unwrap();
         let mut sink = CollectingSink::default();
-        let report = path_enum(&g, q, PathEnumConfig::default(), &mut sink).unwrap();
+        let request = QueryRequest::from_query(q);
+        let report = run(&g, PathEnumConfig::default(), &request, &mut sink);
         assert_eq!(report.method, Method::IdxDfs);
         assert_eq!(report.counters.results, 5);
         assert_eq!(sink.paths.len(), 5);
@@ -358,11 +289,8 @@ mod tests {
         let g = figure1_graph();
         let q = Query::new(S, T, 4).unwrap();
         let mut sink = CountingSink::default();
-        let config = PathEnumConfig {
-            tau: 0,
-            force: None,
-        };
-        let report = path_enum(&g, q, config, &mut sink).unwrap();
+        let request = QueryRequest::from_query(q).tau(0);
+        let report = run(&g, PathEnumConfig::default(), &request, &mut sink);
         assert_eq!(sink.count, 5);
         assert!(report.full_estimate.is_some());
         // The exact walk count on Figure 1, k=4 is 6 (5 paths + 1 walk
@@ -376,16 +304,10 @@ mod tests {
         let q = Query::new(0, 1, 4).unwrap();
         let mut dfs_sink = CollectingSink::default();
         let mut join_sink = CollectingSink::default();
-        let dfs_cfg = PathEnumConfig {
-            force: Some(Method::IdxDfs),
-            ..Default::default()
-        };
-        let join_cfg = PathEnumConfig {
-            force: Some(Method::IdxJoin),
-            ..Default::default()
-        };
-        let r1 = path_enum(&g, q, dfs_cfg, &mut dfs_sink).unwrap();
-        let r2 = path_enum(&g, q, join_cfg, &mut join_sink).unwrap();
+        let dfs = QueryRequest::from_query(q).method(Method::IdxDfs);
+        let join = QueryRequest::from_query(q).method(Method::IdxJoin);
+        let r1 = run(&g, PathEnumConfig::default(), &dfs, &mut dfs_sink);
+        let r2 = run(&g, PathEnumConfig::default(), &join, &mut join_sink);
         assert_eq!(r1.method, Method::IdxDfs);
         assert_eq!(r2.method, Method::IdxJoin);
         assert_eq!(dfs_sink.sorted_paths(), join_sink.sorted_paths());
@@ -411,7 +333,8 @@ mod tests {
         let g = figure1_graph();
         let q = Query::new(T, S, 4).unwrap();
         let mut sink = CountingSink::default();
-        let report = path_enum(&g, q, PathEnumConfig::default(), &mut sink).unwrap();
+        let request = QueryRequest::from_query(q);
+        let report = run(&g, PathEnumConfig::default(), &request, &mut sink);
         assert_eq!(report.counters.results, 0);
         assert_eq!(report.preliminary_estimate, Some(0));
         assert_eq!(report.index_edges, 0);

@@ -11,10 +11,10 @@
 //!   modeled costs `T_DFS`/`T_JOIN`, the [`Method`] and join cut chosen
 //!   for the request's `limit`, the constraint strategy). Plans are plain
 //!   `Copy` data: they can be logged, compared, cached, and replayed.
-//! * [`Planner`] — produces a plan (and the index backing it) from a
-//!   request: build index → preliminary estimate → (maybe) full estimate
-//!   and join-order optimization (Figure 2's front half) → the
-//!   per-request decision.
+//! * the planner (crate-internal) — produces a plan (and the index
+//!   backing it) from a request: build index → preliminary estimate →
+//!   (maybe) full estimate and join-order optimization (Figure 2's front
+//!   half) → the per-request decision.
 //! * [`Executor`] — interprets any plan against any
 //!   [`PathSink`] (Figure 2's back half), on the calling thread.
 //! * [`PlanCache`] — an LRU over `(s, t, k, constraint fingerprint,
@@ -73,7 +73,7 @@
 //!
 //! The crate's one request pipeline (`pipeline.rs`) wires the three
 //! together for every evaluator: plan-acquisition (cache lookup or
-//! [`Planner`]) followed by [`Executor`] dispatch, with
+//! the planner) followed by [`Executor`] dispatch, with
 //! [`QueryEngine::explain`](crate::QueryEngine::explain) returning the
 //! plan without enumerating at all. The concurrent evaluators share the
 //! cache as a [`SharedPlanCache`] — [`Sharded`] over [`PlanCache`].
@@ -100,7 +100,7 @@ use std::time::{Duration, Instant};
 use pathenum_graph::epoch::EpochMap;
 use pathenum_graph::hashing::{FxBuildHasher, FxHashMap};
 use pathenum_graph::{
-    CsrGraph, DynamicGraph, EdgeMutation, GraphSnapshot, GraphVersion, NeighborAccess, VertexId,
+    DynamicGraph, EdgeMutation, GraphSnapshot, GraphVersion, NeighborAccess, VertexId,
 };
 
 use crate::bits::CompactBits;
@@ -112,9 +112,7 @@ use crate::optimizer::{
     decide, optimize_join_order, Basis, Decision, JoinPlan, PathEnumConfig, PlanEstimates,
 };
 use crate::query::Query;
-use crate::request::{
-    CancelToken, ConstraintSpec, ControlledSink, PathEnumError, QueryRequest, Termination,
-};
+use crate::request::{CancelToken, ConstraintSpec, ControlledSink, QueryRequest, Termination};
 use crate::sharded::{CacheStats, ShardCache, Sharded};
 use crate::sink::PathSink;
 use crate::stats::{Counters, Method, PhaseTimings};
@@ -185,7 +183,8 @@ impl std::fmt::Display for CacheOutcome {
 /// The physical plan for one hop-constrained path query: every decision
 /// of Figure 2's front half, as a first-class `Copy` value.
 ///
-/// Produced by [`Planner`] (or [`QueryEngine::explain`](crate::QueryEngine::explain)),
+/// Produced by the planner (shown by
+/// [`QueryEngine::explain`](crate::QueryEngine::explain)),
 /// interpreted by [`Executor`], cached by [`PlanCache`]. The `Display`
 /// form is an `EXPLAIN`-style rendering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -417,27 +416,12 @@ impl std::fmt::Display for PhysicalPlan {
 }
 
 /// Produces [`PhysicalPlan`]s: Figure 2's front half (index build →
-/// preliminary estimate → optional full estimate + Algorithm 5) as a
-/// standalone component.
-///
-/// The engine drives a `Planner` internally (with scratch reuse and the
-/// plan cache on top); it is public so tools can plan without executing:
-///
-/// ```
-/// use pathenum::plan::Planner;
-/// use pathenum::{PathEnumConfig, QueryRequest};
-/// use pathenum_graph::GraphBuilder;
-///
-/// let mut b = GraphBuilder::new(4);
-/// b.add_edges([(0, 1), (1, 3), (0, 2), (2, 3)]).unwrap();
-/// let graph = b.finish();
-///
-/// let planner = Planner::new(&graph, PathEnumConfig::default());
-/// let plan = planner.plan(&QueryRequest::paths(0, 3).max_hops(3)).unwrap();
-/// println!("{plan}");
-/// ```
+/// preliminary estimate → optional full estimate + Algorithm 5). The
+/// pipeline drives it, with scratch reuse and the plan cache on top;
+/// callers see its plans through
+/// [`QueryEngine::explain`](crate::QueryEngine::explain).
 #[derive(Debug, Clone, Copy)]
-pub struct Planner<'g, G: NeighborAccess = CsrGraph> {
+pub(crate) struct Planner<'g, G: NeighborAccess> {
     graph: &'g G,
     config: PathEnumConfig,
 }
@@ -448,12 +432,12 @@ pub(crate) struct Planned {
     pub index: Index,
 }
 
-/// The configuration one request effectively plans under: request-level
-/// overrides win over the engine configuration.
+/// The configuration one request effectively plans under: a request's
+/// `tau` wins over the engine configuration's. (A forced method is the
+/// request's alone: [`QueryRequest::method`].)
 pub(crate) fn effective_config(base: PathEnumConfig, request: &QueryRequest<'_>) -> PathEnumConfig {
     PathEnumConfig {
         tau: request.tau.unwrap_or(base.tau),
-        force: request.method.or(base.force),
     }
 }
 
@@ -464,22 +448,8 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
     /// `graph` may be any [`NeighborAccess`] implementation — a
     /// `CsrGraph` or a [`DynamicGraph`]'s
     /// [`OverlayView`](pathenum_graph::OverlayView).
-    pub fn new(graph: &'g G, config: PathEnumConfig) -> Self {
+    pub(crate) fn new(graph: &'g G, config: PathEnumConfig) -> Self {
         Planner { graph, config }
-    }
-
-    /// Plans a request without executing it (fresh build scratch; the
-    /// engine's cached entry points reuse scratch instead).
-    pub fn plan(&self, request: &QueryRequest<'_>) -> Result<PhysicalPlan, PathEnumError> {
-        let query = request.validate(self.graph.num_vertices())?;
-        let mut scratch = BuildScratch::default();
-        let (planned, _) = self.plan_query(query, request, &mut scratch, false);
-        Ok(planned.plan)
-    }
-
-    /// Effective configuration for one request (request overrides win).
-    pub(crate) fn effective_config(&self, request: &QueryRequest<'_>) -> PathEnumConfig {
-        effective_config(self.config, request)
     }
 
     /// Plans a validated query: builds the index (on the
@@ -508,14 +478,14 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
         scratch: &mut BuildScratch,
         full_reach: bool,
     ) -> (Planned, PhaseTimings) {
-        let config = self.effective_config(request);
+        let config = effective_config(self.config, request);
         let on_demand = !full_reach
             && matches!(request.constraint, ConstraintSpec::None)
             && decide(
                 &PlanEstimates::default(),
                 query.k,
                 config.tau,
-                config.force,
+                request.method,
                 ConstraintKind::None,
                 request.limit,
             )
@@ -552,6 +522,7 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
         let plan = plan_on_index_inner(
             &index,
             config,
+            request.method,
             request.constraint.kind(),
             request.limit,
             &mut timings,
@@ -564,21 +535,23 @@ impl<'g, G: NeighborAccess> Planner<'g, G> {
 /// shared by every pipeline entry point, recording the estimation and
 /// optimization phases into `timings`.
 ///
-/// This is [`Planner`] without graph access — used by
-/// [`path_enum_on_index`](crate::optimizer::path_enum_on_index) style
-/// callers that benchmark phases separately. `index` must have its rows
-/// (every [`Index::build`] does).
+/// This is the planner without graph access, unforced and unlimited —
+/// the paper's optimizer as it stands. The benchmark's staged driver
+/// (`benchmark/src/trace.rs`) calls it to time each phase on an index it
+/// built itself. `index` must have its rows (every [`Index::build`]
+/// does).
 pub fn plan_on_index(
     index: &Index,
     config: PathEnumConfig,
     timings: &mut PhaseTimings,
 ) -> PhysicalPlan {
-    plan_on_index_inner(index, config, ConstraintKind::None, None, timings)
+    plan_on_index_inner(index, config, None, ConstraintKind::None, None, timings)
 }
 
 fn plan_on_index_inner(
     index: &Index,
     config: PathEnumConfig,
+    force: Option<Method>,
     constraint: ConstraintKind,
     limit: Option<u64>,
     timings: &mut PhaseTimings,
@@ -592,9 +565,9 @@ fn plan_on_index_inner(
 
     let mut plan = PhysicalPlan {
         query: index.query(),
-        method: config.force.unwrap_or(Method::IdxDfs),
+        method: force.unwrap_or(Method::IdxDfs),
         cut: None,
-        forced: config.force.is_some(),
+        forced: force.is_some(),
         limit: None,
         preliminary_estimate: preliminary,
         full_estimate: None,
@@ -805,9 +778,9 @@ impl Executor {
     }
 }
 
-/// Cache key: one logical query shape. Includes the *effective* method
-/// force and `tau` so plan decisions made under different configurations
-/// never alias.
+/// Cache key: one logical query shape. Includes the forced method and
+/// the *effective* `tau` so plan decisions made under different
+/// configurations never alias.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Source vertex.
@@ -824,7 +797,7 @@ pub struct PlanKey {
     /// Constraint fingerprint within the namespace; see
     /// [`QueryRequest::constraint_fingerprint`].
     pub fingerprint: u64,
-    /// Effective forced method (request override or engine config).
+    /// The request's forced method, if any.
     pub method: Option<Method>,
     /// Effective preliminary-estimate threshold.
     pub tau: u64,
@@ -848,7 +821,7 @@ impl PlanKey {
                 k: request.k,
                 namespace,
                 fingerprint,
-                method: effective.force,
+                method: request.method,
                 tau: effective.tau,
             })
     }
@@ -1308,6 +1281,7 @@ mod tests {
     use super::*;
     use crate::index::test_support::*;
     use crate::sink::CollectingSink;
+    use pathenum_graph::CsrGraph;
 
     /// Footprint-less insert shorthand for the tests below.
     impl PlanCache {
@@ -1390,12 +1364,15 @@ mod tests {
         let g = figure1_graph();
         let query = Query::new(S, T, 4).unwrap();
         let index = Index::build(&g, query);
-        let config = PathEnumConfig {
-            force: Some(Method::IdxJoin),
-            ..PathEnumConfig::default()
-        };
         let mut timings = PhaseTimings::default();
-        let plan = plan_on_index(&index, config, &mut timings);
+        let plan = plan_on_index_inner(
+            &index,
+            PathEnumConfig::default(),
+            Some(Method::IdxJoin),
+            ConstraintKind::None,
+            None,
+            &mut timings,
+        );
         assert_eq!(plan.method, Method::IdxJoin);
         assert!(plan.forced);
         let cut = plan.cut.unwrap();
@@ -1409,12 +1386,8 @@ mod tests {
         let g = figure1_graph();
         let query = Query::new(S, T, 4).unwrap();
         let index = Index::build(&g, query);
-        let config = PathEnumConfig {
-            tau: 0,
-            force: None,
-        };
         let mut timings = PhaseTimings::default();
-        let plan = plan_on_index(&index, config, &mut timings);
+        let plan = plan_on_index(&index, PathEnumConfig { tau: 0 }, &mut timings);
         assert_eq!(plan.full_estimate, Some(6), "Figure 1, k=4 has 6 walks");
         assert!(plan.t_dfs.is_some() && plan.t_join.is_some());
     }

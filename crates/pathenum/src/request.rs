@@ -426,8 +426,9 @@ impl<'a> QueryRequest<'a> {
     }
 
     /// Forces an enumeration method, bypassing the cost-based optimizer
-    /// (ablations and tests; production callers should let the
-    /// optimizer decide).
+    /// (the paper's IDX-DFS and IDX-JOIN table rows, ablations and
+    /// tests; production callers should let the optimizer decide). This
+    /// is the only way to force one.
     pub fn method(mut self, method: Method) -> Self {
         self.method = Some(method);
         self

@@ -8,7 +8,7 @@
 //! that is the dominant remaining cost. A [`ResultCache`] closes the
 //! loop: it is content-addressed on the full request identity
 //! ([`ResultKey`]: `s`, `t`, `k`, constraint namespace + fingerprint,
-//! effective forced method and `tau`) and guarded by the serving graph's
+//! forced method and effective `tau`) and guarded by the serving graph's
 //! [`GraphVersion`] epoch, storing the completed path set (a flat
 //! [`PathBuffer`]) together with its [`Termination`] and the bounds it
 //! ran under. A hit replays the stored paths into the caller's sink —
@@ -153,8 +153,9 @@ pub struct ResultKey {
     pub namespace: u8,
     /// Constraint fingerprint within the namespace.
     pub fingerprint: u64,
-    /// Effective forced method — the method changes the deterministic
-    /// emission order, so plans forced differently never alias.
+    /// The request's forced method — the method changes the
+    /// deterministic emission order, so plans forced differently never
+    /// alias.
     pub method: Option<Method>,
     /// Effective preliminary-estimate threshold (it decides the method).
     pub tau: u64,
@@ -182,7 +183,7 @@ impl ResultKey {
             k: request.k,
             namespace,
             fingerprint,
-            method: effective.force,
+            method: request.method,
             tau: effective.tau,
         })
     }

@@ -175,64 +175,6 @@ impl<F: FnMut(&[VertexId]) -> SearchControl> PathSink for FnSink<F> {
     }
 }
 
-/// A sink that counts results and aborts once a wall-clock deadline passes.
-///
-/// The experiment runner uses this for the paper's per-query time limit;
-/// checking the clock only every `check_interval` emissions keeps overhead
-/// negligible on high-throughput queries.
-#[derive(Debug)]
-pub struct DeadlineSink {
-    /// Number of paths emitted so far.
-    pub count: u64,
-    deadline: std::time::Instant,
-    check_interval: u64,
-    probes: u64,
-    /// Set to true if the deadline fired.
-    pub timed_out: bool,
-}
-
-impl DeadlineSink {
-    /// Sink that aborts after `budget` of wall-clock time.
-    pub fn new(budget: std::time::Duration) -> Self {
-        DeadlineSink {
-            count: 0,
-            deadline: std::time::Instant::now() + budget,
-            check_interval: 1024,
-            probes: 0,
-            timed_out: false,
-        }
-    }
-}
-
-impl PathSink for DeadlineSink {
-    #[inline]
-    fn emit(&mut self, _path: &[VertexId]) -> SearchControl {
-        self.count += 1;
-        if self.count.is_multiple_of(self.check_interval)
-            && std::time::Instant::now() >= self.deadline
-        {
-            self.timed_out = true;
-            return SearchControl::Stop;
-        }
-        SearchControl::Continue
-    }
-
-    #[inline]
-    fn probe(&mut self) -> SearchControl {
-        if self.timed_out {
-            return SearchControl::Stop;
-        }
-        if self.probes.is_multiple_of(self.check_interval)
-            && std::time::Instant::now() >= self.deadline
-        {
-            self.timed_out = true;
-            return SearchControl::Stop;
-        }
-        self.probes += 1;
-        SearchControl::Continue
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,19 +241,5 @@ mod tests {
             sink.emit(&[0, 1, 2]);
         }
         assert_eq!(seen, vec![3]);
-    }
-
-    #[test]
-    fn deadline_sink_times_out() {
-        let mut sink = DeadlineSink::new(std::time::Duration::ZERO);
-        let mut control = SearchControl::Continue;
-        for _ in 0..2048 {
-            control = sink.emit(&[0]);
-            if control == SearchControl::Stop {
-                break;
-            }
-        }
-        assert_eq!(control, SearchControl::Stop);
-        assert!(sink.timed_out);
     }
 }

@@ -6,7 +6,7 @@ use std::time::Duration;
 use pathenum::query::Query;
 use pathenum::sink::PathSink;
 use pathenum::stats::{Counters, Method};
-use pathenum::{path_enum, PathEnumConfig};
+use pathenum::{PathEnumConfig, PlanCache, QueryEngine, QueryRequest};
 use pathenum_baselines::{bc_dfs, bc_join, generic_dfs, t_dfs, yen_ksp};
 use pathenum_graph::CsrGraph;
 
@@ -80,42 +80,30 @@ impl Algorithm {
 
     /// Runs the algorithm on one query, streaming into `sink`.
     ///
-    /// The measurement harness generates queries from the graph itself,
-    /// so the PathEnum variants' validation cannot fail here; an
-    /// out-of-range query is a harness bug and panics with the
-    /// validation error.
+    /// The PathEnum variants run the query as a [`QueryRequest`] through
+    /// a [`QueryEngine`] with no plan cache, so every run builds its own
+    /// index; the forced variants set [`QueryRequest::method`]. The
+    /// measurement harness generates queries from the graph itself, so
+    /// their validation cannot fail here; an out-of-range query is a
+    /// harness bug and panics with the validation error.
     pub fn run(&self, graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> AlgoReport {
-        let validated = |result: Result<pathenum::RunReport, pathenum::PathEnumError>| {
-            from_pathenum(result.expect("harness queries are in range for the graph"))
+        let request = QueryRequest::from_query(query);
+        let request = match self {
+            Algorithm::GenericDfs => return from_baseline(generic_dfs(graph, query, sink)),
+            Algorithm::BcDfs => return from_baseline(bc_dfs(graph, query, sink)),
+            Algorithm::BcJoin => return from_baseline(bc_join(graph, query, sink)),
+            Algorithm::TDfs => return from_baseline(t_dfs(graph, query, sink)),
+            Algorithm::YenKsp => return from_baseline(yen_ksp(graph, query, sink)),
+            Algorithm::IdxDfs => request.method(Method::IdxDfs),
+            Algorithm::IdxJoin => request.method(Method::IdxJoin),
+            Algorithm::PathEnum => request,
         };
-        match self {
-            Algorithm::GenericDfs => from_baseline(generic_dfs(graph, query, sink)),
-            Algorithm::BcDfs => from_baseline(bc_dfs(graph, query, sink)),
-            Algorithm::BcJoin => from_baseline(bc_join(graph, query, sink)),
-            Algorithm::TDfs => from_baseline(t_dfs(graph, query, sink)),
-            Algorithm::YenKsp => from_baseline(yen_ksp(graph, query, sink)),
-            Algorithm::IdxDfs => validated(path_enum(
-                graph,
-                query,
-                PathEnumConfig {
-                    force: Some(Method::IdxDfs),
-                    ..Default::default()
-                },
-                sink,
-            )),
-            Algorithm::IdxJoin => validated(path_enum(
-                graph,
-                query,
-                PathEnumConfig {
-                    force: Some(Method::IdxJoin),
-                    ..Default::default()
-                },
-                sink,
-            )),
-            Algorithm::PathEnum => {
-                validated(path_enum(graph, query, PathEnumConfig::default(), sink))
-            }
-        }
+        let mut engine =
+            QueryEngine::with_cache(graph, PathEnumConfig::default(), PlanCache::new(0));
+        let response = engine
+            .execute_into(&request, sink)
+            .expect("harness queries are in range for the graph");
+        from_pathenum(response.report)
     }
 }
 
@@ -205,8 +193,8 @@ fn from_pathenum(report: pathenum::RunReport) -> AlgoReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathenum::sink::CollectingSink;
-    use pathenum_graph::generators::erdos_renyi;
+    use pathenum::sink::{CollectingSink, CountingSink};
+    use pathenum_graph::generators::{complete_digraph, erdos_renyi};
 
     #[test]
     fn all_algorithms_agree_on_random_graphs() {
@@ -247,6 +235,25 @@ mod tests {
         let mut sink = CollectingSink::default();
         let report = Algorithm::BcDfs.run(&g, q, &mut sink);
         assert!(report.index_edges.is_none());
+
+        // On K14, q(0, 13, 6) the optimizer picks IDX-JOIN (the `K14`
+        // constants of `pathenum::optimizer`'s tests): each variant
+        // reports the method it ran, and all count the same paths.
+        let g = complete_digraph(14);
+        let q = Query::new(0, 13, 6).unwrap();
+        let mut counts = Vec::new();
+        for (algo, method) in [
+            (Algorithm::IdxDfs, Method::IdxDfs),
+            (Algorithm::IdxJoin, Method::IdxJoin),
+            (Algorithm::PathEnum, Method::IdxJoin),
+        ] {
+            let mut sink = CountingSink::default();
+            let report = algo.run(&g, q, &mut sink);
+            assert_eq!(report.method, Some(method), "{algo}");
+            assert_eq!(report.counters.results, sink.count, "{algo}");
+            counts.push(sink.count);
+        }
+        assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use std::process::ExitCode;
 
+use pathenum_repro::core::sink::FnSink;
 use pathenum_repro::graph::io_binary::read_graph_file;
 use pathenum_repro::prelude::*;
 use pathenum_repro::workloads::runner::BoundedSink;
@@ -121,7 +122,7 @@ fn main() -> ExitCode {
     } else {
         let mut printed = 0u64;
         let limit = args.limit.unwrap_or(u64::MAX);
-        let mut sink = FnSinkAdapter(|path: &[VertexId]| {
+        let mut sink = FnSink(|path: &[VertexId]| {
             println!(
                 "{}",
                 path.iter()
@@ -148,14 +149,4 @@ fn main() -> ExitCode {
         start.elapsed()
     );
     ExitCode::SUCCESS
-}
-
-/// Local closure adapter (the library's `FnSink` has an explicit type
-/// parameter; this keeps the binary self-contained).
-struct FnSinkAdapter<F: FnMut(&[VertexId]) -> SearchControl>(F);
-
-impl<F: FnMut(&[VertexId]) -> SearchControl> PathSink for FnSinkAdapter<F> {
-    fn emit(&mut self, path: &[VertexId]) -> SearchControl {
-        (self.0)(path)
-    }
 }

@@ -19,17 +19,17 @@ pub use pathenum_workloads as workloads;
 /// Convenience re-exports of the most common types.
 pub mod prelude {
     pub use pathenum::constraints::{
-        accumulative_dfs, automaton_dfs, path_enum_with_predicate, AccumulativeQuery, Automaton,
+        accumulative_dfs, automaton_dfs, AccumulativeQuery, Automaton,
     };
     pub use pathenum::sink::{CollectingSink, CountingSink, PathSink, SearchControl};
     pub use pathenum::{
-        path_enum, AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats,
-        CacheOutcome, CacheStats, CancelToken, CatalogConfig, CatalogOutcome, CatalogRequest,
-        CatalogService, CatalogTicket, CompactBits, ControlledSink, Counters, DenseBits,
-        DynamicEngine, GraphCatalog, Index, Lane, Method, PathBuffer, PathEnumConfig,
-        PathEnumError, PathStream, PhysicalPlan, PlanCache, PlanCacheStats, Query, QueryEngine,
-        QueryRequest, QueryResponse, ResultCache, ResultCacheStats, RunReport, SharedCacheStats,
-        SharedPlanCache, SharedResultCache, Termination,
+        AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats, CacheOutcome,
+        CacheStats, CancelToken, CatalogConfig, CatalogOutcome, CatalogRequest, CatalogService,
+        CatalogTicket, CompactBits, ControlledSink, Counters, DenseBits, DynamicEngine,
+        GraphCatalog, Index, Lane, Method, PathBuffer, PathEnumConfig, PathEnumError, PathStream,
+        PhysicalPlan, PlanCache, PlanCacheStats, Query, QueryEngine, QueryRequest, QueryResponse,
+        ResultCache, ResultCacheStats, RunReport, SharedCacheStats, SharedPlanCache,
+        SharedResultCache, Termination,
     };
     pub use pathenum_graph::{
         CsrGraph, DynamicGraph, FrozenGraph, GraphBuilder, GraphHandle, GraphSnapshot,
@@ -48,14 +48,11 @@ mod tests {
         b.add_edges([(0, 1), (1, 2), (0, 2)]).unwrap();
         let g = b.finish();
         let mut sink = CollectingSink::default();
-        let report = path_enum(
-            &g,
-            Query::new(0, 2, 2).unwrap(),
-            PathEnumConfig::default(),
-            &mut sink,
-        )
-        .unwrap();
+        let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
+        let request = QueryRequest::from_query(Query::new(0, 2, 2).unwrap());
+        let report = engine.execute_into(&request, &mut sink).unwrap().report;
         assert_eq!(report.counters.results, 2);
+        assert_eq!(sink.paths.len(), 2);
     }
 
     #[test]

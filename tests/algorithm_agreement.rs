@@ -31,6 +31,16 @@ fn reference_paths(g: &CsrGraph, q: Query) -> Vec<Vec<VertexId>> {
     sink.sorted_paths()
 }
 
+/// Runs `request` through a fresh engine, returning its paths in
+/// emission order.
+fn engine_paths(g: &CsrGraph, request: &QueryRequest<'_>) -> Vec<Vec<VertexId>> {
+    let mut sink = CollectingSink::default();
+    QueryEngine::new(g, PathEnumConfig::default())
+        .execute_into(request, &mut sink)
+        .expect("valid");
+    sink.paths
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -64,9 +74,9 @@ proptest! {
         let g = graph_from_edges(n, &edges);
         let q = Query::new(0, 1, k).expect("valid");
         let expected = reference_paths(&g, q);
-        let mut sink = CollectingSink::default();
-        path_enum(&g, q, PathEnumConfig { tau: 0, force: None }, &mut sink).expect("valid");
-        prop_assert_eq!(sink.sorted_paths(), expected);
+        let mut paths = engine_paths(&g, &QueryRequest::from_query(q).tau(0));
+        paths.sort_unstable();
+        prop_assert_eq!(paths, expected);
     }
 
     #[test]
@@ -76,9 +86,7 @@ proptest! {
     ) {
         let g = graph_from_edges(n, &edges);
         let q = Query::new(0, 1, k).expect("valid");
-        let mut sink = CollectingSink::default();
-        path_enum(&g, q, PathEnumConfig::default(), &mut sink).expect("valid");
-        for path in &sink.paths {
+        for path in &engine_paths(&g, &QueryRequest::from_query(q)) {
             prop_assert!(path.len() as u32 - 1 <= k);
             prop_assert_eq!(path[0], 0);
             prop_assert_eq!(*path.last().unwrap(), 1);

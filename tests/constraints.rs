@@ -52,17 +52,16 @@ proptest! {
         let g = graph_from_edges(n, &edges);
         let q = Query::new(0, 1, k).expect("valid");
         let pred = |u: u32, v: u32| weight(u, v) >= threshold;
-        let mut constrained = CollectingSink::default();
-        pathenum_repro::core::constraints::path_enum_with_predicate(
-            &g, q, PathEnumConfig::default(), pred, &mut constrained,
-        )
-        .expect("valid query");
+        let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
+        let request = QueryRequest::from_query(q).predicate(pred).collect_paths(true);
+        let mut constrained = engine.execute(&request).expect("valid query").paths;
+        constrained.sort_unstable();
         let mut expected: Vec<Vec<VertexId>> = all_paths(&g, q)
             .into_iter()
             .filter(|p| p.windows(2).all(|w| pred(w[0], w[1])))
             .collect();
         expected.sort_unstable();
-        prop_assert_eq!(constrained.sorted_paths(), expected);
+        prop_assert_eq!(constrained, expected);
     }
 
     #[test]

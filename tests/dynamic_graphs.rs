@@ -18,6 +18,15 @@ fn graph_from_edges(n: u32, edges: &[(u32, u32)]) -> CsrGraph {
     b.finish()
 }
 
+/// Every path an engine over `g` emits for `q`, in emission order.
+fn engine_paths(g: &CsrGraph, q: Query) -> Vec<Vec<VertexId>> {
+    let mut sink = CollectingSink::default();
+    QueryEngine::new(g, PathEnumConfig::default())
+        .execute_into(&QueryRequest::from_query(q), &mut sink)
+        .expect("valid query");
+    sink.paths
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -45,11 +54,7 @@ proptest! {
 
         prop_assert_eq!(snapshot.num_edges(), rebuilt.num_edges());
         let q = Query::new(0, 1, k).expect("valid");
-        let mut a = CollectingSink::default();
-        let mut b = CollectingSink::default();
-        path_enum(&snapshot, q, PathEnumConfig::default(), &mut a).expect("valid query");
-        path_enum(&rebuilt, q, PathEnumConfig::default(), &mut b).expect("valid query");
-        prop_assert_eq!(a.sorted_paths(), b.sorted_paths());
+        prop_assert_eq!(engine_paths(&snapshot, q), engine_paths(&rebuilt, q));
     }
 
     #[test]
@@ -67,12 +72,9 @@ proptest! {
         // Cycles through the new edge (u, v) = paths v -> u of <= k-1
         // edges in the pre-insertion graph.
         let q = Query::new(v, u, k - 1).expect("u != v");
-        let mut sink = CollectingSink::default();
-        path_enum(&graph, q, PathEnumConfig::default(), &mut sink).expect("valid query");
-
         // Each reported path closed by (u, v) is a simple cycle of <= k
         // edges containing the new edge.
-        for path in &sink.paths {
+        for path in &engine_paths(&graph, q) {
             prop_assert_eq!(path[0], v);
             prop_assert_eq!(*path.last().unwrap(), u);
             prop_assert!(path.len() as u32 <= k);
@@ -118,11 +120,7 @@ proptest! {
 
         prop_assert_eq!(snapshot.num_edges(), rebuilt.num_edges());
         let q = Query::new(0, 1, k).expect("valid");
-        let mut a = CollectingSink::default();
-        let mut b = CollectingSink::default();
-        path_enum(&snapshot, q, PathEnumConfig::default(), &mut a).expect("valid query");
-        path_enum(&rebuilt, q, PathEnumConfig::default(), &mut b).expect("valid query");
-        prop_assert_eq!(a.sorted_paths(), b.sorted_paths());
+        prop_assert_eq!(engine_paths(&snapshot, q), engine_paths(&rebuilt, q));
     }
 
     /// Cache invalidation across snapshots: an engine serving a mutated

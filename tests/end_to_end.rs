@@ -84,13 +84,16 @@ fn pathenum_optimizer_picks_join_somewhere_on_dense_graphs() {
     let graph = datasets::build("ye").expect("registered");
     let queries = generate_queries(&graph, QueryGenConfig::paper_default(6, 6, 5));
     let mut methods = std::collections::HashSet::new();
+    let mut engine = QueryEngine::new(&graph, PathEnumConfig::default());
     for q in queries {
         let mut sink = pathenum_repro::workloads::runner::BoundedSink::new(
             Some(2000),
             Some(Duration::from_millis(100)),
         );
-        let report = path_enum(&graph, q, PathEnumConfig::default(), &mut sink).expect("valid");
-        methods.insert(report.method);
+        let response = engine
+            .execute_into(&QueryRequest::from_query(q), &mut sink)
+            .expect("valid");
+        methods.insert(response.report.method);
     }
     assert!(!methods.is_empty());
 }

@@ -25,8 +25,7 @@ const DEFAULT_TAU: u64 = 100_000;
 fn er_plan(n: usize, density: usize, seed: u64, k: u32, tau: u64) -> (Index, PhysicalPlan) {
     let graph = erdos_renyi(n, n * density, seed);
     let index = Index::build(&graph, Query::new(0, 1, k).expect("valid"));
-    let config = PathEnumConfig { tau, force: None };
-    let plan = plan_on_index(&index, config, &mut PhaseTimings::default());
+    let plan = plan_on_index(&index, PathEnumConfig { tau }, &mut PhaseTimings::default());
     (index, plan)
 }
 
@@ -172,11 +171,7 @@ fn one_entry_serves_limited_and_unlimited_requests() {
 
     // With tau = 0 nothing passes step 1: the limited request runs the
     // estimator and takes the unlimited decision.
-    let config = PathEnumConfig {
-        tau: 0,
-        force: None,
-    };
-    let mut strict = QueryEngine::new(&graph, config);
+    let mut strict = QueryEngine::new(&graph, PathEnumConfig { tau: 0 });
     let priced = strict.explain(&limited()).expect("valid request");
     assert_eq!(priced, strict.explain(&unlimited()).expect("valid request"));
     assert_eq!((priced.method, priced.cut), (Method::IdxJoin, Some(3)));

@@ -1,14 +1,14 @@
 //! Property tests for the request/response layer: `execute` and
-//! `stream` must agree path-for-path with the legacy one-shot
-//! `path_enum` and with the Appendix E constraint free functions, and
-//! the stopping rules (limit, deadline, cancellation) must be
-//! *reported*, never silent.
+//! `stream` must agree path-for-path with the brute-force reference and
+//! with the Appendix E constraint free functions, and the stopping rules
+//! (limit, deadline, cancellation) must be *reported*, never silent.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use pathenum_repro::core::constraints::{accumulative_dfs, automaton_dfs};
+use pathenum_repro::core::constraints::{accumulative_dfs, automaton_dfs, filtered_graph};
+use pathenum_repro::core::reference::brute_force_paths;
 use pathenum_repro::graph::generators::{erdos_renyi, power_law, PowerLawConfig};
 use pathenum_repro::prelude::*;
 
@@ -39,9 +39,9 @@ fn label(u: u32, v: u32) -> u32 {
     (((u64::from(u) << 32 | u64::from(v)).wrapping_mul(0xd134_2543_de82_ef95) >> 63) & 1) as u32
 }
 
-fn legacy_paths(g: &CsrGraph, q: Query) -> Vec<Vec<VertexId>> {
+fn reference_paths(g: &CsrGraph, q: Query) -> Vec<Vec<VertexId>> {
     let mut sink = CollectingSink::default();
-    path_enum(g, q, PathEnumConfig::default(), &mut sink).expect("valid query");
+    brute_force_paths(g, q, &mut sink);
     sink.sorted_paths()
 }
 
@@ -94,13 +94,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn execute_and_stream_agree_with_legacy_path_enum(
+    fn execute_and_stream_agree_with_brute_force(
         (n, edges) in arb_graph(),
         k in 2u32..7,
     ) {
         let g = graph_from_edges(n, &edges);
         let q = Query::new(0, 1, k).expect("valid");
-        let expected = legacy_paths(&g, q);
+        let expected = reference_paths(&g, q);
         let req = QueryRequest::from_query(q).collect_paths(true);
         prop_assert_eq!(execute_paths(&g, &req), expected.clone());
         prop_assert_eq!(stream_paths(&g, &req), expected);
@@ -116,12 +116,7 @@ proptest! {
         let q = Query::new(0, 1, k).expect("valid");
         let pred = move |u: u32, v: u32| weight(u, v) >= threshold;
 
-        let mut oracle = CollectingSink::default();
-        pathenum_repro::core::constraints::path_enum_with_predicate(
-            &g, q, PathEnumConfig::default(), pred, &mut oracle,
-        )
-        .expect("valid query");
-        let expected = oracle.sorted_paths();
+        let expected = reference_paths(&filtered_graph(&g, pred), q);
 
         let req = QueryRequest::from_query(q).predicate(pred).collect_paths(true);
         prop_assert_eq!(execute_paths(&g, &req), expected.clone());
@@ -176,7 +171,7 @@ proptest! {
     ) {
         let g = graph_from_edges(n, &edges);
         let q = Query::new(0, 1, k).expect("valid");
-        let total = legacy_paths(&g, q).len() as u64;
+        let total = reference_paths(&g, q).len() as u64;
         let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
 
         let req = QueryRequest::from_query(q).limit(limit).collect_paths(true);
@@ -228,7 +223,7 @@ fn agreement_on_random_generator_families() {
             let mut engine = QueryEngine::new(g, PathEnumConfig::default());
             for t in 1..8u32 {
                 let q = Query::new(0, t, 4).unwrap();
-                let expected = legacy_paths(g, q);
+                let expected = reference_paths(g, q);
                 let req = QueryRequest::from_query(q).collect_paths(true);
                 let mut executed = engine.execute(&req).expect("valid").paths;
                 executed.sort_unstable();
@@ -403,17 +398,5 @@ fn invalid_requests_come_back_as_errors_not_panics() {
     assert_eq!(
         engine.execute(&QueryRequest::paths(0, 1)).unwrap_err(),
         PathEnumError::HopConstraintTooSmall(0)
-    );
-    // The legacy one-shot is routed through the same validation.
-    let mut sink = CountingSink::default();
-    assert_eq!(
-        path_enum(
-            &g,
-            Query::new(0, 10_000, 4).unwrap(),
-            PathEnumConfig::default(),
-            &mut sink
-        )
-        .unwrap_err(),
-        PathEnumError::VertexOutOfRange(10_000)
     );
 }

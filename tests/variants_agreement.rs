@@ -136,7 +136,9 @@ proptest! {
             prop_assume!(t < n);
             let Ok(q) = Query::new(0, t, k) else { continue };
             let mut engine_sink = CollectingSink::default();
-            engine.run(q, &mut engine_sink).expect("valid");
+            engine
+                .execute_into(&QueryRequest::from_query(q), &mut engine_sink)
+                .expect("valid");
             prop_assert_eq!(engine_sink.sorted_paths(), reference(&g, q));
         }
     }
