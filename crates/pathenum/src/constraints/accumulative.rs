@@ -10,6 +10,7 @@
 
 use pathenum_graph::VertexId;
 
+use crate::enumerate::dfs_iterative::{idx_dfs_rooted, DfsScratch, Walk};
 use crate::index::{Index, LocalId};
 use crate::sink::{PathSink, SearchControl};
 use crate::stats::Counters;
@@ -32,6 +33,22 @@ pub struct AccumulativeQuery<V, W, C> {
     pub prune: Option<fn(&V) -> bool>,
 }
 
+impl<V, W, C> AccumulativeQuery<V, W, C>
+where
+    V: Copy,
+    W: Fn(VertexId, VertexId) -> V,
+    C: Fn(&V) -> bool,
+{
+    /// Whether a complete path's folded edge values pass `check`: the
+    /// acceptance test of every evaluation that filters complete paths.
+    pub(crate) fn accepts(&self, path: &[VertexId]) -> bool {
+        let acc = path.windows(2).fold(self.identity, |acc, w| {
+            (self.combine)(acc, (self.weight)(w[0], w[1]))
+        });
+        (self.check)(&acc)
+    }
+}
+
 /// Algorithm 7: IDX-DFS carrying an accumulated edge value, emitting only
 /// paths whose accumulation passes `check`.
 pub fn accumulative_dfs<V, W, C>(
@@ -45,84 +62,51 @@ where
     W: Fn(VertexId, VertexId) -> V,
     C: Fn(&V) -> bool,
 {
-    let (Some(s_local), Some(t_local)) = (index.s_local(), index.t_local()) else {
-        return SearchControl::Continue;
-    };
-    let mut partial: Vec<LocalId> = Vec::with_capacity(index.k() as usize + 1);
-    let mut scratch: Vec<VertexId> = Vec::new();
-    partial.push(s_local);
-    let mut probe_tick = 0u32;
-    search(
+    // alloc: setup — the frames carry `V`, so the per-thread arena's
+    // plain stack cannot hold them.
+    let mut scratch = DfsScratch::default();
+    let walk = AccumulativeWalk { index, query };
+    idx_dfs_rooted(
         index,
-        query,
-        t_local,
-        &mut partial,
-        query.identity,
+        &mut index.rows(),
+        &walk,
         &mut scratch,
         sink,
-        &mut probe_tick,
         counters,
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search<V, W, C>(
-    index: &Index,
-    query: &AccumulativeQuery<V, W, C>,
-    t_local: LocalId,
-    partial: &mut Vec<LocalId>,
-    acc: V,
-    scratch: &mut Vec<VertexId>,
-    sink: &mut dyn PathSink,
-    probe_tick: &mut u32,
-    counters: &mut Counters,
-) -> SearchControl
+/// The running accumulation as the kernel's walk: `combine` then `prune`
+/// per edge, `check` at `t`.
+struct AccumulativeWalk<'a, V, W, C> {
+    index: &'a Index,
+    query: &'a AccumulativeQuery<V, W, C>,
+}
+
+impl<V, W, C> Walk for AccumulativeWalk<'_, V, W, C>
 where
     V: Copy,
     W: Fn(VertexId, VertexId) -> V,
     C: Fn(&V) -> bool,
 {
-    if *probe_tick & (crate::enumerate::PROBE_STRIDE - 1) == 0
-        && sink.probe() == SearchControl::Stop
-    {
-        return SearchControl::Stop;
+    type State = V;
+
+    fn start(&self) -> V {
+        self.query.identity
     }
-    *probe_tick = probe_tick.wrapping_add(1);
-    let v = *partial.last().expect("partial contains s");
-    if v == t_local {
-        if (query.check)(&acc) {
-            counters.results += 1;
-            scratch.clear();
-            scratch.extend(partial.iter().map(|&l| index.global(l)));
-            return sink.emit(scratch);
-        }
-        return SearchControl::Continue;
+
+    fn step(&self, acc: V, u: LocalId, w: LocalId) -> Option<V> {
+        let edge_value = (self.query.weight)(self.index.global(u), self.index.global(w));
+        let acc = (self.query.combine)(acc, edge_value);
+        self.query
+            .prune
+            .is_none_or(|prune| prune(&acc))
+            .then_some(acc)
     }
-    let budget = index.k() - (partial.len() as u32 - 1) - 1;
-    let neighbors = index.i_t(v, budget);
-    counters.edges_accessed += neighbors.len() as u64;
-    for &next in neighbors {
-        if partial.contains(&next) {
-            continue;
-        }
-        let edge_value = (query.weight)(index.global(v), index.global(next));
-        let new_acc = (query.combine)(acc, edge_value);
-        if let Some(prune) = query.prune {
-            if !prune(&new_acc) {
-                continue;
-            }
-        }
-        partial.push(next);
-        counters.partial_results += 1;
-        let control = search(
-            index, query, t_local, partial, new_acc, scratch, sink, probe_tick, counters,
-        );
-        partial.pop();
-        if control == SearchControl::Stop {
-            return SearchControl::Stop;
-        }
+
+    fn accepts(&self, acc: V) -> bool {
+        (self.query.check)(&acc)
     }
-    SearchControl::Continue
 }
 
 #[cfg(test)]

@@ -2,12 +2,15 @@
 //!
 //! Edge labels model actions; a path qualifies only if the sequence of
 //! labels along it drives a deterministic finite automaton from its start
-//! state into an accepting state. The DFS threads the automaton state and
-//! abandons a branch the moment a transition is undefined — terminating
-//! invalid searches earlier than post-filtering, as Appendix E notes.
+//! state into an accepting state. The automaton state rides the crate's
+//! one IDX-DFS kernel (`enumerate::dfs_iterative`) as its per-frame walk
+//! state, and a branch is abandoned the moment a transition is undefined —
+//! terminating invalid searches earlier than post-filtering, as Appendix E
+//! notes.
 
 use pathenum_graph::VertexId;
 
+use crate::enumerate::dfs_iterative::{idx_dfs_rooted, DfsScratch, Walk};
 use crate::index::{Index, LocalId};
 use crate::sink::{PathSink, SearchControl};
 use crate::stats::Counters;
@@ -149,82 +152,48 @@ pub fn automaton_dfs<L>(
 where
     L: Fn(VertexId, VertexId) -> LabelId,
 {
-    let (Some(s_local), Some(t_local)) = (index.s_local(), index.t_local()) else {
-        return SearchControl::Continue;
-    };
-    let mut partial: Vec<LocalId> = Vec::with_capacity(index.k() as usize + 1);
-    let mut scratch: Vec<VertexId> = Vec::new();
-    partial.push(s_local);
-    let mut probe_tick = 0u32;
-    search(
+    // alloc: setup — the frames carry a state, so the per-thread arena's
+    // plain stack cannot hold them.
+    let mut scratch = DfsScratch::default();
+    let walk = AutomatonWalk {
         index,
         automaton,
-        &label_of,
-        t_local,
-        &mut partial,
-        automaton.start(),
+        label_of,
+    };
+    idx_dfs_rooted(
+        index,
+        &mut index.rows(),
+        &walk,
         &mut scratch,
         sink,
-        &mut probe_tick,
         counters,
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search<L>(
-    index: &Index,
-    automaton: &Automaton,
-    label_of: &L,
-    t_local: LocalId,
-    partial: &mut Vec<LocalId>,
-    state: StateId,
-    scratch: &mut Vec<VertexId>,
-    sink: &mut dyn PathSink,
-    probe_tick: &mut u32,
-    counters: &mut Counters,
-) -> SearchControl
-where
-    L: Fn(VertexId, VertexId) -> LabelId,
-{
-    if *probe_tick & (crate::enumerate::PROBE_STRIDE - 1) == 0
-        && sink.probe() == SearchControl::Stop
-    {
-        return SearchControl::Stop;
+/// The automaton state as the kernel's walk: an undefined transition
+/// prunes the edge, and `t` is reached in an accepting state or not at
+/// all.
+struct AutomatonWalk<'a, L> {
+    index: &'a Index,
+    automaton: &'a Automaton,
+    label_of: L,
+}
+
+impl<L: Fn(VertexId, VertexId) -> LabelId> Walk for AutomatonWalk<'_, L> {
+    type State = StateId;
+
+    fn start(&self) -> StateId {
+        self.automaton.start()
     }
-    *probe_tick = probe_tick.wrapping_add(1);
-    let v = *partial.last().expect("partial contains s");
-    if v == t_local {
-        if automaton.accepts(state) {
-            counters.results += 1;
-            scratch.clear();
-            scratch.extend(partial.iter().map(|&l| index.global(l)));
-            return sink.emit(scratch);
-        }
-        return SearchControl::Continue;
+
+    fn step(&self, state: StateId, u: LocalId, w: LocalId) -> Option<StateId> {
+        let label = (self.label_of)(self.index.global(u), self.index.global(w));
+        self.automaton.step(state, label)
     }
-    let budget = index.k() - (partial.len() as u32 - 1) - 1;
-    let neighbors = index.i_t(v, budget);
-    counters.edges_accessed += neighbors.len() as u64;
-    for &next in neighbors {
-        if partial.contains(&next) {
-            continue;
-        }
-        let label = label_of(index.global(v), index.global(next));
-        let Some(next_state) = automaton.step(state, label) else {
-            continue; // invalid action for the current state: prune
-        };
-        partial.push(next);
-        counters.partial_results += 1;
-        let control = search(
-            index, automaton, label_of, t_local, partial, next_state, scratch, sink, probe_tick,
-            counters,
-        );
-        partial.pop();
-        if control == SearchControl::Stop {
-            return SearchControl::Stop;
-        }
+
+    fn accepts(&self, state: StateId) -> bool {
+        self.automaton.accepts(state)
     }
-    SearchControl::Continue
 }
 
 #[cfg(test)]

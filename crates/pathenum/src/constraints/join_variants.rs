@@ -4,15 +4,16 @@
 //! value over a joined path is independent of evaluation order; the
 //! automaton check is applied to the complete label sequence once a
 //! joined tuple proves to be a valid path. Both are realized as checks
-//! at join-emission time — each emitted path is O(k) long, so the check
-//! costs the same order as emission itself — in contrast to the DFS
-//! variants (Algorithms 7/8), which thread the state through the search
-//! and can cut branches early.
+//! at join-emission time, through a [`FilterSink`] — each emitted path is
+//! O(k) long, so the check costs the same order as emission itself — in
+//! contrast to the DFS variants (Algorithms 7/8), which thread the state
+//! through the search and can cut branches early. A request's constrained
+//! IDX-JOIN runs the same filter, with the request's one acceptance check
+//! per constraint, inside the executor.
 
 use pathenum_graph::VertexId;
 
 use crate::constraints::accumulative::AccumulativeQuery;
-use crate::constraints::automaton::{Automaton, LabelId};
 use crate::enumerate::idx_join;
 use crate::index::Index;
 use crate::sink::{PathSink, SearchControl};
@@ -66,43 +67,10 @@ where
     W: Fn(VertexId, VertexId) -> V,
     C: Fn(&V) -> bool,
 {
-    let mut filter = FilterSink::new(
-        |path: &[VertexId]| {
-            let mut acc = query.identity;
-            for w in path.windows(2) {
-                acc = (query.combine)(acc, (query.weight)(w[0], w[1]));
-            }
-            (query.check)(&acc)
-        },
-        sink,
-    );
+    let mut filter = FilterSink::new(|path: &[VertexId]| query.accepts(path), sink);
     let control = idx_join(index, cut, &mut filter, counters);
     // Results that failed the constraint are not results of the
     // constrained query.
-    counters.results -= filter.rejected;
-    control
-}
-
-/// IDX-JOIN under an action-sequence constraint: joined paths are
-/// emitted only when the automaton accepts their label sequence.
-pub fn automaton_join<L>(
-    index: &Index,
-    cut: u32,
-    automaton: &Automaton,
-    label_of: L,
-    sink: &mut dyn PathSink,
-    counters: &mut Counters,
-) -> SearchControl
-where
-    L: Fn(VertexId, VertexId) -> LabelId,
-{
-    let mut filter = FilterSink::new(
-        |path: &[VertexId]| {
-            automaton.accepts_sequence(path.windows(2).map(|w| label_of(w[0], w[1])))
-        },
-        sink,
-    );
-    let control = idx_join(index, cut, &mut filter, counters);
     counters.results -= filter.rejected;
     control
 }
@@ -111,10 +79,11 @@ where
 mod tests {
     use super::*;
     use crate::constraints::accumulative::accumulative_dfs;
-    use crate::constraints::automaton::automaton_dfs;
+    use crate::constraints::automaton::{automaton_dfs, Automaton, LabelId};
     use crate::index::test_support::*;
     use crate::query::Query;
     use crate::sink::CollectingSink;
+    use crate::{Method, PathEnumConfig, QueryEngine, QueryRequest};
 
     fn weight(_: VertexId, to: VertexId) -> u64 {
         u64::from(to % 3)
@@ -122,6 +91,17 @@ mod tests {
 
     fn label(from: VertexId, _: VertexId) -> LabelId {
         from % 2
+    }
+
+    /// Accepts sequences with an even number of 1-labels.
+    fn even_ones() -> Automaton {
+        let mut a = Automaton::new(2, 2, 0).unwrap();
+        a.add_transition(0, 0, 0).unwrap();
+        a.add_transition(0, 1, 1).unwrap();
+        a.add_transition(1, 0, 1).unwrap();
+        a.add_transition(1, 1, 0).unwrap();
+        a.set_accepting(0).unwrap();
+        a
     }
 
     #[test]
@@ -153,31 +133,25 @@ mod tests {
     }
 
     #[test]
-    fn automaton_join_matches_automaton_dfs() {
+    fn automaton_requests_under_idx_join_match_automaton_dfs() {
         let g = figure1_graph();
         let q = Query::new(S, T, 4).unwrap();
         let index = Index::build(&g, q);
-        // Accept sequences with an even number of 1-labels.
-        let mut a = Automaton::new(2, 2, 0).unwrap();
-        a.add_transition(0, 0, 0).unwrap();
-        a.add_transition(0, 1, 1).unwrap();
-        a.add_transition(1, 0, 1).unwrap();
-        a.add_transition(1, 1, 0).unwrap();
-        a.set_accepting(0).unwrap();
-
         let mut dfs_sink = CollectingSink::default();
         let mut counters = Counters::default();
-        automaton_dfs(&index, &a, label, &mut dfs_sink, &mut counters);
-        for cut in 1..4u32 {
-            let mut join_sink = CollectingSink::default();
-            let mut join_counters = Counters::default();
-            automaton_join(&index, cut, &a, label, &mut join_sink, &mut join_counters);
-            assert_eq!(
-                join_sink.sorted_paths(),
-                dfs_sink.clone().sorted_paths(),
-                "cut {cut}"
-            );
-        }
+        automaton_dfs(&index, &even_ones(), label, &mut dfs_sink, &mut counters);
+
+        let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
+        let request = QueryRequest::from_query(q)
+            .automaton(even_ones(), label)
+            .method(Method::IdxJoin)
+            .collect_paths(true);
+        let response = engine.execute(&request).unwrap();
+        assert_eq!(response.report.method, Method::IdxJoin);
+        assert_eq!(response.num_results(), counters.results);
+        let mut joined = response.paths;
+        joined.sort_unstable();
+        assert_eq!(joined, dfs_sink.sorted_paths());
     }
 
     #[test]

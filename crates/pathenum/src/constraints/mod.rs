@@ -18,5 +18,5 @@ pub mod predicate;
 
 pub use accumulative::{accumulative_dfs, AccumulativeQuery};
 pub use automaton::{automaton_dfs, Automaton, AutomatonError};
-pub use join_variants::{accumulative_join, automaton_join, FilterSink};
+pub use join_variants::{accumulative_join, FilterSink};
 pub use predicate::filtered_graph;

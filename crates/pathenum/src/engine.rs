@@ -260,15 +260,21 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
     /// [`QueryRequest`] and returns a pull-based [`PathStream`] over its
     /// results.
     ///
-    /// The DFS advances only while the caller pulls; dropping the stream
-    /// abandons the remaining search at zero cost. Constraint requests
-    /// yield exactly the constrained path set (predicates restrict the
-    /// enumerated subgraph; accumulative/automaton checks filter
-    /// complete paths). Streams *read* the cache (a warm index is
+    /// The stream resumes the IDX-DFS kernel once per pull, on a search
+    /// state it owns, so the search advances only while the caller pulls
+    /// and dropping the stream abandons the rest at zero cost. It yields
+    /// the paths [`execute`](Self::execute) returns for the request
+    /// forced to IDX-DFS, in the same order and with the same
+    /// termination. Constraint requests yield exactly the constrained
+    /// path set: predicates restrict the enumerated subgraph, and
+    /// accumulative/automaton checks filter complete paths before the
+    /// limit counts them. Streams *read* the plan cache (a warm index is
     /// cloned) but do not populate it — a stream never runs the
     /// estimators, so it has no plan to store. A labels-only entry (a
     /// step-1 miss's) is completed first and written back, as any plan
-    /// hit does.
+    /// hit does. A request the cache cannot key (a bypass flag, a
+    /// zero-capacity cache, an unfingerprinted predicate) is recorded
+    /// as a bypass, as `execute` records it.
     pub fn stream<'q>(
         &mut self,
         request: &'q QueryRequest<'q>,
@@ -284,23 +290,27 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
             return Ok(PathStream::new(Index::empty(query), request));
         }
         self.queries_served += 1;
-        if let Some(key) = pipeline::plan_key(self.config, request, self.cache.capacity()) {
-            if let Some((mut plan, mut index)) = self.cache.lookup(&key, GraphStamp::of(self.graph))
-            {
-                // A step-1 miss left only the labels: fill the rows the
-                // stream walks, once, and leave them for the next reader.
-                let seen = Arc::clone(&index);
-                let mut timings = PhaseTimings::default();
-                if complete_on_graph(
-                    &mut plan,
-                    &mut index,
-                    self.graph,
-                    &mut self.scratch,
-                    &mut timings,
-                ) {
-                    self.cache.write_back(&key, &seen, &plan, &index);
+        match pipeline::plan_key(self.config, request, self.cache.capacity()) {
+            None => self.cache.note_bypass(),
+            Some(key) => {
+                if let Some((mut plan, mut index)) =
+                    self.cache.lookup(&key, GraphStamp::of(self.graph))
+                {
+                    // A step-1 miss left only the labels: fill the rows the
+                    // stream walks, once, and leave them for the next reader.
+                    let seen = Arc::clone(&index);
+                    let mut timings = PhaseTimings::default();
+                    if complete_on_graph(
+                        &mut plan,
+                        &mut index,
+                        self.graph,
+                        &mut self.scratch,
+                        &mut timings,
+                    ) {
+                        self.cache.write_back(&key, &seen, &plan, &index);
+                    }
+                    return Ok(PathStream::new(Index::clone(&index), request));
                 }
-                return Ok(PathStream::new(Index::clone(&index), request));
             }
         }
         let index = match &request.constraint {
@@ -531,6 +541,19 @@ mod tests {
         }
         assert!(engine.plan_cache().is_empty());
         assert_eq!(engine.cache_stats().hits, 0);
+        assert_stream_records_a_bypass(&mut engine, &request);
+    }
+
+    /// A stream of an uncacheable request counts one lookup and one
+    /// bypass, as an `execute` of it does.
+    fn assert_stream_records_a_bypass(engine: &mut QueryEngine<'_>, request: &QueryRequest<'_>) {
+        let before = engine.cache_stats();
+        assert_eq!(engine.stream(request).unwrap().count(), 5);
+        let after = engine.cache_stats();
+        assert_eq!(after.bypasses, before.bypasses + 1);
+        assert_eq!(after.lookups, before.lookups + 1);
+        assert_eq!(after.hits + after.misses + after.bypasses, after.lookups);
+        assert!(engine.plan_cache().is_empty());
     }
 
     #[test]
@@ -543,6 +566,7 @@ mod tests {
             assert_eq!(response.report.cache, CacheOutcome::Bypass);
         }
         assert!(engine.plan_cache().is_empty());
+        assert_stream_records_a_bypass(&mut engine, &request);
     }
 
     #[test]

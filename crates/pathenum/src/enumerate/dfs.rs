@@ -47,14 +47,14 @@ pub fn idx_dfs(index: &Index, sink: &mut dyn PathSink, counters: &mut Counters) 
     let mut dfs = DfsState {
         index,
         t_local,
-        partial: Vec::with_capacity(index.k() as usize + 1),
+        prefix: Vec::with_capacity(index.k() as usize + 1),
         scratch: Vec::with_capacity(index.k() as usize + 1),
         sink,
         counters,
         probe_tick: 0,
     };
-    dfs.partial.push(s_local);
-    let (_, control) = dfs.search();
+    dfs.prefix.push(s_local);
+    let (_, control) = dfs.extend();
     control
 }
 
@@ -62,7 +62,7 @@ struct DfsState<'a> {
     index: &'a Index,
     t_local: LocalId,
     /// Current partial result `M` in local ids.
-    partial: Vec<LocalId>,
+    prefix: Vec<LocalId>,
     /// Reusable buffer for the emitted global-id path.
     scratch: Vec<VertexId>,
     sink: &'a mut dyn PathSink,
@@ -71,8 +71,9 @@ struct DfsState<'a> {
 }
 
 impl DfsState<'_> {
-    /// Recursive `Search` procedure. Returns `(found_any_result, control)`.
-    fn search(&mut self) -> (bool, SearchControl) {
+    /// Algorithm 4's recursive `Search` procedure. Returns
+    /// `(found_any_result, control)`.
+    fn extend(&mut self) -> (bool, SearchControl) {
         // A strided probe lets deadline/cancellation sinks interrupt
         // barren regions that never emit, without taxing every node.
         if self.probe_tick & (super::PROBE_STRIDE - 1) == 0
@@ -82,30 +83,30 @@ impl DfsState<'_> {
         }
         self.probe_tick = self.probe_tick.wrapping_add(1);
         let v = *self
-            .partial
+            .prefix
             .last()
-            .expect("partial result always contains s");
+            .expect("the partial result always contains s");
         if v == self.t_local {
             self.counters.results += 1;
             self.scratch.clear();
             self.scratch
-                .extend(self.partial.iter().map(|&l| self.index.global(l)));
+                .extend(self.prefix.iter().map(|&l| self.index.global(l)));
             return (true, self.sink.emit(&self.scratch));
         }
-        let budget = self.index.k() - (self.partial.len() as u32 - 1) - 1;
+        let budget = self.index.k() - (self.prefix.len() as u32 - 1) - 1;
         // The slice borrows the index (lifetime independent of `self`), so
         // the recursive calls below can still borrow `self` mutably.
         let neighbors = self.index.i_t(v, budget);
         self.counters.edges_accessed += neighbors.len() as u64;
         let mut found_any = false;
         for &next in neighbors {
-            if self.partial.contains(&next) {
+            if self.prefix.contains(&next) {
                 continue;
             }
-            self.partial.push(next);
+            self.prefix.push(next);
             self.counters.partial_results += 1;
-            let (found, control) = self.search();
-            self.partial.pop();
+            let (found, control) = self.extend();
+            self.prefix.pop();
             if !found {
                 self.counters.invalid_partial_results += 1;
             }

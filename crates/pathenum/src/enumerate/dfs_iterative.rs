@@ -1,11 +1,23 @@
-//! Iterative IDX-DFS: Algorithm 4 with an explicit frame stack.
+//! Iterative IDX-DFS: Algorithm 4 with an explicit frame stack — the one
+//! s-t search of the crate outside the recursive oracle
+//! [`super::dfs::idx_dfs`].
 //!
 //! Functionally identical to [`super::dfs::idx_dfs`] (asserted by tests
 //! and the plan-agreement property suite) but without native recursion:
 //! each frame holds the cursor into its `I_t` slice. Production services
-//! favor this form for stack safety under adversarial `k` and because the
-//! enumeration state can be suspended between emissions — the shape an
-//! incremental/paginated API needs.
+//! favor this form for stack safety under adversarial `k`, and because
+//! the search can be suspended between emissions: when the sink answers
+//! an emission with `Stop`, the kernel records where the top frame's scan
+//! stood, and a later `idx_dfs_resume` on the same `DfsScratch`
+//! continues from the next candidate. [`PathStream`] is built on that: it
+//! owns a scratch and resumes the kernel once per pulled path.
+//!
+//! The kernel is generic over a `Walk`: a value carried down the
+//! search beside the path, stepped along every edge it pushes and
+//! checked when the path reaches `t`. Plain IDX-DFS walks `()`, which
+//! monomorphises to the bare loop; Algorithms 7 and 8
+//! ([`accumulative_dfs`], [`automaton_dfs`]) walk the running
+//! accumulation and the automaton state on the same loop.
 //!
 //! The kernel reads `I_t` through a row source (`index::RowSource`), so
 //! one kernel serves two indexes. [`idx_dfs_iterative`] reads the rows a
@@ -24,6 +36,10 @@
 //! termination at every limit). The fill runs inside the search, so a
 //! request's `PhaseTimings` count it under `enumeration`, not
 //! `index_build`.
+//!
+//! [`PathStream`]: crate::request::PathStream
+//! [`accumulative_dfs`]: crate::constraints::accumulative_dfs
+//! [`automaton_dfs`]: crate::constraints::automaton_dfs
 
 use pathenum_graph::epoch::EpochStamps;
 use pathenum_graph::{NeighborAccess, VertexId};
@@ -32,10 +48,45 @@ use crate::index::{Index, LocalId, RowSource};
 use crate::sink::{PathSink, SearchControl};
 use crate::stats::Counters;
 
+/// A value carried down the search beside the path (Appendix E).
+pub(crate) trait Walk {
+    /// What a frame carries.
+    type State: Copy;
+
+    /// The state at `s`.
+    fn start(&self) -> Self::State;
+
+    /// The state after pushing the edge `u -> w` (local ids); `None`
+    /// prunes the edge.
+    fn step(&self, state: Self::State, u: LocalId, w: LocalId) -> Option<Self::State>;
+
+    /// Whether a path that reaches `t` in `state` is a result.
+    fn accepts(&self, state: Self::State) -> bool;
+}
+
+/// Plain IDX-DFS: nothing is carried, every edge steps, every path to
+/// `t` is a result.
+impl Walk for () {
+    type State = ();
+
+    #[inline]
+    fn start(&self) {}
+
+    #[inline]
+    fn step(&self, _: (), _: LocalId, _: LocalId) -> Option<()> {
+        Some(())
+    }
+
+    #[inline]
+    fn accepts(&self, _: ()) -> bool {
+        true
+    }
+}
+
 /// One suspended search frame: the vertex at this depth and how far its
 /// admissible-neighbor slice has been consumed.
 #[derive(Debug, Clone, Copy)]
-struct Frame {
+struct Frame<S> {
     vertex: LocalId,
     cursor: u32,
     /// The frame's `I_t` row, resolved once at push time so re-activating
@@ -47,14 +98,19 @@ struct Frame {
     /// Whether any result was found below this frame (for the
     /// invalid-partial counter).
     found: bool,
+    /// The walk's state on arrival at `vertex`.
+    state: S,
 }
 
-/// Reusable buffers of the iterative DFS, held in the per-thread
-/// enumeration arena so a serving thread allocates its stack and path
-/// scratch once.
-#[derive(Debug, Default)]
-pub(crate) struct DfsScratch {
-    stack: Vec<Frame>,
+/// Reusable buffers of the iterative DFS. Plain searches keep theirs in
+/// the per-thread enumeration arena, so a serving thread allocates its
+/// stack and path scratch once; a [`PathStream`] owns one, because a
+/// paused stream must survive other searches on its thread.
+///
+/// [`PathStream`]: crate::request::PathStream
+#[derive(Debug)]
+pub(crate) struct DfsScratch<S = ()> {
+    stack: Vec<Frame<S>>,
     path: Vec<VertexId>,
     /// O(1) "is this vertex on the current path" membership, replacing a
     /// linear stack scan per candidate neighbor. Epoch-reset at the start
@@ -62,12 +118,52 @@ pub(crate) struct DfsScratch {
     on_path: EpochStamps,
 }
 
-impl DfsScratch {
+impl<S> Default for DfsScratch<S> {
+    fn default() -> Self {
+        // alloc: setup — empty buffers; they allocate on first use.
+        DfsScratch {
+            stack: Vec::new(),
+            path: Vec::new(),
+            on_path: EpochStamps::default(),
+        }
+    }
+}
+
+impl<S: Copy> DfsScratch<S> {
     /// Approximate heap footprint of the scratch in bytes.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.stack.capacity() * std::mem::size_of::<Frame>()
+        self.stack.capacity() * std::mem::size_of::<Frame<S>>()
             + self.path.capacity() * std::mem::size_of::<VertexId>()
             + self.on_path.heap_bytes()
+    }
+
+    /// Starts a new search from `s`: pushes the root frame for
+    /// [`idx_dfs_resume`] to run. The root's neighbor scan is charged
+    /// once, as the recursive entry charges it. An index without `s` or
+    /// `t` leaves the stack empty, so the search yields nothing.
+    pub(crate) fn seed<W: Walk<State = S>>(
+        &mut self,
+        index: &Index,
+        rows: &mut impl RowSource,
+        walk: &W,
+        counters: &mut Counters,
+    ) {
+        self.stack.clear();
+        let (Some(s_local), Some(_)) = (index.s_local(), index.t_local()) else {
+            return;
+        };
+        self.on_path.reset(index.num_vertices());
+        let (nbr_start, nbr_len) = rows.row(s_local, index.k() - 1);
+        counters.edges_accessed += u64::from(nbr_len);
+        self.stack.push(Frame {
+            vertex: s_local,
+            cursor: 0,
+            nbr_start,
+            nbr_len,
+            found: false,
+            state: walk.start(),
+        });
+        self.on_path.mark(s_local as usize);
     }
 }
 
@@ -80,7 +176,14 @@ pub fn idx_dfs_iterative(
     counters: &mut Counters,
 ) -> SearchControl {
     super::scratch::with_enum_scratch(|scratch| {
-        idx_dfs_rooted(index, &mut index.rows(), &mut scratch.dfs, sink, counters)
+        idx_dfs_rooted(
+            index,
+            &mut index.rows(),
+            &(),
+            &mut scratch.dfs,
+            sink,
+            counters,
+        )
     })
 }
 
@@ -104,20 +207,39 @@ pub fn idx_dfs_on_demand<G: NeighborAccess>(
     }
     super::scratch::with_enum_scratch(|scratch| {
         let mut rows = scratch.rows.bind(graph, index);
-        idx_dfs_rooted(index, &mut rows, &mut scratch.dfs, sink, counters)
+        idx_dfs_rooted(index, &mut rows, &(), &mut scratch.dfs, sink, counters)
     })
 }
 
-/// The search from `s`, reading `I_t` rows from `rows`. The root's
-/// neighbor scan is charged once, as the recursive entry charges it.
-fn idx_dfs_rooted(
+/// The whole search from `s` under `walk`, reading `I_t` rows from
+/// `rows`: [`DfsScratch::seed`], then [`idx_dfs_resume`].
+pub(crate) fn idx_dfs_rooted<W: Walk>(
     index: &Index,
     rows: &mut impl RowSource,
-    scratch: &mut DfsScratch,
+    walk: &W,
+    scratch: &mut DfsScratch<W::State>,
     sink: &mut dyn PathSink,
     counters: &mut Counters,
 ) -> SearchControl {
-    let (Some(s_local), Some(t_local)) = (index.s_local(), index.t_local()) else {
+    scratch.seed(index, rows, walk, counters);
+    idx_dfs_resume(index, rows, walk, scratch, sink, counters)
+}
+
+/// Runs the search `scratch` holds until it is exhausted (`Continue`) or
+/// the sink stops it (`Stop`). After a `Stop` the stack is left as it
+/// stood, with the top frame's cursor past the path just emitted, so
+/// calling again with the same arguments continues the search exactly
+/// where it stopped. `results` counts the paths `walk` accepts;
+/// `partial_results` also counts the `t`-children it rejects.
+pub(crate) fn idx_dfs_resume<W: Walk>(
+    index: &Index,
+    rows: &mut impl RowSource,
+    walk: &W,
+    scratch: &mut DfsScratch<W::State>,
+    sink: &mut dyn PathSink,
+    counters: &mut Counters,
+) -> SearchControl {
+    let Some(t_local) = index.t_local() else {
         return SearchControl::Continue;
     };
     let k = index.k();
@@ -126,19 +248,11 @@ fn idx_dfs_rooted(
         path,
         on_path,
     } = scratch;
-    stack.clear();
-    on_path.reset(index.num_vertices());
-    let (nbr_start, nbr_len) = rows.row(s_local, k - 1);
-    counters.edges_accessed += u64::from(nbr_len);
-    stack.push(Frame {
-        vertex: s_local,
-        cursor: 0,
-        nbr_start,
-        nbr_len,
-        found: false,
-    });
-    on_path.mark(s_local as usize);
 
+    // One probe per PROBE_STRIDE frame activations. A frame activates
+    // once per push and once per child popped back into it, and has at
+    // most one t-child, so activations are never fewer than partial
+    // results — silent walks included.
     let mut probe_tick = 0u32;
     while let Some(top) = stack.last().copied() {
         if probe_tick & (super::PROBE_STRIDE - 1) == 0 && sink.probe() == SearchControl::Stop {
@@ -153,6 +267,9 @@ fn idx_dfs_rooted(
             if on_path.is_marked(next as usize) {
                 continue;
             }
+            let Some(state) = walk.step(top.state, top.vertex, next) else {
+                continue;
+            };
             if next == t_local {
                 // Emit without frame churn: a t-child terminates its path,
                 // so pushing/re-activating a frame for it would be pure
@@ -161,21 +278,28 @@ fn idx_dfs_rooted(
                 // appears in (key distance 0), so emission order is
                 // unchanged.
                 counters.partial_results += 1;
+                if !walk.accepts(state) {
+                    continue;
+                }
                 counters.results += 1;
-                probe_tick = probe_tick.wrapping_add(1);
                 path.clear();
                 path.extend(stack.iter().map(|f| index.global(f.vertex)));
                 path.push(index.global(t_local));
-                if sink.emit(path) == SearchControl::Stop {
+                let control = sink.emit(path);
+                let parent = stack.last_mut().expect("stack is non-empty");
+                parent.found = true;
+                if control == SearchControl::Stop {
+                    // Suspend past this t-child: a resumed call picks the
+                    // scan up at the next candidate.
+                    parent.cursor = (start_cursor + offset + 1) as u32;
                     return SearchControl::Stop;
                 }
-                stack.last_mut().expect("stack is non-empty").found = true;
                 continue;
             }
-            descend = Some((next, (start_cursor + offset + 1) as u32));
+            descend = Some((next, (start_cursor + offset + 1) as u32, state));
             break;
         }
-        if let Some((next, cursor)) = descend {
+        if let Some((next, cursor, state)) = descend {
             // Hint the child's neighbor row into cache: the `starts`
             // indirection defeats the hardware prefetcher, and the row is
             // scanned on the very next loop iteration.
@@ -195,6 +319,7 @@ fn idx_dfs_rooted(
                 nbr_start,
                 nbr_len,
                 found: false,
+                state,
             });
             continue;
         }

@@ -104,7 +104,7 @@ use pathenum_graph::{
 };
 
 use crate::bits::CompactBits;
-use crate::constraints::{automaton_join, filtered_graph};
+use crate::constraints::{automaton_dfs, filtered_graph, FilterSink};
 use crate::enumerate::{idx_dfs_iterative, idx_dfs_on_demand, idx_join};
 use crate::estimator::{preliminary_estimate, FullEstimate};
 use crate::index::{BuildScratch, Index};
@@ -726,10 +726,6 @@ impl Executor {
             (ConstraintSpec::Accumulative(acc), Method::IdxDfs) => {
                 acc.dfs(index, &mut control, &mut counters);
             }
-            (ConstraintSpec::Accumulative(acc), Method::IdxJoin) => {
-                let cut = plan.cut.expect("plans carry a cut for IDX-JOIN");
-                acc.join(index, cut, &mut control, &mut counters);
-            }
             (
                 ConstraintSpec::Automaton {
                     automaton,
@@ -737,30 +733,19 @@ impl Executor {
                 },
                 Method::IdxDfs,
             ) => {
-                crate::constraints::automaton_dfs(
-                    index,
-                    automaton,
-                    label_of,
-                    &mut control,
-                    &mut counters,
-                );
+                automaton_dfs(index, automaton, label_of, &mut control, &mut counters);
             }
             (
-                ConstraintSpec::Automaton {
-                    automaton,
-                    label_of,
-                },
+                ConstraintSpec::Accumulative(_) | ConstraintSpec::Automaton { .. },
                 Method::IdxJoin,
             ) => {
                 let cut = plan.cut.expect("plans carry a cut for IDX-JOIN");
-                automaton_join(
-                    index,
-                    cut,
-                    automaton,
-                    label_of.as_ref(),
-                    &mut control,
-                    &mut counters,
-                );
+                let mut accepted =
+                    FilterSink::new(|path: &[VertexId]| constraint.accepts(path), &mut control);
+                idx_join(index, cut, &mut accepted, &mut counters);
+                // Joined paths the constraint rejects are not results of
+                // the constrained query.
+                counters.results -= accepted.rejected;
             }
         }
         let termination = control.termination();

@@ -17,30 +17,30 @@ use crate::sink::{PathSink, SearchControl};
 /// simple-path check. Used as ground truth in tests; exponential in the
 /// worst case.
 pub fn brute_force_paths(graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) {
-    let mut partial: Vec<VertexId> = vec![query.s];
-    brute(graph, query, &mut partial, sink);
+    let mut path: Vec<VertexId> = vec![query.s];
+    brute(graph, query, &mut path, sink);
 }
 
 fn brute(
     graph: &CsrGraph,
     query: Query,
-    partial: &mut Vec<VertexId>,
+    path: &mut Vec<VertexId>,
     sink: &mut dyn PathSink,
 ) -> SearchControl {
-    let v = *partial.last().expect("partial contains s");
+    let v = *path.last().expect("the path contains s");
     if v == query.t {
-        return sink.emit(partial);
+        return sink.emit(path);
     }
-    if partial.len() as u32 - 1 == query.k {
+    if path.len() as u32 - 1 == query.k {
         return SearchControl::Continue;
     }
     for &n in graph.out_neighbors(v) {
-        if n == query.s || partial.contains(&n) {
+        if n == query.s || path.contains(&n) {
             continue;
         }
-        partial.push(n);
-        let control = brute(graph, query, partial, sink);
-        partial.pop();
+        path.push(n);
+        let control = brute(graph, query, path, sink);
+        path.pop();
         if control == SearchControl::Stop {
             return SearchControl::Stop;
         }

@@ -17,9 +17,17 @@
 //! * [`QueryResponse`] — the existing [`RunReport`] plus an explicit
 //!   [`Termination`] reason, so an early cut-off is *reported*, never
 //!   silent;
-//! * [`PathStream`] — a pull-based iterator over results (built on the
-//!   suspended-frame DFS of [`crate::enumerate::dfs_iterative`]) for
-//!   callers that want paths lazily without writing a [`PathSink`].
+//! * [`PathStream`] — a pull-based iterator over results for callers
+//!   that want paths lazily without writing a [`PathSink`]: the IDX-DFS
+//!   kernel of [`crate::enumerate::dfs_iterative`], resumed once per
+//!   pull on a search state the stream owns;
+//! * [`ControlledSink`] — the request's stopping rules as a sink, the one
+//!   both `execute` and [`PathStream`] enforce them with.
+//!
+//! A constraint has one acceptance check for complete paths
+//! (`ConstraintSpec::accepts`): the post-filter of constrained IDX-JOIN
+//! and of [`PathStream`]. Algorithms 7 and 8 apply the same rule during
+//! their search, on the same kernel.
 //!
 //! Evaluate a request with
 //! [`QueryEngine::execute`](crate::QueryEngine::execute),
@@ -49,7 +57,8 @@ use std::time::{Duration, Instant};
 use pathenum_graph::VertexId;
 
 use crate::constraints::automaton::{Automaton, LabelId};
-use crate::constraints::{accumulative_join, AccumulativeQuery};
+use crate::constraints::{AccumulativeQuery, FilterSink};
+use crate::enumerate::dfs_iterative::{idx_dfs_resume, DfsScratch};
 use crate::index::Index;
 use crate::query::{Query, QueryError};
 use crate::sink::{PathSink, SearchControl};
@@ -178,8 +187,9 @@ impl Termination {
 /// Clone the token, hand one copy to the request via
 /// [`QueryRequest::cancel_token`], keep the other, and call
 /// [`cancel`](CancelToken::cancel) from any thread; the evaluation
-/// observes the flag at every emission (and periodically inside
-/// [`PathStream`]) and stops with [`Termination::Cancelled`].
+/// observes the flag at every emission, at every probe the search makes
+/// between emissions, and at every [`PathStream`] pull, and stops with
+/// [`Termination::Cancelled`].
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -204,22 +214,12 @@ impl CancelToken {
 
 /// Object-safe facade over [`AccumulativeQuery`], letting the request
 /// hold the constraint without propagating its three type parameters.
-pub trait DynAccumulative {
+pub(crate) trait DynAccumulative {
     /// Algorithm 7 on `index`, streaming accepted paths into `sink`.
     fn dfs(&self, index: &Index, sink: &mut dyn PathSink, counters: &mut Counters)
         -> SearchControl;
 
-    /// The IDX-JOIN variant at `cut`.
-    fn join(
-        &self,
-        index: &Index,
-        cut: u32,
-        sink: &mut dyn PathSink,
-        counters: &mut Counters,
-    ) -> SearchControl;
-
-    /// Whether a complete path's accumulated value passes the check
-    /// (used by [`PathStream`]'s post-filter).
+    /// Whether a complete path's accumulated value passes the check.
     fn accepts(&self, path: &[VertexId]) -> bool;
 }
 
@@ -238,22 +238,8 @@ where
         crate::constraints::accumulative_dfs(index, self, sink, counters)
     }
 
-    fn join(
-        &self,
-        index: &Index,
-        cut: u32,
-        sink: &mut dyn PathSink,
-        counters: &mut Counters,
-    ) -> SearchControl {
-        accumulative_join(index, cut, self, sink, counters)
-    }
-
     fn accepts(&self, path: &[VertexId]) -> bool {
-        let mut acc = self.identity;
-        for w in path.windows(2) {
-            acc = (self.combine)(acc, (self.weight)(w[0], w[1]));
-        }
-        (self.check)(&acc)
+        AccumulativeQuery::accepts(self, path)
     }
 }
 
@@ -294,6 +280,23 @@ impl ConstraintSpec<'_> {
             ConstraintSpec::Predicate(_) => crate::plan::ConstraintKind::Predicate,
             ConstraintSpec::Accumulative(_) => crate::plan::ConstraintKind::Accumulative,
             ConstraintSpec::Automaton { .. } => crate::plan::ConstraintKind::Automaton,
+        }
+    }
+
+    /// Whether a complete path satisfies the constraint. True for none
+    /// and for predicates, whose requests already enumerate the index of
+    /// the filtered graph; the accumulative fold and the automaton run
+    /// are checked over the path's edges. Post-filters IDX-JOIN output
+    /// and [`PathStream`] output by the same rule Algorithms 7 and 8
+    /// apply during their search.
+    pub(crate) fn accepts(&self, path: &[VertexId]) -> bool {
+        match self {
+            ConstraintSpec::None | ConstraintSpec::Predicate(_) => true,
+            ConstraintSpec::Accumulative(acc) => acc.accepts(path),
+            ConstraintSpec::Automaton {
+                automaton,
+                label_of,
+            } => automaton.accepts_sequence(path.windows(2).map(|w| label_of(w[0], w[1]))),
         }
     }
 
@@ -657,21 +660,30 @@ impl<S: PathSink> ControlledSink<S> {
     pub fn termination(&self) -> Termination {
         self.stopped.unwrap_or(Termination::Completed)
     }
+
+    /// Whether a stopping rule has fired, recording the first that does:
+    /// the limit (recorded where it is reached), cancellation, and — when
+    /// `check_deadline` — the deadline.
+    #[inline]
+    fn rule_fired(&mut self, check_deadline: bool) -> bool {
+        if self.stopped.is_some() {
+            return true;
+        }
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            self.stopped = Some(Termination::Cancelled);
+            return true;
+        }
+        if check_deadline && self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.stopped = Some(Termination::DeadlineExceeded);
+            return true;
+        }
+        false
+    }
 }
 
 impl<S: PathSink> PathSink for ControlledSink<S> {
     fn emit(&mut self, path: &[VertexId]) -> SearchControl {
-        if self.stopped.is_some() {
-            return SearchControl::Stop;
-        }
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            self.stopped = Some(Termination::Cancelled);
-            return SearchControl::Stop;
-        }
-        if self.emitted.is_multiple_of(DEADLINE_CHECK_INTERVAL)
-            && self.deadline.is_some_and(|d| Instant::now() >= d)
-        {
-            self.stopped = Some(Termination::DeadlineExceeded);
+        if self.rule_fired(self.emitted.is_multiple_of(DEADLINE_CHECK_INTERVAL)) {
             return SearchControl::Stop;
         }
         let control = self.inner.emit(path);
@@ -688,17 +700,7 @@ impl<S: PathSink> PathSink for ControlledSink<S> {
     /// cancellation and the deadline are observed even while the search
     /// traverses a barren region that emits nothing.
     fn probe(&mut self) -> SearchControl {
-        if self.stopped.is_some() {
-            return SearchControl::Stop;
-        }
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            self.stopped = Some(Termination::Cancelled);
-            return SearchControl::Stop;
-        }
-        if self.probes.is_multiple_of(DEADLINE_CHECK_INTERVAL)
-            && self.deadline.is_some_and(|d| Instant::now() >= d)
-        {
-            self.stopped = Some(Termination::DeadlineExceeded);
+        if self.rule_fired(self.probes.is_multiple_of(DEADLINE_CHECK_INTERVAL)) {
             return SearchControl::Stop;
         }
         self.probes += 1;
@@ -706,54 +708,31 @@ impl<S: PathSink> PathSink for ControlledSink<S> {
     }
 }
 
-/// One suspended DFS frame of a [`PathStream`].
-#[derive(Debug, Clone, Copy)]
-struct StreamFrame {
-    vertex: crate::index::LocalId,
-    cursor: u32,
-}
+/// The innermost sink of a [`PathStream`]: keeps the one path a pull
+/// resumes the kernel for, and pauses the search on it.
+#[derive(Debug, Default)]
+struct NextPath(Vec<VertexId>);
 
-/// Per-path acceptance check applied by [`PathStream`] before yielding.
-///
-/// Predicate constraints need no filter here — the stream enumerates the
-/// predicate-filtered graph directly, mirroring Appendix E. The
-/// accumulative and automaton constraints are checked per complete path,
-/// which yields exactly the same path set as Algorithms 7/8 (those
-/// thread the state through the search purely to prune earlier).
-enum StreamFilter<'q> {
-    None,
-    Accumulative(&'q dyn DynAccumulative),
-    Automaton {
-        automaton: &'q Automaton,
-        label_of: &'q (dyn Fn(VertexId, VertexId) -> LabelId + 'q),
-    },
-}
-
-impl StreamFilter<'_> {
-    fn accepts(&self, path: &[VertexId]) -> bool {
-        match self {
-            StreamFilter::None => true,
-            StreamFilter::Accumulative(acc) => acc.accepts(path),
-            StreamFilter::Automaton {
-                automaton,
-                label_of,
-            } => automaton.accepts_sequence(path.windows(2).map(|w| label_of(w[0], w[1]))),
-        }
+impl PathSink for NextPath {
+    fn emit(&mut self, path: &[VertexId]) -> SearchControl {
+        self.0.clear();
+        self.0.extend_from_slice(path);
+        SearchControl::Stop
     }
 }
-
-/// How many DFS steps a [`PathStream`] takes between deadline /
-/// cancellation checks while no results are being produced.
-const STREAM_CHECK_INTERVAL: u32 = 1024;
 
 /// A pull-based iterator over the results of a [`QueryRequest`],
 /// produced by [`QueryEngine::stream`](crate::QueryEngine::stream).
 ///
-/// The underlying explicit-stack DFS (the suspended form of
-/// [`crate::enumerate::idx_dfs_iterative`]) advances only while the
-/// caller pulls, so a service can interleave result delivery with other
-/// work and abandon the stream at any point without wasted enumeration.
-/// The request's `limit`, `time_budget`, and `CancelToken` are honored;
+/// The stream runs the crate's IDX-DFS kernel
+/// ([`crate::enumerate::dfs_iterative`]) on a search state of its own,
+/// resuming it once per pulled path, so the search advances only while
+/// the caller pulls: a service can interleave result delivery with other
+/// work — other queries on the same thread included — and abandon the
+/// stream at any point without wasted enumeration. Paths come in the
+/// order [`execute`](crate::QueryEngine::execute) returns for the
+/// request under IDX-DFS. The request's `limit`, `time_budget`, and
+/// `CancelToken` are honored by the [`ControlledSink`] `execute` uses;
 /// [`termination`](PathStream::termination) reports how the stream
 /// ended.
 ///
@@ -776,53 +755,38 @@ const STREAM_CHECK_INTERVAL: u32 = 1024;
 /// ```
 pub struct PathStream<'q> {
     index: Index,
-    stack: Vec<StreamFrame>,
-    filter: StreamFilter<'q>,
-    limit: Option<u64>,
-    deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
-    emitted: u64,
-    steps_since_check: u32,
+    constraint: &'q ConstraintSpec<'q>,
+    control: ControlledSink<NextPath>,
+    /// The paused search, owned: never the per-thread arena, which the
+    /// next query on this thread reuses.
+    scratch: DfsScratch,
+    counters: Counters,
     termination: Option<Termination>,
 }
 
 impl<'q> PathStream<'q> {
     pub(crate) fn new(index: Index, request: &'q QueryRequest<'_>) -> Self {
-        let filter = match &request.constraint {
-            // Predicate requests enumerate the filtered graph's index.
-            ConstraintSpec::None | ConstraintSpec::Predicate(_) => StreamFilter::None,
-            ConstraintSpec::Accumulative(acc) => StreamFilter::Accumulative(acc.as_ref()),
-            ConstraintSpec::Automaton {
-                automaton,
-                label_of,
-            } => StreamFilter::Automaton {
-                automaton,
-                label_of: label_of.as_ref(),
-            },
-        };
-        let mut stack = Vec::with_capacity(index.k() as usize + 1);
-        if let Some(s_local) = index.s_local() {
-            stack.push(StreamFrame {
-                vertex: s_local,
-                cursor: 0,
-            });
-        }
+        let mut scratch = DfsScratch::default();
+        let mut counters = Counters::default();
+        scratch.seed(&index, &mut index.rows(), &(), &mut counters);
         PathStream {
+            constraint: &request.constraint,
+            control: ControlledSink::new(
+                NextPath::default(),
+                request.limit,
+                request.time_budget.map(|b| Instant::now() + b),
+                request.cancel.clone(),
+            ),
             index,
-            stack,
-            filter,
-            limit: request.limit,
-            deadline: request.time_budget.map(|b| Instant::now() + b),
-            cancel: request.cancel.clone(),
-            emitted: 0,
-            steps_since_check: 0,
+            scratch,
+            counters,
             termination: None,
         }
     }
 
     /// Results yielded so far.
     pub fn emitted(&self) -> u64 {
-        self.emitted
+        self.control.emitted()
     }
 
     /// How the stream ended; `None` while results may still come.
@@ -834,71 +798,6 @@ impl<'q> PathStream<'q> {
     pub fn index(&self) -> &Index {
         &self.index
     }
-
-    /// Checks cancellation and deadline; on trigger records the
-    /// termination and returns `true`.
-    fn interrupted(&mut self) -> bool {
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            self.termination = Some(Termination::Cancelled);
-            return true;
-        }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.termination = Some(Termination::DeadlineExceeded);
-            return true;
-        }
-        false
-    }
-
-    /// Advances the suspended DFS until the next complete s-t path
-    /// (ignoring the filter), or `None` when the search is exhausted.
-    fn next_raw(&mut self) -> Option<Vec<VertexId>> {
-        let t_local = self.index.t_local()?;
-        let k = self.index.k();
-        while let Some(top) = self.stack.last().copied() {
-            self.steps_since_check += 1;
-            if self.steps_since_check >= STREAM_CHECK_INTERVAL {
-                self.steps_since_check = 0;
-                if self.interrupted() {
-                    return None;
-                }
-            }
-            let depth = self.stack.len() as u32 - 1; // edges used so far
-            if top.vertex == t_local && depth > 0 {
-                // Emit and force-backtrack: t's only forward neighbor is
-                // the padding loop, which the DFS never follows.
-                let path: Vec<VertexId> = self
-                    .stack
-                    .iter()
-                    .map(|f| self.index.global(f.vertex))
-                    .collect();
-                self.stack.pop();
-                return Some(path);
-            }
-            let budget = k - depth - 1;
-            let neighbors = self.index.i_t(top.vertex, budget);
-            let mut advanced = false;
-            let mut cursor = top.cursor as usize;
-            while cursor < neighbors.len() {
-                let next = neighbors[cursor];
-                cursor += 1;
-                if self.stack.iter().any(|f| f.vertex == next) {
-                    continue;
-                }
-                let top_mut = self.stack.last_mut().expect("stack is non-empty");
-                top_mut.cursor = cursor as u32;
-                self.stack.push(StreamFrame {
-                    vertex: next,
-                    cursor: 0,
-                });
-                advanced = true;
-                break;
-            }
-            if !advanced {
-                self.stack.pop();
-            }
-        }
-        None
-    }
 }
 
 impl Iterator for PathStream<'_> {
@@ -908,31 +807,35 @@ impl Iterator for PathStream<'_> {
         if self.termination.is_some() {
             return None;
         }
-        // A saturated (or zero) limit stops before any further search,
+        // Every pull observes cancellation and the deadline before the
+        // search resumes; a saturated (or zero) limit stops it too,
         // matching `execute`'s pre-flight semantics.
-        if self.limit.is_some_and(|l| self.emitted >= l) {
-            self.termination = Some(Termination::LimitReached);
+        if self.control.rule_fired(true) {
+            self.termination = self.control.stopped;
             return None;
         }
-        if self.interrupted() {
-            return None;
-        }
-        loop {
-            let Some(path) = self.next_raw() else {
-                if self.termination.is_none() {
-                    self.termination = Some(Termination::Completed);
-                }
-                return None;
-            };
-            if !self.filter.accepts(&path) {
-                continue;
-            }
-            self.emitted += 1;
-            if self.limit.is_some_and(|l| self.emitted >= l) {
-                self.termination = Some(Termination::LimitReached);
-            }
-            return Some(path);
-        }
+        let emitted = self.control.emitted();
+        // Rejected paths never reach the limit's count.
+        let constraint = self.constraint;
+        let mut accepted = FilterSink::new(
+            |path: &[VertexId]| constraint.accepts(path),
+            &mut self.control,
+        );
+        let control = idx_dfs_resume(
+            &self.index,
+            &mut self.index.rows(),
+            &(),
+            &mut self.scratch,
+            &mut accepted,
+            &mut self.counters,
+        );
+        // Exhausted, or paused on a path (and perhaps at the limit), or
+        // stopped by a rule.
+        self.termination = match control {
+            SearchControl::Continue => Some(Termination::Completed),
+            SearchControl::Stop => self.control.stopped,
+        };
+        (self.control.emitted() > emitted).then(|| self.control.inner().0.clone())
     }
 }
 

@@ -148,3 +148,39 @@ fn barren_search_still_probes() {
     assert!(tally.probes >= 1);
     assert_eq!(tally.emits, 1, "exactly the corridor path");
 }
+
+#[test]
+fn barren_constrained_walk_probes_at_the_stride() {
+    // An automaton without an accepting state: every walk reaches t and
+    // is rejected, so the whole constrained search emits nothing — and
+    // must still probe at the plain kernels' stride.
+    let mut automaton = Automaton::new(1, 1, 0).unwrap();
+    automaton.add_transition(0, 0, 0).unwrap();
+    let index = dense_index(9, 6);
+    let mut tally = ProbeTally::default();
+    let mut counters = Counters::default();
+    automaton_dfs(&index, &automaton, |_, _| 0, &mut tally, &mut counters);
+    assert_eq!(tally.emits, 0, "nothing is accepted");
+    assert!(counters.partial_results > PROBE_STRIDE, "the walk is large");
+    assert!(
+        tally.probes >= counters.partial_results / PROBE_STRIDE,
+        "{} probes for {} partial results",
+        tally.probes,
+        counters.partial_results
+    );
+
+    let mut sink = StopAtFirstProbe {
+        emits: 0,
+        probes: 0,
+    };
+    let control = automaton_dfs(
+        &index,
+        &automaton,
+        |_, _| 0,
+        &mut sink,
+        &mut Counters::default(),
+    );
+    assert_eq!(control, SearchControl::Stop);
+    assert_eq!(sink.emits, 0);
+    assert_eq!(sink.probes, 1, "the walk kept searching after Stop");
+}

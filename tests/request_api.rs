@@ -90,6 +90,36 @@ fn parity_automaton() -> Automaton {
     a
 }
 
+/// A request of constraint kind `kind` (0 none, 1 predicate, 2
+/// accumulative without a prune, 3 accumulative with a sound prune, 4
+/// automaton), optionally limited. Requests hold boxed closures and are
+/// not `Clone`, so each evaluation builds its own.
+fn request_of_kind(
+    q: Query,
+    kind: u8,
+    threshold: u64,
+    limit: Option<u64>,
+) -> QueryRequest<'static> {
+    let req = QueryRequest::from_query(q);
+    let req = match kind {
+        0 => req,
+        1 => req.predicate(move |u, v| weight(u, v) >= threshold % 8),
+        2 => req.accumulative(acc_query(threshold)),
+        3 => req.accumulative(AccumulativeQuery {
+            identity: 0u64,
+            combine: |a, b| a + b,
+            weight,
+            check: |&total: &u64| total <= 9,
+            prune: Some(|&total: &u64| total <= 9),
+        }),
+        _ => req.automaton(parity_automaton(), label),
+    };
+    match limit {
+        Some(n) => req.limit(n),
+        None => req,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -208,6 +238,35 @@ proptest! {
         let join = run(&mut engine, Method::IdxJoin);
         prop_assert_eq!(dfs, join);
     }
+
+    #[test]
+    fn stream_equals_execute_in_order_under_every_constraint(
+        (n, edges) in arb_graph(),
+        k in 2u32..6,
+        kind in 0u8..5,
+        threshold in 0u64..20,
+        limit_pick in 0usize..3,
+    ) {
+        let limit = [Some(1u64), Some(7), None][limit_pick];
+        let g = graph_from_edges(n, &edges);
+        let q = Query::new(0, 1, k).expect("valid");
+        let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
+        let executed = engine
+            .execute(
+                &request_of_kind(q, kind, threshold, limit)
+                    .method(Method::IdxDfs)
+                    .collect_paths(true),
+            )
+            .expect("valid request");
+        let req = request_of_kind(q, kind, threshold, limit);
+        let mut stream = engine.stream(&req).expect("valid request");
+        // Element for element, unsorted: the stream is the kernel paused
+        // between emissions, so it must keep `execute`'s order.
+        let streamed: Vec<Vec<VertexId>> = stream.by_ref().collect();
+        prop_assert_eq!(&streamed, &executed.paths);
+        prop_assert_eq!(stream.termination(), Some(executed.termination));
+        prop_assert_eq!(stream.emitted(), executed.num_results());
+    }
 }
 
 #[test]
@@ -292,6 +351,53 @@ fn cancellation_is_observed_and_reported() {
         assert!(after.is_none(), "no results after cancellation");
         assert_eq!(stream.termination(), Some(Termination::Cancelled));
     }
+}
+
+#[test]
+fn paused_streams_own_their_search_state() {
+    // Two streams pulled alternately on one thread, with an IDX-DFS
+    // `execute` between pulls: each paused search survives the other
+    // searches the thread runs and yields its own `execute`'s paths.
+    let g = erdos_renyi(40, 240, 9);
+    let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
+    let q_a = Query::new(0, 1, 5).expect("valid");
+    let q_b = Query::new(2, 3, 5).expect("valid");
+    let make_a = || request_of_kind(q_a, 0, 0, None);
+    let make_b = || request_of_kind(q_b, 4, 0, None);
+    let expected = |engine: &mut QueryEngine<'_>, req: QueryRequest<'_>| {
+        let req = req.method(Method::IdxDfs).collect_paths(true);
+        engine.execute(&req).expect("valid request").paths
+    };
+    let expected_a = expected(&mut engine, make_a());
+    let expected_b = expected(&mut engine, make_b());
+    assert!(
+        expected_a.len() > 10 && expected_b.len() > 10,
+        "both streams page"
+    );
+
+    let (req_a, req_b) = (make_a(), make_b());
+    let mut stream_a = engine.stream(&req_a).expect("valid request");
+    let mut stream_b = engine.stream(&req_b).expect("valid request");
+    let interloper = QueryRequest::paths(4, 5)
+        .max_hops(5)
+        .method(Method::IdxDfs)
+        .bypass_cache();
+    let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+    loop {
+        let a = stream_a.next();
+        engine.execute(&interloper).expect("valid request");
+        let b = stream_b.next();
+        engine.execute(&interloper).expect("valid request");
+        if a.is_none() && b.is_none() {
+            break;
+        }
+        got_a.extend(a);
+        got_b.extend(b);
+    }
+    assert_eq!(got_a, expected_a);
+    assert_eq!(got_b, expected_b);
+    assert_eq!(stream_a.termination(), Some(Termination::Completed));
+    assert_eq!(stream_b.termination(), Some(Termination::Completed));
 }
 
 #[test]
