@@ -491,6 +491,7 @@ fn in_kernel_scope(path: &str) -> bool {
 fn in_hashmap_scope(path: &str) -> bool {
     in_kernel_scope(path)
         || path == "crates/pathenum/src/plan.rs"
+        || path == "crates/pathenum/src/sharded.rs"
         || path.starts_with("crates/pathenum/src/index/")
 }
 

@@ -175,6 +175,26 @@ fn std_hashmap_fixture_exact_counts() {
 }
 
 #[test]
+fn std_hashmap_scope_covers_the_shared_cache_map() {
+    // Both cache layers keep their entries in the one versioned LRU in
+    // `sharded.rs`; `plan.rs` stays in scope beside it.
+    let src = include_str!("fixtures/hashmap.rs");
+    for path in [
+        "crates/pathenum/src/sharded.rs",
+        "crates/pathenum/src/plan.rs",
+    ] {
+        let findings = analyze_source(path, src);
+        assert_eq!(
+            lines(&by_rule(&findings, "std-hashmap")),
+            vec![5, 8],
+            "{path}"
+        );
+    }
+    let outside = analyze_source("crates/pathenum/src/results.rs", src);
+    assert!(by_rule(&outside, "std-hashmap").is_empty());
+}
+
+#[test]
 fn unsafe_inventory_fixture_outside_allowlist() {
     let src = include_str!("fixtures/unsafe.rs");
     let findings = analyze_source("crates/pathenum/src/engine.rs", src);

@@ -98,10 +98,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pathenum_graph::epoch::EpochMap;
-use pathenum_graph::hashing::{FxBuildHasher, FxHashMap};
-use pathenum_graph::{
-    DynamicGraph, EdgeMutation, GraphSnapshot, GraphVersion, NeighborAccess, VertexId,
-};
+use pathenum_graph::{DynamicGraph, GraphSnapshot, GraphVersion, NeighborAccess, VertexId};
 
 use crate::bits::CompactBits;
 use crate::constraints::{automaton_dfs, filtered_graph, FilterSink};
@@ -113,7 +110,7 @@ use crate::optimizer::{
 };
 use crate::query::Query;
 use crate::request::{CancelToken, ConstraintSpec, ControlledSink, QueryRequest, Termination};
-use crate::sharded::{CacheStats, ShardCache, Sharded};
+use crate::sharded::{CacheStats, Retained, ShardCache, Sharded, VersionedLru};
 use crate::sink::PathSink;
 use crate::stats::{Counters, Method, PhaseTimings};
 
@@ -852,11 +849,15 @@ impl From<GraphVersion> for GraphStamp<'_> {
 /// `t` (backward, `G − {s}`).
 ///
 /// Surgical retention keeps a cache entry across a mutation delta when
-/// the delta provably cannot change the query's result set:
+/// the delta provably cannot change what the entry holds. Both layers
+/// run the one retention walk (`VersionedLru` in `sharded.rs`); each
+/// hands it its own rule for a removed edge:
 ///
-/// * a **deleted** edge is harmless unless both endpoints are in the
-///   entry's index partition `X` (only such edges can appear in the
-///   index's neighbor tables, hence on a result path);
+/// * a **deleted** edge invalidates a *plan* entry only when both
+///   endpoints are in its index partition `X` — only such edges can
+///   appear in the index's neighbor tables, which the entry caches — and
+///   a *result* entry only when it leaves the `s`-reach and enters the
+///   `t`-reach, as every edge of every result path does;
 /// * an **inserted** edge can only contribute to a *new* result path if
 ///   the path's first inserted edge leaves the `s`-reach set and its
 ///   last inserted edge enters the `t`-reach set — so the entry stays
@@ -924,9 +925,9 @@ impl IndexFootprint {
     }
 
     /// For an **inserted** edge `(u, w)`: whether it starts inside the
-    /// `s`-reach and whether it ends inside the `t`-reach. Callers
-    /// accumulate these as sticky flags; an entry dies once both have
-    /// ever been set (the same rule `CacheEntry::survives_delta` uses).
+    /// `s`-reach and whether it ends inside the `t`-reach. The retention
+    /// walk accumulates these as sticky flags; an entry dies once both
+    /// have ever been set.
     pub(crate) fn insertion_touches(&self, u: VertexId, w: VertexId) -> (bool, bool) {
         (self.reach_s.contains(u), self.reach_t.contains(w))
     }
@@ -939,8 +940,7 @@ impl IndexFootprint {
 }
 
 #[derive(Debug)]
-struct CacheEntry {
-    version: GraphVersion,
+struct PlanEntry {
     /// What does not depend on a request's limit: the index shape and
     /// the estimates, the full ones once some request needed them.
     /// `method`, `cut` and `limit` are those of whichever request stored
@@ -950,57 +950,14 @@ struct CacheEntry {
     /// index to an executing worker without cloning the tables and
     /// without holding its shard lock for the duration of the query.
     index: Arc<Index>,
-    last_used: u64,
-    /// Reach footprint enabling surgical retention; `None` for entries
-    /// planned on graphs without a mutation log (plain snapshots).
-    footprint: Option<IndexFootprint>,
-    /// Sticky: some delta insertion since build starts inside `reach_s`.
-    src_touched: bool,
-    /// Sticky: some delta insertion since build ends inside `reach_t`.
-    dst_touched: bool,
 }
 
-impl CacheEntry {
-    /// Whether this entry's results are provably unchanged by the
-    /// mutations applied after `self.version`, updating the sticky
-    /// insertion flags along the way.
-    fn survives_delta(&mut self, graph: &DynamicGraph) -> bool {
-        let Some(footprint) = &self.footprint else {
-            return false;
-        };
-        if footprint.lineage != graph.lineage() {
-            // The entry was stamped against a different graph value's
-            // history; this graph's log cannot re-validate it.
-            return false;
-        }
-        let Some(mutations) = graph.mutations_since(self.version) else {
-            return false; // delta log window slid past this entry
-        };
-        for (kind, (u, w)) in mutations {
-            match kind {
-                EdgeMutation::Removed => {
-                    // Only edges with both endpoints in X can sit in the
-                    // index's neighbor tables or on a result path.
-                    if self.index.vertices.binary_search(&u).is_ok()
-                        && self.index.vertices.binary_search(&w).is_ok()
-                    {
-                        return false;
-                    }
-                }
-                EdgeMutation::Inserted => {
-                    if footprint.reach_s.contains(u) {
-                        self.src_touched = true;
-                    }
-                    if footprint.reach_t.contains(w) {
-                        self.dst_touched = true;
-                    }
-                    if self.src_touched && self.dst_touched {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+impl Retained for PlanEntry {
+    fn removal_invalidates(&self, _: &IndexFootprint, u: VertexId, w: VertexId) -> bool {
+        // Only edges with both endpoints in X can sit in the index's
+        // neighbor tables or on a result path.
+        self.index.vertices.binary_search(&u).is_ok()
+            && self.index.vertices.binary_search(&w).is_ok()
     }
 }
 
@@ -1029,12 +986,8 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
 /// [`QueryEngine::into_cache`](crate::QueryEngine::into_cache).
 #[derive(Debug)]
 pub struct PlanCache {
-    capacity: usize,
-    // Fx keying on PlanKey: the deliberate PR 7 hashing choice — SipHash
-    // stays out of the plan-lookup hot path.
-    entries: FxHashMap<PlanKey, CacheEntry>,
-    clock: u64,
-    stats: CacheStats,
+    /// Each entry is charged 1 against the capacity.
+    lru: VersionedLru<PlanKey, PlanEntry>,
 }
 
 impl Default for PlanCache {
@@ -1048,92 +1001,52 @@ impl PlanCache {
     /// caching entirely (every lookup misses, nothing is stored).
     pub fn new(capacity: usize) -> Self {
         PlanCache {
-            capacity,
-            entries: FxHashMap::with_capacity_and_hasher(
-                capacity.min(1024),
-                FxBuildHasher::default(),
-            ),
-            clock: 0,
-            stats: CacheStats::default(),
+            lru: VersionedLru::new(capacity),
         }
     }
 
     /// Maximum number of entries.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lru.budget()
     }
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lru.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Aggregate hit/miss/invalidation/eviction counts.
     pub fn stats(&self) -> PlanCacheStats {
-        self.stats
+        self.lru.stats()
     }
 
     /// Drops every entry (statistics are kept).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.lru.clear();
     }
 
     /// Records a request evaluated without consulting this cache.
     pub(crate) fn note_bypass(&mut self) {
-        self.stats.lookups += 1;
-        self.stats.bypasses += 1;
+        self.lru.note_bypass();
     }
 
-    /// Looks up an entry for `key` against the serving graph `at`.
-    ///
-    /// An entry stamped at the graph's current version is a plain hit.
-    /// An entry stamped at an *older* version is re-validated when the
-    /// graph offers a mutation log: if every mutation since the stamp is
-    /// provably irrelevant to the entry's recorded footprint (see
-    /// [`IndexFootprint`]), the entry is re-stamped to the current
-    /// version and served — a hit (counted in
-    /// [`PlanCacheStats::retained`]) instead of a rebuild. Otherwise (no
-    /// log, no footprint, or a relevant delta) the entry is removed and
-    /// counted as an invalidation; both stale and absent count as misses.
+    /// Looks up an entry for `key` against the serving graph `at`: a
+    /// current entry hits, and a version-stale one is re-validated
+    /// against the graph's mutation log (see [`IndexFootprint`]) — served
+    /// as a retained hit instead of a rebuild — or removed.
     pub(crate) fn lookup<'g>(
         &mut self,
         key: &PlanKey,
         at: impl Into<GraphStamp<'g>>,
     ) -> Option<(PhysicalPlan, Arc<Index>)> {
-        let at = at.into();
-        self.stats.lookups += 1;
-        // Entry API: one hash probe whether the lookup hits, invalidates,
-        // or misses.
-        match self.entries.entry(*key) {
-            std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                let entry = occupied.get_mut();
-                let fresh = entry.version == at.version;
-                if fresh || at.log.is_some_and(|log| entry.survives_delta(log)) {
-                    self.clock += 1;
-                    self.stats.hits += 1;
-                    if !fresh {
-                        entry.version = at.version;
-                        self.stats.retained += 1;
-                    }
-                    entry.last_used = self.clock;
-                    Some((entry.plan, Arc::clone(&entry.index)))
-                } else {
-                    occupied.remove();
-                    self.stats.invalidations += 1;
-                    self.stats.misses += 1;
-                    None
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(_) => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        self.lru.lookup(key, at.into(), |entry| {
+            Some((entry.plan, Arc::clone(&entry.index)))
+        })
     }
 
     /// Completes the entry for `key` with what a reader computed, outside
@@ -1149,7 +1062,7 @@ impl PlanCache {
         plan: &PhysicalPlan,
         index: &Arc<Index>,
     ) {
-        let Some(entry) = self.entries.get_mut(key) else {
+        let Some((_, entry)) = self.lru.get_mut(key) else {
             return;
         };
         if !Arc::ptr_eq(&entry.index, seen) {
@@ -1181,33 +1094,8 @@ impl PlanCache {
         index: Arc<Index>,
         footprint: Option<IndexFootprint>,
     ) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            if let Some(lru) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            {
-                self.entries.remove(&lru);
-                self.stats.evictions += 1;
-            }
-        }
-        self.clock += 1;
-        self.entries.insert(
-            key,
-            CacheEntry {
-                version,
-                plan,
-                index,
-                last_used: self.clock,
-                footprint,
-                src_touched: false,
-                dst_touched: false,
-            },
-        );
+        self.lru
+            .insert(key, version, PlanEntry { plan, index }, footprint, 1);
     }
 }
 

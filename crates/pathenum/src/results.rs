@@ -32,10 +32,15 @@
 //! * **Mutation streams retain surgically.** Entries recorded on a graph
 //!   that keeps a mutation log (a
 //!   [`DynamicEngine`](crate::DynamicEngine)'s) carry the same
-//!   `IndexFootprint` plan entries do; a version-stale entry survives
-//!   a delta that provably cannot touch any result path (a removed edge
-//!   invalidates only when it leaves the `s`-reach *and* enters the
-//!   `t`-reach; insertions use the sticky two-sided rule).
+//!   `IndexFootprint` plan entries do, and a version-stale entry goes
+//!   through the same retention walk, the one in
+//!   [`sharded`](crate::sharded)'s versioned LRU: it survives a delta
+//!   that provably cannot touch any result path. Insertions use the
+//!   sticky two-sided rule. The removal rule is this layer's own: a
+//!   removed edge invalidates only when it leaves the `s`-reach *and*
+//!   enters the `t`-reach, as every edge of every result path does. The
+//!   plan layer's stricter rule (both ends in `X`) guards index tables
+//!   this layer does not hold.
 //! * **Admission is byte-budgeted.** Entries are charged their real
 //!   heap footprint (paths + footprint bitsets); the LRU evicts until
 //!   the budget holds, and an entry larger than the whole budget is
@@ -55,16 +60,15 @@
 //! identity the shared plan cache pins:
 //! `hits + misses + bypasses == lookups`.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pathenum_graph::{DynamicGraph, EdgeMutation, GraphVersion, VertexId};
+use pathenum_graph::{GraphVersion, VertexId};
 
 use crate::optimizer::PathEnumConfig;
 use crate::plan::{GraphStamp, IndexFootprint, PhysicalPlan};
 use crate::request::{ConstraintSpec, QueryRequest, Termination};
-use crate::sharded::{CacheStats, ShardCache, Sharded};
+use crate::sharded::{CacheStats, Retained, ShardCache, Sharded, VersionedLru};
 use crate::sink::{PathBuffer, PathSink, SearchControl};
 use crate::stats::Method;
 
@@ -213,11 +217,10 @@ pub(crate) struct CachedResult {
 
 /// Fixed per-entry overhead charged against the byte budget on top of
 /// the measured path/footprint bytes (map slot, entry struct, `Arc`).
-const ENTRY_OVERHEAD_BYTES: usize = 192;
+pub(crate) const ENTRY_OVERHEAD_BYTES: usize = 192;
 
 #[derive(Debug)]
 struct ResultEntry {
-    version: GraphVersion,
     plan: PhysicalPlan,
     paths: Arc<PathBuffer>,
     termination: Termination,
@@ -225,16 +228,6 @@ struct ResultEntry {
     limit: Option<u64>,
     /// The time budget the recording run executed under.
     time_budget: Option<Duration>,
-    /// Reach footprint enabling surgical retention; `None` for entries
-    /// stored by engines that do not track deltas.
-    footprint: Option<IndexFootprint>,
-    /// Sticky: some delta insertion since recording starts in `reach_s`.
-    src_touched: bool,
-    /// Sticky: some delta insertion since recording ends in `reach_t`.
-    dst_touched: bool,
-    last_used: u64,
-    /// Charged against the cache's byte budget.
-    bytes: usize,
 }
 
 impl ResultEntry {
@@ -294,41 +287,13 @@ impl ResultEntry {
             _ => new_paths > self.paths.len(),
         }
     }
+}
 
-    /// Whether this entry's results are provably unchanged by the
-    /// mutations applied after `self.version`, updating the sticky
-    /// insertion flags along the way. The removal rule differs from the
-    /// plan cache's: an edge can sit on a *result path* only if it
-    /// leaves the `s`-reach and enters the `t`-reach, so only such
-    /// removals invalidate.
-    fn survives_delta(&mut self, graph: &DynamicGraph) -> bool {
-        let Some(footprint) = &self.footprint else {
-            return false;
-        };
-        if footprint.lineage() != graph.lineage() {
-            return false;
-        }
-        let Some(mutations) = graph.mutations_since(self.version) else {
-            return false; // delta log window slid past this entry
-        };
-        for (kind, (u, w)) in mutations {
-            match kind {
-                EdgeMutation::Removed => {
-                    if footprint.removal_touches_results(u, w) {
-                        return false;
-                    }
-                }
-                EdgeMutation::Inserted => {
-                    let (src, dst) = footprint.insertion_touches(u, w);
-                    self.src_touched |= src;
-                    self.dst_touched |= dst;
-                    if self.src_touched && self.dst_touched {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+impl Retained for ResultEntry {
+    fn removal_invalidates(&self, footprint: &IndexFootprint, u: VertexId, w: VertexId) -> bool {
+        // An edge can sit on a result path only if it leaves the
+        // `s`-reach and enters the `t`-reach.
+        footprint.removal_touches_results(u, w)
     }
 }
 
@@ -346,11 +311,9 @@ pub const DEFAULT_RESULT_CACHE_BYTES: usize = 16 * 1024 * 1024;
 /// over successive snapshots.
 #[derive(Debug)]
 pub struct ResultCache {
-    byte_budget: usize,
-    entries: HashMap<ResultKey, ResultEntry>,
-    bytes: usize,
-    clock: u64,
-    stats: CacheStats,
+    /// Each entry is charged its measured bytes plus
+    /// [`ENTRY_OVERHEAD_BYTES`] against the byte budget.
+    lru: VersionedLru<ResultKey, ResultEntry>,
 }
 
 impl Default for ResultCache {
@@ -366,59 +329,49 @@ impl ResultCache {
     /// stored.
     pub fn new(byte_budget: usize) -> Self {
         ResultCache {
-            byte_budget,
-            entries: HashMap::new(),
-            bytes: 0,
-            clock: 0,
-            stats: CacheStats::default(),
+            lru: VersionedLru::new(byte_budget),
         }
     }
 
     /// The configured byte budget.
     pub fn byte_budget(&self) -> usize {
-        self.byte_budget
+        self.lru.budget()
     }
 
     /// Bytes currently charged by stored entries.
     pub fn bytes(&self) -> usize {
-        self.bytes
+        self.lru.charged()
     }
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lru.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> ResultCacheStats {
-        self.stats
+        self.lru.stats()
     }
 
     /// Drops every entry (statistics are kept).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.bytes = 0;
+        self.lru.clear();
     }
 
     /// Records a request evaluated without consulting this cache.
     pub(crate) fn note_bypass(&mut self) {
-        self.stats.lookups += 1;
-        self.stats.bypasses += 1;
+        self.lru.note_bypass();
     }
 
     /// Looks up a servable answer for `key` against the serving graph
-    /// `at`, under the request's bounds. A version-stale entry is
-    /// re-validated when the graph offers a mutation log — re-stamped and
-    /// served if the delta is provably irrelevant to its footprint
-    /// (counted in [`ResultCacheStats::retained`]) — and otherwise
-    /// removed and counted as an invalidation; a bound-incompatible entry
-    /// stays (a tighter future request can still use it) but the lookup
-    /// counts as a miss.
+    /// `at`, under the request's bounds, re-validating a version-stale
+    /// entry as the plan layer does. A bound-incompatible entry stays (a
+    /// tighter future request can still use it); the lookup misses.
     pub(crate) fn lookup<'g>(
         &mut self,
         key: &ResultKey,
@@ -426,55 +379,15 @@ impl ResultCache {
         budget: Option<Duration>,
         at: impl Into<GraphStamp<'g>>,
     ) -> Option<CachedResult> {
-        let at = at.into();
-        self.stats.lookups += 1;
-        let mut retained = false;
-        match self.entries.get_mut(key) {
-            None => {
-                self.stats.misses += 1;
-                return None;
-            }
-            Some(entry) if entry.version != at.version => {
-                if at.log.is_some_and(|log| entry.survives_delta(log)) {
-                    entry.version = at.version;
-                    retained = true;
-                } else {
-                    self.remove(key);
-                    self.stats.invalidations += 1;
-                    self.stats.misses += 1;
-                    return None;
-                }
-            }
-            Some(_) => {}
-        }
-        let clock = self.clock + 1;
-        // Re-borrow after the re-validation above; a vanished entry is a
-        // graceful miss rather than a panic.
-        let Some(entry) = self.entries.get_mut(key) else {
-            self.stats.misses += 1;
-            return None;
-        };
-        match entry.serve(limit, budget) {
-            Some((served, termination)) => {
-                entry.last_used = clock;
-                let result = CachedResult {
-                    plan: entry.plan,
-                    paths: Arc::clone(&entry.paths),
-                    served,
-                    termination,
-                };
-                self.clock = clock;
-                self.stats.hits += 1;
-                if retained {
-                    self.stats.retained += 1;
-                }
-                Some(result)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        self.lru.lookup(key, at.into(), |entry| {
+            let (served, termination) = entry.serve(limit, budget)?;
+            Some(CachedResult {
+                plan: entry.plan,
+                paths: Arc::clone(&entry.paths),
+                served,
+                termination,
+            })
+        })
     }
 
     /// Stores one recorded answer, evicting least-recently-used entries
@@ -494,57 +407,25 @@ impl ResultCache {
         time_budget: Option<Duration>,
         footprint: Option<IndexFootprint>,
     ) {
-        if self.byte_budget == 0 || termination == Termination::Cancelled {
+        if termination == Termination::Cancelled {
             return;
         }
-        if let Some(existing) = self.entries.get(&key) {
-            if existing.version == version && !existing.superseded_by(termination, paths.len()) {
+        if let Some((stored, existing)) = self.lru.get_mut(&key) {
+            if stored == version && !existing.superseded_by(termination, paths.len()) {
                 return;
             }
         }
         let bytes = paths.heap_bytes()
             + footprint.as_ref().map_or(0, IndexFootprint::heap_bytes)
             + ENTRY_OVERHEAD_BYTES;
-        if bytes > self.byte_budget {
-            return;
-        }
-        self.remove(&key);
-        while self.bytes + bytes > self.byte_budget {
-            let Some(lru) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            else {
-                break;
-            };
-            self.remove(&lru);
-            self.stats.evictions += 1;
-        }
-        self.clock += 1;
-        self.bytes += bytes;
-        self.entries.insert(
-            key,
-            ResultEntry {
-                version,
-                plan,
-                paths: Arc::new(paths),
-                termination,
-                limit,
-                time_budget,
-                footprint,
-                src_touched: false,
-                dst_touched: false,
-                last_used: self.clock,
-                bytes,
-            },
-        );
-    }
-
-    fn remove(&mut self, key: &ResultKey) {
-        if let Some(entry) = self.entries.remove(key) {
-            self.bytes -= entry.bytes;
-        }
+        let entry = ResultEntry {
+            plan,
+            paths: Arc::new(paths),
+            termination,
+            limit,
+            time_budget,
+        };
+        self.lru.insert(key, version, entry, footprint, bytes);
     }
 }
 

@@ -2,9 +2,9 @@
 //! for random graphs and random update streams, a [`DynamicEngine`]
 //! answering on the live overlay returns *path-for-path* identical
 //! results (same set, same order) to a [`QueryEngine`] answering on
-//! `snapshot()`, across enumeration methods, result limits, and thread
-//! counts — and a plan cache carried across mutations (surgical
-//! retention) never changes any answer.
+//! `snapshot()`, across enumeration methods and result limits — and a
+//! plan cache carried across mutations (surgical retention) never
+//! changes any answer.
 
 use proptest::prelude::*;
 
