@@ -125,7 +125,6 @@ impl GraphHandle {
     pub fn representation(&self) -> &'static str {
         match self {
             GraphHandle::Heap(_) => "heap-csr",
-            GraphHandle::Frozen(g) if g.is_compressed() => "frozen-compressed",
             GraphHandle::Frozen(_) => "frozen",
             GraphHandle::Dynamic(_) => "dynamic-overlay",
         }
@@ -285,7 +284,7 @@ mod tests {
     fn all_representations_agree_on_adjacency() {
         let g = erdos_renyi(50, 300, 11);
         let mut image = Vec::new();
-        write_frozen(&g, true, &mut image).unwrap();
+        write_frozen(&g, &mut image).unwrap();
         let frozen = GraphHandle::from(read_frozen(image.as_slice()).unwrap());
         let dynamic = GraphHandle::from(DynamicGraph::new(g.clone()));
         let heap = GraphHandle::from(g.clone());
@@ -321,7 +320,7 @@ mod tests {
         let g = erdos_renyi(5, 10, 2);
         assert_eq!(GraphHandle::from(g.clone()).representation(), "heap-csr");
         let mut image = Vec::new();
-        write_frozen(&g, false, &mut image).unwrap();
+        write_frozen(&g, &mut image).unwrap();
         let frozen = read_frozen(image.as_slice()).unwrap();
         assert_eq!(GraphHandle::from(frozen).representation(), "frozen");
         assert_eq!(

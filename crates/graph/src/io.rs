@@ -4,6 +4,11 @@
 //! ship in: one `from to` pair per line, `#` or `%` comment lines ignored,
 //! whitespace-separated. Self-loops in inputs are skipped (with a count
 //! reported) rather than failing, since several real datasets contain them.
+//!
+//! One comment is read: when the first non-blank line is exactly
+//! `# vertices=N edges=M`, the header [`write_edge_list`] emits, the graph
+//! has exactly `N` vertices, so isolated high-numbered vertices survive a
+//! round trip and an endpoint `>= N` is malformed.
 
 use std::io::{BufRead, Write};
 
@@ -51,14 +56,33 @@ impl From<std::io::Error> for ReadError {
     }
 }
 
+/// The vertex count of a `# vertices=N edges=M` header line.
+fn header_vertices(line: &str) -> Option<VertexId> {
+    let mut parts = line.strip_prefix('#')?.split_whitespace();
+    let vertices = parts.next()?.strip_prefix("vertices=")?.parse().ok()?;
+    parts.next()?.strip_prefix("edges=")?.parse::<u64>().ok()?;
+    parts.next().is_none().then_some(vertices)
+}
+
 /// Parses a whitespace-separated edge list from a reader.
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<ParsedGraph, ReadError> {
     let mut builder = GraphBuilder::growable();
+    let mut declared_vertices: Option<VertexId> = None;
+    let mut first_line = true;
     let mut skipped_self_loops = 0usize;
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+        if trimmed.is_empty() {
+            continue;
+        }
+        if std::mem::take(&mut first_line) {
+            declared_vertices = header_vertices(trimmed);
+            if let Some(n) = declared_vertices {
+                builder = GraphBuilder::new(n as usize);
+            }
+        }
+        if trimmed.starts_with('#') || trimmed.starts_with('%') {
             continue;
         }
         let mut parts = trimmed.split_whitespace();
@@ -81,13 +105,19 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<ParsedGraph, ReadError> {
                 })
             }
         };
+        if declared_vertices.is_some_and(|n| from.max(to) >= n) {
+            return Err(ReadError::Malformed {
+                line_number: idx + 1,
+                content: trimmed.to_string(),
+            });
+        }
         if from == to {
             skipped_self_loops += 1;
             continue;
         }
         builder
             .add_edge(from, to)
-            .expect("growable builder only rejects self-loops, which are filtered above");
+            .expect("self-loops and out-of-range endpoints are filtered above");
     }
     Ok(ParsedGraph {
         graph: builder.finish(),
@@ -101,7 +131,8 @@ pub fn read_edge_list_file(path: &std::path::Path) -> Result<ParsedGraph, ReadEr
     read_edge_list(std::io::BufReader::new(file))
 }
 
-/// Writes a graph as a `# vertices edges` header plus one edge per line.
+/// Writes a graph as a `# vertices=N edges=M` header plus one edge per
+/// line; [`read_edge_list`] reads the header back as the vertex count.
 pub fn write_edge_list<W: Write>(graph: &CsrGraph, mut writer: W) -> std::io::Result<()> {
     writeln!(
         writer,
@@ -142,20 +173,29 @@ mod tests {
         assert!(matches!(err, ReadError::Malformed { line_number: 1, .. }));
         let err = read_edge_list("42\n".as_bytes()).unwrap_err();
         assert!(matches!(err, ReadError::Malformed { .. }));
+        let err = read_edge_list("# vertices=2 edges=1\n0 2\n".as_bytes()).unwrap_err();
+        assert!(matches!(err, ReadError::Malformed { line_number: 2, .. }));
     }
 
     #[test]
     fn write_then_read_roundtrips() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edges([(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        let g = b.finish();
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let parsed = read_edge_list(buf.as_slice()).unwrap();
-        assert_eq!(parsed.graph.num_vertices(), g.num_vertices());
-        let a: Vec<_> = g.edges().collect();
-        let b: Vec<_> = parsed.graph.edges().collect();
-        assert_eq!(a, b);
+        // The second graph's highest-numbered vertices are isolated, so
+        // only the header can bring them back.
+        for (n, edges) in [
+            (4, vec![(0, 1), (1, 2), (2, 3), (3, 0)]),
+            (5, vec![(0, 1), (1, 2)]),
+        ] {
+            let mut b = GraphBuilder::new(n);
+            b.add_edges(edges).unwrap();
+            let g = b.finish();
+            let mut buf = Vec::new();
+            write_edge_list(&g, &mut buf).unwrap();
+            let parsed = read_edge_list(buf.as_slice()).unwrap();
+            assert_eq!(parsed.graph.num_vertices(), g.num_vertices());
+            let a: Vec<_> = g.edges().collect();
+            let b: Vec<_> = parsed.graph.edges().collect();
+            assert_eq!(a, b);
+        }
     }
 
     #[test]

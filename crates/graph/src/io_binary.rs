@@ -1,12 +1,14 @@
-//! Compact binary graph serialization: `PEG1` (edge list) and `PEG2`
-//! (CSR-native, zero-copy).
+//! Compact binary graph serialization: `PEG2` (CSR-native, zero-copy),
+//! the one format the library writes, and `PEG1` (edge list), which it
+//! only reads.
 //!
 //! Text edge lists parse at tens of MB/s; reloading a large graph for
 //! every experiment run dominates harness start-up. Two little-endian
-//! binary formats fix that at different points on the cost curve:
+//! binary formats load faster:
 //!
-//! `PEG1` — a sorted edge list that round-trips a [`CsrGraph`] through
-//! one sequential read, rebuilding the CSR arrays on load:
+//! `PEG1` — a sorted edge list, read into a [`CsrGraph`] through one
+//! sequential read that rebuilds the CSR arrays (read-only here: inputs
+//! in this format come from other writers):
 //!
 //! ```text
 //! magic  "PEG1"           4 bytes
@@ -24,7 +26,7 @@
 //! ```text
 //! header (32 bytes):
 //!   magic "PEG2"          4 bytes
-//!   flags: u32            4 bytes   bit 0 = varint/delta adjacency
+//!   flags: u32            4 bytes   must be 0
 //!   vertices: u64         8 bytes
 //!   edges:    u64         8 bytes
 //!   checksum: u64         8 bytes   FNV-1a over the payload
@@ -34,25 +36,21 @@
 //!   between), offsets absolute from the start of the image
 //! ```
 //!
-//! Raw adjacency sections hold `(V+1) x u64` element offsets and
-//! `E x u32` neighbor ids; compressed sections hold `(V+1) x u64` *byte*
-//! offsets into per-row varint streams (`degree, first, delta, …`). See
-//! [`crate::frozen`] for the serving side and the validation story.
+//! Adjacency sections hold `(V+1) x u64` element offsets and `E x u32`
+//! neighbor ids. See [`crate::frozen`] for the serving side and the
+//! validation story.
 
 use std::io::{Read, Write};
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
-use crate::frozen::{push_varint, FrozenGraph};
+use crate::frozen::FrozenGraph;
 use crate::handle::GraphHandle;
 use crate::types::VertexId;
 use crate::zerocopy::AlignedBuf;
 
 const MAGIC: &[u8; 4] = b"PEG1";
 const MAGIC2: &[u8; 4] = b"PEG2";
-
-/// Flag bit 0: adjacency sections are varint/delta streams.
-pub(crate) const FLAG_COMPRESSED: u32 = 1;
 
 /// Bytes of the fixed `PEG2` header (magic, flags, counts, checksum).
 pub(crate) const PEG2_HEADER_LEN: usize = 32;
@@ -102,24 +100,6 @@ impl From<std::io::Error> for BinaryError {
     }
 }
 
-/// Serializes a graph to the `PEG1` edge-list format.
-pub fn write_binary<W: Write>(graph: &CsrGraph, mut writer: W) -> std::io::Result<()> {
-    writer.write_all(MAGIC)?;
-    writer.write_all(&(graph.num_vertices() as u64).to_le_bytes())?;
-    writer.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
-    let mut buffer = Vec::with_capacity(8 * 1024);
-    for (from, to) in graph.edges() {
-        buffer.extend_from_slice(&from.to_le_bytes());
-        buffer.extend_from_slice(&to.to_le_bytes());
-        if buffer.len() >= 8 * 1024 - 8 {
-            writer.write_all(&buffer)?;
-            buffer.clear();
-        }
-    }
-    writer.write_all(&buffer)?;
-    Ok(())
-}
-
 /// Deserializes a graph from the `PEG1` edge-list format.
 pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, BinaryError> {
     let mut magic = [0u8; 4];
@@ -153,12 +133,6 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, BinaryError> {
             .map_err(|_| BinaryError::Corrupt("invalid edge (self-loop or out of range)"))?;
     }
     Ok(builder.finish())
-}
-
-/// Writes a graph to a file in the `PEG1` format.
-pub fn write_binary_file(graph: &CsrGraph, path: &std::path::Path) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_binary(graph, std::io::BufWriter::new(file))
 }
 
 /// Reads a graph from a `PEG1` file.
@@ -203,47 +177,12 @@ fn encode_raw_direction(offsets: &[usize], targets: &[VertexId]) -> (Vec<u8>, Ve
     (off_bytes, adj_bytes)
 }
 
-/// Encodes one CSR direction as varint sections: `(V+1) x u64` *byte*
-/// offsets and per-row `degree, first, delta, …` streams (rows are
-/// strictly ascending, so every delta is >= 1).
-fn encode_varint_direction(offsets: &[usize], targets: &[VertexId]) -> (Vec<u8>, Vec<u8>) {
-    let mut off_bytes = Vec::with_capacity(offsets.len() * 8);
-    let mut stream = Vec::new();
-    for v in 0..offsets.len().saturating_sub(1) {
-        off_bytes.extend_from_slice(&(stream.len() as u64).to_le_bytes());
-        let row = &targets[offsets[v]..offsets[v + 1]];
-        push_varint(&mut stream, row.len() as u64);
-        let mut prev = 0u64;
-        for (i, &n) in row.iter().enumerate() {
-            let value = u64::from(n);
-            push_varint(&mut stream, if i == 0 { value } else { value - prev });
-            prev = value;
-        }
-    }
-    off_bytes.extend_from_slice(&(stream.len() as u64).to_le_bytes());
-    (off_bytes, stream)
-}
-
-/// Serializes a graph to the `PEG2` zero-copy format. `compress`
-/// selects varint/delta adjacency sections (smaller image, decoded on
-/// the fly) over raw ones (byte-for-byte the serving layout).
-pub fn write_frozen<W: Write>(
-    graph: &CsrGraph,
-    compress: bool,
-    mut writer: W,
-) -> std::io::Result<()> {
+/// Serializes a graph to the `PEG2` zero-copy format, whose sections
+/// are byte-for-byte the serving layout.
+pub fn write_frozen<W: Write>(graph: &CsrGraph, mut writer: W) -> std::io::Result<()> {
     let (out_offsets, out_targets, in_offsets, in_sources) = graph.csr_parts();
-    let [(fwd_off, fwd_adj), (rev_off, rev_adj)] = if compress {
-        [
-            encode_varint_direction(out_offsets, out_targets),
-            encode_varint_direction(in_offsets, in_sources),
-        ]
-    } else {
-        [
-            encode_raw_direction(out_offsets, out_targets),
-            encode_raw_direction(in_offsets, in_sources),
-        ]
-    };
+    let (fwd_off, fwd_adj) = encode_raw_direction(out_offsets, out_targets);
+    let (rev_off, rev_adj) = encode_raw_direction(in_offsets, in_sources);
 
     // Assemble the payload with 8-byte-aligned section starts and
     // record the absolute (offset, len) table entries.
@@ -261,7 +200,7 @@ pub fn write_frozen<W: Write>(
     }
 
     writer.write_all(MAGIC2)?;
-    writer.write_all(&if compress { FLAG_COMPRESSED } else { 0 }.to_le_bytes())?;
+    writer.write_all(&0u32.to_le_bytes())?;
     writer.write_all(&(graph.num_vertices() as u64).to_le_bytes())?;
     writer.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
     writer.write_all(&fnv1a(&payload).to_le_bytes())?;
@@ -273,22 +212,18 @@ pub fn write_frozen<W: Write>(
 }
 
 /// Writes a graph to a file in the `PEG2` format.
-pub fn write_frozen_file(
-    graph: &CsrGraph,
-    compress: bool,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
+pub fn write_frozen_file(graph: &CsrGraph, path: &std::path::Path) -> std::io::Result<()> {
     let file = std::fs::File::create(path)?;
-    write_frozen(graph, compress, std::io::BufWriter::new(file))
+    write_frozen(graph, std::io::BufWriter::new(file))
 }
 
-/// Parsed `PEG2` header: `(vertices, edges, compressed, section ranges)`.
-pub(crate) type Peg2Header = (usize, usize, bool, [std::ops::Range<usize>; 4]);
+/// Parsed `PEG2` header: `(vertices, edges, section ranges)`.
+pub(crate) type Peg2Header = (usize, usize, [std::ops::Range<usize>; 4]);
 
 /// Validates the fixed `PEG2` header + section table of a complete
-/// image: magic, flags, id-space bounds, payload checksum, and section
-/// geometry (in-bounds, 8-byte aligned, ascending, non-overlapping).
-/// Returns `(vertices, edges, compressed, section ranges)`.
+/// image: magic, flags (all zero), id-space bounds, payload checksum,
+/// and section geometry (in-bounds, 8-byte aligned, ascending,
+/// non-overlapping). Returns `(vertices, edges, section ranges)`.
 pub(crate) fn parse_peg2_header(buf: &AlignedBuf) -> Result<Peg2Header, BinaryError> {
     let bytes = buf.as_bytes();
     if bytes.len() < PAYLOAD_BASE {
@@ -299,7 +234,7 @@ pub(crate) fn parse_peg2_header(buf: &AlignedBuf) -> Result<Peg2Header, BinaryEr
         return Err(BinaryError::BadMagic(magic));
     }
     let flags = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
-    if flags & !FLAG_COMPRESSED != 0 {
+    if flags != 0 {
         return Err(BinaryError::Corrupt("unknown header flags"));
     }
     let vertices = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
@@ -340,7 +275,7 @@ pub(crate) fn parse_peg2_header(buf: &AlignedBuf) -> Result<Peg2Header, BinaryEr
         *section = offset..end;
         previous_end = end;
     }
-    Ok((vertices, edges, flags & FLAG_COMPRESSED != 0, sections))
+    Ok((vertices, edges, sections))
 }
 
 /// Deserializes a [`FrozenGraph`] from a `PEG2` stream. The stream is
@@ -444,18 +379,30 @@ mod tests {
         row
     }
 
-    fn frozen_bytes(g: &CsrGraph, compress: bool) -> Vec<u8> {
+    fn frozen_bytes(g: &CsrGraph) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_frozen(g, compress, &mut buf).unwrap();
+        write_frozen(g, &mut buf).unwrap();
         buf
+    }
+
+    /// `PEG1` bytes for a graph: magic, vertex and edge counts as `u64`,
+    /// then the sorted `u32` pairs.
+    fn peg1_bytes(g: &CsrGraph) -> Vec<u8> {
+        let mut out = Vec::with_capacity(20 + g.num_edges() * 8);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
+        out.extend_from_slice(&(g.num_edges() as u64).to_le_bytes());
+        for (from, to) in g.edges() {
+            out.extend_from_slice(&from.to_le_bytes());
+            out.extend_from_slice(&to.to_le_bytes());
+        }
+        out
     }
 
     #[test]
     fn roundtrip_preserves_the_graph() {
         let g = erdos_renyi(200, 1500, 9);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let back = read_binary(buf.as_slice()).unwrap();
+        let back = read_binary(peg1_bytes(&g).as_slice()).unwrap();
         assert_eq!(back.num_vertices(), g.num_vertices());
         assert_eq!(back.num_edges(), g.num_edges());
         assert_eq!(
@@ -467,9 +414,7 @@ mod tests {
     #[test]
     fn roundtrip_empty_graph() {
         let g = erdos_renyi(5, 0, 0);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let back = read_binary(buf.as_slice()).unwrap();
+        let back = read_binary(peg1_bytes(&g).as_slice()).unwrap();
         assert_eq!(back.num_vertices(), 5);
         assert_eq!(back.num_edges(), 0);
     }
@@ -482,9 +427,7 @@ mod tests {
 
     #[test]
     fn rejects_truncated_stream() {
-        let g = erdos_renyi(10, 20, 1);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
+        let mut buf = peg1_bytes(&erdos_renyi(10, 20, 1));
         buf.truncate(buf.len() - 3);
         let err = read_binary(buf.as_slice()).unwrap_err();
         assert!(matches!(err, BinaryError::Corrupt(_)));
@@ -524,7 +467,7 @@ mod tests {
         let dir = std::env::temp_dir().join("pathenum_io_binary_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.peg");
-        write_binary_file(&g, &path).unwrap();
+        std::fs::write(&path, peg1_bytes(&g)).unwrap();
         let back = read_binary_file(&path).unwrap();
         assert_eq!(back.num_edges(), g.num_edges());
         std::fs::remove_file(&path).ok();
@@ -533,64 +476,54 @@ mod tests {
     #[test]
     fn frozen_roundtrip_matches_source_adjacency() {
         let g = erdos_renyi(120, 900, 17);
-        for compress in [false, true] {
-            let frozen = read_frozen(frozen_bytes(&g, compress).as_slice()).unwrap();
-            assert_eq!(frozen.num_vertices(), g.num_vertices());
-            assert_eq!(frozen.num_edges(), g.num_edges());
-            assert_eq!(frozen.is_compressed(), compress);
-            for v in 0..g.num_vertices() as VertexId {
-                assert_eq!(out_row(&frozen, v), out_row(&g, v), "out row {v}");
-                assert_eq!(in_row(&frozen, v), in_row(&g, v), "in row {v}");
-                assert_eq!(frozen.out_degree(v), g.out_degree(v));
-                assert_eq!(frozen.in_degree(v), g.in_degree(v));
-            }
+        let frozen = read_frozen(frozen_bytes(&g).as_slice()).unwrap();
+        assert_eq!(frozen.num_vertices(), g.num_vertices());
+        assert_eq!(frozen.num_edges(), g.num_edges());
+        for v in 0..g.num_vertices() as VertexId {
+            assert_eq!(out_row(&frozen, v), out_row(&g, v), "out row {v}");
+            assert_eq!(in_row(&frozen, v), in_row(&g, v), "in row {v}");
+            assert_eq!(frozen.out_degree(v), g.out_degree(v));
+            assert_eq!(frozen.in_degree(v), g.in_degree(v));
         }
     }
 
     #[test]
     fn frozen_has_edge_agrees_with_source() {
         let g = erdos_renyi(40, 250, 3);
-        for compress in [false, true] {
-            let frozen = read_frozen(frozen_bytes(&g, compress).as_slice()).unwrap();
-            for u in 0..40u32 {
-                for w in 0..40u32 {
-                    assert_eq!(frozen.has_edge(u, w), g.has_edge(u, w), "({u},{w})");
-                }
+        let frozen = read_frozen(frozen_bytes(&g).as_slice()).unwrap();
+        for u in 0..40u32 {
+            for w in 0..40u32 {
+                assert_eq!(frozen.has_edge(u, w), g.has_edge(u, w), "({u},{w})");
             }
         }
     }
 
     #[test]
     fn frozen_roundtrip_empty_and_tiny() {
-        for compress in [false, true] {
-            let g = erdos_renyi(7, 0, 0);
-            let frozen = read_frozen(frozen_bytes(&g, compress).as_slice()).unwrap();
-            assert_eq!(frozen.num_vertices(), 7);
-            assert_eq!(frozen.num_edges(), 0);
-            let g = erdos_renyi(0, 0, 0);
-            let frozen = read_frozen(frozen_bytes(&g, compress).as_slice()).unwrap();
-            assert_eq!(frozen.num_vertices(), 0);
-        }
+        let g = erdos_renyi(7, 0, 0);
+        let frozen = read_frozen(frozen_bytes(&g).as_slice()).unwrap();
+        assert_eq!(frozen.num_vertices(), 7);
+        assert_eq!(frozen.num_edges(), 0);
+        let g = erdos_renyi(0, 0, 0);
+        let frozen = read_frozen(frozen_bytes(&g).as_slice()).unwrap();
+        assert_eq!(frozen.num_vertices(), 0);
     }
 
     #[test]
     fn frozen_to_csr_thaws_identically() {
         let g = erdos_renyi(60, 400, 5);
-        for compress in [false, true] {
-            let frozen = read_frozen(frozen_bytes(&g, compress).as_slice()).unwrap();
-            let thawed = frozen.to_csr();
-            assert_eq!(
-                thawed.edges().collect::<Vec<_>>(),
-                g.edges().collect::<Vec<_>>()
-            );
-        }
+        let thawed = read_frozen(frozen_bytes(&g).as_slice()).unwrap().to_csr();
+        assert_eq!(
+            thawed.edges().collect::<Vec<_>>(),
+            g.edges().collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn frozen_rejects_bad_magic_and_short_images() {
         let err = read_frozen(&b"PEGX\0\0\0\0"[..]).unwrap_err();
         assert!(matches!(err, BinaryError::Corrupt(_)), "short image");
-        let mut image = frozen_bytes(&erdos_renyi(10, 30, 1), false);
+        let mut image = frozen_bytes(&erdos_renyi(10, 30, 1));
         image[..4].copy_from_slice(b"PEGX");
         let err = read_frozen(image.as_slice()).unwrap_err();
         assert!(matches!(err, BinaryError::BadMagic(_)));
@@ -598,21 +531,19 @@ mod tests {
 
     #[test]
     fn frozen_rejects_payload_corruption() {
-        for compress in [false, true] {
-            let mut image = frozen_bytes(&erdos_renyi(50, 300, 2), compress);
-            let last = image.len() - 1;
-            image[last] ^= 0x40;
-            let err = read_frozen(image.as_slice()).unwrap_err();
-            assert!(
-                matches!(err, BinaryError::Corrupt("payload checksum mismatch")),
-                "flipped payload byte must fail the checksum, got {err}"
-            );
-        }
+        let mut image = frozen_bytes(&erdos_renyi(50, 300, 2));
+        let last = image.len() - 1;
+        image[last] ^= 0x40;
+        let err = read_frozen(image.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, BinaryError::Corrupt("payload checksum mismatch")),
+            "flipped payload byte must fail the checksum, got {err}"
+        );
     }
 
     #[test]
     fn frozen_rejects_truncation() {
-        let image = frozen_bytes(&erdos_renyi(50, 300, 2), false);
+        let image = frozen_bytes(&erdos_renyi(50, 300, 2));
         for keep in [10, PEG2_HEADER_LEN, PAYLOAD_BASE, image.len() - 5] {
             let err = read_frozen(&image[..keep]).unwrap_err();
             assert!(matches!(err, BinaryError::Corrupt(_)), "keep={keep}");
@@ -621,7 +552,7 @@ mod tests {
 
     #[test]
     fn frozen_rejects_misaligned_section_offset() {
-        let mut image = frozen_bytes(&erdos_renyi(20, 80, 4), false);
+        let mut image = frozen_bytes(&erdos_renyi(20, 80, 4));
         // Nudge section 1's offset off 8-byte alignment; the checksum
         // covers the payload only, so the table edit must be caught by
         // the geometry checks, not the checksum.
@@ -637,13 +568,41 @@ mod tests {
     }
 
     #[test]
+    fn set_header_flags_are_refused_by_every_loader() {
+        let dir = std::env::temp_dir().join("pathenum_io_binary_flags_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("flagged.peg");
+        // Bit 0 once selected a varint adjacency layout; bit 31 was never
+        // assigned. The flags word sits outside the checksummed payload.
+        for flags in [1u32, 1 << 31] {
+            let mut image = frozen_bytes(&erdos_renyi(20, 80, 4));
+            image[4..8].copy_from_slice(&flags.to_le_bytes());
+            let err = read_frozen(image.as_slice()).unwrap_err();
+            assert!(
+                matches!(err, BinaryError::Corrupt("unknown header flags")),
+                "flags {flags:#x}: {err}"
+            );
+            std::fs::write(&path, &image).unwrap();
+            let err = read_graph_file(&path).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    LoadError::Binary(BinaryError::Corrupt("unknown header flags"))
+                ),
+                "flags {flags:#x}: {err}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn frozen_file_roundtrip_and_sniffing_loader() {
         let g = erdos_renyi(30, 120, 6);
         let dir = std::env::temp_dir().join("pathenum_io_binary_test");
         std::fs::create_dir_all(&dir).unwrap();
 
         let frozen_path = dir.join("g2.peg");
-        write_frozen_file(&g, true, &frozen_path).unwrap();
+        write_frozen_file(&g, &frozen_path).unwrap();
         let frozen = read_frozen_file(&frozen_path).unwrap();
         assert_eq!(frozen.num_edges(), g.num_edges());
         let handle = read_graph_file(&frozen_path).unwrap();
@@ -651,7 +610,7 @@ mod tests {
         assert_eq!(handle.num_edges(), g.num_edges());
 
         let peg1_path = dir.join("g1.peg");
-        write_binary_file(&g, &peg1_path).unwrap();
+        std::fs::write(&peg1_path, peg1_bytes(&g)).unwrap();
         let handle = read_graph_file(&peg1_path).unwrap();
         assert!(matches!(handle, GraphHandle::Heap(_)));
         assert_eq!(handle.num_edges(), g.num_edges());
@@ -661,6 +620,7 @@ mod tests {
         crate::io::write_edge_list(&g, &mut text).unwrap();
         std::fs::write(&text_path, &text).unwrap();
         let handle = read_graph_file(&text_path).unwrap();
+        assert_eq!(handle.num_vertices(), g.num_vertices());
         assert_eq!(handle.num_edges(), g.num_edges());
 
         for p in [&frozen_path, &peg1_path, &text_path] {

@@ -12,8 +12,9 @@
 //!   Barabási–Albert, complete, grid, layered DAG) standing in for the
 //!   paper's real-world datasets.
 //! * [`io`]: plain edge-list parsing and serialization.
-//! * [`io_binary`]: the `PEG1` (edge list) and `PEG2` (CSR-native,
-//!   zero-copy) binary formats, plus a format-sniffing file loader.
+//! * [`io_binary`]: the `PEG2` (CSR-native, zero-copy) binary format,
+//!   the one the library writes; a `PEG1` (edge list) reader; and a
+//!   format-sniffing file loader.
 //! * [`frozen`]: [`FrozenGraph`], a query-ready graph served straight
 //!   from an aligned `PEG2` load buffer — no rebuild, no re-sort.
 //! * [`handle`]: [`GraphHandle`], one shareable handle over heap,

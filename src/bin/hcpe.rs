@@ -5,10 +5,12 @@
 //!      [--algorithm pathenum|idx-dfs|idx-join|bc-dfs|bc-join|t-dfs|yen]
 //! ```
 //!
-//! The graph file's format is sniffed: `PEG2`/`PEG1` binary images are
-//! accepted, and anything else is parsed as a whitespace-separated
-//! `from to` edge list with `#`/`%` comment lines ignored (SNAP /
-//! networkrepository format).
+//! The graph file's format is sniffed: `PEG2` images (the one binary
+//! format the library writes) and `PEG1` images are accepted, and
+//! anything else is parsed as a whitespace-separated `from to` edge list
+//! with `#`/`%` comment lines ignored (SNAP / networkrepository format).
+//! A first line `# vertices=N edges=M`, the header the library's text
+//! writer emits, fixes the vertex count at `N`.
 
 use std::process::ExitCode;
 

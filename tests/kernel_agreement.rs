@@ -22,8 +22,8 @@
 //! labels-only index ([`Index::build_labels`]), filling each row from the
 //! graph the first time it expands the row's owner, must emit exactly
 //! what [`idx_dfs_iterative`] emits on [`Index::build`] — paths, order,
-//! counters — at every result limit, on heap, frozen and varint-frozen
-//! storage; and completing a labels-only index must yield that index.
+//! counters — at every result limit, on heap and frozen storage; and
+//! completing a labels-only index must yield that index.
 
 use std::collections::VecDeque;
 
@@ -67,7 +67,7 @@ fn arb_graph() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
 
 fn frozen_from(graph: &CsrGraph) -> FrozenGraph {
     let mut image = Vec::new();
-    write_frozen(graph, false, &mut image).expect("in-memory write");
+    write_frozen(graph, &mut image).expect("in-memory write");
     read_frozen(image.as_slice()).expect("round trip")
 }
 
@@ -731,18 +731,11 @@ fn sweep_proves_unreachable_and_too_distant_targets_empty() {
 }
 
 /// The storage forms a request is served from without a mutation log:
-/// the heap CSR, its frozen image, and its varint-compressed frozen
-/// image.
-fn storages(g: &CsrGraph) -> [(&'static str, GraphHandle); 3] {
-    let frozen = |compress| {
-        let mut image = Vec::new();
-        write_frozen(g, compress, &mut image).expect("in-memory write");
-        GraphHandle::from(read_frozen(image.as_slice()).expect("round trip"))
-    };
+/// the heap CSR and its frozen image.
+fn storages(g: &CsrGraph) -> [(&'static str, GraphHandle); 2] {
     [
         ("heap", GraphHandle::from(g.clone())),
-        ("frozen", frozen(false)),
-        ("varint", frozen(true)),
+        ("frozen", GraphHandle::from(frozen_from(g))),
     ]
 }
 
@@ -774,6 +767,7 @@ fn on_demand_rows_match_the_eager_kernel_at_every_limit() {
             (0, n / 3, 5),
             (1, 42, 4),
             (2, 17, 4),
+            (2, n / 2, 5),
         ];
         for (storage, graph) in storages(&g) {
             let mut scratch = BuildScratch::default();

@@ -1,19 +1,19 @@
 //! Storage representations must be indistinguishable from the heap CSR
 //! graph: for random graphs, a [`FrozenGraph`] loaded from a `PEG2`
-//! image (raw or varint-compressed) serves *identical* adjacency — same
-//! neighbors, same strictly ascending order, same degrees — which is
-//! what makes enumeration results byte-identical across
-//! representations, and one proptest executes requests on all three to
-//! say so directly. Compressed cache footprints ([`CompactBits`]) must
-//! agree with the dense oracle ([`DenseBits`]) on every membership
-//! decision a retention check could make, and corrupted or truncated
-//! serialized streams must fail loudly (or, where a format carries no
-//! checksum for a region, at worst round-trip to a graph — never
-//! panic).
+//! image serves *identical* adjacency — same neighbors, same strictly
+//! ascending order, same degrees — which is what makes enumeration
+//! results byte-identical across representations, and one proptest
+//! executes requests on both to say so directly. A `PEG1` stream
+//! round-trips a graph exactly. Compressed cache footprints
+//! ([`CompactBits`]) must agree with the dense oracle ([`DenseBits`]) on
+//! every membership decision a retention check could make, and corrupted
+//! or truncated serialized streams must fail loudly (or, where a format
+//! carries no checksum for a region, at worst round-trip to a graph —
+//! never panic).
 
 use proptest::prelude::*;
 
-use pathenum_repro::graph::io_binary::{read_binary, read_frozen, write_binary, write_frozen};
+use pathenum_repro::graph::io_binary::{read_binary, read_frozen, write_frozen};
 use pathenum_repro::prelude::*;
 
 fn graph_from_edges(n: u32, edges: &[(u32, u32)]) -> CsrGraph {
@@ -26,10 +26,24 @@ fn graph_from_edges(n: u32, edges: &[(u32, u32)]) -> CsrGraph {
     b.finish()
 }
 
-fn frozen_from(graph: &CsrGraph, compress: bool) -> FrozenGraph {
+fn frozen_from(graph: &CsrGraph) -> FrozenGraph {
     let mut image = Vec::new();
-    write_frozen(graph, compress, &mut image).expect("in-memory write");
+    write_frozen(graph, &mut image).expect("in-memory write");
     read_frozen(image.as_slice()).expect("round trip")
+}
+
+/// `PEG1` bytes for a graph: magic, vertex and edge counts as `u64`,
+/// then the sorted `u32` pairs.
+fn peg1_bytes(graph: &CsrGraph) -> Vec<u8> {
+    let mut out = Vec::with_capacity(20 + graph.num_edges() * 8);
+    out.extend_from_slice(b"PEG1");
+    out.extend_from_slice(&(graph.num_vertices() as u64).to_le_bytes());
+    out.extend_from_slice(&(graph.num_edges() as u64).to_le_bytes());
+    for (from, to) in graph.edges() {
+        out.extend_from_slice(&from.to_le_bytes());
+        out.extend_from_slice(&to.to_le_bytes());
+    }
+    out
 }
 
 fn out_row(g: &impl NeighborAccess, v: VertexId) -> Vec<VertexId> {
@@ -50,15 +64,14 @@ proptest! {
     /// Adjacency identity across representations, including the
     /// iteration-order contract every deterministic-results guarantee
     /// rests on: rows come out strictly ascending, identically, from
-    /// the heap CSR, the raw frozen image, and the compressed one.
+    /// the heap CSR and the frozen image.
     #[test]
     fn frozen_adjacency_is_identical_and_strictly_ascending(
         n in 1u32..40,
         edges in proptest::collection::vec((0u32..40, 0u32..40), 0..200),
-        compress_raw in 0u8..2,
     ) {
         let graph = graph_from_edges(n, &edges);
-        let frozen = frozen_from(&graph, compress_raw == 1);
+        let frozen = frozen_from(&graph);
         prop_assert_eq!(frozen.num_vertices(), graph.num_vertices());
         prop_assert_eq!(frozen.num_edges(), graph.num_edges());
         for v in 0..n {
@@ -86,8 +99,7 @@ proptest! {
         let graph = graph_from_edges(n, &edges);
         let handles = [
             GraphHandle::from(graph.clone()),
-            GraphHandle::from(frozen_from(&graph, false)),
-            GraphHandle::from(frozen_from(&graph, true)),
+            GraphHandle::from(frozen_from(&graph)),
             GraphHandle::from(DynamicGraph::new(graph.clone())),
         ];
         for handle in &handles {
@@ -108,9 +120,9 @@ proptest! {
     }
 
     /// Served paths across representations: one request executed on the
-    /// heap CSR, the raw frozen image and the varint one, each behind a
-    /// [`GraphHandle`], returns the same paths in the same order under
-    /// both forced methods.
+    /// heap CSR and the frozen image, each behind a [`GraphHandle`],
+    /// returns the same paths in the same order under both forced
+    /// methods.
     #[test]
     fn requests_on_frozen_graphs_return_the_heap_paths_in_order(
         n in 3u32..10,
@@ -120,8 +132,7 @@ proptest! {
         let graph = graph_from_edges(n, &edges);
         let handles = [
             GraphHandle::from(graph.clone()),
-            GraphHandle::from(frozen_from(&graph, false)),
-            GraphHandle::from(frozen_from(&graph, true)),
+            GraphHandle::from(frozen_from(&graph)),
         ];
         for method in [Method::IdxDfs, Method::IdxJoin] {
             let request = QueryRequest::paths(0, n - 1)
@@ -183,13 +194,12 @@ proptest! {
     fn peg2_byte_flips_never_yield_a_different_graph(
         n in 1u32..20,
         edges in proptest::collection::vec((0u32..20, 0u32..20), 0..60),
-        compress_raw in 0u8..2,
         flip_pos in 0usize..4096,
         flip_bit in 0u8..8,
     ) {
         let graph = graph_from_edges(n, &edges);
         let mut image = Vec::new();
-        write_frozen(&graph, compress_raw == 1, &mut image).expect("in-memory write");
+        write_frozen(&graph, &mut image).expect("in-memory write");
         let pos = flip_pos % image.len();
         image[pos] ^= 1 << flip_bit;
         if let Ok(frozen) = read_frozen(image.as_slice()) {
@@ -215,14 +225,32 @@ proptest! {
         let graph = graph_from_edges(n, &edges);
         prop_assume!(graph.num_edges() > 0);
 
-        let mut peg1 = Vec::new();
-        write_binary(&graph, &mut peg1).expect("in-memory write");
+        let peg1 = peg1_bytes(&graph);
         let cut1 = cut % peg1.len();
         prop_assert!(read_binary(&peg1[..cut1]).is_err(), "PEG1 cut at {}", cut1);
 
         let mut peg2 = Vec::new();
-        write_frozen(&graph, false, &mut peg2).expect("in-memory write");
+        write_frozen(&graph, &mut peg2).expect("in-memory write");
         let cut2 = cut % peg2.len();
         prop_assert!(read_frozen(&peg2[..cut2]).is_err(), "PEG2 cut at {}", cut2);
+    }
+}
+
+fn arb_graph() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
+    (4u32..14).prop_flat_map(|n| {
+        let edges = proptest::collection::vec((0..n, 0..n), 0..60);
+        (Just(n), edges)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn binary_io_roundtrips_arbitrary_graphs((n, edges) in arb_graph()) {
+        let g = graph_from_edges(n, &edges);
+        let back = read_binary(peg1_bytes(&g).as_slice()).expect("roundtrip");
+        prop_assert_eq!(back.num_vertices(), g.num_vertices());
+        prop_assert_eq!(back.edges().collect::<Vec<_>>(), g.edges().collect::<Vec<_>>());
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the extended variants: the iterative DFS, the
 //! HPI-style hot index, the YEN-KSP baseline's ordering guarantee, the
-//! constraint join variants, and binary IO round-trips.
+//! constraint join variants, and the query engine over query sequences.
 
 use proptest::prelude::*;
 
@@ -8,7 +8,6 @@ use pathenum_repro::baselines::hot_index::{hot_index_enumerate, HotIndex};
 use pathenum_repro::baselines::yen_ksp;
 use pathenum_repro::core::enumerate::{idx_dfs, idx_dfs_iterative};
 use pathenum_repro::core::reference::brute_force_paths;
-use pathenum_repro::graph::io_binary::{read_binary, write_binary};
 use pathenum_repro::prelude::*;
 
 fn graph_from_edges(n: u32, edges: &[(u32, u32)]) -> CsrGraph {
@@ -112,16 +111,6 @@ proptest! {
             accumulative_join(&index, cut, &acc, &mut join_sink, &mut join_counters);
             prop_assert_eq!(join_sink.sorted_paths(), expected.clone(), "cut {}", cut);
         }
-    }
-
-    #[test]
-    fn binary_io_roundtrips_arbitrary_graphs((n, edges) in arb_graph()) {
-        let g = graph_from_edges(n, &edges);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).expect("in-memory write cannot fail");
-        let back = read_binary(buf.as_slice()).expect("roundtrip");
-        prop_assert_eq!(back.num_vertices(), g.num_vertices());
-        prop_assert_eq!(back.edges().collect::<Vec<_>>(), g.edges().collect::<Vec<_>>());
     }
 
     #[test]
