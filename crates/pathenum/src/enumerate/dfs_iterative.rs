@@ -37,6 +37,30 @@
 //! request's `PhaseTimings` count it under `enumeration`, not
 //! `index_build`.
 //!
+//! # The count path
+//!
+//! When the sink counts only ([`PathSink::counts_only`]) and the walk is
+//! the plain `()`, the same loop counts paths instead of building them:
+//!
+//! * a `t`-child is counted; no path is assembled;
+//! * a frame at path position `k − 2` counts each unmarked non-`t`
+//!   neighbor as one complete path (a *leaf*). No frame is pushed for it
+//!   and no row is looked up; its counters are what push → scan → pop
+//!   would add (`partial_results += 2`, `edges_accessed += 1`,
+//!   `results += 1`, and the parent is marked as having found one);
+//! * each frame activation hands its count to the sink with one
+//!   [`PathSink::emit_count`] before the search descends or pops.
+//!
+//! The leaf rule is exact because a leaf's budget-0 row is exactly
+//! `[t]`. It is listed in a budget-1 row, so its distance to `t` is 1,
+//! and every row source serves strictly ascending, duplicate-free rows
+//! (the CSR build deduplicates, `PEG2` images are validated on load, an
+//! overlay insert of an existing edge is a no-op), so `t` is its one
+//! neighbor within distance 0. Debug builds assert it on every leaf.
+//! Answers, all four counters and the termination equal the per-path
+//! run; only the number of probes and sink calls drops. Algorithms 7 and
+//! 8 check each path's walk, so they stay per path.
+//!
 //! [`PathStream`]: crate::request::PathStream
 //! [`accumulative_dfs`]: crate::constraints::accumulative_dfs
 //! [`automaton_dfs`]: crate::constraints::automaton_dfs
@@ -62,12 +86,18 @@ pub(crate) trait Walk {
 
     /// Whether a path that reaches `t` in `state` is a result.
     fn accepts(&self, state: Self::State) -> bool;
+
+    /// Whether every edge steps and every path to `t` is a result, so
+    /// the search may count paths it never walks (the count path).
+    const ACCEPTS_ALL: bool = false;
 }
 
 /// Plain IDX-DFS: nothing is carried, every edge steps, every path to
 /// `t` is a result.
 impl Walk for () {
     type State = ();
+
+    const ACCEPTS_ALL: bool = true;
 
     #[inline]
     fn start(&self) {}
@@ -231,6 +261,9 @@ pub(crate) fn idx_dfs_rooted<W: Walk>(
 /// calling again with the same arguments continues the search exactly
 /// where it stopped. `results` counts the paths `walk` accepts;
 /// `partial_results` also counts the `t`-children it rejects.
+///
+/// On the count path (see the [module docs](self)) a `Stop` leaves no
+/// resumable cursor: the sinks that count only never resume.
 pub(crate) fn idx_dfs_resume<W: Walk>(
     index: &Index,
     rows: &mut impl RowSource,
@@ -249,6 +282,11 @@ pub(crate) fn idx_dfs_resume<W: Walk>(
         on_path,
     } = scratch;
 
+    let count_only = W::ACCEPTS_ALL && sink.counts_only();
+    // On the count path, the stack height of a frame whose non-t
+    // children are leaves: frames at path position k - 2.
+    let leaf_parent_height = if count_only { k as usize - 1 } else { 0 };
+
     // One probe per PROBE_STRIDE frame activations. A frame activates
     // once per push and once per child popped back into it, and has at
     // most one t-child, so activations are never fewer than partial
@@ -260,6 +298,9 @@ pub(crate) fn idx_dfs_resume<W: Walk>(
         }
         probe_tick = probe_tick.wrapping_add(1);
         let start_cursor = top.cursor as usize;
+        let leaves = stack.len() == leaf_parent_height;
+        // Paths found in this activation, not yet handed to the sink.
+        let mut counted = 0u64;
         let mut descend = None;
         let neighbors =
             &rows.neighbors()[top.nbr_start as usize..(top.nbr_start + top.nbr_len) as usize];
@@ -282,6 +323,10 @@ pub(crate) fn idx_dfs_resume<W: Walk>(
                     continue;
                 }
                 counters.results += 1;
+                if count_only {
+                    counted += 1;
+                    continue;
+                }
                 path.clear();
                 path.extend(stack.iter().map(|f| index.global(f.vertex)));
                 path.push(index.global(t_local));
@@ -296,8 +341,26 @@ pub(crate) fn idx_dfs_resume<W: Walk>(
                 }
                 continue;
             }
+            if leaves {
+                // A leaf: its row is `[t]`, so it is one path. Account
+                // the push, scan and pop its frame would have cost.
+                counters.partial_results += 2;
+                counters.edges_accessed += 1;
+                counters.results += 1;
+                counted += 1;
+                continue;
+            }
             descend = Some((next, (start_cursor + offset + 1) as u32, state));
             break;
+        }
+        if leaves && cfg!(debug_assertions) {
+            debug_assert_leaf_rows(rows, &top, on_path, t_local);
+        }
+        if counted > 0 {
+            stack.last_mut().expect("stack is non-empty").found = true;
+            if sink.emit_count(counted) == SearchControl::Stop {
+                return SearchControl::Stop;
+            }
         }
         if let Some((next, cursor, state)) = descend {
             // Hint the child's neighbor row into cache: the `starts`
@@ -335,6 +398,31 @@ pub(crate) fn idx_dfs_resume<W: Walk>(
         }
     }
     SearchControl::Continue
+}
+
+/// Checks the count path's leaf invariant on the frame `top` just
+/// scanned: every unmarked non-`t` neighbor's budget-0 row is exactly
+/// `[t]`. Such a neighbor is listed under budget 1, so its distance to
+/// `t` is 1; every row source serves strictly ascending, duplicate-free
+/// rows, so `t` is the one neighbor within distance 0.
+fn debug_assert_leaf_rows<S>(
+    rows: &mut impl RowSource,
+    top: &Frame<S>,
+    on_path: &EpochStamps,
+    t_local: LocalId,
+) {
+    for i in top.nbr_start..top.nbr_start + top.nbr_len {
+        let next = rows.neighbors()[i as usize];
+        if next == t_local || on_path.is_marked(next as usize) {
+            continue;
+        }
+        let (start, len) = rows.row(next, 0);
+        debug_assert_eq!(
+            rows.neighbors()[start as usize..(start + len) as usize],
+            [t_local],
+            "a leaf's budget-0 row is exactly [t]"
+        );
+    }
 }
 
 #[cfg(test)]

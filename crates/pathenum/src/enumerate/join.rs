@@ -17,6 +17,12 @@
 //!   ([`DENSE_UNIVERSE`]) or against epoch-stamp marks when sparse. All
 //!   working memory comes from a reusable `JoinScratch` arena, so a
 //!   warm query allocates nothing.
+//!
+//! When the sink counts only ([`PathSink::counts_only`]), step 3 of
+//! [`idx_join`] neither assembles nor emits a valid joined pair: it counts
+//! the prefix's valid pairs and hands them to the sink with one
+//! [`PathSink::emit_count`] after the prefix's last row. Validity, the
+//! probes and every counter are those of the per-path run.
 
 use pathenum_graph::epoch::{EpochMap, EpochStamps};
 use pathenum_graph::hashing::FxHashMap;
@@ -271,7 +277,9 @@ pub(crate) fn idx_join_with_scratch(
 
     // Step 3: probe. Emission order is (prefix order) × (row order
     // within the key's range) — identical to the reference's hash-bucket
-    // row lists, which were filled in R_b row order.
+    // row lists, which were filled in R_b row order. A sink that counts
+    // only gets one count per prefix instead.
+    let count_only = sink.counts_only();
     let mut probe_tick = 0u32;
     for prefix in r_a.iter() {
         let key = *prefix.last().expect("tuples are non-empty");
@@ -305,6 +313,7 @@ pub(crate) fn idx_join_with_scratch(
                 }
             }
         }
+        let mut counted = 0u64;
         for row in start..end {
             // Probe per joined combination: a filter sink can reject
             // every tuple, in which case `emit` never runs and this is
@@ -348,6 +357,10 @@ pub(crate) fn idx_join_with_scratch(
             };
             if let Some((plen, ft)) = valid {
                 counters.results += 1;
+                if count_only {
+                    counted += 1;
+                    continue;
+                }
                 path.clear();
                 path.extend(prefix[..plen].iter().map(|&l| index.global(l)));
                 if p_first_t.is_none() {
@@ -360,6 +373,9 @@ pub(crate) fn idx_join_with_scratch(
             } else {
                 counters.invalid_partial_results += 1;
             }
+        }
+        if counted > 0 && sink.emit_count(counted) == SearchControl::Stop {
+            return SearchControl::Stop;
         }
     }
     SearchControl::Continue

@@ -23,7 +23,11 @@ pub(crate) mod scratch;
 /// How many search-tree nodes pass between [`crate::sink::PathSink::probe`]
 /// calls in the enumeration kernels (power of two; the first node always
 /// probes). Keeps the virtual probe call off the per-node hot path while
-/// bounding how long a deadline/cancellation rule can go unobserved.
+/// bounding how long a deadline/cancellation rule can go unobserved. On
+/// IDX-DFS's count path a last-hop node is counted inside its parent's
+/// activation, so the stride counts activations; the stopping rules are
+/// also consulted at each bulk count
+/// ([`crate::sink::PathSink::emit_count`]).
 pub(crate) const PROBE_STRIDE: u32 = 64;
 
 pub use dfs::idx_dfs;

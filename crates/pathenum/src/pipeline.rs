@@ -578,7 +578,8 @@ fn execute_on_plan<G: NeighborAccess>(
 /// The sink behind every evaluator's collecting `execute()`: keeps a
 /// copy of each path when the request asked for
 /// [`collect_paths`](QueryRequest::collect_paths), and attaches them to
-/// the response afterwards.
+/// the response afterwards. A request that does not collect counts only
+/// (the response's counters carry the count).
 pub(crate) struct Collector {
     collect: bool,
     paths: Vec<Vec<VertexId>>,
@@ -605,6 +606,16 @@ impl PathSink for Collector {
         if self.collect {
             self.paths.push(path.to_vec());
         }
+        SearchControl::Continue
+    }
+
+    #[inline]
+    fn counts_only(&self) -> bool {
+        !self.collect
+    }
+
+    #[inline]
+    fn emit_count(&mut self, _n: u64) -> SearchControl {
         SearchControl::Continue
     }
 }

@@ -605,6 +605,14 @@ impl QueryResponse {
 ///
 /// This is the mechanism behind [`QueryRequest::limit`] /
 /// [`QueryRequest::time_budget`] / [`CancelToken`].
+///
+/// It counts only when it has no limit and its inner sink counts only:
+/// a limit is exact per path, so a limited request stays per path.
+/// [`emit_count`](PathSink::emit_count) observes cancellation on every
+/// call and the deadline once per `DEADLINE_CHECK_INTERVAL` emissions
+/// it crosses — the checks `n` calls to `emit` would make, made once —
+/// and adds the count to [`emitted`](Self::emitted) when it lets it
+/// through.
 #[derive(Debug)]
 pub struct ControlledSink<S> {
     inner: S,
@@ -705,6 +713,22 @@ impl<S: PathSink> PathSink for ControlledSink<S> {
         }
         self.probes += 1;
         self.inner.probe()
+    }
+
+    fn counts_only(&self) -> bool {
+        self.limit.is_none() && self.inner.counts_only()
+    }
+
+    fn emit_count(&mut self, n: u64) -> SearchControl {
+        // `emit` checks the deadline at every multiple of the interval;
+        // `n` emissions from `emitted` on reach one iff the last of them
+        // is at or past the next multiple.
+        let crossed = self.emitted.next_multiple_of(DEADLINE_CHECK_INTERVAL) < self.emitted + n;
+        if self.rule_fired(crossed) {
+            return SearchControl::Stop;
+        }
+        self.emitted += n;
+        self.inner.emit_count(n)
     }
 }
 
@@ -960,6 +984,46 @@ mod tests {
         assert_eq!(sink.emit(&[0, 1]), SearchControl::Stop);
         assert_eq!(sink.termination(), Termination::DeadlineExceeded);
         assert_eq!(sink.emitted(), 0);
+    }
+
+    #[test]
+    fn controlled_sink_counts_in_bulk_only_without_a_limit() {
+        assert!(!ControlledSink::new(CountingSink::default(), Some(5), None, None).counts_only());
+        assert!(!ControlledSink::new(CollectingSink::default(), None, None, None).counts_only());
+        let mut sink = ControlledSink::new(CountingSink::default(), None, None, None);
+        assert!(sink.counts_only());
+        assert_eq!(sink.emit_count(100), SearchControl::Continue);
+        assert_eq!(sink.emitted(), 100);
+        assert_eq!(sink.into_inner().count, 100);
+
+        // The deadline is read where `emit` would read it: at the counts
+        // that reach a multiple of the interval, and only there. (The
+        // first count must land inside the budget: it is generous.)
+        let budget = Duration::from_millis(500);
+        let mut sink = ControlledSink::new(
+            CountingSink::default(),
+            None,
+            Some(Instant::now() + budget),
+            None,
+        );
+        assert_eq!(sink.emit_count(1), SearchControl::Continue);
+        std::thread::sleep(budget + Duration::from_millis(50));
+        assert_eq!(sink.emit_count(62), SearchControl::Continue);
+        assert_eq!(sink.emit_count(1), SearchControl::Continue);
+        assert_eq!(sink.emitted(), 64);
+        assert_eq!(sink.emit_count(1), SearchControl::Stop);
+        assert_eq!(sink.termination(), Termination::DeadlineExceeded);
+        assert_eq!(sink.emitted(), 64, "a refused count is not delivered");
+
+        // Cancellation is read on every count.
+        let token = CancelToken::new();
+        let mut sink =
+            ControlledSink::new(CountingSink::default(), None, None, Some(token.clone()));
+        assert_eq!(sink.emit_count(3), SearchControl::Continue);
+        token.cancel();
+        assert_eq!(sink.emit_count(1), SearchControl::Stop);
+        assert_eq!(sink.termination(), Termination::Cancelled);
+        assert_eq!(sink.into_inner().count, 3);
     }
 
     #[test]

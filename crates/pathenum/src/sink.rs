@@ -9,6 +9,19 @@
 //! request layer's stopping rules (limit, deadline, cancellation) live
 //! in [`ControlledSink`](crate::request::ControlledSink), which wraps
 //! any sink here.
+//!
+//! # Count-only delivery
+//!
+//! A sink that reads only *how many* paths arrive says so with
+//! [`PathSink::counts_only`]. The unconstrained IDX-DFS and IDX-JOIN
+//! kernels then skip assembling paths and hand over counts instead,
+//! through [`PathSink::emit_count`]: IDX-DFS at most once per frame
+//! activation, IDX-JOIN at most once per prefix. No emission order applies to a count. Counters,
+//! answers and termination are those of the per-path run. [`CountingSink`]
+//! and a non-collecting request's own sink count only; a request `limit`,
+//! the result layer's tee and a constraint's filter each need the paths,
+//! so they turn count-only delivery off, as does every sink that keeps
+//! the defaults.
 
 use pathenum_graph::VertexId;
 
@@ -26,6 +39,11 @@ pub enum SearchControl {
 ///
 /// `path` is the full vertex sequence `s, ..., t` (no trailing padding);
 /// the slice is only valid for the duration of the call.
+///
+/// A sink that answers `true` to [`counts_only`](Self::counts_only) may
+/// receive its paths as counts through [`emit_count`](Self::emit_count)
+/// instead of one by one (see the [module docs](self)); the kernels that
+/// do so call `counts_only` once per search, before the first result.
 pub trait PathSink {
     /// Called once per enumerated path.
     fn emit(&mut self, path: &[VertexId]) -> SearchControl;
@@ -39,6 +57,25 @@ pub trait PathSink {
     fn probe(&mut self) -> SearchControl {
         SearchControl::Continue
     }
+
+    /// Whether this sink reads nothing of a path but its arrival, so a
+    /// kernel may deliver paths as counts through
+    /// [`emit_count`](Self::emit_count). The default, `false`, keeps
+    /// delivery per path.
+    #[inline]
+    fn counts_only(&self) -> bool {
+        false
+    }
+
+    /// Called in place of `n` calls to [`emit`](Self::emit), and only on
+    /// a sink whose [`counts_only`](Self::counts_only) is `true`; the
+    /// paths it stands for come in no particular order. The default
+    /// panics, as no kernel calls it on a sink that keeps per-path
+    /// delivery.
+    #[inline]
+    fn emit_count(&mut self, n: u64) -> SearchControl {
+        unreachable!("emit_count({n}) on a sink that takes paths one by one")
+    }
 }
 
 impl<S: PathSink + ?Sized> PathSink for &mut S {
@@ -51,9 +88,20 @@ impl<S: PathSink + ?Sized> PathSink for &mut S {
     fn probe(&mut self) -> SearchControl {
         (**self).probe()
     }
+
+    #[inline]
+    fn counts_only(&self) -> bool {
+        (**self).counts_only()
+    }
+
+    #[inline]
+    fn emit_count(&mut self, n: u64) -> SearchControl {
+        (**self).emit_count(n)
+    }
 }
 
-/// Counts results without storing them.
+/// Counts results without storing them. It counts only, so the kernels
+/// deliver to it in bulk.
 #[derive(Debug, Default, Clone)]
 pub struct CountingSink {
     /// Number of paths emitted so far.
@@ -64,6 +112,17 @@ impl PathSink for CountingSink {
     #[inline]
     fn emit(&mut self, _path: &[VertexId]) -> SearchControl {
         self.count += 1;
+        SearchControl::Continue
+    }
+
+    #[inline]
+    fn counts_only(&self) -> bool {
+        true
+    }
+
+    #[inline]
+    fn emit_count(&mut self, n: u64) -> SearchControl {
+        self.count += n;
         SearchControl::Continue
     }
 }
@@ -186,6 +245,9 @@ mod tests {
             assert_eq!(sink.emit(&[0, 1]), SearchControl::Continue);
         }
         assert_eq!(sink.count, 5);
+        assert!(sink.counts_only());
+        assert_eq!(sink.emit_count(7), SearchControl::Continue);
+        assert_eq!(sink.count, 12);
     }
 
     #[test]

@@ -72,6 +72,11 @@ impl QueryMeasurement {
 /// A thin adapter over the request layer's [`ControlledSink`], so the
 /// workload runner and the service API share one set of stopping-rule
 /// semantics instead of two near-identical censoring implementations.
+///
+/// It keeps per-path delivery on purpose (the `PathSink` defaults, not
+/// `counts_only`): the baselines it also measures emit every path, so
+/// `reproduce` Table 3 and Figures 7 and 12 compare PathEnum with them
+/// like for like, not PathEnum's bulk count with their per-path emission.
 pub struct BoundedSink {
     /// Results seen (censored at the limit).
     pub count: u64,

@@ -24,6 +24,10 @@
 //! what [`idx_dfs_iterative`] emits on [`Index::build`] — paths, order,
 //! counters — at every result limit, on heap and frozen storage; and
 //! completing a labels-only index must yield that index.
+//!
+//! Count-only delivery is pinned against per-path delivery: a kernel
+//! running into a [`CountingSink`] counts exactly the paths, and adds
+//! exactly the counters, it emits one by one into a [`CollectingSink`].
 
 use std::collections::VecDeque;
 
@@ -793,6 +797,87 @@ fn on_demand_rows_match_the_eager_kernel_at_every_limit() {
         }
     }
     assert!(compared > 1000, "only {compared} runs compared");
+}
+
+/// What a search delivered: the number of paths, and its counters.
+type Delivery = (u64, Counters);
+
+/// Runs `kernel` into a [`CountingSink`] (the count path) and into a
+/// [`CollectingSink`] (one path at a time): what each delivered.
+fn count_and_collect(
+    mut kernel: impl FnMut(&mut dyn PathSink, &mut Counters) -> SearchControl,
+) -> (Delivery, Delivery) {
+    let mut sink = CountingSink::default();
+    let mut counters = Counters::default();
+    kernel(&mut sink, &mut counters);
+    let (paths, collected) = run_kernel(&mut kernel);
+    ((sink.count, counters), (paths.len() as u64, collected))
+}
+
+/// Both deliveries of every kernel a count-only request can run on
+/// `graph`: IDX-DFS on the eager index and on its labels only, and
+/// IDX-JOIN at every cut.
+fn deliveries<G: NeighborAccess>(graph: &G, q: Query) -> Vec<(String, Delivery, Delivery)> {
+    let eager = Index::build(graph, q);
+    let (labels, _) = Index::build_labels(graph, q, &mut BuildScratch::default());
+    let mut runs = vec![
+        (
+            "IDX-DFS".to_string(),
+            count_and_collect(|sink, c| idx_dfs_iterative(&eager, sink, c)),
+        ),
+        (
+            "IDX-DFS on demand".to_string(),
+            count_and_collect(|sink, c| idx_dfs_on_demand(graph, &labels, sink, c)),
+        ),
+    ];
+    for cut in 1..q.k {
+        runs.push((
+            format!("IDX-JOIN cut {cut}"),
+            count_and_collect(|sink, c| idx_join(&eager, cut, sink, c)),
+        ));
+    }
+    runs.into_iter()
+        .map(|(name, (counted, collected))| (name, counted, collected))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Counting in bulk delivers what emitting path by path delivers —
+    /// the number of paths and every counter — for every kernel a
+    /// count-only request runs, on heap, frozen and overlay storage.
+    #[test]
+    fn counting_delivery_equals_per_path_delivery(
+        (n, edges) in arb_graph(),
+        inserts in proptest::collection::vec((0u32..16, 0u32..16), 0..12),
+        removes in proptest::collection::vec((0u32..16, 0u32..16), 0..12),
+        s in 0u32..16,
+        hop in 1u32..16,
+        k in 2u32..7,
+    ) {
+        let g = graph_from_edges(n, &edges);
+        let s = s % n;
+        let t = (s + 1 + hop % (n - 1)) % n;
+        let q = Query::new(s, t, k).expect("distinct endpoints, k in range");
+        let mut dynamic = DynamicGraph::new(g.clone());
+        for &(u, v) in &inserts {
+            dynamic.insert_edge(u % n, v % n);
+        }
+        for &(u, v) in &removes {
+            dynamic.remove_edge(u % n, v % n);
+        }
+        let storages = [
+            ("heap", deliveries(&g, q)),
+            ("frozen", deliveries(&frozen_from(&g), q)),
+            ("overlay", deliveries(&dynamic.view(), q)),
+        ];
+        for (storage, runs) in storages {
+            for (kernel, counted, collected) in runs {
+                prop_assert_eq!(counted, collected, "{} {} {:?}", storage, kernel, q);
+            }
+        }
+    }
 }
 
 proptest! {

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use pathenum_repro::core::constraints::{accumulative_dfs, automaton_dfs, filtered_graph};
 use pathenum_repro::core::reference::brute_force_paths;
-use pathenum_repro::graph::generators::{erdos_renyi, power_law, PowerLawConfig};
+use pathenum_repro::graph::generators::{complete_digraph, erdos_renyi, power_law, PowerLawConfig};
 use pathenum_repro::prelude::*;
 
 fn graph_from_edges(n: u32, edges: &[(u32, u32)]) -> CsrGraph {
@@ -240,6 +240,20 @@ proptest! {
     }
 
     #[test]
+    fn counting_requests_read_what_collecting_requests_read(
+        (n, edges) in arb_graph(),
+        k in 2u32..6,
+        limit in 1u64..6,
+    ) {
+        let g = graph_from_edges(n, &edges);
+        let q = Query::new(0, 1, k).expect("valid");
+        let total = reference_paths(&g, q).len() as u64;
+        for limit in [None, Some(limit)] {
+            assert_counting_matches_collecting(&g, q, limit, total);
+        }
+    }
+
+    #[test]
     fn stream_equals_execute_in_order_under_every_constraint(
         (n, edges) in arb_graph(),
         k in 2u32..6,
@@ -266,6 +280,58 @@ proptest! {
         prop_assert_eq!(&streamed, &executed.paths);
         prop_assert_eq!(stream.termination(), Some(executed.termination));
         prop_assert_eq!(stream.emitted(), executed.num_results());
+    }
+}
+
+/// A request that does not collect counts its paths in bulk (unless it
+/// has a limit); one that collects takes them one by one. For either
+/// forced method and for the planner's pick, both read the same
+/// number of results, counters, termination and method, and the number
+/// is exact: `total` paths, or `limit` of them.
+fn assert_counting_matches_collecting(g: &CsrGraph, q: Query, limit: Option<u64>, total: u64) {
+    for method in [Some(Method::IdxDfs), Some(Method::IdxJoin), None] {
+        let run = |collect: bool| {
+            let mut request = QueryRequest::from_query(q).collect_paths(collect);
+            if let Some(method) = method {
+                request = request.method(method);
+            }
+            if let Some(limit) = limit {
+                request = request.limit(limit);
+            }
+            let mut engine = QueryEngine::new(g, PathEnumConfig::default());
+            engine.execute(&request).expect("valid request")
+        };
+        let (counted, collected) = (run(false), run(true));
+        let at = format!("{q:?} {method:?} limit {limit:?}");
+        assert!(counted.paths.is_empty(), "{at}");
+        assert_eq!(
+            collected.paths.len() as u64,
+            collected.num_results(),
+            "{at}"
+        );
+        assert_eq!(counted.num_results(), collected.num_results(), "{at}");
+        assert_eq!(
+            counted.num_results(),
+            limit.map_or(total, |l| total.min(l)),
+            "{at}"
+        );
+        assert_eq!(counted.report.counters, collected.report.counters, "{at}");
+        assert_eq!(counted.termination, collected.termination, "{at}");
+        assert_eq!(counted.report.method, collected.report.method, "{at}");
+    }
+}
+
+#[test]
+fn counting_requests_read_what_collecting_requests_read_on_dense_graphs() {
+    // Dense enough that IDX-DFS counts whole rows of leaves and the
+    // planner joins when unlimited.
+    let g = complete_digraph(9);
+    for k in [2u32, 4, 6] {
+        let q = Query::new(0, 8, k).expect("valid");
+        let total = reference_paths(&g, q).len() as u64;
+        for limit in [None, Some(1), Some(total / 2), Some(total + 1)] {
+            assert_counting_matches_collecting(&g, q, limit, total);
+        }
     }
 }
 

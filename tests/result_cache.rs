@@ -12,6 +12,9 @@
 //!   answer: after every insert/remove, the caching engine matches a
 //!   cache-free engine on the mutated graph exactly — whether the entry
 //!   was retained, invalidated, or replayed.
+//! * A count-only miss is recorded like any other: a later collecting
+//!   request replays the stored answer, path for path what a fresh
+//!   collecting run returns.
 //! * A batch submitted to the catalog and waited in order is
 //!   byte-identical to solo engine execution across worker counts
 //!   {1, 2, 4, 8}, and the stats invariant
@@ -267,6 +270,41 @@ proptest! {
             .unwrap();
         prop_assert_eq!(stats.hits + stats.misses + stats.bypasses, stats.lookups);
         prop_assert_eq!(stats.lookups, targets.len() as u64);
+    }
+}
+
+/// A request that does not collect is still recorded path by path when
+/// the result layer is on (its tee takes paths one by one), so its miss
+/// stores an answer that a collecting request then replays.
+#[test]
+fn count_only_misses_store_answers_that_collecting_requests_replay() {
+    use pathenum_repro::graph::generators::complete_digraph;
+
+    let graph = complete_digraph(8);
+    let config = PathEnumConfig::default();
+    for method in [None, Some(Method::IdxDfs), Some(Method::IdxJoin)] {
+        let build = |collect: bool| {
+            let request = QueryRequest::paths(0, 7).max_hops(5).collect_paths(collect);
+            match method {
+                Some(method) => request.method(method),
+                None => request,
+            }
+        };
+        let fresh = QueryEngine::new(&graph, config)
+            .execute(&build(true))
+            .unwrap();
+        let mut caching =
+            QueryEngine::new(&graph, config).with_result_cache(ResultCache::default());
+        let counted = caching.execute(&build(false)).unwrap();
+        assert_eq!(counted.report.cache, CacheOutcome::Miss, "{method:?}");
+        assert!(counted.paths.is_empty(), "{method:?}");
+        assert_eq!(counted.num_results(), fresh.num_results(), "{method:?}");
+        let replayed = caching.execute(&build(true)).unwrap();
+        assert_eq!(replayed.report.cache, CacheOutcome::ResultHit, "{method:?}");
+        assert_eq!(replayed.paths, fresh.paths, "{method:?}");
+        assert_eq!(replayed.termination, fresh.termination, "{method:?}");
+        assert_eq!(replayed.num_results(), fresh.num_results(), "{method:?}");
+        assert_eq!(replayed.report.method, fresh.report.method, "{method:?}");
     }
 }
 

@@ -8,7 +8,9 @@
 //! IDX-JOIN materializes both sides of its cut before it emits, so a rule
 //! that fires early stops it inside materialization, where only
 //! `PathSink::probe` reaches the rules; IDX-DFS is stopped between
-//! emissions or inside a barren subtree.
+//! emissions or inside a barren subtree. A request that does not collect
+//! takes the count path, where the rules are also read at each bulk
+//! count; the tests that run without a sink of their own cover it.
 //!
 //! CI runs this file under `--test-threads=1` so the timing-sensitive
 //! deadline assertions are not perturbed by sibling tests.
@@ -116,6 +118,36 @@ fn cancel_fired_mid_run_stops_the_search() {
     }
 }
 
+/// A request that does not collect takes the count path, where the
+/// rules are read at each bulk count and at the probes; a token fired
+/// shortly after the run starts still stops it and is reported. With no
+/// sink of its own the run gives no start signal, so the token fires
+/// after a sleep: planning takes well under a millisecond and the
+/// search far longer than the sleep, so it lands mid-enumeration.
+#[test]
+fn cancel_fired_mid_run_stops_a_count_only_search() {
+    let graph = heavy_graph();
+    let mut engine = QueryEngine::new(&graph, PathEnumConfig::default());
+    for method in METHODS {
+        let token = CancelToken::new();
+        let request = heavy_request(method).cancel_token(token.clone());
+        let canceller = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            token.cancel();
+        });
+        let start = Instant::now();
+        let response = engine.execute(&request).expect("valid request");
+        let wall = start.elapsed();
+        canceller.join().expect("canceller thread exits");
+        assert_eq!(response.termination, Termination::Cancelled, "{method}");
+        assert_eq!(response.report.method, method);
+        assert!(
+            wall < PROPAGATION_BOUND,
+            "{method}: cancellation took {wall:?} to propagate"
+        );
+    }
+}
+
 #[test]
 fn pre_cancelled_token_stops_before_any_result() {
     let graph = heavy_graph();
@@ -131,6 +163,7 @@ fn pre_cancelled_token_stops_before_any_result() {
     }
 }
 
+/// The count path's deadline test: these requests do not collect.
 #[test]
 fn deadline_mid_run_is_reported_and_bounded() {
     let graph = heavy_graph();
