@@ -24,8 +24,8 @@
 //!
 //! An annotation covers its own line plus every contiguous following
 //! non-blank line; coverage resets at the first blank source line. This
-//! lets one justification cover a tight cluster (e.g. the stats block in
-//! `Sharded::accumulate`) without annotating every line.
+//! lets one justification cover a tight cluster (e.g. a block of
+//! counter updates) without annotating every line.
 
 use std::collections::BTreeMap;
 
@@ -619,7 +619,14 @@ fn rule_std_hashmap(ctx: &RuleCtx, findings: &mut Vec<Finding>) {
         if ctx.in_test[lineno] {
             continue;
         }
-        for needle in ["HashMap", "HashSet"] {
+        // The std maps, and the SipHash hasher and builder they default
+        // to, each with its Fx replacement.
+        for (needle, fx) in [
+            ("HashMap", "FxHashMap"),
+            ("HashSet", "FxHashSet"),
+            ("DefaultHasher", "FxHasher"),
+            ("RandomState", "FxBuildHasher"),
+        ] {
             for off in token_hits(line, needle) {
                 ctx.push(
                     findings,
@@ -628,7 +635,7 @@ fn rule_std_hashmap(ctx: &RuleCtx, findings: &mut Vec<Finding>) {
                     off + 1,
                     format!(
                         "std `{needle}` (SipHash) in a kernel/plan-cache \
-                         module — use `pathenum_graph::hashing::Fx{needle}`"
+                         module — use `pathenum_graph::hashing::{fx}`"
                     ),
                 );
             }

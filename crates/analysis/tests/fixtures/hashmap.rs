@@ -1,6 +1,6 @@
-// Fixture: std-hashmap rule. Two live violations (import + field), one
-// Fx negative, one `hash_map::Entry` path negative, one raw-identifier
-// line the lexer must not misread as a raw string.
+// Fixture: std-hashmap rule. Four live violations (import, field, and the
+// SipHash hasher and its builder), one Fx negative, one `hash_map::Entry`
+// path negative, one raw-identifier line the lexer must not misread.
 
 use std::collections::HashMap;
 
@@ -16,4 +16,11 @@ fn entry_api(cache: &mut Cache) {
     }
     let r#type = 1u64;
     let _ = r#type;
+}
+
+fn pick_shard(key: u64, fast: FxHasher) -> u64 {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    let _builder = std::collections::hash_map::RandomState::new();
+    key.hash(&mut hasher);
+    hasher.finish() ^ fast.finish()
 }

@@ -169,9 +169,10 @@ fn std_hashmap_fixture_exact_counts() {
     let src = include_str!("fixtures/hashmap.rs");
     let findings = analyze_source("crates/pathenum/src/plan.rs", src);
     let hits = by_rule(&findings, "std-hashmap");
-    // `FxHashMap` and `hash_map::Entry` must not trip the token matcher.
-    assert_eq!(lines(&hits), vec![5, 8]);
-    assert_eq!(findings.len(), 2);
+    // `FxHashMap`, `FxHasher` and `hash_map::Entry` must not trip the
+    // token matcher; std's SipHash `DefaultHasher` and `RandomState` do.
+    assert_eq!(lines(&hits), vec![5, 8, 22, 23]);
+    assert_eq!(findings.len(), 4);
 }
 
 #[test]
@@ -186,7 +187,7 @@ fn std_hashmap_scope_covers_the_shared_cache_map() {
         let findings = analyze_source(path, src);
         assert_eq!(
             lines(&by_rule(&findings, "std-hashmap")),
-            vec![5, 8],
+            vec![5, 8, 22, 23],
             "{path}"
         );
     }

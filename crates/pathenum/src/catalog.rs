@@ -1,21 +1,23 @@
-//! The catalog: many named graphs, per-tenant plan caches, epoch-swapped
+//! The catalog: many named graphs, per-tenant caches, epoch-swapped
 //! publishing, and admission-controlled serving — the crate's one
 //! concurrent serving front end.
 //!
 //! The per-thread [`QueryEngine`](crate::QueryEngine) is `&mut self`
-//! with a private [`PlanCache`](crate::plan::PlanCache): two concurrent
-//! requests cannot share a graph, an index, or a warm plan. A catalog
+//! with private one-shard caches: two concurrent requests cannot share a
+//! graph, an index, or a warm plan. A catalog
 //! with one registered graph, one tenant and admission off is the
 //! single-graph service; a fleet deployment serves *many* graphs — per
 //! product surface, per region, per snapshot — to many tenants at once,
 //! and replaces graphs while queries are in flight. [`GraphCatalog`] is
 //! that registry:
 //!
-//! * every **named graph** is a [`GraphHandle`] plus its own family of
-//!   [`SharedPlanCache`]s, one per tenant, each bounded by the
-//!   per-tenant/per-graph entry quota (eviction accounting included via
-//!   [`SharedCacheStats::evictions`]). One tenant's working set cannot
-//!   evict another's, and one graph's caches are invisible to another's;
+//! * every **named graph** is a [`GraphHandle`] plus one cache pair per
+//!   tenant: an N-shard [`PlanCache`] bounded by the per-tenant/per-graph
+//!   entry quota (eviction accounting included via
+//!   [`CacheStats::evictions`]) and, when the result layer is on, an
+//!   N-shard [`ResultCache`] — the types an engine owns with one shard.
+//!   One tenant's working set cannot evict another's, and one graph's
+//!   caches are invisible to another's;
 //! * [`publish`](GraphCatalog::publish) performs an **atomic epoch
 //!   swap**: the served [`GraphHandle`] is replaced under a lock that
 //!   covers only the pointer, while in-flight queries keep executing on
@@ -83,11 +85,11 @@ use pathenum_graph::{GraphHandle, NeighborAccess};
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, Lane};
 use crate::index::BuildScratch;
 use crate::optimizer::PathEnumConfig;
-use crate::pipeline::{self, Acquired, Collector, Pipeline, SharedStore};
-use crate::plan::{SharedCacheStats, SharedPlanCache};
+use crate::pipeline::{self, Acquired, Caches, Collector, Pipeline};
+use crate::plan::PlanCache;
 use crate::request::{PathEnumError, QueryRequest, QueryResponse};
-use crate::results::{ResultCacheStats, SharedResultCache};
-use crate::sharded::{ShardCache, Sharded};
+use crate::results::ResultCache;
+use crate::sharded::CacheStats;
 
 /// Default per-tenant/per-graph plan-cache entry quota.
 pub const DEFAULT_TENANT_CACHE_QUOTA: usize = 32;
@@ -107,32 +109,19 @@ struct ServingEpoch {
 /// version on their next lookup.
 struct GraphState {
     current: Mutex<Arc<ServingEpoch>>,
-    tenants: Mutex<HashMap<String, Arc<SharedPlanCache>>>,
-    results: Mutex<HashMap<String, Arc<SharedResultCache>>>,
+    tenants: Mutex<HashMap<String, Arc<Caches>>>,
 }
 
 impl GraphState {
     fn snapshot(&self) -> Arc<ServingEpoch> {
         Arc::clone(&crate::sync::lock_recovering(&self.current))
     }
-}
 
-/// `tenant`'s cache in `family`, created with `budget` over `shards`
-/// shards on the tenant's first request.
-fn tenant_cache<C: ShardCache>(
-    family: &Mutex<HashMap<String, Arc<Sharded<C>>>>,
-    tenant: &str,
-    budget: usize,
-    shards: usize,
-) -> Arc<Sharded<C>> {
-    let mut family = crate::sync::lock_recovering(family);
-    match family.get(tenant) {
-        Some(cache) => Arc::clone(cache),
-        None => {
-            let cache = Arc::new(Sharded::new(budget, shards));
-            family.insert(tenant.to_string(), Arc::clone(&cache));
-            cache
-        }
+    /// `tenant`'s caches, if it ever queried this graph.
+    fn tenant(&self, tenant: &str) -> Option<Arc<Caches>> {
+        crate::sync::lock_recovering(&self.tenants)
+            .get(tenant)
+            .cloned()
     }
 }
 
@@ -168,14 +157,15 @@ impl GraphCatalog {
 
     /// An empty catalog with an explicit per-tenant/per-graph plan-cache
     /// entry quota and shard count (both clamped by
-    /// [`SharedPlanCache`]'s own rules; quota `0` disables caching).
+    /// [`Sharded::with_shards`](crate::Sharded::with_shards); quota `0`
+    /// disables caching).
     /// Result caching stays off; see [`with_limits`](Self::with_limits).
     pub fn with_quota(tenant_cache_quota: usize, cache_shards: usize) -> Self {
         GraphCatalog::with_limits(tenant_cache_quota, cache_shards, 0)
     }
 
     /// As [`with_quota`](Self::with_quota), additionally giving every
-    /// tenant a per-graph [`SharedResultCache`] of `result_cache_bytes`
+    /// tenant a per-graph [`ResultCache`] of `result_cache_bytes`
     /// (`0` — the default everywhere else — keeps the result layer off).
     pub fn with_limits(
         tenant_cache_quota: usize,
@@ -201,7 +191,6 @@ impl GraphCatalog {
                 graph: graph.into(),
             })),
             tenants: Mutex::new(HashMap::new()),
-            results: Mutex::new(HashMap::new()),
         });
         crate::sync::lock_recovering(&self.graphs).insert(name.to_string(), state);
     }
@@ -262,11 +251,9 @@ impl GraphCatalog {
 
     /// Lifetime statistics of one tenant's plan cache on one graph
     /// (`None` if the graph is unknown or the tenant never queried it).
-    /// Quota pressure shows up as [`SharedCacheStats::evictions`].
-    pub fn tenant_cache_stats(&self, name: &str, tenant: &str) -> Option<SharedCacheStats> {
-        let state = self.state(name)?;
-        let tenants = crate::sync::lock_recovering(&state.tenants);
-        tenants.get(tenant).map(|cache| cache.stats())
+    /// Quota pressure shows up as [`CacheStats::evictions`].
+    pub fn tenant_cache_stats(&self, name: &str, tenant: &str) -> Option<CacheStats> {
+        Some(self.state(name)?.tenant(tenant)?.plans.stats())
     }
 
     /// The configured per-tenant/per-graph result-cache byte budget
@@ -278,22 +265,20 @@ impl GraphCatalog {
     /// Lifetime statistics of one tenant's result cache on one graph
     /// (`None` if the layer is off, the graph is unknown, or the tenant
     /// never queried it).
-    pub fn tenant_result_cache_stats(&self, name: &str, tenant: &str) -> Option<ResultCacheStats> {
-        let state = self.state(name)?;
-        let results = crate::sync::lock_recovering(&state.results);
-        results.get(tenant).map(|cache| cache.stats())
+    pub fn tenant_result_cache_stats(&self, name: &str, tenant: &str) -> Option<CacheStats> {
+        Some(self.state(name)?.tenant(tenant)?.results.as_ref()?.stats())
     }
 
     /// Per-tenant cache accounting for one graph: `(tenant, entries,
     /// stats)` rows, sorted by tenant.
-    pub fn tenant_accounting(&self, name: &str) -> Vec<(String, usize, SharedCacheStats)> {
+    pub fn tenant_accounting(&self, name: &str) -> Vec<(String, usize, CacheStats)> {
         let Some(state) = self.state(name) else {
             return Vec::new();
         };
         let tenants = crate::sync::lock_recovering(&state.tenants);
-        let mut rows: Vec<(String, usize, SharedCacheStats)> = tenants
+        let mut rows: Vec<(String, usize, CacheStats)> = tenants
             .iter()
-            .map(|(tenant, cache)| (tenant.clone(), cache.len(), cache.stats()))
+            .map(|(tenant, caches)| (tenant.clone(), caches.plans.len(), caches.plans.stats()))
             .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows
@@ -303,6 +288,24 @@ impl GraphCatalog {
         crate::sync::lock_recovering(&self.graphs)
             .get(name)
             .cloned()
+    }
+
+    /// `tenant`'s caches on `state`'s graph, created on the tenant's
+    /// first request: the plan layer at the entry quota, the result layer
+    /// when its byte budget is not 0, each over the configured shards.
+    fn tenant_caches(&self, state: &GraphState, tenant: &str) -> Arc<Caches> {
+        let mut tenants = crate::sync::lock_recovering(&state.tenants);
+        if let Some(caches) = tenants.get(tenant) {
+            return Arc::clone(caches);
+        }
+        let shards = self.cache_shards;
+        let caches = Arc::new(Caches {
+            plans: PlanCache::with_shards(self.tenant_cache_quota, shards),
+            results: (self.result_cache_bytes > 0)
+                .then(|| ResultCache::with_shards(self.result_cache_bytes, shards)),
+        });
+        tenants.insert(tenant.to_string(), Arc::clone(&caches));
+        caches
     }
 }
 
@@ -544,17 +547,7 @@ impl CatalogService {
             return resolve_now(state, Some(epoch.epoch), None, Ok(stopped));
         }
 
-        let (tenant, shards) = (&routed.tenant, self.catalog.cache_shards);
-        let cache = tenant_cache(
-            &graph_state.tenants,
-            tenant,
-            self.catalog.tenant_cache_quota,
-            shards,
-        );
-        let results = (self.catalog.result_cache_bytes > 0).then(|| {
-            let bytes = self.catalog.result_cache_bytes;
-            tenant_cache(&graph_state.results, tenant, bytes, shards)
-        });
+        let caches = self.catalog.tenant_caches(&graph_state, &routed.tenant);
 
         // Stage one at submit: a stored answer resolves the ticket
         // *here*, before admission — a repeated answer is never shed,
@@ -570,10 +563,7 @@ impl CatalogService {
                 Pipeline {
                     graph: &epoch.graph,
                     config: self.config,
-                    store: SharedStore {
-                        plans: &cache,
-                        results: results.as_deref(),
-                    },
+                    caches: &caches,
                     scratch,
                 }
                 .acquire(query, &request, &mut collector)
@@ -621,10 +611,6 @@ impl CatalogService {
                     // Stage two on the worker; with the result layer on,
                     // the answer is teed into the tenant's result cache
                     // so the next repeat resolves at submit.
-                    let mut store = SharedStore {
-                        plans: &cache,
-                        results: results.as_deref(),
-                    };
                     let mut collector = Collector::new(&request);
                     let response = pipeline::finish(
                         planned,
@@ -632,7 +618,7 @@ impl CatalogService {
                         &request,
                         deadline,
                         &mut collector,
-                        &mut store,
+                        &caches,
                     );
                     collector.attach(response)
                 }))

@@ -20,7 +20,7 @@
 //! stale entry is re-validated against the log: an entry whose recorded
 //! reach footprint is provably disjoint from the delta keeps serving
 //! (re-stamped, counted in
-//! [`PlanCacheStats::retained`](crate::PlanCacheStats::retained)) —
+//! [`CacheStats::retained`](crate::CacheStats::retained)) —
 //! mutations to one region of the graph no longer evict the whole
 //! working set.
 //!

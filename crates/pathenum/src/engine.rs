@@ -26,8 +26,10 @@
 //! [`Executor`](crate::plan::Executor) interpret the plan against the
 //! sink. The engine adds nothing to the pipeline but what it owns: the
 //! graph borrow, the build scratch, a [`PlanCache`] and an optional
-//! [`ResultCache`]. [`explain`](QueryEngine::explain) stops after the
-//! plan half — the plan with its modeled costs, without enumerating.
+//! [`ResultCache`] — one-shard instances of the very types a
+//! [`catalog`](crate::catalog) tenant shares across workers.
+//! [`explain`](QueryEngine::explain) stops after the plan half — the plan
+//! with its modeled costs, without enumerating.
 //!
 //! Two levels of reuse keep steady-state per-query cost down:
 //! persistent build scratch (the three `O(|V|)` BFS/id-mapping buffers
@@ -41,19 +43,18 @@
 //! the `DynamicGraph` itself ([`DynamicEngine`](crate::DynamicEngine)),
 //! where entries the mutations provably did not touch are retained.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use pathenum_graph::{CsrGraph, GraphSnapshot};
 
 use crate::index::{BuildScratch, Index};
 use crate::optimizer::PathEnumConfig;
-use crate::pipeline::{self, Collector, LocalStore, Pipeline};
-use crate::plan::{complete_on_graph, CacheOutcome, GraphStamp, PhysicalPlan, PlanCache};
+use crate::pipeline::{self, Caches, Collector, Pipeline};
+use crate::plan::{CacheOutcome, PhysicalPlan, PlanCache};
 use crate::request::{ConstraintSpec, PathEnumError, PathStream, QueryRequest, QueryResponse};
-use crate::results::{ResultCache, ResultCacheStats};
+use crate::results::ResultCache;
+use crate::sharded::CacheStats;
 use crate::sink::PathSink;
-use crate::stats::PhaseTimings;
 
 /// A PathEnum engine bound to one graph, reusing construction buffers
 /// and cached plans across queries.
@@ -89,11 +90,10 @@ pub struct QueryEngine<'g, G: GraphSnapshot = CsrGraph> {
     graph: &'g G,
     config: PathEnumConfig,
     scratch: BuildScratch,
-    cache: PlanCache,
-    /// The result layer ([`ResultCache`]) — `None` (the default) keeps
-    /// the layer off entirely; attach one with
+    /// The plan layer, and the result layer — `None` (the default) keeps
+    /// that one off entirely; attach one with
     /// [`with_result_cache`](Self::with_result_cache).
-    results: Option<ResultCache>,
+    caches: Caches,
     queries_served: u64,
     queries_rejected: u64,
 }
@@ -115,8 +115,10 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
             graph,
             config,
             scratch: BuildScratch::default(),
-            cache,
-            results: None,
+            caches: Caches {
+                plans: cache,
+                results: None,
+            },
             queries_served: 0,
             queries_rejected: 0,
         }
@@ -129,7 +131,7 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
     /// of the same graph to keep its answers warm across snapshots
     /// (entries survive exactly when the version did not move).
     pub fn with_result_cache(mut self, results: ResultCache) -> Self {
-        self.results = Some(results);
+        self.caches.results = Some(results);
         self
     }
 
@@ -155,29 +157,30 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
 
     /// The engine's plan cache (entry count, statistics).
     pub fn plan_cache(&self) -> &PlanCache {
-        &self.cache
+        &self.caches.plans
     }
 
     /// Convenience for `plan_cache().stats()`.
-    pub fn cache_stats(&self) -> crate::plan::PlanCacheStats {
-        self.cache.stats()
+    pub fn cache_stats(&self) -> CacheStats {
+        self.caches.plans.stats()
     }
 
     /// Consumes the engine, handing the plan cache to its successor
     /// (typically an engine over the next
     /// [`DynamicGraph::snapshot`](pathenum_graph::DynamicGraph::snapshot)).
     pub fn into_cache(self) -> PlanCache {
-        self.cache
+        self.caches.plans
     }
 
     /// The engine's result cache, if one is attached.
     pub fn result_cache(&self) -> Option<&ResultCache> {
-        self.results.as_ref()
+        self.caches.results.as_ref()
     }
 
     /// Result-layer statistics (all-zero when no cache is attached).
-    pub fn result_cache_stats(&self) -> ResultCacheStats {
-        self.results
+    pub fn result_cache_stats(&self) -> CacheStats {
+        self.caches
+            .results
             .as_ref()
             .map(ResultCache::stats)
             .unwrap_or_default()
@@ -187,7 +190,7 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
     /// any) so a successor engine over the same graph can keep serving
     /// its stored answers.
     pub fn into_result_cache(self) -> Option<ResultCache> {
-        self.results
+        self.caches.results
     }
 
     /// Evaluates a [`QueryRequest`], collecting result paths into the
@@ -244,14 +247,11 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
 
     /// The request pipeline over what this engine owns: its graph
     /// borrow, its build scratch, and its caches.
-    fn pipeline(&mut self) -> Pipeline<'_, G, LocalStore<'_>> {
+    fn pipeline(&mut self) -> Pipeline<'_, G> {
         Pipeline {
             graph: self.graph,
             config: self.config,
-            store: LocalStore {
-                plans: &mut self.cache,
-                results: self.results.as_mut(),
-            },
+            caches: &self.caches,
             scratch: &mut self.scratch,
         }
     }
@@ -269,12 +269,21 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
     /// path set: predicates restrict the enumerated subgraph, and
     /// accumulative/automaton checks filter complete paths before the
     /// limit counts them. Streams *read* the plan cache (a warm index is
-    /// cloned) but do not populate it — a stream never runs the
-    /// estimators, so it has no plan to store. A labels-only entry (a
-    /// step-1 miss's) is completed first and written back, as any plan
-    /// hit does. A request the cache cannot key (a bypass flag, a
+    /// cloned) but do not populate it — a cold stream builds its index
+    /// without running the estimators, so it has no plan to store. A
+    /// warm entry goes through the pipeline's one plan probe, as any plan
+    /// hit does: a labels-only entry (a step-1 miss's) is completed, an
+    /// estimate the request's limit needs is computed, and both are
+    /// written back. A request the cache cannot key (a bypass flag, a
     /// zero-capacity cache, an unfingerprinted predicate) is recorded
     /// as a bypass, as `execute` records it.
+    ///
+    /// An [`explain`](QueryRequest::explain) request plans only and never
+    /// enumerates, so its stream yields no path and has ended
+    /// [`Completed`](crate::request::Termination::Completed) before the
+    /// first pull. It
+    /// builds no index and leaves the caches untouched, and it counts as
+    /// served, as `execute` counts it.
     pub fn stream<'q>(
         &mut self,
         request: &'q QueryRequest<'q>,
@@ -290,25 +299,13 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
             return Ok(PathStream::new(Index::empty(query), request));
         }
         self.queries_served += 1;
-        match pipeline::plan_key(self.config, request, self.cache.capacity()) {
-            None => self.cache.note_bypass(),
+        if request.explain {
+            return Ok(PathStream::completed(Index::empty(query), request));
+        }
+        match pipeline::plan_key(self.config, request, self.caches.plans.capacity()) {
+            None => self.caches.plans.note_bypass(),
             Some(key) => {
-                if let Some((mut plan, mut index)) =
-                    self.cache.lookup(&key, GraphStamp::of(self.graph))
-                {
-                    // A step-1 miss left only the labels: fill the rows the
-                    // stream walks, once, and leave them for the next reader.
-                    let seen = Arc::clone(&index);
-                    let mut timings = PhaseTimings::default();
-                    if complete_on_graph(
-                        &mut plan,
-                        &mut index,
-                        self.graph,
-                        &mut self.scratch,
-                        &mut timings,
-                    ) {
-                        self.cache.write_back(&key, &seen, &plan, &index);
-                    }
+                if let Some((_, index, _)) = self.pipeline().probe(&key, request) {
                     return Ok(PathStream::new(Index::clone(&index), request));
                 }
             }
@@ -772,7 +769,7 @@ mod tests {
         let warm = engine.execute(&request).unwrap();
         assert_eq!(warm.report.cache, CacheOutcome::Hit);
         assert!(engine.result_cache().is_none());
-        assert_eq!(engine.result_cache_stats(), ResultCacheStats::default());
+        assert_eq!(engine.result_cache_stats(), CacheStats::default());
     }
 
     #[test]

@@ -25,9 +25,11 @@
 //! Each query runs on one thread, as in the paper; many queries are
 //! served concurrently from many threads through the [`catalog`] layer
 //! ([`CatalogService`]):
-//! one or many named graphs, per-tenant shared caches, graphs
-//! republished mid-traffic, and overload shed by modeled cost through
-//! its [`admission`] policies.
+//! one or many named graphs, per-tenant caches, graphs republished
+//! mid-traffic, and overload shed by modeled cost through its
+//! [`admission`] policies. Each cache layer is one type,
+//! [`Sharded`] over its key and entry ([`PlanCache`], [`ResultCache`]):
+//! a [`QueryEngine`] owns one shard of each, a catalog tenant N.
 //!
 //! # Serving queries
 //!
@@ -99,18 +101,13 @@ pub use index::Index;
 pub use optimizer::{
     decide, optimize_join_order, Basis, Decision, JoinPlan, PathEnumConfig, PlanEstimates,
 };
-pub use plan::{
-    CacheOutcome, ConstraintKind, Executor, PhysicalPlan, PlanCache, PlanCacheStats, PlanKey,
-    SharedCacheStats, SharedPlanCache,
-};
+pub use plan::{CacheOutcome, ConstraintKind, Executor, PhysicalPlan, PlanCache, PlanKey};
 pub use query::Query;
 pub use request::{
     CancelToken, ControlledSink, PathEnumError, PathStream, QueryRequest, QueryResponse,
     Termination,
 };
-pub use results::{
-    ResultCache, ResultCacheStats, ResultKey, SharedResultCache, DEFAULT_RESULT_CACHE_BYTES,
-};
+pub use results::{ResultCache, ResultKey, DEFAULT_RESULT_CACHE_BYTES};
 pub use sharded::{CacheStats, Sharded};
 pub use sink::{CollectingSink, CountingSink, PathBuffer, PathSink, SearchControl};
 pub use stats::{Counters, Method, PhaseTimings, RunReport};

@@ -16,14 +16,16 @@
 //!   a slot for it.
 //!
 //! Every evaluator is a driver that sequences the stages and adds only
-//! what is its own. [`Pipeline::evaluate`] (validate →
+//! what is its own, and every one of them hands the stages the same
+//! [`Caches`]: one-shard layers for an engine, N-shard layers for a
+//! catalog tenant. [`Pipeline::evaluate`] (validate →
 //! [`preflight_stop`] → acquire → finish) is the whole of
-//! [`QueryEngine::execute_into`](crate::QueryEngine::execute_into) over a
-//! [`LocalStore`]. The [`catalog`](crate::catalog) drives the same
-//! stages over a [`SharedStore`]: `preflight_stop` + `acquire` on the
-//! submitting thread, admission and a queue in between, and
-//! `preflight_stop` + `finish` on a pool worker with a deadline that
-//! starts at pickup.
+//! [`QueryEngine::execute_into`](crate::QueryEngine::execute_into). The
+//! [`catalog`](crate::catalog) drives the same stages: `preflight_stop` +
+//! `acquire` on the submitting thread, admission and a queue in between,
+//! and `preflight_stop` + `finish` on a pool worker with a deadline that
+//! starts at pickup. [`QueryEngine::stream`](crate::QueryEngine::stream)
+//! takes a warm plan through the same [`probe`](Pipeline::probe).
 //!
 //! Surgical retention under mutation is a property of the *graph*, not
 //! of an evaluator: when the serving graph offers a mutation log
@@ -41,124 +43,23 @@ use crate::index::{BuildScratch, Index};
 use crate::optimizer::PathEnumConfig;
 use crate::plan::{
     complete_on_graph, effective_config, resolve_on_index, CacheOutcome, Executor, GraphStamp,
-    IndexFootprint, PhysicalPlan, PlanCache, PlanKey, Planner, SharedPlanCache, StoppingRules,
+    IndexFootprint, PhysicalPlan, PlanCache, PlanKey, Planner, StoppingRules,
 };
 use crate::query::Query;
 use crate::request::{PathEnumError, QueryRequest, QueryResponse, Termination};
-use crate::results::{CachedResult, ResultCache, ResultKey, SharedResultCache, TeeSink};
+use crate::results::{CachedResult, ResultCache, ResultKey, TeeSink};
 use crate::sink::{PathSink, SearchControl};
 use crate::stats::{Counters, PhaseTimings};
 
-/// The two cache layers a pipeline run consults — plans and (optionally)
-/// results — behind one interface, so the stages are written once for
-/// the engines' exclusively owned caches ([`LocalStore`]) and the
-/// concurrent evaluators' sharded ones ([`SharedStore`]). A store does
-/// not re-export the caches' operations; it *locates* the cache
-/// responsible for a key and lends it to the pipeline for one operation.
-pub(crate) trait CacheStore {
-    /// Plan-cache entry capacity; 0 means requests bypass the layer.
-    fn plan_capacity(&self) -> usize;
-
-    /// Runs one operation on the plan cache responsible for `key`.
-    fn with_plans<R>(&mut self, key: &PlanKey, f: impl FnOnce(&mut PlanCache) -> R) -> R;
-
-    /// Records a request that was planned without consulting the layer.
-    fn note_plan_bypass(&mut self);
-
-    /// The largest answer, in bytes, the result layer could ever admit —
-    /// the bound on what [`finish`] bothers to record — or `None` when
-    /// no result layer is attached (off by default everywhere).
-    fn max_result_bytes(&self) -> Option<usize>;
-
-    /// Runs one operation on the result cache responsible for `key`
-    /// (`None`, without running it, when no result layer is attached).
-    fn with_results<R>(
-        &mut self,
-        key: &ResultKey,
-        f: impl FnOnce(&mut ResultCache) -> R,
-    ) -> Option<R>;
-
-    /// Records a request whose results were not eligible for the layer.
-    fn note_result_bypass(&mut self);
-}
-
-/// An engine's exclusively owned caches.
-pub(crate) struct LocalStore<'a> {
-    pub plans: &'a mut PlanCache,
-    pub results: Option<&'a mut ResultCache>,
-}
-
-impl CacheStore for LocalStore<'_> {
-    fn plan_capacity(&self) -> usize {
-        self.plans.capacity()
-    }
-
-    fn with_plans<R>(&mut self, _key: &PlanKey, f: impl FnOnce(&mut PlanCache) -> R) -> R {
-        f(self.plans)
-    }
-
-    fn note_plan_bypass(&mut self) {
-        self.plans.note_bypass();
-    }
-
-    fn max_result_bytes(&self) -> Option<usize> {
-        self.results.as_ref().map(|results| results.byte_budget())
-    }
-
-    fn with_results<R>(
-        &mut self,
-        _key: &ResultKey,
-        f: impl FnOnce(&mut ResultCache) -> R,
-    ) -> Option<R> {
-        self.results.as_deref_mut().map(f)
-    }
-
-    fn note_result_bypass(&mut self) {
-        if let Some(results) = &mut self.results {
-            results.note_bypass();
-        }
-    }
-}
-
-/// The sharded caches the concurrent evaluators share. The lent cache is
-/// the key's shard, under its lock for just that one probe or insert;
-/// plans and answers come out as `Arc`s, so execution and replay run
-/// unlocked.
-pub(crate) struct SharedStore<'a> {
-    pub plans: &'a SharedPlanCache,
-    pub results: Option<&'a SharedResultCache>,
-}
-
-impl CacheStore for SharedStore<'_> {
-    fn plan_capacity(&self) -> usize {
-        self.plans.capacity()
-    }
-
-    fn with_plans<R>(&mut self, key: &PlanKey, f: impl FnOnce(&mut PlanCache) -> R) -> R {
-        self.plans.with_shard(key, f)
-    }
-
-    fn note_plan_bypass(&mut self) {
-        self.plans.note_bypass();
-    }
-
-    fn max_result_bytes(&self) -> Option<usize> {
-        self.results.map(|results| results.shard_budget())
-    }
-
-    fn with_results<R>(
-        &mut self,
-        key: &ResultKey,
-        f: impl FnOnce(&mut ResultCache) -> R,
-    ) -> Option<R> {
-        self.results.map(|results| results.with_shard(key, f))
-    }
-
-    fn note_result_bypass(&mut self) {
-        if let Some(results) = self.results {
-            results.note_bypass();
-        }
-    }
+/// The two cache layers a pipeline run consults: plans and, when
+/// attached, results (off by default everywhere). An engine owns
+/// one-shard layers, a catalog tenant N-shard ones; the stages borrow
+/// either the same way, and every probe and insert locks just the key's
+/// shard.
+#[derive(Debug)]
+pub(crate) struct Caches {
+    pub plans: PlanCache,
+    pub results: Option<ResultCache>,
 }
 
 /// Where [`finish`] records the answer of a request that missed the
@@ -254,21 +155,21 @@ pub(crate) fn preflight_termination(
 }
 
 /// Everything the front half of the pipeline is parameterised by: the
-/// serving graph, the orchestrator configuration, the cache store, and
-/// the build scratch cold plans reuse.
-pub(crate) struct Pipeline<'a, G, S> {
+/// serving graph, the orchestrator configuration, the caches, and the
+/// build scratch cold plans reuse.
+pub(crate) struct Pipeline<'a, G> {
     pub graph: &'a G,
     pub config: PathEnumConfig,
-    pub store: S,
+    pub caches: &'a Caches,
     pub scratch: &'a mut BuildScratch,
 }
 
-impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
+impl<G: GraphSnapshot> Pipeline<'_, G> {
     /// The whole pipeline for an evaluator with nothing between the
     /// stages: validate → pre-flight → [`acquire`](Self::acquire) →
     /// [`finish`], with the deadline starting now. A response reading
     /// [`CacheOutcome::Skipped`] was rejected by a pre-flight rule
-    /// before it touched the graph or the store.
+    /// before it touched the graph or the caches.
     pub(crate) fn evaluate(
         &mut self,
         request: &QueryRequest<'_>,
@@ -281,20 +182,15 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
         }
         Ok(match self.acquire(query, request, sink) {
             Acquired::Replay(response) => response,
-            Acquired::Planned(planned) => finish(
-                planned,
-                self.graph,
-                request,
-                deadline,
-                sink,
-                &mut self.store,
-            ),
+            Acquired::Planned(planned) => {
+                finish(planned, self.graph, request, deadline, sink, self.caches)
+            }
         })
     }
 
     /// Stage one: find the cheapest way to answer a validated request.
     ///
-    /// The result layer (when the store has one) is probed first: a
+    /// The result layer (when one is attached) is probed first: a
     /// stored answer — fresh, or surgically retained across the graph's
     /// mutation log — is replayed straight into `sink`, skipping
     /// planning *and* enumeration. Otherwise the request is
@@ -307,21 +203,19 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
         sink: &mut dyn PathSink,
     ) -> Acquired {
         let mut key = None;
-        if self.store.max_result_bytes().is_some() {
+        if let Some(results) = &self.caches.results {
             key = result_key(self.config, request);
             match &key {
                 Some(key) => {
                     let at = GraphStamp::of(self.graph);
                     let lookup_start = Instant::now();
-                    let cached = self.store.with_results(key, |results| {
-                        results.lookup(key, request.limit, request.time_budget, at)
-                    });
-                    if let Some(cached) = cached.flatten() {
+                    let cached = results.lookup(key, request.limit, request.time_budget, at);
+                    if let Some(cached) = cached {
                         let lookup = lookup_start.elapsed();
                         return Acquired::Replay(replay_result_hit(&cached, request, sink, lookup));
                     }
                 }
-                None => self.store.note_result_bypass(),
+                None => results.note_bypass(),
             }
         }
         Acquired::Planned(self.plan(query, request, key))
@@ -339,7 +233,9 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
         result_key: Option<ResultKey>,
     ) -> PlannedRequest {
         let at = GraphStamp::of(self.graph);
-        let key = plan_key(self.config, request, self.store.plan_capacity());
+        let caches = self.caches;
+        let plans = &caches.plans;
+        let key = plan_key(self.config, request, plans.capacity());
         let slot = |footprint| {
             result_key.map(|key| ResultSlot {
                 key,
@@ -348,42 +244,9 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
             })
         };
 
-        // Warm path: a fresh (or surgically retained) entry skips BFS,
-        // index build, and estimation; the (tiny) lookup cost —
-        // including any retention check against the mutation log — is
-        // reported as `cache_lookup`, leaving `index_build` zero: no
-        // build ran.
-        let lookup_start = Instant::now();
         match &key {
             Some(key) => {
-                let cached = self.store.with_plans(key, |plans| plans.lookup(key, at));
-                if let Some((mut plan, mut index)) = cached {
-                    plan.constraint = request.constraint.kind();
-                    let mut timings = PhaseTimings {
-                        cache_lookup: lookup_start.elapsed(),
-                        ..PhaseTimings::default()
-                    };
-                    // The plan layer serves filled indexes only: the first
-                    // request to find a step-1 miss's labels-only entry
-                    // fills its rows here. The entry keeps what no limit
-                    // changes; method and cut are this request's, and if
-                    // it is the first on the entry to need the full
-                    // estimate, it computes it here too. Both happen
-                    // unlocked and are left for the rest.
-                    let seen = Arc::clone(&index);
-                    let completed = complete_on_graph(
-                        &mut plan,
-                        &mut index,
-                        self.graph,
-                        self.scratch,
-                        &mut timings,
-                    );
-                    let estimated =
-                        resolve_on_index(&mut plan, &index, request.limit, &mut timings);
-                    if completed || estimated {
-                        self.store
-                            .with_plans(key, |plans| plans.write_back(key, &seen, &plan, &index));
-                    }
+                if let Some((plan, index, timings)) = self.probe(key, request) {
                     return PlannedRequest {
                         plan,
                         index,
@@ -396,7 +259,7 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
                     };
                 }
             }
-            None => self.store.note_plan_bypass(),
+            None => plans.note_bypass(),
         }
 
         // Cold path: plan from scratch and publish before executing.
@@ -423,9 +286,7 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
         let outcome = match key {
             Some(key) => {
                 let index = Arc::clone(&index);
-                self.store.with_plans(&key, |plans| {
-                    plans.insert_with_footprint(key, at.version, plan, index, footprint)
-                });
+                plans.insert_with_footprint(key, at.version, plan, index, footprint);
                 CacheOutcome::Miss
             }
             None => CacheOutcome::Bypass,
@@ -437,6 +298,48 @@ impl<G: GraphSnapshot, S: CacheStore> Pipeline<'_, G, S> {
             outcome,
             result_slot,
         }
+    }
+
+    /// The one warm plan probe, shared by [`plan`](Self::plan) and
+    /// [`QueryEngine::stream`](crate::QueryEngine::stream): the plan
+    /// layer's entry for `key`, resolved for `request`, with its
+    /// front-half timings — or `None` on a miss.
+    ///
+    /// A fresh (or surgically retained) entry skips BFS, index build and
+    /// estimation; the (tiny) lookup cost — including any retention check
+    /// against the mutation log — is reported as `cache_lookup`. The
+    /// plan layer serves filled indexes only: the first request to find
+    /// a step-1 miss's labels-only entry fills its rows here. The entry
+    /// keeps what no limit changes; method and cut are this request's,
+    /// and if it is the first on the entry to need the full estimate, it
+    /// computes it here too. Both happen unlocked and are written back
+    /// for the rest.
+    pub(crate) fn probe(
+        &mut self,
+        key: &PlanKey,
+        request: &QueryRequest<'_>,
+    ) -> Option<(PhysicalPlan, Arc<Index>, PhaseTimings)> {
+        let plans = &self.caches.plans;
+        let lookup_start = Instant::now();
+        let (mut plan, mut index) = plans.lookup(key, GraphStamp::of(self.graph))?;
+        plan.constraint = request.constraint.kind();
+        let mut timings = PhaseTimings {
+            cache_lookup: lookup_start.elapsed(),
+            ..PhaseTimings::default()
+        };
+        let seen = Arc::clone(&index);
+        let completed = complete_on_graph(
+            &mut plan,
+            &mut index,
+            self.graph,
+            self.scratch,
+            &mut timings,
+        );
+        let estimated = resolve_on_index(&mut plan, &index, request.limit, &mut timings);
+        if completed || estimated {
+            plans.write_back(key, &seen, &plan, &index);
+        }
+        Some((plan, index, timings))
     }
 }
 
@@ -452,7 +355,7 @@ pub(crate) fn finish<G: NeighborAccess>(
     request: &QueryRequest<'_>,
     deadline: Option<Instant>,
     sink: &mut dyn PathSink,
-    store: &mut impl CacheStore,
+    caches: &Caches,
 ) -> QueryResponse {
     let PlannedRequest {
         plan,
@@ -466,25 +369,23 @@ pub(crate) fn finish<G: NeighborAccess>(
             &index, graph, plan, request, deadline, sink, timings, outcome,
         )
     };
-    let Some(slot) = result_slot else {
+    let (Some(slot), Some(results)) = (result_slot, &caches.results) else {
         return run(sink);
     };
-    let mut tee = TeeSink::new(sink, store.max_result_bytes().unwrap_or(0));
+    let mut tee = TeeSink::new(sink, results.shard_budget());
     let response = run(&mut tee);
     if let Some(paths) = tee.finish() {
         if response.termination != Termination::Cancelled {
-            store.with_results(&slot.key, |results| {
-                results.insert(
-                    slot.key,
-                    slot.version,
-                    plan,
-                    paths,
-                    response.termination,
-                    request.limit,
-                    request.time_budget,
-                    slot.footprint,
-                )
-            });
+            results.insert(
+                slot.key,
+                slot.version,
+                plan,
+                paths,
+                response.termination,
+                request.limit,
+                request.time_budget,
+                slot.footprint,
+            );
         }
     }
     response
@@ -628,13 +529,14 @@ mod tests {
     use pathenum_graph::generators::erdos_renyi;
 
     use super::*;
-    use crate::plan::{DEFAULT_CACHE_SHARDS, DEFAULT_PLAN_CACHE_CAPACITY};
+    use crate::plan::DEFAULT_PLAN_CACHE_CAPACITY;
 
     /// The shared-cache accounting identity
     /// `hits + misses + bypasses == lookups` must hold under genuinely
     /// concurrent load *and* across `clear()` calls racing the lookups —
     /// a clear may evict every entry mid-stream, but it must never lose
-    /// or double-count a lookup.
+    /// or double-count a lookup — and at every read of the stats, not
+    /// just once the load has quiesced.
     #[test]
     fn shared_cache_stats_balance_under_concurrent_load_and_clears() {
         const THREADS: usize = 4;
@@ -642,17 +544,18 @@ mod tests {
         const SHAPES: u32 = 5;
 
         let graph = erdos_renyi(60, 380, 13);
-        let cache = SharedPlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS);
+        let caches = Caches {
+            plans: PlanCache::with_shards(DEFAULT_PLAN_CACHE_CAPACITY, 8),
+            results: None,
+        };
+        let cache = &caches.plans;
         let evaluate = |request: &QueryRequest<'_>| {
             let mut scratch = BuildScratch::default();
             let mut sink = Collector::new(request);
             Pipeline {
                 graph: &graph,
                 config: PathEnumConfig::default(),
-                store: SharedStore {
-                    plans: &cache,
-                    results: None,
-                },
+                caches: &caches,
                 scratch: &mut scratch,
             }
             .evaluate(request, &mut sink)
@@ -671,6 +574,12 @@ mod tests {
                 start.wait();
                 while !done.load(Ordering::Relaxed) {
                     cache.clear();
+                    let stats = cache.stats();
+                    assert_eq!(
+                        stats.hits + stats.misses + stats.bypasses,
+                        stats.lookups,
+                        "accounting identity at a read mid-load: {stats:?}"
+                    );
                     clears.fetch_add(1, Ordering::Release);
                     std::thread::yield_now();
                 }

@@ -75,8 +75,10 @@
 //! together for every evaluator: plan-acquisition (cache lookup or
 //! the planner) followed by [`Executor`] dispatch, with
 //! [`QueryEngine::explain`](crate::QueryEngine::explain) returning the
-//! plan without enumerating at all. The concurrent evaluators share the
-//! cache as a [`SharedPlanCache`] — [`Sharded`] over [`PlanCache`].
+//! plan without enumerating at all. An engine owns a one-shard
+//! [`PlanCache`]; a [`catalog`](crate::catalog) tenant owns an N-shard one
+//! that many workers share. Both are the same type, [`Sharded`] over the
+//! plan layer's key and entry.
 //!
 //! ```
 //! use pathenum::{PathEnumConfig, QueryEngine, QueryRequest};
@@ -110,7 +112,7 @@ use crate::optimizer::{
 };
 use crate::query::Query;
 use crate::request::{CancelToken, ConstraintSpec, ControlledSink, QueryRequest, Termination};
-use crate::sharded::{CacheStats, Retained, ShardCache, Sharded, VersionedLru};
+use crate::sharded::{Retained, Sharded};
 use crate::sink::PathSink;
 use crate::stats::{Counters, Method, PhaseTimings};
 
@@ -809,14 +811,6 @@ impl PlanKey {
     }
 }
 
-/// Aggregate statistics of a [`PlanCache`] — the shared seven-counter
-/// [`CacheStats`].
-pub type PlanCacheStats = CacheStats;
-
-/// Aggregate statistics of a [`SharedPlanCache`] — the shared
-/// seven-counter [`CacheStats`], read without locking.
-pub type SharedCacheStats = CacheStats;
-
 /// The serving graph as a cache sees it: the version entries are stamped
 /// with, plus — when the graph keeps one (see
 /// [`GraphSnapshot::mutation_log`]) — the mutation log that lets a
@@ -939,16 +933,17 @@ impl IndexFootprint {
     }
 }
 
+/// One [`PlanCache`] entry: a plan and the index it was computed from.
 #[derive(Debug)]
-struct PlanEntry {
+pub struct PlanEntry {
     /// What does not depend on a request's limit: the index shape and
     /// the estimates, the full ones once some request needed them.
     /// `method`, `cut` and `limit` are those of whichever request stored
     /// the entry; the pipeline re-resolves them for every reader.
     plan: PhysicalPlan,
-    /// Shared so a concurrent cache ([`SharedPlanCache`]) can hand the
-    /// index to an executing worker without cloning the tables and
-    /// without holding its shard lock for the duration of the query.
+    /// Shared so a hit can hand the index to an executing worker without
+    /// cloning the tables and without holding the shard lock for the
+    /// duration of the query.
     index: Arc<Index>,
 }
 
@@ -968,7 +963,8 @@ impl Retained for PlanEntry {
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
 
 /// An LRU cache of `(PhysicalPlan, Index)` pairs keyed by [`PlanKey`]
-/// and guarded by a [`GraphVersion`] epoch.
+/// and guarded by a [`GraphVersion`] epoch: [`Sharded`] over the plan
+/// layer's entries, each charged 1 against an entry budget.
 ///
 /// A lookup whose stored version differs from the serving graph's
 /// current version discards the entry (counted as an invalidation): a
@@ -978,17 +974,17 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
 /// exception is surgical retention: when the serving graph offers its
 /// mutation log (a [`DynamicGraph`] served in place), a stale entry
 /// whose footprint the delta provably never touched is re-stamped and
-/// kept, counted in [`PlanCacheStats::retained`].
+/// kept, counted in [`CacheStats::retained`](crate::CacheStats::retained).
 ///
-/// The cache is an independent value so it can outlive any single
-/// engine: move it between engines over successive snapshots with
+/// [`new`](Self::new) builds the one-shard cache an engine owns; the
+/// cache is an independent value so it can outlive any single engine:
+/// move it between engines over successive snapshots with
 /// [`QueryEngine::with_cache`](crate::QueryEngine::with_cache) /
-/// [`QueryEngine::into_cache`](crate::QueryEngine::into_cache).
-#[derive(Debug)]
-pub struct PlanCache {
-    /// Each entry is charged 1 against the capacity.
-    lru: VersionedLru<PlanKey, PlanEntry>,
-}
+/// [`QueryEngine::into_cache`](crate::QueryEngine::into_cache). A
+/// [`catalog`](crate::catalog) tenant's cache is built with
+/// [`with_shards`](Sharded::with_shards); a worker holding a hit
+/// *executes outside the lock* (entries hand out [`Arc<Index>`] clones).
+pub type PlanCache = Sharded<PlanKey, PlanEntry>;
 
 impl Default for PlanCache {
     fn default() -> Self {
@@ -997,42 +993,17 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` entries. Capacity 0 disables
-    /// caching entirely (every lookup misses, nothing is stored).
+    /// A one-shard cache holding at most `capacity` entries. Capacity 0
+    /// disables caching entirely (every lookup misses, nothing is
+    /// stored).
     pub fn new(capacity: usize) -> Self {
-        PlanCache {
-            lru: VersionedLru::new(capacity),
-        }
+        Sharded::with_shards(capacity, 1)
     }
 
-    /// Maximum number of entries.
+    /// Total entry capacity across all shards (the rounded, enforced
+    /// value).
     pub fn capacity(&self) -> usize {
-        self.lru.budget()
-    }
-
-    /// Current number of entries.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Aggregate hit/miss/invalidation/eviction counts.
-    pub fn stats(&self) -> PlanCacheStats {
-        self.lru.stats()
-    }
-
-    /// Drops every entry (statistics are kept).
-    pub fn clear(&mut self) {
-        self.lru.clear();
-    }
-
-    /// Records a request evaluated without consulting this cache.
-    pub(crate) fn note_bypass(&mut self) {
-        self.lru.note_bypass();
+        self.budget()
     }
 
     /// Looks up an entry for `key` against the serving graph `at`: a
@@ -1040,12 +1011,15 @@ impl PlanCache {
     /// against the graph's mutation log (see [`IndexFootprint`]) — served
     /// as a retained hit instead of a rebuild — or removed.
     pub(crate) fn lookup<'g>(
-        &mut self,
+        &self,
         key: &PlanKey,
         at: impl Into<GraphStamp<'g>>,
     ) -> Option<(PhysicalPlan, Arc<Index>)> {
-        self.lru.lookup(key, at.into(), |entry| {
-            Some((entry.plan, Arc::clone(&entry.index)))
+        let at = at.into();
+        self.with_shard(key, |lru| {
+            lru.lookup(key, at, |entry| {
+                Some((entry.plan, Arc::clone(&entry.index)))
+            })
         })
     }
 
@@ -1056,96 +1030,49 @@ impl PlanCache {
     /// no-op unless the entry still holds `seen`; what the entry already
     /// has is kept. Not a lookup: no counter moves.
     pub(crate) fn write_back(
-        &mut self,
+        &self,
         key: &PlanKey,
         seen: &Arc<Index>,
         plan: &PhysicalPlan,
         index: &Arc<Index>,
     ) {
-        let Some((_, entry)) = self.lru.get_mut(key) else {
-            return;
-        };
-        if !Arc::ptr_eq(&entry.index, seen) {
-            return;
-        }
-        if entry.plan.preliminary_estimate.is_none() {
-            entry.index = Arc::clone(index);
-            entry.plan.preliminary_estimate = plan.preliminary_estimate;
-            entry.plan.index_edges = plan.index_edges;
-            entry.plan.index_bytes = plan.index_bytes;
-        }
-        if entry.plan.full_estimate.is_none() {
-            entry.plan.full_estimate = plan.full_estimate;
-            entry.plan.t_dfs = plan.t_dfs;
-            entry.plan.t_join = plan.t_join;
-            entry.plan.join_cut = plan.join_cut;
-        }
+        self.with_shard(key, |lru| {
+            let Some((_, entry)) = lru.get_mut(key) else {
+                return;
+            };
+            if !Arc::ptr_eq(&entry.index, seen) {
+                return;
+            }
+            if entry.plan.preliminary_estimate.is_none() {
+                entry.index = Arc::clone(index);
+                entry.plan.preliminary_estimate = plan.preliminary_estimate;
+                entry.plan.index_edges = plan.index_edges;
+                entry.plan.index_bytes = plan.index_bytes;
+            }
+            if entry.plan.full_estimate.is_none() {
+                entry.plan.full_estimate = plan.full_estimate;
+                entry.plan.t_dfs = plan.t_dfs;
+                entry.plan.t_join = plan.t_join;
+                entry.plan.join_cut = plan.join_cut;
+            }
+        });
     }
 
     /// Stores a plan + (shared) index for `key` at `version`, evicting
-    /// the least recently used entry when at capacity. A `footprint`
-    /// makes the entry eligible for surgical retention when a later
-    /// [`lookup`](Self::lookup) comes with a mutation log.
+    /// the least recently used entry of its shard when that is full. A
+    /// `footprint` makes the entry eligible for surgical retention when a
+    /// later [`lookup`](Self::lookup) comes with a mutation log.
     pub(crate) fn insert_with_footprint(
-        &mut self,
+        &self,
         key: PlanKey,
         version: GraphVersion,
         plan: PhysicalPlan,
         index: Arc<Index>,
         footprint: Option<IndexFootprint>,
     ) {
-        self.lru
-            .insert(key, version, PlanEntry { plan, index }, footprint, 1);
-    }
-}
-
-impl ShardCache for PlanCache {
-    type Key = PlanKey;
-
-    fn with_budget(budget: usize) -> Self {
-        PlanCache::new(budget)
-    }
-
-    fn stats(&self) -> CacheStats {
-        PlanCache::stats(self)
-    }
-
-    fn entries(&self) -> usize {
-        PlanCache::len(self)
-    }
-
-    fn clear(&mut self) {
-        PlanCache::clear(self);
-    }
-}
-
-/// Default shard count of a [`SharedPlanCache`]: enough to keep lock
-/// contention negligible for realistic worker pools while keeping the
-/// per-shard LRU meaningful.
-pub const DEFAULT_CACHE_SHARDS: usize = 8;
-
-/// A concurrently readable plan/index cache: [`Sharded`] over
-/// [`PlanCache`].
-///
-/// This is the cache behind every [`catalog`](crate::catalog) tenant:
-/// many threads share one warm
-/// working set over one graph. Each shard is an independent LRU
-/// [`PlanCache`], and a worker holding a hit *executes outside the lock*
-/// (entries hand out [`Arc<Index>`] clones — the shard lock covers only
-/// the map probe). The budget is an entry count.
-pub type SharedPlanCache = Sharded<PlanCache>;
-
-impl Default for SharedPlanCache {
-    fn default() -> Self {
-        Sharded::new(DEFAULT_PLAN_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS)
-    }
-}
-
-impl Sharded<PlanCache> {
-    /// Total entry capacity across all shards (the rounded, enforced
-    /// value).
-    pub fn capacity(&self) -> usize {
-        self.budget()
+        self.with_shard(&key, |lru| {
+            lru.insert(key, version, PlanEntry { plan, index }, footprint, 1)
+        });
     }
 }
 
@@ -1158,30 +1085,8 @@ mod tests {
 
     /// Footprint-less insert shorthand for the tests below.
     impl PlanCache {
-        fn insert(
-            &mut self,
-            key: PlanKey,
-            version: GraphVersion,
-            plan: PhysicalPlan,
-            index: Index,
-        ) {
-            self.insert_with_footprint(key, version, plan, Arc::new(index), None);
-        }
-    }
-
-    /// Probe/insert shorthands for the sharded tests below — production
-    /// code reaches a shard through `with_shard` (see `pipeline.rs`).
-    impl SharedPlanCache {
-        fn lookup(
-            &self,
-            key: &PlanKey,
-            version: GraphVersion,
-        ) -> Option<(PhysicalPlan, Arc<Index>)> {
-            self.with_shard(key, |shard| shard.lookup(key, version))
-        }
-
         fn insert(&self, key: PlanKey, version: GraphVersion, plan: PhysicalPlan, index: Index) {
-            self.with_shard(&key, |shard| shard.insert(key, version, plan, index));
+            self.insert_with_footprint(key, version, plan, Arc::new(index), None);
         }
     }
 
@@ -1298,7 +1203,7 @@ mod tests {
             method: None,
             tau: 100_000,
         };
-        let mut cache = PlanCache::new(4);
+        let cache = PlanCache::new(4);
         let v1 = g.version();
         assert!(cache.lookup(&key, v1).is_none());
         cache.insert(key, v1, plan, index.clone());
@@ -1328,7 +1233,7 @@ mod tests {
             method: None,
             tau: 100_000,
         };
-        let mut cache = PlanCache::new(2);
+        let cache = PlanCache::new(2);
         cache.insert(key(2), v, plan, index.clone());
         cache.insert(key(3), v, plan, index.clone());
         assert!(cache.lookup(&key(2), v).is_some(), "refresh key 2");
@@ -1353,7 +1258,7 @@ mod tests {
             method: None,
             tau: 100_000,
         };
-        let mut cache = PlanCache::new(0);
+        let cache = PlanCache::new(0);
         cache.insert(key, v, plan, index);
         assert!(cache.is_empty());
         assert!(cache.lookup(&key, v).is_none());
@@ -1376,7 +1281,7 @@ mod tests {
         let g = figure1_graph();
         let (plan, index) = plan_for(&g, 4);
         let v = g.version();
-        let cache = SharedPlanCache::new(8, 4);
+        let cache = PlanCache::with_shards(8, 4);
         assert!(cache.lookup(&shared_key(4), v).is_none());
         cache.insert(shared_key(4), v, plan, index.clone());
         assert!(cache.lookup(&shared_key(4), v).is_some());
@@ -1396,7 +1301,7 @@ mod tests {
     fn shared_cache_invalidates_by_version_and_diffs_snapshots() {
         let g = figure1_graph();
         let (plan, index) = plan_for(&g, 4);
-        let cache = SharedPlanCache::new(8, 2);
+        let cache = PlanCache::with_shards(8, 2);
         let v1 = g.version();
         cache.insert(shared_key(4), v1, plan, index);
         let before = cache.stats();
@@ -1414,7 +1319,7 @@ mod tests {
         let g = figure1_graph();
         let (plan, index) = plan_for(&g, 4);
         let v = g.version();
-        let cache = SharedPlanCache::new(32, 4);
+        let cache = PlanCache::with_shards(32, 4);
         for k in 2..6u32 {
             cache.insert(shared_key(k), v, plan, index.clone());
         }
@@ -1439,19 +1344,19 @@ mod tests {
     fn shared_cache_capacity_reports_the_enforced_rounding() {
         // 10 entries over 8 shards rounds up to 2 per shard; the
         // reported capacity is the enforced 16, not the requested 10.
-        let cache = SharedPlanCache::new(10, 8);
+        let cache = PlanCache::with_shards(10, 8);
         assert_eq!(cache.num_shards(), 8);
         assert_eq!(cache.capacity(), 16);
         // Exact divisions are unchanged.
-        assert_eq!(SharedPlanCache::new(8, 4).capacity(), 8);
-        assert_eq!(SharedPlanCache::new(0, 4).capacity(), 0);
+        assert_eq!(PlanCache::with_shards(8, 4).capacity(), 8);
+        assert_eq!(PlanCache::with_shards(0, 4).capacity(), 0);
     }
 
     #[test]
     fn shared_cache_zero_capacity_disables_storage() {
         let g = figure1_graph();
         let (plan, index) = plan_for(&g, 4);
-        let cache = SharedPlanCache::new(0, 4);
+        let cache = PlanCache::with_shards(0, 4);
         cache.insert(shared_key(4), g.version(), plan, index);
         assert!(cache.is_empty());
         assert_eq!(cache.capacity(), 0);

@@ -449,7 +449,9 @@ impl<'a> QueryRequest<'a> {
     /// [`QueryResponse::plan`] with zero results — the `EXPLAIN` of this
     /// engine. The plan is cached, so a following `execute` of the same
     /// request runs warm. [`QueryEngine::explain`](crate::QueryEngine::explain)
-    /// is the direct form.
+    /// is the direct form. [`QueryEngine::stream`](crate::QueryEngine::stream)
+    /// of such a request yields no path and ends
+    /// [`Completed`](Termination::Completed), without planning.
     pub fn explain(mut self) -> Self {
         self.explain = true;
         self
@@ -805,6 +807,15 @@ impl<'q> PathStream<'q> {
             scratch,
             counters,
             termination: None,
+        }
+    }
+
+    /// A stream over `index` that has already ended
+    /// [`Completed`](Termination::Completed): it yields nothing.
+    pub(crate) fn completed(index: Index, request: &'q QueryRequest<'_>) -> Self {
+        PathStream {
+            termination: Some(Termination::Completed),
+            ..PathStream::new(index, request)
         }
     }
 

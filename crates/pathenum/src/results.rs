@@ -56,8 +56,10 @@
 //! [`QueryRequest::bypass_result_cache`]; [`QueryRequest::bypass_cache`]
 //! opts out of both layers.
 //!
-//! Statistics ([`ResultCacheStats`]) satisfy the same accounting
-//! identity the shared plan cache pins:
+//! Like the plan layer, the result layer is one type, [`Sharded`] over
+//! its key and entry: an engine owns a one-shard [`ResultCache`], a
+//! catalog tenant an N-shard one. Its statistics are the same
+//! [`CacheStats`](crate::CacheStats), with the same accounting identity:
 //! `hits + misses + bypasses == lookups`.
 
 use std::sync::Arc;
@@ -68,7 +70,7 @@ use pathenum_graph::{GraphVersion, VertexId};
 use crate::optimizer::PathEnumConfig;
 use crate::plan::{GraphStamp, IndexFootprint, PhysicalPlan};
 use crate::request::{ConstraintSpec, QueryRequest, Termination};
-use crate::sharded::{CacheStats, Retained, ShardCache, Sharded, VersionedLru};
+use crate::sharded::{Retained, Sharded};
 use crate::sink::{PathBuffer, PathSink, SearchControl};
 use crate::stats::Method;
 
@@ -193,11 +195,6 @@ impl ResultKey {
     }
 }
 
-/// Aggregate statistics of a [`ResultCache`] / [`SharedResultCache`] —
-/// the shared seven-counter [`CacheStats`], with the same
-/// `hits + misses + bypasses == lookups` contract as every cache layer.
-pub type ResultCacheStats = CacheStats;
-
 /// What a result-cache hit hands back: everything needed to replay the
 /// answer without touching the graph.
 #[derive(Debug, Clone)]
@@ -219,8 +216,10 @@ pub(crate) struct CachedResult {
 /// the measured path/footprint bytes (map slot, entry struct, `Arc`).
 pub(crate) const ENTRY_OVERHEAD_BYTES: usize = 192;
 
+/// One [`ResultCache`] entry: a recorded answer and the bounds it ran
+/// under.
 #[derive(Debug)]
-struct ResultEntry {
+pub struct ResultEntry {
     plan: PhysicalPlan,
     paths: Arc<PathBuffer>,
     termination: Termination,
@@ -303,18 +302,19 @@ impl Retained for ResultEntry {
 pub const DEFAULT_RESULT_CACHE_BYTES: usize = 16 * 1024 * 1024;
 
 /// A byte-budgeted LRU cache of completed enumeration answers, keyed by
-/// [`ResultKey`] and guarded by a [`GraphVersion`] epoch.
+/// [`ResultKey`] and guarded by a [`GraphVersion`] epoch: [`Sharded`]
+/// over the result layer's entries, each charged its measured bytes plus
+/// a fixed per-entry overhead.
 ///
 /// See the [module docs](self) for the serve rules and retention
-/// semantics. The cache is an independent value (like
-/// [`PlanCache`](crate::plan::PlanCache)) so it can move between engines
-/// over successive snapshots.
-#[derive(Debug)]
-pub struct ResultCache {
-    /// Each entry is charged its measured bytes plus
-    /// [`ENTRY_OVERHEAD_BYTES`] against the byte budget.
-    lru: VersionedLru<ResultKey, ResultEntry>,
-}
+/// semantics. [`new`](Self::new) builds the one-shard cache an engine
+/// owns; like [`PlanCache`](crate::plan::PlanCache) it is an independent
+/// value, so it can move between engines over successive snapshots. A
+/// catalog tenant's cache is built with
+/// [`with_shards`](Sharded::with_shards). A hit hands out an `Arc` of the
+/// stored [`PathBuffer`]; the replay into the caller's sink happens
+/// entirely outside the shard lock.
+pub type ResultCache = Sharded<ResultKey, ResultEntry>;
 
 impl Default for ResultCache {
     fn default() -> Self {
@@ -323,49 +323,22 @@ impl Default for ResultCache {
 }
 
 impl ResultCache {
-    /// A cache holding at most `byte_budget` bytes of stored answers
-    /// (measured heap footprint plus a fixed per-entry overhead). A
-    /// budget of 0 disables the cache: every lookup misses, nothing is
+    /// A one-shard cache holding at most `byte_budget` bytes of stored
+    /// answers (measured heap footprint plus a fixed per-entry overhead).
+    /// A budget of 0 disables the cache: every lookup misses, nothing is
     /// stored.
     pub fn new(byte_budget: usize) -> Self {
-        ResultCache {
-            lru: VersionedLru::new(byte_budget),
-        }
+        Sharded::with_shards(byte_budget, 1)
     }
 
-    /// The configured byte budget.
+    /// Total byte budget across all shards (rounded up as enforced).
     pub fn byte_budget(&self) -> usize {
-        self.lru.budget()
+        self.budget()
     }
 
     /// Bytes currently charged by stored entries.
     pub fn bytes(&self) -> usize {
-        self.lru.charged()
-    }
-
-    /// Current number of entries.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Aggregate statistics.
-    pub fn stats(&self) -> ResultCacheStats {
-        self.lru.stats()
-    }
-
-    /// Drops every entry (statistics are kept).
-    pub fn clear(&mut self) {
-        self.lru.clear();
-    }
-
-    /// Records a request evaluated without consulting this cache.
-    pub(crate) fn note_bypass(&mut self) {
-        self.lru.note_bypass();
+        self.charged()
     }
 
     /// Looks up a servable answer for `key` against the serving graph
@@ -373,31 +346,35 @@ impl ResultCache {
     /// entry as the plan layer does. A bound-incompatible entry stays (a
     /// tighter future request can still use it); the lookup misses.
     pub(crate) fn lookup<'g>(
-        &mut self,
+        &self,
         key: &ResultKey,
         limit: Option<u64>,
         budget: Option<Duration>,
         at: impl Into<GraphStamp<'g>>,
     ) -> Option<CachedResult> {
-        self.lru.lookup(key, at.into(), |entry| {
-            let (served, termination) = entry.serve(limit, budget)?;
-            Some(CachedResult {
-                plan: entry.plan,
-                paths: Arc::clone(&entry.paths),
-                served,
-                termination,
+        let at = at.into();
+        self.with_shard(key, |lru| {
+            lru.lookup(key, at, |entry| {
+                let (served, termination) = entry.serve(limit, budget)?;
+                Some(CachedResult {
+                    plan: entry.plan,
+                    paths: Arc::clone(&entry.paths),
+                    served,
+                    termination,
+                })
             })
         })
     }
 
     /// Stores one recorded answer, evicting least-recently-used entries
-    /// until the byte budget holds. An answer larger than the whole
-    /// budget is not admitted; a worse answer never displaces a better
-    /// one for the same key at the same version (a `Completed` entry is
-    /// never overwritten by a truncated re-run under a tighter bound).
+    /// of its shard until the shard's byte budget holds. An answer larger
+    /// than a shard's budget is not admitted; a worse answer never
+    /// displaces a better one for the same key at the same version (a
+    /// `Completed` entry is never overwritten by a truncated re-run under
+    /// a tighter bound).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert(
-        &mut self,
+        &self,
         key: ResultKey,
         version: GraphVersion,
         plan: PhysicalPlan,
@@ -410,57 +387,24 @@ impl ResultCache {
         if termination == Termination::Cancelled {
             return;
         }
-        if let Some((stored, existing)) = self.lru.get_mut(&key) {
-            if stored == version && !existing.superseded_by(termination, paths.len()) {
-                return;
+        self.with_shard(&key, |lru| {
+            if let Some((stored, existing)) = lru.get_mut(&key) {
+                if stored == version && !existing.superseded_by(termination, paths.len()) {
+                    return;
+                }
             }
-        }
-        let bytes = paths.heap_bytes()
-            + footprint.as_ref().map_or(0, IndexFootprint::heap_bytes)
-            + ENTRY_OVERHEAD_BYTES;
-        let entry = ResultEntry {
-            plan,
-            paths: Arc::new(paths),
-            termination,
-            limit,
-            time_budget,
-        };
-        self.lru.insert(key, version, entry, footprint, bytes);
-    }
-}
-
-impl ShardCache for ResultCache {
-    type Key = ResultKey;
-
-    fn with_budget(budget: usize) -> Self {
-        ResultCache::new(budget)
-    }
-
-    fn stats(&self) -> CacheStats {
-        ResultCache::stats(self)
-    }
-
-    fn entries(&self) -> usize {
-        ResultCache::len(self)
-    }
-
-    fn clear(&mut self) {
-        ResultCache::clear(self);
-    }
-}
-
-/// A concurrently readable result cache: [`Sharded`] over
-/// [`ResultCache`] — the per-tenant result layer of the
-/// [`catalog`](crate::catalog::CatalogService). The budget is in bytes.
-///
-/// A hit hands out an `Arc` of the stored [`PathBuffer`]; the replay
-/// into the caller's sink happens entirely outside the shard lock.
-pub type SharedResultCache = Sharded<ResultCache>;
-
-impl Sharded<ResultCache> {
-    /// Total byte budget across all shards (rounded up as enforced).
-    pub fn byte_budget(&self) -> usize {
-        self.budget()
+            let bytes = paths.heap_bytes()
+                + footprint.as_ref().map_or(0, IndexFootprint::heap_bytes)
+                + ENTRY_OVERHEAD_BYTES;
+            let entry = ResultEntry {
+                plan,
+                paths: Arc::new(paths),
+                termination,
+                limit,
+                time_budget,
+            };
+            lru.insert(key, version, entry, footprint, bytes);
+        });
     }
 }
 
@@ -470,46 +414,6 @@ mod tests {
     use crate::plan::plan_on_index;
     use crate::query::Query;
     use crate::stats::PhaseTimings;
-
-    /// Probe/insert shorthands for the sharded test below — production
-    /// code reaches a shard through `with_shard` (see `pipeline.rs`).
-    impl SharedResultCache {
-        fn lookup(
-            &self,
-            key: &ResultKey,
-            limit: Option<u64>,
-            budget: Option<Duration>,
-            version: GraphVersion,
-        ) -> Option<CachedResult> {
-            self.with_shard(key, |shard| shard.lookup(key, limit, budget, version))
-        }
-
-        #[allow(clippy::too_many_arguments)]
-        fn insert(
-            &self,
-            key: ResultKey,
-            version: GraphVersion,
-            plan: PhysicalPlan,
-            paths: PathBuffer,
-            termination: Termination,
-            limit: Option<u64>,
-            time_budget: Option<Duration>,
-            footprint: Option<IndexFootprint>,
-        ) {
-            self.with_shard(&key, |shard| {
-                shard.insert(
-                    key,
-                    version,
-                    plan,
-                    paths,
-                    termination,
-                    limit,
-                    time_budget,
-                    footprint,
-                )
-            });
-        }
-    }
 
     fn sample_plan() -> PhysicalPlan {
         let g = crate::index::test_support::figure1_graph();
@@ -546,7 +450,7 @@ mod tests {
 
     #[test]
     fn completed_entries_serve_any_limit_as_a_prefix() {
-        let mut cache = ResultCache::new(1 << 20);
+        let cache = ResultCache::new(1 << 20);
         let v = GraphVersion::next();
         let paths = buffer(&[&[0, 2, 1], &[0, 3, 1], &[0, 4, 1]]);
         cache.insert(
@@ -581,7 +485,7 @@ mod tests {
 
     #[test]
     fn truncated_entries_serve_only_equal_or_tighter_bounds() {
-        let mut cache = ResultCache::new(1 << 20);
+        let cache = ResultCache::new(1 << 20);
         let v = GraphVersion::next();
         cache.insert(
             key(4),
@@ -613,7 +517,7 @@ mod tests {
 
     #[test]
     fn deadline_truncated_entries_require_a_tighter_budget() {
-        let mut cache = ResultCache::new(1 << 20);
+        let cache = ResultCache::new(1 << 20);
         let v = GraphVersion::next();
         cache.insert(
             key(4),
@@ -649,7 +553,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_invalidates() {
-        let mut cache = ResultCache::new(1 << 20);
+        let cache = ResultCache::new(1 << 20);
         let v1 = GraphVersion::next();
         cache.insert(
             key(4),
@@ -675,7 +579,7 @@ mod tests {
         let long: Vec<u32> = (0..200).collect();
         let one_entry = buffer(&[&long]).heap_bytes() + ENTRY_OVERHEAD_BYTES;
         // Room for two long-path entries, not three.
-        let mut cache = ResultCache::new(one_entry * 2 + ENTRY_OVERHEAD_BYTES / 2);
+        let cache = ResultCache::new(one_entry * 2 + ENTRY_OVERHEAD_BYTES / 2);
         let v = GraphVersion::next();
         for k in [2u32, 3, 4] {
             cache.insert(
@@ -712,7 +616,7 @@ mod tests {
 
     #[test]
     fn a_truncated_rerun_never_displaces_a_completed_answer() {
-        let mut cache = ResultCache::new(1 << 20);
+        let cache = ResultCache::new(1 << 20);
         let v = GraphVersion::next();
         cache.insert(
             key(4),
@@ -741,7 +645,7 @@ mod tests {
 
     #[test]
     fn zero_budget_disables_the_cache() {
-        let mut cache = ResultCache::new(0);
+        let cache = ResultCache::new(0);
         let v = GraphVersion::next();
         cache.insert(
             key(4),
@@ -759,7 +663,7 @@ mod tests {
 
     #[test]
     fn cancelled_runs_are_never_stored() {
-        let mut cache = ResultCache::new(1 << 20);
+        let cache = ResultCache::new(1 << 20);
         let v = GraphVersion::next();
         cache.insert(
             key(4),
@@ -776,7 +680,7 @@ mod tests {
 
     #[test]
     fn shared_cache_counts_consistently_under_threads() {
-        let cache = SharedResultCache::new(1 << 20, 4);
+        let cache = ResultCache::with_shards(1 << 20, 4);
         let v = GraphVersion::next();
         cache.insert(
             key(4),

@@ -1,38 +1,41 @@
-//! One sharded wrapper, one LRU, one statistics type: the machinery
-//! behind every cache layer.
+//! One cache type, one LRU, one statistics type: the machinery behind
+//! every cache layer.
 //!
-//! The plan cache ([`PlanCache`](crate::plan::PlanCache)) and the result
-//! cache ([`ResultCache`](crate::results::ResultCache)) are single-threaded
-//! LRUs over one versioned LRU (crate-private): one map, budget, eviction,
-//! retention walk and set of counters, with each layer adding its entry
-//! and its rule for a removed edge. The concurrent evaluator, the
-//! [`catalog`](crate::catalog), shares either through [`Sharded`]:
-//! per-shard locking over independent instances, with aggregate
-//! [`CacheStats`] kept in atomics. Keys hash to a shard, so two workers
-//! probing different shards never contend, and because hits hand out
-//! `Arc`s the shard lock covers only the map probe — execution and
-//! replay run unlocked.
+//! Each layer is one type, [`Sharded`] over the crate-private versioned
+//! LRU: the plan cache ([`PlanCache`](crate::plan::PlanCache)) and the
+//! result cache ([`ResultCache`](crate::results::ResultCache)) are
+//! `Sharded` over their own key and entry. The LRU holds one map, budget,
+//! eviction, retention walk and set of counters, and each layer adds its
+//! entry and its rule for a removed edge.
 //!
-//! Both layers, local or sharded, report the same seven counters and the
-//! same accounting identity: `hits + misses + bypasses == lookups`.
+//! A [`QueryEngine`](crate::QueryEngine) owns one-shard caches; a
+//! [`catalog`](crate::catalog) tenant owns N-shard ones, built with
+//! [`Sharded::with_shards`]. Keys hash to a shard, so two workers probing
+//! different shards never contend, and because hits hand out `Arc`s the
+//! shard lock covers only the map probe — execution and replay run
+//! unlocked. A one-shard cache skips the hash.
+//!
+//! Every shard keeps its own seven counters, moved only under its lock.
+//! [`Sharded::stats`] sums them, reading each under that lock, so the
+//! accounting identity `hits + misses + bypasses == lookups` holds at
+//! every read, in flight or quiescent.
 
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use pathenum_graph::hashing::FxHashMap;
 use pathenum_graph::{DynamicGraph, EdgeMutation, GraphVersion, VertexId};
 
 use crate::plan::{GraphStamp, IndexFootprint};
+use crate::sync::lock_recovering;
 
-/// Aggregate statistics of one cache layer — a
-/// [`PlanCache`](crate::plan::PlanCache), a
-/// [`ResultCache`](crate::results::ResultCache), or a [`Sharded`]
-/// wrapper of either.
+/// Statistics of one cache layer — a
+/// [`PlanCache`](crate::plan::PlanCache) or a
+/// [`ResultCache`](crate::results::ResultCache), summed over its shards.
 ///
 /// `lookups` is maintained as its *own* counter, not derived from the
 /// outcome counters — so `hits + misses + bypasses == lookups` is a real
-/// consistency invariant (across threads, for a sharded cache), not an
+/// consistency invariant (checked by the `paranoid` feature), not an
 /// identity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -50,7 +53,7 @@ pub struct CacheStats {
     /// Entries discarded because the graph version moved on (and the
     /// footprint, if any, could not prove the delta irrelevant).
     pub invalidations: u64,
-    /// Entries discarded to make room (LRU, per shard when sharded).
+    /// Entries discarded to make room (LRU, per shard).
     pub evictions: u64,
     /// Hits served across a graph mutation because the entry's recorded
     /// footprint was provably untouched by the delta (surgical
@@ -81,64 +84,41 @@ impl CacheStats {
             retained: self.retained - earlier.retained,
         }
     }
+
+    fn add(&mut self, other: &CacheStats) {
+        self.lookups += other.lookups;
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.bypasses += other.bypasses;
+        self.invalidations += other.invalidations;
+        self.evictions += other.evictions;
+        self.retained += other.retained;
+    }
 }
 
-/// What [`Sharded`] requires of the single-threaded cache it wraps.
-pub trait ShardCache {
-    /// The key whose hash picks the shard.
-    type Key: Hash;
-
-    /// A cache bounded by `budget` — entries for the plan cache, bytes
-    /// for the result cache; 0 disables storage.
-    fn with_budget(budget: usize) -> Self;
-
-    /// The cache's own statistics.
-    fn stats(&self) -> CacheStats;
-
-    /// Current number of entries.
-    fn entries(&self) -> usize;
-
-    /// Drops every entry (statistics are kept).
-    fn clear(&mut self);
-}
-
-/// A concurrently readable cache: per-shard locking over independent
-/// `C` instances, with aggregate statistics kept in atomics. See the
-/// [module docs](self).
+/// A cache layer: per-shard locking over independent versioned LRUs
+/// keyed by `K` and holding `E`. See the [module docs](self).
 #[derive(Debug)]
-pub struct Sharded<C> {
-    shards: Box<[Mutex<C>]>,
+pub struct Sharded<K, E> {
+    shards: Box<[Mutex<VersionedLru<K, E>>]>,
     budget: usize,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    bypasses: AtomicU64,
-    invalidations: AtomicU64,
-    evictions: AtomicU64,
-    retained: AtomicU64,
 }
 
-impl<C: ShardCache> Sharded<C> {
-    /// A cache of `budget` in total (entries or bytes, as `C` counts)
-    /// spread over `shards` shards, both clamped to sane minimums;
-    /// budget 0 disables storage. Because every shard gets the same
-    /// window, the budget is rounded **up** to a multiple of the shard
-    /// count — the typed accessors report the rounded, enforced value.
-    pub fn new(budget: usize, shards: usize) -> Self {
+impl<K, E> Sharded<K, E> {
+    /// A cache of `budget` in total (entries for the plan cache, bytes
+    /// for the result cache) spread over `shards` shards, both clamped
+    /// to sane minimums; budget 0 disables storage. Because every shard
+    /// gets the same window, the budget is rounded **up** to a multiple
+    /// of the shard count — the typed accessors report the rounded,
+    /// enforced value.
+    pub fn with_shards(budget: usize, shards: usize) -> Self {
         let shards = shards.max(1).min(budget.max(1));
         let per_shard = budget.div_ceil(shards);
         Sharded {
             shards: (0..shards)
-                .map(|_| Mutex::new(C::with_budget(per_shard)))
+                .map(|_| Mutex::new(VersionedLru::new(per_shard)))
                 .collect(),
             budget: per_shard * shards,
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            bypasses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            retained: AtomicU64::new(0),
         }
     }
 
@@ -163,7 +143,7 @@ impl<C: ShardCache> Sharded<C> {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| crate::sync::lock_recovering(s).entries())
+            .map(|s| lock_recovering(s).entries.len())
             .sum()
     }
 
@@ -172,81 +152,52 @@ impl<C: ShardCache> Sharded<C> {
         self.len() == 0
     }
 
-    /// A consistent-enough snapshot of the aggregate statistics. Each
-    /// counter is read atomically; the set is not a single atomic
-    /// snapshot, but quiescent reads (no in-flight lookups) are exact.
+    /// The charges of the stored entries, summed over the shards.
+    pub(crate) fn charged(&self) -> usize {
+        self.shards.iter().map(|s| lock_recovering(s).charged).sum()
+    }
+
+    /// The sum of the shards' counters, each shard read under its lock:
+    /// `hits + misses + bypasses == lookups` holds at every read.
     pub fn stats(&self) -> CacheStats {
-        // ordering: advisory stats reads. Outcome counters trail their
-        // lookup counter (accumulate adds lookups first), so concurrent
-        // snapshots may see hits+misses+bypasses < lookups; quiescent
-        // reads balance exactly — nothing orders across fields.
-        CacheStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            retained: self.retained.load(Ordering::Relaxed),
+        let mut total = CacheStats::default();
+        for shard in self.shards.iter() {
+            total.add(&lock_recovering(shard).stats);
         }
+        total
     }
 
     /// Drops every entry in every shard (statistics are kept).
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            crate::sync::lock_recovering(shard).clear();
+            lock_recovering(shard).clear();
         }
     }
 
-    /// Records a request that was evaluated without consulting the cache.
+    /// Records a request that was evaluated without consulting the
+    /// cache. It has no key, so shard 0 counts it.
     pub(crate) fn note_bypass(&self) {
-        // ordering: advisory monotone counters; see stats() for the
-        // accounting invariant they feed.
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.bypasses.fetch_add(1, Ordering::Relaxed);
+        lock_recovering(&self.shards[0]).note_bypass();
     }
+}
 
-    fn shard_for(&self, key: &C::Key) -> &Mutex<C> {
+impl<K: Hash, E> Sharded<K, E> {
+    fn shard_for(&self, key: &K) -> &Mutex<VersionedLru<K, E>> {
+        if self.shards.len() == 1 {
+            return &self.shards[0];
+        }
+        // lint: allow(std-hashmap) — a different hash moves keys between
+        // shards, which changes the per-shard LRU evictions; that change
+        // needs a measurement of its own.
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) % self.shards.len()]
     }
 
     /// Runs `f` on `key`'s shard under its lock (recovering a poisoned
-    /// one), then folds whatever `f` did to the shard's statistics into
-    /// the aggregate counters after the lock drops.
-    pub(crate) fn with_shard<R>(&self, key: &C::Key, f: impl FnOnce(&mut C) -> R) -> R {
-        let out;
-        let delta;
-        {
-            let mut shard = crate::sync::lock_recovering(self.shard_for(key));
-            let before = shard.stats();
-            out = f(&mut shard);
-            delta = shard.stats().since(&before);
-        }
-        self.accumulate(delta);
-        out
-    }
-
-    fn accumulate(&self, delta: CacheStats) {
-        // Touch only the counters that moved: stats reads stay cheap and
-        // the common path (a clean hit) is two atomic adds.
-        // ordering: advisory monotone counters folded in after the shard
-        // lock drops; each is a single-location RMW (never lost), and no
-        // reader derives decisions from a mid-flight cross-counter view.
-        for (counter, moved) in [
-            (&self.lookups, delta.lookups),
-            (&self.hits, delta.hits),
-            (&self.misses, delta.misses),
-            (&self.bypasses, delta.bypasses),
-            (&self.invalidations, delta.invalidations),
-            (&self.evictions, delta.evictions),
-            (&self.retained, delta.retained),
-        ] {
-            if moved > 0 {
-                counter.fetch_add(moved, Ordering::Relaxed);
-            }
-        }
+    /// one). Whatever `f` counts lands on that shard's counters.
+    pub(crate) fn with_shard<R>(&self, key: &K, f: impl FnOnce(&mut VersionedLru<K, E>) -> R) -> R {
+        f(&mut lock_recovering(self.shard_for(key)))
     }
 }
 
@@ -310,10 +261,10 @@ impl<E: Retained> Slot<E> {
     }
 }
 
-/// The one versioned LRU behind both cache layers: entries stamped with
-/// the [`GraphVersion`] they were stored at, a budget charged per entry,
-/// least-recently-used eviction, surgical retention across mutation
-/// deltas, and the layer's seven counters.
+/// The one versioned LRU behind every shard of both cache layers:
+/// entries stamped with the [`GraphVersion`] they were stored at, a
+/// budget charged per entry, least-recently-used eviction, surgical
+/// retention across mutation deltas, and the shard's seven counters.
 #[derive(Debug)]
 pub(crate) struct VersionedLru<K, E> {
     // Fx keying: SipHash stays out of the probe hot path.
@@ -324,10 +275,10 @@ pub(crate) struct VersionedLru<K, E> {
     stats: CacheStats,
 }
 
-impl<K: Copy + Eq + Hash, E: Retained> VersionedLru<K, E> {
+impl<K, E> VersionedLru<K, E> {
     /// An empty cache holding at most `budget` in charges; 0 disables
     /// storage.
-    pub(crate) fn new(budget: usize) -> Self {
+    fn new(budget: usize) -> Self {
         VersionedLru {
             entries: FxHashMap::default(),
             budget,
@@ -337,36 +288,33 @@ impl<K: Copy + Eq + Hash, E: Retained> VersionedLru<K, E> {
         }
     }
 
-    pub(crate) fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// The charges of the stored entries.
-    pub(crate) fn charged(&self) -> usize {
-        self.charged
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub(crate) fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
     /// Drops every entry (statistics are kept).
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.entries.clear();
         self.charged = 0;
     }
 
     /// Records a request evaluated without consulting the cache.
-    pub(crate) fn note_bypass(&mut self) {
+    fn note_bypass(&mut self) {
         self.stats.lookups += 1;
         self.stats.bypasses += 1;
         self.check_balance();
     }
 
+    /// Paranoid builds check the accounting identity after every lookup
+    /// and bypass, on every shard of every cache.
+    fn check_balance(&self) {
+        #[cfg(feature = "paranoid")]
+        assert_eq!(
+            self.stats.hits + self.stats.misses + self.stats.bypasses,
+            self.stats.lookups,
+            "cache accounting out of balance: {:?}",
+            self.stats
+        );
+    }
+}
+
+impl<K: Copy + Eq + Hash, E: Retained> VersionedLru<K, E> {
     /// Looks up `key` against the serving graph `at` and hands the entry
     /// to `serve`. An entry stamped at an older version is re-validated
     /// when `at` carries a mutation log — re-stamped if the delta is
@@ -465,18 +413,6 @@ impl<K: Copy + Eq + Hash, E: Retained> VersionedLru<K, E> {
         if let Some(slot) = self.entries.remove(key) {
             self.charged -= slot.charge;
         }
-    }
-
-    /// Paranoid builds check the accounting identity after every lookup
-    /// and bypass, whether the cache is an engine's own or a shard.
-    fn check_balance(&self) {
-        #[cfg(feature = "paranoid")]
-        assert_eq!(
-            self.stats.hits + self.stats.misses + self.stats.bypasses,
-            self.stats.lookups,
-            "cache accounting out of balance: {:?}",
-            self.stats
-        );
     }
 }
 
@@ -636,7 +572,7 @@ mod tests {
             ops in proptest::collection::vec((0u32..10, 0u32..8, 1u32..400, 0u32..6), 1..160),
         ) {
             let (plan, index) = plan_entry();
-            let mut cache = PlanCache::new(capacity);
+            let cache = PlanCache::new(capacity);
             let mut model = Model::new(capacity);
             let mut now = GraphVersion::next();
             for (step, &(kind, key, _, _)) in ops.iter().enumerate() {
@@ -683,7 +619,7 @@ mod tests {
             ops in proptest::collection::vec((0u32..10, 0u32..8, 1u32..400, 0u32..6), 1..160),
         ) {
             let (plan, _) = plan_entry();
-            let mut cache = ResultCache::new(budget);
+            let cache = ResultCache::new(budget);
             let mut model = Model::new(budget);
             let mut now = GraphVersion::next();
             for (step, &(kind, key, len, extra)) in ops.iter().enumerate() {

@@ -27,9 +27,8 @@ pub mod prelude {
         CacheStats, CancelToken, CatalogConfig, CatalogOutcome, CatalogRequest, CatalogService,
         CatalogTicket, CompactBits, ControlledSink, Counters, DenseBits, DynamicEngine,
         GraphCatalog, Index, Lane, Method, PathBuffer, PathEnumConfig, PathEnumError, PathStream,
-        PhysicalPlan, PlanCache, PlanCacheStats, Query, QueryEngine, QueryRequest, QueryResponse,
-        ResultCache, ResultCacheStats, RunReport, SharedCacheStats, SharedPlanCache,
-        SharedResultCache, Termination,
+        PhysicalPlan, PlanCache, Query, QueryEngine, QueryRequest, QueryResponse, ResultCache,
+        RunReport, Termination,
     };
     pub use pathenum_graph::{
         CsrGraph, DynamicGraph, FrozenGraph, GraphBuilder, GraphHandle, GraphSnapshot,

@@ -215,6 +215,71 @@ fn lru_eviction_keeps_the_cache_bounded() {
     assert_eq!(response.report.cache, CacheOutcome::Hit);
 }
 
+/// An engine's caches are one-shard tenant caches: under budgets small
+/// enough to evict in both layers, an engine and a one-shard catalog
+/// tenant serve the same sequence with the same outcome at every step
+/// and end with equal statistics.
+#[test]
+fn engine_caches_behave_as_one_shard_tenant_caches() {
+    const RESULT_BYTES: usize = 1024;
+    let g = pathenum_graph::generators::erdos_renyi(40, 240, 3);
+    let mut engine = QueryEngine::with_cache(&g, PathEnumConfig::default(), PlanCache::new(2))
+        .with_result_cache(ResultCache::new(RESULT_BYTES));
+    let service = CatalogService::new(
+        PathEnumConfig::default(),
+        CatalogConfig {
+            workers: 1,
+            tenant_cache_quota: 2,
+            cache_shards: 1,
+            result_cache_bytes: RESULT_BYTES,
+            ..CatalogConfig::default()
+        },
+    );
+    service
+        .catalog()
+        .register("g", std::sync::Arc::new(g.clone()));
+
+    // Repeats close together hit; five keys through two plan slots and a
+    // few result entries evict in both layers.
+    let targets = [1u32, 1, 2, 2, 1, 3, 3, 1, 2, 4, 4, 3, 1, 5, 5, 2, 2];
+    for (step, &t) in targets.iter().enumerate() {
+        let request = || {
+            let request = QueryRequest::paths(0, t)
+                .max_hops(4)
+                .limit(3)
+                .collect_paths(true);
+            match step % 7 {
+                3 => request.bypass_result_cache(),
+                6 => request.bypass_cache(),
+                _ => request,
+            }
+        };
+        let local = engine.execute(&request()).expect("valid request");
+        let shared = service
+            .submit(CatalogRequest::new("g", "tenant", request()))
+            .wait()
+            .expect("valid request");
+        assert_eq!(local.report.cache, shared.report.cache, "step {step}");
+        assert_eq!(local.paths, shared.paths, "step {step}");
+    }
+
+    let catalog = service.catalog();
+    let plans = engine.cache_stats();
+    assert_eq!(Some(plans), catalog.tenant_cache_stats("g", "tenant"));
+    let results = engine.result_cache_stats();
+    assert_eq!(
+        Some(results),
+        catalog.tenant_result_cache_stats("g", "tenant")
+    );
+    assert!(plans.evictions > 0, "{plans:?}");
+    assert!(results.evictions > 0, "{results:?}");
+    assert!(plans.hits > 0 && results.hits > 0, "{plans:?} {results:?}");
+    assert!(
+        plans.bypasses > 0 && results.bypasses > 0,
+        "{plans:?} {results:?}"
+    );
+}
+
 #[test]
 fn distinct_settings_never_share_plan_entries() {
     let g = pathenum_graph::generators::erdos_renyi(40, 260, 9);

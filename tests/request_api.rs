@@ -552,6 +552,57 @@ fn preflight_stops_are_rejected_not_served() {
 }
 
 #[test]
+fn streamed_explain_requests_plan_only_and_yield_nothing() {
+    // An explain request never enumerates: `execute` returns no path,
+    // and its stream yields none either, ends `Completed`, builds no
+    // index and counts as served, as `execute` counts it.
+    let mut b = GraphBuilder::new(4);
+    b.add_edges([(0, 1), (1, 3), (0, 2), (2, 3), (1, 2)])
+        .unwrap();
+    let g = b.finish();
+    let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
+    let request = QueryRequest::paths(0, 3).max_hops(3).explain();
+
+    let executed = engine.execute(&request).unwrap();
+    assert_eq!(executed.num_results(), 0);
+    assert_eq!(executed.termination, Termination::Completed);
+    assert_eq!(engine.queries_served(), 1);
+
+    let stats_before = engine.cache_stats();
+    let mut stream = engine.stream(&request).unwrap();
+    assert_eq!(stream.index().num_vertices(), 0, "no index was built");
+    assert!(stream.next().is_none());
+    assert_eq!(stream.emitted(), 0);
+    assert_eq!(stream.termination(), Some(Termination::Completed));
+    assert_eq!(engine.queries_served(), 2);
+    assert_eq!(engine.queries_rejected(), 0);
+    assert_eq!(
+        engine.cache_stats(),
+        stats_before,
+        "the caches were not touched"
+    );
+
+    // A cancelled or zero-limit explain request still only explains.
+    let token = CancelToken::new();
+    token.cancel();
+    for request in [
+        QueryRequest::paths(0, 3).max_hops(3).explain().limit(0),
+        QueryRequest::paths(0, 3)
+            .max_hops(3)
+            .explain()
+            .cancel_token(token),
+    ] {
+        assert_eq!(
+            engine.execute(&request).unwrap().termination,
+            Termination::Completed
+        );
+        let mut stream = engine.stream(&request).unwrap();
+        assert!(stream.next().is_none());
+        assert_eq!(stream.termination(), Some(Termination::Completed));
+    }
+}
+
+#[test]
 fn invalid_requests_come_back_as_errors_not_panics() {
     let g = erdos_renyi(20, 60, 1);
     let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
