@@ -495,11 +495,7 @@ fn in_hashmap_scope(path: &str) -> bool {
         || path.starts_with("crates/pathenum/src/index/")
 }
 
-const UNSAFE_ALLOWLIST: [&str; 3] = [
-    "crates/graph/src/prefetch.rs",
-    "crates/graph/src/zerocopy.rs",
-    "crates/bench/src/alloc.rs",
-];
+const UNSAFE_ALLOWLIST: [&str; 2] = ["crates/graph/src/zerocopy.rs", "crates/bench/src/alloc.rs"];
 
 fn rule_atomic_ordering(ctx: &RuleCtx, findings: &mut Vec<Finding>) {
     if !ORDERING_SCOPE.contains(&ctx.path) {

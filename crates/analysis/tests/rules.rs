@@ -210,7 +210,7 @@ fn unsafe_inventory_fixture_outside_allowlist() {
 #[test]
 fn unsafe_inventory_fixture_inside_allowlist() {
     let src = include_str!("fixtures/unsafe.rs");
-    let findings = analyze_source("crates/graph/src/prefetch.rs", src);
+    let findings = analyze_source("crates/bench/src/alloc.rs", src);
     let hits = by_rule(&findings, "unsafe-inventory");
     // Allowlisted file: only the missing-SAFETY finding on line 11 remains.
     assert_eq!(lines(&hits), vec![11]);
@@ -226,13 +226,14 @@ fn unsafe_inventory_storage_shim_is_allowlisted_but_not_its_neighbors() {
     let hits = by_rule(&findings, "unsafe-inventory");
     assert_eq!(lines(&hits), vec![11]);
     assert!(hits[0].message.contains("SAFETY"));
-    // The rest of the storage layer stays unsafe-free: the same code in
-    // the format reader or the frozen-graph accessors is flagged even
-    // when SAFETY-commented.
+    // The rest of the graph crate stays unsafe-free: the same code in
+    // the format reader, the frozen-graph accessors or the hot loops is
+    // flagged even when SAFETY-commented.
     for neighbor in [
         "crates/graph/src/io_binary.rs",
         "crates/graph/src/frozen.rs",
         "crates/graph/src/handle.rs",
+        "crates/graph/src/prefetch.rs",
     ] {
         let findings = analyze_source(neighbor, src);
         let hits = by_rule(&findings, "unsafe-inventory");

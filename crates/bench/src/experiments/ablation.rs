@@ -127,8 +127,8 @@ fn global_index_filter(config: &ExperimentConfig) {
     // Streaming-style workload: random endpoint pairs, most of which have
     // no result within k. The per-query index pays two BFS to learn that;
     // the oracle answers from labels.
-    use pathenum::global::GlobalIndexedGraph;
     use pathenum::{CountingSink, PathEnumConfig, PlanCache, Query, QueryEngine, QueryRequest};
+    use pathenum_graph::DistanceOracle;
     use rand::{Rng, SeedableRng};
 
     let graph = datasets::build("gg").expect("registered");
@@ -140,7 +140,7 @@ fn global_index_filter(config: &ExperimentConfig) {
         .collect();
 
     let build_start = Instant::now();
-    let indexed = GlobalIndexedGraph::new(graph.clone());
+    let oracle = DistanceOracle::build(&graph);
     let oracle_build = build_start.elapsed();
 
     // Both loops build every query's index afresh: no plan cache.
@@ -163,11 +163,11 @@ fn global_index_filter(config: &ExperimentConfig) {
     let direct_time = direct_start.elapsed();
 
     let filtered_start = Instant::now();
-    let mut filtered = engine(indexed.graph());
+    let mut filtered = engine(&graph);
     let mut filtered_results = 0u64;
     let mut skipped = 0usize;
     for &q in &queries {
-        if !indexed.may_have_results(q) {
+        if !oracle.within(q.s, q.t, q.k) {
             skipped += 1;
             continue;
         }
@@ -194,8 +194,8 @@ fn global_index_filter(config: &ExperimentConfig) {
     println!(
         "oracle: one-time build {} (avg label size {:.1}, {} KiB)",
         sci_ms(oracle_build),
-        indexed.oracle().average_label_size(),
-        indexed.oracle().heap_bytes() / 1024
+        oracle.average_label_size(),
+        oracle.heap_bytes() / 1024
     );
     println!("claim (§7.5): a global index removes the per-query build for empty queries");
 }

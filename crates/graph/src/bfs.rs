@@ -146,12 +146,7 @@ pub fn distances_into<G: NeighborAccess>(
 /// (callers construct it with [`INFINITE_DISTANCE`]); the set of reached
 /// vertices is available afterwards as `dist.touched()`, which is what
 /// lets the index build iterate the visited neighborhood instead of
-/// scanning every vertex. While expanding one vertex the traversal
-/// prefetches the adjacency row of the next queued vertex
-/// ([`NeighborAccess::prefetch_out`]/[`prefetch_in`]), overlapping the
-/// offset indirection with current work.
-///
-/// [`prefetch_in`]: NeighborAccess::prefetch_in
+/// scanning every vertex.
 pub fn distances_epoch_into<G: NeighborAccess>(
     graph: &G,
     source: VertexId,
@@ -171,12 +166,6 @@ pub fn distances_epoch_into<G: NeighborAccess>(
         let d = dist.get(v as usize);
         if d >= bound {
             continue;
-        }
-        if let Some(&ahead) = queue.front() {
-            match options.direction {
-                Direction::Forward => graph.prefetch_out(ahead),
-                Direction::Backward => graph.prefetch_in(ahead),
-            }
         }
         let mut visit = |n: VertexId| {
             if Some(n) == options.excluded {

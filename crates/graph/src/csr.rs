@@ -116,28 +116,6 @@ impl CsrGraph {
         &self.in_sources[self.in_offsets[v]..self.in_offsets[v + 1]]
     }
 
-    /// Prefetch hint for `v`'s out-adjacency: pulls the first cache line
-    /// of the neighbor row toward L1 so a following
-    /// [`out_neighbors`](CsrGraph::out_neighbors) walk starts warm.
-    /// Advisory only; tolerates any `v < num_vertices`.
-    #[inline]
-    pub fn prefetch_out_row(&self, v: VertexId) {
-        let v = v as usize;
-        if v < self.num_vertices {
-            crate::prefetch::prefetch_read(&self.out_targets, self.out_offsets[v]);
-        }
-    }
-
-    /// As [`prefetch_out_row`](CsrGraph::prefetch_out_row), for the
-    /// in-adjacency.
-    #[inline]
-    pub fn prefetch_in_row(&self, v: VertexId) {
-        let v = v as usize;
-        if v < self.num_vertices {
-            crate::prefetch::prefetch_read(&self.in_sources, self.in_offsets[v]);
-        }
-    }
-
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: VertexId) -> usize {

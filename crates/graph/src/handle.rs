@@ -178,20 +178,6 @@ impl NeighborAccess for GraphHandle {
     }
 
     #[inline]
-    fn prefetch_out(&self, v: VertexId) {
-        if let GraphHandle::Heap(g) = self {
-            g.prefetch_out_row(v);
-        }
-    }
-
-    #[inline]
-    fn prefetch_in(&self, v: VertexId) {
-        if let GraphHandle::Heap(g) = self {
-            g.prefetch_in_row(v);
-        }
-    }
-
-    #[inline]
     fn out_degree(&self, v: VertexId) -> usize {
         match self {
             GraphHandle::Heap(g) => g.out_degree(v),

@@ -33,7 +33,6 @@
 //! * [`hashing`]: a fast FxHash-style hasher for integer keys.
 //! * [`epoch`]: epoch-stamped flat maps — O(1)-reset per-query scratch
 //!   for the BFS distance maps and the enumeration kernels.
-//! * [`prefetch`]: software prefetch hints for CSR offset indirection.
 //!
 //! Vertices are dense `u32` identifiers in `0..num_vertices`. Parallel edges
 //! are deduplicated at build time and self-loops are rejected (the HcPE
@@ -51,7 +50,6 @@ pub mod hashing;
 pub mod io;
 pub mod io_binary;
 pub mod pll;
-pub mod prefetch;
 pub mod properties;
 pub mod types;
 pub mod version;

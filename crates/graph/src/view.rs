@@ -47,16 +47,6 @@ pub trait NeighborAccess {
     /// Whether the directed edge `(from, to)` exists.
     fn has_edge(&self, from: VertexId, to: VertexId) -> bool;
 
-    /// Hints the CPU to pull `v`'s out-adjacency toward cache ahead of a
-    /// `for_each_out(v, ..)` call. Purely advisory — the default is a
-    /// no-op, and implementations must not change observable behavior.
-    #[inline]
-    fn prefetch_out(&self, _v: VertexId) {}
-
-    /// As [`NeighborAccess::prefetch_out`], for the in-adjacency.
-    #[inline]
-    fn prefetch_in(&self, _v: VertexId) {}
-
     /// Out-degree of `v`.
     fn out_degree(&self, v: VertexId) -> usize {
         let mut n = 0;
@@ -103,16 +93,6 @@ impl NeighborAccess for CsrGraph {
     }
 
     #[inline]
-    fn prefetch_out(&self, v: VertexId) {
-        CsrGraph::prefetch_out_row(self, v);
-    }
-
-    #[inline]
-    fn prefetch_in(&self, v: VertexId) {
-        CsrGraph::prefetch_in_row(self, v);
-    }
-
-    #[inline]
     fn out_degree(&self, v: VertexId) -> usize {
         CsrGraph::out_degree(self, v)
     }
@@ -149,16 +129,6 @@ impl<G: NeighborAccess> NeighborAccess for std::sync::Arc<G> {
     #[inline]
     fn has_edge(&self, from: VertexId, to: VertexId) -> bool {
         (**self).has_edge(from, to)
-    }
-
-    #[inline]
-    fn prefetch_out(&self, v: VertexId) {
-        (**self).prefetch_out(v);
-    }
-
-    #[inline]
-    fn prefetch_in(&self, v: VertexId) {
-        (**self).prefetch_in(v);
     }
 
     #[inline]

@@ -363,10 +363,6 @@ pub(crate) fn idx_dfs_resume<W: Walk>(
             }
         }
         if let Some((next, cursor, state)) = descend {
-            // Hint the child's neighbor row into cache: the `starts`
-            // indirection defeats the hardware prefetcher, and the row is
-            // scanned on the very next loop iteration.
-            rows.prefetch(next);
             // Suspend this frame and descend.
             stack.last_mut().expect("stack is non-empty").cursor = cursor;
             counters.partial_results += 1;

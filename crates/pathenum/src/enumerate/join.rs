@@ -12,11 +12,10 @@
 //!   key-by-key, so no hash map is needed — an epoch-stamped key→range
 //!   map suffices), validity is decomposed into per-prefix and
 //!   per-suffix metadata computed once, and the remaining cross
-//!   (prefix ∩ suffix-interior) disjointness check runs word-parallel
-//!   over [`BlockBits`] rows when the index partition is dense
-//!   ([`DENSE_UNIVERSE`]) or against epoch-stamp marks when sparse. All
-//!   working memory comes from a reusable `JoinScratch` arena, so a
-//!   warm query allocates nothing.
+//!   (prefix ∩ suffix-interior) disjointness check probes the suffix's
+//!   interior against the prefix's epoch-stamp marks. All working memory
+//!   comes from a reusable `JoinScratch` arena, so a warm query
+//!   allocates nothing.
 //!
 //! When the sink counts only ([`PathSink::counts_only`]), step 3 of
 //! [`idx_join`] neither assembles nor emits a valid joined pair: it counts
@@ -28,7 +27,6 @@ use pathenum_graph::epoch::{EpochMap, EpochStamps};
 use pathenum_graph::hashing::FxHashMap;
 use pathenum_graph::VertexId;
 
-use super::kernels::{BlockBits, DENSE_UNIVERSE};
 use crate::index::{Index, LocalId};
 use crate::sink::{PathSink, SearchControl};
 use crate::stats::Counters;
@@ -62,8 +60,8 @@ pub fn idx_join(
 }
 
 /// Reusable working memory for [`idx_join`]: both tuple relations, the
-/// key/bucket directory, per-suffix validity metadata, and the
-/// disjointness structures for both density regimes. Held per thread (see
+/// key/bucket directory, per-suffix validity metadata, and the prefix's
+/// vertex marks. Held per thread (see
 /// [`crate::enumerate::scratch`]) so warm serving does zero steady-state
 /// allocation in the join.
 #[derive(Debug)]
@@ -84,11 +82,7 @@ pub(crate) struct JoinScratch {
     /// Per `R_b` row: whether the interior vertices repeat among
     /// themselves (such a row can never join validly).
     suffix_selfdup: Vec<bool>,
-    /// Dense mode: per-row interior bitsets, `words_per_row` words each.
-    suffix_words: Vec<u64>,
-    /// Dense mode: the current prefix's vertex set as a bitset.
-    prefix_bits: BlockBits,
-    /// Sparse mode: the current prefix's vertex set as epoch marks.
+    /// The current prefix's vertex set as epoch marks.
     on_prefix: EpochStamps,
     /// Global-id emission buffer.
     path: Vec<VertexId>,
@@ -108,8 +102,6 @@ impl Default for JoinScratch {
             buckets: Vec::new(),
             suffix_first_t: Vec::new(),
             suffix_selfdup: Vec::new(),
-            suffix_words: Vec::new(),
-            prefix_bits: BlockBits::default(),
             on_prefix: EpochStamps::default(),
             path: Vec::new(),
         }
@@ -127,8 +119,6 @@ impl JoinScratch {
             + self.buckets.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.suffix_first_t.capacity() * std::mem::size_of::<u32>()
             + self.suffix_selfdup.capacity()
-            + self.suffix_words.capacity() * std::mem::size_of::<u64>()
-            + self.prefix_bits.heap_bytes()
             + self.on_prefix.heap_bytes()
             + self.path.capacity() * std::mem::size_of::<VertexId>()
     }
@@ -174,8 +164,6 @@ pub(crate) fn idx_join_with_scratch(
         buckets,
         suffix_first_t,
         suffix_selfdup,
-        suffix_words,
-        prefix_bits,
         on_prefix,
         path,
     } = scratch;
@@ -210,18 +198,11 @@ pub(crate) fn idx_join_with_scratch(
             keys.push(key);
         }
     }
-    let dense = n_local <= DENSE_UNIVERSE;
-    let words_per_row = if dense {
-        BlockBits::words_for(n_local)
-    } else {
-        0
-    };
     r_b.reset(suffix_width);
     slot_of.reset(n_local);
     buckets.clear();
     suffix_first_t.clear();
     suffix_selfdup.clear();
-    suffix_words.clear();
     for &key in keys.iter() {
         let start = r_b.len() as u32;
         if enumerate_side(
@@ -253,19 +234,6 @@ pub(crate) fn idx_join_with_scratch(
                 Some(ft) => {
                     suffix_first_t.push(ft as u32);
                     suffix_selfdup.push(has_internal_dup(&suffix[1..=ft]));
-                }
-            }
-            if dense {
-                let base = suffix_words.len();
-                suffix_words.resize(base + words_per_row, 0);
-                let ft = *suffix_first_t.last().expect("just pushed");
-                // Interior vertices only: S[0] is the key (already in the
-                // prefix) and S[ft] is t (absent from any prefix this row
-                // can validly join). ft == 0 (an all-t row) has none.
-                if ft != u32::MAX && ft > 0 {
-                    for &v in &suffix[1..ft as usize] {
-                        suffix_words[base + v as usize / 64] |= 1u64 << (v % 64);
-                    }
                 }
             }
         }
@@ -301,16 +269,9 @@ pub(crate) fn idx_join_with_scratch(
             None => has_internal_dup(prefix),
         };
         if p_first_t.is_none() && !p_dup {
-            if dense {
-                prefix_bits.reset(n_local);
-                for &v in prefix {
-                    prefix_bits.insert(v);
-                }
-            } else {
-                on_prefix.reset(n_local);
-                for &v in prefix {
-                    on_prefix.mark(v as usize);
-                }
+            on_prefix.reset(n_local);
+            for &v in prefix {
+                on_prefix.mark(v as usize);
             }
         }
         let mut counted = 0u64;
@@ -338,15 +299,13 @@ pub(crate) fn idx_join_with_scratch(
                     if ft == u32::MAX || p_dup || suffix_selfdup[row as usize] {
                         None
                     } else {
-                        let clash = if dense {
-                            let base = row as usize * words_per_row;
-                            prefix_bits.intersects(&suffix_words[base..base + words_per_row])
-                        } else {
-                            let suffix = r_b.get(row as usize);
-                            suffix[1..ft as usize]
-                                .iter()
-                                .any(|&v| on_prefix.is_marked(v as usize))
-                        };
+                        // Interior vertices only: S[0] is the key (already
+                        // in the prefix) and S[ft] is t (absent from any
+                        // prefix this row can validly join).
+                        let suffix = r_b.get(row as usize);
+                        let clash = suffix[1..ft as usize]
+                            .iter()
+                            .any(|&v| on_prefix.is_marked(v as usize));
                         if clash {
                             None
                         } else {
@@ -674,9 +633,8 @@ mod tests {
     }
 
     /// The production kernel against the retained oracle: same paths in
-    /// the same order, same counters — across graphs dense enough to hit
-    /// the bitset regime and sparse/large enough to hit the stamp regime,
-    /// with one warm arena shared across every run.
+    /// the same order, same counters — across small dense and larger
+    /// sparse graphs, with one warm arena shared across every run.
     #[test]
     fn optimized_join_is_byte_identical_to_reference() {
         let graphs: Vec<(pathenum_graph::CsrGraph, u32, u32)> = vec![

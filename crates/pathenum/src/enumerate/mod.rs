@@ -11,13 +11,11 @@
 //! working memory from a per-thread arena (`scratch`) and are pinned
 //! byte-identical to retained naive oracles ([`dfs::idx_dfs`],
 //! [`join::idx_join_reference`]) by the `kernel_agreement` differential
-//! suite and `reproduce perf`. The low-level set kernels behind the join
-//! live in [`kernels`].
+//! suite and `reproduce perf`.
 
 pub mod dfs;
 pub mod dfs_iterative;
 pub mod join;
-pub mod kernels;
 pub(crate) mod scratch;
 
 /// How many search-tree nodes pass between [`crate::sink::PathSink::probe`]

@@ -2,8 +2,8 @@
 //!
 //! Every public enumeration kernel ([`idx_dfs_iterative`],
 //! [`idx_dfs_on_demand`] and [`idx_join`]) draws its working memory — DFS
-//! stacks, tuple relations, bucket directories, epoch maps, bitset rows,
-//! path buffers, `I_t` rows read on demand — from one thread-local
+//! stacks, tuple relations, bucket directories, epoch maps, path
+//! buffers, `I_t` rows read on demand — from one thread-local
 //! [`EnumScratch`]. The buffers are epoch-reset or cleared
 //! at kernel entry but never shrunk, so after a warm-up query a serving
 //! thread runs the enumeration core with **zero steady-state heap

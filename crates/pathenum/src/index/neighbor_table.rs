@@ -144,16 +144,6 @@ impl NeighborTable {
         self.neighbors_within(owner, self.k)
     }
 
-    /// Hints the cache that `owner`'s neighbor row is about to be read
-    /// (the `starts` indirection makes the row's address unpredictable to
-    /// the hardware prefetcher). No-op off x86_64 or out of range.
-    #[inline]
-    pub fn prefetch(&self, owner: LocalId) {
-        if let Some(&start) = self.starts.get(owner as usize) {
-            pathenum_graph::prefetch::prefetch_read(&self.neighbors, start as usize);
-        }
-    }
-
     /// Number of stored (vertex, neighbor) pairs.
     pub fn num_edges(&self) -> usize {
         self.neighbors.len()

@@ -96,10 +96,6 @@ pub(crate) trait RowSource {
 
     /// The flat storage [`row`](Self::row) ranges index into.
     fn neighbors(&self) -> &[LocalId];
-
-    /// Hints that `v`'s row is about to be read.
-    #[inline]
-    fn prefetch(&self, _v: LocalId) {}
 }
 
 /// A filled index's table: every row is already there.
@@ -112,11 +108,6 @@ impl RowSource for &NeighborTable {
     #[inline]
     fn neighbors(&self) -> &[LocalId] {
         self.raw_neighbors()
-    }
-
-    #[inline]
-    fn prefetch(&self, v: LocalId) {
-        NeighborTable::prefetch(self, v);
     }
 }
 

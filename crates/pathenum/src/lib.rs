@@ -72,7 +72,6 @@ pub mod dynamic;
 pub mod engine;
 pub mod enumerate;
 pub mod estimator;
-pub mod global;
 pub mod index;
 pub mod optimizer;
 pub(crate) mod pipeline;

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pathenum_repro::core::global::GlobalIndexedGraph;
+use pathenum_repro::graph::DistanceOracle;
 use pathenum_repro::prelude::*;
 use pathenum_repro::workloads::runner::percentile_ms;
 use pathenum_repro::workloads::{datasets, generate_queries, QueryGenConfig};
@@ -91,16 +91,16 @@ fn main() {
 
     // Offline preprocessing: the global distance oracle.
     let offline_start = Instant::now();
-    let oracle = GlobalIndexedGraph::new((*graph).clone());
+    let oracle = DistanceOracle::build(graph.as_ref());
     println!(
         "offline PLL oracle built in {:.2?} ({:.1} labels/vertex)",
         offline_start.elapsed(),
-        oracle.oracle().average_label_size()
+        oracle.average_label_size()
     );
     let admissible: Vec<Query> = stream
         .iter()
         .copied()
-        .filter(|&q| oracle.may_have_results(q))
+        .filter(|&q| oracle.within(q.s, q.t, q.k))
         .collect();
     println!(
         "PLL filter: {} of {} queries may have results (the rest answered for free)",

@@ -116,6 +116,14 @@ proptest! {
                     reference[s as usize][t as usize],
                     "d({} -> {})", s, t
                 );
+                // The existence filter in front of a query: d(s, t) <= k.
+                for k in 2..=4 {
+                    prop_assert_eq!(
+                        oracle.within(s, t, k),
+                        reference[s as usize][t as usize] <= k,
+                        "within({} -> {}, {})", s, t, k
+                    );
+                }
             }
         }
     }

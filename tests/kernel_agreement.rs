@@ -2,9 +2,9 @@
 //! against a retained naive oracle.
 //!
 //! The production kernels (epoch-stamped boundary BFS, the iterative
-//! IDX-DFS, the arena-backed word-parallel IDX-JOIN) must be
-//! *byte-identical* to their straightforward counterparts — same paths in
-//! the same emission order, same [`Counters`] — on arbitrary graphs. The
+//! IDX-DFS, the arena-backed IDX-JOIN) must be *byte-identical* to their
+//! straightforward counterparts — same paths in the same emission order,
+//! same [`Counters`] — on arbitrary graphs. The
 //! suite also pins the `NeighborAccess` ascending-order contract that the
 //! byte-identical guarantee is built on, and the zero-allocation
 //! steady-state of the per-thread scratch arena.
@@ -33,9 +33,6 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use pathenum_repro::core::enumerate::kernels::{
-    intersect_bitset, intersect_gallop, intersect_sorted, BlockBits, DENSE_UNIVERSE,
-};
 use pathenum_repro::core::enumerate::{
     idx_dfs, idx_dfs_iterative, idx_dfs_on_demand, idx_join, idx_join_reference,
     thread_scratch_heap_bytes,
@@ -404,30 +401,6 @@ proptest! {
         }
     }
 
-    /// The three set-intersection kernels behind the join's
-    /// cross-disjointness check agree on arbitrary sorted inputs.
-    #[test]
-    fn intersection_kernels_agree(
-        mut a in proptest::collection::vec(0u32..DENSE_UNIVERSE as u32, 0..48),
-        mut b in proptest::collection::vec(0u32..DENSE_UNIVERSE as u32, 0..48),
-    ) {
-        a.sort_unstable();
-        a.dedup();
-        b.sort_unstable();
-        b.dedup();
-        let mut expected = Vec::new();
-        intersect_sorted(&a, &b, &mut expected);
-
-        let mut gallop = Vec::new();
-        intersect_gallop(&a, &b, &mut gallop);
-        prop_assert_eq!(&gallop, &expected, "gallop disagrees on {:?} ∩ {:?}", &a, &b);
-
-        let mut bits = BlockBits::default();
-        let mut dense = Vec::new();
-        intersect_bitset(&a, &b, DENSE_UNIVERSE, &mut bits, &mut dense);
-        prop_assert_eq!(&dense, &expected, "bitset disagrees on {:?} ∩ {:?}", &a, &b);
-    }
-
     /// The iterative DFS kernel is byte-identical to the recursive
     /// oracle: same paths in the same emission order, same counters.
     #[test]
@@ -445,7 +418,7 @@ proptest! {
         prop_assert_eq!(opt_counters, ref_counters, "counters diverge on n={} k={}", n, k);
     }
 
-    /// The arena-backed word-parallel join is byte-identical to the
+    /// The arena-backed join is byte-identical to the
     /// hash-bucket reference at every cut position.
     #[test]
     fn optimized_join_matches_reference_oracle(
