@@ -16,8 +16,9 @@
 //! * [`execute_into`](QueryEngine::execute_into) — the same, streaming
 //!   paths into a caller-supplied [`PathSink`];
 //! * [`stream`](QueryEngine::stream) — a pull-based
-//!   [`PathStream`] iterator for lazy
-//!   consumption.
+//!   [`PathStream`] iterator for lazy consumption: a paused `execute`,
+//!   planned and cached as `execute` plans and caches, holding the
+//!   cached index.
 //!
 //! Every entry point is a thin driver over the crate's one request
 //! pipeline (`pipeline.rs`): *acquire* a stored answer or a
@@ -43,6 +44,7 @@
 //! the `DynamicGraph` itself ([`DynamicEngine`](crate::DynamicEngine)),
 //! where entries the mutations provably did not touch are retained.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use pathenum_graph::{CsrGraph, GraphSnapshot};
@@ -51,7 +53,7 @@ use crate::index::{BuildScratch, Index};
 use crate::optimizer::PathEnumConfig;
 use crate::pipeline::{self, Caches, Collector, Pipeline};
 use crate::plan::{CacheOutcome, PhysicalPlan, PlanCache};
-use crate::request::{ConstraintSpec, PathEnumError, PathStream, QueryRequest, QueryResponse};
+use crate::request::{PathEnumError, PathStream, QueryRequest, QueryResponse};
 use crate::results::ResultCache;
 use crate::sharded::CacheStats;
 use crate::sink::PathSink;
@@ -256,9 +258,9 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
         }
     }
 
-    /// Builds (or fetches from the plan cache) the index for a
-    /// [`QueryRequest`] and returns a pull-based [`PathStream`] over its
-    /// results.
+    /// Plans a [`QueryRequest`] as [`execute`](Self::execute) does and
+    /// returns a pull-based [`PathStream`] over its results: a paused
+    /// `execute`.
     ///
     /// The stream resumes the IDX-DFS kernel once per pull, on a search
     /// state it owns, so the search advances only while the caller pulls
@@ -268,15 +270,15 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
     /// termination. Constraint requests yield exactly the constrained
     /// path set: predicates restrict the enumerated subgraph, and
     /// accumulative/automaton checks filter complete paths before the
-    /// limit counts them. Streams *read* the plan cache (a warm index is
-    /// cloned) but do not populate it — a cold stream builds its index
-    /// without running the estimators, so it has no plan to store. A
-    /// warm entry goes through the pipeline's one plan probe, as any plan
-    /// hit does: a labels-only entry (a step-1 miss's) is completed, an
-    /// estimate the request's limit needs is computed, and both are
-    /// written back. A request the cache cannot key (a bypass flag, a
-    /// zero-capacity cache, an unfingerprinted predicate) is recorded
-    /// as a bypass, as `execute` records it.
+    /// limit counts them. The stream's deadline starts before planning,
+    /// as `execute`'s does.
+    ///
+    /// The plan layer sees a stream exactly as it sees an `execute` of
+    /// the same request — the same probe, bypass, cold plan and insert —
+    /// and the stream shares the cached index. The result layer is never
+    /// consulted. A cold step-1 plan caches the labels only; the stream
+    /// then fills the rows of its own copy, and the entry stays as
+    /// `execute` leaves it.
     ///
     /// An [`explain`](QueryRequest::explain) request plans only and never
     /// enumerates, so its stream yields no path and has ended
@@ -294,30 +296,20 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
         // cache; the returned stream yields nothing and reports the
         // termination on the first pull.
         let deadline = request.time_budget.map(|b| Instant::now() + b);
+        let empty = || Arc::new(Index::empty(query));
         if pipeline::preflight_termination(request, deadline).is_some() {
             self.queries_rejected += 1;
-            return Ok(PathStream::new(Index::empty(query), request));
+            return Ok(PathStream::new(empty(), request, deadline));
         }
         self.queries_served += 1;
         if request.explain {
-            return Ok(PathStream::completed(Index::empty(query), request));
+            return Ok(PathStream::completed(empty(), request));
         }
-        match pipeline::plan_key(self.config, request, self.caches.plans.capacity()) {
-            None => self.caches.plans.note_bypass(),
-            Some(key) => {
-                if let Some((_, index, _)) = self.pipeline().probe(&key, request) {
-                    return Ok(PathStream::new(Index::clone(&index), request));
-                }
-            }
+        let mut index = self.pipeline().plan(query, request, None).index;
+        if !index.has_rows() {
+            Arc::make_mut(&mut index).fill_rows(self.graph, &mut self.scratch);
         }
-        let index = match &request.constraint {
-            ConstraintSpec::Predicate(predicate) => {
-                let filtered = crate::constraints::filtered_graph(self.graph, predicate);
-                Index::build_reusing(&filtered, query, &mut self.scratch).0
-            }
-            _ => Index::build_reusing(self.graph, query, &mut self.scratch).0,
-        };
-        Ok(PathStream::new(index, request))
+        Ok(PathStream::new(index, request, deadline))
     }
 }
 
@@ -669,6 +661,77 @@ mod tests {
         let paths: Vec<Vec<u32>> = engine.stream(&request).unwrap().collect();
         assert_eq!(paths.len(), 5);
         assert_eq!(engine.cache_stats().hits, hits_before + 1);
+    }
+
+    #[test]
+    fn streams_share_the_index_the_plan_cache_holds() {
+        let g = figure1_graph();
+        let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
+        let request = QueryRequest::paths(S, T).max_hops(4);
+        let cold = engine.stream(&request).unwrap();
+        assert_eq!(engine.plan_cache().len(), 1, "a cold stream stores it");
+        let a = engine.stream(&request).unwrap();
+        let b = engine.stream(&request).unwrap();
+        let stats = engine.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 2));
+        assert!(std::ptr::eq(a.index(), b.index()), "no warm stream copies");
+        assert!(std::ptr::eq(cold.index(), a.index()));
+        assert_eq!((a.count(), b.count(), cold.count()), (5, 5, 5));
+    }
+
+    #[test]
+    fn a_stream_plans_and_caches_exactly_as_execute_does() {
+        // On the complete digraph of 8 vertices with k = 4, a limit of 3
+        // passes step 1 (k * limit <= tau) while X's 8 members outnumber
+        // it, so such a cold plan caches the labels only.
+        let g = pathenum_graph::generators::complete_digraph(8);
+        let q = |t: u32| QueryRequest::paths(0, t).max_hops(4).collect_paths(true);
+        let mut parity = crate::constraints::Automaton::new(2, 2, 0).unwrap();
+        for (from, label, to) in [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)] {
+            parity.add_transition(from, label, to).unwrap();
+        }
+        parity.set_accepting(0).unwrap();
+        let sequence = [
+            q(7),
+            q(7),
+            q(6).limit(3),
+            q(6).limit(3),
+            q(5).limit(3),
+            q(5),
+            q(7).bypass_cache(),
+            q(4).predicate(|_, to| to != 3),
+            q(4).predicate(|_, to| to != 3).constraint_fingerprint(7),
+            q(4).predicate(|_, to| to != 3).constraint_fingerprint(7),
+            q(7).automaton(parity, |u, v| (u + v) % 2),
+            q(3).explain(),
+            q(3),
+        ];
+        let drive = |stream: bool| {
+            let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
+            let mut answers = Vec::new();
+            for request in &sequence {
+                // `explain` is the one EXPLAIN entry point of both
+                // drivers: a streamed explain request touches no cache.
+                if request.explain {
+                    engine.explain(request).unwrap();
+                    continue;
+                }
+                let mut paths: Vec<Vec<u32>> = if stream {
+                    engine.stream(request).unwrap().collect()
+                } else {
+                    engine.execute(request).unwrap().paths
+                };
+                paths.sort_unstable();
+                answers.push(paths);
+            }
+            (engine.cache_stats(), engine.plan_cache().len(), answers)
+        };
+        let (streamed, executed) = (drive(true), drive(false));
+        assert_eq!(streamed.0, executed.0, "plan-layer stats");
+        assert_eq!(streamed.1, executed.1, "plan-layer entries");
+        assert_eq!(streamed.2, executed.2, "answers");
+        assert_eq!(streamed.0.lookups, sequence.len() as u64);
+        assert_eq!((streamed.0.hits, streamed.0.bypasses), (6, 2));
     }
 
     #[test]

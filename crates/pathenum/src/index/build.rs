@@ -130,6 +130,11 @@ impl Index {
     /// As [`Index::build_profiled`], reusing caller-owned scratch buffers
     /// across queries (allocation-free boundary search, id mapping and
     /// row collection).
+    ///
+    /// No serving path calls it: requests build through the planner
+    /// (`plan.rs`), which caches what it builds. It stays public for the
+    /// benchmark's staged driver, which times each phase on an index it
+    /// builds itself, and for the kernel suites.
     pub fn build_reusing<G: NeighborAccess>(
         graph: &G,
         query: Query,

@@ -25,7 +25,8 @@
 //! `acquire` on the submitting thread, admission and a queue in between,
 //! and `preflight_stop` + `finish` on a pool worker with a deadline that
 //! starts at pickup. [`QueryEngine::stream`](crate::QueryEngine::stream)
-//! takes a warm plan through the same [`probe`](Pipeline::probe).
+//! is validate → pre-flight → [`Pipeline::plan`], a paused `execute`
+//! that never touches the result layer.
 //!
 //! Surgical retention under mutation is a property of the *graph*, not
 //! of an evaluator: when the serving graph offers a mutation log
@@ -96,7 +97,7 @@ pub(crate) enum Acquired {
 /// The plan-cache key for a request against a cache of `capacity`
 /// entries, or `None` when the request is not cacheable (bypass flag,
 /// zero-capacity cache, or an unfingerprinted predicate).
-pub(crate) fn plan_key(
+fn plan_key(
     config: PathEnumConfig,
     request: &QueryRequest<'_>,
     capacity: usize,
@@ -132,7 +133,8 @@ pub(crate) fn preflight_stop(
 }
 
 /// The rule set behind [`preflight_stop`], shared verbatim with
-/// [`QueryEngine::stream`](crate::QueryEngine::stream) (which has no
+/// [`QueryEngine::stream`](crate::QueryEngine::stream), which then plans
+/// through the same [`Pipeline::plan`] as `execute` (a stream has no
 /// response to build — a rejected stream reports its termination on the
 /// first pull instead).
 pub(crate) fn preflight_termination(
@@ -222,10 +224,22 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
     }
 
     /// The plan half of [`acquire`](Self::acquire) — and, with no
-    /// `result_key`, the whole of an engine's `explain`: the plan is
-    /// taken from the plan layer, or planned cold with the scratch and
-    /// stored at once, so it warms the cache even if the request is
-    /// never enumerated (an explain, or a request admission then sheds).
+    /// `result_key`, the whole of an engine's `explain` and the front
+    /// half of its `stream`: the plan is taken from the plan layer, or
+    /// planned cold with the scratch and stored at once, so it warms the
+    /// cache even if the request is never enumerated (an explain, or a
+    /// request admission then sheds).
+    ///
+    /// A fresh (or surgically retained) entry skips BFS, index build and
+    /// estimation; the (tiny) lookup cost — including any retention check
+    /// against the mutation log — is reported as `cache_lookup`. The
+    /// plan layer serves filled indexes only: the first request to find
+    /// a step-1 miss's labels-only entry fills its rows here. The entry
+    /// keeps what no limit changes; method and cut are this request's,
+    /// and if it is the first on the entry to need the full estimate, it
+    /// computes it here too. Both happen unlocked and are written back
+    /// for the rest. A cold step-1 plan hands back the labels-only index
+    /// it stored.
     pub(crate) fn plan(
         &mut self,
         query: Query,
@@ -246,7 +260,26 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
 
         match &key {
             Some(key) => {
-                if let Some((plan, index, timings)) = self.probe(key, request) {
+                let lookup_start = Instant::now();
+                if let Some((mut plan, mut index)) = plans.lookup(key, at) {
+                    plan.constraint = request.constraint.kind();
+                    let mut timings = PhaseTimings {
+                        cache_lookup: lookup_start.elapsed(),
+                        ..PhaseTimings::default()
+                    };
+                    let seen = Arc::clone(&index);
+                    let completed = complete_on_graph(
+                        &mut plan,
+                        &mut index,
+                        self.graph,
+                        self.scratch,
+                        &mut timings,
+                    );
+                    let estimated =
+                        resolve_on_index(&mut plan, &index, request.limit, &mut timings);
+                    if completed || estimated {
+                        plans.write_back(key, &seen, &plan, &index);
+                    }
                     return PlannedRequest {
                         plan,
                         index,
@@ -298,48 +331,6 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
             outcome,
             result_slot,
         }
-    }
-
-    /// The one warm plan probe, shared by [`plan`](Self::plan) and
-    /// [`QueryEngine::stream`](crate::QueryEngine::stream): the plan
-    /// layer's entry for `key`, resolved for `request`, with its
-    /// front-half timings — or `None` on a miss.
-    ///
-    /// A fresh (or surgically retained) entry skips BFS, index build and
-    /// estimation; the (tiny) lookup cost — including any retention check
-    /// against the mutation log — is reported as `cache_lookup`. The
-    /// plan layer serves filled indexes only: the first request to find
-    /// a step-1 miss's labels-only entry fills its rows here. The entry
-    /// keeps what no limit changes; method and cut are this request's,
-    /// and if it is the first on the entry to need the full estimate, it
-    /// computes it here too. Both happen unlocked and are written back
-    /// for the rest.
-    pub(crate) fn probe(
-        &mut self,
-        key: &PlanKey,
-        request: &QueryRequest<'_>,
-    ) -> Option<(PhysicalPlan, Arc<Index>, PhaseTimings)> {
-        let plans = &self.caches.plans;
-        let lookup_start = Instant::now();
-        let (mut plan, mut index) = plans.lookup(key, GraphStamp::of(self.graph))?;
-        plan.constraint = request.constraint.kind();
-        let mut timings = PhaseTimings {
-            cache_lookup: lookup_start.elapsed(),
-            ..PhaseTimings::default()
-        };
-        let seen = Arc::clone(&index);
-        let completed = complete_on_graph(
-            &mut plan,
-            &mut index,
-            self.graph,
-            self.scratch,
-            &mut timings,
-        );
-        let estimated = resolve_on_index(&mut plan, &index, request.limit, &mut timings);
-        if completed || estimated {
-            plans.write_back(key, &seen, &plan, &index);
-        }
-        Some((plan, index, timings))
     }
 }
 

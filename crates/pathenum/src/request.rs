@@ -758,9 +758,11 @@ impl PathSink for NextPath {
 /// stream at any point without wasted enumeration. Paths come in the
 /// order [`execute`](crate::QueryEngine::execute) returns for the
 /// request under IDX-DFS. The request's `limit`, `time_budget`, and
-/// `CancelToken` are honored by the [`ControlledSink`] `execute` uses;
-/// [`termination`](PathStream::termination) reports how the stream
-/// ended.
+/// `CancelToken` are honored by the [`ControlledSink`] `execute` uses,
+/// with the deadline counted from before planning, as `execute` counts
+/// it; [`termination`](PathStream::termination) reports how the stream
+/// ended. The stream holds the index the plan cache holds: two streams
+/// of one warm request share it.
 ///
 /// ```
 /// use pathenum::{PathEnumConfig, QueryEngine, QueryRequest, Termination};
@@ -780,7 +782,7 @@ impl PathSink for NextPath {
 /// assert_eq!(stream.termination(), Some(Termination::Completed));
 /// ```
 pub struct PathStream<'q> {
-    index: Index,
+    index: Arc<Index>,
     constraint: &'q ConstraintSpec<'q>,
     control: ControlledSink<NextPath>,
     /// The paused search, owned: never the per-thread arena, which the
@@ -791,7 +793,13 @@ pub struct PathStream<'q> {
 }
 
 impl<'q> PathStream<'q> {
-    pub(crate) fn new(index: Index, request: &'q QueryRequest<'_>) -> Self {
+    /// A stream over `index` under the request's rules, with
+    /// `deadline` the instant its `time_budget` runs out.
+    pub(crate) fn new(
+        index: Arc<Index>,
+        request: &'q QueryRequest<'_>,
+        deadline: Option<Instant>,
+    ) -> Self {
         let mut scratch = DfsScratch::default();
         let mut counters = Counters::default();
         scratch.seed(&index, &mut index.rows(), &(), &mut counters);
@@ -800,7 +808,7 @@ impl<'q> PathStream<'q> {
             control: ControlledSink::new(
                 NextPath::default(),
                 request.limit,
-                request.time_budget.map(|b| Instant::now() + b),
+                deadline,
                 request.cancel.clone(),
             ),
             index,
@@ -812,10 +820,10 @@ impl<'q> PathStream<'q> {
 
     /// A stream over `index` that has already ended
     /// [`Completed`](Termination::Completed): it yields nothing.
-    pub(crate) fn completed(index: Index, request: &'q QueryRequest<'_>) -> Self {
+    pub(crate) fn completed(index: Arc<Index>, request: &'q QueryRequest<'_>) -> Self {
         PathStream {
             termination: Some(Termination::Completed),
-            ..PathStream::new(index, request)
+            ..PathStream::new(index, request, None)
         }
     }
 
@@ -1097,7 +1105,7 @@ mod tests {
         let req = QueryRequest::paths(S, T).max_hops(4);
         let query = req.validate(g.num_vertices()).unwrap();
         let index = Index::build(&g, query);
-        let stream = PathStream::new(index, &req);
+        let stream = PathStream::new(Arc::new(index), &req, None);
         let mut paths: Vec<Vec<VertexId>> = stream.collect();
         paths.sort_unstable();
         assert_eq!(paths.len(), 5);
@@ -1113,7 +1121,7 @@ mod tests {
         let req = QueryRequest::paths(S, T).max_hops(4).limit(2);
         let query = req.validate(g.num_vertices()).unwrap();
         let index = Index::build(&g, query);
-        let mut stream = PathStream::new(index, &req);
+        let mut stream = PathStream::new(Arc::new(index), &req, None);
         assert!(stream.next().is_some());
         assert!(stream.next().is_some());
         assert!(stream.next().is_none());
@@ -1127,9 +1135,25 @@ mod tests {
         let req = QueryRequest::paths(S, T).max_hops(4).limit(0);
         let query = req.validate(g.num_vertices()).unwrap();
         let index = Index::build(&g, query);
-        let mut stream = PathStream::new(index, &req);
+        let mut stream = PathStream::new(Arc::new(index), &req, None);
         assert!(stream.next().is_none());
         assert_eq!(stream.termination(), Some(Termination::LimitReached));
+        assert_eq!(stream.emitted(), 0);
+    }
+
+    #[test]
+    fn path_stream_deadline_is_the_one_it_is_given() {
+        // The engine hands the stream the deadline its pre-flight
+        // computed before planning: one already past stops the first pull.
+        let g = figure1_graph();
+        let req = QueryRequest::paths(S, T)
+            .max_hops(4)
+            .time_budget(Duration::from_secs(3600));
+        let query = req.validate(g.num_vertices()).unwrap();
+        let index = Arc::new(Index::build(&g, query));
+        let mut stream = PathStream::new(index, &req, Some(Instant::now()));
+        assert!(stream.next().is_none());
+        assert_eq!(stream.termination(), Some(Termination::DeadlineExceeded));
         assert_eq!(stream.emitted(), 0);
     }
 
@@ -1139,7 +1163,7 @@ mod tests {
         let req = QueryRequest::paths(T, S).max_hops(4);
         let query = req.validate(g.num_vertices()).unwrap();
         let index = Index::build(&g, query);
-        let mut stream = PathStream::new(index, &req);
+        let mut stream = PathStream::new(Arc::new(index), &req, None);
         assert!(stream.next().is_none());
         assert_eq!(stream.termination(), Some(Termination::Completed));
     }
