@@ -3,6 +3,7 @@
 //! for IDX-DFS and IDX-JOIN, k = 3..6.
 
 use pathenum::estimator::FullEstimate;
+use pathenum::index::BuildScratch;
 use pathenum::{enumerate, optimize_join_order, Counters, Index};
 use pathenum_workloads::datasets;
 use pathenum_workloads::runner::BoundedSink;
@@ -39,7 +40,7 @@ pub fn run(config: &ExperimentConfig) {
     for &k in &ks {
         let q = pathenum::Query::new(query.s, query.t, k).expect("validated endpoints");
         let build_start = std::time::Instant::now();
-        let (index, bfs_time) = Index::build_profiled(&graph, q);
+        let (index, bfs_time) = Index::build_reusing(&graph, q, &mut BuildScratch::default());
         let build = build_start.elapsed();
 
         let opt_start = std::time::Instant::now();

@@ -127,6 +127,11 @@ impl GraphState {
 
 /// A registry of named graphs, each served at an explicit epoch with
 /// per-tenant bounded plan caches. See the [module docs](self).
+///
+/// A catalog belongs to one [`CatalogService`], which builds it from its
+/// [`CatalogConfig`] (the per-tenant cache quota, shard count and
+/// result-cache budget) and hands it out through
+/// [`CatalogService::catalog`].
 pub struct GraphCatalog {
     graphs: Mutex<HashMap<String, Arc<GraphState>>>,
     tenant_cache_quota: usize,
@@ -143,40 +148,15 @@ impl std::fmt::Debug for GraphCatalog {
     }
 }
 
-impl Default for GraphCatalog {
-    fn default() -> Self {
-        GraphCatalog::new()
-    }
-}
-
 impl GraphCatalog {
-    /// An empty catalog with the default per-tenant cache quota.
-    pub fn new() -> Self {
-        GraphCatalog::with_quota(DEFAULT_TENANT_CACHE_QUOTA, 4)
-    }
-
-    /// An empty catalog with an explicit per-tenant/per-graph plan-cache
-    /// entry quota and shard count (both clamped by
-    /// [`Sharded::with_shards`](crate::Sharded::with_shards); quota `0`
-    /// disables caching).
-    /// Result caching stays off; see [`with_limits`](Self::with_limits).
-    pub fn with_quota(tenant_cache_quota: usize, cache_shards: usize) -> Self {
-        GraphCatalog::with_limits(tenant_cache_quota, cache_shards, 0)
-    }
-
-    /// As [`with_quota`](Self::with_quota), additionally giving every
-    /// tenant a per-graph [`ResultCache`] of `result_cache_bytes`
-    /// (`0` — the default everywhere else — keeps the result layer off).
-    pub fn with_limits(
-        tenant_cache_quota: usize,
-        cache_shards: usize,
-        result_cache_bytes: usize,
-    ) -> Self {
+    /// An empty catalog sized by `config`'s per-tenant cache quota,
+    /// shard count and result-cache budget.
+    fn from_config(config: &CatalogConfig) -> Self {
         GraphCatalog {
             graphs: Mutex::new(HashMap::new()),
-            tenant_cache_quota,
-            cache_shards,
-            result_cache_bytes,
+            tenant_cache_quota: config.tenant_cache_quota,
+            cache_shards: config.cache_shards,
+            result_cache_bytes: config.result_cache_bytes,
         }
     }
 
@@ -453,7 +433,7 @@ impl CatalogTicket {
 /// [module docs](self).
 #[derive(Debug)]
 pub struct CatalogService {
-    catalog: Arc<GraphCatalog>,
+    catalog: GraphCatalog,
     admission: Arc<AdmissionController>,
     config: PathEnumConfig,
     workers: usize,
@@ -462,26 +442,11 @@ pub struct CatalogService {
 }
 
 impl CatalogService {
-    /// A service over a fresh empty catalog.
+    /// A service over a fresh empty catalog sized by `catalog_config`.
     pub fn new(config: PathEnumConfig, catalog_config: CatalogConfig) -> Self {
-        let catalog = Arc::new(GraphCatalog::with_limits(
-            catalog_config.tenant_cache_quota,
-            catalog_config.cache_shards,
-            catalog_config.result_cache_bytes,
-        ));
-        CatalogService::over(catalog, config, catalog_config)
-    }
-
-    /// A service over an existing (possibly shared) catalog. The
-    /// catalog's own quota settings win over `catalog_config`'s.
-    pub fn over(
-        catalog: Arc<GraphCatalog>,
-        config: PathEnumConfig,
-        catalog_config: CatalogConfig,
-    ) -> Self {
         let workers = resolve_threads(catalog_config.workers);
         CatalogService {
-            catalog,
+            catalog: GraphCatalog::from_config(&catalog_config),
             admission: Arc::new(AdmissionController::new(catalog_config.admission)),
             config,
             workers,

@@ -147,7 +147,7 @@ mod tests {
             .method(Method::IdxJoin)
             .collect_paths(true);
         let response = engine.execute(&request).unwrap();
-        assert_eq!(response.report.method, Method::IdxJoin);
+        assert_eq!(response.plan.unwrap().method, Method::IdxJoin);
         assert_eq!(response.num_results(), counters.results);
         let mut joined = response.paths;
         joined.sort_unstable();

@@ -93,7 +93,10 @@ mod tests {
         let from_snapshot = classic.execute(&request).unwrap();
 
         assert_eq!(from_overlay.paths, from_snapshot.paths);
-        assert_eq!(from_overlay.report.method, from_snapshot.report.method);
+        assert_eq!(
+            from_overlay.plan.unwrap().method,
+            from_snapshot.plan.unwrap().method
+        );
     }
 
     #[test]
@@ -291,7 +294,7 @@ mod tests {
         assert!(plan.index_vertices > 0);
         let response = engine.execute(&request).unwrap();
         assert_eq!(response.report.cache, CacheOutcome::Hit);
-        assert_eq!(response.report.method, plan.method);
+        assert_eq!(response.plan.unwrap().method, plan.method);
     }
 
     #[test]

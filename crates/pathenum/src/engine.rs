@@ -277,8 +277,9 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
     /// the same request — the same probe, bypass, cold plan and insert —
     /// and the stream shares the cached index. The result layer is never
     /// consulted. A cold step-1 plan caches the labels only; the stream
-    /// then fills the rows of its own copy, and the entry stays as
-    /// `execute` leaves it.
+    /// fills the rows as the first plan hit on that entry would, and
+    /// writes them back, so the entry and the stream hold one filled
+    /// index.
     ///
     /// An [`explain`](QueryRequest::explain) request plans only and never
     /// enumerates, so its stream yields no path and has ended
@@ -305,10 +306,7 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
         if request.explain {
             return Ok(PathStream::completed(empty(), request));
         }
-        let mut index = self.pipeline().plan(query, request, None).index;
-        if !index.has_rows() {
-            Arc::make_mut(&mut index).fill_rows(self.graph, &mut self.scratch);
-        }
+        let index = self.pipeline().plan_with_rows(query, request);
         Ok(PathStream::new(index, request, deadline))
     }
 }
@@ -350,14 +348,16 @@ mod tests {
         for t in 1..30u32 {
             let q = Query::new(0, t, 4).unwrap();
             let mut from_engine = CollectingSink::default();
-            let report = engine
+            let response = engine
                 .execute_into(&QueryRequest::from_query(q), &mut from_engine)
-                .unwrap()
-                .report;
+                .unwrap();
             let expected = brute_force(&g, q);
             assert_eq!(from_engine.sorted_paths(), expected, "t={t}");
-            assert_eq!(report.counters.results, expected.len() as u64);
-            assert_eq!(report.index_edges, Index::build(&g, q).num_edges());
+            assert_eq!(response.report.counters.results, expected.len() as u64);
+            assert_eq!(
+                response.plan.unwrap().index_edges,
+                Index::build(&g, q).num_edges()
+            );
         }
         assert_eq!(engine.queries_served(), 29);
     }
@@ -498,8 +498,8 @@ mod tests {
                     .method(Method::IdxJoin),
             )
             .unwrap();
-        assert_eq!(dfs.report.method, Method::IdxDfs);
-        assert_eq!(join.report.method, Method::IdxJoin);
+        assert_eq!(dfs.plan.unwrap().method, Method::IdxDfs);
+        assert_eq!(join.plan.unwrap().method, Method::IdxJoin);
         assert_eq!(dfs.num_results(), join.num_results());
     }
 
@@ -513,8 +513,9 @@ mod tests {
         let warm = engine.execute(&request).unwrap();
         assert_eq!(warm.report.cache, CacheOutcome::Hit);
         assert_eq!(warm.paths, cold.paths);
-        assert_eq!(warm.report.method, cold.report.method);
-        assert_eq!(warm.report.cut_position, cold.report.cut_position);
+        let (warm_plan, cold_plan) = (warm.plan.unwrap(), cold.plan.unwrap());
+        assert_eq!(warm_plan.method, cold_plan.method);
+        assert_eq!(warm_plan.cut, cold_plan.cut);
         assert_eq!(engine.cache_stats().hits, 1);
         assert_eq!(engine.plan_cache().len(), 1);
     }
@@ -573,8 +574,6 @@ mod tests {
             CacheOutcome::Hit,
             "explain warmed it"
         );
-        assert_eq!(response.report.method, plan.method);
-        assert_eq!(response.report.cut_position, plan.cut);
         assert_eq!(response.plan, Some(plan));
     }
 
@@ -596,7 +595,7 @@ mod tests {
         let executed = engine
             .execute(&QueryRequest::paths(S, T).max_hops(4))
             .unwrap();
-        assert_eq!(executed.report.method, plan.method);
+        assert_eq!(executed.plan.unwrap().method, plan.method);
         assert_eq!(executed.num_results(), 5);
     }
 
@@ -677,6 +676,31 @@ mod tests {
         assert!(std::ptr::eq(a.index(), b.index()), "no warm stream copies");
         assert!(std::ptr::eq(cold.index(), a.index()));
         assert_eq!((a.count(), b.count(), cold.count()), (5, 5, 5));
+    }
+
+    #[test]
+    fn a_cold_limited_stream_fills_its_keys_rows_once() {
+        // complete_digraph(8), k = 4, limit 3: step 1 plans it on the
+        // labels only, as the test below explains.
+        let g = pathenum_graph::generators::complete_digraph(8);
+        let request = QueryRequest::paths(0, 6).max_hops(4).limit(3);
+        let labels_only = QueryEngine::new(&g, PathEnumConfig::default())
+            .explain(&request)
+            .unwrap();
+        assert_eq!(labels_only.preliminary_estimate, None);
+
+        let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
+        let cold = engine.stream(&request).unwrap();
+        let response = engine.execute(&request).unwrap();
+        assert_eq!(response.report.cache, CacheOutcome::Hit);
+        assert_eq!(
+            response.report.timings.index_build,
+            std::time::Duration::ZERO,
+            "the rows the stream filled are the entry's"
+        );
+        let warm = engine.stream(&request).unwrap();
+        assert!(std::ptr::eq(cold.index(), warm.index()));
+        assert_eq!((cold.count(), warm.count()), (3, 3));
     }
 
     #[test]

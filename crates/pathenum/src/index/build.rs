@@ -114,22 +114,13 @@ impl Index {
     /// [`DynamicGraph`](pathenum_graph::DynamicGraph) — no snapshot
     /// needed to query a mutated graph.
     pub fn build<G: NeighborAccess>(graph: &G, query: Query) -> Index {
-        Index::build_profiled(graph, query).0
+        Index::build_reusing(graph, query, &mut BuildScratch::default()).0
     }
 
-    /// As [`Index::build`], additionally reporting the time the boundary
+    /// As [`Index::build`], reusing caller-owned scratch buffers across
+    /// queries (allocation-free boundary search, id mapping and row
+    /// collection), and additionally reporting the time the boundary
     /// search took (the `BFS` series of Figures 12/17).
-    pub fn build_profiled<G: NeighborAccess>(
-        graph: &G,
-        query: Query,
-    ) -> (Index, std::time::Duration) {
-        let mut scratch = BuildScratch::default();
-        Index::build_reusing(graph, query, &mut scratch)
-    }
-
-    /// As [`Index::build_profiled`], reusing caller-owned scratch buffers
-    /// across queries (allocation-free boundary search, id mapping and
-    /// row collection).
     ///
     /// No serving path calls it: requests build through the planner
     /// (`plan.rs`), which caches what it builds. It stays public for the

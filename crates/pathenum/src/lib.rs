@@ -106,7 +106,7 @@ pub use request::{
     CancelToken, ControlledSink, PathEnumError, PathStream, QueryRequest, QueryResponse,
     Termination,
 };
-pub use results::{ResultCache, ResultKey, DEFAULT_RESULT_CACHE_BYTES};
+pub use results::{ResultCache, DEFAULT_RESULT_CACHE_BYTES};
 pub use sharded::{CacheStats, Sharded};
 pub use sink::{CollectingSink, CountingSink, PathBuffer, PathSink, SearchControl};
 pub use stats::{Counters, Method, PhaseTimings, RunReport};

@@ -258,17 +258,22 @@ mod tests {
     use crate::index::test_support::*;
     use crate::query::Query;
     use crate::sink::{CollectingSink, CountingSink};
-    use crate::{QueryEngine, QueryRequest, RunReport};
+    use crate::{PhysicalPlan, QueryEngine, QueryRequest, RunReport};
 
-    /// Runs `request` through a fresh engine into `sink`.
+    /// Runs `request` through a fresh engine into `sink`: what the run
+    /// measured and the plan it ran.
     fn run(
         graph: &pathenum_graph::CsrGraph,
         config: PathEnumConfig,
         request: &QueryRequest<'_>,
         sink: &mut dyn crate::sink::PathSink,
-    ) -> RunReport {
+    ) -> (RunReport, PhysicalPlan) {
         let mut engine = QueryEngine::new(graph, config);
-        engine.execute_into(request, sink).unwrap().report
+        let response = engine.execute_into(request, sink).unwrap();
+        (
+            response.report,
+            response.plan.expect("every run here plans"),
+        )
     }
 
     #[test]
@@ -277,11 +282,11 @@ mod tests {
         let q = Query::new(S, T, 4).unwrap();
         let mut sink = CollectingSink::default();
         let request = QueryRequest::from_query(q);
-        let report = run(&g, PathEnumConfig::default(), &request, &mut sink);
-        assert_eq!(report.method, Method::IdxDfs);
+        let (report, plan) = run(&g, PathEnumConfig::default(), &request, &mut sink);
+        assert_eq!(plan.method, Method::IdxDfs);
         assert_eq!(report.counters.results, 5);
         assert_eq!(sink.paths.len(), 5);
-        assert!(report.preliminary_estimate.is_some_and(|p| p <= 100_000));
+        assert!(plan.preliminary_estimate.is_some_and(|p| p <= 100_000));
     }
 
     #[test]
@@ -290,12 +295,12 @@ mod tests {
         let q = Query::new(S, T, 4).unwrap();
         let mut sink = CountingSink::default();
         let request = QueryRequest::from_query(q).tau(0);
-        let report = run(&g, PathEnumConfig::default(), &request, &mut sink);
+        let (_, plan) = run(&g, PathEnumConfig::default(), &request, &mut sink);
         assert_eq!(sink.count, 5);
-        assert!(report.full_estimate.is_some());
+        assert!(plan.full_estimate.is_some());
         // The exact walk count on Figure 1, k=4 is 6 (5 paths + 1 walk
         // (s, v0, v6, v0, t)).
-        assert_eq!(report.full_estimate.unwrap(), 6);
+        assert_eq!(plan.full_estimate.unwrap(), 6);
     }
 
     #[test]
@@ -306,10 +311,10 @@ mod tests {
         let mut join_sink = CollectingSink::default();
         let dfs = QueryRequest::from_query(q).method(Method::IdxDfs);
         let join = QueryRequest::from_query(q).method(Method::IdxJoin);
-        let r1 = run(&g, PathEnumConfig::default(), &dfs, &mut dfs_sink);
-        let r2 = run(&g, PathEnumConfig::default(), &join, &mut join_sink);
-        assert_eq!(r1.method, Method::IdxDfs);
-        assert_eq!(r2.method, Method::IdxJoin);
+        let (_, p1) = run(&g, PathEnumConfig::default(), &dfs, &mut dfs_sink);
+        let (_, p2) = run(&g, PathEnumConfig::default(), &join, &mut join_sink);
+        assert_eq!(p1.method, Method::IdxDfs);
+        assert_eq!(p2.method, Method::IdxJoin);
         assert_eq!(dfs_sink.sorted_paths(), join_sink.sorted_paths());
     }
 
@@ -334,10 +339,10 @@ mod tests {
         let q = Query::new(T, S, 4).unwrap();
         let mut sink = CountingSink::default();
         let request = QueryRequest::from_query(q);
-        let report = run(&g, PathEnumConfig::default(), &request, &mut sink);
+        let (report, plan) = run(&g, PathEnumConfig::default(), &request, &mut sink);
         assert_eq!(report.counters.results, 0);
-        assert_eq!(report.preliminary_estimate, Some(0));
-        assert_eq!(report.index_edges, 0);
+        assert_eq!(plan.preliminary_estimate, Some(0));
+        assert_eq!(plan.index_edges, 0);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! `acquire` on the submitting thread, admission and a queue in between,
 //! and `preflight_stop` + `finish` on a pool worker with a deadline that
 //! starts at pickup. [`QueryEngine::stream`](crate::QueryEngine::stream)
-//! is validate → pre-flight → [`Pipeline::plan`], a paused `execute`
-//! that never touches the result layer.
+//! is validate → pre-flight → [`Pipeline::plan_with_rows`], a paused
+//! `execute` that never touches the result layer.
 //!
 //! Surgical retention under mutation is a property of the *graph*, not
 //! of an evaluator: when the serving graph offers a mutation log
@@ -47,10 +47,10 @@ use crate::plan::{
     IndexFootprint, PhysicalPlan, PlanCache, PlanKey, Planner, StoppingRules,
 };
 use crate::query::Query;
-use crate::request::{PathEnumError, QueryRequest, QueryResponse, Termination};
-use crate::results::{CachedResult, ResultCache, ResultKey, TeeSink};
+use crate::request::{ConstraintSpec, PathEnumError, QueryRequest, QueryResponse, Termination};
+use crate::results::{CachedResult, ResultCache, TeeSink};
 use crate::sink::{PathSink, SearchControl};
-use crate::stats::{Counters, PhaseTimings};
+use crate::stats::{Counters, PhaseTimings, RunReport};
 
 /// The two cache layers a pipeline run consults: plans and, when
 /// attached, results (off by default everywhere). An engine owns
@@ -66,7 +66,7 @@ pub(crate) struct Caches {
 /// Where [`finish`] records the answer of a request that missed the
 /// result layer.
 pub(crate) struct ResultSlot {
-    key: ResultKey,
+    key: PlanKey,
     version: GraphVersion,
     /// The reach footprint of the build that planned the request, when
     /// the serving graph keeps a mutation log *and* this run actually
@@ -108,15 +108,24 @@ fn plan_key(
     PlanKey::for_request(request, effective_config(config, request))
 }
 
-/// The result-cache key for a request, or `None` when its *results* are
-/// not cacheable: bypass flags (either layer's), explain requests (they
-/// never enumerate), accumulative/automaton constraints, and
-/// unfingerprinted predicates.
-fn result_key(config: PathEnumConfig, request: &QueryRequest<'_>) -> Option<ResultKey> {
-    if request.bypass_cache || request.bypass_result_cache || request.explain {
+/// The result-cache key for a request — its plan-cache key — or `None`
+/// when its *results* are not cacheable: bypass flags (either layer's),
+/// explain requests (they never enumerate), accumulative/automaton
+/// constraints (they share the unconstrained plan, but their closures
+/// shape a result set no key can tell apart), and unfingerprinted
+/// predicates.
+fn result_key(config: PathEnumConfig, request: &QueryRequest<'_>) -> Option<PlanKey> {
+    if request.bypass_cache
+        || request.bypass_result_cache
+        || request.explain
+        || matches!(
+            request.constraint,
+            ConstraintSpec::Accumulative(_) | ConstraintSpec::Automaton { .. }
+        )
+    {
         return None;
     }
-    ResultKey::for_request(request, effective_config(config, request))
+    PlanKey::for_request(request, effective_config(config, request))
 }
 
 /// The pre-flight stopping rules shared by every evaluator: a request
@@ -244,7 +253,7 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
         &mut self,
         query: Query,
         request: &QueryRequest<'_>,
-        result_key: Option<ResultKey>,
+        result_key: Option<PlanKey>,
     ) -> PlannedRequest {
         let at = GraphStamp::of(self.graph);
         let caches = self.caches;
@@ -261,35 +270,23 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
         match &key {
             Some(key) => {
                 let lookup_start = Instant::now();
-                if let Some((mut plan, mut index)) = plans.lookup(key, at) {
+                if let Some((mut plan, index)) = plans.lookup(key, at) {
                     plan.constraint = request.constraint.kind();
-                    let mut timings = PhaseTimings {
-                        cache_lookup: lookup_start.elapsed(),
-                        ..PhaseTimings::default()
-                    };
-                    let seen = Arc::clone(&index);
-                    let completed = complete_on_graph(
-                        &mut plan,
-                        &mut index,
-                        self.graph,
-                        self.scratch,
-                        &mut timings,
-                    );
-                    let estimated =
-                        resolve_on_index(&mut plan, &index, request.limit, &mut timings);
-                    if completed || estimated {
-                        plans.write_back(key, &seen, &plan, &index);
-                    }
-                    return PlannedRequest {
+                    let mut planned = PlannedRequest {
                         plan,
                         index,
-                        timings,
+                        timings: PhaseTimings {
+                            cache_lookup: lookup_start.elapsed(),
+                            ..PhaseTimings::default()
+                        },
                         outcome: CacheOutcome::Hit,
                         // No build ran, so there is no footprint to
                         // capture: the answer is stored footprint-less
                         // (version-invalidated rather than retained).
                         result_slot: slot(None),
                     };
+                    self.complete(Some(key), request.limit, &mut planned);
+                    return planned;
                 }
             }
             None => plans.note_bypass(),
@@ -330,6 +327,50 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
             timings,
             outcome,
             result_slot,
+        }
+    }
+
+    /// [`plan`](Self::plan) for a reader that needs the index's rows —
+    /// the front half of an engine's `stream`. A cold step-1 plan comes
+    /// back labels-only; it is completed here exactly as the first plan
+    /// hit on its entry would complete it, and written back, so the
+    /// entry holds the filled index the stream reads and the next request
+    /// on the key finds its rows built.
+    pub(crate) fn plan_with_rows(
+        &mut self,
+        query: Query,
+        request: &QueryRequest<'_>,
+    ) -> Arc<Index> {
+        let mut planned = self.plan(query, request, None);
+        let key = plan_key(self.config, request, self.caches.plans.capacity());
+        self.complete(key.as_ref(), request.limit, &mut planned);
+        planned.index
+    }
+
+    /// Completes a planned request's labels-only index from the serving
+    /// graph and resolves its plan for `limit` (running the full
+    /// estimator first when the decision needs it), both unlocked; when
+    /// either ran, writes them back to `key`'s entry under `Arc::ptr_eq`
+    /// against the index the request started from. The plan layer serves
+    /// filled indexes only, so every reader of a step-1 miss's entry
+    /// goes through here.
+    fn complete(
+        &mut self,
+        key: Option<&PlanKey>,
+        limit: Option<u64>,
+        planned: &mut PlannedRequest,
+    ) {
+        let PlannedRequest {
+            plan,
+            index,
+            timings,
+            ..
+        } = planned;
+        let seen = Arc::clone(index);
+        let completed = complete_on_graph(plan, index, self.graph, self.scratch, timings);
+        let estimated = resolve_on_index(plan, index, limit, timings);
+        if let Some(key) = key.filter(|_| completed || estimated) {
+            self.caches.plans.write_back(key, &seen, plan, index);
         }
     }
 }
@@ -422,7 +463,11 @@ fn replay_result_hit(
         ..Counters::default()
     };
     QueryResponse {
-        report: plan.report(timings, counters, CacheOutcome::ResultHit),
+        report: RunReport {
+            timings,
+            counters,
+            cache: CacheOutcome::ResultHit,
+        },
         termination,
         paths: Vec::new(),
         plan: Some(plan),
@@ -446,7 +491,11 @@ fn execute_on_plan<G: NeighborAccess>(
 ) -> QueryResponse {
     if request.explain {
         return QueryResponse {
-            report: plan.report(timings, Default::default(), cache),
+            report: RunReport {
+                timings,
+                counters: Counters::default(),
+                cache,
+            },
             termination: Termination::Completed,
             paths: Vec::new(),
             plan: Some(plan),
@@ -460,7 +509,11 @@ fn execute_on_plan<G: NeighborAccess>(
     let execution = Executor::run(index, graph, &plan, &request.constraint, rules, sink);
     timings.enumeration = execution.enumeration;
     QueryResponse {
-        report: plan.report(timings, execution.counters, cache),
+        report: RunReport {
+            timings,
+            counters: execution.counters,
+            cache,
+        },
         termination: execution.termination,
         paths: Vec::new(),
         plan: Some(plan),

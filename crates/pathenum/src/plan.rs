@@ -68,8 +68,9 @@
 //! [`QueryEngine::stream`](crate::QueryEngine::stream) — completes it
 //! (every row, the level statistics, the preliminary estimate) outside
 //! the shard lock and writes it back under `Arc::ptr_eq`, as the full
-//! estimate is. A hot key pays for its rows once; a key that is never
-//! reused never pays for them.
+//! estimate is; a stream, which reads rows, completes a cold entry it
+//! has just stored the same way. A hot key pays for its rows once; a key
+//! that is never reused never pays for them.
 //!
 //! The crate's one request pipeline (`pipeline.rs`) wires the three
 //! together for every evaluator: plan-acquisition (cache lookup or
@@ -92,7 +93,7 @@
 //! let request = QueryRequest::paths(0, 3).max_hops(3);
 //! let plan = engine.explain(&request).unwrap(); // no enumeration
 //! let response = engine.execute(&request).unwrap(); // warm: index reused
-//! assert_eq!(response.report.method, plan.method);
+//! assert_eq!(response.plan, Some(plan));
 //! assert_eq!(response.report.cache, pathenum::plan::CacheOutcome::Hit);
 //! ```
 
@@ -308,29 +309,6 @@ impl PhysicalPlan {
             .or(self.preliminary_estimate)
             .unwrap_or(0)
             .max(1)
-    }
-
-    /// Assembles a [`RunReport`](crate::stats::RunReport) for one
-    /// interpretation of this plan.
-    pub(crate) fn report(
-        &self,
-        timings: PhaseTimings,
-        counters: Counters,
-        cache: CacheOutcome,
-    ) -> crate::stats::RunReport {
-        crate::stats::RunReport {
-            method: self.method,
-            timings,
-            counters,
-            preliminary_estimate: self.preliminary_estimate,
-            full_estimate: self.full_estimate,
-            t_dfs: self.t_dfs,
-            t_join: self.t_join,
-            cut_position: self.cut,
-            index_bytes: self.index_bytes,
-            index_edges: self.index_edges,
-            cache,
-        }
     }
 }
 
@@ -765,6 +743,11 @@ impl Executor {
 /// Cache key: one logical query shape. Includes the forced method and
 /// the *effective* `tau` so plan decisions made under different
 /// configurations never alias.
+///
+/// The [result layer](crate::results::ResultCache) keys on it too: it
+/// is the full identity of an answer, bounds (`limit`, time budget)
+/// excluded. Accumulative and automaton requests share namespace 0 with
+/// the unconstrained request's plan but are never result-cached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Source vertex.

@@ -14,9 +14,9 @@
 //! * [`PathEnumError`] — the single error enum every entry point returns,
 //!   absorbing [`QueryError`] plus graph-validation and constraint-config
 //!   errors;
-//! * [`QueryResponse`] — the existing [`RunReport`] plus an explicit
-//!   [`Termination`] reason, so an early cut-off is *reported*, never
-//!   silent;
+//! * [`QueryResponse`] — the plan the request ran, the [`RunReport`] of
+//!   what it measured, and an explicit [`Termination`] reason, so an
+//!   early cut-off is *reported*, never silent;
 //! * [`PathStream`] — a pull-based iterator over results for callers
 //!   that want paths lazily without writing a [`PathSink`]: the IDX-DFS
 //!   kernel of [`crate::enumerate::dfs_iterative`], resumed once per
@@ -567,7 +567,8 @@ impl<'a> QueryRequest<'a> {
 /// The response to an executed [`QueryRequest`].
 #[derive(Debug, Clone)]
 pub struct QueryResponse {
-    /// The pipeline report (method, phase timings, counters, estimates).
+    /// What the run measured: phase timings, counters and the cache
+    /// outcome. What it decided is [`plan`](Self::plan).
     pub report: RunReport,
     /// Why result production stopped.
     pub termination: Termination,

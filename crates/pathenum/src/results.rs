@@ -6,13 +6,14 @@
 //! repeated request, but every warm hit still pays the full enumeration:
 //! on a skewed, repetitive read stream (`benchmark/`'s `replay_skewed`)
 //! that is the dominant remaining cost. A [`ResultCache`] closes the
-//! loop: it is content-addressed on the full request identity
-//! ([`ResultKey`]: `s`, `t`, `k`, constraint namespace + fingerprint,
-//! forced method and effective `tau`) and guarded by the serving graph's
-//! [`GraphVersion`] epoch, storing the completed path set (a flat
-//! [`PathBuffer`]) together with its [`Termination`] and the bounds it
-//! ran under. A hit replays the stored paths into the caller's sink —
-//! no BFS, no index build, no search — and reports
+//! loop: it is keyed by the plan layer's own [`PlanKey`] (`s`, `t`, `k`,
+//! constraint namespace + fingerprint, forced method and effective
+//! `tau`) — the full identity of an answer, bounds excluded — and
+//! guarded by the serving graph's [`GraphVersion`] epoch, storing the
+//! completed path set (a flat [`PathBuffer`]) together with its
+//! [`Termination`] and the bounds it ran under. A hit replays the stored
+//! paths into the caller's sink — no BFS, no index build, no search —
+//! and reports
 //! [`CacheOutcome::ResultHit`](crate::plan::CacheOutcome::ResultHit).
 //!
 //! Three rules keep replays byte-identical to fresh execution:
@@ -53,8 +54,11 @@
 //! or per catalog
 //! ([`CatalogConfig::result_cache_bytes`](crate::catalog::CatalogConfig::result_cache_bytes)).
 //! Individual requests opt out of this layer alone with
-//! [`QueryRequest::bypass_result_cache`]; [`QueryRequest::bypass_cache`]
-//! opts out of both layers.
+//! [`QueryRequest::bypass_result_cache`](crate::QueryRequest::bypass_result_cache);
+//! [`QueryRequest::bypass_cache`](crate::QueryRequest::bypass_cache)
+//! opts out of both layers. Accumulative and automaton requests are never
+//! result-cached: they share the unconstrained request's plan key, but
+//! their closures shape a result set no key can tell apart.
 //!
 //! Like the plan layer, the result layer is one type, [`Sharded`] over
 //! its key and entry: an engine owns a one-shard [`ResultCache`], a
@@ -67,12 +71,10 @@ use std::time::Duration;
 
 use pathenum_graph::{GraphVersion, VertexId};
 
-use crate::optimizer::PathEnumConfig;
-use crate::plan::{GraphStamp, IndexFootprint, PhysicalPlan};
-use crate::request::{ConstraintSpec, QueryRequest, Termination};
+use crate::plan::{GraphStamp, IndexFootprint, PhysicalPlan, PlanKey};
+use crate::request::Termination;
 use crate::sharded::{Retained, Sharded};
 use crate::sink::{PathBuffer, PathSink, SearchControl};
-use crate::stats::Method;
 
 /// A pass-through sink that records a copy of every path the caller's
 /// sink accepted, so a cold run doubles as the recording for the result
@@ -136,62 +138,6 @@ impl PathSink for TeeSink<'_> {
     #[inline]
     fn probe(&mut self) -> SearchControl {
         self.inner.probe()
-    }
-}
-
-/// Cache key: the full identity of one answered request, *excluding*
-/// its bounds (`limit` / `time_budget`) — those are stored on the entry
-/// and checked at serve time, so one completed entry serves every
-/// compatible bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ResultKey {
-    /// Source vertex.
-    pub s: VertexId,
-    /// Target vertex.
-    pub t: VertexId,
-    /// Hop constraint.
-    pub k: u32,
-    /// Constraint namespace: 0 for unconstrained requests, 1 for
-    /// fingerprinted predicates (mirrors [`PlanKey`](crate::plan::PlanKey),
-    /// except accumulative/automaton requests are *not* folded into
-    /// namespace 0 — they share the unconstrained plan but produce a
-    /// different result set, so they are never result-cached).
-    pub namespace: u8,
-    /// Constraint fingerprint within the namespace.
-    pub fingerprint: u64,
-    /// The request's forced method — the method changes the
-    /// deterministic emission order, so plans forced differently never
-    /// alias.
-    pub method: Option<Method>,
-    /// Effective preliminary-estimate threshold (it decides the method).
-    pub tau: u64,
-}
-
-impl ResultKey {
-    /// The result-cache key for a request under `effective`
-    /// configuration, or `None` when the request's results are not
-    /// cacheable: accumulative/automaton constraints (their closures
-    /// shape the result set but cannot be compared) and unfingerprinted
-    /// predicates. Bypass flags, explain, and cache capacity are the
-    /// caller's concern.
-    pub(crate) fn for_request(
-        request: &QueryRequest<'_>,
-        effective: PathEnumConfig,
-    ) -> Option<ResultKey> {
-        let (namespace, fingerprint) = match &request.constraint {
-            ConstraintSpec::None => (0u8, 0u64),
-            ConstraintSpec::Predicate(_) => (1u8, request.fingerprint?),
-            ConstraintSpec::Accumulative(_) | ConstraintSpec::Automaton { .. } => return None,
-        };
-        Some(ResultKey {
-            s: request.s,
-            t: request.t,
-            k: request.k,
-            namespace,
-            fingerprint,
-            method: request.method,
-            tau: effective.tau,
-        })
     }
 }
 
@@ -302,7 +248,7 @@ impl Retained for ResultEntry {
 pub const DEFAULT_RESULT_CACHE_BYTES: usize = 16 * 1024 * 1024;
 
 /// A byte-budgeted LRU cache of completed enumeration answers, keyed by
-/// [`ResultKey`] and guarded by a [`GraphVersion`] epoch: [`Sharded`]
+/// [`PlanKey`] and guarded by a [`GraphVersion`] epoch: [`Sharded`]
 /// over the result layer's entries, each charged its measured bytes plus
 /// a fixed per-entry overhead.
 ///
@@ -314,7 +260,7 @@ pub const DEFAULT_RESULT_CACHE_BYTES: usize = 16 * 1024 * 1024;
 /// [`with_shards`](Sharded::with_shards). A hit hands out an `Arc` of the
 /// stored [`PathBuffer`]; the replay into the caller's sink happens
 /// entirely outside the shard lock.
-pub type ResultCache = Sharded<ResultKey, ResultEntry>;
+pub type ResultCache = Sharded<PlanKey, ResultEntry>;
 
 impl Default for ResultCache {
     fn default() -> Self {
@@ -347,7 +293,7 @@ impl ResultCache {
     /// tighter future request can still use it); the lookup misses.
     pub(crate) fn lookup<'g>(
         &self,
-        key: &ResultKey,
+        key: &PlanKey,
         limit: Option<u64>,
         budget: Option<Duration>,
         at: impl Into<GraphStamp<'g>>,
@@ -375,7 +321,7 @@ impl ResultCache {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert(
         &self,
-        key: ResultKey,
+        key: PlanKey,
         version: GraphVersion,
         plan: PhysicalPlan,
         paths: PathBuffer,
@@ -411,8 +357,10 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::PathEnumConfig;
     use crate::plan::plan_on_index;
     use crate::query::Query;
+    use crate::request::QueryRequest;
     use crate::stats::PhaseTimings;
 
     fn sample_plan() -> PhysicalPlan {
@@ -436,8 +384,8 @@ mod tests {
         buf
     }
 
-    fn key(k: u32) -> ResultKey {
-        ResultKey {
+    fn key(k: u32) -> PlanKey {
+        PlanKey {
             s: 0,
             t: 1,
             k,

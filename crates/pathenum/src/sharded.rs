@@ -432,7 +432,7 @@ mod tests {
     use crate::plan::{plan_on_index, PhysicalPlan, PlanCache, PlanKey};
     use crate::query::Query;
     use crate::request::Termination;
-    use crate::results::{ResultCache, ResultKey, ENTRY_OVERHEAD_BYTES};
+    use crate::results::{ResultCache, ENTRY_OVERHEAD_BYTES};
     use crate::sink::PathBuffer;
     use crate::stats::PhaseTimings;
 
@@ -548,8 +548,8 @@ mod tests {
         }
     }
 
-    fn result_key(key: u32) -> ResultKey {
-        ResultKey {
+    fn result_key(key: u32) -> PlanKey {
+        PlanKey {
             s: test_support::S,
             t: test_support::T,
             k: 4,

@@ -2,7 +2,9 @@
 //!
 //! These counters back the paper's detailed-metric experiments: Figure 6
 //! (#edges accessed, #invalid partial results, #results), Figure 7 / 17
-//! (phase breakdown), and Table 7 (peak materialized tuples).
+//! (phase breakdown), and Table 7 (peak materialized tuples). A run's
+//! [`RunReport`] is these measurements and its cache outcome only; what
+//! the run decided is its [`PhysicalPlan`](crate::plan::PhysicalPlan).
 
 use std::time::Duration;
 
@@ -141,38 +143,25 @@ impl PhaseTimings {
     }
 }
 
-/// Full report of one PathEnum run.
+/// What one PathEnum run measured: its phase timings, its counters, and
+/// how the caches served it.
 ///
-/// The `Default` value describes a run that never started (used by the
-/// request layer when a pre-flight stopping rule — an expired deadline,
-/// a cancelled token, a zero limit — fires before the pipeline runs).
+/// What the run *decided* — method, cut, estimates, index shape — is not
+/// repeated here: it is the response's
+/// [`plan`](crate::request::QueryResponse::plan), `None` exactly when a
+/// pre-flight stopping rule (an expired deadline, a cancelled token, a
+/// zero limit) fired before anything was planned. Such a run reports
+/// the `Default` timings and counters, and
+/// [`CacheOutcome::Skipped`](crate::plan::CacheOutcome::Skipped).
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
-    /// Strategy the optimizer selected.
-    pub method: Method,
     /// Phase timings.
     pub timings: PhaseTimings,
     /// Enumeration counters.
     pub counters: Counters,
-    /// Preliminary search-space estimate (Equation 5); `None` when the
-    /// request was settled on `k · limit` before the index had rows to
-    /// compute it from (see [`PhysicalPlan`](crate::plan::PhysicalPlan)).
-    pub preliminary_estimate: Option<u64>,
-    /// Full-fledged estimate of `|Q|` (walk count), when computed.
-    pub full_estimate: Option<u64>,
-    /// Modeled left-deep DFS cost `T_DFS`, when the optimizer ran.
-    pub t_dfs: Option<u64>,
-    /// Modeled bushy join cost `T_JOIN` at the chosen cut, when the
-    /// optimizer ran.
-    pub t_join: Option<u64>,
-    /// Chosen cut position `i*`, when IDX-JOIN was selected.
-    pub cut_position: Option<u32>,
-    /// Index footprint in bytes.
-    pub index_bytes: usize,
-    /// Number of edges stored in the index's forward table.
-    pub index_edges: usize,
     /// Whether the plan (and index) came from the engine's
-    /// [`PlanCache`](crate::plan::PlanCache).
+    /// [`PlanCache`](crate::plan::PlanCache), or the answer from its
+    /// [`ResultCache`](crate::results::ResultCache).
     pub cache: crate::plan::CacheOutcome,
 }
 

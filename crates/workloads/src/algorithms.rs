@@ -103,7 +103,7 @@ impl Algorithm {
         let response = engine
             .execute_into(&request, sink)
             .expect("harness queries are in range for the graph");
-        from_pathenum(response.report)
+        from_pathenum(response)
     }
 }
 
@@ -178,15 +178,16 @@ fn from_baseline(report: pathenum_baselines::BaselineReport) -> AlgoReport {
     }
 }
 
-fn from_pathenum(report: pathenum::RunReport) -> AlgoReport {
+fn from_pathenum(response: pathenum::QueryResponse) -> AlgoReport {
+    let (report, plan) = (response.report, response.plan);
     AlgoReport {
         preprocessing: report.timings.index_build + report.timings.preliminary_estimation,
         optimization: report.timings.optimization,
         enumeration: report.timings.enumeration,
         counters: report.counters,
-        method: Some(report.method),
-        index_edges: Some(report.index_edges),
-        index_bytes: Some(report.index_bytes),
+        method: plan.map(|plan| plan.method),
+        index_edges: plan.map(|plan| plan.index_edges),
+        index_bytes: plan.map(|plan| plan.index_bytes),
     }
 }
 

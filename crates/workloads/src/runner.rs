@@ -336,7 +336,7 @@ mod tests {
         let limited = QueryEngine::new(&g, Default::default())
             .execute(&QueryRequest::from_query(q).limit(cfg.response_limit))
             .unwrap();
-        assert_eq!(limited.report.method, pathenum::Method::IdxDfs);
+        assert_eq!(limited.plan.unwrap().method, pathenum::Method::IdxDfs);
         assert_eq!(limited.num_results(), cfg.response_limit);
         assert!(measure_response_time(Algorithm::PathEnum, &g, q, cfg) <= cfg.time_limit);
     }

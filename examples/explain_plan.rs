@@ -41,11 +41,12 @@ fn main() {
                 let response = engine
                     .execute(&request.limit(10_000))
                     .expect("explained request is valid");
-                assert_eq!(response.report.method, plan.method);
-                assert_eq!(response.report.cut_position, plan.cut);
+                let ran = response.plan.expect("an executed request carries its plan");
+                assert_eq!(ran.method, plan.method);
+                assert_eq!(ran.cut, plan.cut);
                 println!(
                     "  -> executed via {}: {} results, cache {}, enumeration {:?}\n",
-                    response.report.method,
+                    ran.method,
                     response.num_results(),
                     response.report.cache,
                     response.report.timings.enumeration,

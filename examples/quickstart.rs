@@ -43,16 +43,19 @@ fn main() {
         .execute(&request)
         .expect("endpoints are in the graph");
     let report = &response.report;
+    // What the engine decided (method, estimates, index shape) is the
+    // plan; the report holds what the run measured.
+    let plan = response.plan.expect("an executed request carries its plan");
 
     println!("request: paths({s}, {t}).max_hops(4)");
     println!(
         "method selected: {}; termination: {:?}",
-        report.method, response.termination
+        plan.method, response.termination
     );
-    if let Some(preliminary) = report.preliminary_estimate {
+    if let Some(preliminary) = plan.preliminary_estimate {
         println!(
             "index: {} edges, {} bytes; preliminary estimate: {preliminary} partial results",
-            report.index_edges, report.index_bytes
+            plan.index_edges, plan.index_bytes
         );
     }
     println!("found {} paths:", response.paths.len());

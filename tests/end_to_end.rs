@@ -93,7 +93,7 @@ fn pathenum_optimizer_picks_join_somewhere_on_dense_graphs() {
         let response = engine
             .execute_into(&QueryRequest::from_query(q), &mut sink)
             .expect("valid");
-        methods.insert(response.report.method);
+        methods.insert(response.plan.unwrap().method);
     }
     assert!(!methods.is_empty());
 }

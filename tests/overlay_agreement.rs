@@ -87,13 +87,13 @@ proptest! {
                             from_snapshot.num_results()
                         );
                         prop_assert_eq!(
-                            from_overlay.report.method,
-                            from_snapshot.report.method,
+                            from_overlay.plan.unwrap().method,
+                            from_snapshot.plan.unwrap().method,
                             "same index must yield the same plan"
                         );
                         prop_assert_eq!(
-                            from_overlay.report.cut_position,
-                            from_snapshot.report.cut_position
+                            from_overlay.plan.unwrap().cut,
+                            from_snapshot.plan.unwrap().cut
                         );
                 }
             }

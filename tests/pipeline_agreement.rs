@@ -354,14 +354,16 @@ fn a_limit_decides_the_method_per_request_on_every_evaluator() {
     let expected = [0, 1].map(|which| {
         let mut engine = QueryEngine::new(&graph, config);
         let response = engine.execute(&build(which).bypass_cache()).unwrap();
-        let forced = build(which).bypass_cache().method(response.report.method);
+        let forced = build(which)
+            .bypass_cache()
+            .method(response.plan.unwrap().method);
         assert_eq!(response.paths, engine.execute(&forced).unwrap().paths);
         response
     });
-    assert_eq!(expected[0].report.method, Method::IdxJoin);
+    assert_eq!(expected[0].plan.unwrap().method, Method::IdxJoin);
     assert_eq!(expected[0].termination, Termination::Completed);
     assert_eq!(expected[0].paths.len(), 18_730);
-    assert_eq!(expected[1].report.method, Method::IdxDfs);
+    assert_eq!(expected[1].plan.unwrap().method, Method::IdxDfs);
     assert_eq!(expected[1].termination, Termination::LimitReached);
 
     // The second request finds the first one's plan entry. With the
@@ -380,11 +382,12 @@ fn a_limit_decides_the_method_per_request_on_every_evaluator() {
             assert_eq!(response.termination, want.termination, "{at}");
             let replayed = results_on && position == 1 && order == [0, 1];
             let ran = if replayed { &expected[0] } else { want };
-            assert_eq!(response.report.method, ran.report.method, "{at}");
             assert_eq!(
-                response.report.cut_position, ran.report.cut_position,
+                response.plan.unwrap().method,
+                ran.plan.unwrap().method,
                 "{at}"
             );
+            assert_eq!(response.plan.unwrap().cut, ran.plan.unwrap().cut, "{at}");
             let cache = match (position, replayed) {
                 (0, _) => CacheOutcome::Miss,
                 (_, false) => CacheOutcome::Hit,

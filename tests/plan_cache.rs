@@ -54,9 +54,8 @@ proptest! {
         let plan = engine.explain(&request).unwrap();
         for round in 0..2 {
             let response = engine.execute(&request).unwrap();
-            prop_assert_eq!(response.report.method, plan.method, "round {}", round);
-            prop_assert_eq!(response.report.cut_position, plan.cut, "round {}", round);
-            prop_assert_eq!(response.plan.unwrap().method, plan.method);
+            prop_assert_eq!(response.plan.unwrap().method, plan.method, "round {}", round);
+            prop_assert_eq!(response.plan.unwrap().cut, plan.cut, "round {}", round);
             prop_assert_eq!(
                 response.report.cache,
                 CacheOutcome::Hit,
@@ -98,8 +97,8 @@ proptest! {
         prop_assert_eq!(&warm.paths, &cold.paths, "warm vs cold path order");
         prop_assert_eq!(&warm.paths, &reference.paths, "cached vs cache-free engine");
         prop_assert_eq!(warm.num_results(), reference.num_results());
-        prop_assert_eq!(warm.report.method, reference.report.method);
-        prop_assert_eq!(warm.report.cut_position, reference.report.cut_position);
+        prop_assert_eq!(warm.plan.unwrap().method, reference.plan.unwrap().method);
+        prop_assert_eq!(warm.plan.unwrap().cut, reference.plan.unwrap().cut);
     }
 
     /// Limits and collected prefixes behave identically warm and cold
@@ -400,7 +399,10 @@ fn labels_only_entries_are_completed_by_their_first_reader() {
     let warm = engine.execute(&limited()).expect("valid request");
     assert_eq!(warm.report.cache, CacheOutcome::Hit);
     assert_eq!(warm.paths, reference.paths);
-    assert_eq!(warm.report.preliminary_estimate, cold.preliminary_estimate);
+    assert_eq!(
+        warm.plan.unwrap().preliminary_estimate,
+        cold.preliminary_estimate
+    );
 
     // `stream` reads the cache directly: it too must complete the entry
     // rather than walk a table with no rows.

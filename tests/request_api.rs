@@ -317,7 +317,11 @@ fn assert_counting_matches_collecting(g: &CsrGraph, q: Query, limit: Option<u64>
         );
         assert_eq!(counted.report.counters, collected.report.counters, "{at}");
         assert_eq!(counted.termination, collected.termination, "{at}");
-        assert_eq!(counted.report.method, collected.report.method, "{at}");
+        assert_eq!(
+            counted.plan.unwrap().method,
+            collected.plan.unwrap().method,
+            "{at}"
+        );
     }
 }
 

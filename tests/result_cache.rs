@@ -304,7 +304,11 @@ fn count_only_misses_store_answers_that_collecting_requests_replay() {
         assert_eq!(replayed.paths, fresh.paths, "{method:?}");
         assert_eq!(replayed.termination, fresh.termination, "{method:?}");
         assert_eq!(replayed.num_results(), fresh.num_results(), "{method:?}");
-        assert_eq!(replayed.report.method, fresh.report.method, "{method:?}");
+        assert_eq!(
+            replayed.plan.unwrap().method,
+            fresh.plan.unwrap().method,
+            "{method:?}"
+        );
     }
 }
 
@@ -338,7 +342,7 @@ fn mixed_limits_on_one_key_replay_prefixes_of_the_stored_answer() {
         })
         .collect();
     for (response, method) in fresh.iter().zip([IdxJoin, IdxDfs, IdxJoin]) {
-        assert_eq!(response.report.method, method);
+        assert_eq!(response.plan.unwrap().method, method);
     }
     assert_eq!(fresh[0].paths.len(), 18_730);
 
@@ -370,7 +374,7 @@ fn mixed_limits_on_one_key_replay_prefixes_of_the_stored_answer() {
             assert_eq!(response.report.cache, outcome, "{at}");
             assert_eq!(response.paths, fresh[which].paths, "{at}");
             assert_eq!(response.termination, fresh[which].termination, "{at}");
-            assert_eq!(response.report.method, method, "{at}");
+            assert_eq!(response.plan.unwrap().method, method, "{at}");
         }
         let stats = caching.result_cache_stats();
         assert_eq!(stats.hits + stats.misses + stats.bypasses, stats.lookups);

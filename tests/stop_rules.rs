@@ -107,7 +107,7 @@ fn cancel_fired_mid_run_stops_the_search() {
         let (response, wall) =
             cancel_mid_run(heavy_request(method).cancel_token(token.clone()), token);
         assert_eq!(response.termination, Termination::Cancelled, "{method}");
-        assert_eq!(response.report.method, method);
+        assert_eq!(response.plan.unwrap().method, method);
         // The search observed the token through the probe stride: the
         // run ended nowhere near the (effectively unbounded) full
         // enumeration.
@@ -140,7 +140,7 @@ fn cancel_fired_mid_run_stops_a_count_only_search() {
         let wall = start.elapsed();
         canceller.join().expect("canceller thread exits");
         assert_eq!(response.termination, Termination::Cancelled, "{method}");
-        assert_eq!(response.report.method, method);
+        assert_eq!(response.plan.unwrap().method, method);
         assert!(
             wall < PROPAGATION_BOUND,
             "{method}: cancellation took {wall:?} to propagate"
@@ -180,7 +180,7 @@ fn deadline_mid_run_is_reported_and_bounded() {
             Termination::DeadlineExceeded,
             "{method}"
         );
-        assert_eq!(response.report.method, method);
+        assert_eq!(response.plan.unwrap().method, method);
         // Overrun is bounded by the probe stride, not by the search size.
         assert!(
             wall < PROPAGATION_BOUND,
