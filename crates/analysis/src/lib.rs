@@ -474,12 +474,16 @@ const ORDERING_SCOPE: [&str; 8] = [
     "crates/graph/src/epoch.rs",
 ];
 
-const NO_PANIC_SCOPE: [&str; 5] = [
+const NO_PANIC_SCOPE: [&str; 9] = [
     "crates/pathenum/src/catalog.rs",
     "crates/pathenum/src/admission.rs",
     "crates/pathenum/src/results.rs",
     "crates/pathenum/src/pipeline.rs",
     "crates/pathenum/src/sharded.rs",
+    "crates/pathenum/src/plan.rs",
+    "crates/pathenum/src/engine.rs",
+    "crates/pathenum/src/request.rs",
+    "crates/pathenum/src/optimizer.rs",
 ];
 
 fn in_kernel_scope(path: &str) -> bool {

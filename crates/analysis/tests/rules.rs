@@ -130,6 +130,25 @@ fn the_request_pipeline_and_the_sharded_wrapper_are_serving_files() {
 }
 
 #[test]
+fn no_panic_scope_covers_the_planner_and_executor() {
+    // Every request is planned and executed through these: they carry
+    // the no-panic rule as the pipeline does.
+    for path in [
+        "crates/pathenum/src/plan.rs",
+        "crates/pathenum/src/engine.rs",
+        "crates/pathenum/src/request.rs",
+        "crates/pathenum/src/optimizer.rs",
+    ] {
+        let findings = analyze_source(path, include_str!("fixtures/no_panic.rs"));
+        assert_eq!(
+            lines(&by_rule(&findings, "no-panic")),
+            vec![5, 6, 8, 11],
+            "{path}"
+        );
+    }
+}
+
+#[test]
 fn no_panic_is_scoped_to_serving_files() {
     let src = include_str!("fixtures/no_panic.rs");
     let findings = analyze_source("crates/graph/src/bfs.rs", src);

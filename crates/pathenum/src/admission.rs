@@ -28,7 +28,6 @@
 //! [`PathEnumError::Overloaded`]: crate::PathEnumError::Overloaded
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -201,12 +200,20 @@ pub struct AdmissionStats {
 #[derive(Debug)]
 pub struct AdmissionController {
     config: AdmissionConfig,
-    in_flight_cost: AtomicU64,
+    /// Everything the controller counts, under one lock: a decision
+    /// reads and charges it in one critical section, and a release
+    /// uncharges it in another.
+    state: Mutex<AdmissionState>,
+}
+
+#[derive(Debug, Default)]
+struct AdmissionState {
+    /// Modeled cost admitted but not yet released.
+    in_flight_cost: u64,
     /// Admitted-but-incomplete request counts per tenant (queued *or*
     /// running; decremented on release).
-    pending: Mutex<HashMap<String, u64>>,
-    admitted: AtomicU64,
-    shed: AtomicU64,
+    pending: HashMap<String, u64>,
+    stats: AdmissionStats,
 }
 
 impl AdmissionController {
@@ -214,10 +221,7 @@ impl AdmissionController {
     pub fn new(config: AdmissionConfig) -> Self {
         AdmissionController {
             config,
-            in_flight_cost: AtomicU64::new(0),
-            pending: Mutex::new(HashMap::new()),
-            admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
+            state: Mutex::new(AdmissionState::default()),
         }
     }
 
@@ -228,18 +232,12 @@ impl AdmissionController {
 
     /// Modeled cost currently admitted but not yet released.
     pub fn in_flight_cost(&self) -> u64 {
-        // ordering: advisory read; admission decisions re-read the charge
-        // under the `pending` mutex, which provides the ordering.
-        self.in_flight_cost.load(Ordering::Relaxed)
+        crate::sync::lock_recovering(&self.state).in_flight_cost
     }
 
     /// Lifetime admitted/shed counters.
     pub fn stats(&self) -> AdmissionStats {
-        // ordering: advisory stats reads; a lagging value is acceptable.
-        AdmissionStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-        }
+        crate::sync::lock_recovering(&self.state).stats
     }
 
     /// The lane a request of `cost` rides when admitted. With admission
@@ -258,86 +256,64 @@ impl AdmissionController {
     /// the tenant slot taken — the caller **must** pair this with
     /// exactly one [`release`](Self::release).
     pub fn try_admit(&self, tenant: &str, cost: u64) -> AdmissionDecision {
-        let lane = self.lane_for(cost);
-        // ordering: pre-lock peek for the decision record only; the
-        // authoritative budget check re-reads under the `pending` mutex.
-        let in_flight = self.in_flight_cost.load(Ordering::Relaxed);
+        let mut state = crate::sync::lock_recovering(&self.state);
+        let depth = state.pending.get(tenant).copied().unwrap_or(0);
+        let in_flight = state.in_flight_cost;
         let mut decision = AdmissionDecision {
             tenant: tenant.to_string(),
             estimated_cost: cost,
             in_flight_cost: in_flight,
             cost_budget: self.config.cost_budget,
-            tenant_queue_depth: 0,
+            tenant_queue_depth: depth as usize,
             max_queue_per_tenant: self.config.max_queue_per_tenant,
-            lane,
+            lane: self.lane_for(cost),
             interactive_cost_threshold: self.config.interactive_cost_threshold,
             rejected: None,
         };
 
-        let mut pending = crate::sync::lock_recovering(&self.pending);
-        let depth = pending.get(tenant).copied().unwrap_or(0);
-        decision.tenant_queue_depth = depth as usize;
-
-        if self.config.max_queue_per_tenant > 0
-            && depth as usize >= self.config.max_queue_per_tenant
-        {
-            decision.rejected = Some(self.shed_with_hint(depth));
+        let queue_full = self.config.max_queue_per_tenant > 0
+            && depth as usize >= self.config.max_queue_per_tenant;
+        // First-come-first-admitted: a request is shed only when the
+        // budget is already occupied. A single over-budget giant on an
+        // idle controller still runs (cost saturates, it just blocks
+        // everything until released).
+        let over_budget = self
+            .config
+            .cost_budget
+            .is_some_and(|budget| in_flight > 0 && in_flight.saturating_add(cost) > budget);
+        if queue_full || over_budget {
+            state.stats.shed += 1;
+            decision.rejected = Some(overloaded(depth));
             return decision;
         }
-        if let Some(budget) = self.config.cost_budget {
-            // First-come-first-admitted: a request is shed only when the
-            // budget is already occupied. A single over-budget giant on
-            // an idle controller still runs (cost saturates, it just
-            // blocks everything until released).
-            // ordering: read under the `pending` mutex, which serializes
-            // every check-then-charge sequence; the mutex, not the atomic,
-            // carries the ordering.
-            let in_flight = self.in_flight_cost.load(Ordering::Relaxed);
-            decision.in_flight_cost = in_flight;
-            if in_flight > 0 && in_flight.saturating_add(cost) > budget {
-                decision.rejected = Some(self.shed_with_hint(depth));
-                return decision;
-            }
-        }
 
-        *pending.entry(tenant.to_string()).or_insert(0) += 1;
-        // The charge must land before the `pending` mutex is released:
-        // charging after the drop opened a window where a concurrent
-        // `try_admit` could pass the budget check against the stale
-        // `in_flight_cost` and over-admit past the budget.
-        // ordering: performed under the `pending` mutex (see above).
-        self.in_flight_cost.fetch_add(cost, Ordering::Relaxed);
-        drop(pending);
-        // ordering: advisory monotone counter; publishes no other memory.
-        self.admitted.fetch_add(1, Ordering::Relaxed);
+        *state.pending.entry(tenant.to_string()).or_insert(0) += 1;
+        state.in_flight_cost = in_flight.wrapping_add(cost);
+        state.stats.admitted += 1;
         decision
     }
 
     /// Releases an admitted request's budget charge and tenant slot.
     pub fn release(&self, tenant: &str, cost: u64) {
-        // ordering: single-location RMW; the release may race an admit's
-        // budget check, but an uncharge seen late only delays admission
-        // (never over-admits), so no cross-location ordering is needed.
-        self.in_flight_cost.fetch_sub(cost, Ordering::Relaxed);
-        let mut pending = crate::sync::lock_recovering(&self.pending);
-        if let Some(depth) = pending.get_mut(tenant) {
+        let mut state = crate::sync::lock_recovering(&self.state);
+        state.in_flight_cost = state.in_flight_cost.wrapping_sub(cost);
+        if let Some(depth) = state.pending.get_mut(tenant) {
             *depth = depth.saturating_sub(1);
             if *depth == 0 {
-                pending.remove(tenant);
+                state.pending.remove(tenant);
             }
         }
     }
+}
 
-    /// A coarse, advisory retry hint scaled by how deep the shedding
-    /// tenant's backlog already is — deeper backlog, longer back-off.
-    fn shed_with_hint(&self, tenant_depth: u64) -> PathEnumError {
-        // ordering: advisory monotone counter; publishes no other memory.
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        let base = Duration::from_micros(500);
-        let hint = base.saturating_mul(tenant_depth.clamp(1, 200) as u32);
-        PathEnumError::Overloaded {
-            retry_hint: hint.min(Duration::from_millis(100)),
-        }
+/// The rejection of a shed request, with a coarse, advisory retry hint
+/// scaled by how deep the shedding tenant's backlog already is — deeper
+/// backlog, longer back-off.
+fn overloaded(tenant_depth: u64) -> PathEnumError {
+    let base = Duration::from_micros(500);
+    let hint = base.saturating_mul(tenant_depth.clamp(1, 200) as u32);
+    PathEnumError::Overloaded {
+        retry_hint: hint.min(Duration::from_millis(100)),
     }
 }
 
@@ -414,11 +390,12 @@ mod tests {
     }
 
     /// Regression for a check-then-charge race: `try_admit` used to
-    /// charge `in_flight_cost` *after* releasing the `pending` mutex, so
-    /// two threads could both pass the budget check against the stale
-    /// charge and jointly over-admit. With the charge under the lock, the
-    /// admitted cost can exceed the budget by at most one request (the
-    /// documented over-budget-giant allowance), never by a race.
+    /// charge `in_flight_cost` *after* releasing its lock, so two threads
+    /// could both pass the budget check against the stale charge and
+    /// jointly over-admit. With the check and the charge in one critical
+    /// section, the admitted cost can exceed the budget by at most one
+    /// request (the documented over-budget-giant allowance), never by a
+    /// race — and every decision is counted exactly once.
     #[test]
     fn concurrent_admits_never_overshoot_the_budget() {
         let budget = 100u64;
@@ -447,6 +424,8 @@ mod tests {
             }
         });
         assert_eq!(ctl.in_flight_cost(), 0);
+        let stats = ctl.stats();
+        assert_eq!(stats.admitted + stats.shed, 8 * 64);
     }
 
     #[test]

@@ -687,7 +687,7 @@ mod tests {
         let labels_only = QueryEngine::new(&g, PathEnumConfig::default())
             .explain(&request)
             .unwrap();
-        assert_eq!(labels_only.preliminary_estimate, None);
+        assert_eq!(labels_only.estimates.preliminary, None);
 
         let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
         let cold = engine.stream(&request).unwrap();

@@ -7,8 +7,9 @@
 //! pure function of what the cost model knows about an index
 //! ([`PlanEstimates`]) and of the request — `k`, `tau`, a forced method,
 //! the constraint kind, and the result `limit` — so the same estimates
-//! can serve requests with different limits from one cached index. In
-//! the cost model's own unit (search-tree nodes over walks):
+//! can serve requests with different limits from one cached index: a
+//! plan cache entry is exactly an index and its `PlanEstimates`. In the
+//! cost model's own unit (search-tree nodes over walks):
 //!
 //! 1. **§6.2's test on what the request can read.**
 //!    `bounded = min(preliminary, k · limit)`; `bounded <= tau` ⇒ IDX-DFS,
@@ -55,13 +56,13 @@ pub struct JoinPlan {
     /// Modeled cost of the bushy order
     /// (`T_JOIN = |Q| + sum_{1<=i<=i*} |Q[0:i]| + sum_{i*<=i<=k} |Q[i:k]|`).
     pub t_join: u64,
-    /// Estimated `|Q|` (exact walk count).
-    pub estimated_walks: u64,
 }
 
 /// What the cost model knows about one index: the limit-independent
-/// half of a plan, which is what the plan cache keeps. The `Default` is
-/// what is known before the index is built: nothing.
+/// half of a plan. A [`PlanCache`](crate::plan::PlanCache) entry is an
+/// index and its `PlanEstimates`, nothing else; every request's
+/// [`PhysicalPlan`](crate::plan::PhysicalPlan) carries a copy. The
+/// `Default` is what is known before the index is built: nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanEstimates {
     /// Preliminary search-space estimate (Equation 5), once the index
@@ -232,7 +233,6 @@ pub fn optimize_join_order(index: &Index, estimate: &FullEstimate) -> Option<Joi
         cut: best_cut,
         t_dfs,
         t_join,
-        estimated_walks: estimate.total_walks(),
     })
 }
 
@@ -286,7 +286,7 @@ mod tests {
         assert_eq!(plan.method, Method::IdxDfs);
         assert_eq!(report.counters.results, 5);
         assert_eq!(sink.paths.len(), 5);
-        assert!(plan.preliminary_estimate.is_some_and(|p| p <= 100_000));
+        assert!(plan.estimates.preliminary.is_some_and(|p| p <= 100_000));
     }
 
     #[test]
@@ -294,13 +294,12 @@ mod tests {
         let g = figure1_graph();
         let q = Query::new(S, T, 4).unwrap();
         let mut sink = CountingSink::default();
-        let request = QueryRequest::from_query(q).tau(0);
-        let (_, plan) = run(&g, PathEnumConfig::default(), &request, &mut sink);
+        let request = QueryRequest::from_query(q);
+        let (_, plan) = run(&g, PathEnumConfig { tau: 0 }, &request, &mut sink);
         assert_eq!(sink.count, 5);
-        assert!(plan.full_estimate.is_some());
         // The exact walk count on Figure 1, k=4 is 6 (5 paths + 1 walk
         // (s, v0, v6, v0, t)).
-        assert_eq!(plan.full_estimate.unwrap(), 6);
+        assert_eq!(plan.estimates.full, Some(6));
     }
 
     #[test]
@@ -326,9 +325,9 @@ mod tests {
         let estimate = FullEstimate::compute(&index);
         let plan = optimize_join_order(&index, &estimate).unwrap();
         assert!(plan.cut >= 1 && plan.cut < 5);
-        assert!(plan.t_join >= plan.estimated_walks);
+        assert!(plan.t_join >= estimate.total_walks());
         assert!(
-            plan.t_dfs >= plan.estimated_walks,
+            plan.t_dfs >= estimate.total_walks(),
             "DFS cost includes the final level"
         );
     }
@@ -341,7 +340,7 @@ mod tests {
         let request = QueryRequest::from_query(q);
         let (report, plan) = run(&g, PathEnumConfig::default(), &request, &mut sink);
         assert_eq!(report.counters.results, 0);
-        assert_eq!(plan.preliminary_estimate, Some(0));
+        assert_eq!(plan.estimates.preliminary, Some(0));
         assert_eq!(plan.index_edges, 0);
     }
 
@@ -368,7 +367,6 @@ mod tests {
             cut: 3,
             t_dfs: 405_846,
             t_join: 196_931,
-            estimated_walks: 193_261,
         }),
     };
     const TAU: u64 = 100_000;
@@ -434,7 +432,6 @@ mod tests {
                 cut: 2,
                 t_dfs: u64::MAX,
                 t_join: u64::MAX,
-                estimated_walks: u64::MAX,
             }),
         };
         for limit in [u64::MAX, u64::MAX - 1, u64::MAX / 2] {

@@ -5,8 +5,8 @@
 //! estimate → optimize → IDX-DFS/IDX-JOIN — and serving wraps it in one
 //! more. That wrapper lives here, once, as two stages:
 //!
-//! * [`Pipeline::acquire`] — result probe → plan probe → cold
-//!   [`Planner::plan_query`] + plan insert. Yields either a finished
+//! * [`Pipeline::acquire`] — result probe → plan probe → cold build +
+//!   plan insert. Yields either a finished
 //!   [`Acquired::Replay`] (a stored answer was replayed into the sink:
 //!   no planning, no enumeration) or an [`Acquired::Planned`] request
 //!   holding the plan, its shared index, the front-half timings, and the
@@ -40,11 +40,12 @@ use std::time::{Duration, Instant};
 
 use pathenum_graph::{GraphSnapshot, GraphVersion, NeighborAccess, VertexId};
 
+use crate::constraints::filtered_graph;
 use crate::index::{BuildScratch, Index};
-use crate::optimizer::PathEnumConfig;
+use crate::optimizer::{decide, PathEnumConfig, PlanEstimates};
 use crate::plan::{
-    complete_on_graph, effective_config, resolve_on_index, CacheOutcome, Executor, GraphStamp,
-    IndexFootprint, PhysicalPlan, PlanCache, PlanKey, Planner, StoppingRules,
+    estimate_and_decide, CacheOutcome, ConstraintKind, Executor, GraphStamp, IndexFootprint,
+    PhysicalPlan, PlanCache, PlanKey, StoppingRules,
 };
 use crate::query::Query;
 use crate::request::{ConstraintSpec, PathEnumError, QueryRequest, QueryResponse, Termination};
@@ -105,7 +106,7 @@ fn plan_key(
     if request.bypass_cache || capacity == 0 {
         return None;
     }
-    PlanKey::for_request(request, effective_config(config, request))
+    PlanKey::for_request(request, config)
 }
 
 /// The result-cache key for a request — its plan-cache key — or `None`
@@ -125,7 +126,7 @@ fn result_key(config: PathEnumConfig, request: &QueryRequest<'_>) -> Option<Plan
     {
         return None;
     }
-    PlanKey::for_request(request, effective_config(config, request))
+    PlanKey::for_request(request, config)
 }
 
 /// The pre-flight stopping rules shared by every evaluator: a request
@@ -220,10 +221,10 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
                 Some(key) => {
                     let at = GraphStamp::of(self.graph);
                     let lookup_start = Instant::now();
-                    let cached = results.lookup(key, request.limit, request.time_budget, at);
+                    let cached = results.lookup(key, request.limit, at);
                     if let Some(cached) = cached {
                         let lookup = lookup_start.elapsed();
-                        return Acquired::Replay(replay_result_hit(&cached, request, sink, lookup));
+                        return Acquired::Replay(replay_result_hit(&cached, sink, lookup));
                     }
                 }
                 None => results.note_bypass(),
@@ -242,13 +243,10 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
     /// A fresh (or surgically retained) entry skips BFS, index build and
     /// estimation; the (tiny) lookup cost — including any retention check
     /// against the mutation log — is reported as `cache_lookup`. The
-    /// plan layer serves filled indexes only: the first request to find
-    /// a step-1 miss's labels-only entry fills its rows here. The entry
-    /// keeps what no limit changes; method and cut are this request's,
-    /// and if it is the first on the entry to need the full estimate, it
-    /// computes it here too. Both happen unlocked and are written back
-    /// for the rest. A cold step-1 plan hands back the labels-only index
-    /// it stored.
+    /// entry keeps an index and its estimates; the plan is this
+    /// request's, built from them by the one estimate step
+    /// ([`complete`](Self::complete)). A cold step-1 plan hands back the
+    /// labels-only index it stored.
     pub(crate) fn plan(
         &mut self,
         query: Query,
@@ -270,23 +268,23 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
         match &key {
             Some(key) => {
                 let lookup_start = Instant::now();
-                if let Some((mut plan, index)) = plans.lookup(key, at) {
-                    plan.constraint = request.constraint.kind();
-                    let mut planned = PlannedRequest {
+                if let Some((index, estimates)) = plans.lookup(key, at) {
+                    let mut timings = PhaseTimings {
+                        cache_lookup: lookup_start.elapsed(),
+                        ..PhaseTimings::default()
+                    };
+                    let (plan, index) =
+                        self.complete(Some(key), request, index, estimates, &mut timings);
+                    return PlannedRequest {
                         plan,
                         index,
-                        timings: PhaseTimings {
-                            cache_lookup: lookup_start.elapsed(),
-                            ..PhaseTimings::default()
-                        },
+                        timings,
                         outcome: CacheOutcome::Hit,
                         // No build ran, so there is no footprint to
                         // capture: the answer is stored footprint-less
                         // (version-invalidated rather than retained).
                         result_slot: slot(None),
                     };
-                    self.complete(Some(key), request.limit, &mut planned);
-                    return planned;
                 }
             }
             None => plans.note_bypass(),
@@ -298,14 +296,15 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
         // A graph with a mutation log gets the two-pass boundary search:
         // retention needs the full reach of both endpoints, which the
         // sweep every other graph takes does not compute.
-        let (planned, timings) = Planner::new(self.graph, self.config).plan_query(
-            query,
+        let (index, mut timings) = self.build(query, request, at.log.is_some());
+        let plan = estimate_and_decide(
+            &index,
+            PlanEstimates::default(),
             request,
-            self.scratch,
-            at.log.is_some(),
+            self.config,
+            &mut timings,
         );
-        let plan = planned.plan;
-        let index = Arc::new(planned.index);
+        let index = Arc::new(index);
         // The build's boundary distance maps are still in the scratch:
         // capture the reach footprint exactly when the graph has a log
         // to retain against.
@@ -316,7 +315,7 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
         let outcome = match key {
             Some(key) => {
                 let index = Arc::clone(&index);
-                plans.insert_with_footprint(key, at.version, plan, index, footprint);
+                plans.insert_with_footprint(key, at.version, index, plan.estimates, footprint);
                 CacheOutcome::Miss
             }
             None => CacheOutcome::Bypass,
@@ -330,10 +329,77 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
         }
     }
 
+    /// The cold build: the index of a validated query — on the
+    /// predicate-filtered subgraph when the request carries a predicate —
+    /// and its BFS and build phase timings.
+    ///
+    /// The decision is tried first with no estimate at all. When step 1
+    /// settles the request on `k · limit` alone, and IDX-DFS can read its
+    /// rows from the serving graph itself — no constraint, no
+    /// `full_reach` — the labels are built first
+    /// ([`Index::build_labels`]). If `X` has more members than the
+    /// request's `limit`, that is all: the plan carries no preliminary
+    /// estimate and the executor reads each row the first time it expands
+    /// its owner. Otherwise the rows are filled at once, here, as they are
+    /// for every other request.
+    ///
+    /// `full_reach` asks for the two-pass boundary search, whose maps
+    /// [`IndexFootprint::capture`] can then read from the scratch — set
+    /// exactly when the serving graph has a mutation log to retain
+    /// against. The index does not depend on it.
+    fn build(
+        &mut self,
+        query: Query,
+        request: &QueryRequest<'_>,
+        full_reach: bool,
+    ) -> (Index, PhaseTimings) {
+        let on_demand = !full_reach
+            && matches!(request.constraint, ConstraintSpec::None)
+            && decide(
+                &PlanEstimates::default(),
+                query.k,
+                self.config.tau,
+                request.method,
+                ConstraintKind::None,
+                request.limit,
+            )
+            .is_some();
+        let build_start = Instant::now();
+        let (index, bfs) = match &request.constraint {
+            ConstraintSpec::Predicate(predicate) => {
+                // Appendix E: the filter pass is attributed to build time.
+                let filtered = filtered_graph(self.graph, predicate);
+                Index::build_with(&filtered, query, self.scratch, full_reach)
+            }
+            _ if on_demand => {
+                let (mut index, bfs) = Index::build_labels(self.graph, query, self.scratch);
+                // Rows on demand pay off only where the search leaves rows
+                // unread. On an index with no more members than the results
+                // the request reads, a search that stops at its limit has
+                // read nearly every row anyway; they are filled here, on
+                // the thread whose sweep has just scanned their adjacency.
+                if request
+                    .limit
+                    .is_some_and(|limit| index.num_vertices() as u64 <= limit)
+                {
+                    index.fill_rows(self.graph, self.scratch);
+                }
+                (index, bfs)
+            }
+            _ => Index::build_with(self.graph, query, self.scratch, full_reach),
+        };
+        let timings = PhaseTimings {
+            bfs,
+            index_build: build_start.elapsed(),
+            ..PhaseTimings::default()
+        };
+        (index, timings)
+    }
+
     /// [`plan`](Self::plan) for a reader that needs the index's rows —
     /// the front half of an engine's `stream`. A cold step-1 plan comes
-    /// back labels-only; it is completed here exactly as the first plan
-    /// hit on its entry would complete it, and written back, so the
+    /// back labels-only; it is [completed](Self::complete) here exactly
+    /// as the first plan hit on its entry would complete it, so the
     /// entry holds the filled index the stream reads and the next request
     /// on the key finds its rows built.
     pub(crate) fn plan_with_rows(
@@ -341,37 +407,49 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
         query: Query,
         request: &QueryRequest<'_>,
     ) -> Arc<Index> {
-        let mut planned = self.plan(query, request, None);
-        let key = plan_key(self.config, request, self.caches.plans.capacity());
-        self.complete(key.as_ref(), request.limit, &mut planned);
-        planned.index
-    }
-
-    /// Completes a planned request's labels-only index from the serving
-    /// graph and resolves its plan for `limit` (running the full
-    /// estimator first when the decision needs it), both unlocked; when
-    /// either ran, writes them back to `key`'s entry under `Arc::ptr_eq`
-    /// against the index the request started from. The plan layer serves
-    /// filled indexes only, so every reader of a step-1 miss's entry
-    /// goes through here.
-    fn complete(
-        &mut self,
-        key: Option<&PlanKey>,
-        limit: Option<u64>,
-        planned: &mut PlannedRequest,
-    ) {
         let PlannedRequest {
             plan,
             index,
-            timings,
+            mut timings,
             ..
-        } = planned;
-        let seen = Arc::clone(index);
-        let completed = complete_on_graph(plan, index, self.graph, self.scratch, timings);
-        let estimated = resolve_on_index(plan, index, limit, timings);
-        if let Some(key) = key.filter(|_| completed || estimated) {
-            self.caches.plans.write_back(key, &seen, plan, index);
+        } = self.plan(query, request, None);
+        let key = plan_key(self.config, request, self.caches.plans.capacity());
+        let (_, index) = self.complete(key.as_ref(), request, index, plan.estimates, &mut timings);
+        index
+    }
+
+    /// Plans `request` on an index the plan layer handed out, `seen`,
+    /// with the `estimates` known about it. The plan layer serves filled
+    /// indexes only: a labels-only one — a step-1 miss's entry — first
+    /// gets its rows from the serving graph, counted as `index_build`.
+    /// Then the one estimate step builds the plan. Both run unlocked, and
+    /// whatever they added is written back to `key`'s entry under
+    /// `Arc::ptr_eq` against `seen`, so a hot key pays for its rows and
+    /// its full estimate once.
+    fn complete(
+        &mut self,
+        key: Option<&PlanKey>,
+        request: &QueryRequest<'_>,
+        seen: Arc<Index>,
+        estimates: PlanEstimates,
+        timings: &mut PhaseTimings,
+    ) -> (PhysicalPlan, Arc<Index>) {
+        let index = if seen.has_rows() {
+            Arc::clone(&seen)
+        } else {
+            let build_start = Instant::now();
+            let mut filled = Index::clone(&seen);
+            filled.fill_rows(self.graph, self.scratch);
+            timings.index_build += build_start.elapsed();
+            Arc::new(filled)
+        };
+        let plan = estimate_and_decide(&index, estimates, request, self.config, timings);
+        if let Some(key) = key.filter(|_| plan.estimates != estimates) {
+            self.caches
+                .plans
+                .write_back(key, &seen, &index, &plan.estimates);
         }
+        (plan, index)
     }
 }
 
@@ -379,8 +457,9 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
 /// rules (`deadline` is the caller's: it starts when the caller says the
 /// request started). When the request has a result slot, the run is
 /// recorded through the pipeline's single [`TeeSink`] — bounded by what
-/// the layer could admit — and stored, unless the answer is not a
-/// faithful one (cancelled, stopped by the caller's sink, or too large).
+/// the layer could admit — and stored, unless the answer is not one a
+/// replay can reproduce: cancelled, cut by the deadline, stopped by the
+/// caller's sink, or too large.
 pub(crate) fn finish<G: NeighborAccess>(
     planned: PlannedRequest,
     graph: &G,
@@ -407,18 +486,15 @@ pub(crate) fn finish<G: NeighborAccess>(
     let mut tee = TeeSink::new(sink, results.shard_budget());
     let response = run(&mut tee);
     if let Some(paths) = tee.finish() {
-        if response.termination != Termination::Cancelled {
-            results.insert(
-                slot.key,
-                slot.version,
-                plan,
-                paths,
-                response.termination,
-                request.limit,
-                request.time_budget,
-                slot.footprint,
-            );
-        }
+        results.insert(
+            slot.key,
+            slot.version,
+            plan,
+            paths,
+            response.termination,
+            request.limit,
+            slot.footprint,
+        );
     }
     response
 }
@@ -431,7 +507,6 @@ pub(crate) fn finish<G: NeighborAccess>(
 /// only when the full prefix went out).
 fn replay_result_hit(
     cached: &CachedResult,
-    request: &QueryRequest<'_>,
     sink: &mut dyn PathSink,
     lookup: Duration,
 ) -> QueryResponse {
@@ -451,8 +526,6 @@ fn replay_result_hit(
     } else {
         cached.termination
     };
-    let mut plan = cached.plan;
-    plan.constraint = request.constraint.kind();
     let timings = PhaseTimings {
         cache_lookup: lookup,
         enumeration: replay_start.elapsed(),
@@ -470,7 +543,7 @@ fn replay_result_hit(
         },
         termination,
         paths: Vec::new(),
-        plan: Some(plan),
+        plan: Some(cached.plan),
     }
 }
 

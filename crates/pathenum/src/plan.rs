@@ -7,19 +7,20 @@
 //! and the orchestrator; this module makes the decision a *value*:
 //!
 //! * [`PhysicalPlan`] — everything the optimizer decided about one
-//!   request (index spec and footprint, preliminary/full estimates, the
-//!   modeled costs `T_DFS`/`T_JOIN`, the [`Method`] and join cut chosen
-//!   for the request's `limit`, the constraint strategy). Plans are plain
-//!   `Copy` data: they can be logged, compared, cached, and replayed.
-//! * the planner (crate-internal) — produces a plan (and the index
-//!   backing it) from a request: build index → preliminary estimate →
-//!   (maybe) full estimate and join-order optimization (Figure 2's front
-//!   half) → the per-request decision.
+//!   request (index shape, the [`PlanEstimates`] — preliminary/full
+//!   estimates, the modeled costs `T_DFS`/`T_JOIN` — the [`Method`] and
+//!   join cut chosen for the request's `limit`, the constraint strategy).
+//!   Plans are plain `Copy` data: they can be logged, compared, and
+//!   replayed.
+//! * the one estimate step (crate-internal `estimate_and_decide`) — builds
+//!   a request's plan from an index and what is known about it:
+//!   preliminary estimate → (maybe) full estimate and join-order
+//!   optimization (Figure 2's front half) → the per-request decision.
 //! * [`Executor`] — interprets any plan against any
 //!   [`PathSink`] (Figure 2's back half), on the calling thread.
 //! * [`PlanCache`] — an LRU over `(s, t, k, constraint fingerprint,
-//!   forced method, tau)` holding the plan *and* its built index,
-//!   invalidated by the serving graph's
+//!   forced method, tau)` holding a built index and its
+//!   [`PlanEstimates`], invalidated by the serving graph's
 //!   [`GraphVersion`] epoch. Real request
 //!   streams are heavily skewed; for a repeated query the dominant cost
 //!   the paper measures — the bidirectional boundary BFS of the index
@@ -45,13 +46,14 @@
 //! requests — which filter *complete* paths, so `limit` results can take
 //! any number of walks — are priced as unlimited.
 //!
-//! `limit` is therefore **not** in [`PlanKey`]: an entry keeps what no
-//! limit changes (index, preliminary estimate, and — from the first
-//! request that needs them, computed outside the shard lock and written
-//! back — the full estimate, `T_DFS`, `T_JOIN` and Algorithm 5's cut),
-//! and the pipeline resolves `method`/`cut` for each request after the
-//! probe, hit or miss. [`plan_on_index`] has no request and resolves as
-//! unlimited: the paper's optimizer, unchanged.
+//! `limit` is therefore **not** in [`PlanKey`], and a [`PlanEntry`] keeps
+//! only what no request changes: the index and its [`PlanEstimates`] —
+//! the preliminary estimate and, from the first request that needs them,
+//! computed outside the shard lock and written back, the full estimate
+//! and Algorithm 5's output. Every plan, cold or warm, is built from an
+//! index and its estimates by the one estimate step, for the request at
+//! hand. [`plan_on_index`] has no request and plans as unlimited: the
+//! paper's optimizer, unchanged.
 //!
 //! # Labels-only entries
 //!
@@ -62,21 +64,21 @@
 //! ([`Index::build_labels`]): its plan carries no
 //! preliminary estimate, EXPLAIN says so, admission charges it
 //! `k · limit`, and the executor reads each `I_t` row the first time it
-//! expands the row's owner. A miss stores that labels-only entry. The
-//! plan layer serves only filled indexes, so the first request that
-//! finds the entry — through the pipeline or through
-//! [`QueryEngine::stream`](crate::QueryEngine::stream) — completes it
-//! (every row, the level statistics, the preliminary estimate) outside
-//! the shard lock and writes it back under `Arc::ptr_eq`, as the full
-//! estimate is; a stream, which reads rows, completes a cold entry it
-//! has just stored the same way. A hot key pays for its rows once; a key
-//! that is never reused never pays for them.
+//! expands the row's owner. A miss stores that labels-only index with
+//! empty estimates. The plan layer serves only filled indexes, so the
+//! first request that finds the entry — through the pipeline or through
+//! [`QueryEngine::stream`](crate::QueryEngine::stream) — fills its rows
+//! and level statistics, and the estimate step adds the preliminary
+//! estimate; both run outside the shard lock and are written back under
+//! `Arc::ptr_eq`, as the full estimate is. A stream, which reads rows,
+//! completes a cold entry it has just stored the same way. A hot key pays
+//! for its rows once; a key that is never reused never pays for them.
 //!
 //! The crate's one request pipeline (`pipeline.rs`) wires the three
-//! together for every evaluator: plan-acquisition (cache lookup or
-//! the planner) followed by [`Executor`] dispatch, with
-//! [`QueryEngine::explain`](crate::QueryEngine::explain) returning the
-//! plan without enumerating at all. An engine owns a one-shard
+//! together for every evaluator: plan-acquisition (cache lookup or the
+//! cold build, then the estimate step) followed by [`Executor`]
+//! dispatch, with [`QueryEngine::explain`](crate::QueryEngine::explain)
+//! returning the plan without enumerating at all. An engine owns a one-shard
 //! [`PlanCache`]; a [`catalog`](crate::catalog) tenant owns an N-shard one
 //! that many workers share. Both are the same type, [`Sharded`] over the
 //! plan layer's key and entry.
@@ -104,7 +106,7 @@ use pathenum_graph::epoch::EpochMap;
 use pathenum_graph::{DynamicGraph, GraphSnapshot, GraphVersion, NeighborAccess, VertexId};
 
 use crate::bits::CompactBits;
-use crate::constraints::{automaton_dfs, filtered_graph, FilterSink};
+use crate::constraints::{automaton_dfs, FilterSink};
 use crate::enumerate::{idx_dfs_iterative, idx_dfs_on_demand, idx_join};
 use crate::estimator::{preliminary_estimate, FullEstimate};
 use crate::index::{BuildScratch, Index};
@@ -153,9 +155,11 @@ pub enum CacheOutcome {
     /// capacity 0, or an entry point that never caches).
     #[default]
     Bypass,
-    /// Planned from scratch; plan and index were stored for reuse.
+    /// Planned from scratch; the index and its estimates were stored
+    /// for reuse.
     Miss,
-    /// Served from a cached plan and index — no BFS, no index build.
+    /// Served from a cached index and its estimates — no BFS, no index
+    /// build.
     Hit,
     /// Served straight from the [result
     /// cache](crate::results::ResultCache): no BFS, no index build, *no
@@ -183,10 +187,11 @@ impl std::fmt::Display for CacheOutcome {
 /// The physical plan for one hop-constrained path query: every decision
 /// of Figure 2's front half, as a first-class `Copy` value.
 ///
-/// Produced by the planner (shown by
-/// [`QueryEngine::explain`](crate::QueryEngine::explain)),
-/// interpreted by [`Executor`], cached by [`PlanCache`]. The `Display`
-/// form is an `EXPLAIN`-style rendering.
+/// Built by the one estimate step from an index and its
+/// [`PlanEstimates`] (shown by
+/// [`QueryEngine::explain`](crate::QueryEngine::explain)), interpreted by
+/// [`Executor`]. The [`PlanCache`] keeps the index and the estimates, not
+/// the plan. The `Display` form is an `EXPLAIN`-style rendering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhysicalPlan {
     /// The core query `q(s, t, k)`.
@@ -205,26 +210,16 @@ pub struct PhysicalPlan {
     /// enter the pricing (no limit, a forced method, a constraint that
     /// filters complete paths, a limit too large for that test).
     pub limit: Option<u64>,
-    /// Preliminary search-space estimate (Equation 5); `None` when step 1
-    /// settled the request on `k · limit` before the index had the rows
-    /// and level statistics it is computed from. Such a plan's index
-    /// holds only its labels ([`Index::has_rows`] is false) and IDX-DFS
-    /// reads its rows on demand; the plan cache completes the entry —
-    /// and this field — for the first request that finds it.
-    pub preliminary_estimate: Option<u64>,
-    /// Full-fledged estimate of `|Q|` (exact walk count), when the
-    /// optimizer ran.
-    pub full_estimate: Option<u64>,
-    /// Modeled left-deep DFS cost `T_DFS` (Algorithm 5), when the
-    /// optimizer ran.
-    pub t_dfs: Option<u64>,
-    /// Modeled bushy join cost `T_JOIN` at the chosen cut, when the
-    /// optimizer ran.
-    pub t_join: Option<u64>,
-    /// Algorithm 5's cut `i*`, when the optimizer ran and found one —
-    /// kept whichever method this request runs, so a cached plan can
-    /// resolve a later request to IDX-JOIN without re-optimizing.
-    pub join_cut: Option<u32>,
+    /// What the cost model knows about the index — the plan cache
+    /// entry's own estimates, which this request may have added to. The
+    /// preliminary estimate (Equation 5) is `None` when step 1 settled
+    /// the request on `k · limit` before the index had the rows and
+    /// level statistics it is computed from: such a plan's index holds
+    /// only its labels ([`Index::has_rows`] is false) and IDX-DFS reads
+    /// its rows on demand. The full estimate and Algorithm 5's output
+    /// are there once some request on the entry needed them, whichever
+    /// method this request runs.
+    pub estimates: PlanEstimates,
     /// The preliminary-estimate threshold the decision used (Section 6.2).
     pub tau: u64,
     /// The constraint strategy the execution will apply.
@@ -245,50 +240,19 @@ impl PhysicalPlan {
         self.index_vertices == 0
     }
 
-    /// The limit-independent estimates this plan carries — the input
-    /// of [`decide`], and what the plan cache keeps.
-    pub fn estimates(&self) -> PlanEstimates {
-        PlanEstimates {
-            preliminary: self.preliminary_estimate,
-            full: self.full_estimate,
-            join: match (self.join_cut, self.t_dfs, self.t_join, self.full_estimate) {
-                (Some(cut), Some(t_dfs), Some(t_join), Some(estimated_walks)) => Some(JoinPlan {
-                    cut,
-                    t_dfs,
-                    t_join,
-                    estimated_walks,
-                }),
-                _ => None,
-            },
-        }
-    }
-
     /// What [`decide`] makes of this plan's estimates for a request with
     /// `limit` (under this plan's `k`, `tau`, forced method and
     /// constraint kind), or `None` when that takes a full estimate the
     /// plan does not carry.
     pub fn decision_for(&self, limit: Option<u64>) -> Option<Decision> {
         decide(
-            &self.estimates(),
+            &self.estimates,
             self.query.k,
             self.tau,
             self.forced.then_some(self.method),
             self.constraint,
             limit,
         )
-    }
-
-    /// Makes `method`, `cut` and `limit` those of a request with
-    /// `limit`. Returns `false`, changing nothing, when the decision
-    /// needs the full estimate first.
-    pub(crate) fn resolve(&mut self, limit: Option<u64>) -> bool {
-        let Some(decision) = self.decision_for(limit) else {
-            return false;
-        };
-        self.method = decision.method;
-        self.cut = decision.cut;
-        self.limit = decision.limit;
-        true
     }
 
     /// The modeled cost of what this plan will run, in the optimizer's
@@ -306,7 +270,7 @@ impl PhysicalPlan {
     pub fn modeled_cost(&self) -> u64 {
         self.decision_for(self.limit)
             .map(|decision| decision.cost)
-            .or(self.preliminary_estimate)
+            .or(self.estimates.preliminary)
             .unwrap_or(0)
             .max(1)
     }
@@ -326,8 +290,13 @@ impl std::fmt::Display for PhysicalPlan {
             (false, Some(cut)) => writeln!(f, " (cost-based; cut at {cut})")?,
             (false, None) => writeln!(f, " (cost-based)")?,
         }
+        let PlanEstimates {
+            preliminary,
+            full,
+            join,
+        } = self.estimates;
         let basis = self.decision_for(self.limit).map(|decision| decision.basis);
-        match (self.preliminary_estimate, basis) {
+        match (preliminary, basis) {
             (Some(preliminary), _) => write!(
                 f,
                 "  estimates: preliminary={preliminary} (tau={})",
@@ -343,12 +312,12 @@ impl std::fmt::Display for PhysicalPlan {
         if let Some(limit) = self.limit {
             write!(f, ", limit={limit}")?;
         }
-        match self.full_estimate {
+        match full {
             Some(walks) => writeln!(f, ", walks={walks}")?,
             None => writeln!(f)?,
         }
-        match (self.t_dfs.zip(self.t_join), basis) {
-            (Some((t_dfs, t_join)), basis) => {
+        match (join, basis) {
+            (Some(JoinPlan { t_dfs, t_join, .. }), basis) => {
                 write!(f, "  modeled costs: t_dfs={t_dfs}, t_join={t_join}")?;
                 match basis {
                     Some(Basis::Bounded { bounded }) => {
@@ -362,7 +331,7 @@ impl std::fmt::Display for PhysicalPlan {
                 match basis {
                     Some(Basis::Forced) => write!(f, "method forced")?,
                     Some(Basis::Bounded { bounded })
-                        if self.preliminary_estimate.is_none_or(|p| p > self.tau) =>
+                        if preliminary.is_none_or(|p| p > self.tau) =>
                     {
                         write!(f, "k*limit = {bounded} <= tau")?
                     }
@@ -374,7 +343,7 @@ impl std::fmt::Display for PhysicalPlan {
             }
         }
         write!(f, "  index: {} vertices, ", self.index_vertices)?;
-        match self.preliminary_estimate {
+        match preliminary {
             Some(_) => write!(f, "{} edges", self.index_edges)?,
             None => write!(f, "rows read on demand")?,
         }
@@ -392,234 +361,89 @@ impl std::fmt::Display for PhysicalPlan {
     }
 }
 
-/// Produces [`PhysicalPlan`]s: Figure 2's front half (index build →
-/// preliminary estimate → optional full estimate + Algorithm 5). The
-/// pipeline drives it, with scratch reuse and the plan cache on top;
-/// callers see its plans through
-/// [`QueryEngine::explain`](crate::QueryEngine::explain).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Planner<'g, G: NeighborAccess> {
-    graph: &'g G,
-    config: PathEnumConfig,
-}
-
-/// A plan together with the index it was computed from.
-pub(crate) struct Planned {
-    pub plan: PhysicalPlan,
-    pub index: Index,
-}
-
-/// The configuration one request effectively plans under: a request's
-/// `tau` wins over the engine configuration's. (A forced method is the
-/// request's alone: [`QueryRequest::method`].)
-pub(crate) fn effective_config(base: PathEnumConfig, request: &QueryRequest<'_>) -> PathEnumConfig {
-    PathEnumConfig {
-        tau: request.tau.unwrap_or(base.tau),
-    }
-}
-
-impl<'g, G: NeighborAccess> Planner<'g, G> {
-    /// A planner over `graph` with the orchestrator configuration
-    /// (request-level `tau`/`method` overrides are applied per request).
-    ///
-    /// `graph` may be any [`NeighborAccess`] implementation — a
-    /// `CsrGraph` or a [`DynamicGraph`]'s
-    /// [`OverlayView`](pathenum_graph::OverlayView).
-    pub(crate) fn new(graph: &'g G, config: PathEnumConfig) -> Self {
-        Planner { graph, config }
-    }
-
-    /// Plans a validated query: builds the index (on the
-    /// predicate-filtered subgraph when the request carries a predicate),
-    /// runs the estimators, and decides method + cut. Returns the plan,
-    /// the index, and the front-half phase timings.
-    ///
-    /// The decision is tried first with no estimate at all. When step 1
-    /// settles the request on `k · limit` alone, and IDX-DFS can read its
-    /// rows from the serving graph itself — no constraint, no `full_reach`
-    /// — the labels are built first ([`Index::build_labels`]).
-    /// If `X` has more members than the request's `limit`, that is all:
-    /// the plan carries no preliminary estimate and the executor reads
-    /// each row the first time it expands its owner. Otherwise the rows
-    /// are filled at once, here, and the plan is the eager one, as it is
-    /// for every other request.
-    ///
-    /// `full_reach` asks the build for the two-pass boundary search, whose
-    /// maps [`IndexFootprint::capture`] can then read from `scratch` — the
-    /// pipeline sets it exactly when the serving graph has a mutation log
-    /// to retain against. The plan and index do not depend on it.
-    pub(crate) fn plan_query(
-        &self,
-        query: Query,
-        request: &QueryRequest<'_>,
-        scratch: &mut BuildScratch,
-        full_reach: bool,
-    ) -> (Planned, PhaseTimings) {
-        let config = effective_config(self.config, request);
-        let on_demand = !full_reach
-            && matches!(request.constraint, ConstraintSpec::None)
-            && decide(
-                &PlanEstimates::default(),
-                query.k,
-                config.tau,
-                request.method,
-                ConstraintKind::None,
-                request.limit,
-            )
-            .is_some();
-        let build_start = Instant::now();
-        let (index, bfs_time) = match &request.constraint {
-            ConstraintSpec::Predicate(predicate) => {
-                // Appendix E: the filter pass is attributed to build time.
-                let filtered = filtered_graph(self.graph, predicate);
-                Index::build_with(&filtered, query, scratch, full_reach)
-            }
-            _ if on_demand => {
-                let (mut index, bfs_time) = Index::build_labels(self.graph, query, scratch);
-                // Rows on demand pay off only where the search leaves rows
-                // unread. On an index with no more members than the results
-                // the request reads, a search that stops at its limit has
-                // read nearly every row anyway; they are filled here, on
-                // the thread whose sweep has just scanned their adjacency.
-                if request
-                    .limit
-                    .is_some_and(|limit| index.num_vertices() as u64 <= limit)
-                {
-                    index.fill_rows(self.graph, scratch);
-                }
-                (index, bfs_time)
-            }
-            _ => Index::build_with(self.graph, query, scratch, full_reach),
-        };
-        let mut timings = PhaseTimings {
-            bfs: bfs_time,
-            index_build: build_start.elapsed(),
-            ..PhaseTimings::default()
-        };
-        let plan = plan_on_index_inner(
-            &index,
-            config,
-            request.method,
-            request.constraint.kind(),
-            request.limit,
-            &mut timings,
-        );
-        (Planned { plan, index }, timings)
-    }
-}
-
-/// Plans on a prebuilt index: the estimate-then-optimize half of Figure 2
-/// shared by every pipeline entry point, recording the estimation and
-/// optimization phases into `timings`.
+/// Plans on a prebuilt index: the estimate-then-optimize half of Figure 2,
+/// recording the estimation and optimization phases into `timings`.
 ///
-/// This is the planner without graph access, unforced and unlimited —
-/// the paper's optimizer as it stands. The benchmark's staged driver
-/// (`benchmark/src/trace.rs`) calls it to time each phase on an index it
-/// built itself. `index` must have its rows (every [`Index::build`]
-/// does).
+/// This is the one estimate step (`estimate_and_decide`) with nothing
+/// known yet, unforced and unlimited — the paper's optimizer as it
+/// stands. The benchmark's staged driver (`benchmark/src/trace.rs`)
+/// calls it to time each phase on an index it built itself. `index`
+/// must have its rows (every [`Index::build`] does).
 pub fn plan_on_index(
     index: &Index,
     config: PathEnumConfig,
     timings: &mut PhaseTimings,
 ) -> PhysicalPlan {
-    plan_on_index_inner(index, config, None, ConstraintKind::None, None, timings)
+    let request = QueryRequest::from_query(index.query());
+    estimate_and_decide(index, PlanEstimates::default(), &request, config, timings)
 }
 
-fn plan_on_index_inner(
+/// The one estimate step: every plan — a cold one, a plan hit, a
+/// stream's completion, [`plan_on_index`] — is built here, from `index`
+/// and the `estimates` already known about it (nothing after a cold
+/// build, the entry's on a hit).
+///
+/// The preliminary estimate is computed when the index has its rows and
+/// `estimates` lacks it; the full estimator and Algorithm 5 run only when
+/// [`decide`] cannot settle `request` without them — at most once per
+/// entry, whatever requests it goes on to serve. The plan is `request`'s
+/// decision under `config`, the estimates, and the index's shape. Time
+/// goes to `preliminary_estimation` and `optimization`. A caller holding
+/// a cache entry writes back when the plan's estimates differ from the
+/// ones it passed in.
+pub(crate) fn estimate_and_decide(
     index: &Index,
+    mut estimates: PlanEstimates,
+    request: &QueryRequest<'_>,
     config: PathEnumConfig,
-    force: Option<Method>,
-    constraint: ConstraintKind,
-    limit: Option<u64>,
     timings: &mut PhaseTimings,
 ) -> PhysicalPlan {
-    let preliminary = index.has_rows().then(|| {
+    if estimates.preliminary.is_none() && index.has_rows() {
         let prelim_start = Instant::now();
-        let preliminary = preliminary_estimate(index);
-        timings.preliminary_estimation = prelim_start.elapsed();
-        preliminary
-    });
-
-    let mut plan = PhysicalPlan {
-        query: index.query(),
-        method: force.unwrap_or(Method::IdxDfs),
-        cut: None,
-        forced: force.is_some(),
-        limit: None,
-        preliminary_estimate: preliminary,
-        full_estimate: None,
-        t_dfs: None,
-        t_join: None,
-        join_cut: None,
+        estimates.preliminary = Some(preliminary_estimate(index));
+        timings.preliminary_estimation += prelim_start.elapsed();
+    }
+    let query = index.query();
+    let constraint = request.constraint.kind();
+    let decide_on = |estimates: &PlanEstimates| {
+        decide(
+            estimates,
+            query.k,
+            config.tau,
+            request.method,
+            constraint,
+            request.limit,
+        )
+    };
+    let mut decision = decide_on(&estimates);
+    if decision.is_none() && index.has_rows() {
+        let opt_start = Instant::now();
+        let estimate = FullEstimate::compute(index); // alloc: setup
+        estimates.join = optimize_join_order(index, &estimate);
+        estimates.full = Some(estimate.total_walks());
+        timings.optimization += opt_start.elapsed();
+        decision = decide_on(&estimates);
+    }
+    debug_assert!(
+        decision.is_some(),
+        "step 1 settles every labels-only plan, a full estimate every other"
+    );
+    // IDX-DFS serves any index; only a broken invariant falls back to it.
+    let (method, cut, limit) =
+        decision.map_or((Method::IdxDfs, None, None), |d| (d.method, d.cut, d.limit));
+    PhysicalPlan {
+        query,
+        method,
+        cut,
+        forced: request.method.is_some(),
+        limit,
+        estimates,
         tau: config.tau,
         constraint,
         index_vertices: index.num_vertices(),
         index_edges: index.num_edges(),
         index_bytes: index.heap_bytes(),
-    };
-    resolve_on_index(&mut plan, index, limit, timings);
-    plan
-}
-
-/// Resolves `plan` for a request with `limit` (see
-/// [`decide`]), running the full estimator and
-/// Algorithm 5 on `index` first when the decision needs them and the
-/// plan does not carry them yet — at most once per plan, whatever
-/// requests it goes on to serve. Returns whether they ran: a plan that
-/// came out of the cache is then owed a
-/// [write-back](PlanCache::write_back).
-pub(crate) fn resolve_on_index(
-    plan: &mut PhysicalPlan,
-    index: &Index,
-    limit: Option<u64>,
-    timings: &mut PhaseTimings,
-) -> bool {
-    if plan.resolve(limit) {
-        return false;
     }
-    debug_assert!(index.has_rows(), "only step 1 decides on labels alone");
-    let opt_start = Instant::now();
-    let estimate = FullEstimate::compute(index); // alloc: setup
-    let join = optimize_join_order(index, &estimate);
-    timings.optimization = opt_start.elapsed();
-    plan.full_estimate = Some(estimate.total_walks());
-    plan.t_dfs = join.map(|j| j.t_dfs);
-    plan.t_join = join.map(|j| j.t_join);
-    plan.join_cut = join.map(|j| j.cut);
-    let resolved = plan.resolve(limit);
-    debug_assert!(resolved, "a full estimate settles every decision");
-    true
-}
-
-/// Completes a labels-only `index` — what a step-1 miss leaves in the plan
-/// cache — from `graph`, the graph it was built on: every row and the
-/// level statistics ([`Index::fill_rows`]), then the preliminary estimate
-/// and index shape `plan` reports, so both equal a cold eager plan's.
-/// Returns whether there was anything to complete: a plan and index that
-/// came out of the cache are then owed a
-/// [write-back](PlanCache::write_back). The rows count as `index_build`
-/// time, the estimate as `preliminary_estimation`.
-pub(crate) fn complete_on_graph<G: NeighborAccess>(
-    plan: &mut PhysicalPlan,
-    index: &mut Arc<Index>,
-    graph: &G,
-    scratch: &mut BuildScratch,
-    timings: &mut PhaseTimings,
-) -> bool {
-    if index.has_rows() {
-        return false;
-    }
-    let build_start = Instant::now();
-    let mut filled = Index::clone(index);
-    filled.fill_rows(graph, scratch);
-    timings.index_build += build_start.elapsed();
-    let prelim_start = Instant::now();
-    plan.preliminary_estimate = Some(preliminary_estimate(&filled));
-    timings.preliminary_estimation += prelim_start.elapsed();
-    plan.index_edges = filled.num_edges();
-    plan.index_bytes = filled.heap_bytes();
-    *index = Arc::new(filled);
-    true
 }
 
 /// The request-level stopping rules the executor enforces around the
@@ -648,6 +472,12 @@ pub(crate) struct Execution {
 pub struct Executor;
 
 impl Executor {
+    /// The cut an IDX-JOIN plan joins at.
+    fn join_cut_of(plan: &PhysicalPlan) -> u32 {
+        // lint: allow(no-panic) — `decide` sets a cut exactly when the method is IDX-JOIN.
+        plan.cut.expect("plans carry a cut for IDX-JOIN")
+    }
+
     /// Runs an unconstrained plan sequentially, streaming into `sink`
     /// with no stopping rules. The public, minimal interpreter; the
     /// engine uses the crate-internal `Executor::run`, which adds
@@ -659,8 +489,7 @@ impl Executor {
                 idx_dfs_iterative(index, sink, &mut counters);
             }
             Method::IdxJoin => {
-                let cut = plan.cut.expect("plans carry a cut for IDX-JOIN");
-                idx_join(index, cut, sink, &mut counters);
+                idx_join(index, Self::join_cut_of(plan), sink, &mut counters);
             }
         }
         counters
@@ -697,8 +526,7 @@ impl Executor {
                 idx_dfs_iterative(index, &mut control, &mut counters);
             }
             (ConstraintSpec::None | ConstraintSpec::Predicate(_), Method::IdxJoin) => {
-                let cut = plan.cut.expect("plans carry a cut for IDX-JOIN");
-                idx_join(index, cut, &mut control, &mut counters);
+                idx_join(index, Self::join_cut_of(plan), &mut control, &mut counters);
             }
             (ConstraintSpec::Accumulative(acc), Method::IdxDfs) => {
                 acc.dfs(index, &mut control, &mut counters);
@@ -716,10 +544,9 @@ impl Executor {
                 ConstraintSpec::Accumulative(_) | ConstraintSpec::Automaton { .. },
                 Method::IdxJoin,
             ) => {
-                let cut = plan.cut.expect("plans carry a cut for IDX-JOIN");
                 let mut accepted =
                     FilterSink::new(|path: &[VertexId]| constraint.accepts(path), &mut control);
-                idx_join(index, cut, &mut accepted, &mut counters);
+                idx_join(index, Self::join_cut_of(plan), &mut accepted, &mut counters);
                 // Joined paths the constraint rejects are not results of
                 // the constrained query.
                 counters.results -= accepted.rejected;
@@ -741,8 +568,8 @@ impl Executor {
 }
 
 /// Cache key: one logical query shape. Includes the forced method and
-/// the *effective* `tau` so plan decisions made under different
-/// configurations never alias.
+/// the driver's `tau`, so entries made under different configurations
+/// never alias when a cache moves between engines.
 ///
 /// The [result layer](crate::results::ResultCache) keys on it too: it
 /// is the full identity of an answer, bounds (`limit`, time budget)
@@ -766,18 +593,18 @@ pub struct PlanKey {
     pub fingerprint: u64,
     /// The request's forced method, if any.
     pub method: Option<Method>,
-    /// Effective preliminary-estimate threshold.
+    /// The preliminary-estimate threshold of the driver's
+    /// [`PathEnumConfig`].
     pub tau: u64,
 }
 
 impl PlanKey {
-    /// The cache key for a request planned under `effective`
-    /// configuration, or `None` when the constraint is uncacheable (an
-    /// unfingerprinted predicate). Bypass flags and cache capacity are
-    /// the caller's concern.
+    /// The cache key for a request planned under `config`, or `None`
+    /// when the constraint is uncacheable (an unfingerprinted predicate).
+    /// Bypass flags and cache capacity are the caller's concern.
     pub(crate) fn for_request(
         request: &QueryRequest<'_>,
-        effective: PathEnumConfig,
+        config: PathEnumConfig,
     ) -> Option<PlanKey> {
         request
             .constraint
@@ -789,7 +616,7 @@ impl PlanKey {
                 namespace,
                 fingerprint,
                 method: request.method,
-                tau: effective.tau,
+                tau: config.tau,
             })
     }
 }
@@ -916,18 +743,19 @@ impl IndexFootprint {
     }
 }
 
-/// One [`PlanCache`] entry: a plan and the index it was computed from.
+/// One [`PlanCache`] entry: what no request changes — an index and what
+/// the cost model knows about it. Nothing of any request's decision is
+/// kept; each reader's plan is built from the entry by the one estimate
+/// step.
 #[derive(Debug)]
 pub struct PlanEntry {
-    /// What does not depend on a request's limit: the index shape and
-    /// the estimates, the full ones once some request needed them.
-    /// `method`, `cut` and `limit` are those of whichever request stored
-    /// the entry; the pipeline re-resolves them for every reader.
-    plan: PhysicalPlan,
     /// Shared so a hit can hand the index to an executing worker without
     /// cloning the tables and without holding the shard lock for the
     /// duration of the query.
     index: Arc<Index>,
+    /// The preliminary estimate once the index has its rows; the full
+    /// estimate and Algorithm 5's output once some request needed them.
+    estimates: PlanEstimates,
 }
 
 impl Retained for PlanEntry {
@@ -945,7 +773,7 @@ impl Retained for PlanEntry {
 /// the low megabytes.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
 
-/// An LRU cache of `(PhysicalPlan, Index)` pairs keyed by [`PlanKey`]
+/// An LRU cache of indexes and their [`PlanEstimates`] keyed by [`PlanKey`]
 /// and guarded by a [`GraphVersion`] epoch: [`Sharded`] over the plan
 /// layer's entries, each charged 1 against an entry budget.
 ///
@@ -997,27 +825,27 @@ impl PlanCache {
         &self,
         key: &PlanKey,
         at: impl Into<GraphStamp<'g>>,
-    ) -> Option<(PhysicalPlan, Arc<Index>)> {
+    ) -> Option<(Arc<Index>, PlanEstimates)> {
         let at = at.into();
         self.with_shard(key, |lru| {
             lru.lookup(key, at, |entry| {
-                Some((entry.plan, Arc::clone(&entry.index)))
+                Some((Arc::clone(&entry.index), entry.estimates))
             })
         })
     }
 
     /// Completes the entry for `key` with what a reader computed, outside
     /// any lock, from the `seen` index a [`lookup`](Self::lookup) handed
-    /// it: `index` with its rows in place of a labels-only one (see
-    /// [`complete_on_graph`]) and the estimates `plan` now carries. A
-    /// no-op unless the entry still holds `seen`; what the entry already
-    /// has is kept. Not a lookup: no counter moves.
+    /// it: `index` — `seen` itself, or `seen` with its rows filled in
+    /// place of the labels — and `estimates`. Only the estimates the
+    /// entry lacks are taken. A no-op unless the entry still holds
+    /// `seen`. Not a lookup: no counter moves.
     pub(crate) fn write_back(
         &self,
         key: &PlanKey,
         seen: &Arc<Index>,
-        plan: &PhysicalPlan,
         index: &Arc<Index>,
+        estimates: &PlanEstimates,
     ) {
         self.with_shard(key, |lru| {
             let Some((_, entry)) = lru.get_mut(key) else {
@@ -1026,22 +854,17 @@ impl PlanCache {
             if !Arc::ptr_eq(&entry.index, seen) {
                 return;
             }
-            if entry.plan.preliminary_estimate.is_none() {
-                entry.index = Arc::clone(index);
-                entry.plan.preliminary_estimate = plan.preliminary_estimate;
-                entry.plan.index_edges = plan.index_edges;
-                entry.plan.index_bytes = plan.index_bytes;
-            }
-            if entry.plan.full_estimate.is_none() {
-                entry.plan.full_estimate = plan.full_estimate;
-                entry.plan.t_dfs = plan.t_dfs;
-                entry.plan.t_join = plan.t_join;
-                entry.plan.join_cut = plan.join_cut;
+            entry.index = Arc::clone(index);
+            let kept = &mut entry.estimates;
+            kept.preliminary = kept.preliminary.or(estimates.preliminary);
+            if kept.full.is_none() {
+                kept.full = estimates.full;
+                kept.join = estimates.join;
             }
         });
     }
 
-    /// Stores a plan + (shared) index for `key` at `version`, evicting
+    /// Stores a (shared) index and its estimates for `key` at `version`, evicting
     /// the least recently used entry of its shard when that is full. A
     /// `footprint` makes the entry eligible for surgical retention when a
     /// later [`lookup`](Self::lookup) comes with a mutation log.
@@ -1049,12 +872,12 @@ impl PlanCache {
         &self,
         key: PlanKey,
         version: GraphVersion,
-        plan: PhysicalPlan,
         index: Arc<Index>,
+        estimates: PlanEstimates,
         footprint: Option<IndexFootprint>,
     ) {
         self.with_shard(&key, |lru| {
-            lru.insert(key, version, PlanEntry { plan, index }, footprint, 1)
+            lru.insert(key, version, PlanEntry { index, estimates }, footprint, 1)
         });
     }
 }
@@ -1069,7 +892,7 @@ mod tests {
     /// Footprint-less insert shorthand for the tests below.
     impl PlanCache {
         fn insert(&self, key: PlanKey, version: GraphVersion, plan: PhysicalPlan, index: Index) {
-            self.insert_with_footprint(key, version, plan, Arc::new(index), None);
+            self.insert_with_footprint(key, version, Arc::new(index), plan.estimates, None);
         }
     }
 
@@ -1107,16 +930,14 @@ mod tests {
         Index::build_reusing(&g, query, &mut scratch);
         assert!(IndexFootprint::capture(lineage, &scratch, 4).is_none());
 
-        let request = QueryRequest::paths(S, T).max_hops(4);
-        let planner = Planner::new(&g, PathEnumConfig::default());
-        planner.plan_query(query, &request, &mut scratch, true);
+        Index::build_with(&g, query, &mut scratch, true);
         let footprint =
             IndexFootprint::capture(lineage, &scratch, 4).expect("two-pass maps are full reach");
         assert_eq!(footprint.insertion_touches(V[0], V[2]), (true, true));
         assert_eq!(footprint.insertion_touches(V[7], V[7]), (false, false));
 
         // The flag follows the last build, not the first.
-        planner.plan_query(query, &request, &mut scratch, false);
+        Index::build_with(&g, query, &mut scratch, false);
         assert!(IndexFootprint::capture(lineage, &scratch, 4).is_none());
     }
 
@@ -1125,21 +946,21 @@ mod tests {
         let g = figure1_graph();
         let query = Query::new(S, T, 4).unwrap();
         let index = Index::build(&g, query);
+        let request = QueryRequest::from_query(query).method(Method::IdxJoin);
         let mut timings = PhaseTimings::default();
-        let plan = plan_on_index_inner(
+        let plan = estimate_and_decide(
             &index,
+            PlanEstimates::default(),
+            &request,
             PathEnumConfig::default(),
-            Some(Method::IdxJoin),
-            ConstraintKind::None,
-            None,
             &mut timings,
         );
         assert_eq!(plan.method, Method::IdxJoin);
         assert!(plan.forced);
         let cut = plan.cut.unwrap();
         assert!((1..4).contains(&cut));
-        assert!(plan.t_dfs.is_some() && plan.t_join.is_some());
-        assert!(plan.full_estimate.is_some());
+        assert!(plan.estimates.join.is_some());
+        assert!(plan.estimates.full.is_some());
     }
 
     #[test]
@@ -1149,8 +970,8 @@ mod tests {
         let index = Index::build(&g, query);
         let mut timings = PhaseTimings::default();
         let plan = plan_on_index(&index, PathEnumConfig { tau: 0 }, &mut timings);
-        assert_eq!(plan.full_estimate, Some(6), "Figure 1, k=4 has 6 walks");
-        assert!(plan.t_dfs.is_some() && plan.t_join.is_some());
+        assert_eq!(plan.estimates.full, Some(6), "Figure 1, k=4 has 6 walks");
+        assert!(plan.estimates.join.is_some());
     }
 
     #[test]
@@ -1311,9 +1132,11 @@ mod tests {
                 scope.spawn(|| {
                     for round in 0..50u32 {
                         let k = 2 + (round % 4);
-                        let (plan, idx) = cache.lookup(&shared_key(k), v).expect("entry present");
-                        // Every hit hands out the same shared index.
-                        assert_eq!(plan.query.k, idx.query().k);
+                        let (idx, estimates) =
+                            cache.lookup(&shared_key(k), v).expect("entry present");
+                        // Every hit hands out the shared index and its estimates.
+                        assert_eq!(idx.query(), plan.query);
+                        assert_eq!(estimates, plan.estimates);
                     }
                 });
             }

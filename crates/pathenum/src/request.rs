@@ -341,7 +341,6 @@ pub struct QueryRequest<'a> {
     pub(crate) time_budget: Option<Duration>,
     pub(crate) cancel: Option<CancelToken>,
     pub(crate) method: Option<Method>,
-    pub(crate) tau: Option<u64>,
     pub(crate) collect: bool,
     pub(crate) explain: bool,
     pub(crate) bypass_cache: bool,
@@ -382,7 +381,6 @@ impl<'a> QueryRequest<'a> {
             time_budget: None,
             cancel: None,
             method: None,
-            tau: None,
             collect: false,
             explain: false,
             bypass_cache: false,
@@ -434,12 +432,6 @@ impl<'a> QueryRequest<'a> {
     /// is the only way to force one.
     pub fn method(mut self, method: Method) -> Self {
         self.method = Some(method);
-        self
-    }
-
-    /// Overrides the preliminary-estimate threshold `tau` (Section 6.2).
-    pub fn tau(mut self, tau: u64) -> Self {
-        self.tau = Some(tau);
         self
     }
 
@@ -898,7 +890,6 @@ mod tests {
             .time_budget(Duration::from_millis(50))
             .cancel_token(token.clone())
             .method(Method::IdxJoin)
-            .tau(7)
             .collect_paths(true);
         assert_eq!(req.s, 0);
         assert_eq!(req.t, 1);
@@ -906,7 +897,6 @@ mod tests {
         assert_eq!(req.limit, Some(10));
         assert_eq!(req.time_budget, Some(Duration::from_millis(50)));
         assert_eq!(req.method, Some(Method::IdxJoin));
-        assert_eq!(req.tau, Some(7));
         assert!(req.collect);
         assert!(req.validate(10).is_ok());
     }

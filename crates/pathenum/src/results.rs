@@ -11,21 +11,23 @@
 //! `tau`) — the full identity of an answer, bounds excluded — and
 //! guarded by the serving graph's [`GraphVersion`] epoch, storing the
 //! completed path set (a flat [`PathBuffer`]) together with its
-//! [`Termination`] and the bounds it ran under. A hit replays the stored
+//! [`Termination`] and the limit it ran under. A hit replays the stored
 //! paths into the caller's sink — no BFS, no index build, no search —
 //! and reports
 //! [`CacheOutcome::ResultHit`](crate::plan::CacheOutcome::ResultHit).
 //!
 //! Three rules keep replays byte-identical to fresh execution:
 //!
-//! * **Bounds are served, not keyed.** The sequential enumeration order
+//! * **Limits are served, not keyed.** The sequential enumeration order
 //!   is deterministic and the same for both methods, so a `limit(n)`
 //!   request is exactly the first `n` stored paths. A
 //!   [`Termination::Completed`] entry therefore serves *any* limit; an
-//!   entry truncated by [`Termination::LimitReached`] or
-//!   [`Termination::DeadlineExceeded`] is reusable only for requests
-//!   with **equal-or-tighter** bounds (a looser request might be owed
-//!   paths the entry never captured, so it misses and re-runs). The
+//!   entry truncated by [`Termination::LimitReached`] is reusable only
+//!   for requests with an **equal-or-tighter** limit (a looser request
+//!   might be owed paths the entry never captured, so it misses and
+//!   re-runs). Nothing else is stored: a
+//!   [`Termination::DeadlineExceeded`] prefix depends on how fast the
+//!   machine was, so no replay of it can match a fresh run. The
 //!   method is chosen per request from its limit
 //!   ([`decide`](crate::optimizer::decide)), so the plan a replay
 //!   reports — the one that produced the stored answer — need not be
@@ -67,7 +69,6 @@
 //! `hits + misses + bypasses == lookups`.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use pathenum_graph::{GraphVersion, VertexId};
 
@@ -162,25 +163,25 @@ pub(crate) struct CachedResult {
 /// the measured path/footprint bytes (map slot, entry struct, `Arc`).
 pub(crate) const ENTRY_OVERHEAD_BYTES: usize = 192;
 
-/// One [`ResultCache`] entry: a recorded answer and the bounds it ran
-/// under.
+/// One [`ResultCache`] entry: a recorded answer, the plan that produced
+/// it, and the limit it ran under.
 #[derive(Debug)]
 pub struct ResultEntry {
     plan: PhysicalPlan,
     paths: Arc<PathBuffer>,
+    /// [`Termination::Completed`] or [`Termination::LimitReached`]: no
+    /// other run is stored.
     termination: Termination,
     /// The limit the recording run executed under (`None` = unbounded).
     limit: Option<u64>,
-    /// The time budget the recording run executed under.
-    time_budget: Option<Duration>,
 }
 
 impl ResultEntry {
-    /// How many stored paths a request with the given bounds may be
-    /// served, and the termination it should report — or `None` when the
-    /// entry cannot answer the request (bounds looser than what the
-    /// recording run was cut off at).
-    fn serve(&self, limit: Option<u64>, budget: Option<Duration>) -> Option<(usize, Termination)> {
+    /// How many stored paths a request with `limit` may be served, and
+    /// the termination it should report — or `None` when the entry cannot
+    /// answer the request (a limit looser than the one the recording run
+    /// was cut off at).
+    fn serve(&self, limit: Option<u64>) -> Option<(usize, Termination)> {
         let stored = self.paths.len();
         match self.termination {
             // A completed entry is the full result set: any limit is a
@@ -201,24 +202,8 @@ impl ResultEntry {
                     _ => None,
                 }
             }
-            // A deadline-truncated entry is reusable only under an
-            // equal-or-tighter time budget: the stored prefix is a
-            // valid answer for any run allowed *at most* as much time.
-            Termination::DeadlineExceeded => {
-                let b0 = self.time_budget?;
-                if budget.is_none_or(|b| b > b0) {
-                    return None;
-                }
-                match limit {
-                    Some(l) if (l as usize) <= stored => {
-                        Some((l as usize, Termination::LimitReached))
-                    }
-                    _ => Some((stored, Termination::DeadlineExceeded)),
-                }
-            }
-            // Cancelled runs are never inserted; an entry cannot carry
-            // this termination.
-            Termination::Cancelled => None,
+            // Never inserted; an entry cannot carry these.
+            Termination::DeadlineExceeded | Termination::Cancelled => None,
         }
     }
 
@@ -288,20 +273,19 @@ impl ResultCache {
     }
 
     /// Looks up a servable answer for `key` against the serving graph
-    /// `at`, under the request's bounds, re-validating a version-stale
-    /// entry as the plan layer does. A bound-incompatible entry stays (a
+    /// `at`, under the request's `limit`, re-validating a version-stale
+    /// entry as the plan layer does. A limit-incompatible entry stays (a
     /// tighter future request can still use it); the lookup misses.
     pub(crate) fn lookup<'g>(
         &self,
         key: &PlanKey,
         limit: Option<u64>,
-        budget: Option<Duration>,
         at: impl Into<GraphStamp<'g>>,
     ) -> Option<CachedResult> {
         let at = at.into();
         self.with_shard(key, |lru| {
             lru.lookup(key, at, |entry| {
-                let (served, termination) = entry.serve(limit, budget)?;
+                let (served, termination) = entry.serve(limit)?;
                 Some(CachedResult {
                     plan: entry.plan,
                     paths: Arc::clone(&entry.paths),
@@ -313,11 +297,15 @@ impl ResultCache {
     }
 
     /// Stores one recorded answer, evicting least-recently-used entries
-    /// of its shard until the shard's byte budget holds. An answer larger
-    /// than a shard's budget is not admitted; a worse answer never
-    /// displaces a better one for the same key at the same version (a
-    /// `Completed` entry is never overwritten by a truncated re-run under
-    /// a tighter bound).
+    /// of its shard until the shard's byte budget holds. Only a
+    /// [`Completed`](Termination::Completed) or
+    /// [`LimitReached`](Termination::LimitReached) run is stored: a
+    /// cancelled run is no answer, and a deadline-cut prefix depends on
+    /// the machine's speed, so no replay of it could match a fresh run.
+    /// An answer larger than a shard's budget is not admitted; a worse
+    /// answer never displaces a better one for the same key at the same
+    /// version (a `Completed` entry is never overwritten by a truncated
+    /// re-run under a tighter limit).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert(
         &self,
@@ -327,10 +315,12 @@ impl ResultCache {
         paths: PathBuffer,
         termination: Termination,
         limit: Option<u64>,
-        time_budget: Option<Duration>,
         footprint: Option<IndexFootprint>,
     ) {
-        if termination == Termination::Cancelled {
+        if !matches!(
+            termination,
+            Termination::Completed | Termination::LimitReached
+        ) {
             return;
         }
         self.with_shard(&key, |lru| {
@@ -347,7 +337,6 @@ impl ResultCache {
                 paths: Arc::new(paths),
                 termination,
                 limit,
-                time_budget,
             };
             lru.insert(key, version, entry, footprint, bytes);
         });
@@ -409,24 +398,23 @@ mod tests {
             Termination::Completed,
             None,
             None,
-            None,
         );
 
-        let full = cache.lookup(&key(4), None, None, v).unwrap();
+        let full = cache.lookup(&key(4), None, v).unwrap();
         assert_eq!(full.served, 3);
         assert_eq!(full.termination, Termination::Completed);
 
-        let loose = cache.lookup(&key(4), Some(10), None, v).unwrap();
+        let loose = cache.lookup(&key(4), Some(10), v).unwrap();
         assert_eq!(loose.served, 3);
         assert_eq!(loose.termination, Termination::Completed);
 
-        let tight = cache.lookup(&key(4), Some(2), None, v).unwrap();
+        let tight = cache.lookup(&key(4), Some(2), v).unwrap();
         assert_eq!(tight.served, 2);
         assert_eq!(tight.termination, Termination::LimitReached);
 
         // limit == stored count: a fresh run delivers the last path and
         // *then* observes the limit — LimitReached, exactly at the edge.
-        let exact = cache.lookup(&key(4), Some(3), None, v).unwrap();
+        let exact = cache.lookup(&key(4), Some(3), v).unwrap();
         assert_eq!(exact.served, 3);
         assert_eq!(exact.termination, Termination::LimitReached);
     }
@@ -443,15 +431,14 @@ mod tests {
             Termination::LimitReached,
             Some(2),
             None,
-            None,
         );
 
-        assert!(cache.lookup(&key(4), None, None, v).is_none(), "unbounded");
-        assert!(cache.lookup(&key(4), Some(5), None, v).is_none(), "looser");
-        let equal = cache.lookup(&key(4), Some(2), None, v).unwrap();
+        assert!(cache.lookup(&key(4), None, v).is_none(), "unbounded");
+        assert!(cache.lookup(&key(4), Some(5), v).is_none(), "looser");
+        let equal = cache.lookup(&key(4), Some(2), v).unwrap();
         assert_eq!(equal.served, 2);
         assert_eq!(equal.termination, Termination::LimitReached);
-        let tighter = cache.lookup(&key(4), Some(1), None, v).unwrap();
+        let tighter = cache.lookup(&key(4), Some(1), v).unwrap();
         assert_eq!(tighter.served, 1);
         assert_eq!(tighter.termination, Termination::LimitReached);
 
@@ -464,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_truncated_entries_require_a_tighter_budget() {
+    fn deadline_truncated_runs_are_never_stored() {
         let cache = ResultCache::new(1 << 20);
         let v = GraphVersion::next();
         cache.insert(
@@ -474,29 +461,11 @@ mod tests {
             buffer(&[&[0, 2, 1]]),
             Termination::DeadlineExceeded,
             None,
-            Some(Duration::from_millis(10)),
             None,
         );
-
-        assert!(
-            cache.lookup(&key(4), None, None, v).is_none(),
-            "no budget at all means unbounded — the entry is truncated"
-        );
-        assert!(
-            cache
-                .lookup(&key(4), None, Some(Duration::from_millis(20)), v)
-                .is_none(),
-            "looser budget"
-        );
-        let hit = cache
-            .lookup(&key(4), None, Some(Duration::from_millis(10)), v)
-            .unwrap();
-        assert_eq!(hit.served, 1);
-        assert_eq!(hit.termination, Termination::DeadlineExceeded);
-        let limited = cache
-            .lookup(&key(4), Some(1), Some(Duration::from_millis(5)), v)
-            .unwrap();
-        assert_eq!(limited.termination, Termination::LimitReached);
+        assert!(cache.is_empty());
+        assert_eq!(cache.bytes(), 0);
+        assert!(cache.lookup(&key(4), Some(1), v).is_none());
     }
 
     #[test]
@@ -511,10 +480,9 @@ mod tests {
             Termination::Completed,
             None,
             None,
-            None,
         );
         let v2 = GraphVersion::next();
-        assert!(cache.lookup(&key(4), None, None, v2).is_none());
+        assert!(cache.lookup(&key(4), None, v2).is_none());
         assert!(cache.is_empty());
         assert_eq!(cache.bytes(), 0);
         let stats = cache.stats();
@@ -538,13 +506,12 @@ mod tests {
                 Termination::Completed,
                 None,
                 None,
-                None,
             );
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.lookup(&key(2), None, None, v).is_none(), "LRU gone");
-        assert!(cache.lookup(&key(4), None, None, v).is_some());
+        assert!(cache.lookup(&key(2), None, v).is_none(), "LRU gone");
+        assert!(cache.lookup(&key(4), None, v).is_some());
         assert!(cache.bytes() <= cache.byte_budget());
 
         // An answer larger than the whole budget is never admitted.
@@ -557,9 +524,8 @@ mod tests {
             Termination::Completed,
             None,
             None,
-            None,
         );
-        assert!(cache.lookup(&key(9), None, None, v).is_none());
+        assert!(cache.lookup(&key(9), None, v).is_none());
     }
 
     #[test]
@@ -574,7 +540,6 @@ mod tests {
             Termination::Completed,
             None,
             None,
-            None,
         );
         cache.insert(
             key(4),
@@ -584,9 +549,8 @@ mod tests {
             Termination::LimitReached,
             Some(1),
             None,
-            None,
         );
-        let hit = cache.lookup(&key(4), None, None, v).unwrap();
+        let hit = cache.lookup(&key(4), None, v).unwrap();
         assert_eq!(hit.served, 2, "the completed answer survived");
         assert_eq!(hit.termination, Termination::Completed);
     }
@@ -603,10 +567,9 @@ mod tests {
             Termination::Completed,
             None,
             None,
-            None,
         );
         assert!(cache.is_empty());
-        assert!(cache.lookup(&key(4), None, None, v).is_none());
+        assert!(cache.lookup(&key(4), None, v).is_none());
     }
 
     #[test]
@@ -619,7 +582,6 @@ mod tests {
             sample_plan(),
             buffer(&[&[0, 2, 1]]),
             Termination::Cancelled,
-            None,
             None,
             None,
         );
@@ -638,7 +600,6 @@ mod tests {
             Termination::Completed,
             None,
             None,
-            None,
         );
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -647,7 +608,7 @@ mod tests {
                         if round % 5 == 4 {
                             cache.note_bypass();
                         } else {
-                            let hit = cache.lookup(&key(4), None, None, v).expect("warm");
+                            let hit = cache.lookup(&key(4), None, v).expect("warm");
                             assert_eq!(hit.paths.get(0), &[0, 2, 1]);
                         }
                     }

@@ -586,7 +586,7 @@ mod tests {
                             paths: 0,
                             completed: true,
                         });
-                        cache.insert_with_footprint(plan_key(key), now, plan, Arc::clone(&index), None);
+                        cache.insert_with_footprint(plan_key(key), now, Arc::clone(&index), plan.estimates, None);
                         for gone in evicted {
                             prop_assert!(!model.lookup(gone, now, |_| true));
                             prop_assert!(cache.lookup(&plan_key(gone), now).is_none(), "step {}: {} evicted", step, gone);
@@ -646,10 +646,10 @@ mod tests {
                         } else {
                             (Termination::LimitReached, Some(count as u64))
                         };
-                        cache.insert(result_key(key), now, plan, paths, termination, limit, None, None);
+                        cache.insert(result_key(key), now, plan, paths, termination, limit, None);
                         for gone in evicted {
                             prop_assert!(!model.lookup(gone, now, |_| true));
-                            prop_assert!(cache.lookup(&result_key(gone), None, None, now).is_none(), "step {}: {} evicted", step, gone);
+                            prop_assert!(cache.lookup(&result_key(gone), None, now).is_none(), "step {}: {} evicted", step, gone);
                         }
                     }
                     4..=7 => {
@@ -660,7 +660,7 @@ mod tests {
                         let hit = model.lookup(key, now, |slot| {
                             slot.completed || limit.is_some_and(|l| l <= slot.paths as u64)
                         });
-                        prop_assert_eq!(cache.lookup(&result_key(key), limit, None, now).is_some(), hit, "step {}", step);
+                        prop_assert_eq!(cache.lookup(&result_key(key), limit, now).is_some(), hit, "step {}", step);
                     }
                     8 => {
                         model.bypass();

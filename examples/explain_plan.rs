@@ -25,14 +25,14 @@ fn main() {
         graph.version()
     );
 
-    let mut engine = QueryEngine::new(&graph, PathEnumConfig::default());
+    // tau = 0 forces the full estimator so the EXPLAIN always shows the
+    // modeled T_DFS / T_JOIN costs.
+    let mut engine = QueryEngine::new(&graph, PathEnumConfig { tau: 0 });
     let s = 0u32;
     let t = (graph.num_vertices() as u32) / 2;
 
     for k in [3u32, 4, 5, 6] {
-        // tau(0) forces the full estimator so the EXPLAIN always shows
-        // the modeled T_DFS / T_JOIN costs.
-        let request = QueryRequest::paths(s, t).max_hops(k).tau(0);
+        let request = QueryRequest::paths(s, t).max_hops(k);
         match engine.explain(&request) {
             Ok(plan) => {
                 println!("{plan}\n");

@@ -52,7 +52,7 @@ fn main() {
         "method selected: {}; termination: {:?}",
         plan.method, response.termination
     );
-    if let Some(preliminary) = plan.preliminary_estimate {
+    if let Some(preliminary) = plan.estimates.preliminary {
         println!(
             "index: {} edges, {} bytes; preliminary estimate: {preliminary} partial results",
             plan.index_edges, plan.index_bytes

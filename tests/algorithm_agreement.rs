@@ -31,11 +31,15 @@ fn reference_paths(g: &CsrGraph, q: Query) -> Vec<Vec<VertexId>> {
     sink.sorted_paths()
 }
 
-/// Runs `request` through a fresh engine, returning its paths in
-/// emission order.
-fn engine_paths(g: &CsrGraph, request: &QueryRequest<'_>) -> Vec<Vec<VertexId>> {
+/// Runs `request` through a fresh engine configured with `config`,
+/// returning its paths in emission order.
+fn engine_paths(
+    g: &CsrGraph,
+    config: PathEnumConfig,
+    request: &QueryRequest<'_>,
+) -> Vec<Vec<VertexId>> {
     let mut sink = CollectingSink::default();
-    QueryEngine::new(g, PathEnumConfig::default())
+    QueryEngine::new(g, config)
         .execute_into(request, &mut sink)
         .expect("valid");
     sink.paths
@@ -74,7 +78,7 @@ proptest! {
         let g = graph_from_edges(n, &edges);
         let q = Query::new(0, 1, k).expect("valid");
         let expected = reference_paths(&g, q);
-        let mut paths = engine_paths(&g, &QueryRequest::from_query(q).tau(0));
+        let mut paths = engine_paths(&g, PathEnumConfig { tau: 0 }, &QueryRequest::from_query(q));
         paths.sort_unstable();
         prop_assert_eq!(paths, expected);
     }
@@ -86,7 +90,7 @@ proptest! {
     ) {
         let g = graph_from_edges(n, &edges);
         let q = Query::new(0, 1, k).expect("valid");
-        for path in &engine_paths(&g, &QueryRequest::from_query(q)) {
+        for path in &engine_paths(&g, PathEnumConfig::default(), &QueryRequest::from_query(q)) {
             prop_assert!(path.len() as u32 - 1 <= k);
             prop_assert_eq!(path[0], 0);
             prop_assert_eq!(*path.last().unwrap(), 1);

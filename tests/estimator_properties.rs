@@ -76,7 +76,7 @@ proptest! {
         let est = FullEstimate::compute(&index);
         if let Some(plan) = optimize_join_order(&index, &est) {
             prop_assert!(plan.cut >= 1 && plan.cut < k);
-            prop_assert!(plan.t_join >= plan.estimated_walks);
+            prop_assert!(plan.t_join >= est.total_walks());
             // The chosen cut minimizes |Q[0:i]| + |Q[i:k]| over 0 < i < k.
             let chosen = est.prefix_sum(plan.cut) + est.suffix_sum(plan.cut);
             for i in 1..k {

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use pathenum_repro::core::estimator::{preliminary_estimate, FullEstimate};
 use pathenum_repro::core::plan::plan_on_index;
-use pathenum_repro::core::{optimize_join_order, Index, PhaseTimings};
+use pathenum_repro::core::{optimize_join_order, Index, PhaseTimings, PlanEstimates};
 use pathenum_repro::graph::generators::{complete_digraph, erdos_renyi};
 use pathenum_repro::prelude::*;
 
@@ -45,24 +45,24 @@ proptest! {
         let tau = [0, DEFAULT_TAU][tau_sel as usize];
         let (index, plan) = er_plan(n, density, seed, k, tau);
         let preliminary = preliminary_estimate(&index);
-        prop_assert_eq!(plan.preliminary_estimate, Some(preliminary));
+        prop_assert_eq!(plan.estimates.preliminary, Some(preliminary));
         prop_assert_eq!(plan.limit, None);
 
         if preliminary <= tau {
             prop_assert_eq!((plan.method, plan.cut), (Method::IdxDfs, None));
-            prop_assert_eq!((plan.full_estimate, plan.t_dfs, plan.t_join), (None, None, None));
+            prop_assert_eq!((plan.estimates.full, plan.estimates.join), (None, None));
             prop_assert_eq!(plan.modeled_cost(), preliminary.max(1));
             return Ok(());
         }
         let estimate = FullEstimate::compute(&index);
-        prop_assert_eq!(plan.full_estimate, Some(estimate.total_walks()));
-        let Some(join) = optimize_join_order(&index, &estimate) else {
+        prop_assert_eq!(plan.estimates.full, Some(estimate.total_walks()));
+        let join = optimize_join_order(&index, &estimate);
+        prop_assert_eq!(plan.estimates.join, join);
+        let Some(join) = join else {
             prop_assert_eq!((plan.method, plan.cut), (Method::IdxDfs, None));
             prop_assert_eq!(plan.modeled_cost(), preliminary.max(1));
             return Ok(());
         };
-        prop_assert_eq!((plan.t_dfs, plan.t_join), (Some(join.t_dfs), Some(join.t_join)));
-        prop_assert_eq!(plan.join_cut, Some(join.cut));
         if join.t_dfs <= join.t_join {
             prop_assert_eq!((plan.method, plan.cut), (Method::IdxDfs, None));
             prop_assert_eq!(plan.modeled_cost(), join.t_dfs.max(1));
@@ -86,7 +86,7 @@ proptest! {
         let tau = [0, DEFAULT_TAU][tau_sel as usize];
         let (_, plan) = er_plan(n, density, seed, k, tau);
         let unlimited = plan.decision_for(None).expect("plan_on_index settles it");
-        let preliminary = plan.preliminary_estimate.expect("plan_on_index builds every row");
+        let preliminary = plan.estimates.preliminary.expect("plan_on_index builds every row");
 
         let mut limits = vec![1u64];
         while let Some(&last) = limits.last().filter(|&&l| l <= preliminary) {
@@ -127,12 +127,8 @@ fn one_entry_serves_limited_and_unlimited_requests() {
     let first = engine.execute(&limited()).expect("valid request");
     let plan = first.plan.expect("explain reports the plan");
     assert_eq!(first.report.cache, CacheOutcome::Miss);
-    assert_eq!(plan.preliminary_estimate, None);
+    assert_eq!(plan.estimates, PlanEstimates::default());
     assert_eq!((plan.method, plan.cut), (Method::IdxDfs, None));
-    assert_eq!(
-        (plan.full_estimate, plan.t_dfs, plan.join_cut),
-        (None, None, None)
-    );
     assert_eq!(plan.limit, Some(10));
     assert_eq!(plan.modeled_cost(), 60);
     assert_eq!(first.report.timings.optimization, std::time::Duration::ZERO);
@@ -144,20 +140,23 @@ fn one_entry_serves_limited_and_unlimited_requests() {
     let full = second.plan.expect("explain reports the plan");
     assert_eq!(second.report.cache, CacheOutcome::Hit);
     assert_eq!(engine.cache_stats().misses, 1);
-    assert_eq!(full.full_estimate, Some(193_261));
+    assert_eq!(full.estimates.full, Some(193_261));
     assert_eq!((full.method, full.cut), (Method::IdxJoin, Some(3)));
     assert_eq!(full.limit, None);
-    assert_eq!(Some(full.modeled_cost()), full.t_join);
+    assert_eq!(
+        Some(full.modeled_cost()),
+        full.estimates.join.map(|j| j.t_join)
+    );
 
     // The limited request still streams — and now reports the estimates
     // the completed entry carries, without having paid for them.
     let third = engine.execute(&limited()).expect("valid request");
     let replan = third.plan.expect("explain reports the plan");
     assert_eq!(third.report.cache, CacheOutcome::Hit);
-    assert_eq!(replan.preliminary_estimate, Some(442_286));
+    assert_eq!(replan.estimates.preliminary, Some(442_286));
     assert_eq!((replan.method, replan.cut), (Method::IdxDfs, None));
-    assert_eq!(replan.full_estimate, Some(193_261));
-    assert_eq!(replan.join_cut, Some(3));
+    assert_eq!(replan.estimates.full, Some(193_261));
+    assert_eq!(replan.estimates.join.map(|j| j.cut), Some(3));
     assert_eq!(replan.modeled_cost(), 60);
     assert_eq!(third.report.timings.optimization, std::time::Duration::ZERO);
     assert!(replan.to_string().contains("not consulted"), "{replan}");
@@ -175,8 +174,11 @@ fn one_entry_serves_limited_and_unlimited_requests() {
     let priced = strict.explain(&limited()).expect("valid request");
     assert_eq!(priced, strict.explain(&unlimited()).expect("valid request"));
     assert_eq!((priced.method, priced.cut), (Method::IdxJoin, Some(3)));
-    assert_eq!(priced.full_estimate, Some(193_261));
-    assert_eq!(Some(priced.modeled_cost()), priced.t_join);
+    assert_eq!(priced.estimates.full, Some(193_261));
+    assert_eq!(
+        Some(priced.modeled_cost()),
+        priced.estimates.join.map(|j| j.t_join)
+    );
 }
 
 /// Accumulative and automaton requests filter complete paths, so their
@@ -217,4 +219,70 @@ fn constrained_requests_on_a_shared_entry_are_priced_as_unlimited() {
         (unlimited.method, unlimited.cut, unlimited.modeled_cost())
     );
     assert_eq!(unlimited.method, Method::IdxJoin);
+}
+
+/// The full EXPLAIN text of the named case, pinned line for line: a cold
+/// `limit(10)` miss (labels only), the unlimited request that completes
+/// the entry (Algorithm 5 picks IDX-JOIN), `limit(10)` again on the
+/// completed entry, and the two forced methods. README's K14 samples are
+/// these plans.
+#[test]
+fn explain_text_is_pinned_on_k14() {
+    let graph = complete_digraph(14);
+    let query = Query::new(0, 13, 6).expect("valid");
+    let mut engine = QueryEngine::new(&graph, PathEnumConfig::default());
+    let mut explain =
+        |request: QueryRequest<'_>| engine.explain(&request).expect("valid request").to_string();
+    let limited = || QueryRequest::from_query(query).limit(10);
+    let unlimited = || QueryRequest::from_query(query);
+    let expected = [
+        (
+            explain(limited()),
+            "PhysicalPlan q(s=0, t=13, k=6)
+  method: IDX-DFS (cost-based)
+  estimates: preliminary=not computed (k*limit = 60 <= tau), tau=100000, limit=10
+  modeled costs: not computed (k*limit = 60 <= tau)
+  index: 14 vertices, rows read on demand, 172 bytes
+  constraint: none",
+        ),
+        (
+            explain(unlimited()),
+            "PhysicalPlan q(s=0, t=13, k=6)
+  method: IDX-JOIN (cost-based; cut at 3)
+  estimates: preliminary=442286 (tau=100000), walks=193261
+  modeled costs: t_dfs=405846, t_join=196931
+  index: 14 vertices, 157 edges, 1364 bytes
+  constraint: none",
+        ),
+        (
+            explain(limited()),
+            "PhysicalPlan q(s=0, t=13, k=6)
+  method: IDX-DFS (cost-based)
+  estimates: preliminary=442286 (tau=100000), limit=10, walks=193261
+  modeled costs: t_dfs=405846, t_join=196931 (not consulted: k*limit = 60 <= tau)
+  index: 14 vertices, 157 edges, 1364 bytes
+  constraint: none",
+        ),
+        (
+            explain(unlimited().method(Method::IdxJoin)),
+            "PhysicalPlan q(s=0, t=13, k=6)
+  method: IDX-JOIN (forced; cut at 3)
+  estimates: preliminary=442286 (tau=100000), walks=193261
+  modeled costs: t_dfs=405846, t_join=196931
+  index: 14 vertices, 157 edges, 1364 bytes
+  constraint: none",
+        ),
+        (
+            explain(limited().method(Method::IdxDfs)),
+            "PhysicalPlan q(s=0, t=13, k=6)
+  method: IDX-DFS (forced)
+  estimates: preliminary=442286 (tau=100000)
+  modeled costs: not computed (method forced)
+  index: 14 vertices, 157 edges, 1364 bytes
+  constraint: none",
+        ),
+    ];
+    for (step, (text, golden)) in expected.iter().enumerate() {
+        assert_eq!(text, golden, "plan {step}");
+    }
 }

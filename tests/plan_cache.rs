@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
+use pathenum_repro::core::JoinPlan;
 use pathenum_repro::prelude::*;
 
 fn graph_from_edges(n: u32, edges: &[(u32, u32)]) -> CsrGraph {
@@ -46,8 +47,8 @@ proptest! {
         };
         let g = graph_from_edges(n, &edges);
         prop_assume!(n >= 2);
-        let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
-        let mut request = QueryRequest::paths(0, 1).max_hops(k).tau(tau);
+        let mut engine = QueryEngine::new(&g, PathEnumConfig { tau });
+        let mut request = QueryRequest::paths(0, 1).max_hops(k);
         if let Some(m) = force {
             request = request.method(m);
         }
@@ -129,14 +130,13 @@ proptest! {
 #[test]
 fn explain_reports_modeled_costs_when_the_optimizer_runs() {
     let g = pathenum_graph::generators::complete_digraph(10);
-    let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
     // tau = 0 forces the full estimator + Algorithm 5.
+    let mut engine = QueryEngine::new(&g, PathEnumConfig { tau: 0 });
     let plan = engine
-        .explain(&QueryRequest::paths(0, 9).max_hops(5).tau(0))
+        .explain(&QueryRequest::paths(0, 9).max_hops(5))
         .unwrap();
-    let t_dfs = plan.t_dfs.expect("optimizer ran");
-    let t_join = plan.t_join.expect("optimizer ran");
-    let walks = plan.full_estimate.expect("optimizer ran");
+    let JoinPlan { t_dfs, t_join, .. } = plan.estimates.join.expect("optimizer ran");
+    let walks = plan.estimates.full.expect("optimizer ran");
     assert!(t_dfs >= walks, "DFS cost includes the final level");
     assert!(t_join >= walks, "join cost includes materializing |Q|");
     match plan.method {
@@ -285,10 +285,9 @@ fn distinct_settings_never_share_plan_entries() {
     let mut engine = QueryEngine::new(&g, PathEnumConfig::default());
     let base = || QueryRequest::paths(0, 1).max_hops(4);
     engine.execute(&base()).unwrap();
-    // Different tau, forced method, or k each replan (Miss), never reuse
+    // A forced method or a different k each replan (Miss), never reuse
     // the optimizer-default entry.
     for request in [
-        base().tau(0),
         base().method(Method::IdxJoin),
         QueryRequest::paths(0, 1).max_hops(5),
     ] {
@@ -298,6 +297,11 @@ fn distinct_settings_never_share_plan_entries() {
     // And the original is still warm.
     let response = engine.execute(&base()).unwrap();
     assert_eq!(response.report.cache, CacheOutcome::Hit);
+    // Nor does a different tau: the cache, carried into an engine
+    // configured with tau = 0, misses on the same request.
+    let mut strict = QueryEngine::with_cache(&g, PathEnumConfig { tau: 0 }, engine.into_cache());
+    let response = strict.execute(&base()).unwrap();
+    assert_eq!(response.report.cache, CacheOutcome::Miss);
 }
 
 #[test]
@@ -370,7 +374,7 @@ fn labels_only_entries_are_completed_by_their_first_reader() {
     let mut engine = QueryEngine::new(&graph, PathEnumConfig::default());
     let miss = engine.explain(&limited()).expect("valid request");
     assert_eq!(engine.plan_cache().len(), 1);
-    assert_eq!(miss.preliminary_estimate, None);
+    assert_eq!(miss.estimates.preliminary, None);
     assert_eq!(miss.index_edges, 0);
     assert_eq!(miss.modeled_cost(), 60, "admission pays k * limit");
     let text = miss.to_string();
@@ -384,7 +388,7 @@ fn labels_only_entries_are_completed_by_their_first_reader() {
     let filled = QueryEngine::new(&graph, PathEnumConfig::default())
         .explain(&QueryRequest::from_query(query).limit(100))
         .expect("valid request");
-    assert_eq!(filled.preliminary_estimate, Some(442_286));
+    assert_eq!(filled.estimates.preliminary, Some(442_286));
     assert!(filled.index_edges > 0);
 
     // The first reader completes it and plans as a cold engine does.
@@ -395,13 +399,13 @@ fn labels_only_entries_are_completed_by_their_first_reader() {
         .explain(&unlimited())
         .expect("valid request");
     assert_eq!(hit, cold);
-    assert!(hit.preliminary_estimate.is_some() && hit.index_edges > 0);
+    assert!(hit.estimates.preliminary.is_some() && hit.index_edges > 0);
     let warm = engine.execute(&limited()).expect("valid request");
     assert_eq!(warm.report.cache, CacheOutcome::Hit);
     assert_eq!(warm.paths, reference.paths);
     assert_eq!(
-        warm.plan.unwrap().preliminary_estimate,
-        cold.preliminary_estimate
+        warm.plan.unwrap().estimates.preliminary,
+        cold.estimates.preliminary
     );
 
     // `stream` reads the cache directly: it too must complete the entry
@@ -414,7 +418,7 @@ fn labels_only_entries_are_completed_by_their_first_reader() {
     assert_eq!(streamed, reference.paths);
     let after = engine.explain(&limited()).expect("valid request");
     assert_eq!(
-        after.preliminary_estimate, cold.preliminary_estimate,
+        after.estimates.preliminary, cold.estimates.preliminary,
         "written back"
     );
 
@@ -432,7 +436,7 @@ fn labels_only_entries_are_completed_by_their_first_reader() {
     let explained = catalog
         .execute(routed(limited().explain()))
         .expect("valid request");
-    assert_eq!(explained.plan.map(|p| p.preliminary_estimate), Some(None));
+    assert_eq!(explained.plan.map(|p| p.estimates.preliminary), Some(None));
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
