@@ -15,14 +15,24 @@
 //! [`CountingSink`]) and path by path (a counting [`FnSink`], which
 //! keeps the per-path defaults). The retained oracle kernels run under
 //! the same counter as the positive control: they must allocate.
+//!
+//! The engine leg runs the same queries through [`QueryEngine::execute`],
+//! with and without a [`ResultCache`]. A count-only request must cause
+//! zero allocation events on a plan hit (the plan warmed by `explain`)
+//! whether or not a result cache is attached, since it is never teed,
+//! and on a result hit, which is one `emit_count`. A collecting result
+//! hit is printed, not asserted: it still copies every path into the
+//! response.
 
 use pathenum::enumerate::{
     idx_dfs, idx_dfs_iterative, idx_join, idx_join_reference, thread_scratch_heap_bytes,
 };
 use pathenum::sink::{CountingSink, FnSink, PathSink, SearchControl};
-use pathenum::{Counters, Index};
+use pathenum::{
+    CacheOutcome, Counters, Index, PathEnumConfig, Query, QueryEngine, QueryRequest, ResultCache,
+};
 use pathenum_graph::generators::{power_law, PowerLawConfig};
-use pathenum_graph::VertexId;
+use pathenum_graph::{CsrGraph, VertexId};
 
 use super::support::default_queries;
 use crate::alloc::allocation_count;
@@ -57,6 +67,68 @@ fn warm_leg(mode: &str, mut query: impl FnMut()) {
     );
 }
 
+/// Allocation events over one `execute` of each of `requests`, each of
+/// which must be answered with `outcome`.
+fn events_per_pass(
+    engine: &mut QueryEngine<'_>,
+    requests: &[QueryRequest<'_>],
+    outcome: CacheOutcome,
+) -> u64 {
+    let before = allocation_count();
+    for request in requests {
+        let response = engine.execute(request).expect("valid request");
+        assert_eq!(response.report.cache, outcome);
+    }
+    allocation_count() - before
+}
+
+/// The engine leg over `queries`: asserts that count-only plan hits
+/// (with and without a result cache) and count-only result hits cause no
+/// allocation event, and returns the allocation events and paths of one
+/// collecting result hit per query.
+fn engine_leg(graph: &CsrGraph, queries: &[Query]) -> (u64, u64) {
+    let config = PathEnumConfig::default();
+    let count_only: Vec<QueryRequest<'_>> = queries
+        .iter()
+        .map(|&q| QueryRequest::from_query(q))
+        .collect();
+    let collecting: Vec<QueryRequest<'_>> = queries
+        .iter()
+        .map(|&q| QueryRequest::from_query(q).collect_paths(true))
+        .collect();
+
+    for results in [None, Some(ResultCache::default())] {
+        let cached = results.is_some();
+        let mut engine = QueryEngine::new(graph, config);
+        if let Some(results) = results {
+            engine = engine.with_result_cache(results);
+        }
+        for request in &count_only {
+            engine.explain(request).expect("valid request");
+        }
+        let events = events_per_pass(&mut engine, &count_only, CacheOutcome::Hit);
+        assert_eq!(
+            events, 0,
+            "a count-only plan hit (result cache attached: {cached}) must not allocate"
+        );
+    }
+
+    let mut engine = QueryEngine::new(graph, config).with_result_cache(ResultCache::default());
+    let paths = collecting
+        .iter()
+        .map(|request| {
+            engine
+                .execute(request)
+                .expect("valid request")
+                .num_results()
+        })
+        .sum();
+    let events = events_per_pass(&mut engine, &count_only, CacheOutcome::ResultHit);
+    assert_eq!(events, 0, "a count-only result hit must not allocate");
+    let collected = events_per_pass(&mut engine, &collecting, CacheOutcome::ResultHit);
+    (collected, paths)
+}
+
 /// Entry point for `reproduce perf`.
 pub fn run(config: &ExperimentConfig) {
     banner("perf: allocation events per warm query");
@@ -64,9 +136,10 @@ pub fn run(config: &ExperimentConfig) {
     let (n, k) = if quick { (300, 4) } else { (800, 5) };
     let graph = power_law(PowerLawConfig::social(n, 4, config.seed));
     let cut = (k / 2).max(1);
-    let index = default_queries(&graph, k, config)
-        .into_iter()
-        .map(|query| Index::build(&graph, query))
+    let queries = default_queries(&graph, k, config);
+    let index = queries
+        .iter()
+        .map(|&query| Index::build(&graph, query))
         .max_by_key(Index::num_edges)
         .expect("the query set is not empty");
 
@@ -106,9 +179,17 @@ pub fn run(config: &ExperimentConfig) {
         "the counter must see the oracle kernels allocate"
     );
 
+    let (collected, collected_paths) = engine_leg(&graph, &queries);
+
     println!(
         "perf assertions passed: 0 allocation events per warm query (IDX-DFS + IDX-JOIN, \
-         counted and per path, {results} paths, arena stable at {arena} bytes); \
+         counted and per path, {results} paths, arena stable at {arena} bytes) and per \
+         count-only engine request (plan hit with and without a result cache, result hit); \
          oracle kernels: {oracle} per query"
+    );
+    println!(
+        "engine collecting result hits: {collected} allocation events for \
+         {collected_paths} paths over {} requests (not asserted)",
+        queries.len()
     );
 }

@@ -111,16 +111,6 @@ impl GraphHandle {
         }
     }
 
-    /// The heap CSR graph behind this handle, when it is one — for
-    /// callers migrating from the `Arc<CsrGraph>` era.
-    #[inline]
-    pub fn as_csr(&self) -> Option<&Arc<CsrGraph>> {
-        match self {
-            GraphHandle::Heap(g) => Some(g),
-            _ => None,
-        }
-    }
-
     /// A short human label of the representation, for logs and stats.
     pub fn representation(&self) -> &'static str {
         match self {

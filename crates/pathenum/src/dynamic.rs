@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn explain_on_overlay_warms_the_cache() {
         let graph = diamond_dynamic();
-        let mut engine = QueryEngine::on_dynamic(&graph, PathEnumConfig::default());
+        let mut engine = DynamicEngine::new(&graph, PathEnumConfig::default());
         let request = QueryRequest::paths(0, 3).max_hops(3);
         let plan = engine.explain(&request).unwrap();
         assert!(plan.index_vertices > 0);

@@ -311,19 +311,6 @@ impl<'g, G: GraphSnapshot> QueryEngine<'g, G> {
     }
 }
 
-impl<'g> QueryEngine<'g> {
-    /// An engine serving a [`DynamicGraph`](pathenum_graph::DynamicGraph)
-    /// *in place* — queries run on the borrowed overlay view with zero
-    /// materialization. Convenience constructor for
-    /// [`DynamicEngine`](crate::DynamicEngine).
-    pub fn on_dynamic(
-        graph: &pathenum_graph::DynamicGraph,
-        config: PathEnumConfig,
-    ) -> crate::dynamic::DynamicEngine<'_> {
-        crate::dynamic::DynamicEngine::new(graph, config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -813,11 +800,20 @@ mod tests {
         let g = figure1_graph();
         let mut engine = QueryEngine::new(&g, PathEnumConfig::default())
             .with_result_cache(ResultCache::default());
-        let narrow = QueryRequest::paths(S, T).max_hops(4).limit(2);
+        // Collecting requests: a count-only miss records nothing.
+        let narrow = QueryRequest::paths(S, T)
+            .max_hops(4)
+            .limit(2)
+            .collect_paths(true);
         engine.execute(&narrow).unwrap();
         // A looser limit cannot be served from the truncated entry.
         let wider = engine
-            .execute(&QueryRequest::paths(S, T).max_hops(4).limit(4))
+            .execute(
+                &QueryRequest::paths(S, T)
+                    .max_hops(4)
+                    .limit(4)
+                    .collect_paths(true),
+            )
             .unwrap();
         assert_ne!(wider.report.cache, CacheOutcome::ResultHit);
         // ... but the re-run recorded more paths, upgrading the entry:

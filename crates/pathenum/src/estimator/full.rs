@@ -23,16 +23,12 @@
 //! They estimate the number of *paths* only insofar as `delta_P` is close
 //! to `delta_W` (Section 6.4). All arithmetic saturates.
 
-use crate::index::{Index, LocalId};
+use crate::index::Index;
 
-/// The DP tables of the full-fledged estimator.
+/// The full-fledged estimator: the per-level sums of its two DP tables.
 #[derive(Debug, Clone)]
 pub struct FullEstimate {
     k: u32,
-    /// `prefix[i][v] = |{tuples of Q[0:i] ending at v}|`; `(k+1) x |X|`.
-    prefix: Vec<Vec<u64>>,
-    /// `suffix[i][v] = |{tuples of Q[i:k] starting at v}|`; `(k+1) x |X|`.
-    suffix: Vec<Vec<u64>>,
     /// `sum_v prefix[i][v]` = `|Q[0:i]|` per level.
     prefix_sums: Vec<u64>,
     /// `sum_v suffix[i][v]` = `|Q[i:k]|` per level.
@@ -40,9 +36,27 @@ pub struct FullEstimate {
 }
 
 impl FullEstimate {
-    /// Runs both DP passes over the index. `O(k * |E_I|)` time,
-    /// `O(k * |X|)` space.
+    /// Runs both DP passes over the index and keeps their per-level sums.
+    /// `O(k * |E_I|)` time, `O(k * |X|)` space while it runs.
     pub fn compute(index: &Index) -> FullEstimate {
+        let (prefix, suffix) = Self::tables(index);
+        let sums = |table: Vec<Vec<u64>>| {
+            table
+                .iter()
+                .map(|row| row.iter().fold(0u64, |acc, &x| acc.saturating_add(x)))
+                .collect()
+        };
+        FullEstimate {
+            k: index.k(),
+            prefix_sums: sums(prefix),
+            suffix_sums: sums(suffix),
+        }
+    }
+
+    /// Both DP tables, `(prefix, suffix)`, each `(k+1) x |X|`:
+    /// `prefix[i][v] = |{tuples of Q[0:i] ending at v}|` and
+    /// `suffix[i][v] = |{tuples of Q[i:k] starting at v}|`.
+    fn tables(index: &Index) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
         let k = index.k();
         let n = index.num_vertices();
         let levels = k as usize + 1;
@@ -78,32 +92,7 @@ impl FullEstimate {
                 }
             }
         }
-
-        let prefix_sums = prefix
-            .iter()
-            .map(|row| row.iter().fold(0u64, |acc, &x| acc.saturating_add(x)))
-            .collect();
-        let suffix_sums = suffix
-            .iter()
-            .map(|row| row.iter().fold(0u64, |acc, &x| acc.saturating_add(x)))
-            .collect();
-        FullEstimate {
-            k,
-            prefix,
-            suffix,
-            prefix_sums,
-            suffix_sums,
-        }
-    }
-
-    /// `c_i^k(v)`: tuples of `Q[i:k]` starting at `v`.
-    pub fn suffix_count(&self, i: u32, v: LocalId) -> u64 {
-        self.suffix[i as usize][v as usize]
-    }
-
-    /// Tuples of `Q[0:i]` ending at `v`.
-    pub fn prefix_count(&self, i: u32, v: LocalId) -> u64 {
-        self.prefix[i as usize][v as usize]
+        (prefix, suffix)
     }
 
     /// `|Q[0:i]|`: size of the prefix sub-query's result.
@@ -212,26 +201,30 @@ mod tests {
     }
 
     /// Every prefix cell and sum of `compute` against the pull oracle,
-    /// and `|Q|` read from both ends. Returns the estimate for further
-    /// checks.
-    fn assert_push_matches_pull(g: &pathenum_graph::CsrGraph, q: Query) -> FullEstimate {
+    /// and `|Q|` read from both ends. Returns the estimate and its prefix
+    /// table for further checks.
+    fn assert_push_matches_pull(
+        g: &pathenum_graph::CsrGraph,
+        q: Query,
+    ) -> (FullEstimate, Vec<Vec<u64>>) {
         let index = Index::build(g, q);
         let est = FullEstimate::compute(&index);
+        let (prefix, _) = FullEstimate::tables(&index);
         let pulled = pulled_prefix(&index);
-        assert_eq!(est.prefix, pulled, "{q:?}");
+        assert_eq!(prefix, pulled, "{q:?}");
         for (i, row) in pulled.iter().enumerate() {
             let sum = row.iter().fold(0u64, |acc, &x| acc.saturating_add(x));
             assert_eq!(est.prefix_sum(i as u32), sum, "{q:?} level {i}");
         }
         assert_eq!(est.prefix_sum(q.k), est.suffix_sum(0), "{q:?}");
-        est
+        (est, prefix)
     }
 
     #[test]
     fn pushed_prefix_equals_the_pulled_one_cell_for_cell() {
         let mut nonempty = 0;
         let mut check = |g: &pathenum_graph::CsrGraph, q: Query| {
-            nonempty += usize::from(assert_push_matches_pull(g, q).total_walks() > 0);
+            nonempty += usize::from(assert_push_matches_pull(g, q).0.total_walks() > 0);
         };
         check(&figure1_graph(), Query::new(S, T, 4).unwrap());
         check(&figure1_graph(), Query::new(T, S, 4).unwrap());
@@ -260,8 +253,9 @@ mod tests {
         // 61^(i-1) walks end at each interior vertex of level i, which
         // fits through level 11; the 62 · 61^10 that reach t at level 12
         // do not, and neither does level 11 summed.
-        let est = assert_push_matches_pull(&complete_digraph(64), Query::new(0, 63, 12).unwrap());
-        let saturated = |i: usize| est.prefix[i].iter().filter(|&&c| c == u64::MAX).count();
+        let (est, prefix) =
+            assert_push_matches_pull(&complete_digraph(64), Query::new(0, 63, 12).unwrap());
+        let saturated = |i: usize| prefix[i].iter().filter(|&&c| c == u64::MAX).count();
         assert_eq!(saturated(11), 0);
         assert_eq!(est.prefix_sum(11), u64::MAX);
         assert_eq!(saturated(12), 1);

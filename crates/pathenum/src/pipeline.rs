@@ -13,7 +13,8 @@
 //!   slot its answer should be recorded under.
 //! * [`finish`] — interpret the plan against the sink through the
 //!   [`Executor`], teeing the answer into the result layer when there is
-//!   a slot for it.
+//!   a slot for it. Only a collecting request gets a slot: a count-only
+//!   one reads the result layer but keeps its bulk delivery on a miss.
 //!
 //! Every evaluator is a driver that sequences the stages and adds only
 //! what is its own, and every one of them hands the stages the same
@@ -207,7 +208,9 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
     /// mutation log — is replayed straight into `sink`, skipping
     /// planning *and* enumeration. Otherwise the request is
     /// [planned](Self::plan), with a slot to record its answer under
-    /// unless its results are uncacheable.
+    /// unless its results are uncacheable or `sink` counts only: a tee
+    /// takes paths one by one, and a count-only run keeps its bulk
+    /// delivery instead.
     pub(crate) fn acquire(
         &mut self,
         query: Query,
@@ -230,6 +233,7 @@ impl<G: GraphSnapshot> Pipeline<'_, G> {
                 None => results.note_bypass(),
             }
         }
+        let key = key.filter(|_| !sink.counts_only());
         Acquired::Planned(self.plan(query, request, key))
     }
 
@@ -489,7 +493,6 @@ pub(crate) fn finish<G: NeighborAccess>(
         results.insert(
             slot.key,
             slot.version,
-            plan,
             paths,
             response.termination,
             request.limit,
@@ -500,11 +503,13 @@ pub(crate) fn finish<G: NeighborAccess>(
 }
 
 /// Builds the response of a result-cache hit: the stored prefix is
-/// replayed into the caller's sink — no BFS, no index build, no search.
-/// Mirrors fresh-execution semantics exactly: a caller-sink stop ends
-/// the replay with that path counted as delivered and the response
-/// reading [`Termination::Completed`] (the stored termination applies
-/// only when the full prefix went out).
+/// replayed into the caller's sink — no BFS, no index build, no search —
+/// as one [`emit_count`](PathSink::emit_count) when the sink counts
+/// only. Mirrors fresh-execution semantics exactly: a caller-sink stop
+/// ends a per-path replay with that path counted as delivered and the
+/// response reading [`Termination::Completed`] (the stored termination
+/// applies only when the full prefix went out). A hit plans nothing, so
+/// its response carries no plan.
 fn replay_result_hit(
     cached: &CachedResult,
     sink: &mut dyn PathSink,
@@ -513,6 +518,10 @@ fn replay_result_hit(
     let replay_start = Instant::now();
     let mut delivered = 0usize;
     let mut stopped_early = false;
+    if sink.counts_only() && cached.served > 0 {
+        sink.emit_count(cached.served as u64);
+        delivered = cached.served;
+    }
     while delivered < cached.served {
         let control = sink.emit(cached.paths.get(delivered));
         delivered += 1;
@@ -543,7 +552,7 @@ fn replay_result_hit(
         },
         termination,
         paths: Vec::new(),
-        plan: Some(cached.plan),
+        plan: None,
     }
 }
 

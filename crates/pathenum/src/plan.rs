@@ -163,7 +163,9 @@ pub enum CacheOutcome {
     Hit,
     /// Served straight from the [result
     /// cache](crate::results::ResultCache): no BFS, no index build, *no
-    /// enumeration* — the stored paths were replayed into the sink.
+    /// enumeration* — the stored paths were replayed into the sink (as
+    /// one count, when it counts only). Nothing was planned, so the
+    /// response carries no plan.
     ResultHit,
     /// The evaluation stopped before the cache was even consulted: a
     /// pre-flight stopping rule (pre-cancelled token, zero time budget,

@@ -569,7 +569,10 @@ pub struct QueryResponse {
     pub paths: Vec<Vec<VertexId>>,
     /// The physical plan the engine executed (or, for an
     /// [`explain`](QueryRequest::explain) request, would have executed).
-    /// `None` only when a pre-flight stopping rule fired before planning.
+    /// `None` when a pre-flight stopping rule fired before planning, or
+    /// when the result layer answered: a result hit plans nothing, and
+    /// its [`report`](Self::report) reads
+    /// [`ResultHit`](crate::plan::CacheOutcome::ResultHit).
     pub plan: Option<crate::plan::PhysicalPlan>,
 }
 

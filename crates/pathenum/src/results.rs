@@ -11,12 +11,13 @@
 //! `tau`) — the full identity of an answer, bounds excluded — and
 //! guarded by the serving graph's [`GraphVersion`] epoch, storing the
 //! completed path set (a flat [`PathBuffer`]) together with its
-//! [`Termination`] and the limit it ran under. A hit replays the stored
-//! paths into the caller's sink — no BFS, no index build, no search —
-//! and reports
-//! [`CacheOutcome::ResultHit`](crate::plan::CacheOutcome::ResultHit).
+//! [`Termination`] and the limit it ran under — the answer, and nothing
+//! of the plan that produced it. A hit replays the stored paths into
+//! the caller's sink — no BFS, no index build, no search — and reports
+//! [`CacheOutcome::ResultHit`](crate::plan::CacheOutcome::ResultHit)
+//! with no plan.
 //!
-//! Three rules keep replays byte-identical to fresh execution:
+//! Four rules keep replays byte-identical to fresh execution:
 //!
 //! * **Limits are served, not keyed.** The sequential enumeration order
 //!   is deterministic and the same for both methods, so a `limit(n)`
@@ -27,11 +28,12 @@
 //!   might be owed paths the entry never captured, so it misses and
 //!   re-runs). Nothing else is stored: a
 //!   [`Termination::DeadlineExceeded`] prefix depends on how fast the
-//!   machine was, so no replay of it can match a fresh run. The
-//!   method is chosen per request from its limit
-//!   ([`decide`](crate::optimizer::decide)), so the plan a replay
-//!   reports — the one that produced the stored answer — need not be
-//!   the one a fresh run of that limit would pick; the paths are.
+//!   machine was, so no replay of it can match a fresh run.
+//! * **Collecting requests record; count-only requests read.** A
+//!   request whose sink counts only ([`PathSink::counts_only`]) probes
+//!   the layer, and a hit hands it the served prefix as one
+//!   [`emit_count`](PathSink::emit_count). Its miss is never teed, so
+//!   the kernels keep counting it in bulk and nothing is recorded.
 //! * **Mutation streams retain surgically.** Entries recorded on a graph
 //!   that keeps a mutation log (a
 //!   [`DynamicEngine`](crate::DynamicEngine)'s) carry the same
@@ -72,16 +74,17 @@ use std::sync::Arc;
 
 use pathenum_graph::{GraphVersion, VertexId};
 
-use crate::plan::{GraphStamp, IndexFootprint, PhysicalPlan, PlanKey};
+use crate::plan::{GraphStamp, IndexFootprint, PlanKey};
 use crate::request::Termination;
 use crate::sharded::{Retained, Sharded};
 use crate::sink::{PathBuffer, PathSink, SearchControl};
 
 /// A pass-through sink that records a copy of every path the caller's
-/// sink accepted, so a cold run doubles as the recording for the result
-/// cache. Sits *inside* the request's
+/// sink accepted, so a cold collecting run doubles as the recording for
+/// the result cache. Sits *inside* the request's
 /// [`ControlledSink`](crate::request::ControlledSink), so it sees exactly
-/// the admitted result sequence.
+/// the admitted result sequence. It takes paths one by one; a
+/// count-only request never gets one, so its delivery stays in bulk.
 ///
 /// The recording is bounded by `max_bytes` — the largest entry the cache
 /// could ever admit. Once the buffer's heap footprint passes it, the
@@ -146,9 +149,6 @@ impl PathSink for TeeSink<'_> {
 /// answer without touching the graph.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedResult {
-    /// The plan that produced the stored paths (for the response's
-    /// report; `Copy`, so handing it out is free).
-    pub plan: PhysicalPlan,
     /// The stored path sequence (shared — replay happens outside any
     /// cache lock).
     pub paths: Arc<PathBuffer>,
@@ -163,11 +163,10 @@ pub(crate) struct CachedResult {
 /// the measured path/footprint bytes (map slot, entry struct, `Arc`).
 pub(crate) const ENTRY_OVERHEAD_BYTES: usize = 192;
 
-/// One [`ResultCache`] entry: a recorded answer, the plan that produced
-/// it, and the limit it ran under.
+/// One [`ResultCache`] entry: a recorded answer, how it ended, and the
+/// limit it ran under.
 #[derive(Debug)]
 pub struct ResultEntry {
-    plan: PhysicalPlan,
     paths: Arc<PathBuffer>,
     /// [`Termination::Completed`] or [`Termination::LimitReached`]: no
     /// other run is stored.
@@ -287,7 +286,6 @@ impl ResultCache {
             lru.lookup(key, at, |entry| {
                 let (served, termination) = entry.serve(limit)?;
                 Some(CachedResult {
-                    plan: entry.plan,
                     paths: Arc::clone(&entry.paths),
                     served,
                     termination,
@@ -306,12 +304,10 @@ impl ResultCache {
     /// answer never displaces a better one for the same key at the same
     /// version (a `Completed` entry is never overwritten by a truncated
     /// re-run under a tighter limit).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert(
         &self,
         key: PlanKey,
         version: GraphVersion,
-        plan: PhysicalPlan,
         paths: PathBuffer,
         termination: Termination,
         limit: Option<u64>,
@@ -333,7 +329,6 @@ impl ResultCache {
                 + footprint.as_ref().map_or(0, IndexFootprint::heap_bytes)
                 + ENTRY_OVERHEAD_BYTES;
             let entry = ResultEntry {
-                plan,
                 paths: Arc::new(paths),
                 termination,
                 limit,
@@ -347,23 +342,8 @@ impl ResultCache {
 mod tests {
     use super::*;
     use crate::optimizer::PathEnumConfig;
-    use crate::plan::plan_on_index;
     use crate::query::Query;
     use crate::request::QueryRequest;
-    use crate::stats::PhaseTimings;
-
-    fn sample_plan() -> PhysicalPlan {
-        let g = crate::index::test_support::figure1_graph();
-        let query = Query::new(
-            crate::index::test_support::S,
-            crate::index::test_support::T,
-            4,
-        )
-        .unwrap();
-        let index = crate::index::Index::build(&g, query);
-        let mut timings = PhaseTimings::default();
-        plan_on_index(&index, PathEnumConfig::default(), &mut timings)
-    }
 
     fn buffer(paths: &[&[u32]]) -> PathBuffer {
         let mut buf = PathBuffer::new();
@@ -390,15 +370,7 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let v = GraphVersion::next();
         let paths = buffer(&[&[0, 2, 1], &[0, 3, 1], &[0, 4, 1]]);
-        cache.insert(
-            key(4),
-            v,
-            sample_plan(),
-            paths,
-            Termination::Completed,
-            None,
-            None,
-        );
+        cache.insert(key(4), v, paths, Termination::Completed, None, None);
 
         let full = cache.lookup(&key(4), None, v).unwrap();
         assert_eq!(full.served, 3);
@@ -426,7 +398,6 @@ mod tests {
         cache.insert(
             key(4),
             v,
-            sample_plan(),
             buffer(&[&[0, 2, 1], &[0, 3, 1]]),
             Termination::LimitReached,
             Some(2),
@@ -457,7 +428,6 @@ mod tests {
         cache.insert(
             key(4),
             v,
-            sample_plan(),
             buffer(&[&[0, 2, 1]]),
             Termination::DeadlineExceeded,
             None,
@@ -475,7 +445,6 @@ mod tests {
         cache.insert(
             key(4),
             v1,
-            sample_plan(),
             buffer(&[&[0, 2, 1]]),
             Termination::Completed,
             None,
@@ -501,7 +470,6 @@ mod tests {
             cache.insert(
                 key(k),
                 v,
-                sample_plan(),
                 buffer(&[&long]),
                 Termination::Completed,
                 None,
@@ -519,7 +487,6 @@ mod tests {
         cache.insert(
             key(9),
             v,
-            sample_plan(),
             buffer(&[&huge]),
             Termination::Completed,
             None,
@@ -535,7 +502,6 @@ mod tests {
         cache.insert(
             key(4),
             v,
-            sample_plan(),
             buffer(&[&[0, 2, 1], &[0, 3, 1]]),
             Termination::Completed,
             None,
@@ -544,7 +510,6 @@ mod tests {
         cache.insert(
             key(4),
             v,
-            sample_plan(),
             buffer(&[&[0, 2, 1]]),
             Termination::LimitReached,
             Some(1),
@@ -562,7 +527,6 @@ mod tests {
         cache.insert(
             key(4),
             v,
-            sample_plan(),
             buffer(&[&[0, 2, 1]]),
             Termination::Completed,
             None,
@@ -579,7 +543,6 @@ mod tests {
         cache.insert(
             key(4),
             v,
-            sample_plan(),
             buffer(&[&[0, 2, 1]]),
             Termination::Cancelled,
             None,
@@ -595,7 +558,6 @@ mod tests {
         cache.insert(
             key(4),
             v,
-            sample_plan(),
             buffer(&[&[0, 2, 1]]),
             Termination::Completed,
             None,

@@ -618,7 +618,6 @@ mod tests {
             budget in 0usize..6000,
             ops in proptest::collection::vec((0u32..10, 0u32..8, 1u32..400, 0u32..6), 1..160),
         ) {
-            let (plan, _) = plan_entry();
             let cache = ResultCache::new(budget);
             let mut model = Model::new(budget);
             let mut now = GraphVersion::next();
@@ -646,7 +645,7 @@ mod tests {
                         } else {
                             (Termination::LimitReached, Some(count as u64))
                         };
-                        cache.insert(result_key(key), now, plan, paths, termination, limit, None);
+                        cache.insert(result_key(key), now, paths, termination, limit, None);
                         for gone in evicted {
                             prop_assert!(!model.lookup(gone, now, |_| true));
                             prop_assert!(cache.lookup(&result_key(gone), None, now).is_none(), "step {}: {} evicted", step, gone);

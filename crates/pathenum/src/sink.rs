@@ -18,10 +18,12 @@
 //! through [`PathSink::emit_count`]: IDX-DFS at most once per frame
 //! activation, IDX-JOIN at most once per prefix. No emission order applies to a count. Counters,
 //! answers and termination are those of the per-path run. [`CountingSink`]
-//! and a non-collecting request's own sink count only; a request `limit`,
-//! the result layer's tee and a constraint's filter each need the paths,
-//! so they turn count-only delivery off, as does every sink that keeps
-//! the defaults.
+//! and a non-collecting request's own sink count only; a request `limit`
+//! and a constraint's filter each need the paths, so they turn count-only
+//! delivery off, as does every sink that keeps the defaults. The result
+//! layer's tee takes paths one by one too, but it never wraps a sink
+//! that counts only: such a request reads the layer, as one
+//! `emit_count` on a hit, and is never recorded.
 
 use pathenum_graph::VertexId;
 

@@ -7,14 +7,15 @@
 //!   limits; either way the response equals a cache-free oracle's.
 //! * The method is chosen per request from its limit; a completed
 //!   answer still serves every limit, path for path what a fresh run of
-//!   that limit returns, reporting the plan that produced it.
+//!   that limit returns. A result hit plans nothing and reports no plan.
 //! * Footprint retention over mutation streams never serves a stale
 //!   answer: after every insert/remove, the caching engine matches a
 //!   cache-free engine on the mutated graph exactly — whether the entry
 //!   was retained, invalidated, or replayed.
-//! * A count-only miss is recorded like any other: a later collecting
-//!   request replays the stored answer, path for path what a fresh
-//!   collecting run returns.
+//! * Collecting requests record; count-only requests read. A count-only
+//!   miss is delivered exactly as with no result layer — in bulk — and
+//!   records nothing. A count-only hit is one `emit_count` of the served
+//!   prefix.
 //! * A batch submitted to the catalog and waited in order is
 //!   byte-identical to solo engine execution across worker counts
 //!   {1, 2, 4, 8}, and the stats invariant
@@ -273,23 +274,195 @@ proptest! {
     }
 }
 
-/// A request that does not collect is still recorded path by path when
-/// the result layer is on (its tee takes paths one by one), so its miss
-/// stores an answer that a collecting request then replays.
+/// A sink that counts only, and counts the calls it receives.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct CallCounter {
+    emits: u64,
+    emit_counts: u64,
+    counted: u64,
+}
+
+impl PathSink for CallCounter {
+    fn emit(&mut self, _path: &[VertexId]) -> SearchControl {
+        self.emits += 1;
+        SearchControl::Continue
+    }
+
+    fn counts_only(&self) -> bool {
+        true
+    }
+
+    fn emit_count(&mut self, n: u64) -> SearchControl {
+        self.emit_counts += 1;
+        self.counted += n;
+        SearchControl::Continue
+    }
+}
+
+/// How a count-only request was delivered and answered.
+type Delivery = (CallCounter, Counters, Termination, CacheOutcome);
+
+fn method_request(method: Option<Method>, collect: bool) -> QueryRequest<'static> {
+    let request = QueryRequest::paths(0, 7).max_hops(5).collect_paths(collect);
+    match method {
+        Some(method) => request.method(method),
+        None => request,
+    }
+}
+
+/// Runs `request` twice through `engine` into a [`CallCounter`], with
+/// `results` attached when given; returns both deliveries and the result
+/// layer afterwards.
+fn deliver_twice<G: GraphSnapshot>(
+    mut engine: QueryEngine<'_, G>,
+    results: Option<ResultCache>,
+    request: &QueryRequest<'_>,
+) -> (Vec<Delivery>, Option<ResultCache>) {
+    if let Some(results) = results {
+        engine = engine.with_result_cache(results);
+    }
+    let deliveries = (0..2)
+        .map(|_| {
+            let mut sink = CallCounter::default();
+            let response = engine.execute_into(request, &mut sink).unwrap();
+            let report = response.report;
+            (sink, report.counters, response.termination, report.cache)
+        })
+        .collect();
+    (deliveries, engine.into_result_cache())
+}
+
+/// With a result cache attached, a count-only request is delivered
+/// exactly as without one — in bulk, through the same calls — on the
+/// engine and on the dynamic engine, cold and repeated, and the layer
+/// records nothing.
 #[test]
-fn count_only_misses_store_answers_that_collecting_requests_replay() {
+fn count_only_requests_are_delivered_alike_with_or_without_a_result_cache() {
+    use pathenum_repro::graph::generators::complete_digraph;
+
+    let graph = complete_digraph(8);
+    let dynamic_graph = DynamicGraph::new(graph.clone());
+    let config = PathEnumConfig::default();
+    for method in [None, Some(Method::IdxDfs), Some(Method::IdxJoin)] {
+        let request = method_request(method, false);
+        for dynamic in [false, true] {
+            let at = format!("{method:?}, dynamic {dynamic}");
+            let [plain, cached] = [None, Some(ResultCache::default())].map(|results| {
+                let (deliveries, results) = if dynamic {
+                    let engine = DynamicEngine::new(&dynamic_graph, config);
+                    deliver_twice(engine, results, &request)
+                } else {
+                    deliver_twice(QueryEngine::new(&graph, config), results, &request)
+                };
+                if let Some(results) = results {
+                    assert_eq!(results.len(), 0, "{at}");
+                    assert_eq!(results.bytes(), 0, "{at}");
+                }
+                deliveries
+            });
+            assert_eq!(plain, cached, "{at}");
+            let (calls, counters, termination, cache) = &plain[0];
+            assert_eq!(calls.emits, 0, "{at}: delivered in bulk");
+            assert!(calls.emit_counts > 0, "{at}");
+            assert_eq!(calls.counted, counters.results, "{at}");
+            assert_eq!(*termination, Termination::Completed, "{at}");
+            assert_eq!(*cache, CacheOutcome::Miss, "{at}");
+            assert_eq!(
+                plain[1].3,
+                CacheOutcome::Hit,
+                "{at}: a repeat is a plan hit"
+            );
+        }
+    }
+}
+
+/// After a collecting request records an answer, a count-only hit is
+/// one `emit_count` of the served prefix — for a completed entry,
+/// unlimited and at a tighter limit, and for a limit-truncated one —
+/// answering what a cache-free engine answers.
+#[test]
+fn a_count_only_hit_is_one_emit_count() {
+    use pathenum_repro::graph::generators::complete_digraph;
+
+    let graph = complete_digraph(8);
+    let config = PathEnumConfig::default();
+    let request = |limit: Option<u64>, collect: bool| {
+        let request = QueryRequest::paths(0, 7).max_hops(5).collect_paths(collect);
+        match limit {
+            Some(limit) => request.limit(limit),
+            None => request,
+        }
+    };
+    // (the recording request's limit, the count-only request's limit)
+    let cases = [
+        (None, None),
+        (None, Some(10)),
+        (Some(20), Some(20)),
+        (Some(20), Some(5)),
+    ];
+    for (recorded, limit) in cases {
+        let at = format!("recorded under {recorded:?}, served under {limit:?}");
+        let mut engine = QueryEngine::new(&graph, config).with_result_cache(ResultCache::default());
+        let recording = engine.execute(&request(recorded, true)).unwrap();
+        assert_eq!(recording.report.cache, CacheOutcome::Miss, "{at}");
+        let expected = QueryEngine::new(&graph, config)
+            .execute(&request(limit, false))
+            .unwrap();
+
+        let mut sink = CallCounter::default();
+        let hit = engine
+            .execute_into(&request(limit, false), &mut sink)
+            .unwrap();
+        assert_eq!(hit.report.cache, CacheOutcome::ResultHit, "{at}");
+        let served = expected.num_results();
+        assert!(served > 0, "{at}");
+        let one_call = CallCounter {
+            emits: 0,
+            emit_counts: 1,
+            counted: served,
+        };
+        assert_eq!(sink, one_call, "{at}");
+        assert_eq!(hit.num_results(), served, "{at}");
+        assert_eq!(hit.termination, expected.termination, "{at}");
+    }
+}
+
+/// A result hit plans nothing, so it reports no plan — not the plan of
+/// the request that recorded the answer.
+#[test]
+fn a_result_hit_reports_no_plan() {
+    use pathenum_repro::graph::generators::complete_digraph;
+
+    let graph = complete_digraph(10);
+    let mut engine = QueryEngine::new(&graph, PathEnumConfig::default())
+        .with_result_cache(ResultCache::default());
+    let unlimited = || QueryRequest::paths(0, 9).max_hops(4).collect_paths(true);
+    let recorded = engine.execute(&unlimited()).unwrap();
+    assert_eq!(recorded.plan.unwrap().limit, None);
+
+    let limited = unlimited().limit(3);
+    let hit = engine.execute(&limited).unwrap();
+    assert_eq!(hit.report.cache, CacheOutcome::ResultHit);
+    assert!(hit.plan.is_none());
+    let fresh = QueryEngine::new(&graph, PathEnumConfig::default())
+        .execute(&limited)
+        .unwrap();
+    assert_eq!(fresh.plan.unwrap().limit, Some(3));
+    assert_eq!(hit.paths, fresh.paths);
+    assert_eq!(hit.termination, fresh.termination);
+}
+
+/// A count-only miss records nothing, so a collecting follow-up plans
+/// from the plan layer; the collecting miss's entry then serves a
+/// count-only request as a result hit with the fresh count.
+#[test]
+fn count_only_misses_record_nothing_and_read_collected_answers() {
     use pathenum_repro::graph::generators::complete_digraph;
 
     let graph = complete_digraph(8);
     let config = PathEnumConfig::default();
     for method in [None, Some(Method::IdxDfs), Some(Method::IdxJoin)] {
-        let build = |collect: bool| {
-            let request = QueryRequest::paths(0, 7).max_hops(5).collect_paths(collect);
-            match method {
-                Some(method) => request.method(method),
-                None => request,
-            }
-        };
+        let build = |collect: bool| method_request(method, collect);
         let fresh = QueryEngine::new(&graph, config)
             .execute(&build(true))
             .unwrap();
@@ -299,24 +472,27 @@ fn count_only_misses_store_answers_that_collecting_requests_replay() {
         assert_eq!(counted.report.cache, CacheOutcome::Miss, "{method:?}");
         assert!(counted.paths.is_empty(), "{method:?}");
         assert_eq!(counted.num_results(), fresh.num_results(), "{method:?}");
-        let replayed = caching.execute(&build(true)).unwrap();
-        assert_eq!(replayed.report.cache, CacheOutcome::ResultHit, "{method:?}");
-        assert_eq!(replayed.paths, fresh.paths, "{method:?}");
-        assert_eq!(replayed.termination, fresh.termination, "{method:?}");
-        assert_eq!(replayed.num_results(), fresh.num_results(), "{method:?}");
-        assert_eq!(
-            replayed.plan.unwrap().method,
-            fresh.plan.unwrap().method,
-            "{method:?}"
-        );
+        assert!(caching.result_cache().unwrap().is_empty(), "{method:?}");
+
+        let collected = caching.execute(&build(true)).unwrap();
+        assert_eq!(collected.report.cache, CacheOutcome::Hit, "{method:?}");
+        assert_eq!(collected.paths, fresh.paths, "{method:?}");
+        assert_eq!(collected.termination, fresh.termination, "{method:?}");
+
+        let read = caching.execute(&build(false)).unwrap();
+        assert_eq!(read.report.cache, CacheOutcome::ResultHit, "{method:?}");
+        assert!(read.paths.is_empty(), "{method:?}");
+        assert!(read.plan.is_none(), "{method:?}");
+        assert_eq!(read.num_results(), fresh.num_results(), "{method:?}");
+        assert_eq!(read.termination, fresh.termination, "{method:?}");
     }
 }
 
 /// Mixed limits on one key, `q(0, 10, 6)` over K11, where an unlimited
 /// request joins (cut 3) and a `limit(5)` one streams. Both methods emit
 /// in the same order, so a prefix of the stored IDX-JOIN answer is path
-/// for path what a fresh `limit(5)` IDX-DFS run returns; the replay
-/// reports the plan that produced the stored answer.
+/// for path what a fresh `limit(5)` IDX-DFS run returns; a replay plans
+/// nothing and reports no plan.
 #[test]
 fn mixed_limits_on_one_key_replay_prefixes_of_the_stored_answer() {
     use pathenum_repro::graph::generators::complete_digraph;
@@ -346,23 +522,23 @@ fn mixed_limits_on_one_key_replay_prefixes_of_the_stored_answer() {
     }
     assert_eq!(fresh[0].paths.len(), 18_730);
 
-    // (request, cache outcome, reported method)
-    let scripts: [&[(usize, CacheOutcome, Method)]; 2] = [
+    // (request, cache outcome, reported method: none on a replay)
+    let scripts: [&[(usize, CacheOutcome, Option<Method>)]; 2] = [
         // The completed IDX-JOIN answer serves every limit.
         &[
-            (0, Miss, IdxJoin),
-            (1, ResultHit, IdxJoin),
-            (2, ResultHit, IdxJoin),
-            (0, ResultHit, IdxJoin),
+            (0, Miss, Some(IdxJoin)),
+            (1, ResultHit, None),
+            (2, ResultHit, None),
+            (0, ResultHit, None),
         ],
         // A truncated IDX-DFS answer serves its own shape, is too short
         // for the unlimited request, and is superseded by its answer.
         &[
-            (1, Miss, IdxDfs),
-            (1, ResultHit, IdxDfs),
-            (0, Hit, IdxJoin),
-            (1, ResultHit, IdxJoin),
-            (2, ResultHit, IdxJoin),
+            (1, Miss, Some(IdxDfs)),
+            (1, ResultHit, None),
+            (0, Hit, Some(IdxJoin)),
+            (1, ResultHit, None),
+            (2, ResultHit, None),
         ],
     ];
     for steps in scripts {
@@ -374,7 +550,7 @@ fn mixed_limits_on_one_key_replay_prefixes_of_the_stored_answer() {
             assert_eq!(response.report.cache, outcome, "{at}");
             assert_eq!(response.paths, fresh[which].paths, "{at}");
             assert_eq!(response.termination, fresh[which].termination, "{at}");
-            assert_eq!(response.plan.unwrap().method, method, "{at}");
+            assert_eq!(response.plan.map(|plan| plan.method), method, "{at}");
         }
         let stats = caching.result_cache_stats();
         assert_eq!(stats.hits + stats.misses + stats.bypasses, stats.lookups);
