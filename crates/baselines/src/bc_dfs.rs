@@ -22,22 +22,23 @@ use std::time::Instant;
 use pathenum::query::Query;
 use pathenum::sink::{PathSink, SearchControl};
 use pathenum::stats::Counters;
+use pathenum::RunReport;
 use pathenum_graph::types::{Distance, INFINITE_DISTANCE};
 use pathenum_graph::{CsrGraph, VertexId};
 
-use crate::common::{base_distances_to_t, empty_report, query_is_runnable, BaselineReport};
+use crate::common::{base_distances_to_t, query_is_runnable, run_report};
 
 /// Sentinel for "barrier has no stack dependency".
 const NO_DEPENDENCY: i32 = -1;
 
 /// Runs BC-DFS on `query`, streaming results into `sink`.
-pub fn bc_dfs(graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> BaselineReport {
+pub fn bc_dfs(graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> RunReport {
     if !query_is_runnable(graph, query) {
-        return empty_report();
+        return RunReport::default();
     }
     let prep_start = Instant::now();
     let base = base_distances_to_t(graph, query.t, query.k);
-    let preprocessing = prep_start.elapsed();
+    let bfs = prep_start.elapsed();
 
     let mut counters = Counters::default();
     let enum_start = Instant::now();
@@ -58,13 +59,7 @@ pub fn bc_dfs(graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> Baseli
         state.search();
         state.on_stack_depth[query.s as usize] = NO_DEPENDENCY;
     }
-    let enumeration = enum_start.elapsed();
-
-    BaselineReport {
-        preprocessing,
-        enumeration,
-        counters,
-    }
+    run_report(bfs, enum_start.elapsed(), counters)
 }
 
 struct BarrierSearch<'a> {

@@ -13,32 +13,26 @@ use std::time::Instant;
 use pathenum::query::Query;
 use pathenum::sink::{PathSink, SearchControl};
 use pathenum::stats::Counters;
+use pathenum::RunReport;
 use pathenum_graph::hashing::FxHashMap;
 use pathenum_graph::types::Distance;
 use pathenum_graph::{CsrGraph, VertexId};
 
-use crate::common::{base_distances_to_t, empty_report, query_is_runnable, BaselineReport};
+use crate::common::{base_distances_to_t, query_is_runnable, run_report};
 
 /// Runs BC-JOIN on `query`, streaming results into `sink`.
-pub fn bc_join(graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> BaselineReport {
+pub fn bc_join(graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> RunReport {
     if !query_is_runnable(graph, query) {
-        return empty_report();
+        return RunReport::default();
     }
     let prep_start = Instant::now();
     let dist_t = base_distances_to_t(graph, query.t, query.k);
-    let preprocessing = prep_start.elapsed();
+    let bfs = prep_start.elapsed();
 
     let mut counters = Counters::default();
     let enum_start = Instant::now();
-    let control = run_join(graph, query, &dist_t, sink, &mut counters);
-    let enumeration = enum_start.elapsed();
-    let _ = control;
-
-    BaselineReport {
-        preprocessing,
-        enumeration,
-        counters,
-    }
+    run_join(graph, query, &dist_t, sink, &mut counters);
+    run_report(bfs, enum_start.elapsed(), counters)
 }
 
 fn run_join(

@@ -3,28 +3,26 @@
 use std::time::Duration;
 
 use pathenum::query::Query;
-use pathenum::stats::Counters;
+use pathenum::stats::{Counters, PhaseTimings};
+use pathenum::RunReport;
 use pathenum_graph::bfs::{distances, BfsOptions, Direction};
 use pathenum_graph::types::Distance;
 use pathenum_graph::CsrGraph;
 
-/// Phase breakdown and counters of one baseline run, mirroring
-/// [`pathenum::RunReport`] for fair comparison.
-#[derive(Debug, Clone)]
-pub struct BaselineReport {
-    /// Preprocessing (the initial distance BFS, plus materialization for
-    /// the join variant).
-    pub preprocessing: Duration,
-    /// Enumeration time.
-    pub enumeration: Duration,
-    /// Counters equivalent to the PathEnum ones.
-    pub counters: Counters,
-}
-
-impl BaselineReport {
-    /// Total query time.
-    pub fn total(&self) -> Duration {
-        self.preprocessing + self.enumeration
+/// A baseline run's [`RunReport`]: its preprocessing is the distance
+/// BFS `bfs` (zero for the searches without one), which `PhaseTimings`
+/// counts under both `bfs` and `index_build`, since the build includes
+/// its BFS. A baseline never caches, so `cache` keeps its default.
+pub(crate) fn run_report(bfs: Duration, enumeration: Duration, counters: Counters) -> RunReport {
+    RunReport {
+        timings: PhaseTimings {
+            bfs,
+            index_build: bfs,
+            enumeration,
+            ..PhaseTimings::default()
+        },
+        counters,
+        ..RunReport::default()
     }
 }
 
@@ -57,15 +55,6 @@ pub fn query_is_runnable(graph: &CsrGraph, query: Query) -> bool {
     query.validate(graph.num_vertices()).is_ok()
 }
 
-/// Helper: an empty report with the given counters.
-pub fn empty_report() -> BaselineReport {
-    BaselineReport {
-        preprocessing: Duration::ZERO,
-        enumeration: Duration::ZERO,
-        counters: Counters::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,13 +77,5 @@ mod tests {
         assert!(within_budget(1, 2, 4)); // 2 + 1 + 1 = 4 <= 4
         assert!(!within_budget(2, 2, 4)); // 2 + 1 + 2 = 5 > 4
         assert!(!within_budget(pathenum_graph::INFINITE_DISTANCE, 0, 4));
-    }
-
-    #[test]
-    fn report_total_sums_phases() {
-        let mut r = empty_report();
-        r.preprocessing = Duration::from_millis(2);
-        r.enumeration = Duration::from_millis(3);
-        assert_eq!(r.total(), Duration::from_millis(5));
     }
 }

@@ -5,11 +5,10 @@ use std::time::Instant;
 use pathenum::query::Query;
 use pathenum::sink::{PathSink, SearchControl};
 use pathenum::stats::Counters;
+use pathenum::RunReport;
 use pathenum_graph::{CsrGraph, VertexId};
 
-use crate::common::{
-    base_distances_to_t, empty_report, query_is_runnable, within_budget, BaselineReport,
-};
+use crate::common::{base_distances_to_t, query_is_runnable, run_report, within_budget};
 
 /// Algorithm 1: backtracking over the raw graph, pruning with the *static*
 /// distances `B(v) = S(v, t | G)` computed by one BFS before enumeration.
@@ -17,25 +16,19 @@ use crate::common::{
 /// This is the framework all published baselines instantiate; on its own
 /// it is the weakest competitor because `B` is never updated as the
 /// partial path blocks shortest routes.
-pub fn generic_dfs(graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> BaselineReport {
+pub fn generic_dfs(graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> RunReport {
     if !query_is_runnable(graph, query) {
-        return empty_report();
+        return RunReport::default();
     }
     let prep_start = Instant::now();
     let dist = base_distances_to_t(graph, query.t, query.k);
-    let preprocessing = prep_start.elapsed();
+    let bfs = prep_start.elapsed();
 
     let mut counters = Counters::default();
     let enum_start = Instant::now();
     let mut partial: Vec<VertexId> = vec![query.s];
     search(graph, query, &dist, &mut partial, sink, &mut counters);
-    let enumeration = enum_start.elapsed();
-
-    BaselineReport {
-        preprocessing,
-        enumeration,
-        counters,
-    }
+    run_report(bfs, enum_start.elapsed(), counters)
 }
 
 fn search(

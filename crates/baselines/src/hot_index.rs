@@ -21,16 +21,17 @@
 //!   final pieces are always enumerated cold — this keeps the
 //!   derivation canonical and duplicate-free).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pathenum::query::Query;
 use pathenum::sink::{PathSink, SearchControl};
 use pathenum::stats::Counters;
+use pathenum::RunReport;
 use pathenum_graph::hashing::FxHashMap;
 use pathenum_graph::properties::degree_split;
 use pathenum_graph::{CsrGraph, VertexId};
 
-use crate::common::{empty_report, query_is_runnable, BaselineReport};
+use crate::common::{query_is_runnable, run_report};
 
 /// One indexed hot-to-hot segment: the full vertex sequence, endpoints
 /// included (`path[0]` and `path.last()` are hot, the interior is cold).
@@ -150,10 +151,10 @@ pub fn hot_index_enumerate(
     index: &HotIndex,
     query: Query,
     sink: &mut dyn PathSink,
-) -> BaselineReport {
+) -> RunReport {
     assert!(index.k_max() >= query.k, "index k_max must cover the query");
     if !query_is_runnable(graph, query) {
-        return empty_report();
+        return RunReport::default();
     }
     let mut counters = Counters::default();
     let enum_start = Instant::now();
@@ -166,11 +167,7 @@ pub fn hot_index_enumerate(
         counters: &mut counters,
     };
     search.cold_step();
-    BaselineReport {
-        preprocessing: std::time::Duration::ZERO,
-        enumeration: enum_start.elapsed(),
-        counters,
-    }
+    run_report(Duration::ZERO, enum_start.elapsed(), counters)
 }
 
 struct HotSearch<'a> {

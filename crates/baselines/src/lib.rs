@@ -21,8 +21,11 @@
 //!   memory blow-up the PathEnum paper criticizes.
 //!
 //! All of them work directly on the graph (global vertex ids) — none uses
-//! the PathEnum index — and report the same phase/counter breakdown so the
-//! experiment harness can compare them fairly.
+//! the PathEnum index — and each reports the library's own
+//! [`RunReport`](pathenum::RunReport), so the experiment harness reads
+//! one record for every competitor. A baseline's preprocessing is its
+//! distance BFS (`timings.bfs`, also counted in `timings.index_build`);
+//! its `cache` is the default `Bypass`, since it never caches.
 
 pub mod bc_dfs;
 pub mod bc_join;
@@ -34,7 +37,6 @@ pub mod yen;
 
 pub use bc_dfs::bc_dfs;
 pub use bc_join::bc_join;
-pub use common::BaselineReport;
 pub use generic_dfs::generic_dfs;
 pub use hot_index::{hot_index_enumerate, HotIndex};
 pub use t_dfs::t_dfs;

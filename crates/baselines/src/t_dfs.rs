@@ -9,19 +9,20 @@
 //! as the reason these theoretical algorithms lose in practice.
 
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pathenum::query::Query;
 use pathenum::sink::{PathSink, SearchControl};
 use pathenum::stats::Counters;
+use pathenum::RunReport;
 use pathenum_graph::{CsrGraph, VertexId};
 
-use crate::common::{empty_report, query_is_runnable, BaselineReport};
+use crate::common::{query_is_runnable, run_report};
 
 /// Runs T-DFS on `query`, streaming results into `sink`.
-pub fn t_dfs(graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> BaselineReport {
+pub fn t_dfs(graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> RunReport {
     if !query_is_runnable(graph, query) {
-        return empty_report();
+        return RunReport::default();
     }
     let mut counters = Counters::default();
     let enum_start = Instant::now();
@@ -41,14 +42,8 @@ pub fn t_dfs(graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> Baselin
     if state.reaches_t_avoiding_stack(query.s, query.k) {
         state.search(&mut emit);
     }
-    let enumeration = enum_start.elapsed();
-
-    BaselineReport {
-        // T-DFS has no preprocessing phase: all work happens per step.
-        preprocessing: std::time::Duration::ZERO,
-        enumeration,
-        counters,
-    }
+    // T-DFS has no preprocessing phase: all work happens per step.
+    run_report(Duration::ZERO, enum_start.elapsed(), counters)
 }
 
 struct TDfs<'a> {

@@ -11,33 +11,30 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pathenum::query::Query;
 use pathenum::sink::{PathSink, SearchControl};
 use pathenum::stats::Counters;
+use pathenum::RunReport;
 use pathenum_graph::hashing::FxHashSet;
 use pathenum_graph::{CsrGraph, VertexId};
 
-use crate::common::{empty_report, query_is_runnable, BaselineReport};
+use crate::common::{query_is_runnable, run_report};
 
 /// Runs the Yen-based HcPE evaluation, streaming results into `sink`.
 ///
 /// Results are emitted in ascending length order (ties broken by vertex
 /// sequence); enumeration stops as soon as the next shortest simple path
 /// is longer than `k` or the path space is exhausted.
-pub fn yen_ksp(graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> BaselineReport {
+pub fn yen_ksp(graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> RunReport {
     if !query_is_runnable(graph, query) {
-        return empty_report();
+        return RunReport::default();
     }
     let mut counters = Counters::default();
     let enum_start = Instant::now();
     run(graph, query, sink, &mut counters);
-    BaselineReport {
-        preprocessing: std::time::Duration::ZERO,
-        enumeration: enum_start.elapsed(),
-        counters,
-    }
+    run_report(Duration::ZERO, enum_start.elapsed(), counters)
 }
 
 /// Candidate path ordered by (length, lexicographic sequence) so the heap

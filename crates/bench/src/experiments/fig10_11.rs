@@ -31,11 +31,11 @@ pub fn run(config: &ExperimentConfig) {
         let mut log_index = Vec::new();
         let mut log_results = Vec::new();
         for m in &summary.measurements {
-            let enum_secs = m.report.enumeration.as_secs_f64();
+            let enum_secs = m.report.timings.enumeration.as_secs_f64();
             if enum_secs <= 0.0 || m.results == 0 {
                 continue;
             }
-            let index_edges = m.report.index_edges.unwrap_or(0);
+            let index_edges = m.plan.map_or(0, |plan| plan.index_edges);
             if index_edges == 0 {
                 continue;
             }

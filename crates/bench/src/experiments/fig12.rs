@@ -6,7 +6,7 @@ use pathenum::estimator::FullEstimate;
 use pathenum::index::BuildScratch;
 use pathenum::{enumerate, optimize_join_order, Counters, Index};
 use pathenum_workloads::datasets;
-use pathenum_workloads::runner::BoundedSink;
+use pathenum_workloads::runner::per_path_sink;
 
 use crate::config::ExperimentConfig;
 use crate::experiments::support::default_queries;
@@ -48,14 +48,14 @@ pub fn run(config: &ExperimentConfig) {
         let plan = optimize_join_order(&index, &estimate);
         let optimize = opt_start.elapsed();
 
-        let mut dfs_sink = BoundedSink::new(None, Some(config.time_limit));
+        let mut dfs_sink = per_path_sink(None, Some(config.time_limit));
         let mut counters = Counters::default();
         let dfs_start = std::time::Instant::now();
         enumerate::idx_dfs(&index, &mut dfs_sink, &mut counters);
         let dfs_time = dfs_start.elapsed();
 
         let cut = plan.map(|p| p.cut.clamp(1, k - 1)).unwrap_or(k / 2);
-        let mut join_sink = BoundedSink::new(None, Some(config.time_limit));
+        let mut join_sink = per_path_sink(None, Some(config.time_limit));
         let mut counters = Counters::default();
         let join_start = std::time::Instant::now();
         enumerate::idx_join(&index, cut, &mut join_sink, &mut counters);
@@ -68,8 +68,8 @@ pub fn run(config: &ExperimentConfig) {
             sci_ms(optimize),
             sci_ms(dfs_time),
             sci_ms(join_time),
-            sci(dfs_sink.count as f64 / dfs_time.as_secs_f64().max(1e-9)),
-            sci(join_sink.count as f64 / join_time.as_secs_f64().max(1e-9)),
+            sci(dfs_sink.emitted() as f64 / dfs_time.as_secs_f64().max(1e-9)),
+            sci(join_sink.emitted() as f64 / join_time.as_secs_f64().max(1e-9)),
         ]);
     }
     table.print();

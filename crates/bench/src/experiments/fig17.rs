@@ -5,7 +5,7 @@
 use pathenum::estimator::FullEstimate;
 use pathenum::index::BuildScratch;
 use pathenum::{enumerate, optimize_join_order, Counters, Index, Query};
-use pathenum_workloads::runner::BoundedSink;
+use pathenum_workloads::runner::per_path_sink;
 
 use crate::config::ExperimentConfig;
 use crate::experiments::support::{default_queries, representative_graphs};
@@ -35,7 +35,7 @@ pub fn run(config: &ExperimentConfig) {
                 let plan = optimize_join_order(&index, &estimate);
                 sums[2] += opt_start.elapsed().as_secs_f64() * 1e3;
 
-                let mut sink = BoundedSink::new(None, Some(config.time_limit));
+                let mut sink = per_path_sink(None, Some(config.time_limit));
                 let mut counters = Counters::default();
                 let dfs_start = std::time::Instant::now();
                 enumerate::idx_dfs(&index, &mut sink, &mut counters);
@@ -43,7 +43,7 @@ pub fn run(config: &ExperimentConfig) {
 
                 if let Some(plan) = plan {
                     let cut = plan.cut.clamp(1, k - 1);
-                    let mut sink = BoundedSink::new(None, Some(config.time_limit));
+                    let mut sink = per_path_sink(None, Some(config.time_limit));
                     let mut counters = Counters::default();
                     let join_start = std::time::Instant::now();
                     enumerate::idx_join(&index, cut, &mut sink, &mut counters);

@@ -39,7 +39,7 @@ pub fn run(config: &ExperimentConfig) {
             for &q in &queries {
                 let q = Query::new(q.s, q.t, k).expect("validated endpoints");
                 let m = run_query(Algorithm::IdxDfs, &graph, q, config.measure());
-                if m.timed_out {
+                if m.timed_out() {
                     censored += 1;
                     continue;
                 }

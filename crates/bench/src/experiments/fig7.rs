@@ -31,13 +31,13 @@ pub fn run(config: &ExperimentConfig) {
                 let prep = summary
                     .measurements
                     .iter()
-                    .map(|m| m.report.preprocessing.as_secs_f64() * 1e3)
+                    .map(|m| m.report.timings.preprocessing().as_secs_f64() * 1e3)
                     .sum::<f64>()
                     / n;
                 let enumeration = summary
                     .measurements
                     .iter()
-                    .map(|m| m.report.enumeration.as_secs_f64() * 1e3)
+                    .map(|m| m.report.timings.enumeration.as_secs_f64() * 1e3)
                     .sum::<f64>()
                     / n;
                 cells.push(sci(prep));

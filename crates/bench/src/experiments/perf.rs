@@ -20,9 +20,10 @@
 //! with and without a [`ResultCache`]. A count-only request must cause
 //! zero allocation events on a plan hit (the plan warmed by `explain`)
 //! whether or not a result cache is attached, since it is never teed,
-//! and on a result hit, which is one `emit_count`. A collecting result
-//! hit is printed, not asserted: it still copies every path into the
-//! response.
+//! and on a result hit, which is one `emit_count`. The rest of the
+//! engine's ledger is printed, not asserted: cold misses in both delivery
+//! modes (they build an index), and collecting plan and result hits
+//! (they copy every path into the response).
 
 use pathenum::enumerate::{
     idx_dfs, idx_dfs_iterative, idx_join, idx_join_reference, thread_scratch_heap_bytes,
@@ -67,26 +68,29 @@ fn warm_leg(mode: &str, mut query: impl FnMut()) {
     );
 }
 
-/// Allocation events over one `execute` of each of `requests`, each of
-/// which must be answered with `outcome`.
+/// Allocation events and paths over one `execute` of each of
+/// `requests`, each of which must be answered with `outcome`.
 fn events_per_pass(
     engine: &mut QueryEngine<'_>,
     requests: &[QueryRequest<'_>],
     outcome: CacheOutcome,
-) -> u64 {
+) -> (u64, u64) {
     let before = allocation_count();
+    let mut paths = 0;
     for request in requests {
         let response = engine.execute(request).expect("valid request");
         assert_eq!(response.report.cache, outcome);
+        paths += response.num_results();
     }
-    allocation_count() - before
+    (allocation_count() - before, paths)
 }
 
 /// The engine leg over `queries`: asserts that count-only plan hits
 /// (with and without a result cache) and count-only result hits cause no
-/// allocation event, and returns the allocation events and paths of one
-/// collecting result hit per query.
-fn engine_leg(graph: &CsrGraph, queries: &[Query]) -> (u64, u64) {
+/// allocation event, and returns the unasserted ledger lines — what was
+/// served, and the allocation events and paths of one pass — for cold
+/// misses in both delivery modes and for collecting plan and result hits.
+fn engine_leg(graph: &CsrGraph, queries: &[Query]) -> Vec<(&'static str, u64, u64)> {
     let config = PathEnumConfig::default();
     let count_only: Vec<QueryRequest<'_>> = queries
         .iter()
@@ -96,6 +100,16 @@ fn engine_leg(graph: &CsrGraph, queries: &[Query]) -> (u64, u64) {
         .iter()
         .map(|&q| QueryRequest::from_query(q).collect_paths(true))
         .collect();
+    let mut ledger = Vec::new();
+
+    for (served, requests) in [
+        ("count-only cold misses", &count_only),
+        ("collecting cold misses", &collecting),
+    ] {
+        let mut engine = QueryEngine::new(graph, config);
+        let (events, paths) = events_per_pass(&mut engine, requests, CacheOutcome::Miss);
+        ledger.push((served, events, paths));
+    }
 
     for results in [None, Some(ResultCache::default())] {
         let cached = results.is_some();
@@ -106,27 +120,24 @@ fn engine_leg(graph: &CsrGraph, queries: &[Query]) -> (u64, u64) {
         for request in &count_only {
             engine.explain(request).expect("valid request");
         }
-        let events = events_per_pass(&mut engine, &count_only, CacheOutcome::Hit);
+        let (events, _) = events_per_pass(&mut engine, &count_only, CacheOutcome::Hit);
         assert_eq!(
             events, 0,
             "a count-only plan hit (result cache attached: {cached}) must not allocate"
         );
+        if !cached {
+            let (events, paths) = events_per_pass(&mut engine, &collecting, CacheOutcome::Hit);
+            ledger.push(("collecting plan hits", events, paths));
+        }
     }
 
     let mut engine = QueryEngine::new(graph, config).with_result_cache(ResultCache::default());
-    let paths = collecting
-        .iter()
-        .map(|request| {
-            engine
-                .execute(request)
-                .expect("valid request")
-                .num_results()
-        })
-        .sum();
-    let events = events_per_pass(&mut engine, &count_only, CacheOutcome::ResultHit);
+    events_per_pass(&mut engine, &collecting, CacheOutcome::Miss);
+    let (events, _) = events_per_pass(&mut engine, &count_only, CacheOutcome::ResultHit);
     assert_eq!(events, 0, "a count-only result hit must not allocate");
-    let collected = events_per_pass(&mut engine, &collecting, CacheOutcome::ResultHit);
-    (collected, paths)
+    let (events, paths) = events_per_pass(&mut engine, &collecting, CacheOutcome::ResultHit);
+    ledger.push(("collecting result hits", events, paths));
+    ledger
 }
 
 /// Entry point for `reproduce perf`.
@@ -179,7 +190,7 @@ pub fn run(config: &ExperimentConfig) {
         "the counter must see the oracle kernels allocate"
     );
 
-    let (collected, collected_paths) = engine_leg(&graph, &queries);
+    let ledger = engine_leg(&graph, &queries);
 
     println!(
         "perf assertions passed: 0 allocation events per warm query (IDX-DFS + IDX-JOIN, \
@@ -187,9 +198,11 @@ pub fn run(config: &ExperimentConfig) {
          count-only engine request (plan hit with and without a result cache, result hit); \
          oracle kernels: {oracle} per query"
     );
-    println!(
-        "engine collecting result hits: {collected} allocation events for \
-         {collected_paths} paths over {} requests (not asserted)",
-        queries.len()
-    );
+    for (served, events, paths) in ledger {
+        println!(
+            "engine {served}: {events} allocation events for {paths} paths over {} requests \
+             (not asserted)",
+            queries.len()
+        );
+    }
 }

@@ -34,7 +34,7 @@ pub fn run(config: &ExperimentConfig) {
             })
             .collect();
         let (long, short): (Vec<_>, Vec<_>) =
-            measurements.into_iter().partition(|(m, _)| m.timed_out);
+            measurements.into_iter().partition(|(m, _)| m.timed_out());
         let mean = |items: &[(QueryMeasurement, f64)],
                     f: &dyn Fn(&(QueryMeasurement, f64)) -> f64| {
             if items.is_empty() {

@@ -28,7 +28,7 @@ pub fn run(config: &ExperimentConfig) {
             let max_index = summary
                 .measurements
                 .iter()
-                .filter_map(|m| m.report.index_bytes)
+                .filter_map(|m| m.plan.map(|plan| plan.index_bytes))
                 .max()
                 .unwrap_or(0) as u64;
             let max_partials = summary

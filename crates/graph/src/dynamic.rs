@@ -41,7 +41,6 @@
 
 use std::collections::VecDeque;
 
-use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::hashing::{FxHashMap, FxHashSet};
 use crate::types::{Edge, VertexId};
@@ -379,28 +378,6 @@ impl DynamicGraph {
         snapshot.set_version(self.version);
         snapshot
     }
-
-    /// As [`snapshot`](DynamicGraph::snapshot) through the general
-    /// [`GraphBuilder`] path — the pre-fast-path reference, kept for
-    /// differential testing.
-    #[doc(hidden)]
-    pub fn snapshot_via_builder(&self) -> CsrGraph {
-        let mut builder = GraphBuilder::new(self.base.num_vertices());
-        builder.reserve(self.num_edges());
-        builder
-            .add_edges(
-                self.base
-                    .edges()
-                    .filter(|&(from, to)| !self.deleted.contains(&edge_key(from, to))),
-            )
-            .expect("base edges are valid");
-        builder
-            .add_edges(self.inserted_edges())
-            .expect("overlay edges are valid");
-        let mut snapshot = builder.finish();
-        snapshot.set_version(self.version);
-        snapshot
-    }
 }
 
 /// A borrowed, zero-materialization view of a [`DynamicGraph`]'s current
@@ -552,6 +529,7 @@ impl NeighborAccess for DynamicGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
 
     fn base() -> CsrGraph {
         let mut b = GraphBuilder::new(4);
@@ -729,6 +707,23 @@ mod tests {
         }
     }
 
+    /// Test oracle for [`DynamicGraph::snapshot`]: the same graph through
+    /// the general [`GraphBuilder`] path the fast snapshot replaced.
+    fn snapshot_via_builder(d: &DynamicGraph) -> CsrGraph {
+        let mut builder = GraphBuilder::new(d.base.num_vertices());
+        builder
+            .add_edges(
+                d.base
+                    .edges()
+                    .filter(|&(from, to)| !d.deleted.contains(&edge_key(from, to))),
+            )
+            .expect("base edges are valid");
+        builder
+            .add_edges(d.inserted_edges())
+            .expect("overlay edges are valid");
+        builder.finish()
+    }
+
     #[test]
     fn fast_snapshot_equals_builder_snapshot() {
         let mut b = GraphBuilder::new(8);
@@ -741,7 +736,7 @@ mod tests {
         d.remove_edge(0, 4);
         d.insert_edge(1, 2); // restore
         let fast = d.snapshot();
-        let slow = d.snapshot_via_builder();
+        let slow = snapshot_via_builder(&d);
         assert_eq!(fast.num_edges(), slow.num_edges());
         assert_eq!(
             fast.edges().collect::<Vec<_>>(),

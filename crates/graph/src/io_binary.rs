@@ -212,6 +212,10 @@ pub fn write_frozen<W: Write>(graph: &CsrGraph, mut writer: W) -> std::io::Resul
 }
 
 /// Writes a graph to a file in the `PEG2` format.
+///
+/// Deliberate API with no caller in the workspace: the file-level
+/// counterpart of [`read_frozen_file`] and the way README § formats
+/// freezes a graph for serving.
 pub fn write_frozen_file(graph: &CsrGraph, path: &std::path::Path) -> std::io::Result<()> {
     let file = std::fs::File::create(path)?;
     write_frozen(graph, std::io::BufWriter::new(file))

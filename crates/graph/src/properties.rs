@@ -1,44 +1,7 @@
-//! Degree statistics and the paper's degree-based vertex partition.
+//! The paper's degree-based vertex partition.
 
 use crate::csr::CsrGraph;
 use crate::types::VertexId;
-
-/// Summary degree statistics of a graph (Table 2 columns).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeStats {
-    /// Average total degree (`(in + out) / n`), the paper's `d_avg` uses
-    /// `|E| / |V|` on directed edges; both are reported.
-    pub avg_out_degree: f64,
-    /// Maximum out-degree over all vertices.
-    pub max_out_degree: usize,
-    /// Maximum in-degree over all vertices.
-    pub max_in_degree: usize,
-    /// Number of vertices with zero total degree.
-    pub isolated_vertices: usize,
-}
-
-/// Computes [`DegreeStats`] in one pass.
-pub fn degree_stats(graph: &CsrGraph) -> DegreeStats {
-    let n = graph.num_vertices().max(1);
-    let mut max_out = 0usize;
-    let mut max_in = 0usize;
-    let mut isolated = 0usize;
-    for v in graph.vertices() {
-        let out = graph.out_degree(v);
-        let inn = graph.in_degree(v);
-        max_out = max_out.max(out);
-        max_in = max_in.max(inn);
-        if out + inn == 0 {
-            isolated += 1;
-        }
-    }
-    DegreeStats {
-        avg_out_degree: graph.num_edges() as f64 / n as f64,
-        max_out_degree: max_out,
-        max_in_degree: max_in,
-        isolated_vertices: isolated,
-    }
-}
 
 /// Splits the vertex set into the paper's `V'` (top `fraction` by total
 /// degree, descending) and `V''` (the rest).
@@ -74,16 +37,6 @@ mod tests {
         b.add_edges([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (6, 7), (7, 8)])
             .unwrap();
         b.finish()
-    }
-
-    #[test]
-    fn stats_reflect_structure() {
-        let g = star_plus_chain();
-        let s = degree_stats(&g);
-        assert_eq!(s.max_out_degree, 5);
-        assert_eq!(s.max_in_degree, 1);
-        assert_eq!(s.isolated_vertices, 1);
-        assert!((s.avg_out_degree - 0.7).abs() < 1e-9);
     }
 
     #[test]

@@ -133,11 +133,6 @@ impl<K, E> Sharded<K, E> {
         self.budget / self.shards.len()
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Current number of entries (sums the shards; takes each lock
     /// briefly).
     pub fn len(&self) -> usize {

@@ -5,6 +5,9 @@
 //! (phase breakdown), and Table 7 (peak materialized tuples). A run's
 //! [`RunReport`] is these measurements and its cache outcome only; what
 //! the run decided is its [`PhysicalPlan`](crate::plan::PhysicalPlan).
+//! It is also every baseline's record (`pathenum-baselines`): the paper
+//! harness compares PathEnum with its competitors on one struct, a
+//! baseline's distance BFS under `bfs` and `index_build`.
 
 use std::time::Duration;
 

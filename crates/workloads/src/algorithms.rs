@@ -1,12 +1,10 @@
 //! A uniform interface over every competing algorithm (Section 7.1's
 //! "Comparisons" list plus the weaker framework baselines).
 
-use std::time::Duration;
-
 use pathenum::query::Query;
 use pathenum::sink::PathSink;
-use pathenum::stats::{Counters, Method};
-use pathenum::{PathEnumConfig, PlanCache, QueryEngine, QueryRequest};
+use pathenum::stats::Method;
+use pathenum::{PathEnumConfig, PhysicalPlan, PlanCache, QueryEngine, QueryRequest, RunReport};
 use pathenum_baselines::{bc_dfs, bc_join, generic_dfs, t_dfs, yen_ksp};
 use pathenum_graph::CsrGraph;
 
@@ -78,22 +76,30 @@ impl Algorithm {
         !matches!(self, Algorithm::BcJoin | Algorithm::IdxJoin)
     }
 
-    /// Runs the algorithm on one query, streaming into `sink`.
+    /// Runs the algorithm on one query, streaming into `sink`, and
+    /// returns its [`RunReport`] with the plan it ran.
     ///
     /// The PathEnum variants run the query as a [`QueryRequest`] through
     /// a [`QueryEngine`] with no plan cache, so every run builds its own
-    /// index; the forced variants set [`QueryRequest::method`]. The
+    /// index; the forced variants set [`QueryRequest::method`]. They
+    /// return the response's report and plan; a baseline has no plan,
+    /// so it returns `None`. The
     /// measurement harness generates queries from the graph itself, so
     /// their validation cannot fail here; an out-of-range query is a
     /// harness bug and panics with the validation error.
-    pub fn run(&self, graph: &CsrGraph, query: Query, sink: &mut dyn PathSink) -> AlgoReport {
+    pub fn run(
+        &self,
+        graph: &CsrGraph,
+        query: Query,
+        sink: &mut dyn PathSink,
+    ) -> (RunReport, Option<PhysicalPlan>) {
         let request = QueryRequest::from_query(query);
         let request = match self {
-            Algorithm::GenericDfs => return from_baseline(generic_dfs(graph, query, sink)),
-            Algorithm::BcDfs => return from_baseline(bc_dfs(graph, query, sink)),
-            Algorithm::BcJoin => return from_baseline(bc_join(graph, query, sink)),
-            Algorithm::TDfs => return from_baseline(t_dfs(graph, query, sink)),
-            Algorithm::YenKsp => return from_baseline(yen_ksp(graph, query, sink)),
+            Algorithm::GenericDfs => return (generic_dfs(graph, query, sink), None),
+            Algorithm::BcDfs => return (bc_dfs(graph, query, sink), None),
+            Algorithm::BcJoin => return (bc_join(graph, query, sink), None),
+            Algorithm::TDfs => return (t_dfs(graph, query, sink), None),
+            Algorithm::YenKsp => return (yen_ksp(graph, query, sink), None),
             Algorithm::IdxDfs => request.method(Method::IdxDfs),
             Algorithm::IdxJoin => request.method(Method::IdxJoin),
             Algorithm::PathEnum => request,
@@ -103,7 +109,7 @@ impl Algorithm {
         let response = engine
             .execute_into(&request, sink)
             .expect("harness queries are in range for the graph");
-        from_pathenum(response)
+        (response.report, response.plan)
     }
 }
 
@@ -140,59 +146,10 @@ impl std::str::FromStr for Algorithm {
     }
 }
 
-/// Unified per-run report across baselines and PathEnum variants.
-#[derive(Debug, Clone)]
-pub struct AlgoReport {
-    /// Preprocessing: distance BFS for baselines, index build for ours.
-    pub preprocessing: Duration,
-    /// Join-order optimization time (zero for baselines).
-    pub optimization: Duration,
-    /// Enumeration time.
-    pub enumeration: Duration,
-    /// Shared counters.
-    pub counters: Counters,
-    /// Method PathEnum selected, if the run went through the optimizer.
-    pub method: Option<Method>,
-    /// Index size in edges (PathEnum variants only).
-    pub index_edges: Option<usize>,
-    /// Index footprint in bytes (PathEnum variants only).
-    pub index_bytes: Option<usize>,
-}
-
-impl AlgoReport {
-    /// Total query time.
-    pub fn total(&self) -> Duration {
-        self.preprocessing + self.optimization + self.enumeration
-    }
-}
-
-fn from_baseline(report: pathenum_baselines::BaselineReport) -> AlgoReport {
-    AlgoReport {
-        preprocessing: report.preprocessing,
-        optimization: Duration::ZERO,
-        enumeration: report.enumeration,
-        counters: report.counters,
-        method: None,
-        index_edges: None,
-        index_bytes: None,
-    }
-}
-
-fn from_pathenum(response: pathenum::QueryResponse) -> AlgoReport {
-    let (report, plan) = (response.report, response.plan);
-    AlgoReport {
-        preprocessing: report.timings.index_build + report.timings.preliminary_estimation,
-        optimization: report.timings.optimization,
-        enumeration: report.timings.enumeration,
-        counters: report.counters,
-        method: plan.map(|plan| plan.method),
-        index_edges: plan.map(|plan| plan.index_edges),
-        index_bytes: plan.map(|plan| plan.index_bytes),
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use pathenum::sink::{CollectingSink, CountingSink};
     use pathenum_graph::generators::{complete_digraph, erdos_renyi};
@@ -226,16 +183,21 @@ mod tests {
     }
 
     #[test]
-    fn reports_carry_index_stats_for_index_variants() {
+    fn index_variants_return_their_plan() {
         let g = erdos_renyi(30, 150, 1);
         let q = Query::new(0, 1, 4).unwrap();
         let mut sink = CollectingSink::default();
-        let report = Algorithm::IdxDfs.run(&g, q, &mut sink);
-        assert!(report.index_edges.is_some());
-        assert!(report.index_bytes.is_some());
+        let (report, plan) = Algorithm::IdxDfs.run(&g, q, &mut sink);
+        assert!(plan.is_some_and(|plan| plan.index_edges > 0 && plan.index_bytes > 0));
+        // Figure 7's preprocessing column: a forced, uncached PathEnum run
+        // looks nothing up and optimizes nothing, and a baseline's is its
+        // distance BFS alone.
+        let timings = report.timings;
+        assert_eq!(timings.cache_lookup + timings.optimization, Duration::ZERO);
         let mut sink = CollectingSink::default();
-        let report = Algorithm::BcDfs.run(&g, q, &mut sink);
-        assert!(report.index_edges.is_none());
+        let (report, plan) = Algorithm::BcDfs.run(&g, q, &mut sink);
+        assert!(plan.is_none());
+        assert_eq!(report.timings.preprocessing(), report.timings.bfs);
 
         // On K14, q(0, 13, 6) the optimizer picks IDX-JOIN (the `K14`
         // constants of `pathenum::optimizer`'s tests): each variant
@@ -249,8 +211,8 @@ mod tests {
             (Algorithm::PathEnum, Method::IdxJoin),
         ] {
             let mut sink = CountingSink::default();
-            let report = algo.run(&g, q, &mut sink);
-            assert_eq!(report.method, Some(method), "{algo}");
+            let (report, plan) = algo.run(&g, q, &mut sink);
+            assert_eq!(plan.map(|plan| plan.method), Some(method), "{algo}");
             assert_eq!(report.counters.results, sink.count, "{algo}");
             counts.push(sink.count);
         }

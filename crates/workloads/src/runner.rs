@@ -14,11 +14,11 @@
 use std::time::{Duration, Instant};
 
 use pathenum::query::Query;
-use pathenum::sink::{CountingSink, PathSink, SearchControl};
-use pathenum::{ControlledSink, QueryEngine, QueryRequest, Termination};
-use pathenum_graph::CsrGraph;
+use pathenum::sink::{FnSink, PathSink, SearchControl};
+use pathenum::{ControlledSink, PhysicalPlan, QueryEngine, QueryRequest, RunReport, Termination};
+use pathenum_graph::{CsrGraph, VertexId};
 
-use crate::algorithms::{AlgoReport, Algorithm};
+use crate::algorithms::Algorithm;
 
 /// Measurement configuration.
 #[derive(Debug, Clone, Copy)]
@@ -46,15 +46,26 @@ pub struct QueryMeasurement {
     pub query: Query,
     /// Wall-clock query time (capped at the limit when timed out).
     pub elapsed: Duration,
-    /// Results found before finishing or hitting the limit.
+    /// Results the censoring sink let through before the query finished
+    /// or hit the limit. Not `report.counters.results`: the baselines
+    /// and IDX-DFS count a result before the sink can refuse it, so on a
+    /// cut run the counter may be one ahead.
     pub results: u64,
-    /// Whether the time limit cut the query off.
-    pub timed_out: bool,
-    /// The algorithm's phase/counter report.
-    pub report: AlgoReport,
+    /// How the query ended: `DeadlineExceeded` when the time limit cut
+    /// it off, `Completed` otherwise.
+    pub termination: Termination,
+    /// The algorithm's phase timings and counters.
+    pub report: RunReport,
+    /// The plan a PathEnum row ran; `None` for the baselines.
+    pub plan: Option<PhysicalPlan>,
 }
 
 impl QueryMeasurement {
+    /// Whether the time limit cut the query off.
+    pub fn timed_out(&self) -> bool {
+        self.termination == Termination::DeadlineExceeded
+    }
+
     /// Results per second over the measured window.
     pub fn throughput(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
@@ -66,60 +77,20 @@ impl QueryMeasurement {
     }
 }
 
-/// A sink that counts results and aborts on a deadline and/or an emission
-/// limit — the measuring instrument for all three paper metrics.
+/// The measuring instrument for all three paper metrics: the request
+/// layer's [`ControlledSink`], stopping at `limit` results and/or after
+/// `budget`, over an inner sink that takes every path.
 ///
-/// A thin adapter over the request layer's [`ControlledSink`], so the
-/// workload runner and the service API share one set of stopping-rule
-/// semantics instead of two near-identical censoring implementations.
-///
-/// It keeps per-path delivery on purpose (the `PathSink` defaults, not
-/// `counts_only`): the baselines it also measures emit every path, so
-/// `reproduce` Table 3 and Figures 7 and 12 compare PathEnum with them
-/// like for like, not PathEnum's bulk count with their per-path emission.
-pub struct BoundedSink {
-    /// Results seen (censored at the limit).
-    pub count: u64,
-    /// Set when the deadline aborted the run.
-    pub timed_out: bool,
-    inner: ControlledSink<CountingSink>,
-}
-
-impl BoundedSink {
-    /// A sink stopping at `limit` results and/or after `budget` time.
-    pub fn new(limit: Option<u64>, budget: Option<Duration>) -> Self {
-        BoundedSink {
-            count: 0,
-            timed_out: false,
-            inner: ControlledSink::new(
-                CountingSink::default(),
-                limit,
-                budget.map(|b| Instant::now() + b),
-                None,
-            ),
-        }
-    }
-
-    fn sync(&mut self) {
-        self.count = self.inner.emitted();
-        self.timed_out = self.inner.termination() == Termination::DeadlineExceeded;
-    }
-}
-
-impl PathSink for BoundedSink {
-    #[inline]
-    fn emit(&mut self, path: &[u32]) -> SearchControl {
-        let control = self.inner.emit(path);
-        self.sync();
-        control
-    }
-
-    #[inline]
-    fn probe(&mut self) -> SearchControl {
-        let control = self.inner.probe();
-        self.sync();
-        control
-    }
+/// It delivers per path on purpose: an inner sink that counts only (a
+/// `CountingSink`) would let an unlimited PathEnum row count in bulk,
+/// while the baselines it also measures emit every path; `reproduce`
+/// Table 3 and Figures 7 and 12 compare them like for like.
+pub fn per_path_sink(
+    limit: Option<u64>,
+    budget: Option<Duration>,
+) -> ControlledSink<impl PathSink> {
+    let every_path = FnSink(|_: &[VertexId]| SearchControl::Continue);
+    ControlledSink::new(every_path, limit, budget.map(|b| Instant::now() + b), None)
 }
 
 /// Measures the *query time* metric: full enumeration under the time cap.
@@ -129,21 +100,23 @@ pub fn run_query(
     query: Query,
     config: MeasureConfig,
 ) -> QueryMeasurement {
-    let mut sink = BoundedSink::new(None, Some(config.time_limit));
+    let mut sink = per_path_sink(None, Some(config.time_limit));
     let start = Instant::now();
-    let report = algo.run(graph, query, &mut sink);
+    let (report, plan) = algo.run(graph, query, &mut sink);
     let mut elapsed = start.elapsed();
-    let timed_out = sink.timed_out || elapsed > config.time_limit;
-    if timed_out {
+    let mut termination = sink.termination();
+    if termination == Termination::DeadlineExceeded || elapsed > config.time_limit {
         // The paper sets the query time of killed queries to the limit.
+        termination = Termination::DeadlineExceeded;
         elapsed = config.time_limit;
     }
     QueryMeasurement {
         query,
         elapsed,
-        results: sink.count,
-        timed_out,
+        results: sink.emitted(),
+        termination,
         report,
+        plan,
     }
 }
 
@@ -173,7 +146,7 @@ pub fn measure_response_time(
             .execute(&request)
             .expect("harness queries are in range for the graph");
     } else {
-        let mut sink = BoundedSink::new(Some(config.response_limit), Some(config.time_limit));
+        let mut sink = per_path_sink(Some(config.response_limit), Some(config.time_limit));
         algo.run(graph, query, &mut sink);
     }
     start.elapsed().min(config.time_limit)
@@ -215,7 +188,7 @@ pub fn summarize(measurements: Vec<QueryMeasurement>) -> SetSummary {
         .sum::<f64>()
         / n;
     let mean_throughput = measurements.iter().map(|m| m.throughput()).sum::<f64>() / n;
-    let timeout_fraction = measurements.iter().filter(|m| m.timed_out).count() as f64 / n;
+    let timeout_fraction = measurements.iter().filter(|m| m.timed_out()).count() as f64 / n;
     SetSummary {
         measurements,
         mean_query_time_ms,
@@ -309,7 +282,7 @@ mod tests {
         let queries = generate_queries(&g, QueryGenConfig::paper_default(5, 4, 1));
         for q in queries {
             let m = run_query(Algorithm::IdxDfs, &g, q, MeasureConfig::default());
-            assert!(!m.timed_out, "tiny query should not time out");
+            assert!(!m.timed_out(), "tiny query should not time out");
             assert_eq!(m.results, m.report.counters.results);
         }
     }
@@ -332,7 +305,7 @@ mod tests {
         let q = Query::new(0, 11, 6).unwrap();
         let cfg = MeasureConfig::default();
         let unlimited = run_query(Algorithm::PathEnum, &g, q, cfg);
-        assert_eq!(unlimited.report.method, Some(pathenum::Method::IdxJoin));
+        assert_eq!(unlimited.plan.unwrap().method, pathenum::Method::IdxJoin);
         let limited = QueryEngine::new(&g, Default::default())
             .execute(&QueryRequest::from_query(q).limit(cfg.response_limit))
             .unwrap();
@@ -342,58 +315,22 @@ mod tests {
     }
 
     #[test]
-    fn bounded_sink_stops_at_limit() {
-        let mut sink = BoundedSink::new(Some(3), None);
-        assert_eq!(sink.emit(&[0]), SearchControl::Continue);
-        assert_eq!(sink.emit(&[0]), SearchControl::Continue);
-        assert_eq!(sink.emit(&[0]), SearchControl::Stop);
-        assert!(!sink.timed_out);
-    }
-
-    #[test]
-    fn bounded_sink_censors_identically_to_controlled_sink() {
-        // Regression for the adapter rewrite: on the same enumeration,
-        // BoundedSink (the workload instrument) and a raw ControlledSink
-        // (the request-layer rule) must admit exactly the same number of
-        // results and stop at the same emission.
-        use pathenum::{CountingSink, Index};
-        let g = datasets::gg();
-        for limit in [1u64, 10, 100, 1_000] {
-            let q = generate_queries(&g, QueryGenConfig::paper_default(1, 5, 7))[0];
-            let index = Index::build(&g, q);
-
-            let mut bounded = BoundedSink::new(Some(limit), None);
-            let mut counters = pathenum::Counters::default();
-            let bounded_control = pathenum::enumerate::idx_dfs(&index, &mut bounded, &mut counters);
-
-            let mut controlled =
-                pathenum::ControlledSink::new(CountingSink::default(), Some(limit), None, None);
-            let mut counters = pathenum::Counters::default();
-            let controlled_control =
-                pathenum::enumerate::idx_dfs(&index, &mut controlled, &mut counters);
-
-            assert_eq!(bounded.count, controlled.emitted(), "limit={limit}");
-            assert_eq!(bounded_control, controlled_control, "limit={limit}");
-            assert_eq!(
-                controlled.emitted() == limit,
-                controlled.termination() == pathenum::Termination::LimitReached,
-                "limit={limit}"
-            );
+    fn a_cut_run_reports_the_censored_count() {
+        // With no time at all, every row is cut at its first path: the
+        // measurement reports what the sink let through (none), not the
+        // counter, which the baselines and IDX-DFS bump before emitting.
+        let g = pathenum_graph::generators::complete_digraph(6);
+        let q = Query::new(0, 5, 4).unwrap();
+        let config = MeasureConfig {
+            time_limit: Duration::ZERO,
+            ..MeasureConfig::default()
+        };
+        for algo in Algorithm::all() {
+            let m = run_query(algo, &g, q, config);
+            assert_eq!(m.results, 0, "{algo}");
+            assert!(m.timed_out(), "{algo}");
+            assert_eq!(m.elapsed, config.time_limit, "{algo}");
         }
-    }
-
-    #[test]
-    fn bounded_sink_times_out() {
-        let mut sink = BoundedSink::new(None, Some(Duration::ZERO));
-        let mut stopped = false;
-        for _ in 0..1000 {
-            if sink.emit(&[0]) == SearchControl::Stop {
-                stopped = true;
-                break;
-            }
-        }
-        assert!(stopped);
-        assert!(sink.timed_out);
     }
 
     #[test]

@@ -17,7 +17,8 @@ use std::process::ExitCode;
 use pathenum_repro::core::sink::FnSink;
 use pathenum_repro::graph::io_binary::read_graph_file;
 use pathenum_repro::prelude::*;
-use pathenum_repro::workloads::runner::BoundedSink;
+use pathenum_repro::workloads::runner::per_path_sink;
+use pathenum_repro::workloads::Algorithm;
 
 struct Args {
     path: std::path::PathBuf,
@@ -118,9 +119,9 @@ fn main() -> ExitCode {
 
     let start = std::time::Instant::now();
     let count = if args.count_only {
-        let mut sink = BoundedSink::new(args.limit, None);
+        let mut sink = per_path_sink(args.limit, None);
         args.algorithm.run(&graph, query, &mut sink);
-        sink.count
+        sink.emitted()
     } else {
         let mut printed = 0u64;
         let limit = args.limit.unwrap_or(u64::MAX);

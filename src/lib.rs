@@ -34,7 +34,6 @@ pub mod prelude {
         CsrGraph, DynamicGraph, FrozenGraph, GraphBuilder, GraphHandle, GraphSnapshot,
         GraphVersion, NeighborAccess, OverlayView, VertexId,
     };
-    pub use pathenum_workloads::{Algorithm, MeasureConfig};
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 
 use pathenum_repro::core::reference::brute_force_paths;
 use pathenum_repro::prelude::*;
+use pathenum_repro::workloads::Algorithm;
 
 /// Builds a graph from a raw edge list, ignoring self-loops.
 fn graph_from_edges(n: u32, edges: &[(u32, u32)]) -> CsrGraph {

@@ -6,9 +6,11 @@ use std::time::Duration;
 
 use pathenum_repro::prelude::*;
 use pathenum_repro::workloads::runner::{
-    measure_response_time, run_query, run_query_set, summarize,
+    measure_response_time, per_path_sink, run_query, run_query_set, summarize,
 };
-use pathenum_repro::workloads::{datasets, generate_queries, QueryGenConfig};
+use pathenum_repro::workloads::{
+    datasets, generate_queries, Algorithm, MeasureConfig, QueryGenConfig,
+};
 
 #[test]
 fn full_pipeline_on_gg() {
@@ -30,7 +32,7 @@ fn full_pipeline_on_gg() {
             summary
                 .measurements
                 .iter()
-                .map(|m| if m.timed_out { u64::MAX } else { m.results })
+                .map(|m| if m.timed_out() { u64::MAX } else { m.results })
                 .collect(),
         );
     }
@@ -70,7 +72,7 @@ fn timeouts_are_reported_on_hostile_workloads() {
     for q in queries {
         let m = run_query(Algorithm::IdxDfs, &graph, q, config);
         assert!(m.elapsed <= config.time_limit + Duration::from_millis(100));
-        if m.timed_out {
+        if m.timed_out() {
             assert!(m.results > 0, "a censored dense query still yields results");
         }
     }
@@ -86,10 +88,7 @@ fn pathenum_optimizer_picks_join_somewhere_on_dense_graphs() {
     let mut methods = std::collections::HashSet::new();
     let mut engine = QueryEngine::new(&graph, PathEnumConfig::default());
     for q in queries {
-        let mut sink = pathenum_repro::workloads::runner::BoundedSink::new(
-            Some(2000),
-            Some(Duration::from_millis(100)),
-        );
+        let mut sink = per_path_sink(Some(2000), Some(Duration::from_millis(100)));
         let response = engine
             .execute_into(&QueryRequest::from_query(q), &mut sink)
             .expect("valid");
