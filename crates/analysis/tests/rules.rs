@@ -246,13 +246,13 @@ fn unsafe_inventory_storage_shim_is_allowlisted_but_not_its_neighbors() {
     assert_eq!(lines(&hits), vec![11]);
     assert!(hits[0].message.contains("SAFETY"));
     // The rest of the graph crate stays unsafe-free: the same code in
-    // the format reader, the frozen-graph accessors or the hot loops is
-    // flagged even when SAFETY-commented.
+    // the format reader, the CSR accessors or the hot loops is flagged
+    // even when SAFETY-commented.
     for neighbor in [
         "crates/graph/src/io_binary.rs",
-        "crates/graph/src/frozen.rs",
+        "crates/graph/src/csr.rs",
         "crates/graph/src/handle.rs",
-        "crates/graph/src/prefetch.rs",
+        "crates/graph/src/bfs.rs",
     ] {
         let findings = analyze_source(neighbor, src);
         let hits = by_rule(&findings, "unsafe-inventory");

@@ -12,16 +12,20 @@ use crate::version::GraphVersion;
 ///
 /// Neighbor lists are sorted ascending, which makes `has_edge` a binary
 /// search and keeps iteration cache-friendly.
+///
+/// The four vectors are also the four sections of a `PEG2` image, which
+/// [`crate::io_binary`] writes and loads verbatim (and validates on
+/// load), hence their crate visibility.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
-    num_vertices: usize,
-    out_offsets: Vec<usize>,
-    out_targets: Vec<VertexId>,
-    in_offsets: Vec<usize>,
-    in_sources: Vec<VertexId>,
+    pub(crate) num_vertices: usize,
+    pub(crate) out_offsets: Vec<usize>,
+    pub(crate) out_targets: Vec<VertexId>,
+    pub(crate) in_offsets: Vec<usize>,
+    pub(crate) in_sources: Vec<VertexId>,
     /// Epoch identifying this edge set; see [`GraphVersion`]. Fresh per
     /// construction (clones keep it — they are the same edge set).
-    version: GraphVersion,
+    pub(crate) version: GraphVersion,
 }
 
 impl CsrGraph {
@@ -69,25 +73,6 @@ impl CsrGraph {
     #[inline]
     pub fn version(&self) -> GraphVersion {
         self.version
-    }
-
-    /// Stamps an externally managed version (used by
-    /// [`DynamicGraph::snapshot`](crate::DynamicGraph::snapshot) so that
-    /// snapshots of an unmutated overlay share a version and stay
-    /// cache-compatible).
-    pub(crate) fn set_version(&mut self, version: GraphVersion) {
-        self.version = version;
-    }
-
-    /// The raw CSR arrays `(out_offsets, out_targets, in_offsets,
-    /// in_sources)` — what the `PEG2` writer serializes verbatim.
-    pub(crate) fn csr_parts(&self) -> (&[usize], &[VertexId], &[usize], &[VertexId]) {
-        (
-            &self.out_offsets,
-            &self.out_targets,
-            &self.in_offsets,
-            &self.in_sources,
-        )
     }
 
     /// Number of vertices; vertex ids are `0..num_vertices`.
@@ -168,6 +153,18 @@ impl CsrGraph {
             + self.in_offsets.len() * std::mem::size_of::<usize>()
             + self.out_targets.len() * std::mem::size_of::<VertexId>()
             + self.in_sources.len() * std::mem::size_of::<VertexId>()
+    }
+
+    /// [`heap_bytes`](Self::heap_bytes), under the name
+    /// `benchmark/src/trace.rs:812` reads; ROADMAP item 1(h) drops it.
+    pub fn image_bytes(&self) -> usize {
+        self.heap_bytes()
+    }
+
+    /// Always `false`, for `benchmark/src/gen.rs:619`, which asserts it:
+    /// there is one adjacency layout. ROADMAP item 1(h) drops it.
+    pub fn is_compressed(&self) -> bool {
+        false
     }
 }
 

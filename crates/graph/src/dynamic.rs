@@ -375,7 +375,7 @@ impl DynamicGraph {
         edges.extend_from_slice(&overlay[next..]);
         debug_assert_eq!(edges.len(), self.num_edges());
         let mut snapshot = CsrGraph::from_sorted_dedup_edges(self.base.num_vertices(), &edges);
-        snapshot.set_version(self.version);
+        snapshot.version = self.version;
         snapshot
     }
 }

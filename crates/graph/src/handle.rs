@@ -1,14 +1,13 @@
 //! One shareable handle over every graph representation the engines
 //! serve.
 //!
-//! The serving layer (`GraphCatalog`) used to own
-//! an `Arc<CsrGraph>` — which hard-wired them to the heap
-//! representation just as [`FrozenGraph`] made
-//! borrowed/mapped storage real. [`GraphHandle`] closes that gap: a
-//! cheap-to-clone enum of `Arc`'d representations that implements
-//! [`NeighborAccess`] by direct dispatch, so a catalog can `register`
-//! heap, frozen, and overlay-backed graphs uniformly while planning
-//! and execution stay monomorphized over the trait.
+//! [`GraphHandle`] is a cheap-to-clone enum of the two `Arc`'d
+//! representations: an immutable [`CsrGraph`] (however it was made:
+//! built, parsed, or loaded from a `PEG2` image) and a
+//! [`DynamicGraph`]. It implements [`NeighborAccess`] by direct
+//! dispatch, so the serving layer (`GraphCatalog`) can `register` both
+//! uniformly while planning and execution stay monomorphized over the
+//! trait.
 //!
 //! [`GraphSnapshot`] is the companion capability the engines need
 //! beyond adjacency: a [`GraphVersion`] epoch identifying the edge set,
@@ -24,7 +23,6 @@ use std::sync::Arc;
 
 use crate::csr::CsrGraph;
 use crate::dynamic::DynamicGraph;
-use crate::frozen::FrozenGraph;
 use crate::types::VertexId;
 use crate::version::GraphVersion;
 use crate::view::NeighborAccess;
@@ -56,13 +54,6 @@ impl GraphSnapshot for CsrGraph {
     }
 }
 
-impl GraphSnapshot for FrozenGraph {
-    #[inline]
-    fn version(&self) -> GraphVersion {
-        FrozenGraph::version(self)
-    }
-}
-
 /// A dynamic graph is served in place (through its O(1)
 /// [`view`](DynamicGraph::view)) and is the one representation with a
 /// mutation log to offer.
@@ -89,10 +80,8 @@ impl GraphSnapshot for crate::dynamic::OverlayView<'_> {
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub enum GraphHandle {
-    /// A heap-resident CSR graph — the mutable-era default.
+    /// An immutable CSR graph, built in memory or loaded from a file.
     Heap(Arc<CsrGraph>),
-    /// A zero-copy `PEG2` image served in place.
-    Frozen(Arc<FrozenGraph>),
     /// A dynamic graph queried through its overlay view. The handle
     /// shares the graph read-only; mutation happens wherever the
     /// `DynamicGraph` is still exclusively owned, after which a fresh
@@ -106,7 +95,6 @@ impl GraphHandle {
     pub fn version(&self) -> GraphVersion {
         match self {
             GraphHandle::Heap(g) => g.version(),
-            GraphHandle::Frozen(g) => g.version(),
             GraphHandle::Dynamic(g) => g.version(),
         }
     }
@@ -115,7 +103,6 @@ impl GraphHandle {
     pub fn representation(&self) -> &'static str {
         match self {
             GraphHandle::Heap(_) => "heap-csr",
-            GraphHandle::Frozen(_) => "frozen",
             GraphHandle::Dynamic(_) => "dynamic-overlay",
         }
     }
@@ -126,7 +113,6 @@ impl NeighborAccess for GraphHandle {
     fn num_vertices(&self) -> usize {
         match self {
             GraphHandle::Heap(g) => g.num_vertices(),
-            GraphHandle::Frozen(g) => g.num_vertices(),
             GraphHandle::Dynamic(g) => g.num_vertices(),
         }
     }
@@ -135,7 +121,6 @@ impl NeighborAccess for GraphHandle {
     fn num_edges(&self) -> usize {
         match self {
             GraphHandle::Heap(g) => g.num_edges(),
-            GraphHandle::Frozen(g) => g.num_edges(),
             GraphHandle::Dynamic(g) => g.num_edges(),
         }
     }
@@ -144,7 +129,6 @@ impl NeighborAccess for GraphHandle {
     fn for_each_out(&self, v: VertexId, f: impl FnMut(VertexId)) {
         match self {
             GraphHandle::Heap(g) => NeighborAccess::for_each_out(g.as_ref(), v, f),
-            GraphHandle::Frozen(g) => g.for_each_out(v, f),
             GraphHandle::Dynamic(g) => g.view().for_each_out(v, f),
         }
     }
@@ -153,7 +137,6 @@ impl NeighborAccess for GraphHandle {
     fn for_each_in(&self, v: VertexId, f: impl FnMut(VertexId)) {
         match self {
             GraphHandle::Heap(g) => NeighborAccess::for_each_in(g.as_ref(), v, f),
-            GraphHandle::Frozen(g) => g.for_each_in(v, f),
             GraphHandle::Dynamic(g) => g.view().for_each_in(v, f),
         }
     }
@@ -162,7 +145,6 @@ impl NeighborAccess for GraphHandle {
     fn has_edge(&self, from: VertexId, to: VertexId) -> bool {
         match self {
             GraphHandle::Heap(g) => g.has_edge(from, to),
-            GraphHandle::Frozen(g) => NeighborAccess::has_edge(g.as_ref(), from, to),
             GraphHandle::Dynamic(g) => g.has_edge(from, to),
         }
     }
@@ -171,7 +153,6 @@ impl NeighborAccess for GraphHandle {
     fn out_degree(&self, v: VertexId) -> usize {
         match self {
             GraphHandle::Heap(g) => g.out_degree(v),
-            GraphHandle::Frozen(g) => NeighborAccess::out_degree(g.as_ref(), v),
             GraphHandle::Dynamic(g) => g.view().out_degree(v),
         }
     }
@@ -180,7 +161,6 @@ impl NeighborAccess for GraphHandle {
     fn in_degree(&self, v: VertexId) -> usize {
         match self {
             GraphHandle::Heap(g) => g.in_degree(v),
-            GraphHandle::Frozen(g) => NeighborAccess::in_degree(g.as_ref(), v),
             GraphHandle::Dynamic(g) => g.view().in_degree(v),
         }
     }
@@ -205,18 +185,6 @@ impl From<CsrGraph> for GraphHandle {
     }
 }
 
-impl From<Arc<FrozenGraph>> for GraphHandle {
-    fn from(graph: Arc<FrozenGraph>) -> Self {
-        GraphHandle::Frozen(graph)
-    }
-}
-
-impl From<FrozenGraph> for GraphHandle {
-    fn from(graph: FrozenGraph) -> Self {
-        GraphHandle::Frozen(Arc::new(graph))
-    }
-}
-
 impl From<Arc<DynamicGraph>> for GraphHandle {
     fn from(graph: Arc<DynamicGraph>) -> Self {
         GraphHandle::Dynamic(graph)
@@ -230,7 +198,7 @@ impl From<DynamicGraph> for GraphHandle {
 }
 
 /// Shared snapshots report the inner representation's version, so an
-/// `Arc<CsrGraph>`/`Arc<FrozenGraph>` is itself a [`GraphSnapshot`].
+/// `Arc<CsrGraph>` is itself a [`GraphSnapshot`].
 impl<G: GraphSnapshot> GraphSnapshot for Arc<G> {
     #[inline]
     fn version(&self) -> GraphVersion {
@@ -295,10 +263,6 @@ mod tests {
     fn representation_labels() {
         let g = erdos_renyi(5, 10, 2);
         assert_eq!(GraphHandle::from(g.clone()).representation(), "heap-csr");
-        let mut image = Vec::new();
-        write_frozen(&g, &mut image).unwrap();
-        let frozen = read_frozen(image.as_slice()).unwrap();
-        assert_eq!(GraphHandle::from(frozen).representation(), "frozen");
         assert_eq!(
             GraphHandle::from(DynamicGraph::new(g)).representation(),
             "dynamic-overlay"

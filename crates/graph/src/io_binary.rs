@@ -1,4 +1,4 @@
-//! Compact binary graph serialization: `PEG2` (CSR-native, zero-copy),
+//! Compact binary graph serialization: `PEG2` (CSR-native),
 //! the one format the library writes, and `PEG1` (edge list), which it
 //! only reads.
 //!
@@ -17,11 +17,10 @@
 //! edge list: (u32, u32) x edges, sorted by (from, to)
 //! ```
 //!
-//! `PEG2` — the CSR arrays themselves, laid out so the file *is* the
-//! query-ready representation: load is one bulk read into an aligned
-//! buffer plus a validation pass, and a [`FrozenGraph`] then serves
-//! [`NeighborAccess`](crate::NeighborAccess) straight off that buffer
-//! with zero re-sort and zero rebuild:
+//! `PEG2` — the CSR arrays themselves, laid out so the file's sections
+//! *are* [`CsrGraph`]'s four vectors: a load reads each section
+//! straight into its vector, with zero parse, zero re-sort and zero
+//! rebuild:
 //!
 //! ```text
 //! header (32 bytes):
@@ -36,24 +35,35 @@
 //!   between), offsets absolute from the start of the image
 //! ```
 //!
-//! Adjacency sections hold `(V+1) x u64` element offsets and `E x u32`
-//! neighbor ids. See [`crate::frozen`] for the serving side and the
-//! validation story.
+//! Adjacency sections hold `(V+1) x u64` element offsets (`usize` in
+//! memory, hence the 64-bit target) and `E x u32` neighbor ids.
+//!
+//! Every load is validated before the graph is returned. The section
+//! table's geometry (in bounds of the image, 8-byte aligned, ascending)
+//! is checked before any section-sized allocation, so a corrupt length
+//! cannot drive one past the image size. The checksum folds in every
+//! payload byte as it is read: sections, the padding between them and
+//! any trailing bytes. Then each direction is checked: offset
+//! monotonicity, per-row strict ascent and id range. Forward/reverse
+//! consistency is the writer's contract (like `PEG1`, which trusts its
+//! sorted-edge invariant); the checksum catches accidental corruption
+//! of either side.
 
 use std::io::{Read, Write};
+use std::ops::Range;
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
-use crate::frozen::FrozenGraph;
 use crate::handle::GraphHandle;
 use crate::types::VertexId;
-use crate::zerocopy::AlignedBuf;
+use crate::version::GraphVersion;
+use crate::zerocopy::{bytes_of, bytes_of_mut, Word};
 
 const MAGIC: &[u8; 4] = b"PEG1";
 const MAGIC2: &[u8; 4] = b"PEG2";
 
 /// Bytes of the fixed `PEG2` header (magic, flags, counts, checksum).
-pub(crate) const PEG2_HEADER_LEN: usize = 32;
+const PEG2_HEADER_LEN: usize = 32;
 
 /// Bytes of the `PEG2` section table (4 sections x 16 bytes).
 const SECTION_TABLE_LEN: usize = 64;
@@ -141,74 +151,93 @@ pub fn read_binary_file(path: &std::path::Path) -> Result<CsrGraph, BinaryError>
     read_binary(std::io::BufReader::new(file))
 }
 
-/// FNV-1a folded eight bytes at a time — the payload checksum of the
-/// `PEG2` header. Word-wise folding keeps the checksum off the
-/// cold-start critical path (a byte-at-a-time FNV costs more than the
-/// structural validation it accompanies); any flipped bit still
-/// perturbs the xor-multiply chain. Trailing bytes (the payload need
-/// not be a multiple of 8) fold individually, so the function is
-/// well-defined on any slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// The `PEG2` payload checksum, fed piece by piece: FNV-1a folded over
+/// the little-endian words of everything fed, wherever the pieces break,
+/// then over the trailing bytes that make no whole word one at a time.
+/// Word-wise folding keeps the checksum off the cold-start critical path
+/// (a byte-at-a-time FNV costs more than the structural validation it
+/// accompanies); any flipped bit still perturbs the xor-multiply chain.
+struct Fnv1a {
+    hash: u64,
+    tail: [u8; 8],
+    tail_len: usize,
+}
+
+impl Fnv1a {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        hash ^= u64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
-        hash = hash.wrapping_mul(PRIME);
-    }
-    for &b in chunks.remainder() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
 
-/// Encodes one CSR direction as raw sections: `(V+1) x u64` element
-/// offsets and `E x u32` neighbor ids.
-fn encode_raw_direction(offsets: &[usize], targets: &[VertexId]) -> (Vec<u8>, Vec<u8>) {
-    let mut off_bytes = Vec::with_capacity(offsets.len() * 8);
-    for &o in offsets {
-        off_bytes.extend_from_slice(&(o as u64).to_le_bytes());
-    }
-    let mut adj_bytes = Vec::with_capacity(targets.len() * 4);
-    for &t in targets {
-        adj_bytes.extend_from_slice(&t.to_le_bytes());
-    }
-    (off_bytes, adj_bytes)
-}
-
-/// Serializes a graph to the `PEG2` zero-copy format, whose sections
-/// are byte-for-byte the serving layout.
-pub fn write_frozen<W: Write>(graph: &CsrGraph, mut writer: W) -> std::io::Result<()> {
-    let (out_offsets, out_targets, in_offsets, in_sources) = graph.csr_parts();
-    let (fwd_off, fwd_adj) = encode_raw_direction(out_offsets, out_targets);
-    let (rev_off, rev_adj) = encode_raw_direction(in_offsets, in_sources);
-
-    // Assemble the payload with 8-byte-aligned section starts and
-    // record the absolute (offset, len) table entries.
-    let mut payload = Vec::new();
-    let mut table = [(0u64, 0u64); 4];
-    for (slot, section) in [&fwd_off, &fwd_adj, &rev_off, &rev_adj]
-        .into_iter()
-        .enumerate()
-    {
-        while payload.len() % 8 != 0 {
-            payload.push(0);
+    fn new() -> Fnv1a {
+        Fnv1a {
+            hash: 0xcbf2_9ce4_8422_2325,
+            tail: [0; 8],
+            tail_len: 0,
         }
-        table[slot] = ((PAYLOAD_BASE + payload.len()) as u64, section.len() as u64);
-        payload.extend_from_slice(section);
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        if self.tail_len > 0 {
+            let take = (8 - self.tail_len).min(bytes.len());
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < 8 {
+                return;
+            }
+            self.hash = (self.hash ^ u64::from_le_bytes(self.tail)).wrapping_mul(Self::PRIME);
+        }
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let word = u64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
+            self.hash = (self.hash ^ word).wrapping_mul(Self::PRIME);
+        }
+        self.tail_len = chunks.remainder().len();
+        self.tail[..self.tail_len].copy_from_slice(chunks.remainder());
+    }
+
+    fn finish(&self) -> u64 {
+        let tail = &self.tail[..self.tail_len];
+        tail.iter().fold(self.hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(Self::PRIME)
+        })
+    }
+}
+
+/// Serializes a graph to the `PEG2` format, whose sections are the
+/// graph's four CSR vectors byte for byte.
+pub fn write_frozen<W: Write>(graph: &CsrGraph, mut writer: W) -> std::io::Result<()> {
+    let sections = [
+        bytes_of(&graph.out_offsets),
+        bytes_of(&graph.out_targets),
+        bytes_of(&graph.in_offsets),
+        bytes_of(&graph.in_sources),
+    ];
+    // Each section starts 8-byte aligned after zero padding; the
+    // checksum covers the payload in that layout, padding included.
+    let padding = |end: usize| &[0u8; 8][..end.next_multiple_of(8) - end];
+    let (mut hasher, mut end) = (Fnv1a::new(), PAYLOAD_BASE);
+    let mut table = Vec::with_capacity(SECTION_TABLE_LEN);
+    for section in sections {
+        hasher.update(padding(end));
+        hasher.update(section);
+        end = end.next_multiple_of(8);
+        table.extend_from_slice(&(end as u64).to_le_bytes());
+        table.extend_from_slice(&(section.len() as u64).to_le_bytes());
+        end += section.len();
     }
 
     writer.write_all(MAGIC2)?;
     writer.write_all(&0u32.to_le_bytes())?;
     writer.write_all(&(graph.num_vertices() as u64).to_le_bytes())?;
     writer.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
-    writer.write_all(&fnv1a(&payload).to_le_bytes())?;
-    for (offset, len) in table {
-        writer.write_all(&offset.to_le_bytes())?;
-        writer.write_all(&len.to_le_bytes())?;
+    writer.write_all(&hasher.finish().to_le_bytes())?;
+    writer.write_all(&table)?;
+    let mut end = PAYLOAD_BASE;
+    for section in sections {
+        writer.write_all(padding(end))?;
+        writer.write_all(section)?;
+        end = end.next_multiple_of(8) + section.len();
     }
-    writer.write_all(&payload)
+    Ok(())
 }
 
 /// Writes a graph to a file in the `PEG2` format.
@@ -217,54 +246,138 @@ pub fn write_frozen<W: Write>(graph: &CsrGraph, mut writer: W) -> std::io::Resul
 /// counterpart of [`read_frozen_file`] and the way README § formats
 /// freezes a graph for serving.
 pub fn write_frozen_file(graph: &CsrGraph, path: &std::path::Path) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_frozen(graph, std::io::BufWriter::new(file))
+    let mut writer = std::io::BufWriter::new(std::fs::File::create(path)?);
+    write_frozen(graph, &mut writer)?;
+    writer.flush()
 }
 
-/// Parsed `PEG2` header: `(vertices, edges, section ranges)`.
-pub(crate) type Peg2Header = (usize, usize, [std::ops::Range<usize>; 4]);
+/// A `PEG2` image being read in order past its header, each payload
+/// byte folded into the checksum as it arrives.
+struct Peg2Reader<R> {
+    reader: R,
+    hasher: Fnv1a,
+    at: usize,
+}
 
-/// Validates the fixed `PEG2` header + section table of a complete
-/// image: magic, flags (all zero), id-space bounds, payload checksum,
-/// and section geometry (in-bounds, 8-byte aligned, ascending,
-/// non-overlapping). Returns `(vertices, edges, section ranges)`.
-pub(crate) fn parse_peg2_header(buf: &AlignedBuf) -> Result<Peg2Header, BinaryError> {
-    let bytes = buf.as_bytes();
-    if bytes.len() < PAYLOAD_BASE {
+impl<R: Read> Peg2Reader<R> {
+    /// Reads and checksums the bytes up to `end` (a section start or the
+    /// image end) through a small buffer: a gap of any length the table
+    /// allows costs no allocation.
+    fn skip_to(&mut self, end: usize) -> Result<(), BinaryError> {
+        let mut buf = [0u8; 4096];
+        while self.at < end {
+            let chunk = &mut buf[..(end - self.at).min(4096)];
+            self.reader.read_exact(chunk)?;
+            self.hasher.update(chunk);
+            self.at += chunk.len();
+        }
+        Ok(())
+    }
+
+    /// Reads the section at `range`, which the table check proved lies
+    /// in the image at or past the read position, straight into a
+    /// vector of its elements.
+    fn section<T: Word>(
+        &mut self,
+        range: Range<usize>,
+        ragged: &'static str,
+    ) -> Result<Vec<T>, BinaryError> {
+        if !range.len().is_multiple_of(std::mem::size_of::<T>()) {
+            return Err(BinaryError::Corrupt(ragged));
+        }
+        self.skip_to(range.start)?;
+        let mut values = vec![T::default(); range.len() / std::mem::size_of::<T>()];
+        let bytes = bytes_of_mut(&mut values);
+        self.reader.read_exact(bytes)?;
+        self.hasher.update(bytes);
+        self.at = range.end;
+        Ok(values)
+    }
+}
+
+/// Structural validation of one direction: offset-table geometry,
+/// strict per-row ascent, id range, and total edge count. One O(V + E)
+/// pass per direction at load time buys check-free accessors.
+fn validate_direction(
+    vertices: usize,
+    edges: usize,
+    offsets: &[usize],
+    targets: &[VertexId],
+) -> Result<(), BinaryError> {
+    if offsets.len() != vertices + 1 {
+        return Err(BinaryError::Corrupt("offset table has wrong length"));
+    }
+    if offsets.first() != Some(&0) {
+        return Err(BinaryError::Corrupt("offset table does not start at 0"));
+    }
+    // Prove the whole offset chain non-decreasing (and therefore, with
+    // first == 0 and last == total length, in bounds) BEFORE slicing
+    // any row — a corrupt middle offset must surface as an error, not
+    // an out-of-range panic.
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err(BinaryError::Corrupt("offset table not monotonic"));
+    }
+    if targets.len() != edges || *offsets.last().unwrap_or(&0) != edges {
+        return Err(BinaryError::Corrupt(
+            "offset table does not cover the adjacency section",
+        ));
+    }
+    for v in 0..vertices {
+        let mut prev: Option<u32> = None;
+        for &n in &targets[offsets[v]..offsets[v + 1]] {
+            if n as usize >= vertices {
+                return Err(BinaryError::Corrupt("neighbor id out of range"));
+            }
+            if prev.is_some_and(|p| p >= n) {
+                return Err(BinaryError::Corrupt("neighbor row not strictly ascending"));
+            }
+            prev = Some(n);
+        }
+    }
+    Ok(())
+}
+
+/// Loads a `PEG2` image of `image_len` bytes from `reader`. The header
+/// and section table come first: magic, flags (all zero), id-space
+/// bounds, and section geometry (in the image, 8-byte aligned,
+/// ascending), so no section can drive an allocation past the image
+/// size. Each section is then read straight into its CSR vector, the
+/// checksum is compared over every byte after the table (sections,
+/// padding and trailing bytes), and both directions are validated.
+fn load_peg2(reader: impl Read, image_len: usize) -> Result<CsrGraph, BinaryError> {
+    if image_len < PAYLOAD_BASE {
         return Err(BinaryError::Corrupt("image shorter than the PEG2 header"));
     }
-    let magic: [u8; 4] = bytes[..4].try_into().expect("4-byte slice");
+    let mut image = Peg2Reader {
+        reader,
+        hasher: Fnv1a::new(),
+        at: PAYLOAD_BASE,
+    };
+    let mut head = [0u8; PAYLOAD_BASE];
+    image.reader.read_exact(&mut head)?;
+    let word = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8-byte slice"));
+    let magic: [u8; 4] = head[..4].try_into().expect("4-byte slice");
     if &magic != MAGIC2 {
         return Err(BinaryError::BadMagic(magic));
     }
-    let flags = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
-    if flags != 0 {
+    if head[4..8] != [0; 4] {
         return Err(BinaryError::Corrupt("unknown header flags"));
     }
-    let vertices = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-    let edges = u64::from_le_bytes(bytes[16..24].try_into().expect("8-byte slice"));
-    let checksum = u64::from_le_bytes(bytes[24..32].try_into().expect("8-byte slice"));
-    if vertices > u32::MAX as u64 {
+    if word(8) > u32::MAX as u64 {
         return Err(BinaryError::Corrupt("vertex count exceeds u32 id space"));
     }
-    let vertices = vertices as usize;
-    let edges = usize::try_from(edges)
+    let vertices = word(8) as usize;
+    let edges = usize::try_from(word(16))
         .map_err(|_| BinaryError::Corrupt("edge count exceeds address space"))?;
-    if fnv1a(&bytes[PAYLOAD_BASE..]) != checksum {
-        return Err(BinaryError::Corrupt("payload checksum mismatch"));
-    }
-
-    let mut sections: [std::ops::Range<usize>; 4] = [0..0, 0..0, 0..0, 0..0];
+    let mut sections: [Range<usize>; 4] = [0..0, 0..0, 0..0, 0..0];
     let mut previous_end = PAYLOAD_BASE;
     for (slot, section) in sections.iter_mut().enumerate() {
         let base = PEG2_HEADER_LEN + slot * 16;
-        let offset = u64::from_le_bytes(bytes[base..base + 8].try_into().expect("8-byte slice"));
-        let len = u64::from_le_bytes(bytes[base + 8..base + 16].try_into().expect("8-byte slice"));
-        let offset = usize::try_from(offset)
+        let offset = usize::try_from(word(base))
             .map_err(|_| BinaryError::Corrupt("section offset exceeds address space"))?;
-        let len = usize::try_from(len)
+        let len = usize::try_from(word(base + 8))
             .map_err(|_| BinaryError::Corrupt("section length exceeds address space"))?;
-        if offset % 8 != 0 {
+        if !offset.is_multiple_of(8) {
             return Err(BinaryError::Corrupt("section offset not 8-byte aligned"));
         }
         if offset < previous_end {
@@ -272,36 +385,47 @@ pub(crate) fn parse_peg2_header(buf: &AlignedBuf) -> Result<Peg2Header, BinaryEr
         }
         let end = offset
             .checked_add(len)
-            .ok_or(BinaryError::Corrupt("section extends past address space"))?;
-        if end > bytes.len() {
-            return Err(BinaryError::Corrupt("section extends past the image"));
-        }
+            .filter(|&end| end <= image_len)
+            .ok_or(BinaryError::Corrupt("section extends past the image"))?;
         *section = offset..end;
         previous_end = end;
     }
-    Ok((vertices, edges, sections))
+
+    let [fwd_off, fwd_adj, rev_off, rev_adj] = sections;
+    let graph = CsrGraph {
+        num_vertices: vertices,
+        out_offsets: image.section(fwd_off, "misaligned offset section")?,
+        out_targets: image.section(fwd_adj, "misaligned adjacency section")?,
+        in_offsets: image.section(rev_off, "misaligned offset section")?,
+        in_sources: image.section(rev_adj, "misaligned adjacency section")?,
+        version: GraphVersion::next(),
+    };
+    image.skip_to(image_len)?;
+    if image.hasher.finish() != word(24) {
+        return Err(BinaryError::Corrupt("payload checksum mismatch"));
+    }
+    validate_direction(vertices, edges, &graph.out_offsets, &graph.out_targets)?;
+    validate_direction(vertices, edges, &graph.in_offsets, &graph.in_sources)?;
+    Ok(graph)
 }
 
-/// Deserializes a [`FrozenGraph`] from a `PEG2` stream. The stream is
-/// drained fully, copied once into an aligned buffer, validated, and
-/// served from there.
-pub fn read_frozen<R: Read>(mut reader: R) -> Result<FrozenGraph, BinaryError> {
+/// Deserializes a graph from a `PEG2` stream. The stream is drained
+/// first, so the image length bounds every section before its vector
+/// is allocated.
+pub fn read_frozen<R: Read>(mut reader: R) -> Result<CsrGraph, BinaryError> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    FrozenGraph::from_buf(AlignedBuf::from_bytes(&bytes))
+    load_peg2(bytes.as_slice(), bytes.len())
 }
 
-/// Loads a [`FrozenGraph`] from a `PEG2` file with one bulk read
-/// directly into the aligned serving buffer — the zero-copy cold-start
-/// path (the in-memory stand-in for an mmap, which the vendored-only
-/// dependency policy rules out).
-pub fn read_frozen_file(path: &std::path::Path) -> Result<FrozenGraph, BinaryError> {
-    let mut file = std::fs::File::open(path)?;
+/// Loads a graph from a `PEG2` file, reading each section straight into
+/// its CSR vector: no parse, no re-sort and no rebuild, one read per
+/// section and one checksum and validation pass.
+pub fn read_frozen_file(path: &std::path::Path) -> Result<CsrGraph, BinaryError> {
+    let file = std::fs::File::open(path)?;
     let len = usize::try_from(file.metadata()?.len())
         .map_err(|_| BinaryError::Corrupt("file exceeds address space"))?;
-    let mut buf = AlignedBuf::zeroed(len);
-    file.read_exact(buf.as_bytes_mut())?;
-    FrozenGraph::from_buf(buf)
+    load_peg2(file, len)
 }
 
 /// Errors raised by the format-sniffing [`read_graph_file`] loader.
@@ -337,8 +461,8 @@ impl From<crate::io::ReadError> for LoadError {
 }
 
 /// Loads a graph file of any supported format, sniffing the magic:
-/// `PEG2` images freeze in place (zero-copy), `PEG1` streams rebuild a
-/// heap [`CsrGraph`], anything else parses as a text edge list. The
+/// `PEG2` images load section by section into a [`CsrGraph`], `PEG1`
+/// streams rebuild one, anything else parses as a text edge list. The
 /// returned [`GraphHandle`] plugs into every engine and serving layer.
 pub fn read_graph_file(path: &std::path::Path) -> Result<GraphHandle, LoadError> {
     let mut magic = [0u8; 4];
@@ -514,16 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn frozen_to_csr_thaws_identically() {
-        let g = erdos_renyi(60, 400, 5);
-        let thawed = read_frozen(frozen_bytes(&g).as_slice()).unwrap().to_csr();
-        assert_eq!(
-            thawed.edges().collect::<Vec<_>>(),
-            g.edges().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn frozen_rejects_bad_magic_and_short_images() {
         let err = read_frozen(&b"PEGX\0\0\0\0"[..]).unwrap_err();
         assert!(matches!(err, BinaryError::Corrupt(_)), "short image");
@@ -546,12 +660,67 @@ mod tests {
     }
 
     #[test]
+    fn frozen_checksum_covers_padding_and_trailing_bytes() {
+        // An odd edge count leaves 4 padding bytes between the forward
+        // adjacency and the reverse offsets: a flip there changes no
+        // adjacency, so only a checksum over every payload byte sees it.
+        let g = erdos_renyi(30, 101, 8);
+        assert_eq!(g.num_edges() % 2, 1, "fixture needs an odd edge count");
+        let image = frozen_bytes(&g);
+        let path = std::env::temp_dir().join("pathenum_io_binary_checksum_test.peg");
+        // The intact image loads, so each failure below is its one edit.
+        assert_eq!(read_frozen(image.as_slice()).unwrap().num_edges(), 101);
+        std::fs::write(&path, &image).unwrap();
+        assert_eq!(read_frozen_file(&path).unwrap().num_edges(), 101);
+        let fwd_adj_end = PAYLOAD_BASE + (g.num_vertices() + 1) * 8 + g.num_edges() * 4;
+        let mut padded = image.clone();
+        padded[fwd_adj_end] ^= 0x01;
+        let mut extended = image.clone();
+        extended.push(0);
+        for (what, bad) in [("padding flip", padded), ("appended byte", extended)] {
+            let err = read_frozen(bad.as_slice()).unwrap_err();
+            assert!(
+                matches!(err, BinaryError::Corrupt("payload checksum mismatch")),
+                "{what}: {err}"
+            );
+            std::fs::write(&path, &bad).unwrap();
+            let err = read_frozen_file(&path).unwrap_err();
+            assert!(
+                matches!(err, BinaryError::Corrupt("payload checksum mismatch")),
+                "{what} (file): {err}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn frozen_rejects_truncation() {
         let image = frozen_bytes(&erdos_renyi(50, 300, 2));
-        for keep in [10, PEG2_HEADER_LEN, PAYLOAD_BASE, image.len() - 5] {
-            let err = read_frozen(&image[..keep]).unwrap_err();
-            assert!(matches!(err, BinaryError::Corrupt(_)), "keep={keep}");
+        let mut inputs: Vec<(String, Vec<u8>)> =
+            [10, PEG2_HEADER_LEN, PAYLOAD_BASE, image.len() - 5]
+                .into_iter()
+                .map(|keep| (format!("keep={keep}"), image[..keep].to_vec()))
+                .collect();
+        // A table length of 2^40 on a small image must fail on geometry,
+        // before a section-sized allocation: the last section, so a
+        // reader that checked each section only on reaching it would
+        // first have read the other three.
+        let mut oversized = image.clone();
+        let len_at = PEG2_HEADER_LEN + 3 * 16 + 8;
+        oversized[len_at..len_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        inputs.push(("section length 2^40".to_string(), oversized));
+        let path = std::env::temp_dir().join("pathenum_io_binary_truncation_test.peg");
+        for (what, bad) in inputs {
+            let err = read_frozen(bad.as_slice()).unwrap_err();
+            assert!(matches!(err, BinaryError::Corrupt(_)), "{what}: {err}");
+            std::fs::write(&path, &bad).unwrap();
+            let err = read_frozen_file(&path).unwrap_err();
+            assert!(
+                matches!(err, BinaryError::Corrupt(_)),
+                "{what} (file): {err}"
+            );
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -610,7 +779,7 @@ mod tests {
         let frozen = read_frozen_file(&frozen_path).unwrap();
         assert_eq!(frozen.num_edges(), g.num_edges());
         let handle = read_graph_file(&frozen_path).unwrap();
-        assert!(matches!(handle, GraphHandle::Frozen(_)));
+        assert!(matches!(handle, GraphHandle::Heap(_)));
         assert_eq!(handle.num_edges(), g.num_edges());
 
         let peg1_path = dir.join("g1.peg");

@@ -12,16 +12,17 @@
 //!   Barabási–Albert, complete, grid, layered DAG) standing in for the
 //!   paper's real-world datasets.
 //! * [`io`]: plain edge-list parsing and serialization.
-//! * [`io_binary`]: the `PEG2` (CSR-native, zero-copy) binary format,
-//!   the one the library writes; a `PEG1` (edge list) reader; and a
+//! * [`io_binary`]: the `PEG2` binary format, whose sections are
+//!   [`CsrGraph`]'s own vectors, the one the library writes and loads
+//!   into a [`CsrGraph`]; a `PEG1` (edge list) reader; and a
 //!   format-sniffing file loader.
-//! * [`frozen`]: [`FrozenGraph`], a query-ready graph served straight
-//!   from an aligned `PEG2` load buffer — no rebuild, no re-sort.
-//! * [`handle`]: [`GraphHandle`], one shareable handle over heap,
-//!   frozen, and overlay-backed graphs, and the [`GraphSnapshot`]
-//!   capability trait (adjacency + version epoch) the engines consume.
-//! * [`zerocopy`]: the storage layer's single `unsafe` boundary —
-//!   checked aligned-buffer casts (see the lint gate's allowlist).
+//! * [`handle`]: [`GraphHandle`], one shareable handle over heap and
+//!   overlay-backed graphs, and the [`GraphSnapshot`] capability trait
+//!   (adjacency + version epoch) the engines consume.
+//! * `zerocopy` (crate-private): the storage layer's single `unsafe`
+//!   boundary, the byte view through which `PEG2` sections are read
+//!   into and written from the CSR vectors (see the lint gate's
+//!   allowlist).
 //! * [`dynamic`]: an edit buffer layering edge insertions/deletions over a
 //!   base graph for the dynamic-graph experiments (Figure 8), queryable in
 //!   place through a borrowed [`OverlayView`].
@@ -43,7 +44,6 @@ pub mod builder;
 pub mod csr;
 pub mod dynamic;
 pub mod epoch;
-pub mod frozen;
 pub mod generators;
 pub mod handle;
 pub mod hashing;
@@ -54,15 +54,19 @@ pub mod properties;
 pub mod types;
 pub mod version;
 pub mod view;
-pub mod zerocopy;
+mod zerocopy;
 
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use dynamic::{DynamicGraph, EdgeMutation, OverlayView};
 pub use epoch::{EpochMap, EpochStamps};
-pub use frozen::FrozenGraph;
 pub use handle::{GraphHandle, GraphSnapshot};
 pub use pll::DistanceOracle;
 pub use types::{VertexId, INFINITE_DISTANCE};
 pub use version::GraphVersion;
 pub use view::NeighborAccess;
+
+/// The name a `PEG2` load's graph once had. Kept only for
+/// `benchmark/src/trace.rs:35,428`, which names it; ROADMAP item 1(h)
+/// drops it.
+pub type FrozenGraph = CsrGraph;

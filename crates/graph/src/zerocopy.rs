@@ -1,140 +1,80 @@
-//! The single `unsafe` boundary of the zero-copy storage layer.
+//! The single `unsafe` boundary of the storage layer.
 //!
-//! [`FrozenGraph`](crate::FrozenGraph) serves adjacency straight out of
-//! the bytes a `PEG2` file was read into — no per-array copies, no
-//! re-sort, no rebuild. Doing that requires reinterpreting byte ranges
-//! of the load buffer as `&[u64]` / `&[u32]`, which is exactly the kind
-//! of cast the repo's lint gate confines to allowlisted files. This
-//! module is that file for the storage layer: every `unsafe` block the
-//! frozen-graph path needs lives here, behind total (checked) safe
-//! wrappers, so the rest of `io_binary.rs`/`frozen.rs` stays 100% safe
+//! A `PEG2` image's sections are byte-for-byte [`CsrGraph`]'s four
+//! vectors (see [`crate::io_binary`]). The loader reads each section
+//! straight into a `Vec<usize>` or `Vec<u32>` and the writer writes
+//! each vector out as it is, so both need a byte view of an integer
+//! slice. That view is a cast of the kind the repo's lint gate confines
+//! to allowlisted files, and this module is that file for the graph
+//! crate: one cast, in a shared ([`bytes_of`]) and a mutable
+//! ([`bytes_of_mut`]) form, so the rest of `io_binary.rs` stays safe
 //! code.
+//!
+//! [`CsrGraph`]: crate::CsrGraph
 //!
 //! # Soundness argument
 //!
-//! The casts below are sound because every precondition is *checked at
-//! the call site inside this module*, not assumed:
+//! The cast is sound for every [`Word`], the two element types a CSR
+//! array holds (`u32`, `usize`):
 //!
-//! * **Alignment** — [`AlignedBuf`] owns its storage as `Vec<u64>`, so
-//!   its base pointer is 8-byte aligned by construction; the slice
-//!   casts additionally verify `align_of` at runtime and return `None`
-//!   on a misaligned input instead of casting.
-//! * **Size** — byte lengths are checked to be exact multiples of the
-//!   target element size; no trailing partial element is ever included.
-//! * **Validity** — `u64`/`u32` have no invalid bit patterns and no
-//!   padding, so any initialized bytes form valid values.
-//! * **Aliasing** — the wrappers take and return shared references with
-//!   the same lifetime; no `&mut` aliasing can be constructed through
-//!   them.
+//! * **Alignment** — the target is `u8`, whose alignment is 1, so any
+//!   element pointer is a valid byte pointer.
+//! * **Size** — the byte length is `size_of_val` of a live slice: its
+//!   exact extent, which cannot overflow.
+//! * **Validity** — `u32`/`usize` have no padding, so every byte of the
+//!   slice is initialized, and no invalid bit patterns, so any bytes
+//!   written through the mutable view form valid values.
+//! * **Aliasing** — the view reborrows its input for exactly the
+//!   input's lifetime, shared for shared and exclusive for exclusive.
 //!
-//! The on-disk format is little-endian; reinterpreting raw bytes as
-//! host integers is only correct on little-endian targets, which the
-//! compile-time assertion below pins (the supported platforms are all
-//! LE — a BE port would decode via `from_le_bytes` instead).
+//! The on-disk format is little-endian with `u64` offsets. Reading it
+//! through a byte view of host integers is only correct on 64-bit
+//! little-endian targets, which the compile-time assertions below pin
+//! (the supported platforms are all 64-bit LE; another port would
+//! decode via `from_le_bytes` instead).
 
-// PEG2 stores integers little-endian and this module reinterprets the
-// raw bytes in place; refuse to compile where that would misread.
+// PEG2 stores integers little-endian and the byte view reads them in
+// host order; refuse to compile where that would misread.
 const _: () = assert!(
     cfg!(target_endian = "little"),
-    "the zero-copy storage layer requires a little-endian target"
+    "the storage layer's byte view requires a little-endian target"
 );
 
-/// An owned byte buffer whose base address is 8-byte aligned.
-///
-/// Backed by a `Vec<u64>` so the alignment holds by construction — this
-/// is what makes the section casts in [`as_u64s`]/[`as_u32s`] sound for
-/// any 8-byte-aligned section offset. The logical length is tracked in
-/// bytes and may be any value up to the backing capacity (files are not
-/// required to be multiples of 8; sections are).
-#[derive(Debug, Clone)]
-pub struct AlignedBuf {
-    words: Vec<u64>,
-    len: usize,
-}
+// PEG2 offsets are u64 on disk and read straight into `Vec<usize>`.
+const _: () = assert!(
+    cfg!(target_pointer_width = "64"),
+    "the storage layer's byte view requires 64-bit usize offsets"
+);
 
-impl AlignedBuf {
-    /// A zero-filled buffer of exactly `len` bytes.
-    pub fn zeroed(len: usize) -> AlignedBuf {
-        AlignedBuf {
-            words: vec![0u64; len.div_ceil(8)],
-            len,
-        }
-    }
+/// An integer type with no padding and no invalid bit patterns: the
+/// element types of [`CsrGraph`](crate::CsrGraph)'s vectors.
+pub(crate) trait Word: Copy + Default {}
 
-    /// Copies an arbitrary (possibly unaligned) byte slice into a fresh
-    /// aligned buffer. One memcpy — the price of accepting input from
-    /// readers that cannot target caller-provided storage.
-    pub fn from_bytes(bytes: &[u8]) -> AlignedBuf {
-        let mut buf = AlignedBuf::zeroed(bytes.len());
-        buf.as_bytes_mut().copy_from_slice(bytes);
-        buf
-    }
+impl Word for u32 {}
+impl Word for usize {}
 
-    /// Logical length in bytes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the buffer holds zero bytes.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The buffer contents as bytes. The base pointer is 8-byte aligned.
-    #[inline]
-    pub fn as_bytes(&self) -> &[u8] {
-        // SAFETY: the pointer comes from a live Vec<u64> allocation of
-        // `words.len() * 8 >= self.len` bytes (zeroed eagerly, hence
-        // initialized); u8 has alignment 1 and no invalid bit patterns;
-        // the returned borrow shares `self`'s lifetime so the Vec
-        // cannot be freed or mutated while the slice is alive.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
-    }
-
-    /// The buffer contents as mutable bytes, for filling via bulk reads.
-    #[inline]
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        // SAFETY: same allocation/size/initialization argument as
-        // `as_bytes`; the &mut self receiver guarantees exclusive
-        // access, so handing out one mutable byte view cannot alias.
-        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), self.len) }
-    }
-}
-
-/// Reinterprets an 8-byte-aligned byte slice whose length is a multiple
-/// of 8 as little-endian `u64`s, without copying. Returns `None` (never
-/// casts) when either precondition fails.
+/// The bytes of an integer slice in host (little-endian) order, for
+/// writing and checksumming a section.
 #[inline]
-pub fn as_u64s(bytes: &[u8]) -> Option<&[u64]> {
-    if !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<u64>())
-        || !bytes.len().is_multiple_of(8)
-    {
-        return None;
+pub(crate) fn bytes_of<T: Word>(values: &[T]) -> &[u8] {
+    // SAFETY: see the module's soundness argument: `u8` needs no
+    // alignment, `size_of_val` is the slice's exact byte extent, and
+    // `T: Word` has no padding, so all of it is initialized; the view
+    // shares the input's borrow.
+    unsafe {
+        std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
     }
-    // SAFETY: alignment and exact-multiple length were just checked;
-    // the source slice is initialized for its whole length and u64 has
-    // no padding or invalid bit patterns; element count len/8 covers
-    // exactly the input bytes; the output borrows the input's lifetime.
-    Some(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u64>(), bytes.len() / 8) })
 }
 
-/// Reinterprets a 4-byte-aligned byte slice whose length is a multiple
-/// of 4 as little-endian `u32`s, without copying. Returns `None` (never
-/// casts) when either precondition fails.
+/// The mutable bytes of an integer slice, for reading a section
+/// straight into its vector.
 #[inline]
-pub fn as_u32s(bytes: &[u8]) -> Option<&[u32]> {
-    if !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<u32>())
-        || !bytes.len().is_multiple_of(4)
-    {
-        return None;
-    }
-    // SAFETY: alignment and exact-multiple length were just checked;
-    // the source slice is initialized for its whole length and u32 has
-    // no padding or invalid bit patterns; element count len/4 covers
-    // exactly the input bytes; the output borrows the input's lifetime.
-    Some(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u32>(), bytes.len() / 4) })
+pub(crate) fn bytes_of_mut<T: Word>(values: &mut [T]) -> &mut [u8] {
+    let len = std::mem::size_of_val(values);
+    // SAFETY: as for `bytes_of`; in addition `T: Word` has no invalid
+    // bit patterns, so any bytes written leave valid values, and the
+    // `&mut` borrow keeps the view the only access while it lives.
+    unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr().cast::<u8>(), len) }
 }
 
 #[cfg(test)]
@@ -142,42 +82,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn aligned_buf_is_aligned_and_sized() {
-        for len in [0usize, 1, 7, 8, 9, 4096, 4097] {
-            let buf = AlignedBuf::zeroed(len);
-            assert_eq!(buf.len(), len);
-            assert_eq!(buf.as_bytes().len(), len);
-            assert_eq!(buf.as_bytes().as_ptr() as usize % 8, 0);
+    fn byte_views_cover_exactly_the_elements() {
+        for len in [0usize, 1, 7, 4097] {
+            assert_eq!(bytes_of(&vec![0u32; len]).len(), len * 4);
+            assert_eq!(bytes_of_mut(&mut vec![0usize; len]).len(), len * 8);
         }
     }
 
     #[test]
     fn roundtrip_through_bytes() {
-        let mut buf = AlignedBuf::zeroed(16);
-        buf.as_bytes_mut().copy_from_slice(&[
+        let mut offsets = vec![0usize; 2];
+        bytes_of_mut(&mut offsets).copy_from_slice(&[
             1, 0, 0, 0, 0, 0, 0, 0, //
-            2, 0, 0, 0, 3, 0, 0, 0,
+            0, 1, 0, 0, 0, 0, 0, 0,
         ]);
-        assert_eq!(as_u64s(&buf.as_bytes()[..8]), Some(&[1u64][..]));
-        assert_eq!(as_u32s(&buf.as_bytes()[8..16]), Some(&[2u32, 3][..]));
-    }
-
-    #[test]
-    fn rejects_misaligned_and_ragged_slices() {
-        let buf = AlignedBuf::zeroed(24);
-        let bytes = buf.as_bytes();
-        assert!(as_u64s(&bytes[1..17]).is_none(), "misaligned base");
-        assert!(as_u64s(&bytes[..12]).is_none(), "ragged length");
-        assert!(as_u32s(&bytes[2..10]).is_none(), "misaligned base");
-        assert!(as_u32s(&bytes[..10]).is_none(), "ragged length");
-        assert_eq!(as_u64s(&bytes[..0]), Some(&[][..]), "empty is fine");
-    }
-
-    #[test]
-    fn from_bytes_copies_unaligned_input() {
-        let raw: Vec<u8> = (0u8..32).collect();
-        let buf = AlignedBuf::from_bytes(&raw[1..20]);
-        assert_eq!(buf.as_bytes(), &raw[1..20]);
-        assert_eq!(buf.as_bytes().as_ptr() as usize % 8, 0);
+        assert_eq!(offsets, [1, 256]);
+        assert_eq!(bytes_of(&offsets), &bytes_of_mut(&mut offsets.clone())[..]);
+        let mut ids = vec![0u32; 2];
+        bytes_of_mut(&mut ids).copy_from_slice(&[2, 0, 0, 0, 3, 0, 0, 0]);
+        assert_eq!(ids, [2, 3]);
+        assert_eq!(bytes_of(&ids), [2, 0, 0, 0, 3, 0, 0, 0]);
     }
 }

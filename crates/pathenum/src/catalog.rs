@@ -162,8 +162,8 @@ impl GraphCatalog {
 
     /// Registers (or wholly replaces, caches included) `name` at epoch
     /// 0. Accepts any representation convertible to a [`GraphHandle`]:
-    /// heap `Arc<CsrGraph>`, zero-copy frozen `PEG2` graphs, and
-    /// overlay-backed dynamic graphs register uniformly.
+    /// a `CsrGraph` (or `Arc<CsrGraph>`), however it was loaded, and an
+    /// overlay-backed dynamic graph register uniformly.
     pub fn register(&self, name: &str, graph: impl Into<GraphHandle>) {
         let state = Arc::new(GraphState {
             current: Mutex::new(Arc::new(ServingEpoch {

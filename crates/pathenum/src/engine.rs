@@ -62,9 +62,8 @@ use crate::sink::PathSink;
 /// and cached plans across queries.
 ///
 /// The engine is generic over any [`GraphSnapshot`] — a heap
-/// [`CsrGraph`] (the default), a zero-copy
-/// [`FrozenGraph`](pathenum_graph::FrozenGraph) served from a `PEG2`
-/// image, a [`GraphHandle`](pathenum_graph::GraphHandle) of either, or a
+/// [`CsrGraph`] (the default, whether built, parsed or loaded from a
+/// `PEG2` image), a [`GraphHandle`](pathenum_graph::GraphHandle), or a
 /// [`DynamicGraph`](pathenum_graph::DynamicGraph) queried in place —
 /// and produces byte-identical results across representations (the
 /// strictly-ascending adjacency contract pins emission order). A graph

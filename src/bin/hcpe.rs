@@ -98,12 +98,10 @@ fn main() -> ExitCode {
         handle.num_vertices(),
         handle.num_edges()
     );
-    // The baseline algorithm drivers are CSR-bound; thaw frozen images
-    // (one allocation pass, no re-sort) rather than forking every
-    // baseline over the trait.
+    // The baseline algorithm drivers are CSR-bound; snapshot an overlay
+    // rather than forking every baseline over the trait.
     let graph = match handle {
         GraphHandle::Heap(g) => (*g).clone(),
-        GraphHandle::Frozen(g) => g.to_csr(),
         GraphHandle::Dynamic(g) => g.snapshot(),
     };
 

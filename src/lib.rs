@@ -31,8 +31,8 @@ pub mod prelude {
         RunReport, Termination,
     };
     pub use pathenum_graph::{
-        CsrGraph, DynamicGraph, FrozenGraph, GraphBuilder, GraphHandle, GraphSnapshot,
-        GraphVersion, NeighborAccess, OverlayView, VertexId,
+        CsrGraph, DynamicGraph, GraphBuilder, GraphHandle, GraphSnapshot, GraphVersion,
+        NeighborAccess, OverlayView, VertexId,
     };
 }
 

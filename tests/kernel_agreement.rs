@@ -10,7 +10,7 @@
 //! steady-state of the per-thread scratch arena.
 //!
 //! Index construction is pinned the same way: the boundary sweep and the
-//! flat table fill must produce, on heap, frozen and overlay graphs, the
+//! flat table fill must produce, on heap, `PEG2`-loaded and overlay graphs, the
 //! index of the build they replaced — two independent depth-`k` BFS
 //! passes, an ascending scan for `X`, per-vertex lists comparison-sorted
 //! by `(distance, id)` — which lives on here as [`two_pass_model`]. (That
@@ -22,7 +22,7 @@
 //! labels-only index ([`Index::build_labels`]), filling each row from the
 //! graph the first time it expands the row's owner, must emit exactly
 //! what [`idx_dfs_iterative`] emits on [`Index::build`] — paths, order,
-//! counters — at every result limit, on heap and frozen storage; and
+//! counters — at every result limit, on heap and `PEG2`-loaded storage; and
 //! completing a labels-only index must yield that index.
 //!
 //! Count-only delivery is pinned against per-path delivery: a kernel
@@ -66,7 +66,7 @@ fn arb_graph() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
     })
 }
 
-fn frozen_from(graph: &CsrGraph) -> FrozenGraph {
+fn frozen_from(graph: &CsrGraph) -> CsrGraph {
     let mut image = Vec::new();
     write_frozen(graph, &mut image).expect("in-memory write");
     read_frozen(image.as_slice()).expect("round trip")

@@ -1,5 +1,5 @@
 //! Storage representations must be indistinguishable from the heap CSR
-//! graph: for random graphs, a [`FrozenGraph`] loaded from a `PEG2`
+//! graph: for random graphs, a [`CsrGraph`] loaded from a `PEG2`
 //! image serves *identical* adjacency — same neighbors, same strictly
 //! ascending order, same degrees — which is what makes enumeration
 //! results byte-identical across representations, and one proptest
@@ -26,7 +26,7 @@ fn graph_from_edges(n: u32, edges: &[(u32, u32)]) -> CsrGraph {
     b.finish()
 }
 
-fn frozen_from(graph: &CsrGraph) -> FrozenGraph {
+fn frozen_from(graph: &CsrGraph) -> CsrGraph {
     let mut image = Vec::new();
     write_frozen(graph, &mut image).expect("in-memory write");
     read_frozen(image.as_slice()).expect("round trip")
