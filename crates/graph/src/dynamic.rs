@@ -26,23 +26,28 @@
 //!
 //! # Overlay invariants
 //!
-//! * `inserted` edges are never live base edges: inserting an edge the
-//!   base already has either restores a deleted base edge or is a
-//!   duplicate no-op. The insert overlay and the (non-deleted) base edge
-//!   set are therefore disjoint.
-//! * `deleted` only ever contains base edges; removing an overlay edge
-//!   un-inserts it instead (in `O(log u + deg)` via the slot map — not by
-//!   scanning the whole insert log).
-//! * Per-vertex delta adjacency (`ins_out`/`ins_in`, `del_out`/`del_in`)
-//!   is kept sorted, so [`OverlayView`] yields neighbors in ascending
-//!   order — the same order a materialized snapshot would — which makes
-//!   overlay execution emit results path-for-path identical to snapshot
-//!   execution.
+//! The overlay *is* four sorted per-vertex delta lists, and each edge of
+//! the overlay is stated once in each direction: no insertion log, slot
+//! map or tombstones sit beside them.
+//!
+//! * `ins_out`/`ins_in` list the inserted edges, which are never base
+//!   edges: inserting an edge the base already has either restores a
+//!   deleted base edge or is a duplicate no-op.
+//! * `del_out`/`del_in` list the deleted edges, which are always base
+//!   edges: removing an inserted edge un-lists it instead.
+//! * Edge presence is answered from the lists
+//!   ([`has_edge`](DynamicGraph::has_edge) is a binary search of the base
+//!   row and one delta row), and every mutation is an `O(log deg + deg)`
+//!   sorted insert or removal in two lists.
+//! * The lists are sorted, so [`OverlayView`] yields neighbors in
+//!   ascending order — the same order a materialized snapshot would —
+//!   which makes overlay execution emit results path-for-path identical
+//!   to snapshot execution.
 
 use std::collections::VecDeque;
 
 use crate::csr::CsrGraph;
-use crate::hashing::{FxHashMap, FxHashSet};
+use crate::hashing::FxHashMap;
 use crate::types::{Edge, VertexId};
 use crate::version::GraphVersion;
 use crate::view::NeighborAccess;
@@ -76,17 +81,10 @@ pub struct DynamicGraph {
     /// trust only together with a lineage match. See
     /// [`lineage`](DynamicGraph::lineage).
     lineage: GraphVersion,
-    /// Insertion-ordered overlay log; removed entries are tombstoned so
-    /// removal never shifts (or scans) the rest of the log.
-    inserted: Vec<Option<Edge>>,
-    /// Live overlay edge key -> slot in `inserted`.
-    present: FxHashMap<u64, u32>,
     /// Sorted per-vertex overlay adjacency: inserted out-neighbors.
     ins_out: FxHashMap<VertexId, Vec<VertexId>>,
     /// Sorted per-vertex overlay adjacency: inserted in-neighbors.
     ins_in: FxHashMap<VertexId, Vec<VertexId>>,
-    /// Base edges masked out by [`remove_edge`](DynamicGraph::remove_edge).
-    deleted: FxHashSet<u64>,
     /// Sorted per-vertex deletion adjacency: deleted base out-neighbors.
     del_out: FxHashMap<VertexId, Vec<VertexId>>,
     /// Sorted per-vertex deletion adjacency: deleted base in-neighbors.
@@ -109,11 +107,8 @@ impl Clone for DynamicGraph {
         DynamicGraph {
             base: self.base.clone(),
             lineage: GraphVersion::next(),
-            inserted: self.inserted.clone(),
-            present: self.present.clone(),
             ins_out: self.ins_out.clone(),
             ins_in: self.ins_in.clone(),
-            deleted: self.deleted.clone(),
             del_out: self.del_out.clone(),
             del_in: self.del_in.clone(),
             version: self.version,
@@ -123,28 +118,35 @@ impl Clone for DynamicGraph {
     }
 }
 
-fn edge_key(from: VertexId, to: VertexId) -> u64 {
-    (u64::from(from) << 32) | u64::from(to)
+/// The sorted delta list of `v` in `map` (empty when `v` has none).
+fn delta(map: &FxHashMap<VertexId, Vec<VertexId>>, v: VertexId) -> &[VertexId] {
+    map.get(&v).map_or(&[], Vec::as_slice)
 }
 
-/// Inserts `val` into the sorted list at `key`, creating it on demand.
-fn adj_insert(map: &mut FxHashMap<VertexId, Vec<VertexId>>, key: VertexId, val: VertexId) {
-    let list = map.entry(key).or_default();
-    if let Err(pos) = list.binary_search(&val) {
-        list.insert(pos, val);
-    }
-}
-
-/// Removes `val` from the sorted list at `key`, dropping empty lists.
-fn adj_remove(map: &mut FxHashMap<VertexId, Vec<VertexId>>, key: VertexId, val: VertexId) {
-    if let Some(list) = map.get_mut(&key) {
-        if let Ok(pos) = list.binary_search(&val) {
-            list.remove(pos);
+/// Adds (`list`) or drops `val` in the sorted list at `key`, dropping
+/// empty lists. Returns whether the list changed.
+fn set_listed(
+    map: &mut FxHashMap<VertexId, Vec<VertexId>>,
+    key: VertexId,
+    val: VertexId,
+    list: bool,
+) -> bool {
+    let row = map.entry(key).or_default();
+    let changed = match (row.binary_search(&val), list) {
+        (Err(pos), true) => {
+            row.insert(pos, val);
+            true
         }
-        if list.is_empty() {
-            map.remove(&key);
+        (Ok(pos), false) => {
+            row.remove(pos);
+            true
         }
+        _ => false,
+    };
+    if row.is_empty() {
+        map.remove(&key);
     }
+    changed
 }
 
 impl DynamicGraph {
@@ -155,11 +157,8 @@ impl DynamicGraph {
         DynamicGraph {
             base,
             lineage: GraphVersion::next(),
-            inserted: Vec::new(),
-            present: FxHashMap::default(),
             ins_out: FxHashMap::default(),
             ins_in: FxHashMap::default(),
-            deleted: FxHashSet::default(),
             del_out: FxHashMap::default(),
             del_in: FxHashMap::default(),
             version,
@@ -203,11 +202,15 @@ impl DynamicGraph {
         OverlayView { graph: self }
     }
 
-    /// Edges inserted since construction, in insertion order. Edges later
-    /// removed again by [`remove_edge`](DynamicGraph::remove_edge) do not
-    /// appear.
+    /// The overlay's inserted edges (edges the base does not have), in
+    /// ascending `(from, to)` order. Edges later removed again by
+    /// [`remove_edge`](DynamicGraph::remove_edge) do not appear.
     pub fn inserted_edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.inserted.iter().filter_map(|e| *e)
+        let mut sources: Vec<VertexId> = self.ins_out.keys().copied().collect();
+        sources.sort_unstable();
+        sources
+            .into_iter()
+            .flat_map(move |from| delta(&self.ins_out, from).iter().map(move |&to| (from, to)))
     }
 
     /// The mutations applied after `since`, oldest first, or `None` when
@@ -242,94 +245,56 @@ impl DynamicGraph {
     /// version) if the edge already exists or is a self-loop / out of
     /// range. Re-inserting a base edge that was deleted restores it.
     pub fn insert_edge(&mut self, from: VertexId, to: VertexId) -> bool {
-        if from == to {
-            return false;
-        }
-        let n = self.base.num_vertices() as VertexId;
-        if from >= n || to >= n {
-            return false;
-        }
-        let key = edge_key(from, to);
-        if self.base.has_edge(from, to) {
-            // Restoring a deleted base edge is a mutation; a live base
-            // edge is a duplicate.
-            if self.deleted.remove(&key) {
-                adj_remove(&mut self.del_out, from, to);
-                adj_remove(&mut self.del_in, to, from);
-                self.record(EdgeMutation::Inserted, (from, to));
-                return true;
-            }
-            return false;
-        }
-        if self.present.contains_key(&key) {
-            return false;
-        }
-        self.present.insert(key, self.inserted.len() as u32);
-        self.inserted.push(Some((from, to)));
-        adj_insert(&mut self.ins_out, from, to);
-        adj_insert(&mut self.ins_in, to, from);
-        self.record(EdgeMutation::Inserted, (from, to));
-        true
+        from != to && self.apply(EdgeMutation::Inserted, from, to)
     }
 
     /// Deletes a directed edge (from the base or the overlay). Returns
     /// `false` (and does not advance the version) if the edge is not in
     /// the current graph.
-    ///
-    /// Removing an overlay edge tombstones its slot via the key→slot map
-    /// — `O(log u + deg)` per removal, independent of how many edges were
-    /// ever inserted.
     pub fn remove_edge(&mut self, from: VertexId, to: VertexId) -> bool {
+        self.apply(EdgeMutation::Removed, from, to)
+    }
+
+    /// Makes `(from, to)` present or absent as `kind` says, and logs the
+    /// mutation. A base edge is present unless the `del_*` lists hold
+    /// it; any other edge is present only when the `ins_*` lists do.
+    /// Returns `false` when the edge already was so, or is out of range.
+    fn apply(&mut self, kind: EdgeMutation, from: VertexId, to: VertexId) -> bool {
         let n = self.base.num_vertices() as VertexId;
         if from >= n || to >= n {
             return false;
         }
-        let key = edge_key(from, to);
-        if let Some(slot) = self.present.remove(&key) {
-            self.inserted[slot as usize] = None;
-            adj_remove(&mut self.ins_out, from, to);
-            adj_remove(&mut self.ins_in, to, from);
-            self.compact_inserted_if_sparse();
-            self.record(EdgeMutation::Removed, (from, to));
-            return true;
+        let on_base = self.base.has_edge(from, to);
+        let (out, inn) = if on_base {
+            (&mut self.del_out, &mut self.del_in)
+        } else {
+            (&mut self.ins_out, &mut self.ins_in)
+        };
+        // Listing a base edge deletes it; listing any other inserts it.
+        let list = (kind == EdgeMutation::Inserted) != on_base;
+        if !set_listed(out, from, to, list) {
+            return false;
         }
-        if self.base.has_edge(from, to) && self.deleted.insert(key) {
-            adj_insert(&mut self.del_out, from, to);
-            adj_insert(&mut self.del_in, to, from);
-            self.record(EdgeMutation::Removed, (from, to));
-            return true;
-        }
-        false
-    }
-
-    /// Drops tombstones once they outnumber live overlay edges, so the
-    /// insert log stays `O(live overlay)` on unbounded churn streams
-    /// (and slot indices stay far from `u32` range) instead of growing
-    /// with every insertion ever made. Rebuilding the key→slot map is
-    /// linear in the live count, amortized `O(1)` per removal.
-    fn compact_inserted_if_sparse(&mut self) {
-        if self.inserted.len() < 64 || self.inserted.len() < 2 * self.present.len() {
-            return;
-        }
-        self.inserted.retain(Option::is_some);
-        for (slot, edge) in self.inserted.iter().enumerate() {
-            let (from, to) = edge.expect("only live slots retained");
-            self.present.insert(edge_key(from, to), slot as u32);
-        }
+        set_listed(inn, to, from, list);
+        self.record(kind, (from, to));
+        true
     }
 
     /// Whether the edge exists in the current (base + overlay) graph.
     pub fn has_edge(&self, from: VertexId, to: VertexId) -> bool {
-        let key = edge_key(from, to);
-        if self.present.contains_key(&key) {
-            return true;
+        if self.base.has_edge(from, to) {
+            delta(&self.del_out, from).binary_search(&to).is_err()
+        } else {
+            delta(&self.ins_out, from).binary_search(&to).is_ok()
         }
-        self.base.has_edge(from, to) && !self.deleted.contains(&key)
     }
 
     /// Total edge count of the current graph.
     pub fn num_edges(&self) -> usize {
-        self.base.num_edges() + self.present.len() - self.deleted.len()
+        let listed = |map: &FxHashMap<VertexId, Vec<VertexId>>| -> usize {
+            map.values().map(Vec::len).sum()
+        };
+        self.base.num_edges() + listed(&self.ins_out) - listed(&self.del_out)
     }
 
     /// Materializes the current graph as an immutable [`CsrGraph`],
@@ -337,42 +302,27 @@ impl DynamicGraph {
     /// an unmutated overlay are version-identical and can share cached
     /// per-query state.
     ///
-    /// Cost is linear: the sorted base edge stream is merged with the
-    /// (small, sorted) overlay in one pass into an exactly sized buffer.
-    /// When no deletions are pending, base edges are streamed through
-    /// without any per-edge membership check. Prefer
-    /// [`view`](DynamicGraph::view) for per-query execution — it skips
-    /// this cost entirely.
+    /// Cost is linear: each base row, minus its deleted edges, is merged
+    /// with the ascending [`inserted_edges`](DynamicGraph::inserted_edges)
+    /// in one pass into an exactly sized buffer, so the builder's
+    /// sort/dedup is bypassed. Prefer [`view`](DynamicGraph::view) for
+    /// per-query execution — it skips this cost entirely.
     pub fn snapshot(&self) -> CsrGraph {
-        let mut overlay: Vec<Edge> = self.inserted_edges().collect();
-        overlay.sort_unstable();
-        // Exact final size: (base − deleted) + live overlay. Both runs
-        // are sorted and disjoint, so a single merge pass suffices and
-        // the builder's sort/dedup can be bypassed.
+        let mut inserted = self.inserted_edges().peekable();
         let mut edges: Vec<Edge> = Vec::with_capacity(self.num_edges());
-        let mut next = 0usize;
-        if self.deleted.is_empty() {
-            // Fast path: no deletions → bulk-stream every base edge.
-            for e in self.base.edges() {
-                while next < overlay.len() && overlay[next] < e {
-                    edges.push(overlay[next]);
-                    next += 1;
-                }
-                edges.push(e);
-            }
-        } else {
-            for e in self.base.edges() {
-                if self.deleted.contains(&edge_key(e.0, e.1)) {
+        for from in 0..self.base.num_vertices() as VertexId {
+            let deleted = delta(&self.del_out, from);
+            for &to in self.base.out_neighbors(from) {
+                if deleted.binary_search(&to).is_ok() {
                     continue;
                 }
-                while next < overlay.len() && overlay[next] < e {
-                    edges.push(overlay[next]);
-                    next += 1;
+                while let Some(e) = inserted.next_if(|&e| e < (from, to)) {
+                    edges.push(e);
                 }
-                edges.push(e);
+                edges.push((from, to));
             }
         }
-        edges.extend_from_slice(&overlay[next..]);
+        edges.extend(inserted);
         debug_assert_eq!(edges.len(), self.num_edges());
         let mut snapshot = CsrGraph::from_sorted_dedup_edges(self.base.num_vertices(), &edges);
         snapshot.version = self.version;
@@ -434,10 +384,6 @@ impl<'g> OverlayView<'g> {
     pub fn version(&self) -> GraphVersion {
         self.graph.version()
     }
-
-    fn delta(map: &'g FxHashMap<VertexId, Vec<VertexId>>, v: VertexId) -> &'g [VertexId] {
-        map.get(&v).map_or(&[], Vec::as_slice)
-    }
 }
 
 impl NeighborAccess for OverlayView<'_> {
@@ -454,8 +400,8 @@ impl NeighborAccess for OverlayView<'_> {
     fn for_each_out(&self, v: VertexId, f: impl FnMut(VertexId)) {
         merge_neighbors(
             self.graph.base.out_neighbors(v),
-            Self::delta(&self.graph.del_out, v),
-            Self::delta(&self.graph.ins_out, v),
+            delta(&self.graph.del_out, v),
+            delta(&self.graph.ins_out, v),
             f,
         );
     }
@@ -463,25 +409,20 @@ impl NeighborAccess for OverlayView<'_> {
     fn for_each_in(&self, v: VertexId, f: impl FnMut(VertexId)) {
         merge_neighbors(
             self.graph.base.in_neighbors(v),
-            Self::delta(&self.graph.del_in, v),
-            Self::delta(&self.graph.ins_in, v),
+            delta(&self.graph.del_in, v),
+            delta(&self.graph.ins_in, v),
             f,
         );
     }
 
-    #[inline]
-    fn has_edge(&self, from: VertexId, to: VertexId) -> bool {
-        self.graph.has_edge(from, to)
-    }
-
     fn out_degree(&self, v: VertexId) -> usize {
-        self.graph.base.out_degree(v) - Self::delta(&self.graph.del_out, v).len()
-            + Self::delta(&self.graph.ins_out, v).len()
+        self.graph.base.out_degree(v) - delta(&self.graph.del_out, v).len()
+            + delta(&self.graph.ins_out, v).len()
     }
 
     fn in_degree(&self, v: VertexId) -> usize {
-        self.graph.base.in_degree(v) - Self::delta(&self.graph.del_in, v).len()
-            + Self::delta(&self.graph.ins_in, v).len()
+        self.graph.base.in_degree(v) - delta(&self.graph.del_in, v).len()
+            + delta(&self.graph.ins_in, v).len()
     }
 }
 
@@ -508,11 +449,6 @@ impl NeighborAccess for DynamicGraph {
     #[inline]
     fn for_each_in(&self, v: VertexId, f: impl FnMut(VertexId)) {
         self.view().for_each_in(v, f);
-    }
-
-    #[inline]
-    fn has_edge(&self, from: VertexId, to: VertexId) -> bool {
-        DynamicGraph::has_edge(self, from, to)
     }
 
     #[inline]
@@ -712,11 +648,7 @@ mod tests {
     fn snapshot_via_builder(d: &DynamicGraph) -> CsrGraph {
         let mut builder = GraphBuilder::new(d.base.num_vertices());
         builder
-            .add_edges(
-                d.base
-                    .edges()
-                    .filter(|&(from, to)| !d.deleted.contains(&edge_key(from, to))),
-            )
+            .add_edges(d.base.edges().filter(|&(from, to)| d.has_edge(from, to)))
             .expect("base edges are valid");
         builder
             .add_edges(d.inserted_edges())
@@ -779,9 +711,8 @@ mod tests {
 
     #[test]
     fn churned_insert_log_stays_bounded_by_live_overlay() {
-        // Unbounded insert/remove churn with a tiny live overlay: the
-        // tombstoned log must compact instead of growing with every
-        // insertion ever made.
+        // Unbounded insert/remove churn with no live overlay edge left:
+        // nothing of the churn may survive in the overlay.
         let mut b = GraphBuilder::new(64);
         b.add_edge(0, 1).unwrap();
         let mut d = DynamicGraph::new(b.finish());
@@ -793,27 +724,23 @@ mod tests {
                 d.remove_edge(u, v);
             }
         }
-        assert!(
-            d.inserted.len() <= 2 * d.present.len() + 64,
-            "insert log holds {} slots for {} live overlay edges",
-            d.inserted.len(),
-            d.present.len()
-        );
-        assert_eq!(d.inserted_edges().count(), d.present.len());
+        assert_eq!(d.inserted_edges().count(), 0);
+        assert_eq!(d.num_edges(), 1);
+        assert!((0..64).all(|v| d.view().out_degree(v) == d.base().out_degree(v)));
         assert_eq!(d.snapshot().num_edges(), d.num_edges());
     }
 
     #[test]
     fn removal_after_compaction_hits_the_right_slot() {
-        // Compaction rewrites the key -> slot map; later removals must
-        // still tombstone the edge they name.
+        // Removing most of a long delta list must leave the survivors
+        // listed: each later removal must find the edge it names.
         let mut b = GraphBuilder::new(256);
         b.add_edge(0, 1).unwrap();
         let mut d = DynamicGraph::new(b.finish());
         for v in 2..200u32 {
             assert!(d.insert_edge(0, v));
         }
-        // Remove most of them to force at least one compaction.
+        // Remove most of them.
         for v in 2..190u32 {
             assert!(d.remove_edge(0, v));
         }

@@ -120,15 +120,9 @@ impl EpochMap {
     }
 
     /// Every key written this epoch, in first-write order (no
-    /// duplicates). [`EpochMap::sort_touched`] makes the order ascending.
+    /// duplicates).
     pub fn touched(&self) -> &[u32] {
         &self.touched
-    }
-
-    /// Sorts the touched list ascending, so iterating it visits keys in
-    /// the same order as a `0..n` scan would.
-    pub fn sort_touched(&mut self) {
-        self.touched.sort_unstable();
     }
 
     /// Approximate heap footprint in bytes.
@@ -254,8 +248,6 @@ mod tests {
         m.set(3, 1);
         m.set(7, 2);
         assert_eq!(m.touched(), &[7, 3]);
-        m.sort_touched();
-        assert_eq!(m.touched(), &[3, 7]);
         assert_eq!(m.get(7), 2);
     }
 

@@ -110,42 +110,6 @@ pub fn layered_dag(
     (builder.finish(), source, sink)
 }
 
-/// Closed-form count of s-t paths with at most `k` edges in `K_n`.
-///
-/// Returns `None` on overflow (counts grow factorially).
-pub fn complete_digraph_path_count(n: usize, k: usize) -> Option<u64> {
-    if n < 2 {
-        return Some(0);
-    }
-    let mut total: u64 = 0;
-    for l in 1..=k {
-        // l-1 ordered intermediates from the n-2 non-endpoint vertices.
-        if l - 1 > n - 2 {
-            break;
-        }
-        let mut ways: u64 = 1;
-        for i in 0..(l - 1) {
-            ways = ways.checked_mul((n - 2 - i) as u64)?;
-        }
-        total = total.checked_add(ways)?;
-    }
-    Some(total)
-}
-
-/// Binomial coefficient `C(n, r)` with overflow checking.
-pub fn binomial(n: u64, r: u64) -> Option<u64> {
-    if r > n {
-        return Some(0);
-    }
-    let r = r.min(n - r);
-    let mut result: u64 = 1;
-    for i in 0..r {
-        result = result.checked_mul(n - i)?;
-        result /= i + 1;
-    }
-    Some(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,16 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_path_counts() {
-        // K_4, k=3: l=1: 1, l=2: 2, l=3: 2*1=2 -> 5 paths.
-        assert_eq!(complete_digraph_path_count(4, 3), Some(5));
-        // K_3, k=2: direct + one intermediate = 1 + 1 = 2.
-        assert_eq!(complete_digraph_path_count(3, 2), Some(2));
-        // k exceeding available intermediates saturates.
-        assert_eq!(complete_digraph_path_count(3, 10), Some(2));
-    }
-
-    #[test]
     fn grid_shape_and_degrees() {
         let g = directed_grid(3, 4);
         assert_eq!(g.num_vertices(), 12);
@@ -177,14 +131,6 @@ mod tests {
         assert_eq!(g.num_edges(), 17);
         assert_eq!(g.out_degree(0), 2);
         assert_eq!(g.out_degree(11), 0);
-    }
-
-    #[test]
-    fn binomial_basics() {
-        assert_eq!(binomial(5, 2), Some(10));
-        assert_eq!(binomial(6, 0), Some(1));
-        assert_eq!(binomial(4, 7), Some(0));
-        assert_eq!(binomial(52, 26), Some(495_918_532_948_104));
     }
 
     #[test]

@@ -142,14 +142,6 @@ impl NeighborAccess for GraphHandle {
     }
 
     #[inline]
-    fn has_edge(&self, from: VertexId, to: VertexId) -> bool {
-        match self {
-            GraphHandle::Heap(g) => g.has_edge(from, to),
-            GraphHandle::Dynamic(g) => g.has_edge(from, to),
-        }
-    }
-
-    #[inline]
     fn out_degree(&self, v: VertexId) -> usize {
         match self {
             GraphHandle::Heap(g) => g.out_degree(v),

@@ -1,9 +1,10 @@
 //! Uniform neighbor access over different graph representations.
 //!
-//! The PathEnum pipeline only ever asks a graph four questions: how many
-//! vertices, how many edges, and "call me back for every out-/in-neighbor
-//! of `v`". [`NeighborAccess`] captures exactly that surface so the
-//! boundary BFS and the per-query index build can run unchanged over
+//! The PathEnum pipeline only ever asks a graph a few questions: how many
+//! vertices and edges, "call me back for every out-/in-neighbor of `v`",
+//! and how many of them `v` has. [`NeighborAccess`] captures exactly that
+//! surface so the boundary BFS and the per-query index build can run
+//! unchanged over
 //!
 //! * a materialized [`CsrGraph`], and
 //! * a borrowed [`OverlayView`](crate::dynamic::OverlayView) of a
@@ -13,7 +14,10 @@
 //! The trait uses callback-style iteration (`for_each_out`) instead of
 //! returning iterators: implementations stay object-simple, callers
 //! monomorphize, and an overlay can interleave its delta adjacency with
-//! the base slices without allocating.
+//! the base slices without allocating. Edge presence is not part of the
+//! surface: no serving path asks it, and the concrete types answer it
+//! themselves ([`CsrGraph::has_edge`],
+//! [`DynamicGraph::has_edge`](crate::dynamic::DynamicGraph::has_edge)).
 //!
 //! # Iteration-order contract
 //!
@@ -43,9 +47,6 @@ pub trait NeighborAccess {
     /// Calls `f` for every in-neighbor of `v` (sources of edges into
     /// `v`), ascending.
     fn for_each_in(&self, v: VertexId, f: impl FnMut(VertexId));
-
-    /// Whether the directed edge `(from, to)` exists.
-    fn has_edge(&self, from: VertexId, to: VertexId) -> bool;
 
     /// Out-degree of `v`.
     fn out_degree(&self, v: VertexId) -> usize {
@@ -88,11 +89,6 @@ impl NeighborAccess for CsrGraph {
     }
 
     #[inline]
-    fn has_edge(&self, from: VertexId, to: VertexId) -> bool {
-        CsrGraph::has_edge(self, from, to)
-    }
-
-    #[inline]
     fn out_degree(&self, v: VertexId) -> usize {
         CsrGraph::out_degree(self, v)
     }
@@ -124,11 +120,6 @@ impl<G: NeighborAccess> NeighborAccess for std::sync::Arc<G> {
     #[inline]
     fn for_each_in(&self, v: VertexId, f: impl FnMut(VertexId)) {
         (**self).for_each_in(v, f);
-    }
-
-    #[inline]
-    fn has_edge(&self, from: VertexId, to: VertexId) -> bool {
-        (**self).has_edge(from, to)
     }
 
     #[inline]
@@ -164,8 +155,6 @@ mod tests {
         let mut ins = Vec::new();
         g.for_each_in(3, |n| ins.push(n));
         assert_eq!(ins, vec![1, 2]);
-        assert!(NeighborAccess::has_edge(&g, 0, 1));
-        assert!(!NeighborAccess::has_edge(&g, 1, 0));
         assert_eq!(NeighborAccess::out_degree(&g, 0), 2);
         assert_eq!(NeighborAccess::in_degree(&g, 3), 2);
     }

@@ -261,11 +261,6 @@ impl ResultCache {
         Sharded::with_shards(byte_budget, 1)
     }
 
-    /// Total byte budget across all shards (rounded up as enforced).
-    pub fn byte_budget(&self) -> usize {
-        self.budget()
-    }
-
     /// Bytes currently charged by stored entries.
     pub fn bytes(&self) -> usize {
         self.charged()
@@ -464,7 +459,8 @@ mod tests {
         let long: Vec<u32> = (0..200).collect();
         let one_entry = buffer(&[&long]).heap_bytes() + ENTRY_OVERHEAD_BYTES;
         // Room for two long-path entries, not three.
-        let cache = ResultCache::new(one_entry * 2 + ENTRY_OVERHEAD_BYTES / 2);
+        let budget = one_entry * 2 + ENTRY_OVERHEAD_BYTES / 2;
+        let cache = ResultCache::new(budget);
         let v = GraphVersion::next();
         for k in [2u32, 3, 4] {
             cache.insert(
@@ -480,7 +476,7 @@ mod tests {
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.lookup(&key(2), None, v).is_none(), "LRU gone");
         assert!(cache.lookup(&key(4), None, v).is_some());
-        assert!(cache.bytes() <= cache.byte_budget());
+        assert!(cache.bytes() <= budget);
 
         // An answer larger than the whole budget is never admitted.
         let huge: Vec<u32> = (0..100_000).collect();

@@ -240,8 +240,9 @@ proptest! {
     /// Oracle for arbitrary interleaved insert/remove/restore streams:
     /// the overlay must agree with a naive `HashSet` edge-set model on
     /// every mutation's return value, on `has_edge`/`num_edges` at every
-    /// step, and on the final `snapshot()` edge set — including the
-    /// delete-then-reinsert-base-edge and remove-inserted-edge chains.
+    /// step, and on the final `snapshot()` edge set, view degrees and
+    /// `inserted_edges()` — including the delete-then-reinsert-base-edge
+    /// and remove-inserted-edge chains.
     #[test]
     fn overlay_state_matches_a_hashset_model(
         n in 3u32..10,
@@ -296,7 +297,18 @@ proptest! {
             let mut inn = Vec::new();
             view.for_each_in(v, |w| inn.push(w));
             prop_assert_eq!(inn, snapshot.in_neighbors(v).to_vec(), "in({})", v);
+            prop_assert_eq!(view.out_degree(v), snapshot.out_degree(v), "out_degree({})", v);
+            prop_assert_eq!(view.in_degree(v), snapshot.in_degree(v), "in_degree({})", v);
         }
+
+        // The inserted set is the model minus the base edges, ascending.
+        let mut inserted: Vec<(u32, u32)> = model
+            .iter()
+            .copied()
+            .filter(|&(u, v)| !dynamic.base().has_edge(u, v))
+            .collect();
+        inserted.sort_unstable();
+        prop_assert_eq!(dynamic.inserted_edges().collect::<Vec<_>>(), inserted);
     }
 }
 
